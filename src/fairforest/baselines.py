@@ -19,12 +19,13 @@ Every learner exposes the same ``step``/``snapshot`` protocol as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigurationError, DataError, DomainError, ShapeError
-from .forest import AncestorMask, ObliqueForest, build_mask
+from .forest import AncestorMask, ObliqueForest, _ancestor_rows, _path_nodes
 from .gradients import (
     ForestGradient,
     HuberPenalty,
@@ -152,20 +153,22 @@ class ReservoirLearner(OnlineForestLearner):
 
 
 class LeafAggregateStore:
-    """Running per-group means of leaf probabilities and their parameter
-    Jacobians, one cell per (tree, group)."""
+    """Running per-group means of leaf probabilities and of their parameter
+    Jacobians along each leaf's root-to-leaf path, one cell per (tree,
+    group).  Entry ``[t, g, l, k]`` belongs to the depth-``k`` ancestor of
+    leaf ``l``; no other node moves that leaf's probability."""
 
-    def __init__(self, tree_count: int, n_leaves: int, n_nodes: int,
+    def __init__(self, tree_count: int, n_leaves: int, height: int,
                  n_features: int, n_groups: int = 2):
         self.counts = np.zeros((tree_count, n_groups), dtype=np.int64)
         self.mean_probs = np.zeros((tree_count, n_groups, n_leaves))
-        self.mean_jac_w = np.zeros((tree_count, n_groups, n_leaves, n_nodes,
+        self.mean_jac_w = np.zeros((tree_count, n_groups, n_leaves, height,
                                     n_features))
-        self.mean_jac_b = np.zeros((tree_count, n_groups, n_leaves, n_nodes))
+        self.mean_jac_b = np.zeros((tree_count, n_groups, n_leaves, height))
 
     def update_all(self, group: int, probs: np.ndarray, jac_w: np.ndarray,
                    jac_b: np.ndarray) -> None:
-        """probs (T, L); jac_w (T, L, m, d); jac_b (T, L, m)."""
+        """probs (T, L); jac_w (T, L, h, d); jac_b (T, L, h)."""
         self.counts[:, group] += 1
         counts = self.counts[:, group]
         self.mean_probs[:, group] += (
@@ -177,6 +180,30 @@ class LeafAggregateStore:
         self.mean_jac_b[:, group] += (
             jac_b - self.mean_jac_b[:, group]
         ) / counts[:, None, None]
+
+
+@lru_cache(maxsize=None)
+def _leaf_store_rows(tree_count: int, height: int, width: int) -> np.ndarray:
+    """Flat output position of every ``(t, l, k, j)`` entry of a leaf-store
+    array with trailing width ``width``, summed onto ``(T, m, width)``."""
+    nodes = _path_nodes(tree_count, height).transpose(0, 2, 1)  # (T, L, h)
+    rows = (nodes[..., None] * width + np.arange(width)).ravel()
+    rows.setflags(write=False)
+    return rows
+
+
+def _sum_onto_nodes(values: np.ndarray, height: int) -> np.ndarray:
+    """Sum leaf-store shaped ``values`` (T, L, h, *trailing) onto the nodes
+    they belong to, giving (T, m, *trailing)."""
+    tree_count = values.shape[0]
+    trailing = values.shape[3:]
+    width = int(np.prod(trailing))
+    n_nodes = 2**height - 1
+    sums = np.bincount(
+        _leaf_store_rows(tree_count, height, width), weights=values.ravel(),
+        minlength=tree_count * n_nodes * width,
+    )
+    return sums.reshape(tree_count, n_nodes, *trailing)
 
 
 class LeafPenaltyLearner(OnlineForestLearner):
@@ -196,14 +223,16 @@ class LeafPenaltyLearner(OnlineForestLearner):
         self.store = None
         shape = self.forest.shape
         self.leaf_store = LeafAggregateStore(
-            shape.tree_count, shape.n_leaves, shape.n_nodes, shape.n_features,
+            shape.tree_count, shape.n_leaves, shape.height, shape.n_features,
             config.n_groups,
         )
 
     def _update_fairness_state(self, x, y, a, cache) -> None:
         slope = cache.gates * (1.0 - cache.gates)  # (T, m)
-        # d p_l / d w_i = (d p_l / d n_i) * n_i (1 - n_i) * x
-        jac_b = np.swapaxes(cache.leaf_jac, 1, 2) * slope[:, None, :]  # (T, L, m)
+        # d p_l / d w_i = (d p_l / d n_i) * n_i (1 - n_i) * x, for the path
+        # nodes i of leaf l only.
+        path_slope = np.take(slope, _ancestor_rows(self.forest.height), axis=1)
+        jac_b = np.swapaxes(cache.leaf_jac * path_slope, 1, 2)  # (T, L, h)
         jac_w = jac_b[:, :, :, None] * x[None, None, None, :]
         self.leaf_store.update_all(a, cache.leaf_probs, jac_w, jac_b)
 
@@ -218,11 +247,13 @@ class LeafPenaltyLearner(OnlineForestLearner):
         gap = store.mean_probs[:, 0] - store.mean_probs[:, 1]  # (T, L)
         coeff = _huber_slope_array(gap, self.penalty.delta)
         coeff *= warm[:, None] * self.penalty.weight
-        grad.weights += np.einsum(
-            "tl,tlmd->tmd", coeff, store.mean_jac_w[:, 0] - store.mean_jac_w[:, 1]
+        h = self.forest.height
+        grad.weights += _sum_onto_nodes(
+            coeff[:, :, None, None]
+            * (store.mean_jac_w[:, 0] - store.mean_jac_w[:, 1]), h
         )
-        grad.biases += np.einsum(
-            "tl,tlm->tm", coeff, store.mean_jac_b[:, 0] - store.mean_jac_b[:, 1]
+        grad.biases += _sum_onto_nodes(
+            coeff[:, :, None] * (store.mean_jac_b[:, 0] - store.mean_jac_b[:, 1]), h
         )
         return grad
 

@@ -27,9 +27,6 @@ from .errors import ConfigurationError, ShapeError
 
 MAX_HEIGHT = 16
 
-# Routing factors below this size switch the path product to log space.
-_LOG_SPACE_CUTOFF = 1e-12
-
 
 class ForestShape(NamedTuple):
     """Static dimensions shared by every tree of a forest."""
@@ -121,6 +118,34 @@ def _path_signs(height: int) -> np.ndarray:
     signs = signs.astype(np.float64)
     signs.setflags(write=False)
     return signs
+
+
+@lru_cache(maxsize=None)
+def _path_edges(height: int) -> np.ndarray:
+    """Column of each path factor in a tree's edge array, shape (h, 2**h).
+
+    The edge array holds the left-edge factor of every node followed by
+    its right-edge factor (see ``_node_edges``), so the depth-``i``
+    ancestor contributes column ``node`` where the leaf hangs left of it
+    and column ``m + node`` where it hangs right.
+    """
+    right = _path_signs(height) < 0
+    edges = _ancestor_rows(height) + right * (2**height - 1)
+    edges.setflags(write=False)
+    return edges
+
+
+@lru_cache(maxsize=None)
+def _path_nodes(tree_count: int, height: int) -> np.ndarray:
+    """Flat (tree, node) row ``t * m + ancestor`` of every path entry.
+
+    Shape (T, h, 2**h), matching the path-form leaf Jacobian, so a
+    ``bincount`` over it sums per-path values onto their nodes.
+    """
+    n_nodes = 2**height - 1
+    rows = np.arange(tree_count)[:, None, None] * n_nodes + _ancestor_rows(height)
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass
@@ -276,44 +301,47 @@ def node_outputs(tree: TreeParams, x: np.ndarray) -> np.ndarray:
     return expit(tree.weights @ x + tree.biases)
 
 
+def _node_edges(z: np.ndarray) -> np.ndarray:
+    """Routing factors of both edges of every node, from pre-activations.
+
+    ``z`` is ``(..., m)``; the result is ``(..., 2m)``: the gate outputs
+    ``expit(z)`` (left edges) followed by ``expit(-z)`` (right edges).
+    The right edge is never formed as ``1 - expit(z)``, which cancels to
+    exactly 0 once ``z`` exceeds about 37.
+    """
+    return expit(np.concatenate([z, -z], axis=-1))
+
+
 def _all_node_outputs(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
-    """Gate outputs for every tree at once, shape (T, m)."""
-    return expit(forest.weights @ x + forest.biases)
+    """Edge factors of every node for every tree at once, shape (T, 2m):
+    the gate outputs in the first ``m`` columns, their complements after."""
+    return _node_edges(forest.weights @ x + forest.biases)
 
 
-def _path_factors(outputs: np.ndarray, height: int) -> np.ndarray:
+def _path_factors(edges: np.ndarray, height: int) -> np.ndarray:
     """Routing factor of each depth-level ancestor per leaf.
 
-    ``outputs`` may be ``(m,)`` or ``(..., m)``; the result appends the
-    path structure as the last two axes ``(..., h, 2**h)``: the gate
-    output where the leaf hangs left, its complement where it hangs right.
+    ``edges`` is ``(..., 2m)`` as built by ``_node_edges``; the result
+    replaces the last axis with the path structure ``(..., h, 2**h)``.
     """
-    anc = _ancestor_rows(height)
-    signs = _path_signs(height)
-    gathered = outputs[..., anc]
-    return np.where(signs > 0, gathered, 1.0 - gathered)
+    return np.take(edges, _path_edges(height), axis=-1)
 
 
-def leaf_probabilities(outputs: np.ndarray, mask: AncestorMask) -> np.ndarray:
-    """Probability of each leaf given the node gate outputs of one tree.
-
-    The product over each root-to-leaf path runs in log space whenever a
-    routing factor drops below 1e-12, so deep saturated paths underflow
-    gracefully instead of collapsing to spurious zeros.
-    """
+def _gate_edges(outputs: np.ndarray, mask: AncestorMask) -> np.ndarray:
+    """Edge array of one tree from its gate outputs, for the public
+    functions that take gate outputs rather than pre-activations."""
     outputs = np.asarray(outputs, dtype=np.float64)
     if outputs.shape != (mask.n_nodes,):
         raise ShapeError(
             f"expected {mask.n_nodes} node outputs, got shape {outputs.shape}"
         )
-    factors = _path_factors(outputs, mask.height)
-    if factors.min() < _LOG_SPACE_CUTOFF:
-        hard_zero = (factors == 0.0).any(axis=0)
-        logp = np.log(np.clip(factors, 1e-300, None)).sum(axis=0)
-        probs = np.exp(logp)
-        probs[hard_zero] = 0.0
-        return probs
-    return factors.prod(axis=0)
+    return np.concatenate([outputs, 1.0 - outputs])
+
+
+def leaf_probabilities(outputs: np.ndarray, mask: AncestorMask) -> np.ndarray:
+    """Probability of each leaf given the node gate outputs of one tree:
+    the product of the routing factors along its root-to-leaf path."""
+    return _path_factors(_gate_edges(outputs, mask), mask.height).prod(axis=0)
 
 
 def leaf_probability_gradients(
@@ -324,40 +352,38 @@ def leaf_probability_gradients(
     Returns ``(probs, jac)`` where ``probs`` has shape ``(2**h,)`` and
     ``jac[i, j]`` is the derivative of leaf probability ``j`` in node
     output ``i``: the signed product of the other routing factors along
-    the path.  Built from prefix/suffix products, so saturated gates
-    (outputs at 0 or 1) never trigger a division.
+    the path, zero where node ``i`` is not an ancestor of leaf ``j``.
+    Built from prefix/suffix products, so saturated gates (outputs at 0
+    or 1) never trigger a division.
     """
-    outputs = np.asarray(outputs, dtype=np.float64)
-    if outputs.shape != (mask.n_nodes,):
-        raise ShapeError(
-            f"expected {mask.n_nodes} node outputs, got shape {outputs.shape}"
-        )
-    probs, jac = _leaf_probability_gradients_stacked(outputs[None, :], mask)
-    return probs[0], jac[0]
+    probs, path_jac = _leaf_probability_gradients_stacked(
+        _gate_edges(outputs, mask)[None, :], mask.height
+    )
+    jac = np.zeros((mask.n_nodes, mask.n_leaves))
+    jac[_ancestor_rows(mask.height), np.arange(mask.n_leaves)] = path_jac[0]
+    return probs[0], jac
 
 
 def _leaf_probability_gradients_stacked(
-    outputs: np.ndarray, mask: AncestorMask
+    edges: np.ndarray, height: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized core of leaf_probability_gradients over a tree axis.
+    """Vectorized core of leaf_probability_gradients over a tree axis, in
+    path form.
 
-    ``outputs``: (T, m) -> probs (T, 2**h), jac (T, m, 2**h).
+    ``edges``: (T, 2m) -> probs (T, 2**h), jac (T, h, 2**h).  Entry
+    ``jac[t, k, l]`` is the derivative of leaf ``l``'s probability in the
+    gate output of its depth-``k`` ancestor; every other node has zero
+    derivative, so the dense (T, m, 2**h) Jacobian is never formed.
     """
-    h = mask.height
-    n_trees = outputs.shape[0]
-    n_leaves = mask.n_leaves
-    anc = _ancestor_rows(h)
-    signs = _path_signs(h)
-    factors = _path_factors(outputs, h)  # (T, h, L)
-    prefix = np.ones((n_trees, h + 1, n_leaves))
+    factors = _path_factors(edges, height)  # (T, h, L)
+    n_trees, _, n_leaves = factors.shape
+    prefix = np.ones((n_trees, height + 1, n_leaves))
     np.cumprod(factors, axis=1, out=prefix[:, 1:])
-    suffix = np.ones((n_trees, h + 1, n_leaves))
-    suffix[:, :h] = np.cumprod(factors[:, ::-1], axis=1)[:, ::-1]
-    excluded = prefix[:, :h] * suffix[:, 1:]
-    jac = np.zeros((n_trees, mask.n_nodes, n_leaves))
-    cols = np.arange(n_leaves)[None, :]
-    jac[:, anc, cols] = signs * excluded
-    return prefix[:, h], jac
+    suffix = np.ones((n_trees, height + 1, n_leaves))
+    np.cumprod(factors[:, ::-1], axis=1, out=suffix[:, height - 1::-1])
+    jac = prefix[:, :height] * suffix[:, 1:]
+    jac *= _path_signs(height)
+    return prefix[:, height], jac
 
 
 def tree_output(tree: TreeParams, x: np.ndarray,
@@ -377,15 +403,7 @@ def forward(forest: ObliqueForest, x: np.ndarray,
         raise ShapeError(
             f"expected feature vector of shape ({forest.n_features},), got {x.shape}"
         )
-    if mask is None:
-        mask = build_mask(forest.height)
-    gates = _all_node_outputs(forest, x)
-    factors = _path_factors(gates, forest.height)
-    probs = factors.prod(axis=1)  # (T, L)
-    if factors.min() < _LOG_SPACE_CUTOFF:
-        probs = np.stack(
-            [leaf_probabilities(gates[t], mask) for t in range(forest.tree_count)]
-        )
+    probs = _path_factors(_all_node_outputs(forest, x), forest.height).prod(axis=1)
     return np.einsum("tl,tlc->c", probs, forest.leaves) / forest.tree_count
 
 
@@ -398,10 +416,10 @@ def forward_batch(forest: ObliqueForest, features: np.ndarray,
             f"expected feature matrix of shape (n, {forest.n_features}), "
             f"got {features.shape}"
         )
-    gates = expit(
+    edges = _node_edges(
         np.einsum("tmd,nd->tnm", forest.weights, features) + forest.biases[:, None, :]
     )
-    factors = _path_factors(gates, forest.height)  # (T, n, h, L)
+    factors = _path_factors(edges, forest.height)  # (T, n, h, L)
     probs = factors.prod(axis=2)  # (T, n, L)
     return np.einsum("tnl,tlc->nc", probs, forest.leaves) / forest.tree_count
 

@@ -23,6 +23,7 @@ from .forest import (
     ObliqueForest,
     _all_node_outputs,
     _leaf_probability_gradients_stacked,
+    _path_nodes,
     build_mask,
 )
 from .stats import AggregateStore
@@ -103,7 +104,7 @@ def huber(gap: float, delta: float) -> float:
     linear outside."""
     if abs(gap) < delta:
         return 0.5 * gap * gap
-    return delta * abs(gap - 0.5 * delta)
+    return delta * (abs(gap) - 0.5 * delta)
 
 
 def huber_slope(gap: float, delta: float) -> float:
@@ -135,9 +136,11 @@ class _ForwardCache:
     __slots__ = ("gates", "leaf_probs", "leaf_jac", "output")
 
     def __init__(self, forest: ObliqueForest, x: np.ndarray, mask: AncestorMask):
-        self.gates = _all_node_outputs(forest, x)  # (T, m)
+        edges = _all_node_outputs(forest, x)  # (T, 2m)
+        self.gates = edges[:, :mask.n_nodes]  # (T, m)
+        # leaf_jac is in path form, (T, h, 2**h).
         self.leaf_probs, self.leaf_jac = _leaf_probability_gradients_stacked(
-            self.gates, mask
+            edges, mask.height
         )
         self.output = np.einsum(
             "tl,tlc->c", self.leaf_probs, forest.leaves
@@ -178,7 +181,12 @@ def _task_gradient_cached(forest: ObliqueForest, x: np.ndarray, y: int,
     t = forest.tree_count
     grad_leaves = cache.leaf_probs[:, :, None] * residual[None, None, :] / t
     leaf_sensitivity = np.einsum("tlc,c->tl", forest.leaves, residual) / t
-    dldn = np.einsum("tml,tl->tm", cache.leaf_jac, leaf_sensitivity)
+    # Each path entry adds its leaf's sensitivity to the node it differentiates.
+    path_terms = cache.leaf_jac * leaf_sensitivity[:, None, :]
+    dldn = np.bincount(
+        _path_nodes(t, forest.height).ravel(), weights=path_terms.ravel(),
+        minlength=cache.gates.size,
+    ).reshape(cache.gates.shape)
     slope = cache.gates * (1.0 - cache.gates)
     grad_b = dldn * slope
     grad_w = grad_b[:, :, None] * x[None, None, :]

@@ -9,7 +9,9 @@ configuration, and the instance stream.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
@@ -394,8 +396,20 @@ class OnlineForestLearner:
         }
 
     def save_checkpoint(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.checkpoint(), fh)
+        """Write the checkpoint atomically: the state goes to a temporary
+        file in the same directory, which then replaces ``path`` in one
+        rename, so a failure mid-write leaves the previous checkpoint."""
+        tmp = f"{os.fspath(path)}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(self.checkpoint(), fh)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def restore(cls, data: dict) -> "OnlineForestLearner":

@@ -23,8 +23,18 @@ from fairforest.errors import (
     DomainError,
     ShapeError,
 )
-from fairforest.forest import ObliqueForest, build_mask, _all_node_outputs
-from fairforest.gradients import HuberPenalty, _ForwardCache, cross_entropy
+from fairforest.forest import (
+    ObliqueForest,
+    _all_node_outputs,
+    build_mask,
+    leaf_probability_gradients,
+)
+from fairforest.gradients import (
+    HuberPenalty,
+    _ForwardCache,
+    _huber_slope_array,
+    cross_entropy,
+)
 from fairforest.learner import LearnerConfig, OnlineForestLearner
 from fairforest.stats import AggregateStore, GroupKey
 
@@ -91,7 +101,7 @@ class TestReservoir:
         for _ in range(60):
             x = rng.standard_normal(5)
             a = int(rng.integers(0, 2))
-            gates = _all_node_outputs(forest, x)
+            gates = _all_node_outputs(forest, x)[:, :forest.shape.n_nodes]
             slope = gates * (1.0 - gates)
             store.update_all(GroupKey(a), gates,
                              slope[:, :, None] * x[None, None, :], slope)
@@ -174,6 +184,46 @@ class TestLeafPenaltyLearner:
                                    rtol=1e-12)
         np.testing.assert_allclose(g_leaf.biases, 2.0 * g_node.biases,
                                    rtol=1e-12)
+
+    def test_gradient_matches_dense_oracle(self):
+        """Heights 2 to 5 under frozen parameters: the path-form store
+        gives the gradient of per-instance dense leaf Jacobians averaged
+        per group, with the Huber slope of each leaf's mean gap."""
+        rng = np.random.default_rng(21)
+        weight, delta = 1.7, 0.01
+        for height in range(2, 6):
+            learner = LeafPenaltyLearner(LearnerConfig(
+                n_features=3, height=height, tree_count=2, fairness="dp",
+                fairness_weight=weight, huber_delta=delta, seed=height,
+            ))
+            forest = learner.forest
+            sums = {g: [0.0, 0.0, 0.0] for g in (0, 1)}  # probs, jac_w, jac_b
+            counts = {0: 0, 1: 0}
+            for _ in range(40):
+                x = rng.standard_normal(3)
+                a = int(rng.integers(0, 2))
+                learner._update_fairness_state(
+                    x, a, a, _ForwardCache(forest, x, learner.mask))
+                gates = _all_node_outputs(forest, x)[:, :forest.shape.n_nodes]
+                probs, jac_b = [], []
+                for t in range(forest.tree_count):
+                    p, jac = leaf_probability_gradients(gates[t], learner.mask)
+                    probs.append(p)
+                    jac_b.append(jac.T * (gates[t] * (1.0 - gates[t])))
+                probs, jac_b = np.stack(probs), np.stack(jac_b)  # (T, L, m)
+                for k, v in enumerate((probs, jac_b[..., None] * x, jac_b)):
+                    sums[a][k] = sums[a][k] + v
+                counts[a] += 1
+            means = {g: [v / counts[g] for v in sums[g]] for g in (0, 1)}
+            coeff = weight * _huber_slope_array(
+                means[0][0] - means[1][0], delta)  # (T, L)
+            want_w = np.einsum("tl,tlmd->tmd", coeff, means[0][1] - means[1][1])
+            want_b = np.einsum("tl,tlm->tm", coeff, means[0][2] - means[1][2])
+            grad = learner._fairness_gradient()
+            np.testing.assert_allclose(grad.weights, want_w, rtol=1e-9,
+                                       atol=1e-15, err_msg=f"height {height}")
+            np.testing.assert_allclose(grad.biases, want_b, rtol=1e-9,
+                                       atol=1e-15, err_msg=f"height {height}")
 
     def test_leaf_rows_carry_no_fairness_gradient(self):
         _, leaf_learner = self._frozen_pair(delta=0.01)

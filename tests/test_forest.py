@@ -3,6 +3,7 @@ probabilities and their derivatives, forward evaluation, prediction."""
 
 import numpy as np
 import pytest
+import scipy.special
 
 from fairforest.errors import ConfigurationError, ShapeError
 from fairforest.forest import (
@@ -17,6 +18,7 @@ from fairforest.forest import (
     predict,
     tree_output,
 )
+from fairforest.gradients import task_gradient
 
 
 def mask_oracle(height):
@@ -227,6 +229,22 @@ class TestForward:
         batch = forward_batch(forest, features)
         single = np.stack([forward(forest, row) for row in features])
         np.testing.assert_allclose(batch, single, rtol=1e-12)
+
+    def test_saturated_gate_keeps_its_right_edge(self):
+        """At pre-activation +40 the right leaf gets expit(-40) = 4.2e-18,
+        not the 0 that 1 - expit(40) cancels to; single and batch
+        evaluation agree and the task gradient stays finite."""
+        forest = ObliqueForest.from_arrays(
+            1, np.zeros((1, 1, 2)), np.array([[40.0]]), np.eye(2)[None]
+        )
+        x = np.zeros(2)
+        out = forward(forest, x)
+        assert out[1] == scipy.special.expit(-40.0)
+        np.testing.assert_array_equal(forward_batch(forest, x[None]), out[None])
+        grad = task_gradient(forest, x, 1)
+        for arr in grad.arrays():
+            assert np.isfinite(arr).all()
+        assert grad.leaves[0, 1, 1] != 0.0
 
     def test_gate_outputs_hand_value(self):
         tree = self._tiny_tree([[1.0, 0.0], [0.0, 1.0]])

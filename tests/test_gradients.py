@@ -4,12 +4,15 @@ per-instance task gradient, and aggregate-driven fairness gradient."""
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairforest.errors import ConfigurationError, NumericalError, ShapeError
 from fairforest.forest import ForestShape, ObliqueForest, build_mask, forward
 from fairforest.gradients import (
     ForestGradient,
     HuberPenalty,
+    _ForwardCache,
     _huber_slope_array,
     cross_entropy,
     fairness_gradient,
@@ -22,6 +25,26 @@ from fairforest.gradients import (
     total_gradient,
 )
 from fairforest.stats import AggregateStore, GroupKey
+
+
+def dense_leaf_jacobian(left, right, height):
+    """Leaf probabilities (2**h,) and the dense Jacobian (m, 2**h) of one
+    tree in its gate outputs, read off the ancestor mask entry by entry.
+
+    ``left`` and ``right`` are each node's left- and right-edge factors.
+    A leaf's probability is the product over every node of the left
+    factor, the right factor or 1, as the mask entry says; its derivative
+    in node ``i`` drops that node's factor and takes the entry's sign.
+    """
+    entries = build_mask(height).entries
+    factors = np.where(entries > 0, left[:, None],
+                       np.where(entries < 0, right[:, None], 1.0))
+    jac = np.zeros(entries.shape)
+    for i in range(len(left)):
+        below = entries[i] != 0
+        others = np.delete(factors[:, below], i, axis=0)
+        jac[i, below] = entries[i, below] * others.prod(axis=0)
+    return factors.prod(axis=0), jac
 
 
 def numeric_task_gradient(forest, x, y, step=1e-6):
@@ -60,6 +83,18 @@ class TestHuber:
         np.testing.assert_allclose(huber(delta, delta), quad, rtol=1e-15)
         eps = 1e-10
         np.testing.assert_allclose(huber(delta - eps, delta), quad, atol=1e-9)
+
+    def test_value_is_continuous_at_both_kinks(self):
+        """The quadratic and linear pieces meet at gap = +delta and at
+        gap = -delta, where both give delta**2 / 2."""
+        delta, eps = 0.01, 1e-12
+        quad = 0.5 * delta * delta
+        for kink in (delta, -delta):
+            inside = kink - np.sign(kink) * eps
+            outside = kink + np.sign(kink) * eps
+            np.testing.assert_allclose(huber(inside, delta), quad, atol=1e-13)
+            np.testing.assert_allclose(huber(kink, delta), quad, rtol=1e-15)
+            np.testing.assert_allclose(huber(outside, delta), quad, atol=1e-13)
 
     def test_slope_inside_is_the_gap(self):
         assert huber_slope(0.004, 0.01) == 0.004
@@ -162,6 +197,61 @@ class TestTaskGradient:
             for got, want in zip(analytic.arrays(), numeric):
                 np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-9)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        height=st.integers(1, 8),
+        trees=st.integers(1, 4),
+        d=st.integers(1, 6),
+        c=st.integers(2, 4),
+        log_scale=st.floats(-2.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_path_form_matches_dense_reference(self, height, trees, d, c,
+                                               log_scale, seed):
+        """Over random shapes, with gate pre-activations up to about 1e3,
+        the path-form forward pass gives leaf probabilities that sum to
+        one, finite intermediates, and the task gradient of a dense
+        Jacobian built from the ancestor mask."""
+        rng = np.random.default_rng(seed)
+        forest = ObliqueForest.random(height, d, c, tree_count=trees, rng=rng)
+        scale = 10.0**log_scale
+        forest.weights *= scale * np.sqrt(d)
+        forest.biases += rng.uniform(-scale, scale, size=forest.biases.shape)
+        x = rng.standard_normal(d)
+        y = int(rng.integers(0, c))
+
+        cache = _ForwardCache(forest, x, build_mask(height))
+        assert cache.leaf_jac.shape == (trees, height, 2**height)
+        for arr in (cache.leaf_probs, cache.leaf_jac, cache.output):
+            assert np.isfinite(arr).all()
+        np.testing.assert_allclose(cache.leaf_probs.sum(axis=1), 1.0,
+                                   rtol=0, atol=1e-12)
+        grad = task_gradient(forest, x, y)
+        for arr in grad.arrays():
+            assert np.isfinite(arr).all()
+
+        z = forest.weights @ x + forest.biases
+        gates = scipy.special.expit(z)
+        dense = [dense_leaf_jacobian(gates[t], scipy.special.expit(-z[t]),
+                                     height) for t in range(trees)]
+        probs = np.stack([p for p, _ in dense])
+        np.testing.assert_allclose(cache.leaf_probs, probs, rtol=1e-12,
+                                   atol=1e-300)
+        output = np.einsum("tl,tlc->c", probs, forest.leaves) / trees
+        residual = softmax(output)
+        residual[y] -= 1.0
+        sensitivity = forest.leaves @ residual / trees  # (T, L)
+        dldn = np.stack([jac @ sensitivity[t]
+                         for t, (_, jac) in enumerate(dense)])
+        grad_b = dldn * gates * (1.0 - gates)
+        np.testing.assert_allclose(grad.biases, grad_b, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(grad.weights, grad_b[:, :, None] * x,
+                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(
+            grad.leaves, probs[:, :, None] * residual / trees,
+            rtol=1e-12, atol=1e-300,
+        )
+
     def test_leaf_gradient_structure(self):
         """Each leaf row's gradient is its leaf probability times the
         softmax residual, averaged over trees."""
@@ -174,7 +264,7 @@ class TestTaskGradient:
         residual[y] -= 1.0
         from fairforest.forest import _all_node_outputs, leaf_probabilities
 
-        gates = _all_node_outputs(forest, x)
+        gates = _all_node_outputs(forest, x)[:, :forest.shape.n_nodes]
         mask = build_mask(2)
         for t in range(2):
             probs = leaf_probabilities(gates[t], mask)

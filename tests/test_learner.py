@@ -13,6 +13,7 @@ from fairforest.errors import (
     DomainError,
     ShapeError,
 )
+from fairforest.gradients import _ForwardCache
 from fairforest.learner import (
     AdamParams,
     AdamState,
@@ -267,6 +268,23 @@ class TestStepping:
         assert constrained.dp_hard < 0.6 * free.dp_hard
         assert constrained.dp_soft < 0.3 * free.dp_soft
 
+    def test_height_twelve_step(self):
+        """A deep tree steps without forming the dense leaf Jacobian: the
+        forward pass keeps h entries per leaf, not 2**h - 1."""
+        learner = OnlineForestLearner(LearnerConfig(
+            n_features=2, height=12, tree_count=2, fairness="dp",
+            fairness_weight=1.0, seed=1,
+        ))
+        for x, y, a in biased_stream(3, seed=2):
+            prediction, snap = learner.step(x, y, a)
+            assert prediction in (0, 1)
+        assert learner.step_count == 3
+        assert np.isfinite(snap.grad_norm_total)
+        for arr in learner.forest.param_arrays():
+            assert np.isfinite(arr).all()
+        cache = _ForwardCache(learner.forest, x, learner.mask)
+        assert cache.leaf_jac.shape == (2, 12, 2**12)
+
     def test_instance_validation(self):
         learner = OnlineForestLearner(self._config())
         with pytest.raises(ShapeError):
@@ -329,6 +347,30 @@ class TestCheckpoint:
         np.testing.assert_array_equal(learner.forest.weights,
                                       clone.forest.weights)
         assert clone.step_count == learner.step_count
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path,
+                                                         monkeypatch):
+        """A save that fails mid-write leaves the last good checkpoint in
+        place and no temporary file behind."""
+        learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
+        path = tmp_path / "state.json"
+        self._run(learner, biased_stream(5, seed=11))
+        learner.save_checkpoint(path)
+        saved_weights = learner.forest.weights.copy()
+        self._run(learner, biased_stream(5, seed=12))
+
+        def dump_then_fail(obj, fh):
+            fh.write(json.dumps(obj)[:100])
+            raise OSError("disk full")
+
+        monkeypatch.setattr("fairforest.learner.json.dump", dump_then_fail)
+        with pytest.raises(OSError):
+            learner.save_checkpoint(path)
+        monkeypatch.undo()
+        clone = OnlineForestLearner.load_checkpoint(path)
+        assert clone.step_count == 5
+        np.testing.assert_array_equal(clone.forest.weights, saved_weights)
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
     def test_unknown_format_is_rejected(self):
         learner = OnlineForestLearner(LearnerConfig(n_features=2))
