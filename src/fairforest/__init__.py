@@ -64,7 +64,7 @@ from .learner import (
     dp_metric,
     run_stream,
 )
-from .stats import AggregateStore, GroupKey, NodeAggregate
+from .stats import AggregateStore
 from .verify import (
     BoundReport,
     audit_estimation_error,

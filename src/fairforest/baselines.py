@@ -40,6 +40,7 @@ from .learner import (
     OnlineForestLearner,
     StepSnapshot,
 )
+from .stats import RunningMeans
 
 BASELINE_NAMES = ("aranyani", "mlp", "leaf", "reservoir", "majority")
 
@@ -101,11 +102,10 @@ def reservoir_fairness_gradient(
 
 def _reservoir_group_stats(forest: ObliqueForest, features: np.ndarray):
     """Per-node means of gate outputs and gate gradients over a batch."""
-    gates = expit(
-        np.einsum("tmd,nd->tnm", forest.weights, features)
-        + forest.biases[:, None, :]
-    )  # (T, n, m)
-    slopes = gates * (1.0 - gates)
+    z = (np.einsum("tmd,nd->tnm", forest.weights, features)
+         + forest.biases[:, None, :])  # (T, n, m)
+    gates = expit(z)
+    slopes = gates * expit(-z)
     n = features.shape[0]
     mean_out = gates.mean(axis=1)
     mean_gw = np.einsum("tnm,nd->tmd", slopes, features) / n
@@ -152,36 +152,6 @@ class ReservoirLearner(OnlineForestLearner):
 # ---------------------------------------------------------------------------
 
 
-class LeafAggregateStore:
-    """Running per-group means of leaf probabilities and of their parameter
-    Jacobians along each leaf's root-to-leaf path, one cell per (tree,
-    group).  Entry ``[t, g, l, k]`` belongs to the depth-``k`` ancestor of
-    leaf ``l``; no other node moves that leaf's probability."""
-
-    def __init__(self, tree_count: int, n_leaves: int, height: int,
-                 n_features: int, n_groups: int = 2):
-        self.counts = np.zeros((tree_count, n_groups), dtype=np.int64)
-        self.mean_probs = np.zeros((tree_count, n_groups, n_leaves))
-        self.mean_jac_w = np.zeros((tree_count, n_groups, n_leaves, height,
-                                    n_features))
-        self.mean_jac_b = np.zeros((tree_count, n_groups, n_leaves, height))
-
-    def update_all(self, group: int, probs: np.ndarray, jac_w: np.ndarray,
-                   jac_b: np.ndarray) -> None:
-        """probs (T, L); jac_w (T, L, h, d); jac_b (T, L, h)."""
-        self.counts[:, group] += 1
-        counts = self.counts[:, group]
-        self.mean_probs[:, group] += (
-            probs - self.mean_probs[:, group]
-        ) / counts[:, None]
-        self.mean_jac_w[:, group] += (
-            jac_w - self.mean_jac_w[:, group]
-        ) / counts[:, None, None, None]
-        self.mean_jac_b[:, group] += (
-            jac_b - self.mean_jac_b[:, group]
-        ) / counts[:, None, None]
-
-
 @lru_cache(maxsize=None)
 def _leaf_store_rows(tree_count: int, height: int, width: int) -> np.ndarray:
     """Flat output position of every ``(t, l, k, j)`` entry of a leaf-store
@@ -222,40 +192,41 @@ class LeafPenaltyLearner(OnlineForestLearner):
         super().__init__(config, record_trace=record_trace)
         self.store = None
         shape = self.forest.shape
-        self.leaf_store = LeafAggregateStore(
-            shape.tree_count, shape.n_leaves, shape.height, shape.n_features,
-            config.n_groups,
+        # Per group, one row per (tree, leaf): the leaf probability, then
+        # for each depth-k ancestor of the leaf its Jacobian in that
+        # ancestor's bias and weights, (h, d + 1) flattened.
+        self.leaf_store = RunningMeans(
+            config.n_groups, (shape.tree_count, shape.n_leaves),
+            1 + shape.height * (shape.n_features + 1), ((0, 1),),
         )
 
     def _update_fairness_state(self, x, y, a, cache) -> None:
-        slope = cache.gates * (1.0 - cache.gates)  # (T, m)
+        t, h = self.forest.tree_count, self.forest.height
         # d p_l / d w_i = (d p_l / d n_i) * n_i (1 - n_i) * x, for the path
         # nodes i of leaf l only.
-        path_slope = np.take(slope, _ancestor_rows(self.forest.height), axis=1)
+        path_slope = np.take(cache.slope, _ancestor_rows(h), axis=1)
         jac_b = np.swapaxes(cache.leaf_jac * path_slope, 1, 2)  # (T, L, h)
-        jac_w = jac_b[:, :, :, None] * x[None, None, None, :]
-        self.leaf_store.update_all(a, cache.leaf_probs, jac_w, jac_b)
+        values = np.empty(self.leaf_store.means.shape[1:])
+        values[..., 0] = cache.leaf_probs
+        # A view: splitting the contiguous last axis copies nothing.
+        path = values[..., 1:].reshape(t, 2**h, h, x.size + 1)
+        path[..., 0] = jac_b
+        np.multiply(jac_b[..., None], x, out=path[..., 1:])
+        self.leaf_store.fold((a,), values)
 
     def _fairness_gradient(self) -> ForestGradient:
-        grad = ForestGradient.zeros(self.forest.shape)
         if self.config.fairness == "none" or self.penalty.weight == 0.0:
-            return grad
-        store = self.leaf_store
-        warm = (store.counts[:, 0] > 0) & (store.counts[:, 1] > 0)  # (T,)
-        if not warm.any():
-            return grad
-        gap = store.mean_probs[:, 0] - store.mean_probs[:, 1]  # (T, L)
-        coeff = _huber_slope_array(gap, self.penalty.delta)
-        coeff *= warm[:, None] * self.penalty.weight
-        h = self.forest.height
-        grad.weights += _sum_onto_nodes(
-            coeff[:, :, None, None]
-            * (store.mean_jac_w[:, 0] - store.mean_jac_w[:, 1]), h
+            return ForestGradient.zeros(self.forest.shape)
+        t, h = self.forest.tree_count, self.forest.height
+        total = self.leaf_store.contrast_sum(self.penalty.delta)
+        per_node = _sum_onto_nodes(
+            total.reshape(t, 2**h, h, self.forest.n_features + 1), h
+        )  # (T, m, d + 1)
+        return ForestGradient(
+            per_node[..., 1:] * self.penalty.weight,
+            per_node[..., 0] * self.penalty.weight,
+            np.zeros_like(self.forest.leaves),
         )
-        grad.biases += _sum_onto_nodes(
-            coeff[:, :, None] * (store.mean_jac_b[:, 0] - store.mean_jac_b[:, 1]), h
-        )
-        return grad
 
     def checkpoint(self) -> dict:
         raise ConfigurationError(

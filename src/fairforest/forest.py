@@ -291,14 +291,19 @@ class ObliqueForest:
         return [self.weights, self.biases, self.leaves]
 
 
-def node_outputs(tree: TreeParams, x: np.ndarray) -> np.ndarray:
-    """Logistic gate outputs of every internal node for one instance."""
+def _pre_activations(tree: TreeParams, x: np.ndarray) -> np.ndarray:
+    """Gate pre-activations ``w . x + b`` of every internal node."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (tree.n_features,):
         raise ShapeError(
             f"expected feature vector of shape ({tree.n_features},), got {x.shape}"
         )
-    return expit(tree.weights @ x + tree.biases)
+    return tree.weights @ x + tree.biases
+
+
+def node_outputs(tree: TreeParams, x: np.ndarray) -> np.ndarray:
+    """Logistic gate outputs of every internal node for one instance."""
+    return expit(_pre_activations(tree, x))
 
 
 def _node_edges(z: np.ndarray) -> np.ndarray:
@@ -388,11 +393,10 @@ def _leaf_probability_gradients_stacked(
 
 def tree_output(tree: TreeParams, x: np.ndarray,
                 mask: AncestorMask | None = None) -> np.ndarray:
-    """Leaf-probability-weighted mix of one tree's leaf rows."""
-    if mask is None:
-        mask = build_mask(tree.height)
-    probs = leaf_probabilities(node_outputs(tree, x), mask)
-    return probs @ tree.leaves
+    """Leaf-probability-weighted mix of one tree's leaf rows, routed from
+    the pre-activations like ``forward``."""
+    edges = _node_edges(_pre_activations(tree, x))
+    return _path_factors(edges, tree.height).prod(axis=0) @ tree.leaves
 
 
 def forward(forest: ObliqueForest, x: np.ndarray,

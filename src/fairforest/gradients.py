@@ -108,14 +108,10 @@ def huber(gap: float, delta: float) -> float:
 
 
 def huber_slope(gap: float, delta: float) -> float:
-    """Derivative of the Huber surrogate in the gap.
-
-    Inside the quadratic region this is the gap itself; outside it is
-    ``delta`` times the sign of ``gap - delta/2`` (zero at the kink).
-    """
-    if abs(gap) < delta:
-        return gap
-    return delta * float(np.sign(gap - 0.5 * delta))
+    """Derivative of the Huber surrogate in the gap: the gap clipped to
+    ``[-delta, delta]``, so the gap itself inside the quadratic region and
+    ``delta`` times its sign outside (``+-delta`` at both kinks)."""
+    return float(np.clip(gap, -delta, delta))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -133,11 +129,14 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
 class _ForwardCache:
     """Per-instance forward intermediates shared by the gradient paths."""
 
-    __slots__ = ("gates", "leaf_probs", "leaf_jac", "output")
+    __slots__ = ("gates", "slope", "leaf_probs", "leaf_jac", "output")
 
     def __init__(self, forest: ObliqueForest, x: np.ndarray, mask: AncestorMask):
         edges = _all_node_outputs(forest, x)  # (T, 2m)
         self.gates = edges[:, :mask.n_nodes]  # (T, m)
+        # The gate slope n (1 - n), from both edges so a saturated gate
+        # keeps its tiny slope instead of cancelling to 0.
+        self.slope = self.gates * edges[:, mask.n_nodes:]
         # leaf_jac is in path form, (T, h, 2**h).
         self.leaf_probs, self.leaf_jac = _leaf_probability_gradients_stacked(
             edges, mask.height
@@ -187,8 +186,7 @@ def _task_gradient_cached(forest: ObliqueForest, x: np.ndarray, y: int,
         _path_nodes(t, forest.height).ravel(), weights=path_terms.ravel(),
         minlength=cache.gates.size,
     ).reshape(cache.gates.shape)
-    slope = cache.gates * (1.0 - cache.gates)
-    grad_b = dldn * slope
+    grad_b = dldn * cache.slope
     grad_w = grad_b[:, :, None] * x[None, None, :]
     return ForestGradient(grad_w, grad_b, grad_leaves)
 
@@ -197,60 +195,25 @@ def fairness_gradient(store: AggregateStore, penalty: HuberPenalty,
                       shape: ForestShape) -> ForestGradient:
     """Weighted Huber-penalty gradient from the store's running means.
 
-    Cold cells (any required group unseen) contribute zero.  The penalty
-    weight is folded in here; leaf rows are untouched.
+    One sum over the notion's warm contrasts (see
+    ``RunningMeans.contrast_sum``); cold contrasts contribute zero.  The
+    penalty weight is folded in here; leaf rows are untouched.
     """
     if (store.shape.tree_count, store.shape.n_nodes, store.shape.n_features) != (
         shape.tree_count, shape.n_nodes, shape.n_features
     ):
         raise ShapeError("store and forest shapes disagree")
-    grad = ForestGradient.zeros(shape)
     if penalty.weight == 0.0:
-        return grad
-    if store.notion == "dp":
-        warm = (store.counts[:, :, 0] > 0) & (store.counts[:, :, 1] > 0)
-        gap = store.mean_output[:, :, 0] - store.mean_output[:, :, 1]
-        coeff = _huber_slope_array(gap, penalty.delta) * warm
-        grad.weights += coeff[:, :, None] * (
-            store.mean_grad_w[:, :, 0] - store.mean_grad_w[:, :, 1]
-        )
-        grad.biases += coeff * (
-            store.mean_grad_b[:, :, 0] - store.mean_grad_b[:, :, 1]
-        )
-    elif store.notion == "multigroup":
-        overall_warm = store.overall_counts > 0
-        for k in range(store.n_groups):
-            warm = overall_warm & (store.counts[:, :, k] > 0)
-            gap = store.overall_mean_output - store.mean_output[:, :, k]
-            coeff = _huber_slope_array(gap, penalty.delta) * warm
-            grad.weights += coeff[:, :, None] * (
-                store.overall_mean_grad_w - store.mean_grad_w[:, :, k]
-            )
-            grad.biases += coeff * (
-                store.overall_mean_grad_b - store.mean_grad_b[:, :, k]
-            )
-    elif store.notion == "equalized_odds":
-        for c in range(store.n_classes):
-            warm = (store.counts[:, :, 0, c] > 0) & (store.counts[:, :, 1, c] > 0)
-            gap = store.mean_output[:, :, 0, c] - store.mean_output[:, :, 1, c]
-            coeff = _huber_slope_array(gap, penalty.delta) * warm
-            grad.weights += coeff[:, :, None] * (
-                store.mean_grad_w[:, :, 0, c] - store.mean_grad_w[:, :, 1, c]
-            )
-            grad.biases += coeff * (
-                store.mean_grad_b[:, :, 0, c] - store.mean_grad_b[:, :, 1, c]
-            )
-    else:
-        raise ConfigurationError(
-            f"no fairness gradient for notion {store.notion!r}"
-        )
-    grad.weights *= penalty.weight
-    grad.biases *= penalty.weight
-    return grad
+        return ForestGradient.zeros(shape)
+    grad_w, grad_b = store.gap_gradients(penalty.delta)
+    return ForestGradient(
+        grad_w * penalty.weight, grad_b * penalty.weight,
+        np.zeros((shape.tree_count, shape.n_leaves, shape.n_outputs)),
+    )
 
 
 def _huber_slope_array(gap: np.ndarray, delta: float) -> np.ndarray:
-    return np.where(np.abs(gap) < delta, gap, delta * np.sign(gap - 0.5 * delta))
+    return np.clip(gap, -delta, delta)
 
 
 def total_gradient(task: ForestGradient, fairness: ForestGradient) -> ForestGradient:

@@ -34,7 +34,7 @@ from .gradients import (
     gradient_norm,
     total_gradient,
 )
-from .stats import AggregateStore, GroupKey
+from .stats import AggregateStore
 
 FAIRNESS_NOTIONS = ("none", "dp", "equalized_odds", "multigroup")
 
@@ -257,7 +257,7 @@ class TraceStep:
     a: int
 
 
-CHECKPOINT_FORMAT = "fairforest-checkpoint-v1"
+CHECKPOINT_FORMAT = "fairforest-checkpoint-v2"
 
 
 class OnlineForestLearner:
@@ -353,13 +353,7 @@ class OnlineForestLearner:
                                cache: _ForwardCache) -> None:
         if self.store is None:
             return
-        if self.config.fairness == "equalized_odds":
-            key = GroupKey(a, y)
-        else:
-            key = GroupKey(a)
-        slope = cache.gates * (1.0 - cache.gates)  # (T, m)
-        grads_w = slope[:, :, None] * x[None, None, :]
-        self.store.update_all(key, cache.gates, grads_w, slope)
+        self.store.update_all(a, y, cache.gates, cache.slope, x)
 
     def _fairness_gradient(self) -> ForestGradient:
         if self.store is None or self.penalty.weight == 0.0:

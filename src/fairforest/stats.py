@@ -1,14 +1,23 @@
-"""Streaming group-conditional statistics of node gate outputs.
+"""Streaming keyed statistics behind the fairness penalties.
 
 The online fairness penalty never touches raw instances: it works off
-running means, per tree node and per protected group, of the gate output
-and of the gate's parameter gradient.  This module owns those running
-means.  One ``AggregateStore`` serves three fairness notions:
+running means, per key (a protected group, optionally conditioned on the
+task class), of a constrained quantity and of its parameter gradient.
+This module owns those running means in one packed, key-leading layout:
 
-* ``dp`` - demographic parity over two groups; aggregates keyed by group.
-* ``equalized_odds`` - aggregates keyed by (group, task class).
-* ``multigroup`` - any number of groups, compared against the
-  unconditioned aggregate.
+* ``counts`` is ``(K,)``: every instance updates every cell of its keys,
+  so one count per key serves them all;
+* ``means`` is ``(K, *cells, width)``: column 0 of each row is the
+  constrained quantity, the other columns its parameter gradient.
+
+A fairness notion is a list of (plus, minus) key contrasts, and its
+penalty gradient is one sum over them (``RunningMeans.contrast_sum``):
+
+* ``dp`` - demographic parity over two groups: ``(g0, g1)``.
+* ``equalized_odds`` - keys ``g * C + c``; one ``(g0, g1)`` contrast per
+  task class ``c``.
+* ``multigroup`` - any number of groups plus an "overall" key that every
+  instance folds into; one ``(overall, k)`` contrast per group ``k``.
 
 Means are cumulative over the whole stream by default (an optional
 exponential decay can be configured) and advance by the numerically
@@ -17,302 +26,145 @@ stable increment ``mean += (value - mean) / count``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DataError, DomainError, ShapeError
 from .forest import ForestShape
 
-NOTIONS = ("none", "dp", "equalized_odds", "multigroup")
+
+class RunningMeans:
+    """Packed running means under ``n_keys`` keys, with the key contrasts
+    a penalty compares.
+
+    Row ``means[k]`` holds one ``(*cells, width)`` block per key; column 0
+    is the constrained quantity and columns ``1:`` its gradient.
+    """
+
+    def __init__(self, n_keys: int, cells: tuple, width: int,
+                 contrasts: tuple, decay: float | None = None):
+        if decay is not None and not 0.0 < decay < 1.0:
+            raise ConfigurationError(f"decay must lie in (0, 1), got {decay}")
+        self.decay = decay
+        self.contrasts = contrasts
+        self.counts = np.zeros(n_keys, dtype=np.int64)
+        self.means = np.zeros((n_keys, *cells, width))
+
+    def fold(self, keys: tuple, values: np.ndarray) -> None:
+        """Fold one instance's ``(*cells, width)`` values into each key row."""
+        for key in keys:
+            self.counts[key] += 1
+            count = self.counts[key]
+            row = self.means[key]
+            if self.decay is not None and count > 1:
+                row[...] = self.decay * row + (1 - self.decay) * values
+            else:
+                row += (values - row) / count
+
+    def contrast_sum(self, delta: float) -> np.ndarray:
+        """Huber-penalty gradient summed over the warm contrasts.
+
+        Each contrast whose keys have both been seen adds
+        ``clip(gap, -delta, delta) * (mean[plus] - mean[minus])[..., 1:]``
+        with ``gap`` the difference of column 0; the clip is the Huber
+        slope.  Cold contrasts add nothing.  Shape ``(*cells, width - 1)``.
+        """
+        total = None
+        for plus, minus in self.contrasts:
+            if self.counts[plus] == 0 or self.counts[minus] == 0:
+                continue
+            diff = self.means[plus] - self.means[minus]
+            diff *= np.clip(diff[..., :1], -delta, delta)
+            if total is None:
+                total = diff
+            else:
+                total += diff
+        if total is None:
+            total = np.zeros(self.means.shape[1:])
+        return total[..., 1:]
 
 
-@dataclass(frozen=True)
-class GroupKey:
-    """Aggregation key: protected group, optionally conditioned on the
-    task class (used by the equalized-odds notion only)."""
+class AggregateStore(RunningMeans):
+    """Running group-conditional means of every (tree, node) gate.
 
-    group: int
-    task_class: int | None = None
-
-
-@dataclass
-class NodeAggregate:
-    """Running statistics of one node under one key."""
-
-    count: int
-    mean_output: float
-    mean_grad_w: np.ndarray
-    mean_grad_b: float
-
-
-class GapEstimate(NamedTuple):
-    value: float
-    cold: bool
-
-
-class GapGradient(NamedTuple):
-    grad_w: np.ndarray
-    grad_b: float
-    cold: bool
-
-
-class AggregateStore:
-    """Running group-conditional means for every (tree, node) cell.
-
-    Storage is dense: conditioned means are ``(T, m, K[, C], ...)``
-    arrays plus one unconditioned aggregate per (tree, node), so the
-    footprint is fixed by the configuration and never grows with the
-    stream.
+    ``means`` is ``(K, T, m, d + 2)``; each row holds the means of
+    ``[n, n (1 - n), n (1 - n) x]``: the gate output, then its gradient in
+    the node's bias and weights.  The footprint is fixed by the
+    configuration and never grows with the stream.
     """
 
     def __init__(self, shape: ForestShape, n_groups: int = 2,
                  notion: str = "dp", n_classes: int | None = None,
                  decay: float | None = None):
-        if notion not in NOTIONS:
-            raise ConfigurationError(f"unknown fairness notion: {notion!r}")
         if n_groups < 2:
             raise ConfigurationError(f"n_groups must be >= 2, got {n_groups}")
-        if decay is not None and not 0.0 < decay < 1.0:
-            raise ConfigurationError(f"decay must lie in (0, 1), got {decay}")
-        if notion == "equalized_odds":
+        if notion == "dp":
+            if n_groups != 2:
+                raise ConfigurationError("the dp notion compares exactly 2 groups")
+            n_keys, contrasts = 2, ((0, 1),)
+        elif notion == "equalized_odds":
             if n_classes is None or n_classes < 2:
-                raise ConfigurationError(
-                    "equalized_odds needs n_classes >= 2"
-                )
+                raise ConfigurationError("equalized_odds needs n_classes >= 2")
+            n_keys = n_groups * n_classes
+            contrasts = tuple((c, n_classes + c) for c in range(n_classes))
+        elif notion == "multigroup":
+            n_keys = n_groups + 1
+            contrasts = tuple((n_groups, k) for k in range(n_groups))
         else:
+            raise ConfigurationError(
+                f"no aggregates for fairness notion {notion!r}"
+            )
+        if notion != "equalized_odds":
             n_classes = None
         self.shape = shape
         self.notion = notion
         self.n_groups = n_groups
         self.n_classes = n_classes
-        self.decay = decay
-        t, m, d = shape.tree_count, shape.n_nodes, shape.n_features
-        cond = (t, m, n_groups) if n_classes is None else (t, m, n_groups, n_classes)
-        self.counts = np.zeros(cond, dtype=np.int64)
-        self.mean_output = np.zeros(cond)
-        self.mean_grad_w = np.zeros(cond + (d,))
-        self.mean_grad_b = np.zeros(cond)
-        self.overall_counts = np.zeros((t, m), dtype=np.int64)
-        self.overall_mean_output = np.zeros((t, m))
-        self.overall_mean_grad_w = np.zeros((t, m, d))
-        self.overall_mean_grad_b = np.zeros((t, m))
-
-    # -- updates ---------------------------------------------------------
-
-    def _validate_key(self, key: GroupKey) -> None:
-        if not 0 <= key.group < self.n_groups:
-            raise DomainError(
-                f"group {key.group} outside configured range [0, {self.n_groups})"
-            )
-        if self.notion == "equalized_odds":
-            if key.task_class is None:
-                raise DomainError("equalized_odds keys need a task_class")
-            if not 0 <= key.task_class < self.n_classes:
-                raise DomainError(
-                    f"task class {key.task_class} outside [0, {self.n_classes})"
-                )
-        elif key.task_class is not None:
-            raise DomainError(
-                f"notion {self.notion!r} does not condition on the task class"
-            )
-
-    def _cond_index(self, key: GroupKey) -> tuple:
-        if self.notion == "equalized_odds":
-            return (key.group, key.task_class)
-        return (key.group,)
-
-    def update(self, tree: int, node: int, key: GroupKey, n_value: float,
-               grad_w: np.ndarray, grad_b: float) -> None:
-        """Fold one observation of one node into the running means."""
-        if not 0 <= tree < self.shape.tree_count:
-            raise ShapeError(f"tree index {tree} out of range")
-        if not 0 <= node < self.shape.n_nodes:
-            raise ShapeError(f"node index {node} out of range")
-        self._validate_key(key)
-        grad_w = np.asarray(grad_w, dtype=np.float64)
-        if grad_w.shape != (self.shape.n_features,):
-            raise ShapeError(
-                f"grad_w must have shape ({self.shape.n_features},), "
-                f"got {grad_w.shape}"
-            )
-        if not 0.0 <= n_value <= 1.0:
-            raise DomainError(f"node output {n_value} outside [0, 1]")
-        idx = (tree, node) + self._cond_index(key)
-        self.counts[idx] += 1
-        self._fold(self.counts[idx], idx, n_value, grad_w, grad_b,
-                   self.mean_output, self.mean_grad_w, self.mean_grad_b)
-        self.overall_counts[tree, node] += 1
-        self._fold(self.overall_counts[tree, node], (tree, node), n_value,
-                   grad_w, grad_b, self.overall_mean_output,
-                   self.overall_mean_grad_w, self.overall_mean_grad_b)
-
-    def _fold(self, count, idx, n_value, grad_w, grad_b,
-              mean_out, mean_gw, mean_gb) -> None:
-        if self.decay is not None and count > 1:
-            keep = self.decay
-            mean_out[idx] = keep * mean_out[idx] + (1 - keep) * n_value
-            mean_gw[idx] = keep * mean_gw[idx] + (1 - keep) * grad_w
-            mean_gb[idx] = keep * mean_gb[idx] + (1 - keep) * grad_b
-        else:
-            mean_out[idx] += (n_value - mean_out[idx]) / count
-            mean_gw[idx] += (grad_w - mean_gw[idx]) / count
-            mean_gb[idx] += (grad_b - mean_gb[idx]) / count
-
-    def update_all(self, key: GroupKey, outputs: np.ndarray,
-                   grads_w: np.ndarray, grads_b: np.ndarray) -> None:
-        """Fold one instance's observations for every (tree, node) cell.
-
-        ``outputs`` is (T, m), ``grads_w`` (T, m, d), ``grads_b`` (T, m).
-        Same arithmetic as repeated ``update`` calls.
-        """
-        self._validate_key(key)
-        t, m = self.shape.tree_count, self.shape.n_nodes
-        if outputs.shape != (t, m):
-            raise ShapeError(f"outputs must have shape ({t}, {m})")
-        cond = (slice(None), slice(None)) + self._cond_index(key)
-        self.counts[cond] += 1
-        counts = self.counts[cond]
-        if self.decay is not None:
-            fresh = counts == 1
-            keep = np.where(fresh, 0.0, self.decay)
-            self.mean_output[cond] = (
-                keep * self.mean_output[cond] + (1 - keep) * outputs
-            )
-            self.mean_grad_w[cond] = (
-                keep[..., None] * self.mean_grad_w[cond]
-                + (1 - keep[..., None]) * grads_w
-            )
-            self.mean_grad_b[cond] = (
-                keep * self.mean_grad_b[cond] + (1 - keep) * grads_b
-            )
-        else:
-            self.mean_output[cond] += (outputs - self.mean_output[cond]) / counts
-            self.mean_grad_w[cond] += (
-                grads_w - self.mean_grad_w[cond]
-            ) / counts[..., None]
-            self.mean_grad_b[cond] += (grads_b - self.mean_grad_b[cond]) / counts
-        self.overall_counts += 1
-        oc = self.overall_counts
-        if self.decay is not None:
-            fresh = oc == 1
-            keep = np.where(fresh, 0.0, self.decay)
-            self.overall_mean_output = (
-                keep * self.overall_mean_output + (1 - keep) * outputs
-            )
-            self.overall_mean_grad_w = (
-                keep[..., None] * self.overall_mean_grad_w
-                + (1 - keep[..., None]) * grads_w
-            )
-            self.overall_mean_grad_b = (
-                keep * self.overall_mean_grad_b + (1 - keep) * grads_b
-            )
-        else:
-            self.overall_mean_output += (outputs - self.overall_mean_output) / oc
-            self.overall_mean_grad_w += (
-                grads_w - self.overall_mean_grad_w
-            ) / oc[..., None]
-            self.overall_mean_grad_b += (grads_b - self.overall_mean_grad_b) / oc
-
-    # -- access ----------------------------------------------------------
-
-    def aggregate(self, tree: int, node: int, key: GroupKey) -> NodeAggregate:
-        """Copy of the running statistics for one (tree, node, key) cell."""
-        self._validate_key(key)
-        idx = (tree, node) + self._cond_index(key)
-        return NodeAggregate(
-            count=int(self.counts[idx]),
-            mean_output=float(self.mean_output[idx]),
-            mean_grad_w=self.mean_grad_w[idx].copy(),
-            mean_grad_b=float(self.mean_grad_b[idx]),
+        super().__init__(
+            n_keys, (shape.tree_count, shape.n_nodes), shape.n_features + 2,
+            contrasts, decay,
         )
 
-    def output_gap(self, tree: int, node: int) -> GapEstimate:
-        """Estimated difference of group-conditional mean gate outputs,
-        group 0 minus group 1.  Cold (0 with flag) until both groups have
-        been observed."""
-        self._require_notion("dp")
-        c0 = self.counts[tree, node, 0]
-        c1 = self.counts[tree, node, 1]
-        if c0 == 0 or c1 == 0:
-            return GapEstimate(0.0, True)
-        gap = self.mean_output[tree, node, 0] - self.mean_output[tree, node, 1]
-        return GapEstimate(float(gap), False)
-
-    def gradient_gap(self, tree: int, node: int) -> GapGradient:
-        """Gradient of the output gap in the node parameters."""
-        self._require_notion("dp")
-        c0 = self.counts[tree, node, 0]
-        c1 = self.counts[tree, node, 1]
-        if c0 == 0 or c1 == 0:
-            return GapGradient(np.zeros(self.shape.n_features), 0.0, True)
-        gw = self.mean_grad_w[tree, node, 0] - self.mean_grad_w[tree, node, 1]
-        gb = self.mean_grad_b[tree, node, 0] - self.mean_grad_b[tree, node, 1]
-        return GapGradient(gw.copy(), float(gb), False)
-
-    def output_gap_multigroup(self, tree: int, node: int,
-                              group: int) -> GapEstimate:
-        """Unconditioned mean minus the group-``group`` mean."""
-        self._require_notion("multigroup")
+    def keys(self, group: int, task_class: int) -> tuple:
+        """Key rows an instance of ``group`` with label ``task_class``
+        folds into."""
         if not 0 <= group < self.n_groups:
-            raise DomainError(f"group {group} outside [0, {self.n_groups})")
-        if self.overall_counts[tree, node] == 0 or self.counts[tree, node, group] == 0:
-            return GapEstimate(0.0, True)
-        gap = (self.overall_mean_output[tree, node]
-               - self.mean_output[tree, node, group])
-        return GapEstimate(float(gap), False)
-
-    def gradient_gap_multigroup(self, tree: int, node: int,
-                                group: int) -> GapGradient:
-        self._require_notion("multigroup")
-        if not 0 <= group < self.n_groups:
-            raise DomainError(f"group {group} outside [0, {self.n_groups})")
-        if self.overall_counts[tree, node] == 0 or self.counts[tree, node, group] == 0:
-            return GapGradient(np.zeros(self.shape.n_features), 0.0, True)
-        gw = (self.overall_mean_grad_w[tree, node]
-              - self.mean_grad_w[tree, node, group])
-        gb = (self.overall_mean_grad_b[tree, node]
-              - self.mean_grad_b[tree, node, group])
-        return GapGradient(gw.copy(), float(gb), False)
-
-    def output_gap_conditional(self, tree: int, node: int,
-                               task_class: int) -> GapEstimate:
-        """Group gap among instances of one task class (equalized odds)."""
-        self._require_notion("equalized_odds")
-        if not 0 <= task_class < self.n_classes:
-            raise DomainError(f"task class {task_class} outside [0, {self.n_classes})")
-        c0 = self.counts[tree, node, 0, task_class]
-        c1 = self.counts[tree, node, 1, task_class]
-        if c0 == 0 or c1 == 0:
-            return GapEstimate(0.0, True)
-        gap = (self.mean_output[tree, node, 0, task_class]
-               - self.mean_output[tree, node, 1, task_class])
-        return GapEstimate(float(gap), False)
-
-    def gradient_gap_conditional(self, tree: int, node: int,
-                                 task_class: int) -> GapGradient:
-        self._require_notion("equalized_odds")
-        if not 0 <= task_class < self.n_classes:
-            raise DomainError(f"task class {task_class} outside [0, {self.n_classes})")
-        c0 = self.counts[tree, node, 0, task_class]
-        c1 = self.counts[tree, node, 1, task_class]
-        if c0 == 0 or c1 == 0:
-            return GapGradient(np.zeros(self.shape.n_features), 0.0, True)
-        gw = (self.mean_grad_w[tree, node, 0, task_class]
-              - self.mean_grad_w[tree, node, 1, task_class])
-        gb = (self.mean_grad_b[tree, node, 0, task_class]
-              - self.mean_grad_b[tree, node, 1, task_class])
-        return GapGradient(gw.copy(), float(gb), False)
-
-    def _require_notion(self, notion: str) -> None:
-        if self.notion != notion:
-            raise ConfigurationError(
-                f"store is configured for notion {self.notion!r}, "
-                f"this estimator needs {notion!r}"
+            raise DomainError(
+                f"group {group} outside configured range [0, {self.n_groups})"
             )
-        if notion == "dp" and self.n_groups != 2:
-            raise ConfigurationError("the dp estimators are defined for 2 groups")
+        if self.notion == "equalized_odds":
+            if not 0 <= task_class < self.n_classes:
+                raise DomainError(
+                    f"task class {task_class} outside [0, {self.n_classes})"
+                )
+            return (group * self.n_classes + task_class,)
+        if self.notion == "multigroup":
+            return (group, self.n_groups)
+        return (group,)
+
+    def update_all(self, group: int, task_class: int, gates: np.ndarray,
+                   slope: np.ndarray, x: np.ndarray) -> None:
+        """Fold one instance into every (tree, node) cell of its keys.
+
+        ``gates`` and their slopes ``n (1 - n)`` are (T, m), ``x`` (d,).
+        """
+        keys = self.keys(group, task_class)
+        t, m, d = self.shape.tree_count, self.shape.n_nodes, self.shape.n_features
+        if gates.shape != (t, m) or slope.shape != (t, m) or x.shape != (d,):
+            raise ShapeError(
+                f"expected gates and slopes of shape ({t}, {m}) and x of "
+                f"shape ({d},), got {gates.shape}, {slope.shape}, {x.shape}"
+            )
+        values = np.empty((t, m, d + 2))
+        values[..., 0] = gates
+        values[..., 1] = slope
+        np.multiply(slope[:, :, None], x, out=values[..., 2:])
+        self.fold(keys, values)
+
+    def gap_gradients(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Unweighted Huber-penalty gradient in the node weights (T, m, d)
+        and biases (T, m), summed over the notion's warm contrasts."""
+        total = self.contrast_sum(delta)
+        return total[..., 1:], total[..., 0]
 
     # -- serialization ----------------------------------------------------
 
@@ -325,17 +177,14 @@ class AggregateStore:
             "decay": self.decay,
             "shape": list(self.shape),
             "counts": self.counts.tolist(),
-            "mean_output": self.mean_output.tolist(),
-            "mean_grad_w": self.mean_grad_w.tolist(),
-            "mean_grad_b": self.mean_grad_b.tolist(),
-            "overall_counts": self.overall_counts.tolist(),
-            "overall_mean_output": self.overall_mean_output.tolist(),
-            "overall_mean_grad_w": self.overall_mean_grad_w.tolist(),
-            "overall_mean_grad_b": self.overall_mean_grad_b.tolist(),
+            "means": self.means.tolist(),
         }
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "AggregateStore":
+        """Rebuild a store, refusing arrays that do not fit its
+        configuration: counts must be ``(K,)`` and non-negative, means
+        ``(K, T, m, d + 2)`` and finite."""
         store = cls(
             ForestShape(*data["shape"]),
             n_groups=data["n_groups"],
@@ -343,18 +192,21 @@ class AggregateStore:
             n_classes=data["n_classes"],
             decay=data["decay"],
         )
-        store.counts = np.asarray(data["counts"], dtype=np.int64)
-        store.mean_output = np.asarray(data["mean_output"], dtype=np.float64)
-        store.mean_grad_w = np.asarray(data["mean_grad_w"], dtype=np.float64)
-        store.mean_grad_b = np.asarray(data["mean_grad_b"], dtype=np.float64)
-        store.overall_counts = np.asarray(data["overall_counts"], dtype=np.int64)
-        store.overall_mean_output = np.asarray(
-            data["overall_mean_output"], dtype=np.float64
-        )
-        store.overall_mean_grad_w = np.asarray(
-            data["overall_mean_grad_w"], dtype=np.float64
-        )
-        store.overall_mean_grad_b = np.asarray(
-            data["overall_mean_grad_b"], dtype=np.float64
-        )
+        try:
+            counts = np.asarray(data["counts"], dtype=np.int64)
+            means = np.asarray(data["means"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"malformed store snapshot: {exc}") from exc
+        if counts.shape != store.counts.shape or (counts < 0).any():
+            raise DataError(
+                f"store counts must be {store.counts.shape} and non-negative, "
+                f"got shape {counts.shape}"
+            )
+        if means.shape != store.means.shape or not np.isfinite(means).all():
+            raise DataError(
+                f"store means must be {store.means.shape} and finite, "
+                f"got shape {means.shape}"
+            )
+        store.counts = counts
+        store.means = means
         return store

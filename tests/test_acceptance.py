@@ -25,7 +25,7 @@ from fairforest.data import SyntheticConfig, generate_synthetic
 from fairforest.forest import ObliqueForest, build_mask, leaf_probabilities, node_outputs
 from fairforest.gradients import HuberPenalty, fairness_gradient
 from fairforest.learner import LearnerConfig, OnlineForestLearner
-from fairforest.stats import AggregateStore, GroupKey
+from fairforest.stats import AggregateStore
 from fairforest.verify import (
     audit_estimation_error,
     check_dp_bound,
@@ -174,9 +174,9 @@ def compute_results():
     for _ in range(50):
         x = rng4.uniform(-2.0, 2.0, size=6)
         a = int(rng4.integers(0, 2))
-        gates = expit(forest.weights @ x + forest.biases)
-        slope = gates * (1.0 - gates)
-        store.update_all(GroupKey(a), gates, slope[:, :, None] * x, slope)
+        z = forest.weights @ x + forest.biases
+        gates = expit(z)
+        store.update_all(a, 0, gates, gates * expit(-z), x)
         reservoir.add(x, a)
     from_store = fairness_gradient(store, penalty, forest.shape)
     from_reservoir, cold = reservoir_fairness_gradient(

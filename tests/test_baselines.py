@@ -36,7 +36,7 @@ from fairforest.gradients import (
     cross_entropy,
 )
 from fairforest.learner import LearnerConfig, OnlineForestLearner
-from fairforest.stats import AggregateStore, GroupKey
+from fairforest.stats import AggregateStore
 
 
 def biased_stream(n, seed, d=2, noise=0.1):
@@ -101,10 +101,8 @@ class TestReservoir:
         for _ in range(60):
             x = rng.standard_normal(5)
             a = int(rng.integers(0, 2))
-            gates = _all_node_outputs(forest, x)[:, :forest.shape.n_nodes]
-            slope = gates * (1.0 - gates)
-            store.update_all(GroupKey(a), gates,
-                             slope[:, :, None] * x[None, None, :], slope)
+            cache = _ForwardCache(forest, x, build_mask(forest.height))
+            store.update_all(a, a, cache.gates, cache.slope, x)
             res.add(x, a)
         from fairforest.gradients import fairness_gradient
 

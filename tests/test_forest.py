@@ -125,8 +125,9 @@ class TestLeafProbabilities:
         assert probs[2] == 1.0
 
     def test_deep_saturated_paths_stay_finite(self):
-        """Tiny routing factors take the log-space path without underflow
-        artifacts: the result is finite, non-negative, and sums to one."""
+        """Tiny routing factors multiplied along eight levels leave no
+        underflow artifacts: the result is finite, non-negative, and sums
+        to one."""
         mask = build_mask(8)
         outputs = np.full(mask.n_nodes, 1e-14)
         probs = leaf_probabilities(outputs, mask)
@@ -245,6 +246,17 @@ class TestForward:
         for arr in grad.arrays():
             assert np.isfinite(arr).all()
         assert grad.leaves[0, 1, 1] != 0.0
+
+    def test_saturated_tree_output_matches_forward(self):
+        """``tree_output`` routes from the pre-activations as ``forward``
+        does: at +40 the right leaf gets 4.2e-18, not 1 - expit(40) = 0."""
+        forest = ObliqueForest.from_arrays(
+            1, np.zeros((1, 1, 2)), np.array([[40.0]]), np.eye(2)[None]
+        )
+        x = np.zeros(2)
+        out = tree_output(forest.trees[0], x)
+        np.testing.assert_array_equal(out, forward(forest, x))
+        assert out[1] == scipy.special.expit(-40.0)
 
     def test_gate_outputs_hand_value(self):
         tree = self._tiny_tree([[1.0, 0.0], [0.0, 1.0]])

@@ -24,7 +24,7 @@ from fairforest.gradients import (
     task_gradient,
     total_gradient,
 )
-from fairforest.stats import AggregateStore, GroupKey
+from fairforest.stats import AggregateStore
 
 
 def dense_leaf_jacobian(left, right, height):
@@ -105,6 +105,7 @@ class TestHuber:
         assert huber_slope(5.0, 0.01) == 0.01
         assert huber_slope(-5.0, 0.01) == -0.01
         assert huber_slope(0.01, 0.01) == 0.01
+        assert huber_slope(-0.01, 0.01) == -0.01
 
     def test_slope_matches_finite_differences(self):
         """Away from the kinks the closed-form slope is the derivative."""
@@ -271,6 +272,22 @@ class TestTaskGradient:
             expected = probs[:, None] * residual[None, :] / forest.tree_count
             np.testing.assert_allclose(grad.leaves[t], expected, rtol=1e-12)
 
+    def test_saturated_gate_keeps_its_slope(self):
+        """At pre-activation +40 the gate slope is expit(40) * expit(-40)
+        = 4.2e-18, not the 0 that n * (1 - n) cancels to, so the bias
+        gradient is about 6.2e-18 rather than exactly 0."""
+        forest = ObliqueForest.from_arrays(
+            1, np.zeros((1, 1, 2)), np.array([[40.0]]), np.eye(2)[None]
+        )
+        x = np.zeros(2)
+        grad = task_gradient(forest, x, 1)
+        residual = softmax(forward(forest, x))
+        residual[1] -= 1.0
+        dldn = residual[0] - residual[1]
+        slope = scipy.special.expit(40.0) * scipy.special.expit(-40.0)
+        np.testing.assert_allclose(grad.biases[0, 0], dldn * slope, rtol=1e-12)
+        assert 6.1e-18 < grad.biases[0, 0] < 6.3e-18
+
     def test_height_one_hand_derivation(self):
         """Fully hand-derived gradient for a single gate and two leaves."""
         w = np.array([[0.4, -0.3]])
@@ -318,11 +335,18 @@ class TestFairnessGradient:
         store = AggregateStore(self.SHAPE, notion=notion, **kwargs)
         return store
 
+    @staticmethod
+    def _feed(store, group, task_class, n_value, slope, x):
+        """Fold one instance into the single (tree, node) cell: its bias
+        gradient is ``slope`` and its weight gradient ``slope * x``."""
+        store.update_all(group, task_class, np.array([[n_value]]),
+                         np.array([[slope]]), np.asarray(x, dtype=np.float64))
+
     def test_dp_hand_oracle(self):
         """One warm cell: gradient = weight * slope(gap) * mean-grad gap."""
         store = self._store_with_gap()
-        store.update(0, 0, GroupKey(0), 0.9, np.array([0.3, 0.1]), 0.5)
-        store.update(0, 0, GroupKey(1), 0.2, np.array([0.1, 0.1]), 0.2)
+        self._feed(store, 0, 0, 0.9, 0.5, [0.6, 0.2])  # grad_w [0.3, 0.1]
+        self._feed(store, 1, 0, 0.2, 0.2, [0.5, 0.5])  # grad_w [0.1, 0.1]
         penalty = HuberPenalty(delta=0.01, weight=2.0)
         grad = fairness_gradient(store, penalty, self.SHAPE)
         coeff = 2.0 * huber_slope(0.9 - 0.2, 0.01)
@@ -332,30 +356,30 @@ class TestFairnessGradient:
 
     def test_quadratic_region_uses_raw_gap(self):
         store = self._store_with_gap()
-        store.update(0, 0, GroupKey(0), 0.504, np.zeros(2), 1.0)
-        store.update(0, 0, GroupKey(1), 0.5, np.zeros(2), 0.0)
+        self._feed(store, 0, 0, 0.504, 1.0, np.zeros(2))
+        self._feed(store, 1, 0, 0.5, 0.0, np.zeros(2))
         penalty = HuberPenalty(delta=0.01, weight=1.0)
         grad = fairness_gradient(store, penalty, self.SHAPE)
         np.testing.assert_allclose(grad.biases[0, 0], 0.004 * 1.0, atol=1e-12)
 
     def test_cold_cells_contribute_zero(self):
         store = self._store_with_gap()
-        store.update(0, 0, GroupKey(0), 0.9, np.ones(2), 1.0)
+        self._feed(store, 0, 0, 0.9, 1.0, np.ones(2))
         grad = fairness_gradient(store, HuberPenalty(0.01, 1.0), self.SHAPE)
         np.testing.assert_array_equal(grad.weights, 0.0)
         np.testing.assert_array_equal(grad.biases, 0.0)
 
     def test_zero_weight_short_circuits(self):
         store = self._store_with_gap()
-        store.update(0, 0, GroupKey(0), 0.9, np.ones(2), 1.0)
-        store.update(0, 0, GroupKey(1), 0.1, np.ones(2), 1.0)
+        self._feed(store, 0, 0, 0.9, 1.0, np.ones(2))
+        self._feed(store, 1, 0, 0.1, 1.0, np.ones(2))
         grad = fairness_gradient(store, HuberPenalty(0.01, 0.0), self.SHAPE)
         np.testing.assert_array_equal(grad.weights, 0.0)
 
     def test_weight_scales_linearly(self):
         store = self._store_with_gap()
-        store.update(0, 0, GroupKey(0), 0.8, np.array([1.0, -1.0]), 0.7)
-        store.update(0, 0, GroupKey(1), 0.3, np.array([0.2, 0.1]), 0.1)
+        self._feed(store, 0, 0, 0.8, 0.7, [1.0, -1.0])
+        self._feed(store, 1, 0, 0.3, 0.1, [2.0, 1.0])
         g1 = fairness_gradient(store, HuberPenalty(0.01, 1.0), self.SHAPE)
         g3 = fairness_gradient(store, HuberPenalty(0.01, 3.0), self.SHAPE)
         np.testing.assert_allclose(g3.weights, 3.0 * g1.weights, rtol=1e-12)
@@ -363,8 +387,8 @@ class TestFairnessGradient:
 
     def test_leaf_rows_never_carry_fairness_gradient(self):
         store = self._store_with_gap()
-        store.update(0, 0, GroupKey(0), 0.8, np.ones(2), 1.0)
-        store.update(0, 0, GroupKey(1), 0.1, np.ones(2), 1.0)
+        self._feed(store, 0, 0, 0.8, 1.0, np.ones(2))
+        self._feed(store, 1, 0, 0.1, 1.0, np.ones(2))
         grad = fairness_gradient(store, HuberPenalty(0.01, 5.0), self.SHAPE)
         np.testing.assert_array_equal(grad.leaves, 0.0)
 
@@ -373,7 +397,7 @@ class TestFairnessGradient:
         store = AggregateStore(shape, n_groups=3, notion="multigroup")
         values = {0: (0.9, 1.0), 1: (0.5, 0.0), 2: (0.1, -1.0)}
         for group, (v, gb) in values.items():
-            store.update(0, 0, GroupKey(group), v, np.zeros(2), gb)
+            self._feed(store, group, 0, v, gb, np.zeros(2))
         penalty = HuberPenalty(delta=10.0, weight=1.0)
         grad = fairness_gradient(store, penalty, shape)
         overall_v = np.mean([v for v, _ in values.values()])
@@ -386,10 +410,10 @@ class TestFairnessGradient:
     def test_equalized_odds_sums_per_class_gaps(self):
         shape = self.SHAPE
         store = AggregateStore(shape, notion="equalized_odds", n_classes=2)
-        store.update(0, 0, GroupKey(0, 0), 0.9, np.zeros(2), 1.0)
-        store.update(0, 0, GroupKey(1, 0), 0.5, np.zeros(2), 0.5)
-        store.update(0, 0, GroupKey(0, 1), 0.2, np.zeros(2), 0.1)
-        store.update(0, 0, GroupKey(1, 1), 0.6, np.zeros(2), 0.9)
+        self._feed(store, 0, 0, 0.9, 1.0, np.zeros(2))
+        self._feed(store, 1, 0, 0.5, 0.5, np.zeros(2))
+        self._feed(store, 0, 1, 0.2, 0.1, np.zeros(2))
+        self._feed(store, 1, 1, 0.6, 0.9, np.zeros(2))
         penalty = HuberPenalty(delta=10.0, weight=1.0)
         grad = fairness_gradient(store, penalty, shape)
         expected = (0.9 - 0.5) * (1.0 - 0.5) + (0.2 - 0.6) * (0.1 - 0.9)
@@ -402,9 +426,9 @@ class TestFairnessGradient:
             fairness_gradient(store, HuberPenalty(0.01, 1.0), other)
 
     def test_notion_none_has_no_gradient(self):
-        store = AggregateStore(self.SHAPE, notion="none")
+        """Notion "none" has no contrasts, so no store is built for it."""
         with pytest.raises(ConfigurationError):
-            fairness_gradient(store, HuberPenalty(0.01, 1.0), self.SHAPE)
+            AggregateStore(self.SHAPE, notion="none")
 
 
 class TestGradientContainers:

@@ -373,9 +373,21 @@ class TestCheckpoint:
         assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
     def test_unknown_format_is_rejected(self):
+        """Version 1 kept the store layout before the packed one; it is
+        refused like any other unknown format."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2))
         data = learner.checkpoint()
-        data["format"] = "something-else"
+        assert data["format"] == "fairforest-checkpoint-v2"
+        for unknown in ("something-else", "fairforest-checkpoint-v1"):
+            data["format"] = unknown
+            with pytest.raises(DataError):
+                OnlineForestLearner.restore(data)
+
+    def test_truncated_store_is_refused(self):
+        learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
+        self._run(learner, biased_stream(5, seed=11))
+        data = json.loads(json.dumps(learner.checkpoint()))
+        data["store"]["means"] = data["store"]["means"][:1]
         with pytest.raises(DataError):
             OnlineForestLearner.restore(data)
 
