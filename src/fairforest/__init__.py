@@ -30,7 +30,6 @@ from .forest import (
     AncestorMask,
     ForestShape,
     ObliqueForest,
-    TreeParams,
     build_mask,
     forward,
     forward_batch,
@@ -38,7 +37,7 @@ from .forest import (
     leaf_probability_gradients,
     node_outputs,
     predict,
-    tree_output,
+    tree_outputs,
 )
 from .gradients import (
     ForestGradient,
@@ -61,7 +60,6 @@ from .learner import (
     OnlineForestLearner,
     StepSnapshot,
     TrajectoryRow,
-    dp_metric,
     run_stream,
 )
 from .stats import AggregateStore

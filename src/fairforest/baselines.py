@@ -18,6 +18,7 @@ Every learner exposes the same ``step``/``snapshot`` protocol as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +26,13 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigurationError, DataError, DomainError, ShapeError
-from .forest import AncestorMask, ObliqueForest, _ancestor_rows, _path_nodes
+from .forest import (
+    AncestorMask,
+    ObliqueForest,
+    _ancestor_rows,
+    _block_views,
+    _path_nodes,
+)
 from .gradients import (
     ForestGradient,
     HuberPenalty,
@@ -198,6 +205,7 @@ class LeafPenaltyLearner(OnlineForestLearner):
         self.leaf_store = RunningMeans(
             config.n_groups, (shape.tree_count, shape.n_leaves),
             1 + shape.height * (shape.n_features + 1), ((0, 1),),
+            config.aggregate_decay,
         )
 
     def _update_fairness_state(self, x, y, a, cache) -> None:
@@ -222,11 +230,10 @@ class LeafPenaltyLearner(OnlineForestLearner):
         per_node = _sum_onto_nodes(
             total.reshape(t, 2**h, h, self.forest.n_features + 1), h
         )  # (T, m, d + 1)
-        return ForestGradient(
-            per_node[..., 1:] * self.penalty.weight,
-            per_node[..., 0] * self.penalty.weight,
-            np.zeros_like(self.forest.leaves),
-        )
+        grad = ForestGradient.zeros(self.forest.shape)
+        np.multiply(per_node[..., 1:], self.penalty.weight, out=grad.weights)
+        np.multiply(per_node[..., 0], self.penalty.weight, out=grad.biases)
+        return grad
 
     def checkpoint(self) -> dict:
         raise ConfigurationError(
@@ -283,17 +290,16 @@ class MlpConfig:
         )
 
 
-@dataclass
 class MlpParams:
-    """Parameters of the two-layer ReLU network."""
+    """Parameters of the two-layer ReLU network: one flat ``vector`` with
+    ``w1`` (d, hidden), ``b1`` (hidden,), ``w2`` (hidden, c) and ``b2``
+    (c,) as reshaped views into it."""
 
-    w1: np.ndarray  # (d, hidden)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (hidden, c)
-    b2: np.ndarray  # (c,)
-
-    def arrays(self) -> list[np.ndarray]:
-        return [self.w1, self.b1, self.w2, self.b2]
+    def __init__(self, n_features: int, hidden: int, n_outputs: int):
+        d, h, c = n_features, hidden, n_outputs
+        self.shapes = ((d, h), (h,), (h, c), (c,))
+        self.vector = np.zeros(d * h + h + h * c + c)
+        self.w1, self.b1, self.w2, self.b2 = _block_views(self.vector, self.shapes)
 
 
 class _MlpOutputStore:
@@ -329,16 +335,13 @@ class OnlineMlpLearner:
         self.config = config
         rng = np.random.default_rng(config.seed)
         d, h, c = config.n_features, config.hidden, config.n_outputs
-        self.params = MlpParams(
-            w1=rng.uniform(-1 / np.sqrt(d), 1 / np.sqrt(d), size=(d, h)),
-            b1=np.zeros(h),
-            w2=rng.uniform(-1 / np.sqrt(h), 1 / np.sqrt(h), size=(h, c)),
-            b2=np.zeros(c),
-        )
+        self.params = MlpParams(d, h, c)
+        self.params.w1[...] = rng.uniform(-1 / np.sqrt(d), 1 / np.sqrt(d), size=(d, h))
+        self.params.w2[...] = rng.uniform(-1 / np.sqrt(h), 1 / np.sqrt(h), size=(h, c))
         self.penalty = HuberPenalty(config.huber_delta, config.fairness_weight)
         self.store = _MlpOutputStore(d, h, c, config.n_groups)
         self.adam = AdamState(
-            self.params.arrays(),
+            self.params.shapes,
             AdamParams(config.learning_rate, config.beta1, config.beta2,
                        config.adam_epsilon),
         )
@@ -382,39 +385,36 @@ class OnlineMlpLearner:
         j_w2 = hidden[:, None, None] * eye[None, :, :]
         j_b2 = eye
         self.store.update(a, out, j_w1, j_b1, j_w2, j_b2)
-        # Task gradient.
+        # Task gradient, written block by block into one vector.
+        task = np.empty(self.params.vector.size)
+        g_w1, g_b1, g_w2, g_b2 = _block_views(task, self.params.shapes)
         residual = softmax(out)
         residual[y] -= 1.0
-        g_b2 = residual
-        g_w2 = np.outer(hidden, residual)
-        g_hidden = (self.params.w2 @ residual) * active
-        g_b1 = g_hidden
-        g_w1 = np.outer(x, g_hidden)
-        task = [g_w1, g_b1, g_w2, g_b2]
+        g_b2[...] = residual
+        np.outer(hidden, residual, out=g_w2)
+        np.multiply(self.params.w2 @ residual, active, out=g_b1)
+        np.outer(x, g_b1, out=g_w1)
         fair = self._fairness_gradient()
-        total = [t + f for t, f in zip(task, fair)]
-        self._last_fair_norm = float(np.sqrt(sum(np.sum(f**2) for f in fair)))
-        self._last_total_norm = float(np.sqrt(sum(np.sum(g**2) for g in total)))
-        self.adam.apply(self.params.arrays(), total)
+        total = task + fair
+        self._last_fair_norm = math.sqrt(fair @ fair)
+        self._last_total_norm = math.sqrt(total @ total)
+        self.adam.apply(self.params.vector, total)
         self.step_count += 1
         return prediction, self.snapshot()
 
-    def _fairness_gradient(self) -> list[np.ndarray]:
-        p = self.params
-        zeros = [np.zeros_like(a) for a in p.arrays()]
+    def _fairness_gradient(self) -> np.ndarray:
+        grad = np.zeros(self.params.vector.size)
         if self.penalty.weight == 0.0:
-            return zeros
+            return grad
         store = self.store
         if store.counts[0] == 0 or store.counts[1] == 0:
-            return zeros
+            return grad
         gap = store.mean_out[0] - store.mean_out[1]  # (c,)
         coeff = _huber_slope_array(gap, self.penalty.delta) * self.penalty.weight
-        return [
-            np.einsum("...c,c->...", store.mean_j_w1[0] - store.mean_j_w1[1], coeff),
-            np.einsum("...c,c->...", store.mean_j_b1[0] - store.mean_j_b1[1], coeff),
-            np.einsum("...c,c->...", store.mean_j_w2[0] - store.mean_j_w2[1], coeff),
-            np.einsum("...c,c->...", store.mean_j_b2[0] - store.mean_j_b2[1], coeff),
-        ]
+        means = (store.mean_j_w1, store.mean_j_b1, store.mean_j_w2, store.mean_j_b2)
+        for view, mean in zip(_block_views(grad, self.params.shapes), means):
+            np.einsum("...c,c->...", mean[0] - mean[1], coeff, out=view)
+        return grad
 
     def snapshot(self) -> StepSnapshot:
         return StepSnapshot(

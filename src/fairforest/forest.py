@@ -16,6 +16,7 @@ node ``i`` is not an ancestor of leaf ``j``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -43,6 +44,16 @@ class ForestShape(NamedTuple):
     @property
     def n_leaves(self) -> int:
         return 2**self.height
+
+    @property
+    def param_shapes(self) -> tuple:
+        """Shapes of the weight, bias and leaf blocks of a parameter vector."""
+        t, m = self.tree_count, self.n_nodes
+        return ((t, m, self.n_features), (t, m), (t, m + 1, self.n_outputs))
+
+    @property
+    def n_params(self) -> int:
+        return sum(math.prod(shape) for shape in self.param_shapes)
 
 
 @dataclass
@@ -148,95 +159,68 @@ def _path_nodes(tree_count: int, height: int) -> np.ndarray:
     return rows
 
 
-@dataclass
-class TreeParams:
-    """Parameters of one tree: node hyperplanes and leaf output rows."""
-
-    height: int
-    weights: np.ndarray  # (2**h - 1, d)
-    biases: np.ndarray  # (2**h - 1,)
-    leaves: np.ndarray  # (2**h, c)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.height <= MAX_HEIGHT:
-            raise ConfigurationError(f"tree height out of range: {self.height}")
-        n_nodes = 2**self.height - 1
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
-        self.leaves = np.asarray(self.leaves, dtype=np.float64)
-        if self.weights.ndim != 2 or self.weights.shape[0] != n_nodes:
-            raise ShapeError(
-                f"weights must have shape ({n_nodes}, d), got {self.weights.shape}"
-            )
-        if self.biases.shape != (n_nodes,):
-            raise ShapeError(
-                f"biases must have shape ({n_nodes},), got {self.biases.shape}"
-            )
-        if self.leaves.ndim != 2 or self.leaves.shape[0] != n_nodes + 1:
-            raise ShapeError(
-                f"leaves must have shape ({n_nodes + 1}, c), got {self.leaves.shape}"
-            )
-        for name, arr in (("weights", self.weights), ("biases", self.biases),
-                          ("leaves", self.leaves)):
-            if not np.isfinite(arr).all():
-                raise ConfigurationError(f"tree {name} contain non-finite values")
-
-    @property
-    def n_nodes(self) -> int:
-        return 2**self.height - 1
-
-    @property
-    def n_leaves(self) -> int:
-        return 2**self.height
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.leaves.shape[1]
-
-    def copy(self) -> "TreeParams":
-        return TreeParams(self.height, self.weights.copy(), self.biases.copy(),
-                          self.leaves.copy())
+def _block_views(vector: np.ndarray, shapes) -> list[np.ndarray]:
+    """Reshaped views of the consecutive blocks of a flat vector."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(vector[start:stop].reshape(shape))
+        start = stop
+    return views
 
 
 class ObliqueForest:
     """An ensemble of soft-routed oblique trees sharing one geometry.
 
-    Internally the per-tree parameters are stacked along a leading tree
-    axis (``weights`` is ``(T, m, d)`` and so on); the ``trees`` list
-    holds ``TreeParams`` views into the stacked arrays, so in-place
-    updates through either representation stay consistent.
+    Every parameter lives in one contiguous float64 ``vector``: the node
+    weights, then the node biases, then the leaf rows.  ``weights``
+    ``(T, m, d)``, ``biases`` ``(T, m)`` and ``leaves`` ``(T, 2**h, c)``
+    are reshaped views into it, so an in-place update through the vector
+    or through a view is seen by both.
     """
 
-    def __init__(self, trees: list[TreeParams]):
-        if not trees:
+    def __init__(self, shape: ForestShape):
+        """An all-zero forest of the given shape."""
+        build_mask(shape.height)  # validates the height range
+        if shape.tree_count < 1:
             raise ConfigurationError("a forest needs at least one tree")
-        first = trees[0]
-        for t in trees[1:]:
-            if (t.height, t.n_features, t.n_outputs) != (
-                first.height, first.n_features, first.n_outputs
-            ):
-                raise ShapeError("all trees in a forest must share (height, d, c)")
-        self.weights = np.stack([t.weights for t in trees])
-        self.biases = np.stack([t.biases for t in trees])
-        self.leaves = np.stack([t.leaves for t in trees])
-        self.height = first.height
-        self.trees = [
-            TreeParams(self.height, self.weights[i], self.biases[i], self.leaves[i])
-            for i in range(len(trees))
-        ]
+        if shape.n_features < 1 or shape.n_outputs < 1:
+            raise ConfigurationError("n_features and n_outputs must be >= 1")
+        self.shape = ForestShape(*(int(n) for n in shape))
+        self.height = self.shape.height
+        self.vector = np.zeros(self.shape.n_params)
+        self.weights, self.biases, self.leaves = _block_views(
+            self.vector, self.shape.param_shapes
+        )
 
     @classmethod
     def from_arrays(cls, height: int, weights: np.ndarray, biases: np.ndarray,
                     leaves: np.ndarray) -> "ObliqueForest":
-        trees = [
-            TreeParams(height, weights[i], biases[i], leaves[i])
-            for i in range(weights.shape[0])
-        ]
-        return cls(trees)
+        """Pack stacked per-tree arrays into a new forest's vector.
+
+        Refuses arrays that do not describe ``T`` trees of one geometry
+        (``ShapeError``) or that hold non-finite values
+        (``ConfigurationError``).
+        """
+        arrays = [np.asarray(a, dtype=np.float64) for a in (weights, biases, leaves)]
+        if arrays[0].ndim != 3 or arrays[2].ndim != 3:
+            raise ShapeError(
+                "weights and leaves must be stacked per tree, (T, m, d) and "
+                f"(T, 2**h, c), got {arrays[0].shape} and {arrays[2].shape}"
+            )
+        forest = cls(ForestShape(arrays[0].shape[0], height, arrays[0].shape[2],
+                                 arrays[2].shape[2]))
+        for name, view, array in zip(("weights", "biases", "leaves"),
+                                     (forest.weights, forest.biases, forest.leaves),
+                                     arrays):
+            if array.shape != view.shape:
+                raise ShapeError(
+                    f"{name} must have shape {view.shape}, got {array.shape}"
+                )
+            if not np.isfinite(array).all():
+                raise ConfigurationError(f"forest {name} contain non-finite values")
+            view[...] = array
+        return forest
 
     @classmethod
     def random(cls, height: int, n_features: int, n_outputs: int,
@@ -250,60 +234,45 @@ class ObliqueForest:
         bound would leave every gate stuck near one half for thousands of
         steps.
         """
-        if tree_count < 1:
-            raise ConfigurationError(f"tree_count must be >= 1, got {tree_count}")
-        if n_features < 1 or n_outputs < 1:
-            raise ConfigurationError("n_features and n_outputs must be >= 1")
-        build_mask(height)  # validates the height range
+        forest = cls(ForestShape(tree_count, height, n_features, n_outputs))
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
-        n_nodes = 2**height - 1
         bound = 2.0 / np.sqrt(n_features)
-        weights = rng.uniform(-bound, bound, size=(tree_count, n_nodes, n_features))
-        biases = np.zeros((tree_count, n_nodes))
-        leaves = rng.uniform(-0.1, 0.1, size=(tree_count, n_nodes + 1, n_outputs))
-        return cls.from_arrays(height, weights, biases, leaves)
+        forest.weights[...] = rng.uniform(-bound, bound, size=forest.weights.shape)
+        forest.leaves[...] = rng.uniform(-0.1, 0.1, size=forest.leaves.shape)
+        return forest
 
     @property
     def tree_count(self) -> int:
-        return len(self.trees)
+        return self.shape.tree_count
 
     @property
     def n_features(self) -> int:
-        return self.weights.shape[2]
+        return self.shape.n_features
 
     @property
     def n_outputs(self) -> int:
-        return self.leaves.shape[2]
-
-    @property
-    def shape(self) -> ForestShape:
-        return ForestShape(self.tree_count, self.height, self.n_features,
-                           self.n_outputs)
+        return self.shape.n_outputs
 
     def copy(self) -> "ObliqueForest":
-        return ObliqueForest.from_arrays(
-            self.height, self.weights.copy(), self.biases.copy(), self.leaves.copy()
-        )
-
-    def param_arrays(self) -> list[np.ndarray]:
-        """The stacked parameter arrays, in a fixed order."""
-        return [self.weights, self.biases, self.leaves]
+        clone = ObliqueForest(self.shape)
+        clone.vector[...] = self.vector
+        return clone
 
 
-def _pre_activations(tree: TreeParams, x: np.ndarray) -> np.ndarray:
-    """Gate pre-activations ``w . x + b`` of every internal node."""
+def _check_features(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (tree.n_features,):
+    if x.shape != (forest.n_features,):
         raise ShapeError(
-            f"expected feature vector of shape ({tree.n_features},), got {x.shape}"
+            f"expected feature vector of shape ({forest.n_features},), got {x.shape}"
         )
-    return tree.weights @ x + tree.biases
+    return x
 
 
-def node_outputs(tree: TreeParams, x: np.ndarray) -> np.ndarray:
-    """Logistic gate outputs of every internal node for one instance."""
-    return expit(_pre_activations(tree, x))
+def node_outputs(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
+    """Logistic gate outputs of every node of every tree for one instance,
+    shape (T, m)."""
+    return expit(forest.weights @ _check_features(forest, x) + forest.biases)
 
 
 def _node_edges(z: np.ndarray) -> np.ndarray:
@@ -333,20 +302,22 @@ def _path_factors(edges: np.ndarray, height: int) -> np.ndarray:
 
 
 def _gate_edges(outputs: np.ndarray, mask: AncestorMask) -> np.ndarray:
-    """Edge array of one tree from its gate outputs, for the public
-    functions that take gate outputs rather than pre-activations."""
+    """Edge arrays ``(..., 2m)`` from gate outputs ``(..., m)``, for the
+    public functions that take gate outputs rather than pre-activations."""
     outputs = np.asarray(outputs, dtype=np.float64)
-    if outputs.shape != (mask.n_nodes,):
+    if outputs.shape[-1:] != (mask.n_nodes,):
         raise ShapeError(
             f"expected {mask.n_nodes} node outputs, got shape {outputs.shape}"
         )
-    return np.concatenate([outputs, 1.0 - outputs])
+    return np.concatenate([outputs, 1.0 - outputs], axis=-1)
 
 
 def leaf_probabilities(outputs: np.ndarray, mask: AncestorMask) -> np.ndarray:
-    """Probability of each leaf given the node gate outputs of one tree:
-    the product of the routing factors along its root-to-leaf path."""
-    return _path_factors(_gate_edges(outputs, mask), mask.height).prod(axis=0)
+    """Probability of each leaf given the node gate outputs: the product of
+    the routing factors along its root-to-leaf path.  ``outputs`` is one
+    tree's ``(m,)`` or a stack ``(..., m)`` such as ``node_outputs``
+    gives; the result is ``(2**h,)`` or ``(..., 2**h)``."""
+    return _path_factors(_gate_edges(outputs, mask), mask.height).prod(axis=-2)
 
 
 def leaf_probability_gradients(
@@ -361,6 +332,8 @@ def leaf_probability_gradients(
     Built from prefix/suffix products, so saturated gates (outputs at 0
     or 1) never trigger a division.
     """
+    if np.ndim(outputs) != 1:
+        raise ShapeError(f"expected one tree's node outputs, got {np.shape(outputs)}")
     probs, path_jac = _leaf_probability_gradients_stacked(
         _gate_edges(outputs, mask)[None, :], mask.height
     )
@@ -391,23 +364,24 @@ def _leaf_probability_gradients_stacked(
     return prefix[:, height], jac
 
 
-def tree_output(tree: TreeParams, x: np.ndarray,
-                mask: AncestorMask | None = None) -> np.ndarray:
-    """Leaf-probability-weighted mix of one tree's leaf rows, routed from
-    the pre-activations like ``forward``."""
-    edges = _node_edges(_pre_activations(tree, x))
-    return _path_factors(edges, tree.height).prod(axis=0) @ tree.leaves
+def _tree_leaf_probabilities(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
+    """Leaf probabilities of every tree for one instance, (T, 2**h)."""
+    edges = _all_node_outputs(forest, _check_features(forest, x))
+    return _path_factors(edges, forest.height).prod(axis=1)
+
+
+def tree_outputs(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
+    """Each tree's leaf-probability-weighted mix of its leaf rows for one
+    instance, shape (T, c), routed from the pre-activations like
+    ``forward``."""
+    return np.einsum("tl,tlc->tc", _tree_leaf_probabilities(forest, x),
+                     forest.leaves)
 
 
 def forward(forest: ObliqueForest, x: np.ndarray,
             mask: AncestorMask | None = None) -> np.ndarray:
     """Forest output for one instance: arithmetic mean of tree outputs."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (forest.n_features,):
-        raise ShapeError(
-            f"expected feature vector of shape ({forest.n_features},), got {x.shape}"
-        )
-    probs = _path_factors(_all_node_outputs(forest, x), forest.height).prod(axis=1)
+    probs = _tree_leaf_probabilities(forest, x)
     return np.einsum("tl,tlc->c", probs, forest.leaves) / forest.tree_count
 
 

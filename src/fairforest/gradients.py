@@ -12,6 +12,7 @@ gradient under any notion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .forest import (
     ForestShape,
     ObliqueForest,
     _all_node_outputs,
+    _block_views,
     _leaf_probability_gradients_stacked,
     _path_nodes,
     build_mask,
@@ -45,39 +47,21 @@ class HuberPenalty:
             )
 
 
-@dataclass
-class TreeGradient:
-    """Gradient of one tree's parameters (views into the forest arrays)."""
-
-    weights: np.ndarray
-    biases: np.ndarray
-    leaves: np.ndarray
-
-
-@dataclass
 class ForestGradient:
-    """Gradient over every parameter of a forest, stacked per tree."""
+    """Gradient over every parameter of a forest, in the forest's layout:
+    one flat ``vector`` with ``weights`` (T, m, d), ``biases`` (T, m) and
+    ``leaves`` (T, 2**h, c) as reshaped views into it."""
 
-    weights: np.ndarray  # (T, m, d)
-    biases: np.ndarray  # (T, m)
-    leaves: np.ndarray  # (T, 2**h, c)
+    def __init__(self, shape: ForestShape, vector: np.ndarray):
+        self.shape = shape
+        self.vector = vector
+        self.weights, self.biases, self.leaves = _block_views(
+            vector, shape.param_shapes
+        )
 
     @classmethod
     def zeros(cls, shape: ForestShape) -> "ForestGradient":
-        t, m, d, c = shape.tree_count, shape.n_nodes, shape.n_features, shape.n_outputs
-        return cls(np.zeros((t, m, d)), np.zeros((t, m)),
-                   np.zeros((t, m + 1, c)))
-
-    def tree(self, index: int) -> TreeGradient:
-        return TreeGradient(self.weights[index], self.biases[index],
-                            self.leaves[index])
-
-    def arrays(self) -> list[np.ndarray]:
-        return [self.weights, self.biases, self.leaves]
-
-    def copy(self) -> "ForestGradient":
-        return ForestGradient(self.weights.copy(), self.biases.copy(),
-                              self.leaves.copy())
+        return cls(shape, np.zeros(shape.n_params))
 
     def tree_norm(self, index: int) -> float:
         """Euclidean norm of one tree's slice of the gradient."""
@@ -166,11 +150,14 @@ def task_gradient(forest: ObliqueForest, x: np.ndarray, y: int,
     if mask is None:
         mask = build_mask(forest.height)
     cache = _ForwardCache(forest, x, mask)
-    return _task_gradient_cached(forest, x, y, cache)
+    return _task_gradient_cached(forest, x, y, cache,
+                                 ForestGradient.zeros(forest.shape))
 
 
 def _task_gradient_cached(forest: ObliqueForest, x: np.ndarray, y: int,
-                          cache: _ForwardCache) -> ForestGradient:
+                          cache: _ForwardCache,
+                          out: ForestGradient) -> ForestGradient:
+    """The task gradient from a forward cache, written into ``out``."""
     if not np.isfinite(cache.output).all():
         raise NumericalError(
             f"forest output is not finite: {cache.output!r}"
@@ -178,7 +165,8 @@ def _task_gradient_cached(forest: ObliqueForest, x: np.ndarray, y: int,
     residual = softmax(cache.output)
     residual[y] -= 1.0
     t = forest.tree_count
-    grad_leaves = cache.leaf_probs[:, :, None] * residual[None, None, :] / t
+    np.multiply(cache.leaf_probs[:, :, None], residual, out=out.leaves)
+    out.leaves /= t
     leaf_sensitivity = np.einsum("tlc,c->tl", forest.leaves, residual) / t
     # Each path entry adds its leaf's sensitivity to the node it differentiates.
     path_terms = cache.leaf_jac * leaf_sensitivity[:, None, :]
@@ -186,47 +174,51 @@ def _task_gradient_cached(forest: ObliqueForest, x: np.ndarray, y: int,
         _path_nodes(t, forest.height).ravel(), weights=path_terms.ravel(),
         minlength=cache.gates.size,
     ).reshape(cache.gates.shape)
-    grad_b = dldn * cache.slope
-    grad_w = grad_b[:, :, None] * x[None, None, :]
-    return ForestGradient(grad_w, grad_b, grad_leaves)
+    np.multiply(dldn, cache.slope, out=out.biases)
+    np.multiply(out.biases[:, :, None], x, out=out.weights)
+    return out
 
 
 def fairness_gradient(store: AggregateStore, penalty: HuberPenalty,
-                      shape: ForestShape) -> ForestGradient:
-    """Weighted Huber-penalty gradient from the store's running means.
+                      shape: ForestShape,
+                      out: ForestGradient | None = None) -> ForestGradient:
+    """Weighted Huber-penalty gradient from the store's running means,
+    written into ``out`` when given.
 
     One sum over the notion's warm contrasts (see
     ``RunningMeans.contrast_sum``); cold contrasts contribute zero.  The
-    penalty weight is folded in here; leaf rows are untouched.
+    penalty weight is folded in here; leaf rows are zero.
     """
     if (store.shape.tree_count, store.shape.n_nodes, store.shape.n_features) != (
         shape.tree_count, shape.n_nodes, shape.n_features
     ):
         raise ShapeError("store and forest shapes disagree")
+    if out is None:
+        out = ForestGradient.zeros(shape)
     if penalty.weight == 0.0:
-        return ForestGradient.zeros(shape)
+        out.vector.fill(0.0)
+        return out
     grad_w, grad_b = store.gap_gradients(penalty.delta)
-    return ForestGradient(
-        grad_w * penalty.weight, grad_b * penalty.weight,
-        np.zeros((shape.tree_count, shape.n_leaves, shape.n_outputs)),
-    )
+    np.multiply(grad_w, penalty.weight, out=out.weights)
+    np.multiply(grad_b, penalty.weight, out=out.biases)
+    out.leaves.fill(0.0)
+    return out
 
 
 def _huber_slope_array(gap: np.ndarray, delta: float) -> np.ndarray:
     return np.clip(gap, -delta, delta)
 
 
-def total_gradient(task: ForestGradient, fairness: ForestGradient) -> ForestGradient:
-    """Sum of the task and fairness gradients."""
-    return ForestGradient(
-        task.weights + fairness.weights,
-        task.biases + fairness.biases,
-        task.leaves + fairness.leaves,
-    )
+def total_gradient(task: ForestGradient, fairness: ForestGradient,
+                   out: ForestGradient | None = None) -> ForestGradient:
+    """Sum of the task and fairness gradients, written into ``out`` when
+    given."""
+    if out is None:
+        out = ForestGradient.zeros(task.shape)
+    np.add(task.vector, fairness.vector, out=out.vector)
+    return out
 
 
 def gradient_norm(grad: ForestGradient) -> float:
     """Euclidean norm over every parameter of the forest."""
-    return float(np.sqrt(
-        np.sum(grad.weights**2) + np.sum(grad.biases**2) + np.sum(grad.leaves**2)
-    ))
+    return math.sqrt(grad.vector @ grad.vector)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
@@ -24,7 +25,7 @@ from .errors import (
     FairForestError,
     ShapeError,
 )
-from .forest import AncestorMask, ObliqueForest, build_mask
+from .forest import AncestorMask, ObliqueForest, _block_views, build_mask
 from .gradients import (
     ForestGradient,
     HuberPenalty,
@@ -50,38 +51,65 @@ class AdamParams:
 
 
 class AdamState:
-    """First and second moment estimates for a list of parameter arrays."""
+    """First and second moment estimates of one flat parameter vector.
 
-    def __init__(self, templates: list[np.ndarray], hyper: AdamParams):
+    ``shapes`` are the shapes of the vector's consecutive blocks; they lay
+    out snapshots, which keep the moments block by block.
+    """
+
+    def __init__(self, shapes: tuple, hyper: AdamParams):
         self.hyper = hyper
-        self.m = [np.zeros_like(a) for a in templates]
-        self.v = [np.zeros_like(a) for a in templates]
+        self.shapes = shapes
+        size = sum(math.prod(shape) for shape in shapes)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def apply(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """One bias-corrected Adam update, in place on ``params``."""
+    def apply(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """One bias-corrected Adam update, in place on the vector ``params``."""
         self.t += 1
         h = self.hyper
         c1 = 1.0 - h.beta1**self.t
         c2 = 1.0 - h.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= h.beta1
-            m += (1.0 - h.beta1) * g
-            v *= h.beta2
-            v += (1.0 - h.beta2) * g * g
-            p -= h.learning_rate * (m / c1) / (np.sqrt(v / c2) + h.epsilon)
+        m, v = self.m, self.v
+        m *= h.beta1
+        m += (1.0 - h.beta1) * grads
+        v *= h.beta2
+        v += (1.0 - h.beta2) * grads * grads
+        params -= h.learning_rate * (m / c1) / (np.sqrt(v / c2) + h.epsilon)
 
     def snapshot(self) -> dict:
         return {
             "t": self.t,
-            "m": [a.tolist() for a in self.m],
-            "v": [a.tolist() for a in self.v],
+            "m": [a.tolist() for a in _block_views(self.m, self.shapes)],
+            "v": [a.tolist() for a in _block_views(self.v, self.shapes)],
         }
 
     def restore(self, data: dict) -> None:
-        self.t = int(data["t"])
-        self.m = [np.asarray(a, dtype=np.float64) for a in data["m"]]
-        self.v = [np.asarray(a, dtype=np.float64) for a in data["v"]]
+        """Load a snapshot, refusing moments that do not match ``shapes``
+        block by block or that are not finite."""
+        t = data["t"]
+        if not isinstance(t, int) or t < 0:
+            raise DataError(f"adam.t must be a non-negative integer, got {t!r}")
+        _load_blocks(_block_views(self.m, self.shapes), data["m"], "adam.m")
+        _load_blocks(_block_views(self.v, self.shapes), data["v"], "adam.v")
+        self.t = t
+
+
+def _load_blocks(views: list[np.ndarray], blocks, name: str) -> None:
+    """Copy each of ``blocks`` into its view, raising DataError unless it
+    is a finite array of that view's shape."""
+    if not isinstance(blocks, list) or len(blocks) != len(views):
+        raise DataError(f"{name} must hold {len(views)} arrays")
+    for i, (view, block) in enumerate(zip(views, blocks)):
+        try:
+            array = np.asarray(block, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{name}[{i}] is malformed: {exc}") from exc
+        if array.shape != view.shape or not np.isfinite(array).all():
+            raise DataError(f"{name}[{i}] must be finite with shape "
+                            f"{view.shape}, got shape {array.shape}")
+        view[...] = array
 
 
 class MetricsTracker:
@@ -114,26 +142,34 @@ class MetricsTracker:
     def accuracy(self) -> float:
         return self.correct / self.total if self.total else 0.0
 
+    def _two_group_gap(self, sums: np.ndarray):
+        """``sums[0] / n0 - sums[1] / n1``, or None until both groups of a
+        two-group tracker have been seen."""
+        n0, n1 = self.group_counts
+        return sums[0] / n0 - sums[1] / n1 if n0 and n1 else None
+
     @property
     def dp_hard(self) -> float | None:
+        if self.n_groups == 2:
+            gap = self._two_group_gap(self.group_label_sums)
+            return None if gap is None else float(abs(gap))
         seen = self.group_counts > 0
         if seen.sum() < 2:
             return None
         rates = np.zeros(self.n_groups)
         rates[seen] = self.group_label_sums[seen] / self.group_counts[seen]
-        if self.n_groups == 2:
-            return float(abs(rates[0] - rates[1]))
         overall = self.group_label_sums.sum() / self.total
         return float(np.max(np.abs(overall - rates[seen])))
 
     @property
     def dp_soft(self) -> float | None:
+        if self.n_groups == 2:
+            gap = self._two_group_gap(self.group_output_sums)
+            return None if gap is None else math.sqrt(gap @ gap)
         seen = self.group_counts > 0
         if seen.sum() < 2:
             return None
         means = self.group_output_sums[seen] / self.group_counts[seen, None]
-        if self.n_groups == 2:
-            return float(np.linalg.norm(means[0] - means[1]))
         overall = self.group_output_sums.sum(axis=0) / self.total
         return float(np.max(np.linalg.norm(overall - means, axis=1)))
 
@@ -161,11 +197,6 @@ class MetricsTracker:
             data["group_output_sums"], dtype=np.float64
         )
         return tracker
-
-
-def dp_metric(tracker: MetricsTracker) -> float | None:
-    """Demographic-parity gap of the hard predictions seen so far."""
-    return tracker.dp_hard
 
 
 @dataclass(frozen=True)
@@ -279,13 +310,18 @@ class OnlineForestLearner:
         self.mask: AncestorMask = build_mask(config.height)
         self.penalty = HuberPenalty(config.huber_delta, config.fairness_weight)
         self.store = self._build_store()
-        self.adam = AdamState(self.forest.param_arrays(), config.adam_params())
+        shape = self.forest.shape
+        self.adam = AdamState(shape.param_shapes, config.adam_params())
         self.metrics = MetricsTracker(config.n_groups, config.n_outputs)
         self.step_count = 0
         self.trace: list[TraceStep] | None = [] if record_trace else None
         self._last_total_norm = 0.0
         self._last_fair_norm = 0.0
-        self._last_total: ForestGradient | None = None
+        # Gradient buffers, rewritten every step; ``_last_total`` is the
+        # total gradient of the latest step.
+        self._task = ForestGradient.zeros(shape)
+        self._fair = ForestGradient.zeros(shape)
+        self._last_total = ForestGradient.zeros(shape)
 
     def _build_store(self) -> AggregateStore | None:
         cfg = self.config
@@ -321,13 +357,12 @@ class OnlineForestLearner:
         prediction = self._emit(int(np.argmax(cache.output)))
         self.metrics.update(prediction, cache.output, y, a)
         self._update_fairness_state(x, y, a, cache)
-        task = _task_gradient_cached(self.forest, x, y, cache)
+        task = _task_gradient_cached(self.forest, x, y, cache, self._task)
         fair = self._fairness_gradient()
-        total = total_gradient(task, fair)
+        total = total_gradient(task, fair, self._last_total)
         self._last_fair_norm = gradient_norm(fair)
         self._last_total_norm = gradient_norm(total)
-        self._last_total = total
-        self.adam.apply(self.forest.param_arrays(), total.arrays())
+        self.adam.apply(self.forest.vector, total.vector)
         self.step_count += 1
         self._after_feedback(int(y))
         return prediction, self.snapshot()
@@ -356,9 +391,10 @@ class OnlineForestLearner:
         self.store.update_all(a, y, cache.gates, cache.slope, x)
 
     def _fairness_gradient(self) -> ForestGradient:
-        if self.store is None or self.penalty.weight == 0.0:
-            return ForestGradient.zeros(self.forest.shape)
-        return fairness_gradient(self.store, self.penalty, self.forest.shape)
+        if self.store is None:
+            return self._fair
+        return fairness_gradient(self.store, self.penalty, self.forest.shape,
+                                 self._fair)
 
     def snapshot(self) -> StepSnapshot:
         return StepSnapshot(
@@ -407,18 +443,14 @@ class OnlineForestLearner:
 
     @classmethod
     def restore(cls, data: dict) -> "OnlineForestLearner":
+        """Rebuild a learner from ``checkpoint()`` data, refusing forest,
+        Adam and store arrays that do not fit its configuration."""
         if data.get("format") != CHECKPOINT_FORMAT:
             raise DataError(f"unrecognized checkpoint format: {data.get('format')!r}")
         learner = cls(LearnerConfig.from_dict(data["config"]))
-        fdata = data["forest"]
-        learner.forest = ObliqueForest.from_arrays(
-            int(fdata["height"]),
-            np.asarray(fdata["weights"], dtype=np.float64),
-            np.asarray(fdata["biases"], dtype=np.float64),
-            np.asarray(fdata["leaves"], dtype=np.float64),
-        )
-        learner.adam = AdamState(learner.forest.param_arrays(),
-                                 learner.config.adam_params())
+        forest, names = learner.forest, ("weights", "biases", "leaves")
+        _load_blocks([getattr(forest, k) for k in names],
+                     [data["forest"][k] for k in names], "forest")
         learner.adam.restore(data["adam"])
         if data["store"] is not None:
             learner.store = AggregateStore.from_snapshot(data["store"])

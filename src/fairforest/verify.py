@@ -52,34 +52,25 @@ def finite_difference(loss_fn, forest: ObliqueForest,
     if step <= 0:
         raise ConfigurationError(f"step must be positive, got {step}")
     work = forest.copy()
-    grads = []
-    for array in work.param_arrays():
-        grad = np.zeros_like(array)
-        flat = array.reshape(-1)
-        flat_grad = grad.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + step
-            high = loss_fn(work)
-            flat[i] = original - step
-            low = loss_fn(work)
-            flat[i] = original
-            flat_grad[i] = (high - low) / (2.0 * step)
-        grads.append(grad)
-    return ForestGradient(*grads)
+    grad = ForestGradient.zeros(forest.shape)
+    flat = work.vector
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + step
+        high = loss_fn(work)
+        flat[i] = original - step
+        low = loss_fn(work)
+        flat[i] = original
+        grad.vector[i] = (high - low) / (2.0 * step)
+    return grad
 
 
 def max_relative_error(candidate: ForestGradient,
                        reference: ForestGradient) -> float:
     """Largest componentwise deviation, scaled by the reference gradient's
     largest component."""
-    scale = max(
-        max(np.max(np.abs(a)) for a in reference.arrays()), 1e-12
-    )
-    worst = max(
-        np.max(np.abs(c - r))
-        for c, r in zip(candidate.arrays(), reference.arrays())
-    )
+    scale = max(np.max(np.abs(reference.vector)), 1e-12)
+    worst = np.max(np.abs(candidate.vector - reference.vector))
     return float(worst / scale)
 
 

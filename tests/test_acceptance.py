@@ -151,11 +151,10 @@ def compute_results():
         t = int(rng.integers(1, 4))
         forest = ObliqueForest.random(h, d, c, t, rng=rng)
         x = rng.uniform(-3.0, 3.0, size=d)
-        for tree in forest.trees:
-            probs = leaf_probabilities(node_outputs(tree, x), masks[h])
-            worst_sum = max(worst_sum, abs(float(probs.sum()) - 1.0))
-            lowest = min(lowest, float(probs.min()))
-            highest = max(highest, float(probs.max()))
+        probs = leaf_probabilities(node_outputs(forest, x), masks[h])  # (T, L)
+        worst_sum = max(worst_sum, float(np.abs(probs.sum(axis=1) - 1.0).max()))
+        lowest = min(lowest, float(probs.min()))
+        highest = max(highest, float(probs.max()))
     results["leaf_simplex"] = {
         "pairs": 10_000,
         "worst_sum_deviation": worst_sum,
@@ -181,10 +180,7 @@ def compute_results():
     from_store = fairness_gradient(store, penalty, forest.shape)
     from_reservoir, cold = reservoir_fairness_gradient(
         reservoir, forest, penalty)
-    agreement = max(
-        float(np.abs(u - v).max())
-        for u, v in zip(from_store.arrays(), from_reservoir.arrays())
-    )
+    agreement = float(np.abs(from_store.vector - from_reservoir.vector).max())
     results["aggregate_vs_exact"] = {
         "instances": 50,
         "max_difference": agreement,

@@ -240,6 +240,24 @@ class TestLeafPenaltyLearner:
         grad = leaf_learner._fairness_gradient()
         np.testing.assert_array_equal(grad.weights, 0.0)
 
+    def test_aggregate_decay_reaches_the_leaf_store(self):
+        """A configured decay weights recent instances in the leaf store
+        too, so training differs from cumulative means."""
+        def run(decay):
+            learner = LeafPenaltyLearner(LearnerConfig(
+                n_features=2, height=3, tree_count=2, fairness="dp",
+                fairness_weight=0.7, aggregate_decay=decay, seed=4,
+            ))
+            for x, y, a in biased_stream(300, seed=5):
+                learner.step(x, y, a)
+            return learner
+
+        decayed, cumulative = run(0.95), run(None)
+        assert decayed.leaf_store.decay == 0.95
+        assert cumulative.leaf_store.decay is None
+        assert not np.array_equal(decayed.forest.weights,
+                                  cumulative.forest.weights)
+
     def test_supports_dp_only(self):
         with pytest.raises(ConfigurationError):
             LeafPenaltyLearner(
@@ -255,20 +273,17 @@ class TestLeafPenaltyLearner:
 def mlp_numeric_grads(learner, x, y, step=1e-6):
     """Central differences of the cross-entropy loss in every MLP
     parameter, through the public forward pass."""
-    grads = []
-    for arr in learner.params.arrays():
-        g = np.zeros_like(arr)
-        flat, gf = arr.ravel(), g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = cross_entropy(learner.forward(x), y)
-            flat[i] = orig - step
-            down = cross_entropy(learner.forward(x), y)
-            flat[i] = orig
-            gf[i] = (up - down) / (2 * step)
-        grads.append(g)
-    return grads
+    flat = learner.params.vector
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        up = cross_entropy(learner.forward(x), y)
+        flat[i] = orig - step
+        down = cross_entropy(learner.forward(x), y)
+        flat[i] = orig
+        grad[i] = (up - down) / (2 * step)
+    return grad
 
 
 class TestMlp:
@@ -303,13 +318,13 @@ class TestMlp:
         pre = x @ learner.params.w1 + learner.params.b1
         assert np.abs(pre).min() > 1e-3  # away from the ReLU kink
         numeric = mlp_numeric_grads(learner, x, 0)
-        before = [a.copy() for a in learner.params.arrays()]
+        before = learner.params.vector.copy()
         learner.step(x, 0, 0)
-        for prev, now, g in zip(before, learner.params.arrays(), numeric):
-            moved = np.abs(g) > 1e-4
-            np.testing.assert_allclose(
-                (prev - now)[moved], 1e-3 * np.sign(g)[moved], atol=1e-6
-            )
+        moved = np.abs(numeric) > 1e-4
+        np.testing.assert_allclose(
+            (before - learner.params.vector)[moved],
+            1e-3 * np.sign(numeric)[moved], atol=1e-6,
+        )
 
     def test_penalty_suppresses_group_gap(self):
         def run(weight):

@@ -7,8 +7,8 @@ import scipy.special
 
 from fairforest.errors import ConfigurationError, ShapeError
 from fairforest.forest import (
+    ForestShape,
     ObliqueForest,
-    TreeParams,
     build_mask,
     forward,
     forward_batch,
@@ -16,7 +16,7 @@ from fairforest.forest import (
     leaf_probability_gradients,
     node_outputs,
     predict,
-    tree_output,
+    tree_outputs,
 )
 from fairforest.gradients import task_gradient
 
@@ -199,11 +199,10 @@ class TestForward:
     """Forest evaluation and prediction."""
 
     def _tiny_tree(self, leaves):
-        return TreeParams(
-            height=1,
-            weights=np.array([[1.0, -2.0]]),
-            biases=np.array([0.5]),
-            leaves=np.asarray(leaves, dtype=np.float64),
+        """A one-tree forest of height 1."""
+        return ObliqueForest.from_arrays(
+            1, np.array([[[1.0, -2.0]]]), np.array([[0.5]]),
+            np.asarray(leaves, dtype=np.float64)[None],
         )
 
     def test_height_one_hand_forward(self):
@@ -211,14 +210,15 @@ class TestForward:
         tree = self._tiny_tree([[1.0, 0.0], [0.0, 1.0]])
         x = np.array([0.3, 0.1])
         g = 1.0 / (1.0 + np.exp(-(0.3 - 0.2 + 0.5)))
-        out = tree_output(tree, x)
-        np.testing.assert_allclose(out, [g, 1.0 - g], rtol=1e-12)
+        out = tree_outputs(tree, x)
+        np.testing.assert_allclose(out, [[g, 1.0 - g]], rtol=1e-12)
 
     def test_forest_output_is_mean_of_trees(self):
         rng = np.random.default_rng(23)
         forest = ObliqueForest.random(3, 4, 2, tree_count=3, rng=rng)
         x = rng.standard_normal(4)
-        per_tree = np.stack([tree_output(t, x) for t in forest.trees])
+        per_tree = tree_outputs(forest, x)
+        assert per_tree.shape == (3, 2)
         np.testing.assert_allclose(
             forward(forest, x), per_tree.mean(axis=0), rtol=1e-12
         )
@@ -243,39 +243,35 @@ class TestForward:
         assert out[1] == scipy.special.expit(-40.0)
         np.testing.assert_array_equal(forward_batch(forest, x[None]), out[None])
         grad = task_gradient(forest, x, 1)
-        for arr in grad.arrays():
-            assert np.isfinite(arr).all()
+        assert np.isfinite(grad.vector).all()
         assert grad.leaves[0, 1, 1] != 0.0
 
     def test_saturated_tree_output_matches_forward(self):
-        """``tree_output`` routes from the pre-activations as ``forward``
+        """``tree_outputs`` routes from the pre-activations as ``forward``
         does: at +40 the right leaf gets 4.2e-18, not 1 - expit(40) = 0."""
         forest = ObliqueForest.from_arrays(
             1, np.zeros((1, 1, 2)), np.array([[40.0]]), np.eye(2)[None]
         )
         x = np.zeros(2)
-        out = tree_output(forest.trees[0], x)
+        out = tree_outputs(forest, x)[0]
         np.testing.assert_array_equal(out, forward(forest, x))
         assert out[1] == scipy.special.expit(-40.0)
 
     def test_gate_outputs_hand_value(self):
         tree = self._tiny_tree([[1.0, 0.0], [0.0, 1.0]])
         out = node_outputs(tree, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(out, [1.0 / (1.0 + np.exp(0.5))])
+        np.testing.assert_allclose(out, [[1.0 / (1.0 + np.exp(0.5))]])
 
     def test_predict_argmax(self):
-        tree = self._tiny_tree([[5.0, 0.0], [5.0, 0.0]])
-        forest = ObliqueForest([tree])
+        forest = self._tiny_tree([[5.0, 0.0], [5.0, 0.0]])
         assert predict(forest, np.array([0.0, 0.0])) == 0
 
     def test_predict_breaks_ties_toward_lowest_index(self):
-        tree = self._tiny_tree([[2.0, 2.0, 0.0], [2.0, 2.0, 0.0]])
-        forest = ObliqueForest([tree])
+        forest = self._tiny_tree([[2.0, 2.0, 0.0], [2.0, 2.0, 0.0]])
         assert predict(forest, np.array([1.0, -1.0])) == 0
 
     def test_predict_needs_two_classes(self):
-        tree = self._tiny_tree([[1.0], [0.0]])
-        forest = ObliqueForest([tree])
+        forest = self._tiny_tree([[1.0], [0.0]])
         with pytest.raises(ConfigurationError):
             predict(forest, np.array([0.0, 0.0]))
 
@@ -311,12 +307,23 @@ class TestObliqueForest:
         assert shape.n_nodes == 7
         assert shape.n_leaves == 8
 
-    def test_tree_views_share_storage_with_stacked_arrays(self):
-        """In-place updates through the stacked arrays are visible through
-        the per-tree views, which is what the optimizer relies on."""
+    def test_views_share_storage_with_the_vector(self):
+        """The three parameter arrays are views into the one flat vector,
+        laid out weights, biases, leaves, so an update of the vector (what
+        the optimizer does) is seen through the views and back."""
         forest = ObliqueForest.random(2, 3, 2, tree_count=2)
+        views = (forest.weights, forest.biases, forest.leaves)
+        assert forest.vector.shape == (forest.shape.n_params,)
+        assert forest.vector.flags.c_contiguous
+        for view in views:
+            assert np.shares_memory(view, forest.vector)
+        np.testing.assert_array_equal(
+            forest.vector, np.concatenate([v.ravel() for v in views])
+        )
         forest.weights[1, 0, 0] = 123.0
-        assert forest.trees[1].weights[0, 0] == 123.0
+        assert forest.vector[1 * 3 * 3] == 123.0
+        forest.vector[-1] = -7.0
+        assert forest.leaves[1, 3, 1] == -7.0
 
     def test_copy_is_independent(self):
         forest = ObliqueForest.random(2, 3, 2, tree_count=2)
@@ -325,23 +332,47 @@ class TestObliqueForest:
         assert forest.weights[0, 0, 0] != clone.weights[0, 0, 0]
 
     def test_mixed_tree_geometry_is_rejected(self):
-        t1 = ObliqueForest.random(2, 3, 2).trees[0]
-        t2 = ObliqueForest.random(3, 3, 2).trees[0]
+        """Stacked arrays must agree on the tree count and the height."""
         with pytest.raises(ShapeError):
-            ObliqueForest([t1, t2])
+            ObliqueForest.from_arrays(
+                2, np.zeros((2, 3, 4)), np.zeros((3, 3)), np.zeros((2, 4, 2))
+            )
+        with pytest.raises(ShapeError):
+            ObliqueForest.from_arrays(
+                3, np.zeros((2, 3, 4)), np.zeros((2, 3)), np.zeros((2, 4, 2))
+            )
 
     def test_empty_forest_is_rejected(self):
         with pytest.raises(ConfigurationError):
-            ObliqueForest([])
+            ObliqueForest.from_arrays(
+                2, np.zeros((0, 3, 4)), np.zeros((0, 3)), np.zeros((0, 4, 2))
+            )
+        with pytest.raises(ConfigurationError):
+            ObliqueForest(ForestShape(0, 2, 4, 2))
 
     def test_tree_params_validation(self):
+        """``from_arrays`` checks each tree's node and leaf counts, that
+        the arrays are stacked per tree, and that every value is finite."""
         with pytest.raises(ShapeError):
-            TreeParams(2, np.zeros((2, 4)), np.zeros(3), np.zeros((4, 2)))
+            ObliqueForest.from_arrays(
+                2, np.zeros((1, 2, 4)), np.zeros((1, 3)), np.zeros((1, 4, 2))
+            )
         with pytest.raises(ShapeError):
-            TreeParams(2, np.zeros((3, 4)), np.zeros(3), np.zeros((5, 2)))
+            ObliqueForest.from_arrays(
+                2, np.zeros((1, 3, 4)), np.zeros((1, 3)), np.zeros((1, 5, 2))
+            )
+        with pytest.raises(ShapeError):
+            ObliqueForest.from_arrays(
+                2, np.zeros((3, 4)), np.zeros(3), np.zeros((4, 2))
+            )
         with pytest.raises(ConfigurationError):
-            TreeParams(
-                2, np.full((3, 4), np.nan), np.zeros(3), np.zeros((4, 2))
+            ObliqueForest.from_arrays(
+                2, np.full((1, 3, 4), np.nan), np.zeros((1, 3)),
+                np.zeros((1, 4, 2)),
+            )
+        with pytest.raises(ConfigurationError):
+            ObliqueForest.from_arrays(
+                0, np.zeros((1, 0, 4)), np.zeros((1, 0)), np.zeros((1, 1, 2))
             )
 
     def test_random_rejects_bad_counts(self):

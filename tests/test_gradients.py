@@ -24,6 +24,7 @@ from fairforest.gradients import (
     task_gradient,
     total_gradient,
 )
+from fairforest.learner import LearnerConfig, OnlineForestLearner
 from fairforest.stats import AggregateStore
 
 
@@ -49,21 +50,18 @@ def dense_leaf_jacobian(left, right, height):
 
 def numeric_task_gradient(forest, x, y, step=1e-6):
     """Central finite differences of the cross-entropy loss in every
-    forest parameter, perturbing the live arrays in place."""
-    grads = []
-    for arr in forest.param_arrays():
-        g = np.zeros_like(arr)
-        flat, gf = arr.ravel(), g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = cross_entropy(forward(forest, x), y)
-            flat[i] = orig - step
-            down = cross_entropy(forward(forest, x), y)
-            flat[i] = orig
-            gf[i] = (up - down) / (2 * step)
-        grads.append(g)
-    return grads
+    forest parameter, perturbing the live vector in place."""
+    flat = forest.vector
+    grad = ForestGradient.zeros(forest.shape)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        up = cross_entropy(forward(forest, x), y)
+        flat[i] = orig - step
+        down = cross_entropy(forward(forest, x), y)
+        flat[i] = orig
+        grad.vector[i] = (up - down) / (2 * step)
+    return grad
 
 
 class TestHuber:
@@ -195,8 +193,11 @@ class TestTaskGradient:
             y = int(rng.integers(0, c))
             analytic = task_gradient(forest, x, y)
             numeric = numeric_task_gradient(forest, x, y)
-            for got, want in zip(analytic.arrays(), numeric):
-                np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-9)
+            for name in ("weights", "biases", "leaves"):
+                np.testing.assert_allclose(
+                    getattr(analytic, name), getattr(numeric, name),
+                    rtol=1e-5, atol=1e-9,
+                )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -228,8 +229,7 @@ class TestTaskGradient:
         np.testing.assert_allclose(cache.leaf_probs.sum(axis=1), 1.0,
                                    rtol=0, atol=1e-12)
         grad = task_gradient(forest, x, y)
-        for arr in grad.arrays():
-            assert np.isfinite(arr).all()
+        assert np.isfinite(grad.vector).all()
 
         z = forest.weights @ x + forest.biases
         gates = scipy.special.expit(z)
@@ -453,6 +453,36 @@ class TestGradientContainers:
         np.testing.assert_array_equal(total.leaves, 0.5)
         # Inputs are untouched.
         np.testing.assert_array_equal(a.weights, 1.0)
+
+    def test_views_share_memory_with_the_vector(self):
+        """Every gradient the learner keeps, and every fresh one, is a flat
+        vector with the three blocks as views into it."""
+        learner = OnlineForestLearner(LearnerConfig(
+            n_features=3, fairness="dp", fairness_weight=1.0, seed=5))
+        rng = np.random.default_rng(5)
+        for i in range(4):
+            learner.step(rng.standard_normal(3), i % 2, (i // 2) % 2)
+        shape = learner.forest.shape
+        grads = [learner._task, learner._fair, learner._last_total,
+                 ForestGradient.zeros(shape),
+                 task_gradient(learner.forest, np.ones(3), 1)]
+        for grad in grads:
+            assert grad.vector.shape == (shape.n_params,)
+            for view in (grad.weights, grad.biases, grad.leaves):
+                assert np.shares_memory(view, grad.vector)
+
+    def test_norm_matches_per_array_sum_of_squares(self):
+        rng = np.random.default_rng(31)
+        for shape in (ForestShape(3, 4, 10, 2), ForestShape(4, 6, 10, 3)):
+            grad = ForestGradient.zeros(shape)
+            grad.vector[:] = rng.standard_normal(grad.vector.size)
+            grad.vector[::7] *= 1e-9
+            reference = np.sqrt(
+                np.sum(grad.weights**2) + np.sum(grad.biases**2)
+                + np.sum(grad.leaves**2)
+            )
+            np.testing.assert_allclose(gradient_norm(grad), reference,
+                                       rtol=1e-15, atol=0)
 
     def test_norms_hand_value(self):
         shape = ForestShape(tree_count=2, height=1, n_features=1, n_outputs=1)

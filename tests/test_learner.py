@@ -13,6 +13,7 @@ from fairforest.errors import (
     DomainError,
     ShapeError,
 )
+from fairforest.forest import ForestShape, _block_views
 from fairforest.gradients import _ForwardCache
 from fairforest.learner import (
     AdamParams,
@@ -54,9 +55,9 @@ class TestAdam:
         rng = np.random.default_rng(6)
         grads = rng.standard_normal(5)
         param = np.array([0.3])
-        state = AdamState([param], AdamParams(learning_rate=0.01))
+        state = AdamState([(1,)], AdamParams(learning_rate=0.01))
         for g in grads:
-            state.apply([param], [np.array([g])])
+            state.apply(param, np.array([g]))
         np.testing.assert_allclose(
             param[0], adam_oracle(grads, lr=0.01, x0=0.3), rtol=1e-12
         )
@@ -64,32 +65,83 @@ class TestAdam:
     def test_first_step_moves_by_roughly_the_learning_rate(self):
         """Bias correction makes the first update lr * sign(gradient)."""
         param = np.array([0.0])
-        state = AdamState([param], AdamParams(learning_rate=0.005))
-        state.apply([param], [np.array([0.37])])
+        state = AdamState([(1,)], AdamParams(learning_rate=0.005))
+        state.apply(param, np.array([0.37]))
         np.testing.assert_allclose(param[0], -0.005, rtol=1e-6)
 
     def test_updates_in_place(self):
-        param = np.zeros((2, 2))
-        state = AdamState([param], AdamParams())
+        param = np.zeros(4)
+        state = AdamState([(2, 2)], AdamParams())
         ref = param
-        state.apply([param], [np.ones((2, 2))])
+        state.apply(param, np.ones(4))
         assert ref is param
         assert (ref != 0.0).all()
 
     def test_snapshot_restore_continues_identically(self):
         rng = np.random.default_rng(10)
         p1 = np.array([1.0, -1.0])
-        s1 = AdamState([p1], AdamParams())
+        s1 = AdamState([(2,)], AdamParams())
         grads = [rng.standard_normal(2) for _ in range(6)]
         for g in grads[:3]:
-            s1.apply([p1], [g])
+            s1.apply(p1, g)
         p2 = p1.copy()
-        s2 = AdamState([p2], AdamParams())
+        s2 = AdamState([(2,)], AdamParams())
         s2.restore(json.loads(json.dumps(s1.snapshot())))
         for g in grads[3:]:
-            s1.apply([p1], [g])
-            s2.apply([p2], [g])
+            s1.apply(p1, g)
+            s2.apply(p2, g)
         np.testing.assert_array_equal(p1, p2)
+
+    def test_flat_step_equals_per_array_reference(self):
+        """One update of the flat vector gives exactly what the same
+        element-wise expressions give block by block."""
+        shapes = ForestShape(3, 4, 10, 2).param_shapes
+        hyper = AdamParams(learning_rate=0.01)
+        rng = np.random.default_rng(12)
+        state = AdamState(shapes, hyper)
+        flat = rng.standard_normal(state.m.size)
+        blocks = [b.copy() for b in _block_views(flat.copy(), shapes)]
+        moments = [(np.zeros(s), np.zeros(s)) for s in shapes]
+        for t in range(1, 8):
+            grad = rng.standard_normal(flat.size)
+            state.apply(flat, grad)
+            c1 = 1.0 - hyper.beta1**t
+            c2 = 1.0 - hyper.beta2**t
+            for p, g, (m, v) in zip(blocks, _block_views(grad, shapes), moments):
+                m *= hyper.beta1
+                m += (1.0 - hyper.beta1) * g
+                v *= hyper.beta2
+                v += (1.0 - hyper.beta2) * g * g
+                p -= hyper.learning_rate * (m / c1) / (np.sqrt(v / c2) + hyper.epsilon)
+        for p, block, (m, v), mv, vv in zip(
+            _block_views(flat, shapes), blocks, moments,
+            _block_views(state.m, shapes), _block_views(state.v, shapes),
+        ):
+            np.testing.assert_array_equal(p, block)
+            np.testing.assert_array_equal(mv, m)
+            np.testing.assert_array_equal(vv, v)
+
+    def test_moment_blocks_share_memory_with_the_moments(self):
+        learner = OnlineForestLearner(LearnerConfig(n_features=3, seed=2))
+        adam = learner.adam
+        assert adam.m.shape == adam.v.shape == learner.forest.vector.shape
+        for moment in (adam.m, adam.v):
+            for view in _block_views(moment, adam.shapes):
+                assert np.shares_memory(view, moment)
+
+    def test_restore_refuses_malformed_moments(self):
+        state = AdamState([(2, 3), (2,)], AdamParams())
+        good = state.snapshot()
+        bad = [
+            {**good, "m": [good["m"][0][:1], good["m"][1]]},
+            {**good, "v": good["v"][:1]},
+            {**good, "v": [good["v"][0], [1.0, float("nan")]]},
+            {**good, "m": [[[1.0], [1.0, 2.0]], good["m"][1]]},
+            {**good, "t": -1},
+        ]
+        for data in bad:
+            with pytest.raises(DataError):
+                AdamState([(2, 3), (2,)], AdamParams()).restore(data)
 
 
 class TestMetricsTracker:
@@ -136,6 +188,24 @@ class TestMetricsTracker:
         overall = 3 / 4
         expected = max(abs(overall - 1.0), abs(overall - 0.0), abs(overall - 1.0))
         np.testing.assert_allclose(tracker.dp_hard, expected)
+
+    def test_two_group_gaps_equal_the_masked_reference(self):
+        """The two-group shortcut gives bit for bit what the masked
+        per-group rates and means give."""
+        rng = np.random.default_rng(14)
+        tracker = MetricsTracker(n_groups=2, n_outputs=3)
+        for _ in range(200):
+            tracker.update(int(rng.integers(0, 3)), rng.standard_normal(3),
+                           0, int(rng.integers(0, 2)))
+            seen = tracker.group_counts > 0
+            rates = tracker.group_label_sums[seen] / tracker.group_counts[seen]
+            means = (tracker.group_output_sums[seen]
+                     / tracker.group_counts[seen, None])
+            if seen.sum() < 2:
+                assert tracker.dp_hard is None and tracker.dp_soft is None
+                continue
+            assert tracker.dp_hard == float(abs(rates[0] - rates[1]))
+            assert tracker.dp_soft == float(np.linalg.norm(means[0] - means[1]))
 
     def test_snapshot_round_trip(self):
         tracker = MetricsTracker()
@@ -280,8 +350,7 @@ class TestStepping:
             assert prediction in (0, 1)
         assert learner.step_count == 3
         assert np.isfinite(snap.grad_norm_total)
-        for arr in learner.forest.param_arrays():
-            assert np.isfinite(arr).all()
+        assert np.isfinite(learner.forest.vector).all()
         cache = _ForwardCache(learner.forest, x, learner.mask)
         assert cache.leaf_jac.shape == (2, 12, 2**12)
 
@@ -380,6 +449,48 @@ class TestCheckpoint:
         assert data["format"] == "fairforest-checkpoint-v2"
         for unknown in ("something-else", "fairforest-checkpoint-v1"):
             data["format"] = unknown
+            with pytest.raises(DataError):
+                OnlineForestLearner.restore(data)
+
+    def test_v2_layout_restores_and_steps_identically(self):
+        """A checkpoint keeps the v2 JSON layout (three nested lists each
+        for the forest, ``adam.m`` and ``adam.v``); restoring it and
+        stepping matches the learner that was never interrupted."""
+        cfg = LearnerConfig(n_features=2, height=3, tree_count=3,
+                            fairness="dp", fairness_weight=0.7, seed=4)
+        straight = OnlineForestLearner(cfg)
+        self._run(straight, biased_stream(20, seed=13))
+        data = json.loads(json.dumps(straight.checkpoint()))
+        shapes = [(3, 7, 2), (3, 7), (3, 8, 2)]
+        forest = data["forest"]
+        assert [np.shape(forest[k]) for k in ("weights", "biases", "leaves")] == shapes
+        for name in ("m", "v"):
+            assert [np.shape(block) for block in data["adam"][name]] == shapes
+        resumed = OnlineForestLearner.restore(data)
+        np.testing.assert_array_equal(resumed.forest.vector, straight.forest.vector)
+        tail = list(biased_stream(20, seed=14))
+        assert self._run(resumed, tail) == self._run(straight, tail)
+        np.testing.assert_array_equal(resumed.forest.vector, straight.forest.vector)
+        np.testing.assert_array_equal(resumed.adam.m, straight.adam.m)
+        np.testing.assert_array_equal(resumed.adam.v, straight.adam.v)
+
+    def test_malformed_forest_and_adam_arrays_are_refused(self):
+        """Each restored array must have the configured shape and finite
+        values; anything else is a DataError at load, not a numpy error
+        at the next step."""
+        learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
+        self._run(learner, biased_stream(5, seed=11))
+        good = json.loads(json.dumps(learner.checkpoint()))
+        edits = [
+            lambda d: d["adam"]["m"].__setitem__(0, d["adam"]["m"][0][:1]),
+            lambda d: d["adam"]["v"].pop(),
+            lambda d: d["forest"].__setitem__("weights", d["forest"]["weights"][:2]),
+            lambda d: d["forest"].__setitem__("leaves", d["forest"]["leaves"][:2]),
+            lambda d: d["forest"]["biases"][0].__setitem__(0, float("inf")),
+        ]
+        for edit in edits:
+            data = json.loads(json.dumps(good))
+            edit(data)
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(data)
 
