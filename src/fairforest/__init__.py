@@ -27,14 +27,11 @@ from .errors import (
     ShapeError,
 )
 from .forest import (
-    AncestorMask,
     ForestShape,
     ObliqueForest,
-    build_mask,
     forward,
     forward_batch,
     leaf_probabilities,
-    leaf_probability_gradients,
     node_outputs,
     predict,
     tree_outputs,
@@ -47,7 +44,6 @@ from .gradients import (
     gradient_norm,
     huber,
     huber_slope,
-    node_grad,
     softmax,
     task_gradient,
     total_gradient,

@@ -26,19 +26,8 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigurationError, DataError, DomainError, ShapeError
-from .forest import (
-    AncestorMask,
-    ObliqueForest,
-    _ancestor_rows,
-    _block_views,
-    _path_nodes,
-)
-from .gradients import (
-    ForestGradient,
-    HuberPenalty,
-    _huber_slope_array,
-    softmax,
-)
+from .forest import ObliqueForest, _ancestor_rows, _block_views, _path_nodes
+from .gradients import ForestGradient, HuberPenalty, huber_slope, softmax
 from .learner import (
     AdamParams,
     AdamState,
@@ -83,7 +72,6 @@ class Reservoir:
 
 def reservoir_fairness_gradient(
     reservoir: Reservoir, forest: ObliqueForest, penalty: HuberPenalty,
-    mask: AncestorMask | None = None,
 ) -> tuple[ForestGradient, bool]:
     """Exact weighted fairness gradient over the stored history.
 
@@ -101,7 +89,7 @@ def reservoir_fairness_gradient(
         return grad, False
     stats = [_reservoir_group_stats(forest, x) for x in (x0, x1)]
     gap = stats[0][0] - stats[1][0]  # (T, m)
-    coeff = _huber_slope_array(gap, penalty.delta) * penalty.weight
+    coeff = huber_slope(gap, penalty.delta) * penalty.weight
     grad.weights += coeff[:, :, None] * (stats[0][1] - stats[1][1])
     grad.biases += coeff * (stats[0][2] - stats[1][2])
     return grad, False
@@ -144,7 +132,7 @@ class ReservoirLearner(OnlineForestLearner):
                 len(self.reservoir.group_features(1)) == 0
             return grad
         grad, self._cold = reservoir_fairness_gradient(
-            self.reservoir, self.forest, self.penalty, self.mask
+            self.reservoir, self.forest, self.penalty
         )
         return grad
 
@@ -223,14 +211,16 @@ class LeafPenaltyLearner(OnlineForestLearner):
         self.leaf_store.fold((a,), values)
 
     def _fairness_gradient(self) -> ForestGradient:
+        """The penalty gradient, written into ``self._fair``; its leaf rows
+        are never written and stay zero."""
         if self.config.fairness == "none" or self.penalty.weight == 0.0:
-            return ForestGradient.zeros(self.forest.shape)
+            return self._fair
         t, h = self.forest.tree_count, self.forest.height
         total = self.leaf_store.contrast_sum(self.penalty.delta)
         per_node = _sum_onto_nodes(
             total.reshape(t, 2**h, h, self.forest.n_features + 1), h
         )  # (T, m, d + 1)
-        grad = ForestGradient.zeros(self.forest.shape)
+        grad = self._fair
         np.multiply(per_node[..., 1:], self.penalty.weight, out=grad.weights)
         np.multiply(per_node[..., 0], self.penalty.weight, out=grad.biases)
         return grad
@@ -410,7 +400,7 @@ class OnlineMlpLearner:
         if store.counts[0] == 0 or store.counts[1] == 0:
             return grad
         gap = store.mean_out[0] - store.mean_out[1]  # (c,)
-        coeff = _huber_slope_array(gap, self.penalty.delta) * self.penalty.weight
+        coeff = huber_slope(gap, self.penalty.delta) * self.penalty.weight
         means = (store.mean_j_w1, store.mean_j_b1, store.mean_j_w2, store.mean_j_b2)
         for view, mean in zip(_block_views(grad, self.params.shapes), means):
             np.einsum("...c,c->...", mean[0] - mean[1], coeff, out=view)

@@ -8,16 +8,17 @@ gate outputs (left edges) and their complements (right edges) along the
 root-to-leaf path.  A tree's output is the probability-weighted mix of
 its leaf rows; a forest averages its trees.
 
-The routing structure is captured once per height by an ancestor mask:
-entry ``(i, j)`` is ``+1`` when leaf ``j`` sits in the left subtree of
-node ``i``, ``-1`` when it sits in the right subtree, and ``0`` when
-node ``i`` is not an ancestor of leaf ``j``.
+The routing structure is read off the bits of the leaf index, in path
+form: leaf ``l``'s depth-``k`` ancestor is node ``2**k - 1 + (l >> (h - k))``,
+and bit ``h - 1 - k`` of ``l`` says whether the path turns left (0, sign
++1) or right (1, sign -1) below it.  Per height this is three cached
+``(h, 2**h)`` arrays (ancestor rows, signs, edge columns); nothing of the
+size ``(2**h - 1) x 2**h`` of a dense ancestor mask is ever built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -56,60 +57,15 @@ class ForestShape(NamedTuple):
         return sum(math.prod(shape) for shape in self.param_shapes)
 
 
-@dataclass
-class AncestorMask:
-    """Ancestor/descendant structure of a complete binary tree.
-
-    ``entries`` has shape ``(2**height - 1, 2**height)`` with values in
-    ``{-1, 0, +1}`` as described in the module docstring.  The array is
-    read-only and shared between masks of the same height.
-    """
-
-    height: int
-    entries: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return 2**self.height - 1
-
-    @property
-    def n_leaves(self) -> int:
-        return 2**self.height
-
-
-def build_mask(height: int) -> AncestorMask:
-    """Build the ancestor mask for a complete tree of the given height.
-
-    Raises ConfigurationError unless ``1 <= height <= 16``.  Entry
-    ``(i, j)`` is +1 / -1 / 0 according to whether leaf ``j`` lies in the
-    left subtree, the right subtree, or outside the subtree of node ``i``.
-    """
+def _check_height(height) -> None:
+    """Raise ConfigurationError unless ``height`` is an integer in
+    ``[1, MAX_HEIGHT]``."""
     if not isinstance(height, (int, np.integer)) or isinstance(height, bool):
         raise ConfigurationError(f"tree height must be an integer, got {height!r}")
     if not 1 <= height <= MAX_HEIGHT:
         raise ConfigurationError(
             f"tree height must be in [1, {MAX_HEIGHT}], got {height}"
         )
-    return AncestorMask(height=int(height), entries=_mask_entries(int(height)))
-
-
-@lru_cache(maxsize=None)
-def _mask_entries(height: int) -> np.ndarray:
-    n_nodes = 2**height - 1
-    n_leaves = 2**height
-    node = np.arange(n_nodes)[:, None]
-    # Depth of each node: exponent of the leading bit of (node + 1).
-    depth = np.frexp(node + 1)[1] - 1
-    # Leaves spanned by each node, in the leaf-absolute numbering where
-    # leaf j sits at position 2**height + j.
-    span = 2 ** (height - depth)
-    first = span * (node + 1)
-    pos = n_leaves + np.arange(n_leaves)[None, :]
-    entries = np.zeros((n_nodes, n_leaves), dtype=np.int8)
-    entries[(pos >= first) & (pos < first + span // 2)] = 1
-    entries[(pos >= first + span // 2) & (pos < first + span)] = -1
-    entries.setflags(write=False)
-    return entries
 
 
 @lru_cache(maxsize=None)
@@ -123,10 +79,13 @@ def _ancestor_rows(height: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _path_signs(height: int) -> np.ndarray:
-    """Mask entry of the depth-``i`` ancestor of each leaf, shape (h, 2**h)."""
-    anc = _ancestor_rows(height)
-    signs = _mask_entries(height)[anc, np.arange(2**height)[None, :]]
-    signs = signs.astype(np.float64)
+    """Sign of each leaf's path factor at its depth-``i`` ancestor, shape
+    (h, 2**h): +1 where the leaf hangs left of that ancestor, -1 where it
+    hangs right.  The turn below depth ``i`` is bit ``h - 1 - i`` of the
+    leaf index."""
+    leaf = np.arange(2**height)
+    turn = (leaf >> (height - 1 - np.arange(height))[:, None]) & 1
+    signs = (1 - 2 * turn).astype(np.float64)
     signs.setflags(write=False)
     return signs
 
@@ -181,7 +140,7 @@ class ObliqueForest:
 
     def __init__(self, shape: ForestShape):
         """An all-zero forest of the given shape."""
-        build_mask(shape.height)  # validates the height range
+        _check_height(shape.height)
         if shape.tree_count < 1:
             raise ConfigurationError("a forest needs at least one tree")
         if shape.n_features < 1 or shape.n_outputs < 1:
@@ -301,56 +260,34 @@ def _path_factors(edges: np.ndarray, height: int) -> np.ndarray:
     return np.take(edges, _path_edges(height), axis=-1)
 
 
-def _gate_edges(outputs: np.ndarray, mask: AncestorMask) -> np.ndarray:
-    """Edge arrays ``(..., 2m)`` from gate outputs ``(..., m)``, for the
-    public functions that take gate outputs rather than pre-activations."""
-    outputs = np.asarray(outputs, dtype=np.float64)
-    if outputs.shape[-1:] != (mask.n_nodes,):
-        raise ShapeError(
-            f"expected {mask.n_nodes} node outputs, got shape {outputs.shape}"
-        )
-    return np.concatenate([outputs, 1.0 - outputs], axis=-1)
-
-
-def leaf_probabilities(outputs: np.ndarray, mask: AncestorMask) -> np.ndarray:
+def leaf_probabilities(outputs: np.ndarray) -> np.ndarray:
     """Probability of each leaf given the node gate outputs: the product of
     the routing factors along its root-to-leaf path.  ``outputs`` is one
     tree's ``(m,)`` or a stack ``(..., m)`` such as ``node_outputs``
-    gives; the result is ``(2**h,)`` or ``(..., 2**h)``."""
-    return _path_factors(_gate_edges(outputs, mask), mask.height).prod(axis=-2)
-
-
-def leaf_probability_gradients(
-    outputs: np.ndarray, mask: AncestorMask
-) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf probabilities and their derivatives in the node outputs.
-
-    Returns ``(probs, jac)`` where ``probs`` has shape ``(2**h,)`` and
-    ``jac[i, j]`` is the derivative of leaf probability ``j`` in node
-    output ``i``: the signed product of the other routing factors along
-    the path, zero where node ``i`` is not an ancestor of leaf ``j``.
-    Built from prefix/suffix products, so saturated gates (outputs at 0
-    or 1) never trigger a division.
-    """
-    if np.ndim(outputs) != 1:
-        raise ShapeError(f"expected one tree's node outputs, got {np.shape(outputs)}")
-    probs, path_jac = _leaf_probability_gradients_stacked(
-        _gate_edges(outputs, mask)[None, :], mask.height
-    )
-    jac = np.zeros((mask.n_nodes, mask.n_leaves))
-    jac[_ancestor_rows(mask.height), np.arange(mask.n_leaves)] = path_jac[0]
-    return probs[0], jac
+    gives, with ``m = 2**h - 1`` fixing the height; the result is
+    ``(2**h,)`` or ``(..., 2**h)``."""
+    outputs = np.asarray(outputs, dtype=np.float64)
+    n_nodes = outputs.shape[-1] if outputs.ndim else 0
+    height = n_nodes.bit_length()
+    if n_nodes != 2**height - 1 or not 1 <= height <= MAX_HEIGHT:
+        raise ShapeError(
+            f"expected 2**h - 1 node outputs with 1 <= h <= {MAX_HEIGHT}, "
+            f"got shape {outputs.shape}"
+        )
+    edges = np.concatenate([outputs, 1.0 - outputs], axis=-1)
+    return _path_factors(edges, height).prod(axis=-2)
 
 
 def _leaf_probability_gradients_stacked(
     edges: np.ndarray, height: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized core of leaf_probability_gradients over a tree axis, in
-    path form.
+    """Leaf probabilities and their path-form Jacobian over a tree axis.
 
     ``edges``: (T, 2m) -> probs (T, 2**h), jac (T, h, 2**h).  Entry
     ``jac[t, k, l]`` is the derivative of leaf ``l``'s probability in the
-    gate output of its depth-``k`` ancestor; every other node has zero
+    gate output of its depth-``k`` ancestor: the signed product of the
+    other factors on the path, from prefix and suffix products, so a
+    saturated gate never triggers a division.  Every other node has zero
     derivative, so the dense (T, m, 2**h) Jacobian is never formed.
     """
     factors = _path_factors(edges, height)  # (T, h, L)
@@ -364,50 +301,46 @@ def _leaf_probability_gradients_stacked(
     return prefix[:, height], jac
 
 
-def _tree_leaf_probabilities(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
-    """Leaf probabilities of every tree for one instance, (T, 2**h)."""
-    edges = _all_node_outputs(forest, _check_features(forest, x))
-    return _path_factors(edges, forest.height).prod(axis=1)
+def _route(forest: ObliqueForest, features: np.ndarray) -> np.ndarray:
+    """Leaf probabilities of every tree for a batch ``(n, d)``, shape
+    (n, T, 2**h): the routing core of every evaluation.  Edges from the
+    pre-activations, then the path factors, then their product along each
+    path; no Jacobian is formed."""
+    z = np.einsum("tmd,nd->ntm", forest.weights, features) + forest.biases
+    return _path_factors(_node_edges(z), forest.height).prod(axis=-2)
 
 
 def tree_outputs(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
     """Each tree's leaf-probability-weighted mix of its leaf rows for one
-    instance, shape (T, c), routed from the pre-activations like
-    ``forward``."""
-    return np.einsum("tl,tlc->tc", _tree_leaf_probabilities(forest, x),
-                     forest.leaves)
+    instance, shape (T, c)."""
+    probs = _route(forest, _check_features(forest, x)[None])[0]
+    return np.einsum("tl,tlc->tc", probs, forest.leaves)
 
 
-def forward(forest: ObliqueForest, x: np.ndarray,
-            mask: AncestorMask | None = None) -> np.ndarray:
+def forward(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
     """Forest output for one instance: arithmetic mean of tree outputs."""
-    probs = _tree_leaf_probabilities(forest, x)
-    return np.einsum("tl,tlc->c", probs, forest.leaves) / forest.tree_count
+    return forward_batch(forest, _check_features(forest, x)[None])[0]
 
 
 def forward_batch(forest: ObliqueForest, features: np.ndarray,
-                  mask: AncestorMask | None = None) -> np.ndarray:
+                  mask=None) -> np.ndarray:
     """Forest outputs for a batch of instances, shape (n, c)."""
+    # Ignored ``mask``: perfbench/run.py holdout_disagreements passes one.
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != forest.n_features:
         raise ShapeError(
             f"expected feature matrix of shape (n, {forest.n_features}), "
             f"got {features.shape}"
         )
-    edges = _node_edges(
-        np.einsum("tmd,nd->tnm", forest.weights, features) + forest.biases[:, None, :]
-    )
-    factors = _path_factors(edges, forest.height)  # (T, n, h, L)
-    probs = factors.prod(axis=2)  # (T, n, L)
-    return np.einsum("tnl,tlc->nc", probs, forest.leaves) / forest.tree_count
+    probs = _route(forest, features)
+    return np.einsum("ntl,tlc->nc", probs, forest.leaves) / forest.tree_count
 
 
-def predict(forest: ObliqueForest, x: np.ndarray,
-            mask: AncestorMask | None = None) -> int:
+def predict(forest: ObliqueForest, x: np.ndarray) -> int:
     """Class prediction: argmax of the forest output, lowest index on ties."""
     if forest.n_outputs < 2:
         raise ConfigurationError(
             "predict needs at least two output classes; "
             f"this forest has {forest.n_outputs}"
         )
-    return int(np.argmax(forward(forest, x, mask)))
+    return int(np.argmax(forward(forest, x)))

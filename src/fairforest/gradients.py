@@ -19,14 +19,13 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .forest import (
-    AncestorMask,
     ForestShape,
     ObliqueForest,
     _all_node_outputs,
     _block_views,
+    _check_features,
     _leaf_probability_gradients_stacked,
     _path_nodes,
-    build_mask,
 )
 from .stats import AggregateStore
 
@@ -72,17 +71,6 @@ class ForestGradient:
         ))
 
 
-def node_grad(n_value: float, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Gradient of one gate output in its weights and bias.
-
-    The logistic gate differentiates to ``n (1 - n)`` times the input for
-    the weights and ``n (1 - n)`` for the bias.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    slope = n_value * (1.0 - n_value)
-    return slope * x, float(slope)
-
-
 def huber(gap: float, delta: float) -> float:
     """Huber surrogate of the absolute gap: quadratic inside ``|gap| < delta``,
     linear outside."""
@@ -91,11 +79,12 @@ def huber(gap: float, delta: float) -> float:
     return delta * (abs(gap) - 0.5 * delta)
 
 
-def huber_slope(gap: float, delta: float) -> float:
-    """Derivative of the Huber surrogate in the gap: the gap clipped to
-    ``[-delta, delta]``, so the gap itself inside the quadratic region and
-    ``delta`` times its sign outside (``+-delta`` at both kinks)."""
-    return float(np.clip(gap, -delta, delta))
+def huber_slope(gap, delta: float):
+    """Derivative of the Huber surrogate in the gap, for a scalar gap or
+    an array of gaps: the gap clipped to ``[-delta, delta]``, so the gap
+    itself inside the quadratic region and ``delta`` times its sign
+    outside (``+-delta`` at both kinks)."""
+    return np.clip(gap, -delta, delta)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -111,27 +100,30 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
 
 
 class _ForwardCache:
-    """Per-instance forward intermediates shared by the gradient paths."""
+    """Per-instance forward intermediates shared by the gradient paths:
+    both edges of every gate, the gate slopes, the leaf probabilities and
+    their path-form Jacobian, and the forest output."""
 
     __slots__ = ("gates", "slope", "leaf_probs", "leaf_jac", "output")
 
-    def __init__(self, forest: ObliqueForest, x: np.ndarray, mask: AncestorMask):
+    # Ignored ``mask``: perfbench/run.py jacobian_counts passes one.
+    def __init__(self, forest: ObliqueForest, x: np.ndarray, mask=None):
+        n_nodes = forest.shape.n_nodes
         edges = _all_node_outputs(forest, x)  # (T, 2m)
-        self.gates = edges[:, :mask.n_nodes]  # (T, m)
+        self.gates = edges[:, :n_nodes]  # (T, m)
         # The gate slope n (1 - n), from both edges so a saturated gate
         # keeps its tiny slope instead of cancelling to 0.
-        self.slope = self.gates * edges[:, mask.n_nodes:]
+        self.slope = self.gates * edges[:, n_nodes:]
         # leaf_jac is in path form, (T, h, 2**h).
         self.leaf_probs, self.leaf_jac = _leaf_probability_gradients_stacked(
-            edges, mask.height
+            edges, forest.height
         )
         self.output = np.einsum(
             "tl,tlc->c", self.leaf_probs, forest.leaves
         ) / forest.tree_count
 
 
-def task_gradient(forest: ObliqueForest, x: np.ndarray, y: int,
-                  mask: AncestorMask | None = None) -> ForestGradient:
+def task_gradient(forest: ObliqueForest, x: np.ndarray, y: int) -> ForestGradient:
     """Cross-entropy gradient for one labeled instance.
 
     Leaf rows receive their own leaf probability times the softmax
@@ -140,16 +132,10 @@ def task_gradient(forest: ObliqueForest, x: np.ndarray, y: int,
     assembled exclusive of the differentiated node so saturated gates
     never divide by zero.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (forest.n_features,):
-        raise ShapeError(
-            f"expected feature vector of shape ({forest.n_features},), got {x.shape}"
-        )
+    x = _check_features(forest, x)
     if not 0 <= y < forest.n_outputs:
         raise ShapeError(f"label {y} outside [0, {forest.n_outputs})")
-    if mask is None:
-        mask = build_mask(forest.height)
-    cache = _ForwardCache(forest, x, mask)
+    cache = _ForwardCache(forest, x)
     return _task_gradient_cached(forest, x, y, cache,
                                  ForestGradient.zeros(forest.shape))
 
@@ -203,10 +189,6 @@ def fairness_gradient(store: AggregateStore, penalty: HuberPenalty,
     np.multiply(grad_b, penalty.weight, out=out.biases)
     out.leaves.fill(0.0)
     return out
-
-
-def _huber_slope_array(gap: np.ndarray, delta: float) -> np.ndarray:
-    return np.clip(gap, -delta, delta)
 
 
 def total_gradient(task: ForestGradient, fairness: ForestGradient,

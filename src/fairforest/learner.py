@@ -13,7 +13,7 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import (
     FairForestError,
     ShapeError,
 )
-from .forest import AncestorMask, ObliqueForest, _block_views, build_mask
+from .forest import ObliqueForest, _block_views, predict as predict_class
 from .gradients import (
     ForestGradient,
     HuberPenalty,
@@ -88,9 +88,8 @@ class AdamState:
     def restore(self, data: dict) -> None:
         """Load a snapshot, refusing moments that do not match ``shapes``
         block by block or that are not finite."""
-        t = data["t"]
-        if not isinstance(t, int) or t < 0:
-            raise DataError(f"adam.t must be a non-negative integer, got {t!r}")
+        _check_keys(data, ("t", "m", "v"), "adam")
+        t = _count(data["t"], "adam.t")
         _load_blocks(_block_views(self.m, self.shapes), data["m"], "adam.m")
         _load_blocks(_block_views(self.v, self.shapes), data["v"], "adam.v")
         self.t = t
@@ -110,6 +109,23 @@ def _load_blocks(views: list[np.ndarray], blocks, name: str) -> None:
             raise DataError(f"{name}[{i}] must be finite with shape "
                             f"{view.shape}, got shape {array.shape}")
         view[...] = array
+
+
+def _check_keys(data, keys, name: str) -> None:
+    """Raise DataError unless ``data`` is a dict with exactly ``keys``."""
+    if not isinstance(data, dict):
+        raise DataError(f"{name} must be an object, got {type(data).__name__}")
+    missing = [k for k in keys if k not in data]
+    unknown = sorted(set(data) - set(keys))
+    if missing or unknown:
+        raise DataError(f"{name}: missing keys {missing}, unknown keys {unknown}")
+
+
+def _count(value, name: str) -> int:
+    """``value`` if it is a non-negative integer, else DataError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise DataError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
 
 
 class MetricsTracker:
@@ -185,17 +201,40 @@ class MetricsTracker:
         }
 
     @classmethod
-    def from_snapshot(cls, data: dict) -> "MetricsTracker":
-        tracker = cls(data["n_groups"], data["n_outputs"])
-        tracker.total = int(data["total"])
-        tracker.correct = int(data["correct"])
-        tracker.group_counts = np.asarray(data["group_counts"], dtype=np.int64)
-        tracker.group_label_sums = np.asarray(
-            data["group_label_sums"], dtype=np.float64
-        )
-        tracker.group_output_sums = np.asarray(
-            data["group_output_sums"], dtype=np.float64
-        )
+    def from_snapshot(cls, data: dict, n_groups: int,
+                      n_outputs: int) -> "MetricsTracker":
+        """Rebuild a tracker of ``n_groups`` groups and ``n_outputs``
+        outputs, raising DataError unless the snapshot is one: the counts
+        non-negative integers ``(G,)`` summing to ``total``, the sums
+        finite ``(G,)`` and ``(G, c)``, and ``correct <= total``."""
+        _check_keys(data, _METRICS_KEYS, "metrics")
+        if (data["n_groups"], data["n_outputs"]) != (n_groups, n_outputs):
+            raise DataError(
+                f"metrics are for {data['n_groups']} groups and "
+                f"{data['n_outputs']} outputs, the configuration has "
+                f"{n_groups} and {n_outputs}"
+            )
+        tracker = cls(n_groups, n_outputs)
+        total = _count(data["total"], "metrics.total")
+        correct = _count(data["correct"], "metrics.correct")
+        if correct > total:
+            raise DataError(f"metrics.correct {correct} exceeds total {total}")
+        try:
+            counts = np.asarray(data["group_counts"])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"metrics.group_counts is malformed: {exc}") from exc
+        if (counts.shape != tracker.group_counts.shape
+                or not np.issubdtype(counts.dtype, np.integer)
+                or (counts < 0).any() or counts.sum() != total):
+            raise DataError(
+                f"metrics.group_counts must be {n_groups} non-negative "
+                f"integers summing to total {total}, got {data['group_counts']!r}"
+            )
+        tracker.total, tracker.correct = total, correct
+        tracker.group_counts[...] = counts
+        _load_blocks([tracker.group_label_sums, tracker.group_output_sums],
+                     [data["group_label_sums"], data["group_output_sums"]],
+                     "metrics sums")
         return tracker
 
 
@@ -272,6 +311,9 @@ class LearnerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LearnerConfig":
+        """The configuration ``to_dict`` wrote; DataError unless ``data``
+        holds exactly the config fields."""
+        _check_keys(data, [f.name for f in fields(cls)], "config")
         return cls(**data)
 
     def adam_params(self) -> AdamParams:
@@ -289,6 +331,11 @@ class TraceStep:
 
 
 CHECKPOINT_FORMAT = "fairforest-checkpoint-v2"
+_CHECKPOINT_KEYS = ("format", "config", "step_count", "forest", "adam", "store",
+                    "metrics")
+_FOREST_KEYS = ("height", "weights", "biases", "leaves")
+_METRICS_KEYS = ("n_groups", "n_outputs", "total", "correct", "group_counts",
+                 "group_label_sums", "group_output_sums")
 
 
 class OnlineForestLearner:
@@ -300,6 +347,9 @@ class OnlineForestLearner:
     kept for later estimation-error audits.
     """
 
+    # Always None: perfbench/run.py passes ``learner.mask`` to forward_batch.
+    mask = None
+
     def __init__(self, config: LearnerConfig, record_trace: bool = False):
         self.config = config
         rng = np.random.default_rng(config.seed)
@@ -307,7 +357,6 @@ class OnlineForestLearner:
             config.height, config.n_features, config.n_outputs,
             config.tree_count, rng=rng,
         )
-        self.mask: AncestorMask = build_mask(config.height)
         self.penalty = HuberPenalty(config.huber_delta, config.fairness_weight)
         self.store = self._build_store()
         shape = self.forest.shape
@@ -339,9 +388,7 @@ class OnlineForestLearner:
 
     def predict(self, x: np.ndarray) -> int:
         """Prediction only, no state change."""
-        x = self._check_instance(x)
-        cache = _ForwardCache(self.forest, x, self.mask)
-        return int(np.argmax(cache.output))
+        return predict_class(self.forest, self._check_instance(x))
 
     def step(self, x: np.ndarray, y: int, a: int) -> tuple[int, StepSnapshot]:
         """Process one instance; returns the prediction made before any
@@ -353,7 +400,7 @@ class OnlineForestLearner:
             raise DomainError(f"group {a} outside [0, {self.config.n_groups})")
         if self.trace is not None:
             self.trace.append(TraceStep(self.forest.copy(), x.copy(), int(a)))
-        cache = _ForwardCache(self.forest, x, self.mask)
+        cache = _ForwardCache(self.forest, x)
         prediction = self._emit(int(np.argmax(cache.output)))
         self.metrics.update(prediction, cache.output, y, a)
         self._update_fairness_state(x, y, a, cache)
@@ -443,25 +490,56 @@ class OnlineForestLearner:
 
     @classmethod
     def restore(cls, data: dict) -> "OnlineForestLearner":
-        """Rebuild a learner from ``checkpoint()`` data, refusing forest,
-        Adam and store arrays that do not fit its configuration."""
-        if data.get("format") != CHECKPOINT_FORMAT:
-            raise DataError(f"unrecognized checkpoint format: {data.get('format')!r}")
-        learner = cls(LearnerConfig.from_dict(data["config"]))
-        forest, names = learner.forest, ("weights", "biases", "leaves")
+        """Rebuild a learner from ``checkpoint()`` data.  The schema is
+        closed: a missing or unknown section or key, a configuration the
+        learner refuses, or an array or count that does not fit the
+        configuration is a DataError."""
+        if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
+            found = data.get("format") if isinstance(data, dict) else data
+            raise DataError(f"unrecognized checkpoint format: {found!r}")
+        _check_keys(data, _CHECKPOINT_KEYS, "checkpoint")
+        try:
+            learner = cls(LearnerConfig.from_dict(data["config"]))
+        except (TypeError, ValueError, ConfigurationError) as exc:
+            raise DataError(f"checkpoint config is invalid: {exc}") from exc
+        config, forest = learner.config, learner.forest
+        _check_keys(data["forest"], _FOREST_KEYS, "forest")
+        if data["forest"]["height"] != config.height:
+            raise DataError(f"forest height {data['forest']['height']!r} "
+                            f"disagrees with the config's {config.height}")
+        names = _FOREST_KEYS[1:]
         _load_blocks([getattr(forest, k) for k in names],
                      [data["forest"][k] for k in names], "forest")
         learner.adam.restore(data["adam"])
-        if data["store"] is not None:
-            learner.store = AggregateStore.from_snapshot(data["store"])
-        learner.metrics = MetricsTracker.from_snapshot(data["metrics"])
-        learner.step_count = int(data["step_count"])
+        store = data["store"]
+        if store is not None:
+            try:
+                store = AggregateStore.from_snapshot(store)
+            except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+                raise DataError(f"store snapshot is malformed: {exc!r}") from exc
+        if _store_layout(store) != _store_layout(learner.store):
+            raise DataError("the store snapshot does not fit the configuration")
+        learner.store = store
+        learner.metrics = MetricsTracker.from_snapshot(
+            data["metrics"], config.n_groups, config.n_outputs)
+        learner.step_count = _count(data["step_count"], "step_count")
+        if learner.adam.t != learner.step_count:
+            raise DataError(f"adam.t {learner.adam.t} disagrees with step_count "
+                            f"{learner.step_count}: every step is one Adam step")
         return learner
 
     @classmethod
     def load_checkpoint(cls, path) -> "OnlineForestLearner":
         with open(path, encoding="utf-8") as fh:
             return cls.restore(json.load(fh))
+
+
+def _store_layout(store: AggregateStore | None):
+    """What a store's configuration fixes: restoring may change only its
+    counts and means."""
+    if store is None:
+        return None
+    return store.shape, store.notion, store.n_groups, store.n_classes, store.decay
 
 
 def run_stream(learner, stream: Iterable[tuple]) -> Iterator[TrajectoryRow]:

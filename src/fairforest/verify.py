@@ -45,16 +45,17 @@ def _make_report(name: str, theoretical: float, observed: float,
     )
 
 
-def finite_difference(loss_fn, forest: ObliqueForest,
-                      step: float = 1e-5) -> ForestGradient:
+def finite_difference(loss_fn, forest: ObliqueForest, step: float = 1e-5,
+                      indices=None) -> ForestGradient:
     """Central-difference gradient of a scalar loss over every forest
-    parameter.  ``loss_fn`` takes a forest and returns a float."""
+    parameter, or over the flat positions ``indices`` only (the others
+    stay 0).  ``loss_fn`` takes a forest and returns a float."""
     if step <= 0:
         raise ConfigurationError(f"step must be positive, got {step}")
     work = forest.copy()
     grad = ForestGradient.zeros(forest.shape)
     flat = work.vector
-    for i in range(flat.size):
+    for i in range(flat.size) if indices is None else indices:
         original = flat[i]
         flat[i] = original + step
         high = loss_fn(work)

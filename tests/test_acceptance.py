@@ -22,7 +22,13 @@ from fairforest.baselines import (
     reservoir_fairness_gradient,
 )
 from fairforest.data import SyntheticConfig, generate_synthetic
-from fairforest.forest import ObliqueForest, build_mask, leaf_probabilities, node_outputs
+from fairforest.forest import (
+    ObliqueForest,
+    _ancestor_rows,
+    _path_signs,
+    leaf_probabilities,
+    node_outputs,
+)
 from fairforest.gradients import HuberPenalty, fairness_gradient
 from fairforest.learner import LearnerConfig, OnlineForestLearner
 from fairforest.stats import AggregateStore
@@ -58,6 +64,14 @@ def mask_oracle(height):
             parent = pos // 2
             entries[parent - 1, leaf] = 1 if pos == 2 * parent else -1
             pos = parent
+    return entries
+
+
+def mask_from_paths(height):
+    """The package's routing structure, ancestor rows and bit-derived
+    path signs, scattered into a dense mask."""
+    entries = np.zeros((2**height - 1, 2**height), dtype=np.int8)
+    entries[_ancestor_rows(height), np.arange(2**height)] = _path_signs(height)
     return entries
 
 
@@ -123,16 +137,21 @@ def compute_results():
         "passed": bool(report["passed"]),
     }
 
-    # 2: ancestor mask, exact at height 2 and against the parent-pointer
-    # oracle for heights 1 through 8.
+    # 2: routing structure (ancestor rows and bit-derived path signs),
+    # exact at height 2 and against the parent-pointer oracle for heights
+    # 1 through 8.
     expected_h2 = np.array([[1, 1, -1, -1], [1, -1, 0, 0], [0, 0, 1, -1]])
-    height_2_exact = bool(np.array_equal(build_mask(2).entries, expected_h2))
+    height_2_exact = (
+        np.array_equal(_ancestor_rows(2), [[0, 0, 0, 0], [1, 1, 2, 2]])
+        and np.array_equal(_path_signs(2), [[1, 1, -1, -1], [1, -1, 1, -1]])
+        and np.array_equal(mask_from_paths(2), expected_h2)
+    )
     oracle_match = all(
-        np.array_equal(build_mask(h).entries, mask_oracle(h))
+        np.array_equal(mask_from_paths(h), mask_oracle(h))
         for h in range(1, 9)
     )
-    results["ancestor_mask"] = {
-        "height_2_exact": height_2_exact,
+    results["routing_structure"] = {
+        "height_2_exact": bool(height_2_exact),
         "oracle_match_heights_1_to_8": bool(oracle_match),
         "passed": height_2_exact and bool(oracle_match),
     }
@@ -140,7 +159,6 @@ def compute_results():
     # 3: leaf probabilities form a distribution on 10^4 random
     # (forest, instance) pairs.
     rng = np.random.default_rng(3)
-    masks = {h: build_mask(h) for h in range(1, 5)}
     worst_sum = 0.0
     lowest = 1.0
     highest = 0.0
@@ -151,7 +169,7 @@ def compute_results():
         t = int(rng.integers(1, 4))
         forest = ObliqueForest.random(h, d, c, t, rng=rng)
         x = rng.uniform(-3.0, 3.0, size=d)
-        probs = leaf_probabilities(node_outputs(forest, x), masks[h])  # (T, L)
+        probs = leaf_probabilities(node_outputs(forest, x))  # (T, L)
         worst_sum = max(worst_sum, float(np.abs(probs.sum(axis=1) - 1.0).max()))
         lowest = min(lowest, float(probs.min()))
         highest = max(highest, float(probs.max()))
@@ -314,9 +332,9 @@ def test_criterion_01_gradient_check(battery, capfd):
 
 
 def test_criterion_02_ancestor_mask(battery, capfd):
-    r = battery["results"]["ancestor_mask"]
-    _line(capfd, 2, r["passed"], "height-2 mask exact, heights 1-8 match the "
-                          "parent-pointer oracle")
+    r = battery["results"]["routing_structure"]
+    _line(capfd, 2, r["passed"], "height-2 path structure exact, heights 1-8 "
+                          "match the parent-pointer oracle")
     assert r["passed"]
 
 

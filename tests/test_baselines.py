@@ -23,20 +23,16 @@ from fairforest.errors import (
     DomainError,
     ShapeError,
 )
-from fairforest.forest import (
-    ObliqueForest,
-    _all_node_outputs,
-    build_mask,
-    leaf_probability_gradients,
-)
+from fairforest.forest import ObliqueForest, _all_node_outputs
 from fairforest.gradients import (
     HuberPenalty,
     _ForwardCache,
-    _huber_slope_array,
     cross_entropy,
+    huber_slope,
 )
 from fairforest.learner import LearnerConfig, OnlineForestLearner
 from fairforest.stats import AggregateStore
+from oracles import dense_leaf_jacobian
 
 
 def biased_stream(n, seed, d=2, noise=0.1):
@@ -101,7 +97,7 @@ class TestReservoir:
         for _ in range(60):
             x = rng.standard_normal(5)
             a = int(rng.integers(0, 2))
-            cache = _ForwardCache(forest, x, build_mask(forest.height))
+            cache = _ForwardCache(forest, x)
             store.update_all(a, a, cache.gates, cache.slope, x)
             res.add(x, a)
         from fairforest.gradients import fairness_gradient
@@ -168,12 +164,11 @@ class TestLeafPenaltyLearner:
         leaf-level gradient is exactly twice the node-level one."""
         node_learner, leaf_learner = self._frozen_pair(delta=10.0)
         forest = node_learner.forest
-        mask = build_mask(1)
         rng = np.random.default_rng(3)
         for _ in range(30):
             x = rng.standard_normal(3)
             a = int(rng.integers(0, 2))
-            cache = _ForwardCache(forest, x, mask)
+            cache = _ForwardCache(forest, x)
             node_learner._update_fairness_state(x, a, a, cache)
             leaf_learner._update_fairness_state(x, a, a, cache)
         g_node = node_learner._fairness_gradient()
@@ -201,11 +196,12 @@ class TestLeafPenaltyLearner:
                 x = rng.standard_normal(3)
                 a = int(rng.integers(0, 2))
                 learner._update_fairness_state(
-                    x, a, a, _ForwardCache(forest, x, learner.mask))
-                gates = _all_node_outputs(forest, x)[:, :forest.shape.n_nodes]
+                    x, a, a, _ForwardCache(forest, x))
+                edges = _all_node_outputs(forest, x)
+                gates, right = np.split(edges, 2, axis=1)
                 probs, jac_b = [], []
                 for t in range(forest.tree_count):
-                    p, jac = leaf_probability_gradients(gates[t], learner.mask)
+                    p, jac = dense_leaf_jacobian(gates[t], right[t], height)
                     probs.append(p)
                     jac_b.append(jac.T * (gates[t] * (1.0 - gates[t])))
                 probs, jac_b = np.stack(probs), np.stack(jac_b)  # (T, L, m)
@@ -213,7 +209,7 @@ class TestLeafPenaltyLearner:
                     sums[a][k] = sums[a][k] + v
                 counts[a] += 1
             means = {g: [v / counts[g] for v in sums[g]] for g in (0, 1)}
-            coeff = weight * _huber_slope_array(
+            coeff = weight * huber_slope(
                 means[0][0] - means[1][0], delta)  # (T, L)
             want_w = np.einsum("tl,tlmd->tmd", coeff, means[0][1] - means[1][1])
             want_b = np.einsum("tl,tlm->tm", coeff, means[0][2] - means[1][2])
@@ -226,11 +222,10 @@ class TestLeafPenaltyLearner:
     def test_leaf_rows_carry_no_fairness_gradient(self):
         _, leaf_learner = self._frozen_pair(delta=0.01)
         rng = np.random.default_rng(4)
-        mask = build_mask(1)
         for _ in range(10):
             x = rng.standard_normal(3)
             a = int(rng.integers(0, 2))
-            cache = _ForwardCache(leaf_learner.forest, x, mask)
+            cache = _ForwardCache(leaf_learner.forest, x)
             leaf_learner._update_fairness_state(x, a, a, cache)
         grad = leaf_learner._fairness_gradient()
         np.testing.assert_array_equal(grad.leaves, 0.0)
@@ -239,6 +234,21 @@ class TestLeafPenaltyLearner:
         _, leaf_learner = self._frozen_pair(delta=0.01)
         grad = leaf_learner._fairness_gradient()
         np.testing.assert_array_equal(grad.weights, 0.0)
+
+    def test_fairness_gradient_reuses_its_buffer(self):
+        """Both the zero-weight path and the contrast path write into the
+        learner's own fairness buffer instead of a fresh gradient."""
+        for weight in (0.0, 1.0):
+            learner = LeafPenaltyLearner(LearnerConfig(
+                n_features=2, height=3, tree_count=2, fairness="dp",
+                fairness_weight=weight, seed=4,
+            ))
+            for x, y, a in biased_stream(20, seed=5):
+                learner.step(x, y, a)
+            grad = learner._fairness_gradient()
+            assert grad is learner._fair
+            np.testing.assert_array_equal(grad.leaves, 0.0)
+            assert (np.abs(grad.vector).max() > 0.0) == (weight > 0.0)
 
     def test_aggregate_decay_reaches_the_leaf_store(self):
         """A configured decay weights recent instances in the leaf store

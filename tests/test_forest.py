@@ -1,5 +1,6 @@
-"""Tests for the soft-routed tree structure: ancestor masks, leaf
-probabilities and their derivatives, forward evaluation, prediction."""
+"""Tests for the soft-routed tree structure: the path-form routing
+structure derived from leaf bits, leaf probabilities and their
+derivatives, forward evaluation, prediction."""
 
 import numpy as np
 import pytest
@@ -9,96 +10,121 @@ from fairforest.errors import ConfigurationError, ShapeError
 from fairforest.forest import (
     ForestShape,
     ObliqueForest,
-    build_mask,
+    _ancestor_rows,
+    _leaf_probability_gradients_stacked,
+    _path_edges,
+    _path_nodes,
+    _path_signs,
     forward,
     forward_batch,
     leaf_probabilities,
-    leaf_probability_gradients,
     node_outputs,
     predict,
     tree_outputs,
 )
-from fairforest.gradients import task_gradient
+from fairforest.gradients import _ForwardCache, task_gradient
+from oracles import dense_leaf_jacobian, mask_oracle
 
 
-def mask_oracle(height):
-    """Ancestor mask built by climbing parent pointers, one leaf at a time.
-
-    Independent of the vectorized construction: each leaf starts at heap
-    position ``2**height + leaf`` and walks up, recording +1 when it came
-    out of a left child and -1 out of a right child.
-    """
-    n_nodes = 2**height - 1
-    n_leaves = 2**height
-    entries = np.zeros((n_nodes, n_leaves), dtype=np.int8)
-    for leaf in range(n_leaves):
-        pos = n_leaves + leaf
-        while pos > 1:
-            parent = pos // 2
-            entries[parent - 1, leaf] = 1 if pos == 2 * parent else -1
-            pos = parent
+def mask_from_paths(height):
+    """The dense ancestor mask scattered from the package's path form:
+    each leaf's signs placed at its ancestor rows."""
+    entries = np.zeros((2**height - 1, 2**height), dtype=np.int8)
+    entries[_ancestor_rows(height), np.arange(2**height)] = _path_signs(height)
     return entries
 
 
+def leaf_jacobian(outputs):
+    """Leaf probabilities and the dense (m, 2**h) Jacobian of one tree in
+    its gate outputs, scattered from the path-form core."""
+    outputs = np.asarray(outputs, dtype=np.float64)
+    height = outputs.size.bit_length()
+    edges = np.concatenate([outputs, 1.0 - outputs])[None]
+    probs, path_jac = _leaf_probability_gradients_stacked(edges, height)
+    jac = np.zeros((outputs.size, 2**height))
+    jac[_ancestor_rows(height), np.arange(2**height)] = path_jac[0]
+    return probs[0], jac
+
+
 class TestBuildMask:
-    """Structure of the ancestor mask."""
+    """The routing structure read off the leaf bits (ancestor rows and
+    path signs) against the dense ancestor mask it replaces."""
 
     def test_height_two_exact(self):
-        """The height-2 mask is a known 3x4 matrix."""
+        """At height 2 the path form is known, and scattered it gives the
+        known 3x4 mask."""
+        np.testing.assert_array_equal(_ancestor_rows(2), [[0, 0, 0, 0],
+                                                          [1, 1, 2, 2]])
+        np.testing.assert_array_equal(_path_signs(2), [[1, 1, -1, -1],
+                                                       [1, -1, 1, -1]])
+        np.testing.assert_array_equal(_path_edges(2), [[0, 0, 3, 3],
+                                                       [1, 4, 2, 5]])
         expected = np.array([
             [1, 1, -1, -1],
             [1, -1, 0, 0],
             [0, 0, 1, -1],
         ])
-        np.testing.assert_array_equal(build_mask(2).entries, expected)
+        np.testing.assert_array_equal(mask_from_paths(2), expected)
 
     def test_height_one_exact(self):
-        np.testing.assert_array_equal(build_mask(1).entries, [[1, -1]])
+        np.testing.assert_array_equal(mask_from_paths(1), [[1, -1]])
 
     def test_matches_parent_pointer_oracle(self):
-        """Heights 1 through 8 agree with the leaf-climbing construction."""
+        """Heights 1 through 8 agree with the leaf-climbing construction,
+        and each path factor's edge column is its ancestor's left edge
+        (column ``node``) or right edge (column ``m + node``) by sign."""
         for h in range(1, 9):
             np.testing.assert_array_equal(
-                build_mask(h).entries, mask_oracle(h),
-                err_msg=f"height {h}",
+                mask_from_paths(h), mask_oracle(h), err_msg=f"height {h}",
             )
+            right = _path_signs(h) < 0
+            np.testing.assert_array_equal(
+                _path_edges(h), _ancestor_rows(h) + right * (2**h - 1))
 
     def test_each_leaf_has_height_many_ancestors(self):
+        """Each leaf has one distinct ancestor per depth, on that depth."""
         for h in range(1, 9):
-            nonzero = np.count_nonzero(build_mask(h).entries, axis=0)
+            nonzero = np.count_nonzero(mask_from_paths(h), axis=0)
             np.testing.assert_array_equal(nonzero, h)
+            depth = np.arange(h)[:, None]
+            rows = _ancestor_rows(h)
+            assert ((rows >= 2**depth - 1) & (rows < 2 ** (depth + 1) - 1)).all()
 
     def test_entries_are_read_only(self):
-        mask = build_mask(3)
-        with pytest.raises(ValueError):
-            mask.entries[0, 0] = 0
+        """The cached path arrays are shared, so none of them is writable."""
+        for array in (_ancestor_rows(3), _path_signs(3), _path_edges(3),
+                      _path_nodes(2, 3)):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
 
     def test_rejects_out_of_range_heights(self):
         for bad in (0, -1, 17, 2.5, "3", True):
             with pytest.raises(ConfigurationError):
-                build_mask(bad)
+                ObliqueForest(ForestShape(1, bad, 2, 2))
+            with pytest.raises(ConfigurationError):
+                ObliqueForest.random(bad, 2, 2)
 
     def test_shape_properties(self):
-        mask = build_mask(4)
-        assert mask.n_nodes == 15
-        assert mask.n_leaves == 16
-        assert mask.entries.shape == (15, 16)
-        assert mask.entries.dtype == np.int8
+        shape = ForestShape(3, 4, 2, 2)
+        assert shape.n_nodes == 15
+        assert shape.n_leaves == 16
+        for array in (_ancestor_rows(4), _path_signs(4), _path_edges(4)):
+            assert array.shape == (4, 16)
+        assert _path_signs(4).dtype == np.float64
+        assert _path_nodes(3, 4).shape == (3, 4, 16)
 
 
 class TestLeafProbabilities:
     """Path products over the gate outputs."""
 
     def test_height_one_hand_values(self):
-        mask = build_mask(1)
-        probs = leaf_probabilities(np.array([0.3]), mask)
+        probs = leaf_probabilities(np.array([0.3]))
         np.testing.assert_allclose(probs, [0.3, 0.7], rtol=0, atol=1e-15)
 
     def test_height_two_hand_values(self):
         """Each leaf probability is the product of its two path factors."""
-        mask = build_mask(2)
         n1, n2, n3 = 0.8, 0.25, 0.6
-        probs = leaf_probabilities(np.array([n1, n2, n3]), mask)
+        probs = leaf_probabilities(np.array([n1, n2, n3]))
         expected = [n1 * n2, n1 * (1 - n2), (1 - n1) * n3, (1 - n1) * (1 - n3)]
         np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-15)
 
@@ -106,19 +132,17 @@ class TestLeafProbabilities:
         """Leaf probabilities form a distribution at every height."""
         rng = np.random.default_rng(11)
         for h in range(1, 7):
-            mask = build_mask(h)
             for _ in range(30):
-                outputs = rng.uniform(0.0, 1.0, size=mask.n_nodes)
-                probs = leaf_probabilities(outputs, mask)
+                outputs = rng.uniform(0.0, 1.0, size=2**h - 1)
+                probs = leaf_probabilities(outputs)
                 assert abs(probs.sum() - 1.0) <= 1e-9
                 assert probs.min() >= 0.0
                 assert probs.max() <= 1.0
 
     def test_hard_gates_route_to_one_leaf(self):
         """With every gate saturated at 0 or 1, exactly one leaf gets mass."""
-        mask = build_mask(3)
         outputs = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
-        probs = leaf_probabilities(outputs, mask)
+        probs = leaf_probabilities(outputs)
         assert probs.sum() == 1.0
         assert np.count_nonzero(probs) == 1
         # Root goes left, node 1 goes right, node 4 goes left: leaf 2.
@@ -128,36 +152,44 @@ class TestLeafProbabilities:
         """Tiny routing factors multiplied along eight levels leave no
         underflow artifacts: the result is finite, non-negative, and sums
         to one."""
-        mask = build_mask(8)
-        outputs = np.full(mask.n_nodes, 1e-14)
-        probs = leaf_probabilities(outputs, mask)
+        outputs = np.full(2**8 - 1, 1e-14)
+        probs = leaf_probabilities(outputs)
         assert np.isfinite(probs).all()
         assert probs.min() >= 0.0
         np.testing.assert_allclose(probs.sum(), 1.0, rtol=1e-9)
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ShapeError):
-            leaf_probabilities(np.zeros(4), build_mask(2))
+        """The height is read off the last axis, which must hold 2**h - 1
+        outputs for a supported h."""
+        for bad in (np.zeros(4), np.zeros((3, 2)), np.zeros(0), np.float64(0.5),
+                    np.zeros(2**17 - 1)):
+            with pytest.raises(ShapeError):
+                leaf_probabilities(bad)
+        assert leaf_probabilities(np.full((5, 2, 7), 0.5)).shape == (5, 2, 8)
 
 
 class TestLeafProbabilityGradients:
-    """Derivatives of leaf probabilities in the gate outputs."""
+    """The path-form derivatives of leaf probabilities in the gate
+    outputs, scattered to the dense Jacobian."""
 
     def test_height_one_jacobian(self):
-        mask = build_mask(1)
-        probs, jac = leaf_probability_gradients(np.array([0.4]), mask)
+        probs, jac = leaf_jacobian(np.array([0.4]))
         np.testing.assert_allclose(probs, [0.4, 0.6])
         np.testing.assert_allclose(jac, [[1.0, -1.0]])
 
     def test_probs_match_direct_computation(self):
+        """The core's probabilities equal the path products, and its
+        Jacobian the one read off the oracle mask."""
         rng = np.random.default_rng(7)
         for h in (1, 2, 3, 4):
-            mask = build_mask(h)
-            outputs = rng.uniform(0.05, 0.95, size=mask.n_nodes)
-            probs, _ = leaf_probability_gradients(outputs, mask)
+            outputs = rng.uniform(0.05, 0.95, size=2**h - 1)
+            probs, jac = leaf_jacobian(outputs)
             np.testing.assert_allclose(
-                probs, leaf_probabilities(outputs, mask), rtol=0, atol=1e-14
+                probs, leaf_probabilities(outputs), rtol=0, atol=1e-14
             )
+            want_probs, want_jac = dense_leaf_jacobian(outputs, 1.0 - outputs, h)
+            np.testing.assert_allclose(probs, want_probs, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(jac, want_jac, rtol=1e-12, atol=0)
 
     def test_jacobian_matches_finite_differences(self):
         """Central differences in each gate output reproduce the analytic
@@ -165,33 +197,30 @@ class TestLeafProbabilityGradients:
         rng = np.random.default_rng(13)
         step = 1e-6
         for h in (1, 2, 3):
-            mask = build_mask(h)
-            outputs = rng.uniform(0.1, 0.9, size=mask.n_nodes)
-            _, jac = leaf_probability_gradients(outputs, mask)
-            for i in range(mask.n_nodes):
+            outputs = rng.uniform(0.1, 0.9, size=2**h - 1)
+            _, jac = leaf_jacobian(outputs)
+            for i in range(outputs.size):
                 up = outputs.copy()
                 up[i] += step
                 down = outputs.copy()
                 down[i] -= step
                 numeric = (
-                    leaf_probabilities(up, mask) - leaf_probabilities(down, mask)
+                    leaf_probabilities(up) - leaf_probabilities(down)
                 ) / (2 * step)
                 np.testing.assert_allclose(jac[i], numeric, atol=1e-8)
 
     def test_saturated_gates_keep_finite_jacobian(self):
         """Gate outputs of exactly 0 and 1 produce no division artifacts."""
-        mask = build_mask(3)
         outputs = np.array([0.0, 1.0, 0.5, 0.0, 1.0, 0.5, 1.0])
-        probs, jac = leaf_probability_gradients(outputs, mask)
+        probs, jac = leaf_jacobian(outputs)
         assert np.isfinite(probs).all()
         assert np.isfinite(jac).all()
 
     def test_jacobian_rows_sum_to_zero(self):
         """Total probability is conserved, so each gate's row sums to 0."""
         rng = np.random.default_rng(19)
-        mask = build_mask(4)
-        outputs = rng.uniform(0.0, 1.0, size=mask.n_nodes)
-        _, jac = leaf_probability_gradients(outputs, mask)
+        outputs = rng.uniform(0.0, 1.0, size=15)
+        _, jac = leaf_jacobian(outputs)
         np.testing.assert_allclose(jac.sum(axis=1), 0.0, atol=1e-12)
 
 
@@ -230,6 +259,24 @@ class TestForward:
         batch = forward_batch(forest, features)
         single = np.stack([forward(forest, row) for row in features])
         np.testing.assert_allclose(batch, single, rtol=1e-12)
+
+    def test_every_evaluation_shares_the_routing(self):
+        """``forward``, ``forward_batch``, ``tree_outputs`` and ``predict``
+        route through one core: a batch row is bit for bit the single
+        instance, and all agree with the gradient path's forward cache."""
+        rng = np.random.default_rng(31)
+        for height in (1, 3, 6):
+            forest = ObliqueForest.random(height, 4, 3, tree_count=3, rng=rng)
+            features = rng.standard_normal((6, 4))
+            batch = forward_batch(forest, features)
+            for x, row in zip(features, batch):
+                out = forward(forest, x)
+                np.testing.assert_array_equal(row, out)
+                np.testing.assert_allclose(tree_outputs(forest, x).mean(axis=0),
+                                           out, rtol=1e-12)
+                np.testing.assert_allclose(_ForwardCache(forest, x).output, out,
+                                           rtol=1e-12)
+                assert predict(forest, x) == int(np.argmax(out))
 
     def test_saturated_gate_keeps_its_right_edge(self):
         """At pre-activation +40 the right leaf gets expit(-40) = 4.2e-18,

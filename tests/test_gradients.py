@@ -8,44 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairforest.errors import ConfigurationError, NumericalError, ShapeError
-from fairforest.forest import ForestShape, ObliqueForest, build_mask, forward
+from fairforest.forest import ForestShape, ObliqueForest, forward
 from fairforest.gradients import (
     ForestGradient,
     HuberPenalty,
     _ForwardCache,
-    _huber_slope_array,
     cross_entropy,
     fairness_gradient,
     gradient_norm,
     huber,
     huber_slope,
-    node_grad,
     softmax,
     task_gradient,
     total_gradient,
 )
 from fairforest.learner import LearnerConfig, OnlineForestLearner
 from fairforest.stats import AggregateStore
-
-
-def dense_leaf_jacobian(left, right, height):
-    """Leaf probabilities (2**h,) and the dense Jacobian (m, 2**h) of one
-    tree in its gate outputs, read off the ancestor mask entry by entry.
-
-    ``left`` and ``right`` are each node's left- and right-edge factors.
-    A leaf's probability is the product over every node of the left
-    factor, the right factor or 1, as the mask entry says; its derivative
-    in node ``i`` drops that node's factor and takes the entry's sign.
-    """
-    entries = build_mask(height).entries
-    factors = np.where(entries > 0, left[:, None],
-                       np.where(entries < 0, right[:, None], 1.0))
-    jac = np.zeros(entries.shape)
-    for i in range(len(left)):
-        below = entries[i] != 0
-        others = np.delete(factors[:, below], i, axis=0)
-        jac[i, below] = entries[i, below] * others.prod(axis=0)
-    return factors.prod(axis=0), jac
+from fairforest.verify import finite_difference
+from oracles import dense_leaf_jacobian
 
 
 def numeric_task_gradient(forest, x, y, step=1e-6):
@@ -116,9 +96,12 @@ class TestHuber:
                                        atol=1e-6)
 
     def test_vectorized_slope_matches_scalar(self):
+        """One function serves scalars and arrays: an array of gaps gives
+        the slope of each gap on its own."""
         rng = np.random.default_rng(2)
         gaps = np.concatenate([rng.uniform(-0.3, 0.3, 50), [0.0, 0.01, -0.01]])
-        vec = _huber_slope_array(gaps, 0.01)
+        vec = huber_slope(gaps, 0.01)
+        assert vec.shape == gaps.shape
         scalar = np.array([huber_slope(float(g), 0.01) for g in gaps])
         np.testing.assert_array_equal(vec, scalar)
 
@@ -166,18 +149,36 @@ class TestSoftmaxLoss:
 
 
 class TestNodeGrad:
-    """Gate-output derivative in the gate parameters."""
+    """Gate-output derivative in the gate parameters, as the step forms it:
+    the slope ``n (1 - n)`` in the forward cache, times the input for the
+    weights."""
+
+    @staticmethod
+    def _one_gate(bias, d):
+        return ObliqueForest.from_arrays(
+            1, np.zeros((1, 1, d)), np.array([[bias]]),
+            np.array([[[1.0, -0.5], [-0.2, 0.8]]]),
+        )
 
     def test_hand_values(self):
         x = np.array([2.0, -1.0])
-        gw, gb = node_grad(0.3, x)
-        np.testing.assert_allclose(gw, 0.21 * x)
-        np.testing.assert_allclose(gb, 0.21)
+        forest = self._one_gate(scipy.special.logit(0.3), 2)
+        cache = _ForwardCache(forest, x)
+        np.testing.assert_allclose(cache.gates, [[0.3]], rtol=1e-14)
+        np.testing.assert_allclose(cache.slope, [[0.21]], rtol=1e-14)
+        grad = task_gradient(forest, x, 0)
+        np.testing.assert_array_equal(grad.weights[0, 0],
+                                      grad.biases[0, 0] * x)
 
     def test_saturated_gate_has_zero_gradient(self):
-        gw, gb = node_grad(1.0, np.ones(3))
-        np.testing.assert_array_equal(gw, 0.0)
-        assert gb == 0.0
+        """At pre-activation 800 the right edge underflows to 0, so the
+        slope and every gate-parameter gradient are exactly 0."""
+        forest = self._one_gate(800.0, 3)
+        cache = _ForwardCache(forest, np.ones(3))
+        assert cache.slope[0, 0] == 0.0
+        grad = task_gradient(forest, np.ones(3), 1)
+        np.testing.assert_array_equal(grad.weights, 0.0)
+        assert grad.biases[0, 0] == 0.0
 
 
 class TestTaskGradient:
@@ -213,7 +214,9 @@ class TestTaskGradient:
         """Over random shapes, with gate pre-activations up to about 1e3,
         the path-form forward pass gives leaf probabilities that sum to
         one, finite intermediates, and the task gradient of a dense
-        Jacobian built from the ancestor mask."""
+        Jacobian built from the oracle ancestor mask.  Where every |z| is
+        at most 8, central differences of the loss agree too, on at most
+        32 drawn coordinates, at the gradcheck tolerance."""
         rng = np.random.default_rng(seed)
         forest = ObliqueForest.random(height, d, c, tree_count=trees, rng=rng)
         scale = 10.0**log_scale
@@ -222,7 +225,7 @@ class TestTaskGradient:
         x = rng.standard_normal(d)
         y = int(rng.integers(0, c))
 
-        cache = _ForwardCache(forest, x, build_mask(height))
+        cache = _ForwardCache(forest, x)
         assert cache.leaf_jac.shape == (trees, height, 2**height)
         for arr in (cache.leaf_probs, cache.leaf_jac, cache.output):
             assert np.isfinite(arr).all()
@@ -253,6 +256,16 @@ class TestTaskGradient:
             rtol=1e-12, atol=1e-300,
         )
 
+        if np.abs(z).max() <= 8.0:
+            n_params = forest.shape.n_params
+            coords = rng.choice(n_params, size=min(32, n_params), replace=False)
+            numeric = finite_difference(
+                lambda f: cross_entropy(forward(f, x), y), forest, indices=coords
+            )
+            scale = max(np.abs(grad.vector).max(), 1e-12)
+            error = np.abs(grad.vector[coords] - numeric.vector[coords]).max()
+            assert error <= 1e-4 * scale
+
     def test_leaf_gradient_structure(self):
         """Each leaf row's gradient is its leaf probability times the
         softmax residual, averaged over trees."""
@@ -266,9 +279,8 @@ class TestTaskGradient:
         from fairforest.forest import _all_node_outputs, leaf_probabilities
 
         gates = _all_node_outputs(forest, x)[:, :forest.shape.n_nodes]
-        mask = build_mask(2)
         for t in range(2):
-            probs = leaf_probabilities(gates[t], mask)
+            probs = leaf_probabilities(gates[t])
             expected = probs[:, None] * residual[None, :] / forest.tree_count
             np.testing.assert_allclose(grad.leaves[t], expected, rtol=1e-12)
 

@@ -3,6 +3,7 @@ checkpointing, and the stream driver."""
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,7 +213,7 @@ class TestMetricsTracker:
         tracker.update(1, np.array([0.2, 0.8]), 1, 0)
         tracker.update(0, np.array([0.6, 0.4]), 1, 1)
         clone = MetricsTracker.from_snapshot(
-            json.loads(json.dumps(tracker.snapshot()))
+            json.loads(json.dumps(tracker.snapshot())), 2, 2
         )
         assert clone.dp_hard == tracker.dp_hard
         assert clone.dp_soft == tracker.dp_soft
@@ -269,6 +270,22 @@ class TestStepping:
         before = learner.predict(x)
         prediction, _ = learner.step(x, 1, 0)
         assert prediction == before
+
+    def test_predict_builds_no_jacobian(self, monkeypatch):
+        """Prediction routes through the forest's evaluation core; only the
+        step, which needs gradients, forms the leaf Jacobian."""
+        import fairforest.gradients
+
+        learner = OnlineForestLearner(self._config())
+        x = np.array([0.4, -0.2])
+        expected = int(np.argmax(_ForwardCache(learner.forest, x).output))
+
+        def refuse(*args):
+            raise AssertionError("predict formed the leaf Jacobian")
+
+        monkeypatch.setattr(fairforest.gradients,
+                            "_leaf_probability_gradients_stacked", refuse)
+        assert learner.predict(x) == expected
 
     def test_deterministic_given_seed_and_stream(self):
         runs = []
@@ -351,8 +368,40 @@ class TestStepping:
         assert learner.step_count == 3
         assert np.isfinite(snap.grad_norm_total)
         assert np.isfinite(learner.forest.vector).all()
-        cache = _ForwardCache(learner.forest, x, learner.mask)
+        cache = _ForwardCache(learner.forest, x)
         assert cache.leaf_jac.shape == (2, 12, 2**12)
+
+    def test_height_thirteen_builds_and_steps_in_little_memory(self):
+        """Building and stepping at h=13 allocates only path-form arrays,
+        (h, 2**h) each, never a (2**h - 1, 2**h) ancestor mask, so the
+        traced peak stays far below the 67 MB that one int8 mask takes."""
+        config = LearnerConfig(n_features=4, height=13, tree_count=1,
+                               fairness="dp", fairness_weight=1.0, seed=1)
+        rng = np.random.default_rng(2)
+        stream = [(rng.standard_normal(4), i, i) for i in (0, 1)]
+        tracemalloc.start()
+        try:
+            learner = OnlineForestLearner(config)
+            for x, y, a in stream:
+                learner.step(x, y, a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert learner.step_count == 2
+        assert peak < 32 * 2**20
+
+    def test_height_sixteen_step(self):
+        """The largest supported height builds and steps, and every
+        parameter stays finite."""
+        learner = OnlineForestLearner(LearnerConfig(
+            n_features=2, height=16, tree_count=1, fairness="dp",
+            fairness_weight=1.0, seed=1,
+        ))
+        x, y, a = next(biased_stream(1, seed=2))
+        prediction, snap = learner.step(x, y, a)
+        assert prediction in (0, 1)
+        assert np.isfinite(snap.grad_norm_total)
+        assert np.isfinite(learner.forest.vector).all()
 
     def test_instance_validation(self):
         learner = OnlineForestLearner(self._config())
@@ -501,6 +550,105 @@ class TestCheckpoint:
         data["store"]["means"] = data["store"]["means"][:1]
         with pytest.raises(DataError):
             OnlineForestLearner.restore(data)
+
+
+    def _good_checkpoint(self):
+        learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
+        self._run(learner, biased_stream(5, seed=11))
+        return json.loads(json.dumps(learner.checkpoint()))
+
+    def test_malformed_metrics_are_refused(self):
+        """The metrics section must fit the configuration and agree with
+        itself; a group_counts cut to one entry used to load and then fail
+        with an IndexError at the first step."""
+        good = self._good_checkpoint()
+        total = good["metrics"]["total"]
+
+        def counts(values):
+            return lambda m: m.__setitem__("group_counts", values)
+
+        edits = [
+            counts(good["metrics"]["group_counts"][:1]),
+            counts([total + 1, -1]),
+            counts([total, 1]),
+            counts([total / 2, total / 2]),
+            counts("five"),
+            lambda m: m.__setitem__("n_groups", 3),
+            lambda m: m.__setitem__("n_outputs", 3),
+            lambda m: m.__setitem__("total", "5"),
+            lambda m: m.__setitem__("correct", total + 1),
+            lambda m: m.__setitem__("correct", -1),
+            lambda m: m["group_label_sums"].pop(),
+            lambda m: m["group_label_sums"].__setitem__(0, float("nan")),
+            lambda m: m["group_output_sums"][0].append(0.0),
+            lambda m: m["group_output_sums"].__setitem__(1, [float("inf"), 0.0]),
+        ]
+        for edit in edits:
+            data = json.loads(json.dumps(good))
+            edit(data["metrics"])
+            with pytest.raises(DataError):
+                OnlineForestLearner.restore(data)
+
+    def test_missing_sections_are_refused(self):
+        """A checkpoint without one of its sections, or without a key of
+        one, is a DataError, not a bare KeyError."""
+        good = self._good_checkpoint()
+        paths = [(key,) for key in good if key != "format"]
+        paths += [(section, key)
+                  for section in ("forest", "adam", "store", "metrics")
+                  for key in good[section]]
+        for path in paths:
+            data = json.loads(json.dumps(good))
+            *parents, last = path
+            owner = data
+            for key in parents:
+                owner = owner[key]
+            del owner[last]
+            with pytest.raises(DataError):
+                OnlineForestLearner.restore(data)
+
+    def test_unknown_keys_are_refused(self):
+        """The schema is closed: an unknown config key is a DataError, not
+        a TypeError from the config constructor, and so is an unknown
+        section."""
+        good = self._good_checkpoint()
+        for owner in ("config", None, "forest", "metrics"):
+            data = json.loads(json.dumps(good))
+            (data if owner is None else data[owner])["extra"] = 1
+            with pytest.raises(DataError):
+                OnlineForestLearner.restore(data)
+        data = json.loads(json.dumps(good))
+        data["config"]["height"] = "4"
+        with pytest.raises(DataError):
+            OnlineForestLearner.restore(data)
+
+    def test_store_must_fit_the_configuration(self):
+        """A store snapshot of another decay, or none where the notion
+        needs one, is refused rather than silently replacing the store."""
+        good = self._good_checkpoint()
+        for edit in (lambda d: d["store"].__setitem__("decay", 0.9),
+                     lambda d: d.__setitem__("store", None)):
+            data = json.loads(json.dumps(good))
+            edit(data)
+            with pytest.raises(DataError):
+                OnlineForestLearner.restore(data)
+
+    def test_adam_step_must_match_step_count(self):
+        """Each step is one Adam step; a checkpoint whose ``adam.t``
+        disagrees would silently change the bias correction."""
+        good = self._good_checkpoint()
+        data = json.loads(json.dumps(good))
+        data["adam"]["t"] = 0
+        with pytest.raises(DataError):
+            OnlineForestLearner.restore(data)
+
+    def test_step_count_must_be_a_non_negative_integer(self):
+        good = self._good_checkpoint()
+        for bad in ("5", 5.5, None, True, -1, [5]):
+            data = json.loads(json.dumps(good))
+            data["step_count"] = bad
+            with pytest.raises(DataError):
+                OnlineForestLearner.restore(data)
 
 
 class TestRunStream:
