@@ -4,7 +4,6 @@ from .baselines import (
     LeafPenaltyLearner,
     MajorityConfig,
     MajorityLearner,
-    MlpConfig,
     OnlineMlpLearner,
     Reservoir,
     ReservoirLearner,

@@ -3,8 +3,8 @@
 Four contrast points against the node-level penalty:
 
 * ``OnlineMlpLearner``: a two-layer ReLU network with one fairness
-  constraint on the output vector itself, aggregates kept for all four
-  parameter blocks.
+  constraint on the output vector itself, its running means kept in the
+  same store as the forest's, one row per output.
 * ``LeafPenaltyLearner``: the same forest learner, but the penalty sits
   on the leaf probabilities (products of gates) instead of on the gates.
 * ``ReservoirLearner``: stores every past instance and recomputes the
@@ -25,20 +25,27 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigurationError, DataError, DomainError, ShapeError
+from .errors import ConfigurationError
 from .forest import ObliqueForest, _ancestor_rows, _block_views, _path_nodes
 from .gradients import ForestGradient, HuberPenalty, huber_slope, softmax
 from .learner import (
-    AdamParams,
     AdamState,
     LearnerConfig,
     MetricsTracker,
     OnlineForestLearner,
     StepSnapshot,
+    _check_instance,
+    _check_step,
 )
 from .stats import RunningMeans
 
 BASELINE_NAMES = ("aranyani", "mlp", "leaf", "reservoir", "majority")
+
+
+def _require_dp(config: LearnerConfig, name: str) -> None:
+    """Refuse every fairness notion but ``dp`` and ``none``."""
+    if config.fairness not in ("dp", "none"):
+        raise ConfigurationError(f"the {name} supports the dp notion only")
 
 
 # ---------------------------------------------------------------------------
@@ -113,25 +120,20 @@ class ReservoirLearner(OnlineForestLearner):
     over the full history each step.  The task path is unchanged."""
 
     def __init__(self, config: LearnerConfig, record_trace: bool = False):
-        if config.fairness not in ("dp", "none"):
-            raise ConfigurationError(
-                "the reservoir baseline supports the dp notion only"
-            )
+        _require_dp(config, "reservoir baseline")
         super().__init__(config, record_trace=record_trace)
         self.store = None
         self.reservoir = Reservoir(config.n_features)
-        self._cold = True
 
     def _update_fairness_state(self, x, y, a, cache) -> None:
         self.reservoir.add(x, a, y)
 
     def _fairness_gradient(self) -> ForestGradient:
+        """The exact penalty gradient; the zero ``self._fair`` when there
+        is no penalty, without touching the history."""
         if self.config.fairness == "none" or self.penalty.weight == 0.0:
-            grad = ForestGradient.zeros(self.forest.shape)
-            self._cold = len(self.reservoir.group_features(0)) == 0 or \
-                len(self.reservoir.group_features(1)) == 0
-            return grad
-        grad, self._cold = reservoir_fairness_gradient(
+            return self._fair
+        grad, _ = reservoir_fairness_gradient(
             self.reservoir, self.forest, self.penalty
         )
         return grad
@@ -180,10 +182,7 @@ class LeafPenaltyLearner(OnlineForestLearner):
     """
 
     def __init__(self, config: LearnerConfig, record_trace: bool = False):
-        if config.fairness not in ("dp", "none"):
-            raise ConfigurationError(
-                "the leaf-penalty baseline supports the dp notion only"
-            )
+        _require_dp(config, "leaf-penalty baseline")
         super().__init__(config, record_trace=record_trace)
         self.store = None
         shape = self.forest.shape
@@ -236,50 +235,6 @@ class LeafPenaltyLearner(OnlineForestLearner):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MlpConfig:
-    """Configuration of the MLP baseline."""
-
-    n_features: int
-    n_outputs: int = 2
-    hidden: int = 64
-    fairness_weight: float = 0.0
-    huber_delta: float = 0.01
-    n_groups: int = 2
-    learning_rate: float = 2e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.hidden < 1:
-            raise ConfigurationError(f"hidden width must be >= 1, got {self.hidden}")
-        if self.n_features < 1 or self.n_outputs < 2:
-            raise ConfigurationError("need n_features >= 1 and n_outputs >= 2")
-        if self.n_groups != 2:
-            raise ConfigurationError("the MLP baseline compares exactly 2 groups")
-        if self.fairness_weight < 0 or self.huber_delta <= 0:
-            raise ConfigurationError("bad penalty parameters")
-
-    @classmethod
-    def from_learner_config(cls, config: LearnerConfig,
-                            hidden: int = 64) -> "MlpConfig":
-        return cls(
-            n_features=config.n_features,
-            n_outputs=config.n_outputs,
-            hidden=hidden,
-            fairness_weight=config.fairness_weight,
-            huber_delta=config.huber_delta,
-            n_groups=config.n_groups,
-            learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            adam_epsilon=config.adam_epsilon,
-            seed=config.seed,
-        )
-
-
 class MlpParams:
     """Parameters of the two-layer ReLU network: one flat ``vector`` with
     ``w1`` (d, hidden), ``b1`` (hidden,), ``w2`` (hidden, c) and ``b2``
@@ -292,89 +247,63 @@ class MlpParams:
         self.w1, self.b1, self.w2, self.b2 = _block_views(self.vector, self.shapes)
 
 
-class _MlpOutputStore:
-    """Per-group means of the output vector and of its Jacobian in each
-    parameter block."""
-
-    def __init__(self, n_features: int, hidden: int, n_outputs: int,
-                 n_groups: int = 2):
-        d, h, c = n_features, hidden, n_outputs
-        self.counts = np.zeros(n_groups, dtype=np.int64)
-        self.mean_out = np.zeros((n_groups, c))
-        self.mean_j_w1 = np.zeros((n_groups, d, h, c))
-        self.mean_j_b1 = np.zeros((n_groups, h, c))
-        self.mean_j_w2 = np.zeros((n_groups, h, c, c))
-        self.mean_j_b2 = np.zeros((n_groups, c, c))
-
-    def update(self, group: int, out, j_w1, j_b1, j_w2, j_b2) -> None:
-        self.counts[group] += 1
-        n = self.counts[group]
-        for mean, value in (
-            (self.mean_out, out), (self.mean_j_w1, j_w1),
-            (self.mean_j_b1, j_b1), (self.mean_j_w2, j_w2),
-            (self.mean_j_b2, j_b2),
-        ):
-            mean[group] += (value - mean[group]) / n
-
-
 class OnlineMlpLearner:
     """Two-layer ReLU network with the fairness penalty on the mean
-    output gap between groups, trained one instance at a time."""
+    output gap between groups (``dp`` or ``none`` only), trained one
+    instance at a time.  Per group, the store row of output ``k`` holds
+    ``out_k``, then its Jacobian in the flat parameter vector."""
 
-    def __init__(self, config: MlpConfig):
+    snapshot = OnlineForestLearner.snapshot
+
+    def __init__(self, config: LearnerConfig, hidden: int = 64):
+        _require_dp(config, "MLP baseline")
+        if hidden < 1:
+            raise ConfigurationError(f"hidden width must be >= 1, got {hidden}")
         self.config = config
         rng = np.random.default_rng(config.seed)
-        d, h, c = config.n_features, config.hidden, config.n_outputs
+        d, h, c = config.n_features, hidden, config.n_outputs
         self.params = MlpParams(d, h, c)
         self.params.w1[...] = rng.uniform(-1 / np.sqrt(d), 1 / np.sqrt(d), size=(d, h))
         self.params.w2[...] = rng.uniform(-1 / np.sqrt(h), 1 / np.sqrt(h), size=(h, c))
         self.penalty = HuberPenalty(config.huber_delta, config.fairness_weight)
-        self.store = _MlpOutputStore(d, h, c, config.n_groups)
-        self.adam = AdamState(
-            self.params.shapes,
-            AdamParams(config.learning_rate, config.beta1, config.beta2,
-                       config.adam_epsilon),
+        size = self.params.vector.size
+        self.store = None if config.fairness == "none" else RunningMeans(
+            config.n_groups, (c,), 1 + size, ((0, 1),), config.aggregate_decay,
         )
+        self.adam = AdamState(self.params.shapes, config.adam_params())
         self.metrics = MetricsTracker(config.n_groups, c)
         self.step_count = 0
         self._last_total_norm = 0.0
         self._last_fair_norm = 0.0
+        self._fair = np.zeros(size)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         hidden = np.maximum(x @ self.params.w1 + self.params.b1, 0.0)
         return hidden @ self.params.w2 + self.params.b2
 
     def predict(self, x: np.ndarray) -> int:
-        return int(np.argmax(self.forward(np.asarray(x, dtype=np.float64))))
+        """Prediction only, no state change."""
+        return int(np.argmax(self.forward(_check_instance(self.config, x))))
 
     def step(self, x: np.ndarray, y: int, a: int) -> tuple[int, StepSnapshot]:
-        cfg = self.config
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (cfg.n_features,):
-            raise ShapeError(
-                f"expected feature vector of shape ({cfg.n_features},), got {x.shape}"
-            )
-        if not np.isfinite(x).all():
-            raise DataError("feature vector contains non-finite values")
-        if not 0 <= y < cfg.n_outputs:
-            raise DomainError(f"label {y} outside [0, {cfg.n_outputs})")
-        if not 0 <= a < cfg.n_groups:
-            raise DomainError(f"group {a} outside [0, {cfg.n_groups})")
+        x = _check_step(self.config, x, y, a)
         pre = x @ self.params.w1 + self.params.b1
         hidden = np.maximum(pre, 0.0)
         active = (pre > 0.0).astype(np.float64)
         out = hidden @ self.params.w2 + self.params.b2
         prediction = int(np.argmax(out))
         self.metrics.update(prediction, out, y, a)
-        # Output Jacobians in each block, for the aggregate store.
-        c = cfg.n_outputs
-        eye = np.eye(c)
-        gate = active[:, None] * self.params.w2  # (h, c): d out_c / d pre_j
-        j_w1 = x[:, None, None] * gate[None, :, :]
-        j_b1 = gate
-        j_w2 = hidden[:, None, None] * eye[None, :, :]
-        j_b2 = eye
-        self.store.update(a, out, j_w1, j_b1, j_w2, j_b2)
+        if self.store is not None:
+            gate = active[:, None] * self.params.w2  # (h, c): d out_k / d pre_j
+            rows = np.zeros(self.store.means.shape[1:])
+            rows[:, 0] = out
+            for k, row in enumerate(rows):
+                j_w1, j_b1, j_w2, j_b2 = _block_views(row[1:], self.params.shapes)
+                np.outer(x, gate[:, k], out=j_w1)
+                j_b1[...] = gate[:, k]
+                j_w2[:, k] = hidden
+                j_b2[k] = 1.0
+            self.store.fold((a,), rows)
         # Task gradient, written block by block into one vector.
         task = np.empty(self.params.vector.size)
         g_w1, g_b1, g_w2, g_b2 = _block_views(task, self.params.shapes)
@@ -393,28 +322,13 @@ class OnlineMlpLearner:
         return prediction, self.snapshot()
 
     def _fairness_gradient(self) -> np.ndarray:
-        grad = np.zeros(self.params.vector.size)
-        if self.penalty.weight == 0.0:
-            return grad
-        store = self.store
-        if store.counts[0] == 0 or store.counts[1] == 0:
-            return grad
-        gap = store.mean_out[0] - store.mean_out[1]  # (c,)
-        coeff = huber_slope(gap, self.penalty.delta) * self.penalty.weight
-        means = (store.mean_j_w1, store.mean_j_b1, store.mean_j_w2, store.mean_j_b2)
-        for view, mean in zip(_block_views(grad, self.params.shapes), means):
-            np.einsum("...c,c->...", mean[0] - mean[1], coeff, out=view)
-        return grad
-
-    def snapshot(self) -> StepSnapshot:
-        return StepSnapshot(
-            step=self.step_count,
-            accuracy=self.metrics.accuracy,
-            dp_hard=self.metrics.dp_hard,
-            dp_soft=self.metrics.dp_soft,
-            grad_norm_total=self._last_total_norm,
-            grad_norm_fair=self._last_fair_norm,
-        )
+        """The penalty gradient, summed over the outputs and written into
+        ``self._fair``; zero without a store or a weight."""
+        if self.store is None or self.penalty.weight == 0.0:
+            return self._fair
+        total = self.store.contrast_sum(self.penalty.delta)  # (c, P)
+        np.multiply(total.sum(axis=0), self.penalty.weight, out=self._fair)
+        return self._fair
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +406,7 @@ def make_learner(name: str, config: LearnerConfig, mlp_hidden: int = 64,
     if name == "aranyani":
         return OnlineForestLearner(config)
     if name == "mlp":
-        return OnlineMlpLearner(MlpConfig.from_learner_config(config, mlp_hidden))
+        return OnlineMlpLearner(config, mlp_hidden)
     if name == "leaf":
         return LeafPenaltyLearner(config)
     if name == "reservoir":

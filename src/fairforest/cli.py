@@ -25,7 +25,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .learner import LearnerConfig, OnlineForestLearner, run_stream
+from .learner import LearnerConfig, run_stream
 from .verify import gradcheck
 
 FAIRNESS_CHOICES = {
@@ -284,12 +284,12 @@ def _drive(learner, stream, writer, checkpoint_interval: int = 0,
 
 
 def cmd_run(args) -> int:
-    make_stream, n_features = _build_stream(args)
-    learner, config = _build_learner(args, n_features)
-    if args.checkpoint_interval and not isinstance(learner, OnlineForestLearner):
+    if args.checkpoint_interval and args.baseline != "aranyani":
         raise ConfigurationError(
             "--checkpoint-interval is supported for the aranyani baseline only"
         )
+    make_stream, n_features = _build_stream(args)
+    learner, config = _build_learner(args, n_features)
     os.makedirs(args.out, exist_ok=True)
     trajectory_path = os.path.join(args.out, "trajectory.csv")
     checkpoint_path = os.path.join(args.out, "checkpoint.json")

@@ -184,9 +184,9 @@ def fairness_gradient(store: AggregateStore, penalty: HuberPenalty,
     if penalty.weight == 0.0:
         out.vector.fill(0.0)
         return out
-    grad_w, grad_b = store.gap_gradients(penalty.delta)
-    np.multiply(grad_w, penalty.weight, out=out.weights)
-    np.multiply(grad_b, penalty.weight, out=out.biases)
+    total = store.contrast_sum(penalty.delta)  # (T, m, d + 1): bias, weights
+    np.multiply(total[..., 1:], penalty.weight, out=out.weights)
+    np.multiply(total[..., 0], penalty.weight, out=out.biases)
     out.leaves.fill(0.0)
     return out
 

@@ -321,6 +321,32 @@ class LearnerConfig:
                           self.adam_epsilon)
 
 
+def _check_instance(config: LearnerConfig, x) -> np.ndarray:
+    """``x`` as a float vector, refusing a length other than the
+    configured feature count (ShapeError) and non-finite values
+    (DataError)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (config.n_features,):
+        raise ShapeError(
+            f"expected feature vector of shape ({config.n_features},), "
+            f"got {x.shape}"
+        )
+    if not np.isfinite(x).all():
+        raise DataError("feature vector contains non-finite values")
+    return x
+
+
+def _check_step(config: LearnerConfig, x, y: int, a: int) -> np.ndarray:
+    """``_check_instance(config, x)``, also refusing a label or group
+    outside the configured range (DomainError)."""
+    x = _check_instance(config, x)
+    if not 0 <= y < config.n_outputs:
+        raise DomainError(f"label {y} outside [0, {config.n_outputs})")
+    if not 0 <= a < config.n_groups:
+        raise DomainError(f"group {a} outside [0, {config.n_groups})")
+    return x
+
+
 @dataclass
 class TraceStep:
     """One recorded step: parameters in force plus the instance."""
@@ -388,16 +414,12 @@ class OnlineForestLearner:
 
     def predict(self, x: np.ndarray) -> int:
         """Prediction only, no state change."""
-        return predict_class(self.forest, self._check_instance(x))
+        return predict_class(self.forest, _check_instance(self.config, x))
 
     def step(self, x: np.ndarray, y: int, a: int) -> tuple[int, StepSnapshot]:
         """Process one instance; returns the prediction made before any
         parameter update, plus the post-step metrics."""
-        x = self._check_instance(x)
-        if not 0 <= y < self.config.n_outputs:
-            raise DomainError(f"label {y} outside [0, {self.config.n_outputs})")
-        if not 0 <= a < self.config.n_groups:
-            raise DomainError(f"group {a} outside [0, {self.config.n_groups})")
+        x = _check_step(self.config, x, y, a)
         if self.trace is not None:
             self.trace.append(TraceStep(self.forest.copy(), x.copy(), int(a)))
         cache = _ForwardCache(self.forest, x)
@@ -413,17 +435,6 @@ class OnlineForestLearner:
         self.step_count += 1
         self._after_feedback(int(y))
         return prediction, self.snapshot()
-
-    def _check_instance(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.config.n_features,):
-            raise ShapeError(
-                f"expected feature vector of shape ({self.config.n_features},), "
-                f"got {x.shape}"
-            )
-        if not np.isfinite(x).all():
-            raise DataError("feature vector contains non-finite values")
-        return x
 
     def _emit(self, prediction: int) -> int:
         return prediction

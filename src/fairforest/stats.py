@@ -160,12 +160,6 @@ class AggregateStore(RunningMeans):
         np.multiply(slope[:, :, None], x, out=values[..., 2:])
         self.fold(keys, values)
 
-    def gap_gradients(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Unweighted Huber-penalty gradient in the node weights (T, m, d)
-        and biases (T, m), summed over the notion's warm contrasts."""
-        total = self.contrast_sum(delta)
-        return total[..., 1:], total[..., 0]
-
     # -- serialization ----------------------------------------------------
 
     def snapshot(self) -> dict:

@@ -43,3 +43,44 @@ def dense_leaf_jacobian(left, right, height):
         others = np.delete(factors[:, below], i, axis=0)
         jac[i, below] = entries[i, below] * others.prod(axis=0)
     return factors.prod(axis=0), jac
+
+
+class MlpBlockStore:
+    """Per-group running means of a two-layer ReLU network's output vector
+    and of its Jacobian in each parameter block, one array per block:
+    ``j_w1`` (G, d, h, c), ``j_b1`` (G, h, c), ``j_w2`` (G, h, c, c) and
+    ``j_b2`` (G, c, c), the trailing axis being the output."""
+
+    def __init__(self, n_features, hidden, n_outputs, n_groups=2):
+        d, h, c = n_features, hidden, n_outputs
+        self.counts = np.zeros(n_groups, dtype=np.int64)
+        self.mean_out = np.zeros((n_groups, c))
+        self.blocks = [np.zeros((n_groups, d, h, c)), np.zeros((n_groups, h, c)),
+                       np.zeros((n_groups, h, c, c)), np.zeros((n_groups, c, c))]
+
+    def fold(self, group, x, w1, b1, w2, b2):
+        """Fold the instance ``x`` of ``group`` at the given parameters."""
+        pre = x @ w1 + b1
+        hidden = np.maximum(pre, 0.0)
+        gate = (pre > 0.0)[:, None] * w2  # (h, c): d out_k / d pre_j
+        eye = np.eye(w2.shape[1])
+        values = (hidden @ w2 + b2, x[:, None, None] * gate[None],
+                  gate, hidden[:, None, None] * eye[None], eye)
+        self.counts[group] += 1
+        n = self.counts[group]
+        for mean, value in zip([self.mean_out, *self.blocks], values):
+            mean[group] += (value - mean[group]) / n
+
+
+def mlp_block_fairness_gradient(store, delta, weight):
+    """Flat Huber-penalty gradient of the two-group output gap: per block,
+    the group difference of the mean Jacobian contracted with the clipped
+    gap times the weight, blocks in parameter order.  Zero while a group
+    is unseen."""
+    if weight == 0.0 or store.counts.min() == 0:
+        return np.zeros(sum(b[0, ..., 0].size for b in store.blocks))
+    coeff = np.clip(store.mean_out[0] - store.mean_out[1], -delta, delta) * weight
+    return np.concatenate([
+        np.einsum("...c,c->...", b[0] - b[1], coeff).ravel()
+        for b in store.blocks
+    ])

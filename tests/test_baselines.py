@@ -3,13 +3,14 @@ leaf-level penalty, output-constrained MLP, and majority mixing."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fairforest.baselines import (
     BASELINE_NAMES,
     LeafPenaltyLearner,
     MajorityConfig,
     MajorityLearner,
-    MlpConfig,
     OnlineMlpLearner,
     Reservoir,
     ReservoirLearner,
@@ -32,7 +33,11 @@ from fairforest.gradients import (
 )
 from fairforest.learner import LearnerConfig, OnlineForestLearner
 from fairforest.stats import AggregateStore
-from oracles import dense_leaf_jacobian
+from oracles import (
+    MlpBlockStore,
+    dense_leaf_jacobian,
+    mlp_block_fairness_gradient,
+)
 
 
 def biased_stream(n, seed, d=2, noise=0.1):
@@ -140,6 +145,22 @@ class TestReservoirLearner:
             ReservoirLearner(
                 LearnerConfig(n_features=2, fairness="equalized_odds")
             )
+
+    def test_no_penalty_never_reads_the_history(self, monkeypatch):
+        """Without a penalty the fairness gradient is zero and the stored
+        history is only appended to, never stacked."""
+        def refuse(self, group):
+            raise AssertionError("group_features called without a penalty")
+
+        monkeypatch.setattr(Reservoir, "group_features", refuse)
+        for cfg in (self._config(weight=0.0),
+                    LearnerConfig(n_features=2, fairness="none",
+                                  fairness_weight=1.0, seed=5)):
+            learner = ReservoirLearner(cfg)
+            for x, y, a in biased_stream(50, seed=8):
+                _, snap = learner.step(x, y, a)
+                assert snap.grad_norm_fair == 0.0
+            assert len(learner.reservoir) == 50
 
     def test_checkpoint_unsupported(self):
         learner = ReservoirLearner(self._config())
@@ -280,27 +301,31 @@ class TestLeafPenaltyLearner:
             leaf_learner.checkpoint()
 
 
-def mlp_numeric_grads(learner, x, y, step=1e-6):
-    """Central differences of the cross-entropy loss in every MLP
-    parameter, through the public forward pass."""
+def mlp_numeric_grads(learner, scalar, step=1e-6):
+    """Central differences of ``scalar(learner)`` in every MLP parameter;
+    ``scalar`` reads the network through its public forward pass."""
     flat = learner.params.vector
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + step
-        up = cross_entropy(learner.forward(x), y)
+        up = scalar(learner)
         flat[i] = orig - step
-        down = cross_entropy(learner.forward(x), y)
+        down = scalar(learner)
         flat[i] = orig
         grad[i] = (up - down) / (2 * step)
     return grad
+
+
+def mlp(hidden=64, **config):
+    return OnlineMlpLearner(LearnerConfig(**config), hidden)
 
 
 class TestMlp:
     """The flat network used for contrast runs."""
 
     def test_forward_hand_value(self):
-        learner = OnlineMlpLearner(MlpConfig(n_features=2, hidden=2))
+        learner = mlp(n_features=2, hidden=2)
         learner.params.w1[:] = [[1.0, -1.0], [0.0, 1.0]]
         learner.params.b1[:] = [0.0, 0.5]
         learner.params.w2[:] = [[1.0, 0.0], [0.0, 2.0]]
@@ -310,7 +335,7 @@ class TestMlp:
         np.testing.assert_allclose(out, [1.1, 0.9])
 
     def test_relu_clamps_negative_preactivations(self):
-        learner = OnlineMlpLearner(MlpConfig(n_features=1, hidden=1))
+        learner = mlp(n_features=1, hidden=1)
         learner.params.w1[:] = [[-5.0]]
         learner.params.b1[:] = [0.0]
         learner.params.w2[:] = [[3.0, -3.0]]
@@ -321,13 +346,12 @@ class TestMlp:
         """One optimizer step from a fresh network moves each parameter by
         the learning rate against the sign of the finite-difference
         gradient (the first bias-corrected update has unit magnitude)."""
-        learner = OnlineMlpLearner(
-            MlpConfig(n_features=3, hidden=4, learning_rate=1e-3, seed=5)
-        )
+        learner = mlp(n_features=3, hidden=4, learning_rate=1e-3, seed=5)
         x = np.array([1.0, 1.0, 1.0])
         pre = x @ learner.params.w1 + learner.params.b1
         assert np.abs(pre).min() > 1e-3  # away from the ReLU kink
-        numeric = mlp_numeric_grads(learner, x, 0)
+        numeric = mlp_numeric_grads(
+            learner, lambda net: cross_entropy(net.forward(x), 0))
         before = learner.params.vector.copy()
         learner.step(x, 0, 0)
         moved = np.abs(numeric) > 1e-4
@@ -338,10 +362,8 @@ class TestMlp:
 
     def test_penalty_suppresses_group_gap(self):
         def run(weight):
-            learner = OnlineMlpLearner(
-                MlpConfig(n_features=2, hidden=8, fairness_weight=weight,
+            learner = mlp(n_features=2, hidden=8, fairness_weight=weight,
                           seed=3)
-            )
             snap = None
             for x, y, a in biased_stream(600, seed=3):
                 _, snap = learner.step(x, y, a)
@@ -352,7 +374,7 @@ class TestMlp:
         assert constrained.dp_soft < 0.5 * free.dp_soft
 
     def test_validation(self):
-        learner = OnlineMlpLearner(MlpConfig(n_features=2))
+        learner = mlp(n_features=2)
         with pytest.raises(ShapeError):
             learner.step(np.zeros(3), 0, 0)
         with pytest.raises(DomainError):
@@ -361,17 +383,101 @@ class TestMlp:
             learner.step(np.zeros(2), 0, 5)
         with pytest.raises(DataError):
             learner.step(np.array([np.inf, 0.0]), 0, 0)
-        with pytest.raises(ConfigurationError):
-            MlpConfig(n_features=2, hidden=0)
-        with pytest.raises(ConfigurationError):
-            MlpConfig(n_features=2, n_groups=3)
+        for hidden, config in (
+            (0, {}),
+            (64, {"n_features": 0}),
+            (64, {"n_outputs": 1}),
+            (64, {"n_groups": 3}),
+            (64, {"fairness_weight": -1.0}),
+            (64, {"huber_delta": 0.0}),
+        ):
+            with pytest.raises(ConfigurationError):
+                mlp(hidden, **{"n_features": 2, **config})
+
+    def test_supports_dp_only(self):
+        for notion, groups in (("equalized_odds", 2), ("multigroup", 2),
+                               ("multigroup", 3)):
+            with pytest.raises(ConfigurationError):
+                mlp(n_features=2, fairness=notion, n_groups=groups)
+
+    def test_no_notion_means_no_fairness_gradient(self):
+        """Under ``none`` a positive weight trains no penalty."""
+        learner = mlp(n_features=2, hidden=8, fairness="none",
+                      fairness_weight=50.0, seed=3)
+        plain = mlp(n_features=2, hidden=8, seed=3)
+        for x, y, a in biased_stream(100, seed=3):
+            _, snap = learner.step(x, y, a)
+            plain.step(x, y, a)
+            assert snap.grad_norm_fair == 0.0
+        np.testing.assert_array_equal(learner.params.vector,
+                                      plain.params.vector)
+
+    def test_predict_validates_its_input(self):
+        learner = mlp(n_features=2)
+        with pytest.raises(ShapeError):
+            learner.predict(np.zeros(3))
+        with pytest.raises(DataError):
+            learner.predict(np.array([np.nan, 0.0]))
 
     def test_predict_is_argmax_of_forward(self):
-        learner = OnlineMlpLearner(MlpConfig(n_features=2, seed=9))
+        learner = mlp(n_features=2, seed=9)
         rng = np.random.default_rng(14)
         for _ in range(5):
             x = rng.standard_normal(2)
             assert learner.predict(x) == int(np.argmax(learner.forward(x)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 5), hidden=st.integers(1, 8),
+           c=st.integers(2, 4), n=st.integers(2, 12),
+           weight=st.sampled_from([0.0, 1.0, 50.0]),
+           delta=st.sampled_from([0.01, 0.1, 10.0]),
+           seed=st.integers(0, 2**16))
+    def test_fairness_gradient_matches_the_per_block_oracle(
+            self, d, hidden, c, n, weight, delta, seed):
+        """The packed store and its one contrast sum give the per-block
+        store's gradient on a short two-group stream."""
+        learner = mlp(hidden, n_features=d, n_outputs=c,
+                      fairness_weight=weight, huber_delta=delta, seed=seed)
+        oracle = MlpBlockStore(d, hidden, c)
+        rng = np.random.default_rng(seed)
+        groups = rng.permutation([0, 1, *rng.integers(0, 2, size=n - 2)])
+        p = learner.params
+        for a in groups:
+            x = rng.standard_normal(d)
+            oracle.fold(a, x, p.w1.copy(), p.b1.copy(), p.w2.copy(),
+                        p.b2.copy())
+            learner.step(x, int(rng.integers(0, c)), int(a))
+        np.testing.assert_array_equal(learner.store.counts, oracle.counts)
+        want = mlp_block_fairness_gradient(oracle, delta, weight)
+        got = learner._fairness_gradient()
+        if weight == 0.0:
+            assert not got.any()
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 5), hidden=st.integers(1, 8),
+           c=st.integers(2, 4), seed=st.integers(0, 2**16))
+    def test_stored_rows_are_output_jacobians(self, d, hidden, c, seed):
+        """After one instance, row ``k`` of its group holds ``out_k`` and
+        the central differences of ``forward(x)[k]`` in every parameter."""
+        learner = mlp(hidden, n_features=d, n_outputs=c, seed=seed)
+        rng = np.random.default_rng(seed)
+        learner.params.b1[...] = rng.uniform(-0.5, 0.5, size=hidden)
+        learner.params.b2[...] = rng.uniform(-0.5, 0.5, size=c)
+        x = rng.standard_normal(d)
+        pre = x @ learner.params.w1 + learner.params.b1
+        assume(np.abs(pre).min() >= 1e-3)  # away from the ReLU kink
+        before = learner.params.vector.copy()
+        learner.step(x, 0, 0)
+        learner.params.vector[...] = before
+        rows = learner.store.means[0]  # (c, 1 + P)
+        np.testing.assert_array_equal(rows[:, 0], learner.forward(x))
+        for k in range(c):
+            numeric = mlp_numeric_grads(
+                learner, lambda net: net.forward(x)[k])
+            np.testing.assert_allclose(rows[k, 1:], numeric, rtol=0,
+                                       atol=1e-8, err_msg=f"output {k}")
 
 
 class TestMajority:

@@ -109,11 +109,14 @@ class TestRun:
         assert learner.step_count == 40  # last multiple of 20 within 50
 
     def test_checkpoint_interval_needs_the_main_learner(self, tmp_path):
-        out = tmp_path / "out"
-        code = main(run_argv(out, extra=(
-            "--baseline", "mlp", "--checkpoint-interval", "10",
-        )))
-        assert code == 2
+        """Every other baseline is refused before any row is written."""
+        for name in ("leaf", "reservoir", "mlp", "majority"):
+            out = tmp_path / name
+            code = main(run_argv(out, extra=(
+                "--baseline", name, "--checkpoint-interval", "10",
+            )))
+            assert code == 2, name
+            assert not (out / "trajectory.csv").exists(), name
 
     def test_every_baseline_runs(self, tmp_path):
         for name in ("leaf", "reservoir", "mlp", "majority"):
