@@ -188,14 +188,17 @@ class LeafPenaltyLearner(OnlineForestLearner):
         shape = self.forest.shape
         # Per group, one row per (tree, leaf): the leaf probability, then
         # for each depth-k ancestor of the leaf its Jacobian in that
-        # ancestor's bias and weights, (h, d + 1) flattened.
-        self.leaf_store = RunningMeans(
+        # ancestor's bias and weights, (h, d + 1) flattened.  Nothing
+        # reads it without a penalty, so ``none`` keeps none.
+        self.leaf_store = None if config.fairness == "none" else RunningMeans(
             config.n_groups, (shape.tree_count, shape.n_leaves),
             1 + shape.height * (shape.n_features + 1), ((0, 1),),
             config.aggregate_decay,
         )
 
     def _update_fairness_state(self, x, y, a, cache) -> None:
+        if self.leaf_store is None:
+            return
         t, h = self.forest.tree_count, self.forest.height
         # d p_l / d w_i = (d p_l / d n_i) * n_i (1 - n_i) * x, for the path
         # nodes i of leaf l only.
@@ -212,7 +215,7 @@ class LeafPenaltyLearner(OnlineForestLearner):
     def _fairness_gradient(self) -> ForestGradient:
         """The penalty gradient, written into ``self._fair``; its leaf rows
         are never written and stay zero."""
-        if self.config.fairness == "none" or self.penalty.weight == 0.0:
+        if self.leaf_store is None or self.penalty.weight == 0.0:
             return self._fair
         t, h = self.forest.tree_count, self.forest.height
         total = self.leaf_store.contrast_sum(self.penalty.delta)
@@ -270,7 +273,7 @@ class OnlineMlpLearner:
         self.store = None if config.fairness == "none" else RunningMeans(
             config.n_groups, (c,), 1 + size, ((0, 1),), config.aggregate_decay,
         )
-        self.adam = AdamState(self.params.shapes, config.adam_params())
+        self.adam = AdamState(size, config.adam_params())
         self.metrics = MetricsTracker(config.n_groups, c)
         self.step_count = 0
         self._last_total_norm = 0.0

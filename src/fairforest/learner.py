@@ -25,7 +25,7 @@ from .errors import (
     FairForestError,
     ShapeError,
 )
-from .forest import ObliqueForest, _block_views, predict as predict_class
+from .forest import ObliqueForest, predict as predict_class
 from .gradients import (
     ForestGradient,
     HuberPenalty,
@@ -35,7 +35,13 @@ from .gradients import (
     gradient_norm,
     total_gradient,
 )
-from .stats import AggregateStore
+from .stats import (
+    AggregateStore,
+    _count,
+    _counts,
+    decode_floats,
+    encode_floats,
+)
 
 FAIRNESS_NOTIONS = ("none", "dp", "equalized_odds", "multigroup")
 
@@ -51,16 +57,11 @@ class AdamParams:
 
 
 class AdamState:
-    """First and second moment estimates of one flat parameter vector.
+    """First and second moment estimates of one flat parameter vector of
+    ``size`` values."""
 
-    ``shapes`` are the shapes of the vector's consecutive blocks; they lay
-    out snapshots, which keep the moments block by block.
-    """
-
-    def __init__(self, shapes: tuple, hyper: AdamParams):
+    def __init__(self, size: int, hyper: AdamParams):
         self.hyper = hyper
-        self.shapes = shapes
-        size = sum(math.prod(shape) for shape in shapes)
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
@@ -81,34 +82,18 @@ class AdamState:
     def snapshot(self) -> dict:
         return {
             "t": self.t,
-            "m": [a.tolist() for a in _block_views(self.m, self.shapes)],
-            "v": [a.tolist() for a in _block_views(self.v, self.shapes)],
+            "m": encode_floats(self.m),
+            "v": encode_floats(self.v),
         }
 
     def restore(self, data: dict) -> None:
-        """Load a snapshot, refusing moments that do not match ``shapes``
-        block by block or that are not finite."""
+        """Load a snapshot, refusing moments that are not ``size`` finite
+        values each."""
         _check_keys(data, ("t", "m", "v"), "adam")
         t = _count(data["t"], "adam.t")
-        _load_blocks(_block_views(self.m, self.shapes), data["m"], "adam.m")
-        _load_blocks(_block_views(self.v, self.shapes), data["v"], "adam.v")
+        decode_floats(data["m"], self.m, "adam.m")
+        decode_floats(data["v"], self.v, "adam.v")
         self.t = t
-
-
-def _load_blocks(views: list[np.ndarray], blocks, name: str) -> None:
-    """Copy each of ``blocks`` into its view, raising DataError unless it
-    is a finite array of that view's shape."""
-    if not isinstance(blocks, list) or len(blocks) != len(views):
-        raise DataError(f"{name} must hold {len(views)} arrays")
-    for i, (view, block) in enumerate(zip(views, blocks)):
-        try:
-            array = np.asarray(block, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{name}[{i}] is malformed: {exc}") from exc
-        if array.shape != view.shape or not np.isfinite(array).all():
-            raise DataError(f"{name}[{i}] must be finite with shape "
-                            f"{view.shape}, got shape {array.shape}")
-        view[...] = array
 
 
 def _check_keys(data, keys, name: str) -> None:
@@ -119,13 +104,6 @@ def _check_keys(data, keys, name: str) -> None:
     unknown = sorted(set(data) - set(keys))
     if missing or unknown:
         raise DataError(f"{name}: missing keys {missing}, unknown keys {unknown}")
-
-
-def _count(value, name: str) -> int:
-    """``value`` if it is a non-negative integer, else DataError."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise DataError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
 
 
 class MetricsTracker:
@@ -196,8 +174,8 @@ class MetricsTracker:
             "total": self.total,
             "correct": self.correct,
             "group_counts": self.group_counts.tolist(),
-            "group_label_sums": self.group_label_sums.tolist(),
-            "group_output_sums": self.group_output_sums.tolist(),
+            "group_label_sums": encode_floats(self.group_label_sums),
+            "group_output_sums": encode_floats(self.group_output_sums),
         }
 
     @classmethod
@@ -219,22 +197,16 @@ class MetricsTracker:
         correct = _count(data["correct"], "metrics.correct")
         if correct > total:
             raise DataError(f"metrics.correct {correct} exceeds total {total}")
-        try:
-            counts = np.asarray(data["group_counts"])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"metrics.group_counts is malformed: {exc}") from exc
-        if (counts.shape != tracker.group_counts.shape
-                or not np.issubdtype(counts.dtype, np.integer)
-                or (counts < 0).any() or counts.sum() != total):
-            raise DataError(
-                f"metrics.group_counts must be {n_groups} non-negative "
-                f"integers summing to total {total}, got {data['group_counts']!r}"
-            )
+        counts = _counts(data["group_counts"], n_groups, "metrics.group_counts")
+        if counts.sum() != total:
+            raise DataError(f"metrics.group_counts {data['group_counts']!r} "
+                            f"do not sum to total {total}")
         tracker.total, tracker.correct = total, correct
         tracker.group_counts[...] = counts
-        _load_blocks([tracker.group_label_sums, tracker.group_output_sums],
-                     [data["group_label_sums"], data["group_output_sums"]],
-                     "metrics sums")
+        decode_floats(data["group_label_sums"], tracker.group_label_sums,
+                      "metrics.group_label_sums")
+        decode_floats(data["group_output_sums"], tracker.group_output_sums,
+                      "metrics.group_output_sums")
         return tracker
 
 
@@ -356,10 +328,10 @@ class TraceStep:
     a: int
 
 
-CHECKPOINT_FORMAT = "fairforest-checkpoint-v2"
+CHECKPOINT_FORMAT = "fairforest-checkpoint-v3"
 _CHECKPOINT_KEYS = ("format", "config", "step_count", "forest", "adam", "store",
                     "metrics")
-_FOREST_KEYS = ("height", "weights", "biases", "leaves")
+_FOREST_KEYS = ("height", "vector")
 _METRICS_KEYS = ("n_groups", "n_outputs", "total", "correct", "group_counts",
                  "group_label_sums", "group_output_sums")
 
@@ -386,7 +358,7 @@ class OnlineForestLearner:
         self.penalty = HuberPenalty(config.huber_delta, config.fairness_weight)
         self.store = self._build_store()
         shape = self.forest.shape
-        self.adam = AdamState(shape.param_shapes, config.adam_params())
+        self.adam = AdamState(shape.n_params, config.adam_params())
         self.metrics = MetricsTracker(config.n_groups, config.n_outputs)
         self.step_count = 0
         self.trace: list[TraceStep] | None = [] if record_trace else None
@@ -474,9 +446,7 @@ class OnlineForestLearner:
             "step_count": self.step_count,
             "forest": {
                 "height": self.forest.height,
-                "weights": self.forest.weights.tolist(),
-                "biases": self.forest.biases.tolist(),
-                "leaves": self.forest.leaves.tolist(),
+                "vector": encode_floats(self.forest.vector),
             },
             "adam": self.adam.snapshot(),
             "store": None if self.store is None else self.store.snapshot(),
@@ -490,7 +460,7 @@ class OnlineForestLearner:
         tmp = f"{os.fspath(path)}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(self.checkpoint(), fh)
+                fh.write(json.dumps(self.checkpoint()))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -513,14 +483,13 @@ class OnlineForestLearner:
             learner = cls(LearnerConfig.from_dict(data["config"]))
         except (TypeError, ValueError, ConfigurationError) as exc:
             raise DataError(f"checkpoint config is invalid: {exc}") from exc
-        config, forest = learner.config, learner.forest
+        config = learner.config
         _check_keys(data["forest"], _FOREST_KEYS, "forest")
         if data["forest"]["height"] != config.height:
             raise DataError(f"forest height {data['forest']['height']!r} "
                             f"disagrees with the config's {config.height}")
-        names = _FOREST_KEYS[1:]
-        _load_blocks([getattr(forest, k) for k in names],
-                     [data["forest"][k] for k in names], "forest")
+        decode_floats(data["forest"]["vector"], learner.forest.vector,
+                      "forest.vector")
         learner.adam.restore(data["adam"])
         store = data["store"]
         if store is not None:
@@ -533,6 +502,8 @@ class OnlineForestLearner:
         learner.store = store
         learner.metrics = MetricsTracker.from_snapshot(
             data["metrics"], config.n_groups, config.n_outputs)
+        if store is not None:
+            _check_store_counts(store, learner.metrics)
         learner.step_count = _count(data["step_count"], "step_count")
         if learner.adam.t != learner.step_count:
             raise DataError(f"adam.t {learner.adam.t} disagrees with step_count "
@@ -551,6 +522,22 @@ def _store_layout(store: AggregateStore | None):
     if store is None:
         return None
     return store.shape, store.notion, store.n_groups, store.n_classes, store.decay
+
+
+def _check_store_counts(store: AggregateStore, metrics: MetricsTracker) -> None:
+    """Raise DataError unless the store saw the instances the metrics
+    counted: every instance folds into its group's key (one per class
+    under ``equalized_odds``) and, under ``multigroup``, the overall key."""
+    counts = store.counts
+    expected = metrics.group_counts
+    if store.notion == "equalized_odds":
+        counts = counts.reshape(store.n_groups, store.n_classes).sum(axis=1)
+    elif store.notion == "multigroup":
+        expected = np.append(expected, metrics.total)
+    if not np.array_equal(counts, expected):
+        raise DataError(f"store counts {store.counts.tolist()} disagree with "
+                        f"the metrics' group counts "
+                        f"{metrics.group_counts.tolist()} (total {metrics.total})")
 
 
 def run_stream(learner, stream: Iterable[tuple]) -> Iterator[TrajectoryRow]:

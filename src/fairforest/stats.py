@@ -22,14 +22,64 @@ penalty gradient is one sum over them (``RunningMeans.contrast_sum``):
 Means are cumulative over the whole stream by default (an optional
 exponential decay can be configured) and advance by the numerically
 stable increment ``mean += (value - mean) / count``.
+
+Checkpoints store float arrays through ``encode_floats`` and
+``decode_floats``: one base64 string of the array's little-endian float64
+bytes, so every value round-trips bit for bit.
 """
 
 from __future__ import annotations
+
+import base64
+import binascii
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, DomainError, ShapeError
 from .forest import ForestShape
+
+
+def encode_floats(array: np.ndarray) -> str:
+    """Base64 text of ``array``'s values as little-endian float64, in C
+    order; the shape is not stored."""
+    data = np.ascontiguousarray(array, dtype="<f8").tobytes()
+    return base64.b64encode(data).decode("ascii")
+
+
+def decode_floats(text, out: np.ndarray, name: str) -> None:
+    """Copy the values ``encode_floats`` wrote into ``out``, raising
+    DataError unless ``text`` is a string of valid base64 holding exactly
+    ``out.size`` float64 values, all finite."""
+    if not isinstance(text, str):
+        raise DataError(f"{name} must be a base64 string, "
+                        f"got {type(text).__name__}")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except (binascii.Error, ValueError) as exc:
+        raise DataError(f"{name} is not valid base64: {exc}") from exc
+    if len(data) != 8 * out.size:
+        raise DataError(f"{name} must hold {out.size} float64 values "
+                        f"({8 * out.size} bytes), got {len(data)} bytes")
+    values = np.frombuffer(data, dtype="<f8").reshape(out.shape)
+    if not np.isfinite(values).all():
+        raise DataError(f"{name} holds non-finite values")
+    out[...] = values
+
+
+def _count(value, name: str) -> int:
+    """``value`` if it is a non-negative integer, else DataError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise DataError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _counts(value, size: int, name: str) -> np.ndarray:
+    """``value`` as an int64 array if it is a list of ``size`` non-negative
+    integers, else DataError."""
+    if not isinstance(value, list) or len(value) != size:
+        raise DataError(f"{name} must be a list of {size} counts, got {value!r}")
+    return np.array([_count(v, f"{name}[{i}]") for i, v in enumerate(value)],
+                    dtype=np.int64)
 
 
 class RunningMeans:
@@ -171,14 +221,14 @@ class AggregateStore(RunningMeans):
             "decay": self.decay,
             "shape": list(self.shape),
             "counts": self.counts.tolist(),
-            "means": self.means.tolist(),
+            "means": encode_floats(self.means),
         }
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "AggregateStore":
         """Rebuild a store, refusing arrays that do not fit its
-        configuration: counts must be ``(K,)`` and non-negative, means
-        ``(K, T, m, d + 2)`` and finite."""
+        configuration: counts must be ``K`` non-negative integers, means
+        ``K * T * m * (d + 2)`` finite values."""
         store = cls(
             ForestShape(*data["shape"]),
             n_groups=data["n_groups"],
@@ -186,21 +236,6 @@ class AggregateStore(RunningMeans):
             n_classes=data["n_classes"],
             decay=data["decay"],
         )
-        try:
-            counts = np.asarray(data["counts"], dtype=np.int64)
-            means = np.asarray(data["means"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"malformed store snapshot: {exc}") from exc
-        if counts.shape != store.counts.shape or (counts < 0).any():
-            raise DataError(
-                f"store counts must be {store.counts.shape} and non-negative, "
-                f"got shape {counts.shape}"
-            )
-        if means.shape != store.means.shape or not np.isfinite(means).all():
-            raise DataError(
-                f"store means must be {store.means.shape} and finite, "
-                f"got shape {means.shape}"
-            )
-        store.counts = counts
-        store.means = means
+        store.counts = _counts(data["counts"], store.counts.size, "store counts")
+        decode_floats(data["means"], store.means, "store means")
         return store

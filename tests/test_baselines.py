@@ -289,6 +289,28 @@ class TestLeafPenaltyLearner:
         assert not np.array_equal(decayed.forest.weights,
                                   cumulative.forest.weights)
 
+    def test_no_leaf_store_without_a_penalty(self):
+        """Under ``none`` nothing reads the leaf store, so none is built or
+        folded; training is what the store never touched: the node learner
+        under ``none`` and the leaf learner folding at weight 0 end with
+        the same forest vector bit for bit."""
+        cfg = dict(n_features=2, height=3, tree_count=2, seed=4)
+        bare = LeafPenaltyLearner(LearnerConfig(fairness="none", **cfg))
+        assert bare.leaf_store is None
+        references = [
+            OnlineForestLearner(LearnerConfig(fairness="none", **cfg)),
+            LeafPenaltyLearner(LearnerConfig(fairness="dp", fairness_weight=0.0,
+                                             **cfg)),
+        ]
+        for x, y, a in biased_stream(50, seed=5):
+            for learner in (bare, *references):
+                learner.step(x, y, a)
+        assert bare.leaf_store is None
+        assert references[1].leaf_store.counts.sum() == 50
+        for reference in references:
+            np.testing.assert_array_equal(bare.forest.vector,
+                                          reference.forest.vector)
+
     def test_supports_dp_only(self):
         with pytest.raises(ConfigurationError):
             LeafPenaltyLearner(

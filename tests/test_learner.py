@@ -24,6 +24,7 @@ from fairforest.learner import (
     OnlineForestLearner,
     run_stream,
 )
+from fairforest.stats import decode_floats, encode_floats
 
 
 def adam_oracle(grads, lr, b1=0.9, b2=0.999, eps=1e-8, x0=0.0):
@@ -56,7 +57,7 @@ class TestAdam:
         rng = np.random.default_rng(6)
         grads = rng.standard_normal(5)
         param = np.array([0.3])
-        state = AdamState([(1,)], AdamParams(learning_rate=0.01))
+        state = AdamState(1, AdamParams(learning_rate=0.01))
         for g in grads:
             state.apply(param, np.array([g]))
         np.testing.assert_allclose(
@@ -66,13 +67,13 @@ class TestAdam:
     def test_first_step_moves_by_roughly_the_learning_rate(self):
         """Bias correction makes the first update lr * sign(gradient)."""
         param = np.array([0.0])
-        state = AdamState([(1,)], AdamParams(learning_rate=0.005))
+        state = AdamState(1, AdamParams(learning_rate=0.005))
         state.apply(param, np.array([0.37]))
         np.testing.assert_allclose(param[0], -0.005, rtol=1e-6)
 
     def test_updates_in_place(self):
         param = np.zeros(4)
-        state = AdamState([(2, 2)], AdamParams())
+        state = AdamState(4, AdamParams())
         ref = param
         state.apply(param, np.ones(4))
         assert ref is param
@@ -81,12 +82,12 @@ class TestAdam:
     def test_snapshot_restore_continues_identically(self):
         rng = np.random.default_rng(10)
         p1 = np.array([1.0, -1.0])
-        s1 = AdamState([(2,)], AdamParams())
+        s1 = AdamState(2, AdamParams())
         grads = [rng.standard_normal(2) for _ in range(6)]
         for g in grads[:3]:
             s1.apply(p1, g)
         p2 = p1.copy()
-        s2 = AdamState([(2,)], AdamParams())
+        s2 = AdamState(2, AdamParams())
         s2.restore(json.loads(json.dumps(s1.snapshot())))
         for g in grads[3:]:
             s1.apply(p1, g)
@@ -99,7 +100,7 @@ class TestAdam:
         shapes = ForestShape(3, 4, 10, 2).param_shapes
         hyper = AdamParams(learning_rate=0.01)
         rng = np.random.default_rng(12)
-        state = AdamState(shapes, hyper)
+        state = AdamState(ForestShape(3, 4, 10, 2).n_params, hyper)
         flat = rng.standard_normal(state.m.size)
         blocks = [b.copy() for b in _block_views(flat.copy(), shapes)]
         moments = [(np.zeros(s), np.zeros(s)) for s in shapes]
@@ -127,22 +128,25 @@ class TestAdam:
         adam = learner.adam
         assert adam.m.shape == adam.v.shape == learner.forest.vector.shape
         for moment in (adam.m, adam.v):
-            for view in _block_views(moment, adam.shapes):
+            for view in _block_views(moment, learner.forest.shape.param_shapes):
                 assert np.shares_memory(view, moment)
 
     def test_restore_refuses_malformed_moments(self):
-        state = AdamState([(2, 3), (2,)], AdamParams())
+        """Each moment must be one base64 string of exactly ``size``
+        finite float64 values."""
+        state = AdamState(8, AdamParams())
         good = state.snapshot()
         bad = [
-            {**good, "m": [good["m"][0][:1], good["m"][1]]},
-            {**good, "v": good["v"][:1]},
-            {**good, "v": [good["v"][0], [1.0, float("nan")]]},
-            {**good, "m": [[[1.0], [1.0, 2.0]], good["m"][1]]},
+            {**good, "m": good["m"][:-4]},
+            {**good, "v": encode_floats(np.zeros(7))},
+            {**good, "v": encode_floats(np.r_[np.ones(7), np.nan])},
+            {**good, "m": [0.0] * 8},
+            {**good, "m": "not base64!"},
             {**good, "t": -1},
         ]
         for data in bad:
             with pytest.raises(DataError):
-                AdamState([(2, 3), (2,)], AdamParams()).restore(data)
+                AdamState(8, AdamParams()).restore(data)
 
 
 class TestMetricsTracker:
@@ -477,45 +481,96 @@ class TestCheckpoint:
         saved_weights = learner.forest.weights.copy()
         self._run(learner, biased_stream(5, seed=12))
 
-        def dump_then_fail(obj, fh):
-            fh.write(json.dumps(obj)[:100])
+        def fail(*args):
             raise OSError("disk full")
 
-        monkeypatch.setattr("fairforest.learner.json.dump", dump_then_fail)
-        with pytest.raises(OSError):
+        # The encoder failing before a byte is written, and the sync
+        # failing after the whole document went to the temporary file.
+        for target in ("fairforest.learner.json.dumps",
+                       "fairforest.learner.os.fsync"):
+            monkeypatch.setattr(target, fail)
+            with pytest.raises(OSError):
+                learner.save_checkpoint(path)
+            monkeypatch.undo()
+            clone = OnlineForestLearner.load_checkpoint(path)
+            assert clone.step_count == 5
+            np.testing.assert_array_equal(clone.forest.weights, saved_weights)
+            assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+    def test_identical_runs_write_identical_files(self, tmp_path):
+        cfg = LearnerConfig(n_features=2, fairness="dp", fairness_weight=0.5,
+                            seed=8)
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            learner = OnlineForestLearner(cfg)
+            self._run(learner, biased_stream(25, seed=9))
             learner.save_checkpoint(path)
-        monkeypatch.undo()
-        clone = OnlineForestLearner.load_checkpoint(path)
-        assert clone.step_count == 5
-        np.testing.assert_array_equal(clone.forest.weights, saved_weights)
-        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_unknown_format_is_rejected(self):
-        """Version 1 kept the store layout before the packed one; it is
-        refused like any other unknown format."""
+        """Version 1 kept the store layout before the packed one, version
+        2 wrote every array as nested lists; both are refused like any
+        other unknown format."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2))
         data = learner.checkpoint()
-        assert data["format"] == "fairforest-checkpoint-v2"
-        for unknown in ("something-else", "fairforest-checkpoint-v1"):
+        assert data["format"] == "fairforest-checkpoint-v3"
+        for unknown in ("something-else", "fairforest-checkpoint-v1",
+                        "fairforest-checkpoint-v2"):
             data["format"] = unknown
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(data)
 
-    def test_v2_layout_restores_and_steps_identically(self):
-        """A checkpoint keeps the v2 JSON layout (three nested lists each
-        for the forest, ``adam.m`` and ``adam.v``); restoring it and
-        stepping matches the learner that was never interrupted."""
+    def test_v2_checkpoint_is_refused(self):
+        """A file in the v2 layout (nested lists) is a DataError, and so
+        is the same content relabelled v3."""
+        learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
+        self._run(learner, biased_stream(5, seed=11))
+        forest, adam = learner.forest, learner.adam
+        shapes = forest.shape.param_shapes
+        data = json.loads(json.dumps(learner.checkpoint()))
+        data["format"] = "fairforest-checkpoint-v2"
+        data["forest"] = {"height": forest.height,
+                          "weights": forest.weights.tolist(),
+                          "biases": forest.biases.tolist(),
+                          "leaves": forest.leaves.tolist()}
+        data["adam"] = {"t": adam.t, **{
+            name: [a.tolist() for a in _block_views(getattr(adam, name), shapes)]
+            for name in ("m", "v")}}
+        data["store"]["means"] = learner.store.means.tolist()
+        for name in ("group_label_sums", "group_output_sums"):
+            data["metrics"][name] = getattr(learner.metrics, name).tolist()
+        for label in ("fairforest-checkpoint-v2", "fairforest-checkpoint-v3"):
+            data["format"] = label
+            with pytest.raises(DataError):
+                OnlineForestLearner.restore(data)
+
+    def test_v3_layout_restores_and_steps_identically(self):
+        """A v3 checkpoint writes each float array as one base64 string of
+        its float64 bytes (the forest and each Adam moment as one flat
+        vector); restoring it gives the same bits, and stepping matches
+        the learner that was never interrupted."""
         cfg = LearnerConfig(n_features=2, height=3, tree_count=3,
                             fairness="dp", fairness_weight=0.7, seed=4)
         straight = OnlineForestLearner(cfg)
         self._run(straight, biased_stream(20, seed=13))
         data = json.loads(json.dumps(straight.checkpoint()))
-        shapes = [(3, 7, 2), (3, 7), (3, 8, 2)]
-        forest = data["forest"]
-        assert [np.shape(forest[k]) for k in ("weights", "biases", "leaves")] == shapes
-        for name in ("m", "v"):
-            assert [np.shape(block) for block in data["adam"][name]] == shapes
+        n_params = straight.forest.shape.n_params
+        assert set(data["forest"]) == {"height", "vector"}
+        for owner, name, size in (
+            (data["forest"], "vector", n_params),
+            (data["adam"], "m", n_params),
+            (data["adam"], "v", n_params),
+            (data["store"], "means", straight.store.means.size),
+            (data["metrics"], "group_label_sums", 2),
+            (data["metrics"], "group_output_sums", 4),
+        ):
+            assert isinstance(owner[name], str)
+            decode_floats(owner[name], np.empty(size), name)
+        assert data["store"]["counts"] == straight.store.counts.tolist()
         resumed = OnlineForestLearner.restore(data)
+        np.testing.assert_array_equal(resumed.adam.m, straight.adam.m)
+        np.testing.assert_array_equal(resumed.adam.v, straight.adam.v)
+        np.testing.assert_array_equal(resumed.store.means, straight.store.means)
         np.testing.assert_array_equal(resumed.forest.vector, straight.forest.vector)
         tail = list(biased_stream(20, seed=14))
         assert self._run(resumed, tail) == self._run(straight, tail)
@@ -530,12 +585,19 @@ class TestCheckpoint:
         learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
         self._run(learner, biased_stream(5, seed=11))
         good = json.loads(json.dumps(learner.checkpoint()))
+        vector = learner.forest.vector
+        non_finite = vector.copy()
+        non_finite[5] = np.inf
         edits = [
-            lambda d: d["adam"]["m"].__setitem__(0, d["adam"]["m"][0][:1]),
-            lambda d: d["adam"]["v"].pop(),
-            lambda d: d["forest"].__setitem__("weights", d["forest"]["weights"][:2]),
-            lambda d: d["forest"].__setitem__("leaves", d["forest"]["leaves"][:2]),
-            lambda d: d["forest"]["biases"][0].__setitem__(0, float("inf")),
+            lambda d: d["adam"].__setitem__("m", d["adam"]["m"][:-8]),
+            lambda d: d["adam"].__setitem__("v", encode_floats(vector[:-1])),
+            lambda d: d["adam"].__setitem__("v", vector.tolist()),
+            lambda d: d["forest"].__setitem__("vector", d["forest"]["vector"][:40]),
+            lambda d: d["forest"].__setitem__("vector",
+                                              encode_floats(np.r_[vector, 0.0])),
+            lambda d: d["forest"].__setitem__("vector", encode_floats(non_finite)),
+            lambda d: d["forest"].__setitem__("vector", None),
+            lambda d: d["forest"].__setitem__("vector", "@" * 8 * vector.size),
         ]
         for edit in edits:
             data = json.loads(json.dumps(good))
@@ -547,9 +609,40 @@ class TestCheckpoint:
         learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
         self._run(learner, biased_stream(5, seed=11))
         data = json.loads(json.dumps(learner.checkpoint()))
-        data["store"]["means"] = data["store"]["means"][:1]
+        data["store"]["means"] = data["store"]["means"][:8]
         with pytest.raises(DataError):
             OnlineForestLearner.restore(data)
+
+    @pytest.mark.parametrize("fairness, n_groups, edit", [
+        ("dp", 2, lambda c, g, t: [c[0] + 1, c[1] - 1]),
+        ("dp", 2, lambda c, g, t: [t, 0]),
+        ("multigroup", 3, lambda c, g, t: c[:3] + [t + 1]),
+        ("multigroup", 3, lambda c, g, t: [c[1], c[0], c[2], t]),
+        ("equalized_odds", 2, lambda c, g, t: [c[0] + 1, c[1], c[2], c[3] - 1]),
+        ("equalized_odds", 2, lambda c, g, t: [c[0], c[1], c[2], c[3] + 2]),
+    ], ids=["dp-moved", "dp-all-in-one", "multigroup-overall",
+            "multigroup-swapped", "eo-moved", "eo-extra"])
+    def test_store_counts_must_agree_with_the_metrics(self, fairness, n_groups,
+                                                       edit):
+        """Every instance folds into its group's store key and is counted
+        by the metrics: ``dp`` counts equal the group counts, ``multigroup``
+        adds the total as its overall key, and ``equalized_odds`` counts
+        sum over the classes to the group counts."""
+        learner = OnlineForestLearner(LearnerConfig(
+            n_features=2, fairness=fairness, n_groups=n_groups, seed=3))
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            learner.step(rng.standard_normal(2), int(rng.integers(0, 2)),
+                         int(rng.integers(0, n_groups)))
+        good = json.loads(json.dumps(learner.checkpoint()))
+        OnlineForestLearner.restore(good)
+        counts = good["store"]["counts"]
+        edited = edit(counts, good["metrics"]["group_counts"],
+                      good["metrics"]["total"])
+        assert edited != counts and min(edited) >= 0
+        good["store"]["counts"] = edited
+        with pytest.raises(DataError):
+            OnlineForestLearner.restore(good)
 
 
     def _good_checkpoint(self):
@@ -567,6 +660,8 @@ class TestCheckpoint:
         def counts(values):
             return lambda m: m.__setitem__("group_counts", values)
 
+        label_sums = np.zeros(2)
+        output_sums = np.zeros((2, 2))
         edits = [
             counts(good["metrics"]["group_counts"][:1]),
             counts([total + 1, -1]),
@@ -578,10 +673,16 @@ class TestCheckpoint:
             lambda m: m.__setitem__("total", "5"),
             lambda m: m.__setitem__("correct", total + 1),
             lambda m: m.__setitem__("correct", -1),
-            lambda m: m["group_label_sums"].pop(),
-            lambda m: m["group_label_sums"].__setitem__(0, float("nan")),
-            lambda m: m["group_output_sums"][0].append(0.0),
-            lambda m: m["group_output_sums"].__setitem__(1, [float("inf"), 0.0]),
+            counts([True, total - 1]),
+            lambda m: m.__setitem__("group_label_sums", m["group_label_sums"][:-4]),
+            lambda m: m.__setitem__("group_label_sums",
+                                    encode_floats(np.r_[np.nan, 0.0])),
+            lambda m: m.__setitem__("group_label_sums", label_sums.tolist()),
+            lambda m: m.__setitem__("group_output_sums",
+                                    encode_floats(np.zeros(5))),
+            lambda m: m.__setitem__("group_output_sums",
+                                    encode_floats(np.r_[np.inf, np.zeros(3)])),
+            lambda m: m.__setitem__("group_output_sums", output_sums.tolist()),
         ]
         for edit in edits:
             data = json.loads(json.dumps(good))

@@ -1,16 +1,17 @@
 """Tests for the packed running-mean store and its key contrasts."""
 
+import base64
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairforest.errors import ConfigurationError, DataError, DomainError, ShapeError
 from fairforest.forest import ForestShape
 from fairforest.gradients import HuberPenalty, fairness_gradient
-from fairforest.stats import AggregateStore
+from fairforest.stats import AggregateStore, decode_floats, encode_floats
 
 SHAPE = ForestShape(tree_count=2, height=2, n_features=3, n_outputs=2)
 
@@ -353,8 +354,9 @@ class TestSnapshot:
         np.testing.assert_array_equal(original.means, restored.means)
 
     def test_malformed_snapshots_are_refused(self):
-        """Truncated, ragged, negative or non-finite arrays raise DataError
-        instead of loading into a store they do not fit."""
+        """Truncated, wrong-length, non-finite or non-string means, and
+        truncated, negative or non-integer counts, raise DataError instead
+        of loading into a store they do not fit."""
         store = AggregateStore(SHAPE, n_groups=3, notion="multigroup")
         feed_random(store, 10, seed=2, n_groups=3)
         good = json.loads(json.dumps(store.snapshot()))
@@ -364,16 +366,94 @@ class TestSnapshot:
             data.update(changes)
             return data
 
-        ragged = json.loads(json.dumps(good["means"]))
-        ragged[1][0][2] = ragged[1][0][2][:-1]
-        non_finite = json.loads(json.dumps(good["means"]))
-        non_finite[0][1][1][0] = float("nan")
+        non_finite = store.means.copy()
+        non_finite[0, 1, 1, 0] = np.nan
+        counts = good["counts"]
         for data in (
-            broken(means=good["means"][:-1]),
-            broken(means=ragged),
-            broken(means=non_finite),
-            broken(counts=good["counts"][:-1]),
-            broken(counts=[-1] + good["counts"][1:]),
+            broken(means=good["means"][:-12]),
+            broken(means=encode_floats(store.means[:-1])),
+            broken(means=encode_floats(non_finite)),
+            broken(means=store.means.tolist()),
+            broken(means=good["means"].replace("A", "*", 1)),
+            broken(counts=counts[:-1]),
+            broken(counts=[-1] + counts[1:]),
+            broken(counts=[2.9, 3.5] + counts[2:]),
+            broken(counts=[float(c) for c in counts]),
+            broken(counts=[True] + counts[1:]),
+            broken(counts="5"),
         ):
             with pytest.raises(DataError):
                 AggregateStore.from_snapshot(data)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False,
+                          allow_subnormal=True)
+
+
+class TestFloatCodec:
+    """``encode_floats``/``decode_floats``: base64 of little-endian
+    float64 bytes, refusing anything else."""
+
+    @given(st.lists(finite_floats, max_size=64).map(np.array))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_arrays_round_trip_bit_for_bit(self, values):
+        values = values.astype(np.float64)
+        out = np.full(values.shape, np.nan)
+        decode_floats(json.loads(json.dumps(encode_floats(values))), out, "x")
+        assert out.tobytes() == values.tobytes()
+
+    def test_edge_values_round_trip_bit_for_bit(self):
+        info = np.finfo(np.float64)
+        values = np.array([-0.0, 0.0, info.smallest_subnormal,
+                           -info.smallest_subnormal, info.tiny, info.max,
+                           -info.max, 1 / 3]).reshape(2, 4)
+        out = np.empty((2, 4))
+        decode_floats(encode_floats(values), out, "x")
+        assert out.tobytes() == values.tobytes()
+        assert np.signbit(out[0, 0])
+
+    def test_bytes_are_little_endian_float64_in_c_order(self):
+        values = np.arange(6.0).reshape(2, 3)
+        text = encode_floats(values.T.astype(">f8"))
+        assert text == encode_floats(np.ascontiguousarray(values.T))
+        assert base64.b64decode(text) == np.ascontiguousarray(
+            values.T, dtype="<f8").tobytes()
+
+    @given(st.lists(finite_floats, min_size=1, max_size=16),
+           st.integers(0, 15),
+           st.sampled_from([np.nan, np.inf, -np.inf]))
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_values_are_refused(self, values, index, bad):
+        values = np.array(values)
+        values[index % values.size] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            decode_floats(encode_floats(values), np.empty(values.size), "x")
+
+    @given(st.lists(finite_floats, max_size=16), st.integers(-3, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_wrong_length_is_refused(self, values, offset):
+        size = len(values) + offset
+        assume(offset != 0 and size >= 0)
+        with pytest.raises(DataError):
+            decode_floats(encode_floats(np.array(values)), np.empty(size), "x")
+
+    @pytest.mark.parametrize("text", [
+        "AAAAAAAA8D8",  # missing padding
+        "AAAAAAAA8D8=\n",
+        "AAAA AAAA8D8=",
+        "AAAAAAAA*D8=",
+        "AAAAAAAA8D8==",
+        "ÀAAAAAAA8D8=",
+    ])
+    def test_invalid_base64_is_refused(self, text):
+        out = np.empty(1)
+        decode_floats("AAAAAAAA8D8=", out, "x")
+        assert out[0] == 1.0
+        with pytest.raises(DataError):
+            decode_floats(text, np.empty(1), "x")
+
+    @pytest.mark.parametrize("value", [None, 1.0, [1.0], {"x": 1.0},
+                                       b"AAAAAAAA8D8="])
+    def test_non_string_is_refused(self, value):
+        with pytest.raises(DataError, match="base64 string"):
+            decode_floats(value, np.empty(1), "x")
