@@ -30,10 +30,7 @@ from .forest import (
     ObliqueForest,
     forward,
     forward_batch,
-    leaf_probabilities,
-    node_outputs,
     predict,
-    tree_outputs,
 )
 from .gradients import (
     ForestGradient,

@@ -23,10 +23,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigurationError
-from .forest import ObliqueForest, _ancestor_rows, _block_views, _path_nodes
+from .forest import (
+    ObliqueForest,
+    _ancestor_rows,
+    _batch_edges,
+    _block_views,
+    _path_nodes,
+)
 from .gradients import ForestGradient, HuberPenalty, huber_slope, softmax
 from .learner import (
     AdamState,
@@ -104,14 +109,13 @@ def reservoir_fairness_gradient(
 
 def _reservoir_group_stats(forest: ObliqueForest, features: np.ndarray):
     """Per-node means of gate outputs and gate gradients over a batch."""
-    z = (np.einsum("tmd,nd->tnm", forest.weights, features)
-         + forest.biases[:, None, :])  # (T, n, m)
-    gates = expit(z)
-    slopes = gates * expit(-z)
+    edges = _batch_edges(forest, features)  # (n, T, 2m)
+    gates, right = np.split(edges, 2, axis=-1)
+    slopes = gates * right
     n = features.shape[0]
-    mean_out = gates.mean(axis=1)
-    mean_gw = np.einsum("tnm,nd->tmd", slopes, features) / n
-    mean_gb = slopes.mean(axis=1)
+    mean_out = gates.mean(axis=0)
+    mean_gw = np.einsum("ntm,nd->tmd", slopes, features) / n
+    mean_gb = slopes.mean(axis=0)
     return mean_out, mean_gw, mean_gb
 
 
@@ -131,7 +135,7 @@ class ReservoirLearner(OnlineForestLearner):
     def _fairness_gradient(self) -> ForestGradient:
         """The exact penalty gradient; the zero ``self._fair`` when there
         is no penalty, without touching the history."""
-        if self.config.fairness == "none" or self.penalty.weight == 0.0:
+        if not self.config.has_penalty:
             return self._fair
         grad, _ = reservoir_fairness_gradient(
             self.reservoir, self.forest, self.penalty
@@ -188,13 +192,13 @@ class LeafPenaltyLearner(OnlineForestLearner):
         shape = self.forest.shape
         # Per group, one row per (tree, leaf): the leaf probability, then
         # for each depth-k ancestor of the leaf its Jacobian in that
-        # ancestor's bias and weights, (h, d + 1) flattened.  Nothing
-        # reads it without a penalty, so ``none`` keeps none.
-        self.leaf_store = None if config.fairness == "none" else RunningMeans(
+        # ancestor's bias and weights, (h, d + 1) flattened.  Without a
+        # penalty nothing reads it, so none is built.
+        self.leaf_store = RunningMeans(
             config.n_groups, (shape.tree_count, shape.n_leaves),
             1 + shape.height * (shape.n_features + 1), ((0, 1),),
             config.aggregate_decay,
-        )
+        ) if config.has_penalty else None
 
     def _update_fairness_state(self, x, y, a, cache) -> None:
         if self.leaf_store is None:
@@ -215,7 +219,7 @@ class LeafPenaltyLearner(OnlineForestLearner):
     def _fairness_gradient(self) -> ForestGradient:
         """The penalty gradient, written into ``self._fair``; its leaf rows
         are never written and stay zero."""
-        if self.leaf_store is None or self.penalty.weight == 0.0:
+        if self.leaf_store is None:
             return self._fair
         t, h = self.forest.tree_count, self.forest.height
         total = self.leaf_store.contrast_sum(self.penalty.delta)
@@ -270,9 +274,9 @@ class OnlineMlpLearner:
         self.params.w2[...] = rng.uniform(-1 / np.sqrt(h), 1 / np.sqrt(h), size=(h, c))
         self.penalty = HuberPenalty(config.huber_delta, config.fairness_weight)
         size = self.params.vector.size
-        self.store = None if config.fairness == "none" else RunningMeans(
+        self.store = RunningMeans(
             config.n_groups, (c,), 1 + size, ((0, 1),), config.aggregate_decay,
-        )
+        ) if config.has_penalty else None
         self.adam = AdamState(size, config.adam_params())
         self.metrics = MetricsTracker(config.n_groups, c)
         self.step_count = 0
@@ -326,8 +330,8 @@ class OnlineMlpLearner:
 
     def _fairness_gradient(self) -> np.ndarray:
         """The penalty gradient, summed over the outputs and written into
-        ``self._fair``; zero without a store or a weight."""
-        if self.store is None or self.penalty.weight == 0.0:
+        ``self._fair``; zero without a store."""
+        if self.store is None:
             return self._fair
         total = self.store.contrast_sum(self.penalty.delta)  # (c, P)
         np.multiply(total.sum(axis=0), self.penalty.weight, out=self._fair)

@@ -12,6 +12,8 @@ import time
 
 from .baselines import BASELINE_NAMES, MajorityConfig, make_learner
 from .data import (
+    GROUP_COLUMN,
+    LABEL_COLUMN,
     DatasetSchema,
     SyntheticConfig,
     generate_synthetic,
@@ -211,10 +213,11 @@ def _infer_schema(path: str, normalization: str) -> DatasetSchema:
         header = next(csv.reader(fh), None)
     if header is None:
         raise DataError(f"{path}: empty file, expected a header row")
-    for required in ("y", "a"):
+    for required in (LABEL_COLUMN, GROUP_COLUMN):
         if required not in header:
             raise DataError(f"{path}: header is missing column {required!r}")
-    features = [name for name in header if name not in ("y", "a")]
+    features = [name for name in header
+                if name not in (LABEL_COLUMN, GROUP_COLUMN)]
     if not features:
         raise DataError(f"{path}: no feature columns besides y and a")
     return DatasetSchema(feature_columns=features, normalization=normalization)

@@ -18,32 +18,27 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, DomainError
 
-NORMALIZATION_MODES = ("none", "online", "fixed")
+NORMALIZATION_MODES = ("none", "online")
+LABEL_COLUMN = "y"
+GROUP_COLUMN = "a"
 
 
 @dataclass
 class DatasetSchema:
-    """Column layout and normalization policy of a CSV stream.
+    """Feature columns and normalization policy of a CSV stream whose
+    label sits in column ``y`` and protected group in column ``a``.
 
-    ``normalization`` is one of ``none``, ``online`` (running
-    standardization using only rows seen so far), or ``fixed`` (apply the
-    provided per-feature means and scales).
+    ``normalization`` is ``none`` or ``online`` (running standardization
+    using only rows seen so far).
     """
 
     feature_columns: list[str]
-    label_column: str = "y"
-    group_column: str = "a"
     normalization: str = "none"
-    feature_means: np.ndarray | None = None
-    feature_scales: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not self.feature_columns:
             raise ConfigurationError("schema needs at least one feature column")
-        special = {self.label_column, self.group_column}
-        if len(special) != 2:
-            raise ConfigurationError("label and group columns must differ")
-        if special & set(self.feature_columns):
+        if {LABEL_COLUMN, GROUP_COLUMN} & set(self.feature_columns):
             raise ConfigurationError(
                 "label/group columns cannot double as feature columns"
             )
@@ -53,20 +48,6 @@ class DatasetSchema:
             raise ConfigurationError(
                 f"unknown normalization mode {self.normalization!r}"
             )
-        if self.normalization == "fixed":
-            d = len(self.feature_columns)
-            if self.feature_means is None or self.feature_scales is None:
-                raise ConfigurationError(
-                    "fixed normalization needs feature_means and feature_scales"
-                )
-            self.feature_means = np.asarray(self.feature_means, dtype=np.float64)
-            self.feature_scales = np.asarray(self.feature_scales, dtype=np.float64)
-            if self.feature_means.shape != (d,) or self.feature_scales.shape != (d,):
-                raise ConfigurationError(
-                    "normalization statistics must have one entry per feature"
-                )
-            if (self.feature_scales <= 0).any():
-                raise ConfigurationError("feature scales must be positive")
 
     @property
     def n_features(self) -> int:
@@ -143,15 +124,14 @@ def _read_stream_rows(path, schema: DatasetSchema) -> Iterator[tuple]:
         positions = {name: i for i, name in enumerate(header)}
         missing = [
             name
-            for name in schema.feature_columns
-            + [schema.label_column, schema.group_column]
+            for name in schema.feature_columns + [LABEL_COLUMN, GROUP_COLUMN]
             if name not in positions
         ]
         if missing:
             raise DataError(f"{path}: header is missing columns {missing}")
         feat_idx = [positions[name] for name in schema.feature_columns]
-        label_idx = positions[schema.label_column]
-        group_idx = positions[schema.group_column]
+        label_idx = positions[LABEL_COLUMN]
+        group_idx = positions[GROUP_COLUMN]
         scaler = (
             _OnlineScaler(schema.n_features)
             if schema.normalization == "online"
@@ -178,12 +158,10 @@ def _read_stream_rows(path, schema: DatasetSchema) -> Iterator[tuple]:
                         f"row {row_number}, column {column!r}: "
                         f"non-finite value {cell!r}"
                     )
-            y = _parse_int(row[label_idx], row_number, schema.label_column)
-            a = _parse_int(row[group_idx], row_number, schema.group_column)
+            y = _parse_int(row[label_idx], row_number, LABEL_COLUMN)
+            a = _parse_int(row[group_idx], row_number, GROUP_COLUMN)
             if scaler is not None:
                 x = scaler.transform(x)
-            elif schema.normalization == "fixed":
-                x = (x - schema.feature_means) / schema.feature_scales
             yield x, y, a
 
 

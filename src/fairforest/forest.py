@@ -228,12 +228,6 @@ def _check_features(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def node_outputs(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
-    """Logistic gate outputs of every node of every tree for one instance,
-    shape (T, m)."""
-    return expit(forest.weights @ _check_features(forest, x) + forest.biases)
-
-
 def _node_edges(z: np.ndarray) -> np.ndarray:
     """Routing factors of both edges of every node, from pre-activations.
 
@@ -260,24 +254,6 @@ def _path_factors(edges: np.ndarray, height: int) -> np.ndarray:
     return np.take(edges, _path_edges(height), axis=-1)
 
 
-def leaf_probabilities(outputs: np.ndarray) -> np.ndarray:
-    """Probability of each leaf given the node gate outputs: the product of
-    the routing factors along its root-to-leaf path.  ``outputs`` is one
-    tree's ``(m,)`` or a stack ``(..., m)`` such as ``node_outputs``
-    gives, with ``m = 2**h - 1`` fixing the height; the result is
-    ``(2**h,)`` or ``(..., 2**h)``."""
-    outputs = np.asarray(outputs, dtype=np.float64)
-    n_nodes = outputs.shape[-1] if outputs.ndim else 0
-    height = n_nodes.bit_length()
-    if n_nodes != 2**height - 1 or not 1 <= height <= MAX_HEIGHT:
-        raise ShapeError(
-            f"expected 2**h - 1 node outputs with 1 <= h <= {MAX_HEIGHT}, "
-            f"got shape {outputs.shape}"
-        )
-    edges = np.concatenate([outputs, 1.0 - outputs], axis=-1)
-    return _path_factors(edges, height).prod(axis=-2)
-
-
 def _leaf_probability_gradients_stacked(
     edges: np.ndarray, height: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -301,20 +277,21 @@ def _leaf_probability_gradients_stacked(
     return prefix[:, height], jac
 
 
+def _batch_edges(forest: ObliqueForest, features: np.ndarray) -> np.ndarray:
+    """Edge factors of every node of every tree for a batch ``(n, d)``,
+    shape (n, T, 2m): the gate outputs in the first ``m`` columns, their
+    complements after, as ``_node_edges`` builds them."""
+    z = np.einsum("tmd,nd->ntm", forest.weights, features) + forest.biases
+    return _node_edges(z)
+
+
 def _route(forest: ObliqueForest, features: np.ndarray) -> np.ndarray:
     """Leaf probabilities of every tree for a batch ``(n, d)``, shape
     (n, T, 2**h): the routing core of every evaluation.  Edges from the
     pre-activations, then the path factors, then their product along each
     path; no Jacobian is formed."""
-    z = np.einsum("tmd,nd->ntm", forest.weights, features) + forest.biases
-    return _path_factors(_node_edges(z), forest.height).prod(axis=-2)
-
-
-def tree_outputs(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
-    """Each tree's leaf-probability-weighted mix of its leaf rows for one
-    instance, shape (T, c)."""
-    probs = _route(forest, _check_features(forest, x)[None])[0]
-    return np.einsum("tl,tlc->tc", probs, forest.leaves)
+    edges = _batch_edges(forest, features)
+    return _path_factors(edges, forest.height).prod(axis=-2)
 
 
 def forward(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from .errors import (
     FairForestError,
     ShapeError,
 )
-from .forest import ObliqueForest, predict as predict_class
+from .forest import ObliqueForest, _check_height, predict as predict_class
 from .gradients import (
     ForestGradient,
     HuberPenalty,
@@ -44,6 +44,10 @@ from .stats import (
 )
 
 FAIRNESS_NOTIONS = ("none", "dp", "equalized_odds", "multigroup")
+_INTEGER_FIELDS = ("n_features", "n_outputs", "height", "tree_count", "n_groups",
+                   "seed")
+_REAL_FIELDS = ("fairness_weight", "huber_delta", "learning_rate", "beta1",
+                "beta2", "adam_epsilon", "aggregate_decay")
 
 
 @dataclass(frozen=True)
@@ -257,6 +261,20 @@ class LearnerConfig:
     aggregate_decay: float | None = None
 
     def __post_init__(self) -> None:
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if name == "aggregate_decay" and value is None:
+                continue
+            if (not isinstance(value, (int, float, np.integer, np.floating))
+                    or isinstance(value, bool) or not math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be a finite number, "
+                                         f"got {value!r}")
+        _check_height(self.height)
         if self.n_features < 1:
             raise ConfigurationError(f"n_features must be >= 1, got {self.n_features}")
         if self.n_outputs < 2:
@@ -267,16 +285,32 @@ class LearnerConfig:
             raise ConfigurationError(f"unknown fairness notion {self.fairness!r}")
         if self.fairness_weight < 0:
             raise ConfigurationError("fairness_weight must be non-negative")
-        if self.huber_delta <= 0:
-            raise ConfigurationError("huber_delta must be positive")
         if self.n_groups < 2:
             raise ConfigurationError(f"n_groups must be >= 2, got {self.n_groups}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+        for name in ("huber_delta", "learning_rate", "adam_epsilon"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(
+                    f"{name} must be positive, got {getattr(self, name)}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigurationError(
+                f"beta1 and beta2 must lie in [0, 1), got {self.beta1}, {self.beta2}"
+            )
+        if self.aggregate_decay is not None and not 0.0 < self.aggregate_decay < 1.0:
+            raise ConfigurationError(
+                f"aggregate_decay must lie in (0, 1), got {self.aggregate_decay}"
+            )
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.fairness == "dp" and self.n_groups != 2:
             raise ConfigurationError(
                 "the dp notion compares exactly 2 groups; use multigroup for more"
             )
+
+    @property
+    def has_penalty(self) -> bool:
+        """Whether a fairness penalty acts: a notion other than ``none`` at
+        a positive weight.  Without one, no learner keeps a store."""
+        return self.fairness != "none" and self.fairness_weight > 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -372,7 +406,7 @@ class OnlineForestLearner:
 
     def _build_store(self) -> AggregateStore | None:
         cfg = self.config
-        if cfg.fairness == "none":
+        if not cfg.has_penalty:
             return None
         return AggregateStore(
             self.forest.shape,

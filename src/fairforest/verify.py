@@ -2,7 +2,9 @@
 
 Everything here re-derives quantities the production code computes in
 closed form, by brute force or by a definitionally different route, and
-reports agreement.  Nothing in this module is used by the learning loop.
+reports agreement.  The estimation audit replays the production store
+against the exact reservoir recomputation.  Nothing in this module is
+used by the learning loop.
 """
 
 from __future__ import annotations
@@ -10,12 +12,19 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import expit
 
+from .baselines import Reservoir, reservoir_fairness_gradient
 from .errors import ConfigurationError, DomainError, ShapeError
-from .forest import ObliqueForest, forward, forward_batch
-from .gradients import ForestGradient, cross_entropy, task_gradient
+from .forest import (
+    ObliqueForest,
+    _all_node_outputs,
+    _batch_edges,
+    forward,
+    forward_batch,
+)
+from .gradients import ForestGradient, HuberPenalty, cross_entropy, task_gradient
 from .learner import TraceStep
+from .stats import AggregateStore
 
 MAX_PAIRS = 10**6
 
@@ -160,15 +169,12 @@ def check_dp_bound(forest: ObliqueForest, features: np.ndarray,
     out0 = forward_batch(capped, x0)
     out1 = forward_batch(capped, x1)
     parity_gap = float(np.linalg.norm(out0.mean(axis=0) - out1.mean(axis=0)))
-    gates0 = expit(
-        np.einsum("tmd,nd->tnm", capped.weights, x0) + capped.biases[:, None, :]
-    )
-    gates1 = expit(
-        np.einsum("tmd,nd->tnm", capped.weights, x1) + capped.biases[:, None, :]
-    )
+    n_nodes = forest.shape.n_nodes
+    gates0 = _batch_edges(capped, x0)[..., :n_nodes]  # (n, T, m)
+    gates1 = _batch_edges(capped, x1)[..., :n_nodes]
     # Mean absolute gate difference over all (x0, x1) pairs, per node.
-    abs_diff = np.abs(gates0[:, :, None, :] - gates1[:, None, :, :])
-    eps = float(abs_diff.mean(axis=(1, 2)).max())
+    abs_diff = np.abs(gates0[:, None] - gates1[None, :])
+    eps = float(abs_diff.mean(axis=(0, 1)).max())
     h = forest.height
     return _make_report("dp-routing-bound", h * 2**h * eps, parity_gap)
 
@@ -177,88 +183,39 @@ def audit_estimation_error(trace: list[TraceStep], delta: float,
                            weight: float = 1.0) -> list[BoundReport]:
     """Replay a recorded run and bound the aggregate-vs-exact gradient gap.
 
-    For every step the running-mean estimate of each node's group gap
-    (built from the gate values that were current when each instance
-    arrived) is compared with the exact gap recomputed at that step's
-    parameters over the full history.  The observed value per step is the
-    largest per-node Euclidean distance between the two Huber-penalty
-    gradients; the theoretical value is ``delta * B / 2`` with ``B`` the
-    largest instance norm in the trace.  ``weight`` is ignored for the
-    bound itself (the penalty weight multiplies both sides identically).
+    Each step folds the gates that were current when its instance arrived
+    into the production ``AggregateStore`` and adds the instance to a
+    ``Reservoir``.  Once both groups have been seen, the store's Huber
+    contrast sum is compared with ``reservoir_fairness_gradient``, the
+    exact gradient recomputed at that step's parameters over the full
+    history.  The observed value per step is the largest per-node
+    Euclidean distance between the two (bias and weights together); the
+    theoretical value is ``delta * B / 2`` with ``B`` the largest instance
+    norm in the trace.  ``weight`` is ignored for the bound itself (the
+    penalty weight multiplies both sides identically).
     """
     if not trace:
         return []
     if delta <= 0:
         raise ConfigurationError(f"delta must be positive, got {delta}")
-    sample = trace[0]
-    forest0 = sample.forest
-    t_count, n_nodes = forest0.tree_count, forest0.shape.n_nodes
-    d = forest0.n_features
-    bound_b = max(float(np.linalg.norm(step.x)) for step in trace)
-    theoretical = delta * bound_b / 2.0
-    counts = np.zeros(2, dtype=np.int64)
-    mean_out = np.zeros((2, t_count, n_nodes))
-    mean_gw = np.zeros((2, t_count, n_nodes, d))
-    mean_gb = np.zeros((2, t_count, n_nodes))
-    history_x: list[np.ndarray] = []
-    history_a: list[int] = []
+    shape = trace[0].forest.shape
+    theoretical = delta * max(float(np.linalg.norm(step.x)) for step in trace) / 2.0
+    penalty = HuberPenalty(delta, 1.0)
+    store = AggregateStore(shape, 2, "dp")
+    reservoir = Reservoir(shape.n_features)
     reports = []
     for step in trace:
-        forest = step.forest
-        gates = expit(forest.weights @ step.x + forest.biases)  # (T, m)
-        slope = gates * (1.0 - gates)
-        counts[step.a] += 1
-        k = counts[step.a]
-        mean_out[step.a] += (gates - mean_out[step.a]) / k
-        mean_gw[step.a] += (
-            slope[:, :, None] * step.x[None, None, :] - mean_gw[step.a]
-        ) / k
-        mean_gb[step.a] += (slope - mean_gb[step.a]) / k
-        history_x.append(step.x)
-        history_a.append(step.a)
-        if counts[0] == 0 or counts[1] == 0:
+        gates, right = np.split(_all_node_outputs(step.forest, step.x), 2, axis=-1)
+        store.update_all(step.a, 0, gates, gates * right, step.x)
+        reservoir.add(step.x, step.a)
+        exact, cold = reservoir_fairness_gradient(reservoir, step.forest, penalty)
+        if cold:
             continue
-        features = np.stack(history_x)
-        group_arr = np.asarray(history_a)
-        exact = []
-        for g in (0, 1):
-            rows = features[group_arr == g]
-            all_gates = expit(
-                np.einsum("tmd,nd->tnm", forest.weights, rows)
-                + forest.biases[:, None, :]
-            )
-            all_slopes = all_gates * (1.0 - all_gates)
-            exact.append((
-                all_gates.mean(axis=1),
-                np.einsum("tnm,nd->tmd", all_slopes, rows) / len(rows),
-                all_slopes.mean(axis=1),
-            ))
-        worst = _penalty_gradient_distance(
-            delta,
-            mean_out[0] - mean_out[1],
-            mean_gw[0] - mean_gw[1],
-            mean_gb[0] - mean_gb[1],
-            exact[0][0] - exact[1][0],
-            exact[0][1] - exact[1][1],
-            exact[0][2] - exact[1][2],
-        )
+        # The store's columns are the bias, then the weights.
+        diff = store.contrast_sum(delta) - np.concatenate(
+            [exact.biases[..., None], exact.weights], axis=-1)
+        worst = float(np.sqrt((diff**2).sum(axis=-1)).max())
         reports.append(
             _make_report("fairness-gradient-estimation-error", theoretical, worst)
         )
     return reports
-
-
-def _penalty_gradient_distance(delta, est_gap, est_gw, est_gb,
-                               exact_gap, exact_gw, exact_gb) -> float:
-    """Largest per-node distance between estimated and exact Huber-penalty
-    gradients (weights and bias concatenated)."""
-    est_coeff = np.where(
-        np.abs(est_gap) < delta, est_gap, delta * np.sign(est_gap - delta / 2)
-    )
-    exact_coeff = np.where(
-        np.abs(exact_gap) < delta, exact_gap, delta * np.sign(exact_gap - delta / 2)
-    )
-    dw = est_coeff[:, :, None] * est_gw - exact_coeff[:, :, None] * exact_gw
-    db = est_coeff * est_gb - exact_coeff * exact_gb
-    per_node = np.sqrt((dw**2).sum(axis=2) + db**2)
-    return float(per_node.max())

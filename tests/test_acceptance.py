@@ -26,8 +26,7 @@ from fairforest.forest import (
     ObliqueForest,
     _ancestor_rows,
     _path_signs,
-    leaf_probabilities,
-    node_outputs,
+    _route,
 )
 from fairforest.gradients import HuberPenalty, fairness_gradient
 from fairforest.learner import LearnerConfig, OnlineForestLearner
@@ -169,7 +168,7 @@ def compute_results():
         t = int(rng.integers(1, 4))
         forest = ObliqueForest.random(h, d, c, t, rng=rng)
         x = rng.uniform(-3.0, 3.0, size=d)
-        probs = leaf_probabilities(node_outputs(forest, x))  # (T, L)
+        probs = _route(forest, x[None])[0]  # (T, L)
         worst_sum = max(worst_sum, float(np.abs(probs.sum(axis=1) - 1.0).max()))
         lowest = min(lowest, float(probs.min()))
         highest = max(highest, float(probs.max()))

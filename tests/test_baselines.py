@@ -290,10 +290,10 @@ class TestLeafPenaltyLearner:
                                   cumulative.forest.weights)
 
     def test_no_leaf_store_without_a_penalty(self):
-        """Under ``none`` nothing reads the leaf store, so none is built or
-        folded; training is what the store never touched: the node learner
-        under ``none`` and the leaf learner folding at weight 0 end with
-        the same forest vector bit for bit."""
+        """Without a penalty (``none``, or ``dp`` at weight 0) nothing
+        reads the leaf store, so none is built or folded; training is what
+        the store never touched: both leaf learners and the node learner
+        under ``none`` end with the same forest vector bit for bit."""
         cfg = dict(n_features=2, height=3, tree_count=2, seed=4)
         bare = LeafPenaltyLearner(LearnerConfig(fairness="none", **cfg))
         assert bare.leaf_store is None
@@ -306,7 +306,7 @@ class TestLeafPenaltyLearner:
             for learner in (bare, *references):
                 learner.step(x, y, a)
         assert bare.leaf_store is None
-        assert references[1].leaf_store.counts.sum() == 50
+        assert references[1].leaf_store is None
         for reference in references:
             np.testing.assert_array_equal(bare.forest.vector,
                                           reference.forest.vector)
@@ -469,11 +469,13 @@ class TestMlp:
             oracle.fold(a, x, p.w1.copy(), p.b1.copy(), p.w2.copy(),
                         p.b2.copy())
             learner.step(x, int(rng.integers(0, c)), int(a))
-        np.testing.assert_array_equal(learner.store.counts, oracle.counts)
-        want = mlp_block_fairness_gradient(oracle, delta, weight)
         got = learner._fairness_gradient()
         if weight == 0.0:
+            assert learner.store is None
             assert not got.any()
+            return
+        np.testing.assert_array_equal(learner.store.counts, oracle.counts)
+        want = mlp_block_fairness_gradient(oracle, delta, weight)
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
 
@@ -483,7 +485,8 @@ class TestMlp:
     def test_stored_rows_are_output_jacobians(self, d, hidden, c, seed):
         """After one instance, row ``k`` of its group holds ``out_k`` and
         the central differences of ``forward(x)[k]`` in every parameter."""
-        learner = mlp(hidden, n_features=d, n_outputs=c, seed=seed)
+        learner = mlp(hidden, n_features=d, n_outputs=c, fairness_weight=1.0,
+                      seed=seed)
         rng = np.random.default_rng(seed)
         learner.params.b1[...] = rng.uniform(-0.5, 0.5, size=hidden)
         learner.params.b2[...] = rng.uniform(-0.5, 0.5, size=c)
@@ -589,3 +592,33 @@ class TestMakeLearner:
         assert set(BASELINE_NAMES) == {
             "aranyani", "mlp", "leaf", "reservoir", "majority"
         }
+
+
+class TestNoPenalty:
+    """A penalty acts only under a notion at a positive weight; without
+    one, no learner keeps a store."""
+
+    @pytest.mark.parametrize("name", ["aranyani", "leaf", "mlp"])
+    def test_zero_weight_keeps_no_store_and_steps_like_none(self, name):
+        """At weight 0 under ``dp`` the forest, leaf and MLP learners build
+        no store and step bit for bit as under ``none``."""
+        cfg = dict(n_features=2, height=3, tree_count=2, seed=6)
+        runs = [make_learner(name, LearnerConfig(fairness=fairness,
+                                                 fairness_weight=0.0, **cfg))
+                for fairness in ("dp", "none")]
+        for learner in runs:
+            assert learner.config.has_penalty is False
+            assert getattr(learner, "leaf_store", None) is None
+            assert learner.store is None
+        for x, y, a in biased_stream(40, seed=7):
+            assert runs[0].step(x, y, a) == runs[1].step(x, y, a)
+        vectors = [learner.params.vector if name == "mlp"
+                   else learner.forest.vector for learner in runs]
+        np.testing.assert_array_equal(vectors[0], vectors[1])
+
+    def test_positive_weight_keeps_a_store(self):
+        cfg = LearnerConfig(n_features=2, fairness="dp", fairness_weight=0.5)
+        assert cfg.has_penalty
+        assert make_learner("aranyani", cfg).store is not None
+        assert make_learner("leaf", cfg).leaf_store is not None
+        assert make_learner("mlp", cfg).store is not None

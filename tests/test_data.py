@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from fairforest.data import (
+    GROUP_COLUMN,
     GROUP_MARKER_SCALE,
     GROUP_MARKER_SHIFT,
+    LABEL_COLUMN,
     DatasetSchema,
     SyntheticConfig,
     default_schema,
@@ -29,40 +31,21 @@ class TestDatasetSchema:
     def test_default_schema_columns(self):
         schema = default_schema(3)
         assert schema.feature_columns == ["f0", "f1", "f2"]
-        assert schema.label_column == "y"
-        assert schema.group_column == "a"
+        assert (LABEL_COLUMN, GROUP_COLUMN) == ("y", "a")
         assert schema.n_features == 3
 
     def test_rejects_bad_layouts(self):
         with pytest.raises(ConfigurationError):
             DatasetSchema(feature_columns=[])
         with pytest.raises(ConfigurationError):
-            DatasetSchema(feature_columns=["f0"], label_column="y",
-                          group_column="y")
-        with pytest.raises(ConfigurationError):
             DatasetSchema(feature_columns=["y", "f1"])
         with pytest.raises(ConfigurationError):
+            DatasetSchema(feature_columns=["f0", "a"])
+        with pytest.raises(ConfigurationError):
             DatasetSchema(feature_columns=["f0", "f0"])
-        with pytest.raises(ConfigurationError):
-            DatasetSchema(feature_columns=["f0"], normalization="zscore")
-
-    def test_fixed_normalization_needs_complete_statistics(self):
-        with pytest.raises(ConfigurationError):
-            DatasetSchema(feature_columns=["f0"], normalization="fixed")
-        with pytest.raises(ConfigurationError):
-            DatasetSchema(
-                feature_columns=["f0", "f1"],
-                normalization="fixed",
-                feature_means=np.zeros(2),
-                feature_scales=np.ones(3),
-            )
-        with pytest.raises(ConfigurationError):
-            DatasetSchema(
-                feature_columns=["f0"],
-                normalization="fixed",
-                feature_means=np.zeros(1),
-                feature_scales=np.zeros(1),
-            )
+        for mode in ("zscore", "fixed"):
+            with pytest.raises(ConfigurationError):
+                DatasetSchema(feature_columns=["f0"], normalization=mode)
 
 
 class TestReadStream:
@@ -166,18 +149,6 @@ class TestReadStream:
                 expected = (raw[t] - mean) / scale
             np.testing.assert_allclose(got[t], expected, atol=1e-10,
                                        err_msg=f"row {t}")
-
-    def test_fixed_normalization_applies_given_statistics(self, tmp_path):
-        path = tmp_path / "fixed.csv"
-        write_csv(path, ["f0", "f1", "y", "a"], [[3.0, 8.0, 1, 0]])
-        schema = DatasetSchema(
-            feature_columns=["f0", "f1"],
-            normalization="fixed",
-            feature_means=np.array([1.0, 2.0]),
-            feature_scales=np.array([2.0, 3.0]),
-        )
-        (x, _, _), = read_stream(path, schema)
-        np.testing.assert_allclose(x, [1.0, 2.0])
 
 
 class TestSyntheticGenerator:

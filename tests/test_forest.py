@@ -10,17 +10,16 @@ from fairforest.errors import ConfigurationError, ShapeError
 from fairforest.forest import (
     ForestShape,
     ObliqueForest,
+    _all_node_outputs,
     _ancestor_rows,
     _leaf_probability_gradients_stacked,
     _path_edges,
     _path_nodes,
     _path_signs,
+    _route,
     forward,
     forward_batch,
-    leaf_probabilities,
-    node_outputs,
     predict,
-    tree_outputs,
 )
 from fairforest.gradients import _ForwardCache, task_gradient
 from oracles import dense_leaf_jacobian, mask_oracle
@@ -34,16 +33,41 @@ def mask_from_paths(height):
     return entries
 
 
+X0 = np.zeros(1)
+
+
+def gate_forest(outputs):
+    """A one-tree forest over one feature whose gates at ``X0`` are
+    ``outputs``: zero weights and biases ``logit(n)``, so a gate of 0 or
+    1 is a bias of -inf or +inf."""
+    outputs = np.asarray(outputs, dtype=np.float64)
+    forest = ObliqueForest(ForestShape(1, outputs.size.bit_length(), 1, 1))
+    forest.biases[0] = scipy.special.logit(outputs)
+    return forest
+
+
+def leaf_probabilities(outputs):
+    """One tree's leaf probabilities at the given gate outputs, from the
+    routing core of every evaluation."""
+    return _route(gate_forest(outputs), X0[None])[0, 0]
+
+
 def leaf_jacobian(outputs):
     """Leaf probabilities and the dense (m, 2**h) Jacobian of one tree in
-    its gate outputs, scattered from the path-form core."""
-    outputs = np.asarray(outputs, dtype=np.float64)
-    height = outputs.size.bit_length()
-    edges = np.concatenate([outputs, 1.0 - outputs])[None]
+    its gate outputs, scattered from the path-form core, and the tree's
+    left and right edges."""
+    forest = gate_forest(outputs)
+    height = forest.height
+    edges = _all_node_outputs(forest, X0)
     probs, path_jac = _leaf_probability_gradients_stacked(edges, height)
-    jac = np.zeros((outputs.size, 2**height))
+    jac = np.zeros((forest.shape.n_nodes, 2**height))
     jac[_ancestor_rows(height), np.arange(2**height)] = path_jac[0]
-    return probs[0], jac
+    return probs[0], jac, np.split(edges[0], 2)
+
+
+def tree_outputs(forest, x):
+    """Each tree's leaf-probability-weighted mix of its leaf rows, (T, c)."""
+    return np.einsum("tl,tlc->tc", _route(forest, x[None])[0], forest.leaves)
 
 
 class TestBuildMask:
@@ -115,7 +139,8 @@ class TestBuildMask:
 
 
 class TestLeafProbabilities:
-    """Path products over the gate outputs."""
+    """Path products over the gate outputs, routed from biases that set
+    each gate."""
 
     def test_height_one_hand_values(self):
         probs = leaf_probabilities(np.array([0.3]))
@@ -158,22 +183,13 @@ class TestLeafProbabilities:
         assert probs.min() >= 0.0
         np.testing.assert_allclose(probs.sum(), 1.0, rtol=1e-9)
 
-    def test_rejects_wrong_length(self):
-        """The height is read off the last axis, which must hold 2**h - 1
-        outputs for a supported h."""
-        for bad in (np.zeros(4), np.zeros((3, 2)), np.zeros(0), np.float64(0.5),
-                    np.zeros(2**17 - 1)):
-            with pytest.raises(ShapeError):
-                leaf_probabilities(bad)
-        assert leaf_probabilities(np.full((5, 2, 7), 0.5)).shape == (5, 2, 8)
-
 
 class TestLeafProbabilityGradients:
     """The path-form derivatives of leaf probabilities in the gate
     outputs, scattered to the dense Jacobian."""
 
     def test_height_one_jacobian(self):
-        probs, jac = leaf_jacobian(np.array([0.4]))
+        probs, jac, _ = leaf_jacobian(np.array([0.4]))
         np.testing.assert_allclose(probs, [0.4, 0.6])
         np.testing.assert_allclose(jac, [[1.0, -1.0]])
 
@@ -183,11 +199,11 @@ class TestLeafProbabilityGradients:
         rng = np.random.default_rng(7)
         for h in (1, 2, 3, 4):
             outputs = rng.uniform(0.05, 0.95, size=2**h - 1)
-            probs, jac = leaf_jacobian(outputs)
+            probs, jac, (left, right) = leaf_jacobian(outputs)
             np.testing.assert_allclose(
                 probs, leaf_probabilities(outputs), rtol=0, atol=1e-14
             )
-            want_probs, want_jac = dense_leaf_jacobian(outputs, 1.0 - outputs, h)
+            want_probs, want_jac = dense_leaf_jacobian(left, right, h)
             np.testing.assert_allclose(probs, want_probs, rtol=1e-12, atol=0)
             np.testing.assert_allclose(jac, want_jac, rtol=1e-12, atol=0)
 
@@ -198,7 +214,7 @@ class TestLeafProbabilityGradients:
         step = 1e-6
         for h in (1, 2, 3):
             outputs = rng.uniform(0.1, 0.9, size=2**h - 1)
-            _, jac = leaf_jacobian(outputs)
+            _, jac, _ = leaf_jacobian(outputs)
             for i in range(outputs.size):
                 up = outputs.copy()
                 up[i] += step
@@ -212,7 +228,7 @@ class TestLeafProbabilityGradients:
     def test_saturated_gates_keep_finite_jacobian(self):
         """Gate outputs of exactly 0 and 1 produce no division artifacts."""
         outputs = np.array([0.0, 1.0, 0.5, 0.0, 1.0, 0.5, 1.0])
-        probs, jac = leaf_jacobian(outputs)
+        probs, jac, _ = leaf_jacobian(outputs)
         assert np.isfinite(probs).all()
         assert np.isfinite(jac).all()
 
@@ -220,7 +236,7 @@ class TestLeafProbabilityGradients:
         """Total probability is conserved, so each gate's row sums to 0."""
         rng = np.random.default_rng(19)
         outputs = rng.uniform(0.0, 1.0, size=15)
-        _, jac = leaf_jacobian(outputs)
+        _, jac, _ = leaf_jacobian(outputs)
         np.testing.assert_allclose(jac.sum(axis=1), 0.0, atol=1e-12)
 
 
@@ -239,8 +255,8 @@ class TestForward:
         tree = self._tiny_tree([[1.0, 0.0], [0.0, 1.0]])
         x = np.array([0.3, 0.1])
         g = 1.0 / (1.0 + np.exp(-(0.3 - 0.2 + 0.5)))
-        out = tree_outputs(tree, x)
-        np.testing.assert_allclose(out, [[g, 1.0 - g]], rtol=1e-12)
+        out = forward(tree, x)
+        np.testing.assert_allclose(out, [g, 1.0 - g], rtol=1e-12)
 
     def test_forest_output_is_mean_of_trees(self):
         rng = np.random.default_rng(23)
@@ -261,8 +277,8 @@ class TestForward:
         np.testing.assert_allclose(batch, single, rtol=1e-12)
 
     def test_every_evaluation_shares_the_routing(self):
-        """``forward``, ``forward_batch``, ``tree_outputs`` and ``predict``
-        route through one core: a batch row is bit for bit the single
+        """``forward``, ``forward_batch``, the per-tree outputs and
+        ``predict`` route through one core: a batch row is bit for bit the single
         instance, and all agree with the gradient path's forward cache."""
         rng = np.random.default_rng(31)
         for height in (1, 3, 6):
@@ -294,8 +310,9 @@ class TestForward:
         assert grad.leaves[0, 1, 1] != 0.0
 
     def test_saturated_tree_output_matches_forward(self):
-        """``tree_outputs`` routes from the pre-activations as ``forward``
-        does: at +40 the right leaf gets 4.2e-18, not 1 - expit(40) = 0."""
+        """The per-tree output routes from the pre-activations as
+        ``forward`` does: at +40 the right leaf gets 4.2e-18, not
+        1 - expit(40) = 0."""
         forest = ObliqueForest.from_arrays(
             1, np.zeros((1, 1, 2)), np.array([[40.0]]), np.eye(2)[None]
         )
@@ -306,7 +323,7 @@ class TestForward:
 
     def test_gate_outputs_hand_value(self):
         tree = self._tiny_tree([[1.0, 0.0], [0.0, 1.0]])
-        out = node_outputs(tree, np.array([1.0, 1.0]))
+        out = _ForwardCache(tree, np.array([1.0, 1.0])).gates
         np.testing.assert_allclose(out, [[1.0 / (1.0 + np.exp(0.5))]])
 
     def test_predict_argmax(self):

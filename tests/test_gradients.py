@@ -276,11 +276,12 @@ class TestTaskGradient:
         grad = task_gradient(forest, x, y)
         residual = softmax(forward(forest, x))
         residual[y] -= 1.0
-        from fairforest.forest import _all_node_outputs, leaf_probabilities
+        from fairforest.forest import _all_node_outputs
+        from oracles import dense_leaf_jacobian
 
-        gates = _all_node_outputs(forest, x)[:, :forest.shape.n_nodes]
+        gates, right = np.split(_all_node_outputs(forest, x), 2, axis=1)
         for t in range(2):
-            probs = leaf_probabilities(gates[t])
+            probs, _ = dense_leaf_jacobian(gates[t], right[t], forest.height)
             expected = probs[:, None] * residual[None, :] / forest.tree_count
             np.testing.assert_allclose(grad.leaves[t], expected, rtol=1e-12)
 

@@ -243,19 +243,53 @@ class TestLearnerConfig:
             with pytest.raises(ConfigurationError):
                 LearnerConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
+        dict(learning_rate=-1e-3), dict(adam_epsilon=float("nan")),
+        dict(adam_epsilon=0.0), dict(beta1=1.0), dict(beta2=1.0),
+        dict(beta1=-0.1), dict(fairness_weight=float("inf")),
+        dict(huber_delta=float("nan")), dict(learning_rate="0.1"),
+        dict(aggregate_decay=0.0), dict(aggregate_decay=1.0),
+        dict(aggregate_decay=float("nan")), dict(tree_count=2.5),
+        dict(height=3.0), dict(n_groups=2.0), dict(n_outputs=True),
+        dict(seed=-1), dict(seed=1.5), dict(seed=True), dict(height=0),
+    ], ids=lambda kwargs: "-".join(f"{k}={v!r}" for k, v in kwargs.items()))
+    def test_rejects_values_that_fail_later(self, kwargs):
+        """Non-finite or out-of-range optimizer settings used to be
+        accepted and fail with a NumericalError at step 2; a fractional
+        tree count silently trained fewer trees and a negative seed
+        raised numpy's ValueError."""
+        with pytest.raises(ConfigurationError):
+            LearnerConfig(n_features=3, **kwargs)
+
+    def test_numpy_integers_become_ints(self):
+        cfg = LearnerConfig(n_features=np.int64(3), seed=np.int32(2))
+        assert type(cfg.n_features) is int and type(cfg.seed) is int
+        json.dumps(cfg.to_dict())
+
+    def test_checkpoint_with_a_refused_config_is_refused(self):
+        """A checkpoint whose config has ``beta1 = 1.0`` used to restore
+        and then fail at its second step."""
+        learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
+        data = json.loads(json.dumps(learner.checkpoint()))
+        data["config"]["beta1"] = 1.0
+        with pytest.raises(DataError):
+            OnlineForestLearner.restore(data)
+
     def test_dict_round_trip(self):
         cfg = LearnerConfig(n_features=5, fairness_weight=0.7, seed=9)
         clone = LearnerConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert clone == cfg
 
     def test_multigroup_allows_more_groups(self):
-        cfg = LearnerConfig(n_features=3, fairness="multigroup", n_groups=4)
+        cfg = LearnerConfig(n_features=3, fairness="multigroup", n_groups=4,
+                            fairness_weight=1.0)
         learner = OnlineForestLearner(cfg)
         assert learner.store.n_groups == 4
 
     def test_equalized_odds_store_is_class_conditioned(self):
         cfg = LearnerConfig(n_features=3, fairness="equalized_odds",
-                            n_outputs=3)
+                            n_outputs=3, fairness_weight=1.0)
         learner = OnlineForestLearner(cfg)
         assert learner.store.n_classes == 3
 
@@ -523,7 +557,8 @@ class TestCheckpoint:
     def test_v2_checkpoint_is_refused(self):
         """A file in the v2 layout (nested lists) is a DataError, and so
         is the same content relabelled v3."""
-        learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
+        learner = OnlineForestLearner(LearnerConfig(n_features=2,
+                                                    fairness_weight=0.5, seed=3))
         self._run(learner, biased_stream(5, seed=11))
         forest, adam = learner.forest, learner.adam
         shapes = forest.shape.param_shapes
@@ -606,7 +641,8 @@ class TestCheckpoint:
                 OnlineForestLearner.restore(data)
 
     def test_truncated_store_is_refused(self):
-        learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
+        learner = OnlineForestLearner(LearnerConfig(n_features=2,
+                                                    fairness_weight=0.5, seed=3))
         self._run(learner, biased_stream(5, seed=11))
         data = json.loads(json.dumps(learner.checkpoint()))
         data["store"]["means"] = data["store"]["means"][:8]
@@ -629,7 +665,8 @@ class TestCheckpoint:
         adds the total as its overall key, and ``equalized_odds`` counts
         sum over the classes to the group counts."""
         learner = OnlineForestLearner(LearnerConfig(
-            n_features=2, fairness=fairness, n_groups=n_groups, seed=3))
+            n_features=2, fairness=fairness, fairness_weight=0.5,
+            n_groups=n_groups, seed=3))
         rng = np.random.default_rng(15)
         for _ in range(40):
             learner.step(rng.standard_normal(2), int(rng.integers(0, 2)),
@@ -646,7 +683,8 @@ class TestCheckpoint:
 
 
     def _good_checkpoint(self):
-        learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
+        learner = OnlineForestLearner(LearnerConfig(n_features=2,
+                                                    fairness_weight=0.5, seed=3))
         self._run(learner, biased_stream(5, seed=11))
         return json.loads(json.dumps(learner.checkpoint()))
 
@@ -724,11 +762,13 @@ class TestCheckpoint:
             OnlineForestLearner.restore(data)
 
     def test_store_must_fit_the_configuration(self):
-        """A store snapshot of another decay, or none where the notion
-        needs one, is refused rather than silently replacing the store."""
+        """A store snapshot of another decay, none where the penalty needs
+        one, or one where a weight of 0 leaves no penalty is refused
+        rather than silently replacing the store."""
         good = self._good_checkpoint()
         for edit in (lambda d: d["store"].__setitem__("decay", 0.9),
-                     lambda d: d.__setitem__("store", None)):
+                     lambda d: d.__setitem__("store", None),
+                     lambda d: d["config"].__setitem__("fairness_weight", 0.0)):
             data = json.loads(json.dumps(good))
             edit(data)
             with pytest.raises(DataError):

@@ -3,11 +3,14 @@ gradient checker, input rescaling, and the theoretical-bound audits."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairforest.errors import ConfigurationError, DomainError, ShapeError
 from fairforest.forest import ObliqueForest
 from fairforest.gradients import ForestGradient
 from fairforest.learner import LearnerConfig, OnlineForestLearner, TraceStep
+from fairforest.stats import RunningMeans
 from fairforest.verify import (
     audit_estimation_error,
     check_dp_bound,
@@ -202,20 +205,40 @@ class TestAuditEstimationError:
         with pytest.raises(ConfigurationError):
             audit_estimation_error(trace, delta=0.0)
 
-    def test_frozen_parameters_have_no_estimation_error(self):
+    @staticmethod
+    def _frozen_trace(height, trees, d, steps, seed):
+        """``steps`` instances of both groups under one fixed forest."""
+        rng = np.random.default_rng(seed)
+        forest = ObliqueForest.random(height, d, 2, trees, rng=rng)
+        groups = rng.permutation([0, 1, *rng.integers(0, 2, size=steps - 2)])
+        return [TraceStep(forest, rng.standard_normal(d), int(a))
+                for a in groups]
+
+    @settings(max_examples=40, deadline=None)
+    @given(height=st.integers(1, 4), trees=st.integers(1, 3),
+           d=st.integers(1, 4), steps=st.integers(2, 40),
+           seed=st.integers(0, 2**16))
+    def test_frozen_parameters_have_no_estimation_error(
+            self, height, trees, d, steps, seed):
         """When the parameters never move, the running means equal the
         exact batch recomputation, so the observed error is numerical
         noise only."""
-        rng = np.random.default_rng(40)
-        forest = ObliqueForest.random(2, 3, 2, rng=10)
-        trace = [
-            TraceStep(forest, rng.standard_normal(3), int(rng.integers(0, 2)))
-            for _ in range(30)
-        ]
+        trace = self._frozen_trace(height, trees, d, steps, seed)
         reports = audit_estimation_error(trace, delta=0.01)
         assert reports
         assert max(r.observed for r in reports) < 1e-12
         assert all(r.passed for r in reports)
+
+    def test_audits_the_production_store(self, monkeypatch):
+        """The audit reads the store the learner trains with: a contrast
+        sum that is off by a factor of two shows as estimation error on
+        a trace that has none."""
+        original = RunningMeans.contrast_sum
+        monkeypatch.setattr(RunningMeans, "contrast_sum",
+                            lambda store, delta: 2.0 * original(store, delta))
+        trace = self._frozen_trace(2, 3, 3, 30, seed=40)
+        reports = audit_estimation_error(trace, delta=0.01)
+        assert max(r.observed for r in reports) > 1e-6
 
     def test_drifting_run_stays_within_the_bound(self):
         """A live learner with unit-ball inputs keeps the per-node gradient
