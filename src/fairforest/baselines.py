@@ -19,6 +19,7 @@ Every learner exposes the same ``step``/``snapshot`` protocol as
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,7 +31,6 @@ from .forest import (
     _ancestor_rows,
     _batch_edges,
     _block_views,
-    _path_nodes,
 )
 from .gradients import ForestGradient, HuberPenalty, huber_slope, softmax
 from .learner import (
@@ -59,27 +59,30 @@ def _require_dp(config: LearnerConfig, name: str) -> None:
 
 
 class Reservoir:
-    """Unbounded store of every instance seen so far."""
+    """Unbounded store of every instance seen so far, kept per group in a
+    row buffer that doubles when full, so ``group_features`` is a view."""
 
     def __init__(self, n_features: int):
         self.n_features = n_features
-        self.features: list[np.ndarray] = []
-        self.groups: list[int] = []
-        self.labels: list[int] = []
+        self._rows = defaultdict(lambda: np.empty((16, n_features)))
+        self._sizes: dict[int, int] = defaultdict(int)
 
-    def add(self, x: np.ndarray, a: int, y: int | None = None) -> None:
-        self.features.append(np.asarray(x, dtype=np.float64))
-        self.groups.append(int(a))
-        self.labels.append(-1 if y is None else int(y))
+    def add(self, x: np.ndarray, a: int) -> None:
+        rows, size = self._rows[a], self._sizes[a]
+        if size == len(rows):
+            self._rows[a] = rows = np.concatenate([rows, np.empty_like(rows)])
+        rows[size] = x
+        self._sizes[a] = size + 1
 
     def __len__(self) -> int:
-        return len(self.features)
+        return sum(self._sizes.values())
 
     def group_features(self, group: int) -> np.ndarray:
-        rows = [x for x, g in zip(self.features, self.groups) if g == group]
-        if not rows:
-            return np.empty((0, self.n_features))
-        return np.stack(rows)
+        """Read-only view of the group's rows, in arrival order."""
+        rows = self._rows.get(group, np.empty((0, self.n_features)))
+        view = rows[:self._sizes.get(group, 0)]
+        view.flags.writeable = False
+        return view
 
 
 def reservoir_fairness_gradient(
@@ -130,7 +133,7 @@ class ReservoirLearner(OnlineForestLearner):
         self.reservoir = Reservoir(config.n_features)
 
     def _update_fairness_state(self, x, y, a, cache) -> None:
-        self.reservoir.add(x, a, y)
+        self.reservoir.add(x, a)
 
     def _fairness_gradient(self) -> ForestGradient:
         """The exact penalty gradient; the zero ``self._fair`` when there
@@ -154,27 +157,14 @@ class ReservoirLearner(OnlineForestLearner):
 
 
 @lru_cache(maxsize=None)
-def _leaf_store_rows(tree_count: int, height: int, width: int) -> np.ndarray:
-    """Flat output position of every ``(t, l, k, j)`` entry of a leaf-store
-    array with trailing width ``width``, summed onto ``(T, m, width)``."""
-    nodes = _path_nodes(tree_count, height).transpose(0, 2, 1)  # (T, L, h)
-    rows = (nodes[..., None] * width + np.arange(width)).ravel()
+def _leaf_node_rows(tree_count: int, height: int, width: int) -> np.ndarray:
+    """Flat position, in a ``(width, T, m)`` node sum, of every
+    ``(row, depth, tree, leaf)`` entry of the leaf store's gradient rows:
+    row-major ``(row * T + tree) * m`` plus the leaf's depth ancestor."""
+    blocks = np.arange(width * tree_count).reshape(width, 1, tree_count, 1)
+    rows = (blocks * (2**height - 1) + _ancestor_rows(height)[:, None]).ravel()
     rows.setflags(write=False)
     return rows
-
-
-def _sum_onto_nodes(values: np.ndarray, height: int) -> np.ndarray:
-    """Sum leaf-store shaped ``values`` (T, L, h, *trailing) onto the nodes
-    they belong to, giving (T, m, *trailing)."""
-    tree_count = values.shape[0]
-    trailing = values.shape[3:]
-    width = int(np.prod(trailing))
-    n_nodes = 2**height - 1
-    sums = np.bincount(
-        _leaf_store_rows(tree_count, height, width), weights=values.ravel(),
-        minlength=tree_count * n_nodes * width,
-    )
-    return sums.reshape(tree_count, n_nodes, *trailing)
 
 
 class LeafPenaltyLearner(OnlineForestLearner):
@@ -190,13 +180,13 @@ class LeafPenaltyLearner(OnlineForestLearner):
         super().__init__(config, record_trace=record_trace)
         self.store = None
         shape = self.forest.shape
-        # Per group, one row per (tree, leaf): the leaf probability, then
-        # for each depth-k ancestor of the leaf its Jacobian in that
-        # ancestor's bias and weights, (h, d + 1) flattened.  Without a
-        # penalty nothing reads it, so none is built.
+        # Per group, rows over every (tree, leaf) cell: the leaf
+        # probability, then its Jacobian in the bias and each weight
+        # (feature-or-bias major) of its depth-k ancestor, (d + 1, h)
+        # flattened.  Without a penalty nothing reads it, so none is built.
         self.leaf_store = RunningMeans(
             config.n_groups, (shape.tree_count, shape.n_leaves),
-            1 + shape.height * (shape.n_features + 1), ((0, 1),),
+            1 + (shape.n_features + 1) * shape.height, ((0, 1),),
             config.aggregate_decay,
         ) if config.has_penalty else None
 
@@ -204,16 +194,13 @@ class LeafPenaltyLearner(OnlineForestLearner):
         if self.leaf_store is None:
             return
         t, h = self.forest.tree_count, self.forest.height
-        # d p_l / d w_i = (d p_l / d n_i) * n_i (1 - n_i) * x, for the path
-        # nodes i of leaf l only.
-        path_slope = np.take(cache.slope, _ancestor_rows(h), axis=1)
-        jac_b = np.swapaxes(cache.leaf_jac * path_slope, 1, 2)  # (T, L, h)
         values = np.empty(self.leaf_store.means.shape[1:])
-        values[..., 0] = cache.leaf_probs
-        # A view: splitting the contiguous last axis copies nothing.
-        path = values[..., 1:].reshape(t, 2**h, h, x.size + 1)
-        path[..., 0] = jac_b
-        np.multiply(jac_b[..., None], x, out=path[..., 1:])
+        values[0] = cache.leaf_probs
+        # A view: splitting the contiguous leading axis copies nothing.
+        # d p_l / d w_i = (d p_l / d b_i) * x, for the path nodes i of l.
+        path = values[1:].reshape(x.size + 1, h, t, 2**h)
+        path[0] = cache.leaf_jac.transpose(1, 0, 2)
+        np.multiply(x[:, None, None, None], path[0], out=path[1:])
         self.leaf_store.fold((a,), values)
 
     def _fairness_gradient(self) -> ForestGradient:
@@ -222,13 +209,16 @@ class LeafPenaltyLearner(OnlineForestLearner):
         if self.leaf_store is None:
             return self._fair
         t, h = self.forest.tree_count, self.forest.height
+        width = self.forest.n_features + 1
         total = self.leaf_store.contrast_sum(self.penalty.delta)
-        per_node = _sum_onto_nodes(
-            total.reshape(t, 2**h, h, self.forest.n_features + 1), h
-        )  # (T, m, d + 1)
+        per_node = np.bincount(
+            _leaf_node_rows(t, h, width), weights=total.ravel(),
+            minlength=width * t * (2**h - 1),
+        ).reshape(width, t, 2**h - 1)  # bias, then weights
         grad = self._fair
-        np.multiply(per_node[..., 1:], self.penalty.weight, out=grad.weights)
-        np.multiply(per_node[..., 0], self.penalty.weight, out=grad.biases)
+        np.multiply(per_node[1:].transpose(1, 2, 0), self.penalty.weight,
+                    out=grad.weights)
+        np.multiply(per_node[0], self.penalty.weight, out=grad.biases)
         return grad
 
     def checkpoint(self) -> dict:
@@ -257,8 +247,9 @@ class MlpParams:
 class OnlineMlpLearner:
     """Two-layer ReLU network with the fairness penalty on the mean
     output gap between groups (``dp`` or ``none`` only), trained one
-    instance at a time.  Per group, the store row of output ``k`` holds
-    ``out_k``, then its Jacobian in the flat parameter vector."""
+    instance at a time.  Per group, the store holds the outputs in row 0,
+    then their Jacobian in the flat parameter vector, one row per
+    parameter and one column per output."""
 
     snapshot = OnlineForestLearner.snapshot
 
@@ -302,14 +293,15 @@ class OnlineMlpLearner:
         self.metrics.update(prediction, out, y, a)
         if self.store is not None:
             gate = active[:, None] * self.params.w2  # (h, c): d out_k / d pre_j
-            rows = np.zeros(self.store.means.shape[1:])
-            rows[:, 0] = out
-            for k, row in enumerate(rows):
-                j_w1, j_b1, j_w2, j_b2 = _block_views(row[1:], self.params.shapes)
-                np.outer(x, gate[:, k], out=j_w1)
-                j_b1[...] = gate[:, k]
-                j_w2[:, k] = hidden
-                j_b2[k] = 1.0
+            rows = np.zeros(self.store.means.shape[1:])  # (1 + P, c)
+            rows[0] = out
+            outputs = np.arange(out.size)
+            j_w1, j_b1, j_w2, j_b2 = _block_views(rows[1:].reshape(-1), [
+                (*shape, out.size) for shape in self.params.shapes])
+            np.multiply(x[:, None, None], gate, out=j_w1)
+            j_b1[...] = gate
+            j_w2[:, outputs, outputs] = hidden[:, None]
+            j_b2[outputs, outputs] = 1.0
             self.store.fold((a,), rows)
         # Task gradient, written block by block into one vector.
         task = np.empty(self.params.vector.size)
@@ -333,8 +325,8 @@ class OnlineMlpLearner:
         ``self._fair``; zero without a store."""
         if self.store is None:
             return self._fair
-        total = self.store.contrast_sum(self.penalty.delta)  # (c, P)
-        np.multiply(total.sum(axis=0), self.penalty.weight, out=self._fair)
+        total = self.store.contrast_sum(self.penalty.delta)  # (P, c)
+        np.multiply(total.sum(axis=1), self.penalty.weight, out=self._fair)
         return self._fair
 
 
@@ -374,6 +366,10 @@ class MajorityLearner(OnlineForestLearner):
 
     def __init__(self, config: LearnerConfig, majority: MajorityConfig,
                  record_trace: bool = False):
+        label = majority.fixed_label
+        if majority.source == "fixed" and not 0 <= label < config.n_outputs:
+            raise ConfigurationError(f"fixed majority label {label} outside "
+                                     f"the classes [0, {config.n_outputs})")
         super().__init__(config, record_trace=record_trace)
         self.majority = majority
         self._mix_rng = np.random.default_rng((config.seed, 1))

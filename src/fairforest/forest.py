@@ -14,6 +14,10 @@ and bit ``h - 1 - k`` of ``l`` says whether the path turns left (0, sign
 +1) or right (1, sign -1) below it.  Per height this is three cached
 ``(h, 2**h)`` arrays (ancestor rows, signs, edge columns); nothing of the
 size ``(2**h - 1) x 2**h`` of a dense ancestor mask is ever built.
+
+A leaf probability's derivative in a node's bias is read off the same
+path, without dividing: ``+p_l`` times the node's right edge when leaf
+``l`` hangs left of it, ``-p_l`` times its left edge when it hangs right.
 """
 
 from __future__ import annotations
@@ -103,19 +107,6 @@ def _path_edges(height: int) -> np.ndarray:
     edges = _ancestor_rows(height) + right * (2**height - 1)
     edges.setflags(write=False)
     return edges
-
-
-@lru_cache(maxsize=None)
-def _path_nodes(tree_count: int, height: int) -> np.ndarray:
-    """Flat (tree, node) row ``t * m + ancestor`` of every path entry.
-
-    Shape (T, h, 2**h), matching the path-form leaf Jacobian, so a
-    ``bincount`` over it sums per-path values onto their nodes.
-    """
-    n_nodes = 2**height - 1
-    rows = np.arange(tree_count)[:, None, None] * n_nodes + _ancestor_rows(height)
-    rows.setflags(write=False)
-    return rows
 
 
 def _block_views(vector: np.ndarray, shapes) -> list[np.ndarray]:
@@ -254,27 +245,13 @@ def _path_factors(edges: np.ndarray, height: int) -> np.ndarray:
     return np.take(edges, _path_edges(height), axis=-1)
 
 
-def _leaf_probability_gradients_stacked(
-    edges: np.ndarray, height: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf probabilities and their path-form Jacobian over a tree axis.
-
-    ``edges``: (T, 2m) -> probs (T, 2**h), jac (T, h, 2**h).  Entry
-    ``jac[t, k, l]`` is the derivative of leaf ``l``'s probability in the
-    gate output of its depth-``k`` ancestor: the signed product of the
-    other factors on the path, from prefix and suffix products, so a
-    saturated gate never triggers a division.  Every other node has zero
-    derivative, so the dense (T, m, 2**h) Jacobian is never formed.
+def _leaf_probability_gradients_stacked(edges: np.ndarray, height: int) -> np.ndarray:
+    """Leaf probabilities from edge factors, ``(..., 2m)`` -> ``(..., 2**h)``:
+    the product of each leaf's path factors in root-to-leaf order.  The
+    routing core of every evaluation, one instance or a batch; no
+    Jacobian is formed (gradients come from ``gradients._ForwardCache``).
     """
-    factors = _path_factors(edges, height)  # (T, h, L)
-    n_trees, _, n_leaves = factors.shape
-    prefix = np.ones((n_trees, height + 1, n_leaves))
-    np.cumprod(factors, axis=1, out=prefix[:, 1:])
-    suffix = np.ones((n_trees, height + 1, n_leaves))
-    np.cumprod(factors[:, ::-1], axis=1, out=suffix[:, height - 1::-1])
-    jac = prefix[:, :height] * suffix[:, 1:]
-    jac *= _path_signs(height)
-    return prefix[:, height], jac
+    return _path_factors(edges, height).prod(axis=-2)
 
 
 def _batch_edges(forest: ObliqueForest, features: np.ndarray) -> np.ndarray:
@@ -290,8 +267,8 @@ def _route(forest: ObliqueForest, features: np.ndarray) -> np.ndarray:
     (n, T, 2**h): the routing core of every evaluation.  Edges from the
     pre-activations, then the path factors, then their product along each
     path; no Jacobian is formed."""
-    edges = _batch_edges(forest, features)
-    return _path_factors(edges, forest.height).prod(axis=-2)
+    return _leaf_probability_gradients_stacked(_batch_edges(forest, features),
+                                               forest.height)
 
 
 def forward(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Closed-form gradients: task loss, fairness penalty, and their sum.
 
 The task loss is cross-entropy of a softmax over the forest output.  Its
-gradient is assembled analytically from the leaf probabilities and their
-derivatives in the gate outputs, never by automatic differentiation.
+gradient is assembled analytically from the leaf probabilities and the
+gate edges, never by automatic differentiation and without forming a
+leaf Jacobian.
 
 The fairness penalty is a Huber surrogate applied to each node's
 group-output gap as estimated by an ``AggregateStore``.  Its gradient
@@ -25,7 +26,8 @@ from .forest import (
     _block_views,
     _check_features,
     _leaf_probability_gradients_stacked,
-    _path_nodes,
+    _path_edges,
+    _path_signs,
 )
 from .stats import AggregateStore
 
@@ -102,35 +104,46 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
 class _ForwardCache:
     """Per-instance forward intermediates shared by the gradient paths:
     both edges of every gate, the gate slopes, the leaf probabilities and
-    their path-form Jacobian, and the forest output."""
+    the forest output.  The path-form leaf Jacobian ``leaf_jac`` is built
+    only when read; the task gradient never reads it."""
 
-    __slots__ = ("gates", "slope", "leaf_probs", "leaf_jac", "output")
+    __slots__ = ("edges", "gates", "slope", "leaf_probs", "output")
 
     # Ignored ``mask``: perfbench/run.py jacobian_counts passes one.
     def __init__(self, forest: ObliqueForest, x: np.ndarray, mask=None):
         n_nodes = forest.shape.n_nodes
-        edges = _all_node_outputs(forest, x)  # (T, 2m)
-        self.gates = edges[:, :n_nodes]  # (T, m)
+        self.edges = _all_node_outputs(forest, x)  # (T, 2m)
+        self.gates = self.edges[:, :n_nodes]  # (T, m)
         # The gate slope n (1 - n), from both edges so a saturated gate
         # keeps its tiny slope instead of cancelling to 0.
-        self.slope = self.gates * edges[:, n_nodes:]
-        # leaf_jac is in path form, (T, h, 2**h).
-        self.leaf_probs, self.leaf_jac = _leaf_probability_gradients_stacked(
-            edges, forest.height
-        )
+        self.slope = self.gates * self.edges[:, n_nodes:]
+        self.leaf_probs = _leaf_probability_gradients_stacked(self.edges,
+                                                              forest.height)
         self.output = np.einsum(
             "tl,tlc->c", self.leaf_probs, forest.leaves
         ) / forest.tree_count
+
+    @property
+    def leaf_jac(self) -> np.ndarray:
+        """Path-form Jacobian of the leaf probabilities in the node biases,
+        (T, h, 2**h): entry ``[t, k, l]`` is the derivative of leaf ``l``'s
+        probability in the bias of its depth-``k`` ancestor, ``p_l`` times
+        the ancestor's other edge, signed by the side the leaf hangs on."""
+        n_nodes = self.gates.shape[1]
+        height = n_nodes.bit_length()
+        other = np.take(self.edges, (_path_edges(height) + n_nodes) % (2 * n_nodes),
+                        axis=-1)
+        return other * self.leaf_probs[:, None] * _path_signs(height)
 
 
 def task_gradient(forest: ObliqueForest, x: np.ndarray, y: int) -> ForestGradient:
     """Cross-entropy gradient for one labeled instance.
 
     Leaf rows receive their own leaf probability times the softmax
-    residual; gate parameters receive the residual backpropagated through
-    the leaf-probability products, with the product over each path
-    assembled exclusive of the differentiated node so saturated gates
-    never divide by zero.
+    residual; a node's bias receives the residual-weighted probability
+    below its left child times its right edge, minus that below its right
+    child times its left edge, which never divides, so saturated gates
+    keep their exact gradient.  Weights receive the bias gradient times x.
     """
     x = _check_features(forest, x)
     if not 0 <= y < forest.n_outputs:
@@ -150,17 +163,23 @@ def _task_gradient_cached(forest: ObliqueForest, x: np.ndarray, y: int,
         )
     residual = softmax(cache.output)
     residual[y] -= 1.0
-    t = forest.tree_count
+    t, m = forest.tree_count, forest.shape.n_nodes
     np.multiply(cache.leaf_probs[:, :, None], residual, out=out.leaves)
     out.leaves /= t
     leaf_sensitivity = np.einsum("tlc,c->tl", forest.leaves, residual) / t
-    # Each path entry adds its leaf's sensitivity to the node it differentiates.
-    path_terms = cache.leaf_jac * leaf_sensitivity[:, None, :]
-    dldn = np.bincount(
-        _path_nodes(t, forest.height).ravel(), weights=path_terms.ravel(),
-        minlength=cache.gates.size,
-    ).reshape(cache.gates.shape)
-    np.multiply(dldn, cache.slope, out=out.biases)
+    # Subtree sums of sensitivity * probability over every node and leaf in
+    # breadth-first order, one pairwise add per level; entry 0 is unused.
+    sums = np.empty((t, 2 * m + 1))
+    np.multiply(leaf_sensitivity, cache.leaf_probs, out=sums[:, m:])
+    for depth in range(forest.height - 1, 0, -1):
+        below = sums[:, 2 ** (depth + 1) - 1:2 ** (depth + 2) - 1]
+        np.add(below[:, 0::2], below[:, 1::2],
+               out=sums[:, 2**depth - 1:2 ** (depth + 1) - 1])
+    # d p_l / d b_i is +p_l times the right edge of node i for the leaves
+    # below its left child, -p_l times its left edge below its right child.
+    edges = cache.edges
+    np.multiply(edges[:, m:], sums[:, 1::2], out=out.biases)
+    out.biases -= edges[:, :m] * sums[:, 2::2]
     np.multiply(out.biases[:, :, None], x, out=out.weights)
     return out
 
@@ -184,9 +203,9 @@ def fairness_gradient(store: AggregateStore, penalty: HuberPenalty,
     if penalty.weight == 0.0:
         out.vector.fill(0.0)
         return out
-    total = store.contrast_sum(penalty.delta)  # (T, m, d + 1): bias, weights
-    np.multiply(total[..., 1:], penalty.weight, out=out.weights)
-    np.multiply(total[..., 0], penalty.weight, out=out.biases)
+    total = store.contrast_sum(penalty.delta)  # (d + 1, T, m): bias, weights
+    np.multiply(total[1:].transpose(1, 2, 0), penalty.weight, out=out.weights)
+    np.multiply(total[0], penalty.weight, out=out.biases)
     out.leaves.fill(0.0)
     return out
 

@@ -3,12 +3,13 @@
 The online fairness penalty never touches raw instances: it works off
 running means, per key (a protected group, optionally conditioned on the
 task class), of a constrained quantity and of its parameter gradient.
-This module owns those running means in one packed, key-leading layout:
+This module owns those running means in one packed, width-first layout:
 
 * ``counts`` is ``(K,)``: every instance updates every cell of its keys,
   so one count per key serves them all;
-* ``means`` is ``(K, *cells, width)``: column 0 of each row is the
-  constrained quantity, the other columns its parameter gradient.
+* ``means`` is ``(K, width, *cells)``: row 0 of each key is the
+  constrained quantity, the other rows its parameter gradient, so every
+  pass over a key runs over long contiguous rows of cells.
 
 A fairness notion is a list of (plus, minus) key contrasts, and its
 penalty gradient is one sum over them (``RunningMeans.contrast_sum``):
@@ -25,7 +26,8 @@ stable increment ``mean += (value - mean) / count``.
 
 Checkpoints store float arrays through ``encode_floats`` and
 ``decode_floats``: one base64 string of the array's little-endian float64
-bytes, so every value round-trips bit for bit.
+bytes, so every value round-trips bit for bit.  Store means are written
+cells first, then width (``(K, *cells, width)`` order).
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ class RunningMeans:
     """Packed running means under ``n_keys`` keys, with the key contrasts
     a penalty compares.
 
-    Row ``means[k]`` holds one ``(*cells, width)`` block per key; column 0
-    is the constrained quantity and columns ``1:`` its gradient.
+    Block ``means[k]`` holds one ``(width, *cells)`` block per key; row 0
+    is the constrained quantity and rows ``1:`` its gradient.
     """
 
     def __init__(self, n_keys: int, cells: tuple, width: int,
@@ -97,10 +99,10 @@ class RunningMeans:
         self.decay = decay
         self.contrasts = contrasts
         self.counts = np.zeros(n_keys, dtype=np.int64)
-        self.means = np.zeros((n_keys, *cells, width))
+        self.means = np.zeros((n_keys, width, *cells))
 
     def fold(self, keys: tuple, values: np.ndarray) -> None:
-        """Fold one instance's ``(*cells, width)`` values into each key row."""
+        """Fold one instance's ``(width, *cells)`` values into each key."""
         for key in keys:
             self.counts[key] += 1
             count = self.counts[key]
@@ -114,29 +116,29 @@ class RunningMeans:
         """Huber-penalty gradient summed over the warm contrasts.
 
         Each contrast whose keys have both been seen adds
-        ``clip(gap, -delta, delta) * (mean[plus] - mean[minus])[..., 1:]``
-        with ``gap`` the difference of column 0; the clip is the Huber
-        slope.  Cold contrasts add nothing.  Shape ``(*cells, width - 1)``.
+        ``clip(gap, -delta, delta) * (mean[plus] - mean[minus])[1:]``
+        with ``gap`` the difference of row 0; the clip is the Huber slope.
+        Cold contrasts add nothing.  Shape ``(width - 1, *cells)``.
         """
         total = None
         for plus, minus in self.contrasts:
             if self.counts[plus] == 0 or self.counts[minus] == 0:
                 continue
             diff = self.means[plus] - self.means[minus]
-            diff *= np.clip(diff[..., :1], -delta, delta)
+            diff *= np.clip(diff[:1], -delta, delta)
             if total is None:
                 total = diff
             else:
                 total += diff
         if total is None:
             total = np.zeros(self.means.shape[1:])
-        return total[..., 1:]
+        return total[1:]
 
 
 class AggregateStore(RunningMeans):
     """Running group-conditional means of every (tree, node) gate.
 
-    ``means`` is ``(K, T, m, d + 2)``; each row holds the means of
+    ``means`` is ``(K, d + 2, T, m)``; its rows hold the means of
     ``[n, n (1 - n), n (1 - n) x]``: the gate output, then its gradient in
     the node's bias and weights.  The footprint is fixed by the
     configuration and never grows with the stream.
@@ -204,10 +206,9 @@ class AggregateStore(RunningMeans):
                 f"expected gates and slopes of shape ({t}, {m}) and x of "
                 f"shape ({d},), got {gates.shape}, {slope.shape}, {x.shape}"
             )
-        values = np.empty((t, m, d + 2))
-        values[..., 0] = gates
-        values[..., 1] = slope
-        np.multiply(slope[:, :, None], x, out=values[..., 2:])
+        values = np.empty((d + 2, t, m))
+        values[0], values[1] = gates, slope
+        np.multiply(x[:, None, None], slope, out=values[2:])
         self.fold(keys, values)
 
     # -- serialization ----------------------------------------------------
@@ -221,14 +222,14 @@ class AggregateStore(RunningMeans):
             "decay": self.decay,
             "shape": list(self.shape),
             "counts": self.counts.tolist(),
-            "means": encode_floats(self.means),
+            "means": encode_floats(np.moveaxis(self.means, 1, -1)),
         }
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "AggregateStore":
         """Rebuild a store, refusing arrays that do not fit its
         configuration: counts must be ``K`` non-negative integers, means
-        ``K * T * m * (d + 2)`` finite values."""
+        ``K * T * m * (d + 2)`` finite values, cells before width."""
         store = cls(
             ForestShape(*data["shape"]),
             n_groups=data["n_groups"],
@@ -237,5 +238,6 @@ class AggregateStore(RunningMeans):
             decay=data["decay"],
         )
         store.counts = _counts(data["counts"], store.counts.size, "store counts")
-        decode_floats(data["means"], store.means, "store means")
+        decode_floats(data["means"], np.moveaxis(store.means, 1, -1),
+                      "store means")
         return store

@@ -27,6 +27,7 @@ from .learner import TraceStep
 from .stats import AggregateStore
 
 MAX_PAIRS = 10**6
+_CHUNK_VALUES = 2**18  # gate differences held at once by check_dp_bound
 
 
 @dataclass
@@ -172,9 +173,14 @@ def check_dp_bound(forest: ObliqueForest, features: np.ndarray,
     n_nodes = forest.shape.n_nodes
     gates0 = _batch_edges(capped, x0)[..., :n_nodes]  # (n, T, m)
     gates1 = _batch_edges(capped, x1)[..., :n_nodes]
-    # Mean absolute gate difference over all (x0, x1) pairs, per node.
-    abs_diff = np.abs(gates0[:, None] - gates1[None, :])
-    eps = float(abs_diff.mean(axis=(0, 1)).max())
+    # Mean absolute gate difference over all (x0, x1) pairs, per node,
+    # summed over chunks of group-0 rows so memory stays bounded.
+    total = np.zeros(gates1.shape[1:])
+    rows = max(1, _CHUNK_VALUES // gates1.size)
+    for start in range(0, len(x0), rows):
+        diff = np.abs(gates0[start:start + rows, None] - gates1[None, :])
+        total += diff.sum(axis=(0, 1))
+    eps = float((total / (len(x0) * len(x1))).max())
     h = forest.height
     return _make_report("dp-routing-bound", h * 2**h * eps, parity_gap)
 
@@ -212,7 +218,7 @@ def audit_estimation_error(trace: list[TraceStep], delta: float,
         if cold:
             continue
         # The store's columns are the bias, then the weights.
-        diff = store.contrast_sum(delta) - np.concatenate(
+        diff = np.moveaxis(store.contrast_sum(delta), 0, -1) - np.concatenate(
             [exact.biases[..., None], exact.weights], axis=-1)
         worst = float(np.sqrt((diff**2).sum(axis=-1)).max())
         reports.append(

@@ -2,6 +2,7 @@
 the package's vectorized routing."""
 
 import numpy as np
+from scipy.special import expit
 
 
 def mask_oracle(height):
@@ -84,3 +85,37 @@ def mlp_block_fairness_gradient(store, delta, weight):
         np.einsum("...c,c->...", b[0] - b[1], coeff).ravel()
         for b in store.blocks
     ])
+
+
+def path_form_task_gradient(forest, x, y):
+    """Bias and weight task gradients ``(T, m)`` and ``(T, m, d)`` by the
+    path-form Jacobian the package used before the bias identity: prefix
+    and suffix products of each leaf's path factors give the derivative of
+    its probability in each ancestor's gate output; each path entry adds
+    its leaf's sensitivity to that ancestor (one ``bincount``), and the
+    gate slope ``n (1 - n)`` takes the sum to the bias."""
+    height, t = forest.height, forest.tree_count
+    m = 2**height - 1
+    z = forest.weights @ x + forest.biases
+    edges = expit(np.concatenate([z, -z], axis=-1))  # (T, 2m)
+    leaf = np.arange(2**height)
+    depth = np.arange(height)[:, None]
+    ancestors = (1 << depth) - 1 + (leaf >> (height - depth))  # (h, L)
+    signs = 1.0 - 2.0 * ((leaf >> (height - 1 - depth)) & 1)
+    factors = np.take(edges, ancestors + (signs < 0) * m, axis=-1)  # (T, h, L)
+    prefix = np.ones((t, height + 1, 2**height))
+    np.cumprod(factors, axis=1, out=prefix[:, 1:])
+    suffix = np.ones((t, height + 1, 2**height))
+    np.cumprod(factors[:, ::-1], axis=1, out=suffix[:, height - 1::-1])
+    jac = prefix[:, :height] * suffix[:, 1:] * signs
+    probs = prefix[:, height]
+    output = np.einsum("tl,tlc->c", probs, forest.leaves) / t
+    residual = np.exp(output - output.max())
+    residual /= residual.sum()
+    residual[y] -= 1.0
+    sensitivity = np.einsum("tlc,c->tl", forest.leaves, residual) / t
+    nodes = np.arange(t)[:, None, None] * m + ancestors
+    dldn = np.bincount(nodes.ravel(), weights=(jac * sensitivity[:, None]).ravel(),
+                       minlength=t * m).reshape(t, m)
+    biases = dldn * edges[:, :m] * edges[:, m:]
+    return biases, biases[:, :, None] * x

@@ -412,8 +412,8 @@ def test_criterion_10_reservoir_cost(battery, capfd):
     main_per_step = (time.perf_counter() - start) / 50
 
     exact = make_learner("reservoir", forest_config(1.0))
-    for x, y, a in stream[:4999]:
-        exact.reservoir.add(x, a, y)
+    for x, _, a in stream[:4999]:
+        exact.reservoir.add(x, a)
     exact.step_count = 4999
     x, y, a = stream[4999]
     start = time.perf_counter()

@@ -65,6 +65,30 @@ class TestReservoir:
         assert res.group_features(1).shape == (1, 2)
         assert len(res) == 3
 
+    def test_group_features_are_views_of_growing_rows(self):
+        """Rows are kept per group in a buffer that doubles when full:
+        ``group_features`` returns a read-only view of the rows added so
+        far, in arrival order, equal to stacking them, and later calls
+        share the same memory until the buffer grows."""
+        rng = np.random.default_rng(2)
+        res = Reservoir(3)
+        added = {0: [], 1: []}
+        for _ in range(100):
+            x = rng.standard_normal(3)
+            a = int(rng.integers(0, 2))
+            res.add(x, a)
+            added[a].append(x)
+            for group in (0, 1):
+                rows = res.group_features(group)
+                want = np.stack(added[group]) if added[group] else np.empty((0, 3))
+                np.testing.assert_array_equal(rows, want)
+        assert len(res) == 100
+        first, again = res.group_features(0), res.group_features(0)
+        assert np.shares_memory(first, again)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
     def test_empty_group_has_zero_rows(self):
         res = Reservoir(3)
         res.add(np.zeros(3), 0)
@@ -483,8 +507,9 @@ class TestMlp:
     @given(d=st.integers(1, 5), hidden=st.integers(1, 8),
            c=st.integers(2, 4), seed=st.integers(0, 2**16))
     def test_stored_rows_are_output_jacobians(self, d, hidden, c, seed):
-        """After one instance, row ``k`` of its group holds ``out_k`` and
-        the central differences of ``forward(x)[k]`` in every parameter."""
+        """After one instance, row 0 of its group holds the outputs and
+        column ``k`` of the other rows the central differences of
+        ``forward(x)[k]`` in every parameter."""
         learner = mlp(hidden, n_features=d, n_outputs=c, fairness_weight=1.0,
                       seed=seed)
         rng = np.random.default_rng(seed)
@@ -496,12 +521,12 @@ class TestMlp:
         before = learner.params.vector.copy()
         learner.step(x, 0, 0)
         learner.params.vector[...] = before
-        rows = learner.store.means[0]  # (c, 1 + P)
-        np.testing.assert_array_equal(rows[:, 0], learner.forward(x))
+        rows = learner.store.means[0]  # (1 + P, c)
+        np.testing.assert_array_equal(rows[0], learner.forward(x))
         for k in range(c):
             numeric = mlp_numeric_grads(
                 learner, lambda net: net.forward(x)[k])
-            np.testing.assert_allclose(rows[k, 1:], numeric, rtol=0,
+            np.testing.assert_allclose(rows[1:, k], numeric, rtol=0,
                                        atol=1e-8, err_msg=f"output {k}")
 
 
@@ -539,6 +564,18 @@ class TestMajority:
             prediction, snap = mixed.step(x, y, a)
             assert prediction == 1
         assert snap.dp_hard == 0.0
+
+    def test_fixed_label_must_be_a_class(self):
+        """A fixed majority label outside ``[0, n_outputs)`` is refused at
+        construction: it was emitted as a prediction, so every step
+        returned a class the learner does not have."""
+        for label in (5, 2, -1):
+            with pytest.raises(ConfigurationError):
+                MajorityLearner(self._config(), MajorityConfig(
+                    p=0.0, source="fixed", fixed_label=label))
+        for label in (0, 1):
+            MajorityLearner(self._config(), MajorityConfig(
+                p=0.0, source="fixed", fixed_label=label))
 
     def test_training_ignores_the_mixing(self):
         plain = OnlineForestLearner(self._config())

@@ -143,6 +143,13 @@ class TestRun:
         code = main(run_argv(tmp_path / "out", extra=("--height", "0")))
         assert code == 2
 
+    def test_majority_label_outside_the_classes_exits_two(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(run_argv(out, extra=("--baseline", "majority",
+                                          "--majority-label", "5")))
+        assert code == 2
+        assert not (out / "trajectory.csv").exists()
+
 
 class TestSweep:
     """The fairness-weight sweep subcommand."""

@@ -12,9 +12,7 @@ from fairforest.forest import (
     ObliqueForest,
     _all_node_outputs,
     _ancestor_rows,
-    _leaf_probability_gradients_stacked,
     _path_edges,
-    _path_nodes,
     _path_signs,
     _route,
     forward,
@@ -52,17 +50,21 @@ def leaf_probabilities(outputs):
     return _route(gate_forest(outputs), X0[None])[0, 0]
 
 
-def leaf_jacobian(outputs):
-    """Leaf probabilities and the dense (m, 2**h) Jacobian of one tree in
-    its gate outputs, scattered from the path-form core, and the tree's
-    left and right edges."""
-    forest = gate_forest(outputs)
+def bias_jacobian(forest):
+    """Leaf probabilities and the dense (m, 2**h) Jacobian in the node
+    biases of a one-tree forest at ``X0``, scattered from the path-form
+    ``_ForwardCache.leaf_jac``, and the tree's left and right edges."""
     height = forest.height
-    edges = _all_node_outputs(forest, X0)
-    probs, path_jac = _leaf_probability_gradients_stacked(edges, height)
+    cache = _ForwardCache(forest, X0)
     jac = np.zeros((forest.shape.n_nodes, 2**height))
-    jac[_ancestor_rows(height), np.arange(2**height)] = path_jac[0]
-    return probs[0], jac, np.split(edges[0], 2)
+    jac[_ancestor_rows(height), np.arange(2**height)] = cache.leaf_jac[0]
+    return cache.leaf_probs[0], jac, np.split(cache.edges[0], 2)
+
+
+def leaf_jacobian(outputs):
+    """``bias_jacobian`` of the one-tree forest whose gates are
+    ``outputs``."""
+    return bias_jacobian(gate_forest(outputs))
 
 
 def tree_outputs(forest, x):
@@ -116,8 +118,7 @@ class TestBuildMask:
 
     def test_entries_are_read_only(self):
         """The cached path arrays are shared, so none of them is writable."""
-        for array in (_ancestor_rows(3), _path_signs(3), _path_edges(3),
-                      _path_nodes(2, 3)):
+        for array in (_ancestor_rows(3), _path_signs(3), _path_edges(3)):
             with pytest.raises(ValueError):
                 array[0, 0] = 0
 
@@ -135,7 +136,6 @@ class TestBuildMask:
         for array in (_ancestor_rows(4), _path_signs(4), _path_edges(4)):
             assert array.shape == (4, 16)
         assert _path_signs(4).dtype == np.float64
-        assert _path_nodes(3, 4).shape == (3, 4, 16)
 
 
 class TestLeafProbabilities:
@@ -185,17 +185,21 @@ class TestLeafProbabilities:
 
 
 class TestLeafProbabilityGradients:
-    """The path-form derivatives of leaf probabilities in the gate
-    outputs, scattered to the dense Jacobian."""
+    """The path-form derivatives of leaf probabilities in the node biases
+    (``_ForwardCache.leaf_jac``: ``+-p_l`` times the other edge), scattered
+    to the dense Jacobian."""
 
     def test_height_one_jacobian(self):
+        """At n = 0.4 both leaves move by n (1 - n) = 0.24, in opposite
+        directions."""
         probs, jac, _ = leaf_jacobian(np.array([0.4]))
         np.testing.assert_allclose(probs, [0.4, 0.6])
-        np.testing.assert_allclose(jac, [[1.0, -1.0]])
+        np.testing.assert_allclose(jac, [[0.24, -0.24]], rtol=1e-14)
 
     def test_probs_match_direct_computation(self):
-        """The core's probabilities equal the path products, and its
-        Jacobian the one read off the oracle mask."""
+        """The core's probabilities equal the path products, and the bias
+        Jacobian equals the gate-output Jacobian read off the oracle mask
+        times each gate's slope."""
         rng = np.random.default_rng(7)
         for h in (1, 2, 3, 4):
             outputs = rng.uniform(0.05, 0.95, size=2**h - 1)
@@ -205,35 +209,45 @@ class TestLeafProbabilityGradients:
             )
             want_probs, want_jac = dense_leaf_jacobian(left, right, h)
             np.testing.assert_allclose(probs, want_probs, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(jac, want_jac, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(jac, want_jac * (left * right)[:, None],
+                                       rtol=1e-12, atol=0)
 
     def test_jacobian_matches_finite_differences(self):
-        """Central differences in each gate output reproduce the analytic
+        """Central differences in each node bias reproduce the analytic
         Jacobian to first order."""
         rng = np.random.default_rng(13)
         step = 1e-6
         for h in (1, 2, 3):
-            outputs = rng.uniform(0.1, 0.9, size=2**h - 1)
-            _, jac, _ = leaf_jacobian(outputs)
-            for i in range(outputs.size):
-                up = outputs.copy()
-                up[i] += step
-                down = outputs.copy()
-                down[i] -= step
-                numeric = (
-                    leaf_probabilities(up) - leaf_probabilities(down)
-                ) / (2 * step)
-                np.testing.assert_allclose(jac[i], numeric, atol=1e-8)
+            forest = gate_forest(rng.uniform(0.1, 0.9, size=2**h - 1))
+            _, jac, _ = bias_jacobian(forest)
+            for i in range(forest.shape.n_nodes):
+                bias = forest.biases[0, i]
+                forest.biases[0, i] = bias + step
+                up = _route(forest, X0[None])[0, 0]
+                forest.biases[0, i] = bias - step
+                down = _route(forest, X0[None])[0, 0]
+                forest.biases[0, i] = bias
+                np.testing.assert_allclose(jac[i], (up - down) / (2 * step),
+                                           atol=1e-9)
 
     def test_saturated_gates_keep_finite_jacobian(self):
-        """Gate outputs of exactly 0 and 1 produce no division artifacts."""
-        outputs = np.array([0.0, 1.0, 0.5, 0.0, 1.0, 0.5, 1.0])
-        probs, jac, _ = leaf_jacobian(outputs)
+        """Biases of +-40 and +-800 (gates that round to 0 or 1, or whose
+        far edge underflows to 0) produce no division artifacts, and each
+        entry is +-p_l times the other edge exactly."""
+        forest = gate_forest(np.full(7, 0.5))
+        forest.biases[0] = [40.0, 40.0, -800.0, 40.0, 800.0, -40.0, -800.0]
+        probs, jac, (left, right) = bias_jacobian(forest)
         assert np.isfinite(probs).all()
         assert np.isfinite(jac).all()
+        signs = mask_oracle(3)
+        other = np.where(signs > 0, right[:, None], left[:, None])
+        np.testing.assert_array_equal(jac, signs * other * probs)
+        # Leaf 0 holds nearly all the mass and the root's right edge is
+        # about 4.2e-18, so its root derivative is that tiny slope, not 0.
+        assert 4.1e-18 < jac[0, 0] < 4.3e-18
 
     def test_jacobian_rows_sum_to_zero(self):
-        """Total probability is conserved, so each gate's row sums to 0."""
+        """Total probability is conserved, so each bias's row sums to 0."""
         rng = np.random.default_rng(19)
         outputs = rng.uniform(0.0, 1.0, size=15)
         _, jac, _ = leaf_jacobian(outputs)

@@ -25,7 +25,7 @@ from fairforest.gradients import (
 from fairforest.learner import LearnerConfig, OnlineForestLearner
 from fairforest.stats import AggregateStore
 from fairforest.verify import finite_difference
-from oracles import dense_leaf_jacobian
+from oracles import dense_leaf_jacobian, path_form_task_gradient
 
 
 def numeric_task_gradient(forest, x, y, step=1e-6):
@@ -265,6 +265,36 @@ class TestTaskGradient:
             scale = max(np.abs(grad.vector).max(), 1e-12)
             error = np.abs(grad.vector[coords] - numeric.vector[coords]).max()
             assert error <= 1e-4 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        height=st.integers(1, 8),
+        trees=st.integers(1, 4),
+        d=st.integers(1, 6),
+        c=st.integers(2, 4),
+        log_scale=st.floats(-2.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bias_identity_matches_the_path_form_gradient(
+            self, height, trees, d, c, log_scale, seed):
+        """Over heights 1 to 8 (gradcheck draws at most 3), with gate
+        pre-activations up to about 1e3, the subtree-sum identity gives
+        the bias and weight gradients of the path-form Jacobian it
+        replaced (``oracles.path_form_task_gradient``) to 1e-12 of each
+        block's largest entry."""
+        rng = np.random.default_rng(seed)
+        forest = ObliqueForest.random(height, d, c, tree_count=trees, rng=rng)
+        scale = 10.0**log_scale
+        forest.weights *= scale * np.sqrt(d)
+        forest.biases += rng.uniform(-scale, scale, size=forest.biases.shape)
+        x = rng.standard_normal(d)
+        y = int(rng.integers(0, c))
+        grad = task_gradient(forest, x, y)
+        for got, want in zip((grad.biases, grad.weights),
+                             path_form_task_gradient(forest, x, y)):
+            assert np.isfinite(got).all()
+            bound = 1e-12 * np.abs(want).max()
+            assert np.abs(got - want).max() <= bound
 
     def test_leaf_gradient_structure(self):
         """Each leaf row's gradient is its leaf probability times the

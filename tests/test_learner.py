@@ -310,8 +310,8 @@ class TestStepping:
         assert prediction == before
 
     def test_predict_builds_no_jacobian(self, monkeypatch):
-        """Prediction routes through the forest's evaluation core; only the
-        step, which needs gradients, forms the leaf Jacobian."""
+        """Prediction routes through the forest's evaluation core, not
+        through the forward cache that the step's gradients read."""
         import fairforest.gradients
 
         learner = OnlineForestLearner(self._config())
@@ -319,11 +319,35 @@ class TestStepping:
         expected = int(np.argmax(_ForwardCache(learner.forest, x).output))
 
         def refuse(*args):
-            raise AssertionError("predict formed the leaf Jacobian")
+            raise AssertionError("predict built a forward cache")
 
         monkeypatch.setattr(fairforest.gradients,
                             "_leaf_probability_gradients_stacked", refuse)
         assert learner.predict(x) == expected
+
+    def test_step_builds_no_jacobian(self, monkeypatch):
+        """The forest learner's step takes its gradients from the leaf
+        probabilities and gate edges alone: with ``leaf_jac`` refusing to
+        be built, steps under every notion still run, and match steps
+        with it available bit for bit."""
+        def refuse(self):
+            raise AssertionError("the step built the leaf Jacobian")
+
+        configs = [self._config(fairness_weight=1.0),
+                   self._config(fairness="equalized_odds", fairness_weight=1.0),
+                   self._config(fairness="multigroup", n_groups=3,
+                                fairness_weight=1.0)]
+        reference = [OnlineForestLearner(cfg) for cfg in configs]
+        for learner in reference:
+            for x, y, a in biased_stream(20, seed=6):
+                learner.step(x, y, a)
+        monkeypatch.setattr(_ForwardCache, "leaf_jac", property(refuse))
+        for cfg, want in zip(configs, reference):
+            learner = OnlineForestLearner(cfg)
+            for x, y, a in biased_stream(20, seed=6):
+                learner.step(x, y, a)
+            np.testing.assert_array_equal(learner.forest.vector,
+                                          want.forest.vector)
 
     def test_deterministic_given_seed_and_stream(self):
         runs = []

@@ -42,8 +42,8 @@ def feed_random(store, n, seed, n_groups=2, n_classes=2):
 
 
 def gaps(store):
-    """Column-0 difference of every contrast, (n_contrasts, T, m)."""
-    return np.stack([store.means[p, ..., 0] - store.means[q, ..., 0]
+    """Row-0 difference of every contrast, (n_contrasts, T, m)."""
+    return np.stack([store.means[p, 0] - store.means[q, 0]
                      for p, q in store.contrasts])
 
 
@@ -74,7 +74,7 @@ class TestConstruction:
         assert store.n_classes is None
 
     def test_layout_is_key_leading(self):
-        """Counts per key; one packed row of d + 2 means per cell."""
+        """Counts per key; per key, d + 2 width-first rows of cell means."""
         t, m, d = SHAPE.tree_count, SHAPE.n_nodes, SHAPE.n_features
         for notion, kwargs, keys in (
             ("dp", {}, 2),
@@ -83,7 +83,7 @@ class TestConstruction:
         ):
             store = AggregateStore(SHAPE, notion=notion, **kwargs)
             assert store.counts.shape == (keys,)
-            assert store.means.shape == (keys, t, m, d + 2)
+            assert store.means.shape == (keys, d + 2, t, m)
 
 
 class TestKeyValidation:
@@ -137,13 +137,13 @@ class TestRunningMeans:
         gates = np.stack([g for _, _, g, _, _ in log])
         slope = np.stack([s for _, _, _, s, _ in log])
         xs = np.stack([x for _, _, _, _, x in log])
-        np.testing.assert_allclose(store.means[0, ..., 0], gates.mean(axis=0),
+        np.testing.assert_allclose(store.means[0, 0], gates.mean(axis=0),
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(store.means[0, ..., 1], slope.mean(axis=0),
+        np.testing.assert_allclose(store.means[0, 1], slope.mean(axis=0),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(
-            store.means[0, ..., 2:],
-            np.einsum("ntm,nd->tmd", slope, xs) / len(log), rtol=0, atol=1e-12,
+            store.means[0, 2:],
+            np.einsum("ntm,nd->dtm", slope, xs) / len(log), rtol=0, atol=1e-12,
         )
 
     def test_decay_follows_exponential_recursion(self):
@@ -154,12 +154,12 @@ class TestRunningMeans:
         rng = np.random.default_rng(3)
         values = rng.uniform(0, 1, size=10)
         feed(store, 1, 0, values[0])
-        np.testing.assert_array_equal(store.means[1, ..., 0], values[0])
+        np.testing.assert_array_equal(store.means[1, 0], values[0])
         expected = values[0]
         for v in values[1:]:
             feed(store, 1, 0, v)
             expected = decay * expected + (1 - decay) * v
-        np.testing.assert_allclose(store.means[1, ..., 0], expected, atol=1e-12)
+        np.testing.assert_allclose(store.means[1, 0], expected, atol=1e-12)
         np.testing.assert_array_equal(store.means[0], 0.0)
 
 
@@ -183,7 +183,7 @@ class TestGapEstimators:
         assert store.contrasts == ((0, 1),)
         np.testing.assert_allclose(gaps(store), 0.7 - 0.2, atol=1e-12)
         total = store.contrast_sum(delta=10.0)
-        grad_w, grad_b = total[..., 1:], total[..., 0]
+        grad_w, grad_b = total[1:], total[0]
         np.testing.assert_allclose(grad_w, 0.5 * 0.5, atol=1e-12)
         np.testing.assert_allclose(grad_b, 0.5 * 0.5, atol=1e-12)
 
@@ -203,7 +203,7 @@ class TestGapEstimators:
         overall = np.mean(list(observations.values()))
         for gap, v in zip(gaps(store), observations.values()):
             np.testing.assert_allclose(gap, overall - v, atol=1e-12)
-        grad_b = store.contrast_sum(delta=10.0)[..., 0]
+        grad_b = store.contrast_sum(delta=10.0)[0]
         np.testing.assert_allclose(
             grad_b, sum((overall - v) ** 2 for v in observations.values()),
             atol=1e-12,
@@ -214,7 +214,7 @@ class TestGapEstimators:
         store = AggregateStore(SHAPE, n_groups=3, notion="multigroup")
         feed(store, 0, 0, 0.5, slope=1.0)
         feed(store, 1, 0, 0.1, slope=0.0)
-        grad_b = store.contrast_sum(delta=10.0)[..., 0]
+        grad_b = store.contrast_sum(delta=10.0)[0]
         # overall = (0.3, 0.5): group 0 adds -0.2 * -0.5, group 1 adds
         # 0.2 * 0.5, group 2 is cold.
         np.testing.assert_allclose(grad_b, 0.2, atol=1e-12)
@@ -226,7 +226,7 @@ class TestGapEstimators:
         feed(store, 0, 1, 0.3, slope=5.0)
         assert store.contrasts == ((0, 2), (1, 3))
         np.testing.assert_allclose(gaps(store)[0], 0.5, atol=1e-12)
-        grad_b = store.contrast_sum(delta=10.0)[..., 0]
+        grad_b = store.contrast_sum(delta=10.0)[0]
         # Class 1 is cold: group 1 has not been seen with it.
         np.testing.assert_allclose(grad_b, 0.5 * 1.0, atol=1e-12)
 
@@ -323,8 +323,87 @@ class TestVectorizedPath:
         np.testing.assert_array_equal(grad.leaves, 0.0)
 
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_width_first_rows_match_naive_key_means(self, data):
+        """Each key's ``(d + 2, T, m)`` block is the naive (or
+        exponential) mean of ``[n, n (1 - n), n (1 - n) x]`` over the
+        instances that fold into that key, and the contrast sum is the
+        clipped row-0 gap times the other rows, summed over warm
+        contrasts, for every notion with and without decay."""
+        notion = data.draw(st.sampled_from(["dp", "equalized_odds", "multigroup"]))
+        n_groups = 2 if notion == "dp" else data.draw(st.integers(2, 4))
+        n_classes = data.draw(st.integers(2, 3))
+        shape = ForestShape(data.draw(st.integers(1, 3)),
+                            data.draw(st.integers(1, 4)),
+                            data.draw(st.integers(1, 4)), n_classes)
+        decay = data.draw(st.none() | st.floats(0.05, 0.95))
+        delta = data.draw(st.floats(1e-3, 1.0))
+        n = data.draw(st.integers(0, 30))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        store = AggregateStore(shape, n_groups=n_groups, notion=notion,
+                               n_classes=n_classes, decay=decay)
+        t, m, d = shape.tree_count, shape.n_nodes, shape.n_features
+        rows = {k: [] for k in range(len(store.counts))}
+        for _ in range(n):
+            a = int(rng.integers(0, n_groups))
+            y = int(rng.integers(0, n_classes))
+            gates = rng.uniform(0, 1, size=(t, m))
+            slope = gates * (1.0 - gates)
+            x = rng.standard_normal(d)
+            store.update_all(a, y, gates, slope, x)
+            row = np.concatenate([gates[None], slope[None],
+                                  x[:, None, None] * slope[None]])
+            for key in store.keys(a, y):
+                rows[key].append(row)
+
+        def naive(values):
+            if decay is None:
+                return np.mean(values, axis=0)
+            acc = values[0]
+            for value in values[1:]:
+                acc = decay * acc + (1 - decay) * value
+            return acc
+
+        want = np.zeros((d + 1, t, m))
+        for key, values in rows.items():
+            assert store.counts[key] == len(values)
+            expected = naive(values) if values else 0.0
+            np.testing.assert_allclose(store.means[key], expected,
+                                       rtol=1e-12, atol=1e-15)
+        for plus, minus in store.contrasts:
+            if rows[plus] and rows[minus]:
+                diff = naive(rows[plus]) - naive(rows[minus])
+                want += np.clip(diff[0], -delta, delta) * diff[1:]
+        np.testing.assert_allclose(store.contrast_sum(delta), want,
+                                   rtol=1e-9, atol=1e-12)
+
+
 class TestSnapshot:
     """Serialization round-trips and validation."""
+
+    def test_means_are_written_cells_before_width(self):
+        """The snapshot's bytes decode in ``(K, T, m, d + 2)`` order, the
+        byte order of earlier v3 files, although the store keeps its
+        means width-first."""
+        t, m, d = SHAPE.tree_count, SHAPE.n_nodes, SHAPE.n_features
+        store = AggregateStore(SHAPE, n_groups=3, notion="multigroup")
+        feed(store, 1, 0, 0.25, slope=0.5, x=np.array([1.0, -2.0, 4.0]))
+        raw = base64.b64decode(store.snapshot()["means"])
+        written = np.frombuffer(raw, dtype="<f8").reshape(4, t, m, d + 2)
+        np.testing.assert_array_equal(written[1], np.broadcast_to(
+            [0.25, 0.5, 0.5, -1.0, 2.0], (t, m, d + 2)))
+        np.testing.assert_array_equal(written[0], 0.0)
+        feed_random(store, 7, seed=3, n_groups=3)
+        raw = base64.b64decode(store.snapshot()["means"])
+        written = np.frombuffer(raw, dtype="<f8").reshape(4, t, m, d + 2)
+        np.testing.assert_array_equal(written, np.moveaxis(store.means, 1, -1))
+        for key in range(4):
+            for row in range(d + 2):
+                np.testing.assert_array_equal(written[key, ..., row],
+                                              store.means[key, row])
+        restored = AggregateStore.from_snapshot(store.snapshot())
+        np.testing.assert_array_equal(restored.means, store.means)
 
     def test_round_trip_preserves_state(self):
         store = AggregateStore(SHAPE)

@@ -1,8 +1,11 @@
 """Tests for the independent checking tools: finite differences, the
 gradient checker, input rescaling, and the theoretical-bound audits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -191,6 +194,33 @@ class TestCheckDpBound:
         groups = np.repeat([0, 1], n_per)
         with pytest.raises(DomainError, match="pairs"):
             check_dp_bound(forest, features, groups)
+
+
+    def test_bound_memory_stays_bounded(self):
+        """300 + 300 rows at h=4, T=3 are 9e4 pairs of 45 gates: one
+        array of every gate difference peaked at 65 MB.  Summed in chunks
+        of group-0 rows, the traced peak stays under 16 MB, and the
+        result equals the mean of that one array to 1e-13 relative."""
+        rng = np.random.default_rng(36)
+        forest = ObliqueForest.random(4, 4, 2, tree_count=3, rng=10)
+        features = rng.uniform(-1.5, 1.5, size=(600, 4))
+        groups = np.repeat([0, 1], 300)
+        tracemalloc.start()
+        try:
+            report = check_dp_bound(forest, features, groups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        capped = forest.copy()
+        capped.leaves /= np.linalg.norm(capped.leaves, axis=2, keepdims=True)
+        gates = [scipy.special.expit(np.einsum("tmd,nd->ntm", capped.weights,
+                                               features[groups == g])
+                                     + capped.biases) for g in (0, 1)]
+        eps = np.abs(gates[0][:, None] - gates[1][None]).mean(axis=(0, 1)).max()
+        np.testing.assert_allclose(report.theoretical, 4 * 2**4 * eps,
+                                   rtol=1e-13)
+        assert report.passed
 
 
 class TestAuditEstimationError:
