@@ -28,8 +28,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .forest import (
     ObliqueForest,
+    _all_node_outputs,
     _ancestor_rows,
-    _batch_edges,
     _block_views,
 )
 from .gradients import ForestGradient, HuberPenalty, huber_slope, softmax
@@ -112,7 +112,7 @@ def reservoir_fairness_gradient(
 
 def _reservoir_group_stats(forest: ObliqueForest, features: np.ndarray):
     """Per-node means of gate outputs and gate gradients over a batch."""
-    edges = _batch_edges(forest, features)  # (n, T, 2m)
+    edges = _all_node_outputs(forest, features)  # (n, T, 2m)
     gates, right = np.split(edges, 2, axis=-1)
     slopes = gates * right
     n = features.shape[0]
@@ -337,19 +337,16 @@ class OnlineMlpLearner:
 
 @dataclass
 class MajorityConfig:
-    """Mixture weight and majority source for the post-processing baseline."""
+    """Mixture weight and majority label of the post-processing baseline:
+    ``fixed_label`` when given, else the running majority of the labels
+    seen so far."""
 
     p: float = 0.5
-    source: str = "running"  # "running" or "fixed"
     fixed_label: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise ConfigurationError(f"mixing probability must be in [0, 1], got {self.p}")
-        if self.source not in ("running", "fixed"):
-            raise ConfigurationError(f"unknown majority source {self.source!r}")
-        if self.source == "fixed" and self.fixed_label is None:
-            raise ConfigurationError("fixed majority source needs fixed_label")
 
 
 def majority_postprocess(prediction: int, p: float, majority_label: int,
@@ -367,7 +364,7 @@ class MajorityLearner(OnlineForestLearner):
     def __init__(self, config: LearnerConfig, majority: MajorityConfig,
                  record_trace: bool = False):
         label = majority.fixed_label
-        if majority.source == "fixed" and not 0 <= label < config.n_outputs:
+        if label is not None and not 0 <= label < config.n_outputs:
             raise ConfigurationError(f"fixed majority label {label} outside "
                                      f"the classes [0, {config.n_outputs})")
         super().__init__(config, record_trace=record_trace)
@@ -376,7 +373,7 @@ class MajorityLearner(OnlineForestLearner):
         self._label_counts = np.zeros(config.n_outputs, dtype=np.int64)
 
     def _majority_label(self) -> int | None:
-        if self.majority.source == "fixed":
+        if self.majority.fixed_label is not None:
             return self.majority.fixed_label
         if self._label_counts.sum() == 0:
             return None

@@ -97,8 +97,6 @@ def _add_learner_flags(parser: argparse.ArgumentParser) -> None:
                         help="fixed majority label (default: running majority)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for parameters and the synthetic stream")
-    parser.add_argument("--checkpoint-interval", type=int, default=0,
-                        help="write a checkpoint every N steps (0 disables)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,6 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="key=value file of defaults for any long flag")
     _add_stream_flags(run)
     _add_learner_flags(run)
+    run.add_argument("--checkpoint-interval", type=int, default=0,
+                     help="write a checkpoint every N steps (0 disables)")
     run.add_argument("--out", required=True, metavar="DIR",
                      help="output directory for trajectory.csv and summary.json")
 
@@ -199,6 +199,8 @@ def _build_stream(args):
     if args.data:
         schema = _infer_schema(args.data, args.normalize)
         return (lambda: read_stream(args.data, schema)), schema.n_features
+    if args.normalize != "none":
+        raise ConfigurationError("--normalize applies to --data streams only")
     cfg = SyntheticConfig(
         n=args.n, n_features=args.dim, bias=args.bias,
         separation=args.sep, noise=args.noise, seed=args.seed,
@@ -238,11 +240,8 @@ def _build_learner(args, n_features: int):
     )
     majority = None
     if args.baseline == "majority":
-        if args.majority_label is not None:
-            majority = MajorityConfig(p=args.majority_p, source="fixed",
-                                      fixed_label=args.majority_label)
-        else:
-            majority = MajorityConfig(p=args.majority_p)
+        majority = MajorityConfig(p=args.majority_p,
+                                  fixed_label=args.majority_label)
     return make_learner(args.baseline, config, mlp_hidden=args.hidden,
                         majority=majority), config
 
@@ -338,6 +337,7 @@ def cmd_sweep(args) -> int:
         ) from None
     if not lambdas:
         raise ConfigurationError("--lambdas must name at least one weight")
+    make_stream, n_features = _build_stream(args)
     os.makedirs(args.out, exist_ok=True)
     sweep_path = os.path.join(args.out, "sweep.csv")
     with open(sweep_path, "w", newline="", encoding="utf-8") as fh:
@@ -347,7 +347,6 @@ def cmd_sweep(args) -> int:
         fh.flush()
         for weight in lambdas:
             args.fairness_weight = weight
-            make_stream, n_features = _build_stream(args)
             learner, _ = _build_learner(args, n_features)
             last = None
             for row in run_stream(learner, make_stream()):

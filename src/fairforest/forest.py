@@ -225,24 +225,25 @@ def _node_edges(z: np.ndarray) -> np.ndarray:
     ``z`` is ``(..., m)``; the result is ``(..., 2m)``: the gate outputs
     ``expit(z)`` (left edges) followed by ``expit(-z)`` (right edges).
     The right edge is never formed as ``1 - expit(z)``, which cancels to
-    exactly 0 once ``z`` exceeds about 37.
+    exactly 0 once ``z`` exceeds about 37.  The logistic runs in place:
+    for a batch, a second array of the edges' size costs more than the
+    logistic itself.
     """
-    return expit(np.concatenate([z, -z], axis=-1))
+    edges = np.concatenate([z, -z], axis=-1)
+    return expit(edges, out=edges)
 
 
-def _all_node_outputs(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
-    """Edge factors of every node for every tree at once, shape (T, 2m):
-    the gate outputs in the first ``m`` columns, their complements after."""
-    return _node_edges(forest.weights @ x + forest.biases)
+def _all_node_outputs(forest: ObliqueForest, features: np.ndarray) -> np.ndarray:
+    """Edge factors of every node of every tree, ``(..., d)`` ->
+    ``(..., T, 2m)``: the gate outputs in the first ``m`` columns, their
+    complements after.
 
-
-def _path_factors(edges: np.ndarray, height: int) -> np.ndarray:
-    """Routing factor of each depth-level ancestor per leaf.
-
-    ``edges`` is ``(..., 2m)`` as built by ``_node_edges``; the result
-    replaces the last axis with the path structure ``(..., h, 2**h)``.
+    The package's one pre-activation expression.  A stacked matrix-vector
+    product rounds the same for an instance alone and as a batch row, so
+    the training step, ``forward`` and ``forward_batch`` agree bit for bit.
     """
-    return np.take(edges, _path_edges(height), axis=-1)
+    z = np.matmul(forest.weights, features[..., None, :, None])[..., 0]
+    return _node_edges(z + forest.biases)
 
 
 def _leaf_probability_gradients_stacked(edges: np.ndarray, height: int) -> np.ndarray:
@@ -251,24 +252,13 @@ def _leaf_probability_gradients_stacked(edges: np.ndarray, height: int) -> np.nd
     routing core of every evaluation, one instance or a batch; no
     Jacobian is formed (gradients come from ``gradients._ForwardCache``).
     """
-    return _path_factors(edges, height).prod(axis=-2)
+    return np.take(edges, _path_edges(height), axis=-1).prod(axis=-2)
 
 
-def _batch_edges(forest: ObliqueForest, features: np.ndarray) -> np.ndarray:
-    """Edge factors of every node of every tree for a batch ``(n, d)``,
-    shape (n, T, 2m): the gate outputs in the first ``m`` columns, their
-    complements after, as ``_node_edges`` builds them."""
-    z = np.einsum("tmd,nd->ntm", forest.weights, features) + forest.biases
-    return _node_edges(z)
-
-
-def _route(forest: ObliqueForest, features: np.ndarray) -> np.ndarray:
-    """Leaf probabilities of every tree for a batch ``(n, d)``, shape
-    (n, T, 2**h): the routing core of every evaluation.  Edges from the
-    pre-activations, then the path factors, then their product along each
-    path; no Jacobian is formed."""
-    return _leaf_probability_gradients_stacked(_batch_edges(forest, features),
-                                               forest.height)
+def _mix_leaves(forest: ObliqueForest, leaf_probs: np.ndarray) -> np.ndarray:
+    """Forest output from leaf probabilities, ``(..., T, 2**h)`` ->
+    ``(..., c)``: each tree's probability-weighted leaf rows, averaged."""
+    return np.einsum("...tl,tlc->...c", leaf_probs, forest.leaves) / forest.tree_count
 
 
 def forward(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
@@ -286,8 +276,9 @@ def forward_batch(forest: ObliqueForest, features: np.ndarray,
             f"expected feature matrix of shape (n, {forest.n_features}), "
             f"got {features.shape}"
         )
-    probs = _route(forest, features)
-    return np.einsum("ntl,tlc->nc", probs, forest.leaves) / forest.tree_count
+    edges = _all_node_outputs(forest, features)
+    return _mix_leaves(forest,
+                       _leaf_probability_gradients_stacked(edges, forest.height))
 
 
 def predict(forest: ObliqueForest, x: np.ndarray) -> int:

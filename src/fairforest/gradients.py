@@ -26,6 +26,7 @@ from .forest import (
     _block_views,
     _check_features,
     _leaf_probability_gradients_stacked,
+    _mix_leaves,
     _path_edges,
     _path_signs,
 )
@@ -119,9 +120,7 @@ class _ForwardCache:
         self.slope = self.gates * self.edges[:, n_nodes:]
         self.leaf_probs = _leaf_probability_gradients_stacked(self.edges,
                                                               forest.height)
-        self.output = np.einsum(
-            "tl,tlc->c", self.leaf_probs, forest.leaves
-        ) / forest.tree_count
+        self.output = _mix_leaves(forest, self.leaf_probs)
 
     @property
     def leaf_jac(self) -> np.ndarray:

@@ -18,11 +18,17 @@ from .errors import ConfigurationError, DomainError, ShapeError
 from .forest import (
     ObliqueForest,
     _all_node_outputs,
-    _batch_edges,
+    _leaf_probability_gradients_stacked,
+    _mix_leaves,
     forward,
-    forward_batch,
 )
-from .gradients import ForestGradient, HuberPenalty, cross_entropy, task_gradient
+from .gradients import (
+    ForestGradient,
+    HuberPenalty,
+    _ForwardCache,
+    cross_entropy,
+    task_gradient,
+)
 from .learner import TraceStep
 from .stats import AggregateStore
 
@@ -150,8 +156,11 @@ def check_dp_bound(forest: ObliqueForest, features: np.ndarray,
     """
     features = np.asarray(features, dtype=np.float64)
     groups = np.asarray(groups)
-    if features.ndim != 2 or features.shape[0] != groups.shape[0]:
-        raise ShapeError("features and groups must have matching first dimension")
+    if features.shape != (len(groups), forest.n_features):
+        raise ShapeError(
+            f"expected features of shape ({len(groups)}, {forest.n_features}), "
+            f"one row per group entry, got {features.shape}"
+        )
     x0 = features[groups == 0]
     x1 = features[groups == 1]
     if len(x0) == 0 or len(x1) == 0:
@@ -167,12 +176,13 @@ def check_dp_bound(forest: ObliqueForest, features: np.ndarray,
     capped = forest.copy()
     norms = np.linalg.norm(capped.leaves, axis=2, keepdims=True)
     capped.leaves /= np.where(norms < 1e-12, 1.0, norms)
-    out0 = forward_batch(capped, x0)
-    out1 = forward_batch(capped, x1)
-    parity_gap = float(np.linalg.norm(out0.mean(axis=0) - out1.mean(axis=0)))
-    n_nodes = forest.shape.n_nodes
-    gates0 = _batch_edges(capped, x0)[..., :n_nodes]  # (n, T, m)
-    gates1 = _batch_edges(capped, x1)[..., :n_nodes]
+    # One evaluation of both (equally sized) groups gives their outputs
+    # and their gates.
+    edges = _all_node_outputs(capped, np.stack([x0, x1]))  # (2, n, T, 2m)
+    probs = _leaf_probability_gradients_stacked(edges, capped.height)
+    outputs = _mix_leaves(capped, probs).mean(axis=1)
+    parity_gap = float(np.linalg.norm(outputs[0] - outputs[1]))
+    gates0, gates1 = edges[..., :forest.shape.n_nodes]
     # Mean absolute gate difference over all (x0, x1) pairs, per node,
     # summed over chunks of group-0 rows so memory stays bounded.
     total = np.zeros(gates1.shape[1:])
@@ -211,8 +221,8 @@ def audit_estimation_error(trace: list[TraceStep], delta: float,
     reservoir = Reservoir(shape.n_features)
     reports = []
     for step in trace:
-        gates, right = np.split(_all_node_outputs(step.forest, step.x), 2, axis=-1)
-        store.update_all(step.a, 0, gates, gates * right, step.x)
+        cache = _ForwardCache(step.forest, step.x)
+        store.update_all(step.a, 0, cache.gates, cache.slope, step.x)
         reservoir.add(step.x, step.a)
         exact, cold = reservoir_fairness_gradient(reservoir, step.forest, penalty)
         if cold:

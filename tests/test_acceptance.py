@@ -24,9 +24,10 @@ from fairforest.baselines import (
 from fairforest.data import SyntheticConfig, generate_synthetic
 from fairforest.forest import (
     ObliqueForest,
+    _all_node_outputs,
     _ancestor_rows,
+    _leaf_probability_gradients_stacked,
     _path_signs,
-    _route,
 )
 from fairforest.gradients import HuberPenalty, fairness_gradient
 from fairforest.learner import LearnerConfig, OnlineForestLearner
@@ -168,7 +169,8 @@ def compute_results():
         t = int(rng.integers(1, 4))
         forest = ObliqueForest.random(h, d, c, t, rng=rng)
         x = rng.uniform(-3.0, 3.0, size=d)
-        probs = _route(forest, x[None])[0]  # (T, L)
+        probs = _leaf_probability_gradients_stacked(
+            _all_node_outputs(forest, x), h)  # (T, L)
         worst_sum = max(worst_sum, float(np.abs(probs.sum(axis=1) - 1.0).max()))
         lowest = min(lowest, float(probs.min()))
         highest = max(highest, float(probs.max()))

@@ -557,7 +557,7 @@ class TestMajority:
         """Always emitting one label makes the hard parity gap zero."""
         mixed = MajorityLearner(
             self._config(),
-            MajorityConfig(p=0.0, source="fixed", fixed_label=1),
+            MajorityConfig(p=0.0, fixed_label=1),
         )
         snap = None
         for x, y, a in biased_stream(40, seed=16):
@@ -572,10 +572,10 @@ class TestMajority:
         for label in (5, 2, -1):
             with pytest.raises(ConfigurationError):
                 MajorityLearner(self._config(), MajorityConfig(
-                    p=0.0, source="fixed", fixed_label=label))
+                    p=0.0, fixed_label=label))
         for label in (0, 1):
             MajorityLearner(self._config(), MajorityConfig(
-                p=0.0, source="fixed", fixed_label=label))
+                p=0.0, fixed_label=label))
 
     def test_training_ignores_the_mixing(self):
         plain = OnlineForestLearner(self._config())
@@ -588,7 +588,7 @@ class TestMajority:
 
     def test_running_majority_tracks_label_counts(self):
         mixed = MajorityLearner(
-            self._config(), MajorityConfig(p=0.0, source="running")
+            self._config(), MajorityConfig(p=0.0)
         )
         x = np.zeros(2)
         mixed.step(x, 1, 0)  # no majority yet on the first step
@@ -599,10 +599,6 @@ class TestMajority:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             MajorityConfig(p=1.5)
-        with pytest.raises(ConfigurationError):
-            MajorityConfig(source="oracle")
-        with pytest.raises(ConfigurationError):
-            MajorityConfig(source="fixed")
 
     def test_checkpoint_unsupported(self):
         mixed = MajorityLearner(self._config(), MajorityConfig())
@@ -629,6 +625,26 @@ class TestMakeLearner:
         assert set(BASELINE_NAMES) == {
             "aranyani", "mlp", "leaf", "reservoir", "majority"
         }
+
+    @settings(max_examples=30, deadline=None)
+    @given(height=st.integers(1, 8), trees=st.integers(1, 5),
+           d=st.integers(1, 12), n=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_predict_is_the_step_prediction(self, height, trees, d, n, seed):
+        """Before each step, ``predict`` returns the prediction that the
+        step itself makes, for every forest learner that predicts with
+        the forest."""
+        config = LearnerConfig(n_features=d, height=height, tree_count=trees,
+                               fairness="dp", fairness_weight=1.0,
+                               seed=seed)
+        rng = np.random.default_rng(seed)
+        stream = [(rng.standard_normal(d), int(rng.integers(0, 2)),
+                   int(rng.integers(0, 2))) for _ in range(n)]
+        for name in ("aranyani", "leaf", "reservoir"):
+            learner = make_learner(name, config)
+            for x, y, a in stream:
+                expected = learner.predict(x)
+                assert learner.step(x, y, a)[0] == expected
 
 
 class TestNoPenalty:

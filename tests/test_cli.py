@@ -143,6 +143,16 @@ class TestRun:
         code = main(run_argv(tmp_path / "out", extra=("--height", "0")))
         assert code == 2
 
+    def test_online_normalization_needs_a_data_file(self, tmp_path):
+        """The synthetic stream is never normalized, so ``--normalize
+        online`` without ``--data`` is refused before anything is
+        written, by ``run`` and by ``sweep``."""
+        out = tmp_path / "out"
+        assert main(run_argv(out, extra=("--normalize", "online"))) == 2
+        assert main(["sweep", "--synthetic", "--n", "30", "--lambdas", "0",
+                     "--normalize", "online", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_majority_label_outside_the_classes_exits_two(self, tmp_path):
         out = tmp_path / "out"
         code = main(run_argv(out, extra=("--baseline", "majority",
@@ -188,6 +198,16 @@ class TestSweep:
         ]) == 0
         rows = read_rows(out / "sweep.csv")[1:]
         assert rows[0][1:] == rows[1][1:]
+
+    def test_checkpoint_interval_is_refused(self, tmp_path):
+        """A sweep writes no checkpoint, so it has no
+        ``--checkpoint-interval`` flag: argparse exits 2."""
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--synthetic", "--n", "30", "--lambdas", "0",
+                  "--checkpoint-interval", "10", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert not out.exists()
 
     def test_bad_weight_list_exits_two(self, tmp_path):
         assert main([

@@ -5,6 +5,8 @@ derivatives, forward evaluation, prediction."""
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairforest.errors import ConfigurationError, ShapeError
 from fairforest.forest import (
@@ -12,9 +14,9 @@ from fairforest.forest import (
     ObliqueForest,
     _all_node_outputs,
     _ancestor_rows,
+    _leaf_probability_gradients_stacked,
     _path_edges,
     _path_signs,
-    _route,
     forward,
     forward_batch,
     predict,
@@ -44,10 +46,17 @@ def gate_forest(outputs):
     return forest
 
 
+def route(forest, x):
+    """Leaf probabilities of every tree at ``x``, ``(..., d)`` ->
+    ``(..., T, 2**h)``: the edges and the routing core of every
+    evaluation."""
+    return _leaf_probability_gradients_stacked(_all_node_outputs(forest, x),
+                                               forest.height)
+
+
 def leaf_probabilities(outputs):
-    """One tree's leaf probabilities at the given gate outputs, from the
-    routing core of every evaluation."""
-    return _route(gate_forest(outputs), X0[None])[0, 0]
+    """One tree's leaf probabilities at the given gate outputs."""
+    return route(gate_forest(outputs), X0)[0]
 
 
 def bias_jacobian(forest):
@@ -69,7 +78,7 @@ def leaf_jacobian(outputs):
 
 def tree_outputs(forest, x):
     """Each tree's leaf-probability-weighted mix of its leaf rows, (T, c)."""
-    return np.einsum("tl,tlc->tc", _route(forest, x[None])[0], forest.leaves)
+    return np.einsum("tl,tlc->tc", route(forest, x), forest.leaves)
 
 
 class TestBuildMask:
@@ -223,9 +232,9 @@ class TestLeafProbabilityGradients:
             for i in range(forest.shape.n_nodes):
                 bias = forest.biases[0, i]
                 forest.biases[0, i] = bias + step
-                up = _route(forest, X0[None])[0, 0]
+                up = route(forest, X0)[0]
                 forest.biases[0, i] = bias - step
-                down = _route(forest, X0[None])[0, 0]
+                down = route(forest, X0)[0]
                 forest.biases[0, i] = bias
                 np.testing.assert_allclose(jac[i], (up - down) / (2 * step),
                                            atol=1e-9)
@@ -290,23 +299,30 @@ class TestForward:
         single = np.stack([forward(forest, row) for row in features])
         np.testing.assert_allclose(batch, single, rtol=1e-12)
 
-    def test_every_evaluation_shares_the_routing(self):
-        """``forward``, ``forward_batch``, the per-tree outputs and
-        ``predict`` route through one core: a batch row is bit for bit the single
-        instance, and all agree with the gradient path's forward cache."""
-        rng = np.random.default_rng(31)
-        for height in (1, 3, 6):
-            forest = ObliqueForest.random(height, 4, 3, tree_count=3, rng=rng)
-            features = rng.standard_normal((6, 4))
-            batch = forward_batch(forest, features)
-            for x, row in zip(features, batch):
-                out = forward(forest, x)
-                np.testing.assert_array_equal(row, out)
-                np.testing.assert_allclose(tree_outputs(forest, x).mean(axis=0),
-                                           out, rtol=1e-12)
-                np.testing.assert_allclose(_ForwardCache(forest, x).output, out,
-                                           rtol=1e-12)
-                assert predict(forest, x) == int(np.argmax(out))
+    @settings(max_examples=60, deadline=None)
+    @given(height=st.integers(1, 8), trees=st.integers(1, 5),
+           d=st.integers(1, 12), n=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_evaluation_shares_the_routing(self, height, trees, d, n,
+                                                 seed):
+        """``forward``, ``forward_batch``, the training step's forward
+        cache and ``predict`` evaluate one expression: a batch row, the
+        instance alone and the cache's output are equal bit for bit, and
+        the per-tree outputs average to them.  That average sums in
+        another order; with leaf rows within +-0.1 its rounding error is
+        about 1e-17, so an entry that cancels to near 0 is compared
+        absolutely."""
+        rng = np.random.default_rng(seed)
+        forest = ObliqueForest.random(height, d, 3, tree_count=trees, rng=rng)
+        features = rng.standard_normal((n, d))
+        batch = forward_batch(forest, features)
+        for x, row in zip(features, batch):
+            out = forward(forest, x)
+            np.testing.assert_array_equal(row, out)
+            np.testing.assert_array_equal(_ForwardCache(forest, x).output, out)
+            np.testing.assert_allclose(tree_outputs(forest, x).mean(axis=0),
+                                       out, rtol=1e-12, atol=1e-15)
+            assert predict(forest, x) == int(np.argmax(out))
 
     def test_saturated_gate_keeps_its_right_edge(self):
         """At pre-activation +40 the right leaf gets expit(-40) = 4.2e-18,

@@ -186,6 +186,8 @@ class TestCheckDpBound:
             check_dp_bound(forest, features, np.zeros(4, dtype=int))
         with pytest.raises(ShapeError):
             check_dp_bound(forest, features, np.zeros(3, dtype=int))
+        with pytest.raises(ShapeError):
+            check_dp_bound(forest, np.zeros((4, 3)), np.array([0, 0, 1, 1]))
 
     def test_pair_cap(self):
         forest = ObliqueForest.random(1, 2, 2)
