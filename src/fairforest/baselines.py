@@ -126,11 +126,14 @@ class ReservoirLearner(OnlineForestLearner):
     """Forest learner whose fairness gradient is recomputed from scratch
     over the full history each step.  The task path is unchanged."""
 
-    def __init__(self, config: LearnerConfig, record_trace: bool = False):
+    def __init__(self, config: LearnerConfig):
         _require_dp(config, "reservoir baseline")
-        super().__init__(config, record_trace=record_trace)
-        self.store = None
+        super().__init__(config)
         self.reservoir = Reservoir(config.n_features)
+
+    def _build_store(self) -> None:
+        """No gate store: the penalty reads the reservoir."""
+        return None
 
     def _update_fairness_state(self, x, y, a, cache) -> None:
         self.reservoir.add(x, a)
@@ -175,10 +178,9 @@ class LeafPenaltyLearner(OnlineForestLearner):
     the leaf's path.  Leaf rows still receive no fairness gradient.
     """
 
-    def __init__(self, config: LearnerConfig, record_trace: bool = False):
+    def __init__(self, config: LearnerConfig):
         _require_dp(config, "leaf-penalty baseline")
-        super().__init__(config, record_trace=record_trace)
-        self.store = None
+        super().__init__(config)
         shape = self.forest.shape
         # Per group, rows over every (tree, leaf) cell: the leaf
         # probability, then its Jacobian in the bias and each weight
@@ -189,6 +191,10 @@ class LeafPenaltyLearner(OnlineForestLearner):
             1 + (shape.n_features + 1) * shape.height, ((0, 1),),
             config.aggregate_decay,
         ) if config.has_penalty else None
+
+    def _build_store(self) -> None:
+        """No gate store: the penalty reads ``leaf_store``."""
+        return None
 
     def _update_fairness_state(self, x, y, a, cache) -> None:
         if self.leaf_store is None:
@@ -361,13 +367,12 @@ class MajorityLearner(OnlineForestLearner):
     label.  Training is unaffected; only the emitted stream (and hence the
     metrics) changes."""
 
-    def __init__(self, config: LearnerConfig, majority: MajorityConfig,
-                 record_trace: bool = False):
+    def __init__(self, config: LearnerConfig, majority: MajorityConfig):
         label = majority.fixed_label
         if label is not None and not 0 <= label < config.n_outputs:
             raise ConfigurationError(f"fixed majority label {label} outside "
                                      f"the classes [0, {config.n_outputs})")
-        super().__init__(config, record_trace=record_trace)
+        super().__init__(config)
         self.majority = majority
         self._mix_rng = np.random.default_rng((config.seed, 1))
         self._label_counts = np.zeros(config.n_outputs, dtype=np.int64)

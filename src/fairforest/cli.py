@@ -44,6 +44,10 @@ TRAJECTORY_COLUMNS = (
 
 PROGRESS_EVERY = 1000
 
+# Flags read by one baseline only (argparse destination: baseline).
+BASELINE_FLAGS = {"hidden": "mlp", "majority_p": "majority",
+                  "majority_label": "majority"}
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -89,10 +93,11 @@ def _add_learner_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lr", type=float, default=2e-3, help="Adam step size")
     parser.add_argument("--baseline", choices=BASELINE_NAMES,
                         default="aranyani", help="model variant to train")
-    parser.add_argument("--hidden", type=int, default=64,
-                        help="hidden width of the mlp baseline")
-    parser.add_argument("--majority-p", type=float, default=0.5,
-                        help="model-prediction probability of the majority baseline")
+    parser.add_argument("--hidden", type=int,
+                        help="hidden width of the mlp baseline (default 64)")
+    parser.add_argument("--majority-p", type=float,
+                        help="model-prediction probability of the majority "
+                             "baseline (default 0.5)")
     parser.add_argument("--majority-label", type=int, default=None,
                         help="fixed majority label (default: running majority)")
     parser.add_argument("--seed", type=int, default=0,
@@ -238,22 +243,29 @@ def _build_learner(args, n_features: int):
         learning_rate=args.lr,
         seed=args.seed,
     )
-    majority = None
+    stray = [f"--{dest.replace('_', '-')}"
+             for dest, baseline in BASELINE_FLAGS.items()
+             if getattr(args, dest) is not None and args.baseline != baseline]
+    if stray:
+        raise ConfigurationError(f"{', '.join(stray)}: not read by --baseline "
+                                 f"{args.baseline}")
+    options = {}
+    if args.hidden is not None:
+        options["mlp_hidden"] = args.hidden
     if args.baseline == "majority":
-        majority = MajorityConfig(p=args.majority_p,
-                                  fixed_label=args.majority_label)
-    return make_learner(args.baseline, config, mlp_hidden=args.hidden,
-                        majority=majority), config
+        p = MajorityConfig.p if args.majority_p is None else args.majority_p
+        options["majority"] = MajorityConfig(p, args.majority_label)
+    return make_learner(args.baseline, config, **options)
 
 
-def _echo_config(args, config: LearnerConfig) -> dict:
-    echo = config.to_dict()
+def _echo_config(args, learner) -> dict:
+    echo = learner.config.to_dict()
     echo["baseline"] = args.baseline
     if args.baseline == "mlp":
-        echo["hidden"] = args.hidden
+        echo["hidden"] = learner.params.b1.size
     if args.baseline == "majority":
-        echo["majority_p"] = args.majority_p
-        echo["majority_label"] = args.majority_label
+        echo["majority_p"] = learner.majority.p
+        echo["majority_label"] = learner.majority.fixed_label
     if args.data:
         echo["data"] = args.data
         echo["normalize"] = args.normalize
@@ -291,7 +303,7 @@ def cmd_run(args) -> int:
             "--checkpoint-interval is supported for the aranyani baseline only"
         )
     make_stream, n_features = _build_stream(args)
-    learner, config = _build_learner(args, n_features)
+    learner = _build_learner(args, n_features)
     os.makedirs(args.out, exist_ok=True)
     trajectory_path = os.path.join(args.out, "trajectory.csv")
     checkpoint_path = os.path.join(args.out, "checkpoint.json")
@@ -308,7 +320,7 @@ def cmd_run(args) -> int:
     if last is None:
         raise DataError("the input stream was empty")
     summary = {
-        "config": _echo_config(args, config),
+        "config": _echo_config(args, learner),
         "final": {
             "steps": last.step,
             "accuracy": last.accuracy,
@@ -347,7 +359,7 @@ def cmd_sweep(args) -> int:
         fh.flush()
         for weight in lambdas:
             args.fairness_weight = weight
-            learner, _ = _build_learner(args, n_features)
+            learner = _build_learner(args, n_features)
             last = None
             for row in run_stream(learner, make_stream()):
                 last = row

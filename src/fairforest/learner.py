@@ -9,6 +9,8 @@ configuration, and the instance stream.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import contextlib
 import json
 import math
@@ -35,13 +37,7 @@ from .gradients import (
     gradient_norm,
     total_gradient,
 )
-from .stats import (
-    AggregateStore,
-    _count,
-    _counts,
-    decode_floats,
-    encode_floats,
-)
+from .stats import AggregateStore
 
 FAIRNESS_NOTIONS = ("none", "dp", "equalized_odds", "multigroup")
 _INTEGER_FIELDS = ("n_features", "n_outputs", "height", "tree_count", "n_groups",
@@ -83,22 +79,6 @@ class AdamState:
         v += (1.0 - h.beta2) * grads * grads
         params -= h.learning_rate * (m / c1) / (np.sqrt(v / c2) + h.epsilon)
 
-    def snapshot(self) -> dict:
-        return {
-            "t": self.t,
-            "m": encode_floats(self.m),
-            "v": encode_floats(self.v),
-        }
-
-    def restore(self, data: dict) -> None:
-        """Load a snapshot, refusing moments that are not ``size`` finite
-        values each."""
-        _check_keys(data, ("t", "m", "v"), "adam")
-        t = _count(data["t"], "adam.t")
-        decode_floats(data["m"], self.m, "adam.m")
-        decode_floats(data["v"], self.v, "adam.v")
-        self.t = t
-
 
 def _check_keys(data, keys, name: str) -> None:
     """Raise DataError unless ``data`` is a dict with exactly ``keys``."""
@@ -120,7 +100,6 @@ class MetricsTracker:
 
     def __init__(self, n_groups: int = 2, n_outputs: int = 2):
         self.n_groups = n_groups
-        self.n_outputs = n_outputs
         self.total = 0
         self.correct = 0
         self.group_counts = np.zeros(n_groups, dtype=np.int64)
@@ -170,48 +149,6 @@ class MetricsTracker:
         means = self.group_output_sums[seen] / self.group_counts[seen, None]
         overall = self.group_output_sums.sum(axis=0) / self.total
         return float(np.max(np.linalg.norm(overall - means, axis=1)))
-
-    def snapshot(self) -> dict:
-        return {
-            "n_groups": self.n_groups,
-            "n_outputs": self.n_outputs,
-            "total": self.total,
-            "correct": self.correct,
-            "group_counts": self.group_counts.tolist(),
-            "group_label_sums": encode_floats(self.group_label_sums),
-            "group_output_sums": encode_floats(self.group_output_sums),
-        }
-
-    @classmethod
-    def from_snapshot(cls, data: dict, n_groups: int,
-                      n_outputs: int) -> "MetricsTracker":
-        """Rebuild a tracker of ``n_groups`` groups and ``n_outputs``
-        outputs, raising DataError unless the snapshot is one: the counts
-        non-negative integers ``(G,)`` summing to ``total``, the sums
-        finite ``(G,)`` and ``(G, c)``, and ``correct <= total``."""
-        _check_keys(data, _METRICS_KEYS, "metrics")
-        if (data["n_groups"], data["n_outputs"]) != (n_groups, n_outputs):
-            raise DataError(
-                f"metrics are for {data['n_groups']} groups and "
-                f"{data['n_outputs']} outputs, the configuration has "
-                f"{n_groups} and {n_outputs}"
-            )
-        tracker = cls(n_groups, n_outputs)
-        total = _count(data["total"], "metrics.total")
-        correct = _count(data["correct"], "metrics.correct")
-        if correct > total:
-            raise DataError(f"metrics.correct {correct} exceeds total {total}")
-        counts = _counts(data["group_counts"], n_groups, "metrics.group_counts")
-        if counts.sum() != total:
-            raise DataError(f"metrics.group_counts {data['group_counts']!r} "
-                            f"do not sum to total {total}")
-        tracker.total, tracker.correct = total, correct
-        tracker.group_counts[...] = counts
-        decode_floats(data["group_label_sums"], tracker.group_label_sums,
-                      "metrics.group_label_sums")
-        decode_floats(data["group_output_sums"], tracker.group_output_sums,
-                      "metrics.group_output_sums")
-        return tracker
 
 
 @dataclass(frozen=True)
@@ -353,36 +290,65 @@ def _check_step(config: LearnerConfig, x, y: int, a: int) -> np.ndarray:
     return x
 
 
-@dataclass
-class TraceStep:
-    """One recorded step: parameters in force plus the instance."""
-
-    forest: ObliqueForest
-    x: np.ndarray
-    a: int
+CHECKPOINT_FORMAT = "fairforest-checkpoint-v4"
+_CHECKPOINT_KEYS = ("format", "config", "step_count", "correct", "floats",
+                    "counts")
 
 
-CHECKPOINT_FORMAT = "fairforest-checkpoint-v3"
-_CHECKPOINT_KEYS = ("format", "config", "step_count", "forest", "adam", "store",
-                    "metrics")
-_FOREST_KEYS = ("height", "vector")
-_METRICS_KEYS = ("n_groups", "n_outputs", "total", "correct", "group_counts",
-                 "group_label_sums", "group_output_sums")
+def encode_floats(array: np.ndarray) -> str:
+    """Base64 text of ``array``'s values as little-endian float64, in C
+    order; the shape is not stored."""
+    data = np.ascontiguousarray(array, dtype="<f8").tobytes()
+    return base64.b64encode(data).decode("ascii")
+
+
+def decode_floats(text, out: np.ndarray, name: str) -> None:
+    """Copy the values ``encode_floats`` wrote into ``out``, raising
+    DataError unless ``text`` is a string of valid base64 holding exactly
+    ``out.size`` float64 values, all finite."""
+    if not isinstance(text, str):
+        raise DataError(f"{name} must be a base64 string, "
+                        f"got {type(text).__name__}")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except (binascii.Error, ValueError) as exc:
+        raise DataError(f"{name} is not valid base64: {exc}") from exc
+    if len(data) != 8 * out.size:
+        raise DataError(f"{name} must hold {out.size} float64 values "
+                        f"({8 * out.size} bytes), got {len(data)} bytes")
+    values = np.frombuffer(data, dtype="<f8").reshape(out.shape)
+    if not np.isfinite(values).all():
+        raise DataError(f"{name} holds non-finite values")
+    out[...] = values
+
+
+def _count(value, name: str) -> int:
+    """``value`` if it is a non-negative integer, else DataError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise DataError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _counts(value, size: int, name: str) -> np.ndarray:
+    """``value`` as an int64 array if it is a list of ``size`` non-negative
+    integers, else DataError."""
+    if not isinstance(value, list) or len(value) != size:
+        raise DataError(f"{name} must be a list of {size} counts, got {value!r}")
+    return np.array([_count(v, f"{name}[{i}]") for i, v in enumerate(value)],
+                    dtype=np.int64)
 
 
 class OnlineForestLearner:
     """Per-instance fair learner over an oblique forest.
 
     Each ``step`` runs the normative order: predict, update metrics, feed
-    the aggregate store, build the total gradient, Adam-update.  With
-    ``record_trace=True`` the pre-step parameters and the instance are
-    kept for later estimation-error audits.
+    the aggregate store, build the total gradient, Adam-update.
     """
 
     # Always None: perfbench/run.py passes ``learner.mask`` to forward_batch.
     mask = None
 
-    def __init__(self, config: LearnerConfig, record_trace: bool = False):
+    def __init__(self, config: LearnerConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
         self.forest = ObliqueForest.random(
@@ -395,7 +361,6 @@ class OnlineForestLearner:
         self.adam = AdamState(shape.n_params, config.adam_params())
         self.metrics = MetricsTracker(config.n_groups, config.n_outputs)
         self.step_count = 0
-        self.trace: list[TraceStep] | None = [] if record_trace else None
         self._last_total_norm = 0.0
         self._last_fair_norm = 0.0
         # Gradient buffers, rewritten every step; ``_last_total`` is the
@@ -426,8 +391,6 @@ class OnlineForestLearner:
         """Process one instance; returns the prediction made before any
         parameter update, plus the post-step metrics."""
         x = _check_step(self.config, x, y, a)
-        if self.trace is not None:
-            self.trace.append(TraceStep(self.forest.copy(), x.copy(), int(a)))
         cache = _ForwardCache(self.forest, x)
         prediction = self._emit(int(np.argmax(cache.output)))
         self.metrics.update(prediction, cache.output, y, a)
@@ -472,19 +435,33 @@ class OnlineForestLearner:
 
     # -- checkpointing -------------------------------------------------------
 
+    def _state(self) -> tuple[dict, dict]:
+        """The arrays a checkpoint holds, by name: this learner's float
+        arrays and its count arrays.  The config fixes their shapes."""
+        metrics = self.metrics
+        floats = {
+            "forest": self.forest.vector,
+            "adam.m": self.adam.m,
+            "adam.v": self.adam.v,
+            "metrics.label_sums": metrics.group_label_sums,
+            "metrics.output_sums": metrics.group_output_sums,
+        }
+        counts = {"metrics.groups": metrics.group_counts}
+        if self.store is not None:
+            floats["store.means"] = self.store.means
+            counts["store"] = self.store.counts
+        return floats, counts
+
     def checkpoint(self) -> dict:
         """JSON-serializable full state; restoring reproduces the run."""
+        floats, counts = self._state()
         return {
             "format": CHECKPOINT_FORMAT,
             "config": self.config.to_dict(),
             "step_count": self.step_count,
-            "forest": {
-                "height": self.forest.height,
-                "vector": encode_floats(self.forest.vector),
-            },
-            "adam": self.adam.snapshot(),
-            "store": None if self.store is None else self.store.snapshot(),
-            "metrics": self.metrics.snapshot(),
+            "correct": self.metrics.correct,
+            "floats": {name: encode_floats(a) for name, a in floats.items()},
+            "counts": {name: a.tolist() for name, a in counts.items()},
         }
 
     def save_checkpoint(self, path) -> None:
@@ -506,9 +483,9 @@ class OnlineForestLearner:
     @classmethod
     def restore(cls, data: dict) -> "OnlineForestLearner":
         """Rebuild a learner from ``checkpoint()`` data.  The schema is
-        closed: a missing or unknown section or key, a configuration the
-        learner refuses, or an array or count that does not fit the
-        configuration is a DataError."""
+        closed: a missing or unknown key, a configuration the learner
+        refuses, or an array or count that does not fit the configuration
+        or disagrees with ``step_count`` is a DataError."""
         if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
             found = data.get("format") if isinstance(data, dict) else data
             raise DataError(f"unrecognized checkpoint format: {found!r}")
@@ -517,45 +494,31 @@ class OnlineForestLearner:
             learner = cls(LearnerConfig.from_dict(data["config"]))
         except (TypeError, ValueError, ConfigurationError) as exc:
             raise DataError(f"checkpoint config is invalid: {exc}") from exc
-        config = learner.config
-        _check_keys(data["forest"], _FOREST_KEYS, "forest")
-        if data["forest"]["height"] != config.height:
-            raise DataError(f"forest height {data['forest']['height']!r} "
-                            f"disagrees with the config's {config.height}")
-        decode_floats(data["forest"]["vector"], learner.forest.vector,
-                      "forest.vector")
-        learner.adam.restore(data["adam"])
-        store = data["store"]
-        if store is not None:
-            try:
-                store = AggregateStore.from_snapshot(store)
-            except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
-                raise DataError(f"store snapshot is malformed: {exc!r}") from exc
-        if _store_layout(store) != _store_layout(learner.store):
-            raise DataError("the store snapshot does not fit the configuration")
-        learner.store = store
-        learner.metrics = MetricsTracker.from_snapshot(
-            data["metrics"], config.n_groups, config.n_outputs)
-        if store is not None:
-            _check_store_counts(store, learner.metrics)
-        learner.step_count = _count(data["step_count"], "step_count")
-        if learner.adam.t != learner.step_count:
-            raise DataError(f"adam.t {learner.adam.t} disagrees with step_count "
-                            f"{learner.step_count}: every step is one Adam step")
+        step_count = _count(data["step_count"], "step_count")
+        correct = _count(data["correct"], "correct")
+        if correct > step_count:
+            raise DataError(f"correct {correct} exceeds step_count {step_count}")
+        floats, counts = learner._state()
+        _check_keys(data["floats"], floats, "floats")
+        _check_keys(data["counts"], counts, "counts")
+        for name, out in floats.items():
+            decode_floats(data["floats"][name], out, name)
+        for name, out in counts.items():
+            out[...] = _counts(data["counts"][name], out.size, name)
+        metrics = learner.metrics
+        if metrics.group_counts.sum() != step_count:
+            raise DataError(f"metrics.groups {metrics.group_counts.tolist()} "
+                            f"do not sum to step_count {step_count}")
+        learner.step_count = learner.adam.t = metrics.total = step_count
+        metrics.correct = correct
+        if learner.store is not None:
+            _check_store_counts(learner.store, metrics)
         return learner
 
     @classmethod
     def load_checkpoint(cls, path) -> "OnlineForestLearner":
         with open(path, encoding="utf-8") as fh:
             return cls.restore(json.load(fh))
-
-
-def _store_layout(store: AggregateStore | None):
-    """What a store's configuration fixes: restoring may change only its
-    counts and means."""
-    if store is None:
-        return None
-    return store.shape, store.notion, store.n_groups, store.n_classes, store.decay
 
 
 def _check_store_counts(store: AggregateStore, metrics: MetricsTracker) -> None:

@@ -23,65 +23,14 @@ penalty gradient is one sum over them (``RunningMeans.contrast_sum``):
 Means are cumulative over the whole stream by default (an optional
 exponential decay can be configured) and advance by the numerically
 stable increment ``mean += (value - mean) / count``.
-
-Checkpoints store float arrays through ``encode_floats`` and
-``decode_floats``: one base64 string of the array's little-endian float64
-bytes, so every value round-trips bit for bit.  Store means are written
-cells first, then width (``(K, *cells, width)`` order).
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
-
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError
 from .forest import ForestShape
-
-
-def encode_floats(array: np.ndarray) -> str:
-    """Base64 text of ``array``'s values as little-endian float64, in C
-    order; the shape is not stored."""
-    data = np.ascontiguousarray(array, dtype="<f8").tobytes()
-    return base64.b64encode(data).decode("ascii")
-
-
-def decode_floats(text, out: np.ndarray, name: str) -> None:
-    """Copy the values ``encode_floats`` wrote into ``out``, raising
-    DataError unless ``text`` is a string of valid base64 holding exactly
-    ``out.size`` float64 values, all finite."""
-    if not isinstance(text, str):
-        raise DataError(f"{name} must be a base64 string, "
-                        f"got {type(text).__name__}")
-    try:
-        data = base64.b64decode(text, validate=True)
-    except (binascii.Error, ValueError) as exc:
-        raise DataError(f"{name} is not valid base64: {exc}") from exc
-    if len(data) != 8 * out.size:
-        raise DataError(f"{name} must hold {out.size} float64 values "
-                        f"({8 * out.size} bytes), got {len(data)} bytes")
-    values = np.frombuffer(data, dtype="<f8").reshape(out.shape)
-    if not np.isfinite(values).all():
-        raise DataError(f"{name} holds non-finite values")
-    out[...] = values
-
-
-def _count(value, name: str) -> int:
-    """``value`` if it is a non-negative integer, else DataError."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise DataError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _counts(value, size: int, name: str) -> np.ndarray:
-    """``value`` as an int64 array if it is a list of ``size`` non-negative
-    integers, else DataError."""
-    if not isinstance(value, list) or len(value) != size:
-        raise DataError(f"{name} must be a list of {size} counts, got {value!r}")
-    return np.array([_count(v, f"{name}[{i}]") for i, v in enumerate(value)],
-                    dtype=np.int64)
 
 
 class RunningMeans:
@@ -210,34 +159,3 @@ class AggregateStore(RunningMeans):
         values[0], values[1] = gates, slope
         np.multiply(x[:, None, None], slope, out=values[2:])
         self.fold(keys, values)
-
-    # -- serialization ----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-serializable dump of the full store state."""
-        return {
-            "notion": self.notion,
-            "n_groups": self.n_groups,
-            "n_classes": self.n_classes,
-            "decay": self.decay,
-            "shape": list(self.shape),
-            "counts": self.counts.tolist(),
-            "means": encode_floats(np.moveaxis(self.means, 1, -1)),
-        }
-
-    @classmethod
-    def from_snapshot(cls, data: dict) -> "AggregateStore":
-        """Rebuild a store, refusing arrays that do not fit its
-        configuration: counts must be ``K`` non-negative integers, means
-        ``K * T * m * (d + 2)`` finite values, cells before width."""
-        store = cls(
-            ForestShape(*data["shape"]),
-            n_groups=data["n_groups"],
-            notion=data["notion"],
-            n_classes=data["n_classes"],
-            decay=data["decay"],
-        )
-        store.counts = _counts(data["counts"], store.counts.size, "store counts")
-        decode_floats(data["means"], np.moveaxis(store.means, 1, -1),
-                      "store means")
-        return store

@@ -29,11 +29,20 @@ from .gradients import (
     cross_entropy,
     task_gradient,
 )
-from .learner import TraceStep
 from .stats import AggregateStore
 
 MAX_PAIRS = 10**6
 _CHUNK_VALUES = 2**18  # gate differences held at once by check_dp_bound
+
+
+@dataclass
+class TraceStep:
+    """One step of a run to audit: the parameters in force when the
+    instance arrived, the instance, and its group."""
+
+    forest: ObliqueForest
+    x: np.ndarray
+    a: int
 
 
 @dataclass
@@ -199,6 +208,8 @@ def audit_estimation_error(trace: list[TraceStep], delta: float,
                            weight: float = 1.0) -> list[BoundReport]:
     """Replay a recorded run and bound the aggregate-vs-exact gradient gap.
 
+    ``trace`` holds one ``TraceStep`` per step, recorded before the step:
+    ``TraceStep(learner.forest.copy(), x.copy(), a)``.
     Each step folds the gates that were current when its instance arrived
     into the production ``AggregateStore`` and adds the instance to a
     ``Reservoir``.  Once both groups have been seen, the store's Huber

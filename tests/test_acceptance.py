@@ -33,6 +33,7 @@ from fairforest.gradients import HuberPenalty, fairness_gradient
 from fairforest.learner import LearnerConfig, OnlineForestLearner
 from fairforest.stats import AggregateStore
 from fairforest.verify import (
+    TraceStep,
     audit_estimation_error,
     check_dp_bound,
     gradcheck,
@@ -211,10 +212,12 @@ def compute_results():
     rows = list(generate_synthetic(SyntheticConfig(
         n=500, n_features=10, bias=0.6, noise=0.1, seed=5)))
     drift_features = rescale_inputs(np.stack([x for x, _, _ in rows]))
-    driftee = OnlineForestLearner(forest_config(1.0), record_trace=True)
+    driftee = OnlineForestLearner(forest_config(1.0))
+    trace = []
     for i, (_, y, a) in enumerate(rows):
+        trace.append(TraceStep(driftee.forest.copy(), drift_features[i].copy(), a))
         driftee.step(drift_features[i], y, a)
-    reports = audit_estimation_error(driftee.trace, delta=HUBER_DELTA)
+    reports = audit_estimation_error(trace, delta=HUBER_DELTA)
     results["estimation_error"] = {
         "steps": 500,
         "audited_steps": len(reports),

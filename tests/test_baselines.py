@@ -675,3 +675,19 @@ class TestNoPenalty:
         assert make_learner("aranyani", cfg).store is not None
         assert make_learner("leaf", cfg).leaf_store is not None
         assert make_learner("mlp", cfg).store is not None
+
+    def test_leaf_and_reservoir_build_no_gate_store(self, monkeypatch):
+        """The leaf and reservoir penalties read their own state, so
+        neither learner builds the forest's ``AggregateStore``, even with
+        a penalty acting."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("an AggregateStore was built")
+
+        monkeypatch.setattr(AggregateStore, "__init__", refuse)
+        cfg = LearnerConfig(n_features=10, height=6, tree_count=8,
+                            fairness="dp", fairness_weight=1.0)
+        for name in ("leaf", "reservoir"):
+            learner = make_learner(name, cfg)
+            assert learner.store is None
+            x, y, a = next(biased_stream(1, seed=9, d=10))
+            learner.step(x, y, a)

@@ -160,6 +160,49 @@ class TestRun:
         assert code == 2
         assert not (out / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("baseline, flags", [
+        (None, ("--majority-p", "1.5", "--hidden", "0")),
+        (None, ("--hidden", "64")),
+        ("mlp", ("--majority-label", "1")),
+        ("majority", ("--hidden", "8")),
+        ("leaf", ("--majority-p", "0.5")),
+    ], ids=["aranyani-both", "aranyani-hidden", "mlp-label",
+            "majority-hidden", "leaf-p"])
+    def test_baseline_flag_under_another_baseline_exits_two(
+            self, tmp_path, capsys, baseline, flags):
+        """``--hidden``, ``--majority-p`` and ``--majority-label`` have no
+        default: given under a baseline that does not read them, the run
+        exits 2 before a row is written and names the flag, for ``run``
+        and for ``sweep``."""
+        out = tmp_path / "out"
+        chosen = () if baseline is None else ("--baseline", baseline)
+        assert main(run_argv(out, extra=(*chosen, *flags))) == 2
+        assert not (out / "trajectory.csv").exists()
+        err = capsys.readouterr().err
+        for flag in flags[::2]:
+            assert flag in err
+        assert main(["sweep", "--synthetic", "--n", "30", "--lambdas", "0",
+                     *chosen, *flags, "--out", str(out)]) == 2
+
+    def test_baseline_flags_apply_to_their_baseline(self, tmp_path):
+        """Under the baseline that reads them the flags are accepted, and
+        ``summary.json`` echoes the values in force, defaults included."""
+        runs = {
+            "mlp": (("--hidden", "8"), {"hidden": 8}),
+            "majority": (("--majority-p", "0.25", "--majority-label", "1"),
+                         {"majority_p": 0.25, "majority_label": 1}),
+            "mlp-default": ((), {"hidden": 64}),
+            "majority-default": ((), {"majority_p": 0.5,
+                                      "majority_label": None}),
+        }
+        for name, (flags, echoed) in runs.items():
+            out = tmp_path / name
+            baseline = name.split("-")[0]
+            assert main(run_argv(out, n=30, extra=("--baseline", baseline,
+                                                   *flags))) == 0, name
+            config = json.loads((out / "summary.json").read_text())["config"]
+            assert {key: config[key] for key in echoed} == echoed, name
+
 
 class TestSweep:
     """The fairness-weight sweep subcommand."""

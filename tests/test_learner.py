@@ -1,6 +1,7 @@
 """Tests for the online learning loop: Adam, metrics, stepping,
 checkpointing, and the stream driver."""
 
+import base64
 import itertools
 import json
 import tracemalloc
@@ -22,9 +23,10 @@ from fairforest.learner import (
     LearnerConfig,
     MetricsTracker,
     OnlineForestLearner,
+    decode_floats,
+    encode_floats,
     run_stream,
 )
-from fairforest.stats import decode_floats, encode_floats
 
 
 def adam_oracle(grads, lr, b1=0.9, b2=0.999, eps=1e-8, x0=0.0):
@@ -80,19 +82,26 @@ class TestAdam:
         assert (ref != 0.0).all()
 
     def test_snapshot_restore_continues_identically(self):
+        """A learner's checkpoint carries both moments and sets ``t`` from
+        the step count, so the restored state's next updates, bias
+        correction included, equal the original's bit for bit."""
+        learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=10))
+        for x, y, a in biased_stream(3, seed=10):
+            learner.step(x, y, a)
+        state = learner.adam
+        clone = OnlineForestLearner.restore(
+            json.loads(json.dumps(learner.checkpoint()))).adam
+        assert clone.t == state.t == 3
         rng = np.random.default_rng(10)
-        p1 = np.array([1.0, -1.0])
-        s1 = AdamState(2, AdamParams())
-        grads = [rng.standard_normal(2) for _ in range(6)]
-        for g in grads[:3]:
-            s1.apply(p1, g)
+        p1 = rng.standard_normal(state.m.size)
         p2 = p1.copy()
-        s2 = AdamState(2, AdamParams())
-        s2.restore(json.loads(json.dumps(s1.snapshot())))
-        for g in grads[3:]:
-            s1.apply(p1, g)
-            s2.apply(p2, g)
+        for _ in range(3):
+            g = rng.standard_normal(state.m.size)
+            state.apply(p1, g)
+            clone.apply(p2, g)
         np.testing.assert_array_equal(p1, p2)
+        np.testing.assert_array_equal(clone.m, state.m)
+        np.testing.assert_array_equal(clone.v, state.v)
 
     def test_flat_step_equals_per_array_reference(self):
         """One update of the flat vector gives exactly what the same
@@ -130,24 +139,6 @@ class TestAdam:
         for moment in (adam.m, adam.v):
             for view in _block_views(moment, learner.forest.shape.param_shapes):
                 assert np.shares_memory(view, moment)
-
-    def test_restore_refuses_malformed_moments(self):
-        """Each moment must be one base64 string of exactly ``size``
-        finite float64 values."""
-        state = AdamState(8, AdamParams())
-        good = state.snapshot()
-        bad = [
-            {**good, "m": good["m"][:-4]},
-            {**good, "v": encode_floats(np.zeros(7))},
-            {**good, "v": encode_floats(np.r_[np.ones(7), np.nan])},
-            {**good, "m": [0.0] * 8},
-            {**good, "m": "not base64!"},
-            {**good, "t": -1},
-        ]
-        for data in bad:
-            with pytest.raises(DataError):
-                AdamState(8, AdamParams()).restore(data)
-
 
 class TestMetricsTracker:
     """Running accuracy and parity gaps."""
@@ -213,12 +204,16 @@ class TestMetricsTracker:
             assert tracker.dp_soft == float(np.linalg.norm(means[0] - means[1]))
 
     def test_snapshot_round_trip(self):
-        tracker = MetricsTracker()
-        tracker.update(1, np.array([0.2, 0.8]), 1, 0)
-        tracker.update(0, np.array([0.6, 0.4]), 1, 1)
-        clone = MetricsTracker.from_snapshot(
-            json.loads(json.dumps(tracker.snapshot())), 2, 2
-        )
+        """A learner's checkpoint restores the tracker: ``total`` from the
+        step count, the rest from its own keys."""
+        learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=1))
+        for x, y, a in biased_stream(7, seed=17):
+            learner.step(x, y, a)
+        tracker = learner.metrics
+        clone = OnlineForestLearner.restore(
+            json.loads(json.dumps(learner.checkpoint()))).metrics
+        assert (clone.total, clone.correct) == (tracker.total, tracker.correct)
+        np.testing.assert_array_equal(clone.group_counts, tracker.group_counts)
         assert clone.dp_hard == tracker.dp_hard
         assert clone.dp_soft == tracker.dp_soft
         assert clone.accuracy == tracker.accuracy
@@ -476,17 +471,6 @@ class TestStepping:
         with pytest.raises(DataError):
             learner.step(np.array([np.nan, 0.0]), 0, 0)
 
-    def test_trace_records_pre_step_parameters(self):
-        learner = OnlineForestLearner(self._config(), record_trace=True)
-        init = learner.forest.weights.copy()
-        for x, y, a in biased_stream(5, seed=6):
-            learner.step(x, y, a)
-        assert len(learner.trace) == 5
-        np.testing.assert_array_equal(learner.trace[0].forest.weights, init)
-        assert not np.array_equal(learner.trace[4].forest.weights,
-                                  learner.forest.weights)
-
-
 class TestCheckpoint:
     """Suspend and resume."""
 
@@ -567,80 +551,152 @@ class TestCheckpoint:
 
     def test_unknown_format_is_rejected(self):
         """Version 1 kept the store layout before the packed one, version
-        2 wrote every array as nested lists; both are refused like any
-        other unknown format."""
+        2 wrote every array as nested lists, version 3 repeated the
+        layout the config fixes; all are refused like any other unknown
+        format."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2))
         data = learner.checkpoint()
-        assert data["format"] == "fairforest-checkpoint-v3"
+        assert data["format"] == "fairforest-checkpoint-v4"
         for unknown in ("something-else", "fairforest-checkpoint-v1",
-                        "fairforest-checkpoint-v2"):
+                        "fairforest-checkpoint-v2", "fairforest-checkpoint-v3"):
             data["format"] = unknown
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(data)
 
     def test_v2_checkpoint_is_refused(self):
         """A file in the v2 layout (nested lists) is a DataError, and so
-        is the same content relabelled v3."""
+        is the same content relabelled v3 or v4."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2,
                                                     fairness_weight=0.5, seed=3))
         self._run(learner, biased_stream(5, seed=11))
-        forest, adam = learner.forest, learner.adam
+        forest, adam, metrics = learner.forest, learner.adam, learner.metrics
         shapes = forest.shape.param_shapes
-        data = json.loads(json.dumps(learner.checkpoint()))
-        data["format"] = "fairforest-checkpoint-v2"
-        data["forest"] = {"height": forest.height,
-                          "weights": forest.weights.tolist(),
-                          "biases": forest.biases.tolist(),
-                          "leaves": forest.leaves.tolist()}
-        data["adam"] = {"t": adam.t, **{
-            name: [a.tolist() for a in _block_views(getattr(adam, name), shapes)]
-            for name in ("m", "v")}}
-        data["store"]["means"] = learner.store.means.tolist()
-        for name in ("group_label_sums", "group_output_sums"):
-            data["metrics"][name] = getattr(learner.metrics, name).tolist()
-        for label in ("fairforest-checkpoint-v2", "fairforest-checkpoint-v3"):
+        data = {
+            "format": "fairforest-checkpoint-v2",
+            "config": learner.config.to_dict(),
+            "step_count": learner.step_count,
+            "forest": {"height": forest.height,
+                       "weights": forest.weights.tolist(),
+                       "biases": forest.biases.tolist(),
+                       "leaves": forest.leaves.tolist()},
+            "adam": {"t": adam.t, **{
+                name: [a.tolist() for a in _block_views(getattr(adam, name), shapes)]
+                for name in ("m", "v")}},
+            "store": {"counts": learner.store.counts.tolist(),
+                      "means": learner.store.means.tolist()},
+            "metrics": {"total": metrics.total, "correct": metrics.correct,
+                        "group_counts": metrics.group_counts.tolist(),
+                        "group_label_sums": metrics.group_label_sums.tolist(),
+                        "group_output_sums": metrics.group_output_sums.tolist()},
+        }
+        for label in ("fairforest-checkpoint-v2", "fairforest-checkpoint-v3",
+                      "fairforest-checkpoint-v4"):
             data["format"] = label
             with pytest.raises(DataError):
-                OnlineForestLearner.restore(data)
+                OnlineForestLearner.restore(json.loads(json.dumps(data)))
 
-    def test_v3_layout_restores_and_steps_identically(self):
-        """A v3 checkpoint writes each float array as one base64 string of
-        its float64 bytes (the forest and each Adam moment as one flat
-        vector); restoring it gives the same bits, and stepping matches
-        the learner that was never interrupted."""
-        cfg = LearnerConfig(n_features=2, height=3, tree_count=3,
-                            fairness="dp", fairness_weight=0.7, seed=4)
+    def test_v3_checkpoint_is_refused(self):
+        """A file in the v3 layout (sections that repeat the height, the
+        store's shape and notion, the metrics' group and output counts
+        and ``adam.t``) is a DataError, and so is the same content
+        relabelled v4."""
+        learner = OnlineForestLearner(LearnerConfig(n_features=2,
+                                                    fairness_weight=0.5, seed=3))
+        self._run(learner, biased_stream(5, seed=11))
+        store, metrics = learner.store, learner.metrics
+        data = {
+            "format": "fairforest-checkpoint-v3",
+            "config": learner.config.to_dict(),
+            "step_count": learner.step_count,
+            "forest": {"height": learner.forest.height,
+                       "vector": encode_floats(learner.forest.vector)},
+            "adam": {"t": learner.adam.t, "m": encode_floats(learner.adam.m),
+                     "v": encode_floats(learner.adam.v)},
+            "store": {"notion": store.notion, "n_groups": store.n_groups,
+                      "n_classes": store.n_classes, "decay": store.decay,
+                      "shape": list(store.shape),
+                      "counts": store.counts.tolist(),
+                      "means": encode_floats(np.moveaxis(store.means, 1, -1))},
+            "metrics": {"n_groups": 2, "n_outputs": 2, "total": metrics.total,
+                        "correct": metrics.correct,
+                        "group_counts": metrics.group_counts.tolist(),
+                        "group_label_sums": encode_floats(metrics.group_label_sums),
+                        "group_output_sums": encode_floats(metrics.group_output_sums)},
+        }
+        for label in ("fairforest-checkpoint-v3", "fairforest-checkpoint-v4"):
+            data["format"] = label
+            with pytest.raises(DataError):
+                OnlineForestLearner.restore(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize("weight", [0.7, 0.0], ids=["penalty", "weight0"])
+    @pytest.mark.parametrize("decay", [None, 0.95], ids=["cumulative", "decay"])
+    @pytest.mark.parametrize("notion, n_outputs, n_groups", [
+        ("dp", 2, 2), ("equalized_odds", 3, 2), ("multigroup", 2, 4),
+        ("none", 2, 2),
+    ], ids=["dp", "eo-C3", "multigroup-G4", "none"])
+    def test_round_trip_continues_bit_for_bit(self, notion, n_outputs,
+                                               n_groups, decay, weight):
+        """Serialize with ``json.dumps``, restore, and take 20 more steps:
+        every prediction, snapshot and array matches the learner that was
+        never interrupted, bit for bit.  At weight 0, or under ``none``,
+        there is no store and the file holds none."""
+        cfg = LearnerConfig(n_features=3, n_outputs=n_outputs, height=3,
+                            fairness=notion, fairness_weight=weight,
+                            n_groups=n_groups, aggregate_decay=decay, seed=4)
+        rng = np.random.default_rng(13)
+        stream = [(rng.standard_normal(3), int(rng.integers(0, n_outputs)),
+                   int(rng.integers(0, n_groups))) for _ in range(50)]
         straight = OnlineForestLearner(cfg)
-        self._run(straight, biased_stream(20, seed=13))
-        data = json.loads(json.dumps(straight.checkpoint()))
-        n_params = straight.forest.shape.n_params
-        assert set(data["forest"]) == {"height", "vector"}
-        for owner, name, size in (
-            (data["forest"], "vector", n_params),
-            (data["adam"], "m", n_params),
-            (data["adam"], "v", n_params),
-            (data["store"], "means", straight.store.means.size),
-            (data["metrics"], "group_label_sums", 2),
-            (data["metrics"], "group_output_sums", 4),
-        ):
-            assert isinstance(owner[name], str)
-            decode_floats(owner[name], np.empty(size), name)
-        assert data["store"]["counts"] == straight.store.counts.tolist()
-        resumed = OnlineForestLearner.restore(data)
-        np.testing.assert_array_equal(resumed.adam.m, straight.adam.m)
-        np.testing.assert_array_equal(resumed.adam.v, straight.adam.v)
-        np.testing.assert_array_equal(resumed.store.means, straight.store.means)
-        np.testing.assert_array_equal(resumed.forest.vector, straight.forest.vector)
-        tail = list(biased_stream(20, seed=14))
-        assert self._run(resumed, tail) == self._run(straight, tail)
-        np.testing.assert_array_equal(resumed.forest.vector, straight.forest.vector)
-        np.testing.assert_array_equal(resumed.adam.m, straight.adam.m)
-        np.testing.assert_array_equal(resumed.adam.v, straight.adam.v)
+        self._run(straight, stream[:30])
+        resumed = OnlineForestLearner.restore(
+            json.loads(json.dumps(straight.checkpoint())))
+        assert (resumed.store is None) == (not cfg.has_penalty)
+        for x, y, a in stream[30:]:
+            assert resumed.step(x, y, a) == straight.step(x, y, a)
+        assert resumed.adam.t == resumed.metrics.total == 50
+        assert resumed.metrics.correct == straight.metrics.correct
+        for got, want in zip(resumed._state(), straight._state()):
+            assert got.keys() == want.keys()
+            for name in want:
+                assert got[name].dtype == want[name].dtype
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_v4_holds_only_the_config_and_the_learner_arrays(self):
+        """A v4 file repeats nothing the config or the step count fixes:
+        besides them it holds the number of correct predictions and the
+        learner's own arrays by name, each float array one base64 string
+        of its float64 bytes in the array's own order (store means
+        width-first, as the store keeps them) and each count array a list
+        of JSON integers."""
+        cfg = LearnerConfig(n_features=2, height=3, tree_count=3,
+                            fairness="multigroup", n_groups=3,
+                            fairness_weight=0.7, seed=4)
+        learner = OnlineForestLearner(cfg)
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            learner.step(rng.standard_normal(2), int(rng.integers(0, 2)),
+                         int(rng.integers(0, 3)))
+        data = json.loads(json.dumps(learner.checkpoint()))
+        assert set(data) == {"format", "config", "step_count", "correct",
+                             "floats", "counts"}
+        assert (data["step_count"], data["correct"]) == (20, learner.metrics.correct)
+        floats = {"forest": learner.forest.vector, "adam.m": learner.adam.m,
+                  "adam.v": learner.adam.v,
+                  "metrics.label_sums": learner.metrics.group_label_sums,
+                  "metrics.output_sums": learner.metrics.group_output_sums,
+                  "store.means": learner.store.means}
+        assert data["floats"].keys() == floats.keys()
+        for name, array in floats.items():
+            assert base64.b64decode(data["floats"][name]) == array.tobytes()
+        assert data["counts"] == {
+            "metrics.groups": learner.metrics.group_counts.tolist(),
+            "store": learner.store.counts.tolist(),
+        }
 
     def test_malformed_forest_and_adam_arrays_are_refused(self):
-        """Each restored array must have the configured shape and finite
-        values; anything else is a DataError at load, not a numpy error
-        at the next step."""
+        """Each restored array must be one base64 string of exactly the
+        configured number of finite float64 values; anything else is a
+        DataError at load, not a numpy error at the next step."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
         self._run(learner, biased_stream(5, seed=11))
         good = json.loads(json.dumps(learner.checkpoint()))
@@ -648,30 +704,60 @@ class TestCheckpoint:
         non_finite = vector.copy()
         non_finite[5] = np.inf
         edits = [
-            lambda d: d["adam"].__setitem__("m", d["adam"]["m"][:-8]),
-            lambda d: d["adam"].__setitem__("v", encode_floats(vector[:-1])),
-            lambda d: d["adam"].__setitem__("v", vector.tolist()),
-            lambda d: d["forest"].__setitem__("vector", d["forest"]["vector"][:40]),
-            lambda d: d["forest"].__setitem__("vector",
-                                              encode_floats(np.r_[vector, 0.0])),
-            lambda d: d["forest"].__setitem__("vector", encode_floats(non_finite)),
-            lambda d: d["forest"].__setitem__("vector", None),
-            lambda d: d["forest"].__setitem__("vector", "@" * 8 * vector.size),
+            ("adam.m", good["floats"]["adam.m"][:-8]),
+            ("adam.m", [0.0] * vector.size),
+            ("adam.m", "not base64!"),
+            ("adam.v", encode_floats(vector[:-1])),
+            ("adam.v", encode_floats(np.r_[vector[:-1], np.nan])),
+            ("adam.v", vector.tolist()),
+            ("forest", good["floats"]["forest"][:40]),
+            ("forest", encode_floats(np.r_[vector, 0.0])),
+            ("forest", encode_floats(non_finite)),
+            ("forest", None),
+            ("forest", "@" * 8 * vector.size),
         ]
-        for edit in edits:
+        for name, value in edits:
             data = json.loads(json.dumps(good))
-            edit(data)
+            data["floats"][name] = value
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(data)
 
     def test_truncated_store_is_refused(self):
-        learner = OnlineForestLearner(LearnerConfig(n_features=2,
-                                                    fairness_weight=0.5, seed=3))
-        self._run(learner, biased_stream(5, seed=11))
-        data = json.loads(json.dumps(learner.checkpoint()))
-        data["store"]["means"] = data["store"]["means"][:8]
-        with pytest.raises(DataError):
-            OnlineForestLearner.restore(data)
+        """Truncated, wrong-length, non-finite, non-string or non-base64
+        store means, and truncated, negative or non-integer store counts,
+        are a DataError at load."""
+        learner = OnlineForestLearner(LearnerConfig(
+            n_features=2, fairness="multigroup", n_groups=3,
+            fairness_weight=0.5, seed=3))
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            learner.step(rng.standard_normal(2), int(rng.integers(0, 2)),
+                         int(rng.integers(0, 3)))
+        good = json.loads(json.dumps(learner.checkpoint()))
+        means = learner.store.means
+        non_finite = means.copy()
+        non_finite[0, 1, 1, 0] = np.nan
+        text = good["floats"]["store.means"]
+        counts = good["counts"]["store"]
+        edits = [
+            ("floats", "store.means", text[:8]),
+            ("floats", "store.means", text[:-12]),
+            ("floats", "store.means", encode_floats(means[:-1])),
+            ("floats", "store.means", encode_floats(non_finite)),
+            ("floats", "store.means", means.tolist()),
+            ("floats", "store.means", text.replace("A", "*", 1)),
+            ("counts", "store", counts[:-1]),
+            ("counts", "store", [-1] + counts[1:]),
+            ("counts", "store", [2.9, 3.5] + counts[2:]),
+            ("counts", "store", [float(c) for c in counts]),
+            ("counts", "store", [True] + counts[1:]),
+            ("counts", "store", "5"),
+        ]
+        for section, name, value in edits:
+            data = json.loads(json.dumps(good))
+            data[section][name] = value
+            with pytest.raises(DataError):
+                OnlineForestLearner.restore(data)
 
     @pytest.mark.parametrize("fairness, n_groups, edit", [
         ("dp", 2, lambda c, g, t: [c[0] + 1, c[1] - 1]),
@@ -686,8 +772,8 @@ class TestCheckpoint:
                                                        edit):
         """Every instance folds into its group's store key and is counted
         by the metrics: ``dp`` counts equal the group counts, ``multigroup``
-        adds the total as its overall key, and ``equalized_odds`` counts
-        sum over the classes to the group counts."""
+        adds the step count as its overall key, and ``equalized_odds``
+        counts sum over the classes to the group counts."""
         learner = OnlineForestLearner(LearnerConfig(
             n_features=2, fairness=fairness, fairness_weight=0.5,
             n_groups=n_groups, seed=3))
@@ -697,14 +783,13 @@ class TestCheckpoint:
                          int(rng.integers(0, n_groups)))
         good = json.loads(json.dumps(learner.checkpoint()))
         OnlineForestLearner.restore(good)
-        counts = good["store"]["counts"]
-        edited = edit(counts, good["metrics"]["group_counts"],
-                      good["metrics"]["total"])
+        counts = good["counts"]["store"]
+        edited = edit(counts, good["counts"]["metrics.groups"],
+                      good["step_count"])
         assert edited != counts and min(edited) >= 0
-        good["store"]["counts"] = edited
+        good["counts"]["store"] = edited
         with pytest.raises(DataError):
             OnlineForestLearner.restore(good)
-
 
     def _good_checkpoint(self):
         learner = OnlineForestLearner(LearnerConfig(n_features=2,
@@ -713,52 +798,50 @@ class TestCheckpoint:
         return json.loads(json.dumps(learner.checkpoint()))
 
     def test_malformed_metrics_are_refused(self):
-        """The metrics section must fit the configuration and agree with
-        itself; a group_counts cut to one entry used to load and then fail
-        with an IndexError at the first step."""
+        """The metrics arrays must fit the configuration and agree with
+        the step count; a group count list cut to one entry used to load
+        and then fail with an IndexError at the first step."""
         good = self._good_checkpoint()
-        total = good["metrics"]["total"]
+        total = good["step_count"]
+
+        def put(section, name, value):
+            return lambda d: d[section].__setitem__(name, value)
 
         def counts(values):
-            return lambda m: m.__setitem__("group_counts", values)
+            return put("counts", "metrics.groups", values)
 
-        label_sums = np.zeros(2)
-        output_sums = np.zeros((2, 2))
         edits = [
-            counts(good["metrics"]["group_counts"][:1]),
+            counts(good["counts"]["metrics.groups"][:1]),
             counts([total + 1, -1]),
             counts([total, 1]),
             counts([total / 2, total / 2]),
             counts("five"),
-            lambda m: m.__setitem__("n_groups", 3),
-            lambda m: m.__setitem__("n_outputs", 3),
-            lambda m: m.__setitem__("total", "5"),
-            lambda m: m.__setitem__("correct", total + 1),
-            lambda m: m.__setitem__("correct", -1),
             counts([True, total - 1]),
-            lambda m: m.__setitem__("group_label_sums", m["group_label_sums"][:-4]),
-            lambda m: m.__setitem__("group_label_sums",
-                                    encode_floats(np.r_[np.nan, 0.0])),
-            lambda m: m.__setitem__("group_label_sums", label_sums.tolist()),
-            lambda m: m.__setitem__("group_output_sums",
-                                    encode_floats(np.zeros(5))),
-            lambda m: m.__setitem__("group_output_sums",
-                                    encode_floats(np.r_[np.inf, np.zeros(3)])),
-            lambda m: m.__setitem__("group_output_sums", output_sums.tolist()),
+            lambda d: d.__setitem__("step_count", total + 1),
+            lambda d: d.__setitem__("correct", total + 1),
+            lambda d: d.__setitem__("correct", -1),
+            lambda d: d.__setitem__("correct", 2.0),
+            put("floats", "metrics.label_sums",
+                good["floats"]["metrics.label_sums"][:-4]),
+            put("floats", "metrics.label_sums", encode_floats(np.r_[np.nan, 0.0])),
+            put("floats", "metrics.label_sums", np.zeros(2).tolist()),
+            put("floats", "metrics.output_sums", encode_floats(np.zeros(5))),
+            put("floats", "metrics.output_sums",
+                encode_floats(np.r_[np.inf, np.zeros(3)])),
+            put("floats", "metrics.output_sums", np.zeros((2, 2)).tolist()),
         ]
         for edit in edits:
             data = json.loads(json.dumps(good))
-            edit(data["metrics"])
+            edit(data)
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(data)
 
     def test_missing_sections_are_refused(self):
-        """A checkpoint without one of its sections, or without a key of
-        one, is a DataError, not a bare KeyError."""
+        """A checkpoint without one of its keys, or without an array of
+        either map, is a DataError, not a bare KeyError."""
         good = self._good_checkpoint()
         paths = [(key,) for key in good if key != "format"]
-        paths += [(section, key)
-                  for section in ("forest", "adam", "store", "metrics")
+        paths += [(section, key) for section in ("floats", "counts")
                   for key in good[section]]
         for path in paths:
             data = json.loads(json.dumps(good))
@@ -773,9 +856,9 @@ class TestCheckpoint:
     def test_unknown_keys_are_refused(self):
         """The schema is closed: an unknown config key is a DataError, not
         a TypeError from the config constructor, and so is an unknown
-        section."""
+        key at the top or in either map."""
         good = self._good_checkpoint()
-        for owner in ("config", None, "forest", "metrics"):
+        for owner in ("config", None, "floats", "counts"):
             data = json.loads(json.dumps(good))
             (data if owner is None else data[owner])["extra"] = 1
             with pytest.raises(DataError):
@@ -786,26 +869,21 @@ class TestCheckpoint:
             OnlineForestLearner.restore(data)
 
     def test_store_must_fit_the_configuration(self):
-        """A store snapshot of another decay, none where the penalty needs
-        one, or one where a weight of 0 leaves no penalty is refused
-        rather than silently replacing the store."""
+        """No store where the penalty needs one, or a store where a
+        weight of 0 or the ``none`` notion leaves no penalty, is refused
+        rather than silently dropped."""
         good = self._good_checkpoint()
-        for edit in (lambda d: d["store"].__setitem__("decay", 0.9),
-                     lambda d: d.__setitem__("store", None),
-                     lambda d: d["config"].__setitem__("fairness_weight", 0.0)):
+
+        def no_store(d):
+            del d["floats"]["store.means"], d["counts"]["store"]
+
+        for edit in (no_store,
+                     lambda d: d["config"].__setitem__("fairness_weight", 0.0),
+                     lambda d: d["config"].__setitem__("fairness", "none")):
             data = json.loads(json.dumps(good))
             edit(data)
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(data)
-
-    def test_adam_step_must_match_step_count(self):
-        """Each step is one Adam step; a checkpoint whose ``adam.t``
-        disagrees would silently change the bias correction."""
-        good = self._good_checkpoint()
-        data = json.loads(json.dumps(good))
-        data["adam"]["t"] = 0
-        with pytest.raises(DataError):
-            OnlineForestLearner.restore(data)
 
     def test_step_count_must_be_a_non_negative_integer(self):
         good = self._good_checkpoint()

@@ -1,4 +1,5 @@
-"""Tests for the packed running-mean store and its key contrasts."""
+"""Tests for the packed running-mean store and its key contrasts, and for
+the float codec that checkpoints write arrays with (``learner.py``)."""
 
 import base64
 import json
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from fairforest.errors import ConfigurationError, DataError, DomainError, ShapeError
 from fairforest.forest import ForestShape
 from fairforest.gradients import HuberPenalty, fairness_gradient
-from fairforest.stats import AggregateStore, decode_floats, encode_floats
+from fairforest.learner import decode_floats, encode_floats
+from fairforest.stats import AggregateStore
 
 SHAPE = ForestShape(tree_count=2, height=2, n_features=3, n_outputs=2)
 
@@ -377,92 +379,6 @@ class TestVectorizedPath:
                 want += np.clip(diff[0], -delta, delta) * diff[1:]
         np.testing.assert_allclose(store.contrast_sum(delta), want,
                                    rtol=1e-9, atol=1e-12)
-
-
-class TestSnapshot:
-    """Serialization round-trips and validation."""
-
-    def test_means_are_written_cells_before_width(self):
-        """The snapshot's bytes decode in ``(K, T, m, d + 2)`` order, the
-        byte order of earlier v3 files, although the store keeps its
-        means width-first."""
-        t, m, d = SHAPE.tree_count, SHAPE.n_nodes, SHAPE.n_features
-        store = AggregateStore(SHAPE, n_groups=3, notion="multigroup")
-        feed(store, 1, 0, 0.25, slope=0.5, x=np.array([1.0, -2.0, 4.0]))
-        raw = base64.b64decode(store.snapshot()["means"])
-        written = np.frombuffer(raw, dtype="<f8").reshape(4, t, m, d + 2)
-        np.testing.assert_array_equal(written[1], np.broadcast_to(
-            [0.25, 0.5, 0.5, -1.0, 2.0], (t, m, d + 2)))
-        np.testing.assert_array_equal(written[0], 0.0)
-        feed_random(store, 7, seed=3, n_groups=3)
-        raw = base64.b64decode(store.snapshot()["means"])
-        written = np.frombuffer(raw, dtype="<f8").reshape(4, t, m, d + 2)
-        np.testing.assert_array_equal(written, np.moveaxis(store.means, 1, -1))
-        for key in range(4):
-            for row in range(d + 2):
-                np.testing.assert_array_equal(written[key, ..., row],
-                                              store.means[key, row])
-        restored = AggregateStore.from_snapshot(store.snapshot())
-        np.testing.assert_array_equal(restored.means, store.means)
-
-    def test_round_trip_preserves_state(self):
-        store = AggregateStore(SHAPE)
-        feed_random(store, 30, seed=17)
-        data = json.loads(json.dumps(store.snapshot()))
-        restored = AggregateStore.from_snapshot(data)
-        np.testing.assert_array_equal(store.counts, restored.counts)
-        np.testing.assert_array_equal(store.means, restored.means)
-        assert restored.contrasts == store.contrasts
-
-    def test_round_trip_preserves_future_updates(self):
-        """A restored store continues the stream exactly like the original."""
-        original = AggregateStore(SHAPE, notion="equalized_odds", n_classes=2)
-        feed_random(original, 12, seed=31)
-        restored = AggregateStore.from_snapshot(
-            json.loads(json.dumps(original.snapshot()))
-        )
-        rng = np.random.default_rng(99)
-        for _ in range(5):
-            a, y = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-            gates = rng.uniform(0, 1, size=(2, 3))
-            slope = gates * (1.0 - gates)
-            x = rng.standard_normal(3)
-            original.update_all(a, y, gates, slope, x)
-            restored.update_all(a, y, gates, slope, x)
-        np.testing.assert_array_equal(original.counts, restored.counts)
-        np.testing.assert_array_equal(original.means, restored.means)
-
-    def test_malformed_snapshots_are_refused(self):
-        """Truncated, wrong-length, non-finite or non-string means, and
-        truncated, negative or non-integer counts, raise DataError instead
-        of loading into a store they do not fit."""
-        store = AggregateStore(SHAPE, n_groups=3, notion="multigroup")
-        feed_random(store, 10, seed=2, n_groups=3)
-        good = json.loads(json.dumps(store.snapshot()))
-
-        def broken(**changes):
-            data = json.loads(json.dumps(good))
-            data.update(changes)
-            return data
-
-        non_finite = store.means.copy()
-        non_finite[0, 1, 1, 0] = np.nan
-        counts = good["counts"]
-        for data in (
-            broken(means=good["means"][:-12]),
-            broken(means=encode_floats(store.means[:-1])),
-            broken(means=encode_floats(non_finite)),
-            broken(means=store.means.tolist()),
-            broken(means=good["means"].replace("A", "*", 1)),
-            broken(counts=counts[:-1]),
-            broken(counts=[-1] + counts[1:]),
-            broken(counts=[2.9, 3.5] + counts[2:]),
-            broken(counts=[float(c) for c in counts]),
-            broken(counts=[True] + counts[1:]),
-            broken(counts="5"),
-        ):
-            with pytest.raises(DataError):
-                AggregateStore.from_snapshot(data)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False,

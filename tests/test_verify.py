@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from fairforest.errors import ConfigurationError, DomainError, ShapeError
 from fairforest.forest import ObliqueForest
 from fairforest.gradients import ForestGradient
-from fairforest.learner import LearnerConfig, OnlineForestLearner, TraceStep
+from fairforest.learner import LearnerConfig, OnlineForestLearner
 from fairforest.stats import RunningMeans
 from fairforest.verify import (
+    TraceStep,
     audit_estimation_error,
     check_dp_bound,
     finite_difference,
@@ -284,11 +285,12 @@ class TestAuditEstimationError:
         learner = OnlineForestLearner(
             LearnerConfig(n_features=10, fairness="dp", fairness_weight=1.0,
                           seed=0),
-            record_trace=True,
         )
+        trace = []
         for row, (_, y, a) in zip(features, stream):
+            trace.append(TraceStep(learner.forest.copy(), row.copy(), a))
             learner.step(row, y, a)
-        reports = audit_estimation_error(learner.trace, delta=0.01)
+        reports = audit_estimation_error(trace, delta=0.01)
         assert reports
         np.testing.assert_allclose(reports[0].theoretical, 0.005)
         assert all(r.passed for r in reports)
