@@ -140,6 +140,32 @@ class TestAdam:
             for view in _block_views(moment, learner.forest.shape.param_shapes):
                 assert np.shares_memory(view, moment)
 
+    def test_restore_refuses_malformed_moments(self):
+        """Each moment in a checkpoint must be one base64 string of exactly
+        ``n_params`` finite float64 values, and ``t``, set from
+        ``step_count``, must come from a non-negative integer; anything
+        else is a DataError at restore."""
+        learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
+        for x, y, a in biased_stream(5, seed=11):
+            learner.step(x, y, a)
+        good = json.loads(json.dumps(learner.checkpoint()))
+        assert OnlineForestLearner.restore(good).adam.t == 5
+        size = learner.adam.m.size
+        for name in ("adam.m", "adam.v"):
+            for value in (
+                good["floats"][name][:-4],
+                encode_floats(np.zeros(size - 1)),
+                encode_floats(np.r_[np.ones(size - 1), np.nan]),
+                [0.0] * size,
+                "not base64!",
+            ):
+                data = json.loads(json.dumps(good))
+                data["floats"][name] = value
+                with pytest.raises(DataError):
+                    OnlineForestLearner.restore(data)
+        with pytest.raises(DataError):
+            OnlineForestLearner.restore({**good, "step_count": -1})
+
 class TestMetricsTracker:
     """Running accuracy and parity gaps."""
 
@@ -627,6 +653,39 @@ class TestCheckpoint:
             data["format"] = label
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(json.loads(json.dumps(data)))
+
+    def test_v3_layout_restores_and_steps_identically(self):
+        """v4 keeps the v3 encoding of every float array: one base64 string
+        of its float64 bytes, the forest and each Adam moment as one flat
+        vector.  Restoring gives the same bits, and stepping matches the
+        learner that was never interrupted."""
+        cfg = LearnerConfig(n_features=2, height=3, tree_count=3,
+                            fairness="dp", fairness_weight=0.7, seed=4)
+        straight = OnlineForestLearner(cfg)
+        self._run(straight, biased_stream(20, seed=13))
+        data = json.loads(json.dumps(straight.checkpoint()))
+        n_params = straight.forest.shape.n_params
+        for name, size in (
+            ("forest", n_params),
+            ("adam.m", n_params),
+            ("adam.v", n_params),
+            ("store.means", straight.store.means.size),
+            ("metrics.label_sums", 2),
+            ("metrics.output_sums", 4),
+        ):
+            assert isinstance(data["floats"][name], str)
+            decode_floats(data["floats"][name], np.empty(size), name)
+        assert data["counts"]["store"] == straight.store.counts.tolist()
+        resumed = OnlineForestLearner.restore(data)
+        np.testing.assert_array_equal(resumed.adam.m, straight.adam.m)
+        np.testing.assert_array_equal(resumed.adam.v, straight.adam.v)
+        np.testing.assert_array_equal(resumed.store.means, straight.store.means)
+        np.testing.assert_array_equal(resumed.forest.vector, straight.forest.vector)
+        tail = list(biased_stream(20, seed=14))
+        assert self._run(resumed, tail) == self._run(straight, tail)
+        np.testing.assert_array_equal(resumed.forest.vector, straight.forest.vector)
+        np.testing.assert_array_equal(resumed.adam.m, straight.adam.m)
+        np.testing.assert_array_equal(resumed.adam.v, straight.adam.v)
 
     @pytest.mark.parametrize("weight", [0.7, 0.0], ids=["penalty", "weight0"])
     @pytest.mark.parametrize("decay", [None, 0.95], ids=["cumulative", "decay"])

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from fairforest.errors import ConfigurationError, DataError, DomainError, ShapeError
 from fairforest.forest import ForestShape
 from fairforest.gradients import HuberPenalty, fairness_gradient
-from fairforest.learner import decode_floats, encode_floats
+from fairforest.learner import (
+    LearnerConfig,
+    OnlineForestLearner,
+    decode_floats,
+    encode_floats,
+)
 from fairforest.stats import AggregateStore
 
 SHAPE = ForestShape(tree_count=2, height=2, n_features=3, n_outputs=2)
@@ -379,6 +384,74 @@ class TestVectorizedPath:
                 want += np.clip(diff[0], -delta, delta) * diff[1:]
         np.testing.assert_allclose(store.contrast_sum(delta), want,
                                    rtol=1e-9, atol=1e-12)
+
+
+class TestSnapshot:
+    """The store's part of a learner checkpoint: its counts under
+    ``store`` and its means under ``store.means``; the config fixes the
+    rest of its layout."""
+
+    @staticmethod
+    def _learner(fairness, n_groups=2, n_outputs=2, decay=None, n=10, seed=2):
+        learner = OnlineForestLearner(LearnerConfig(
+            n_features=SHAPE.n_features, n_outputs=n_outputs,
+            height=SHAPE.height, tree_count=SHAPE.tree_count,
+            fairness=fairness, fairness_weight=0.5, n_groups=n_groups,
+            aggregate_decay=decay, seed=3))
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            learner.step(rng.standard_normal(SHAPE.n_features),
+                         int(rng.integers(0, n_outputs)),
+                         int(rng.integers(0, n_groups)))
+        return learner
+
+    def test_round_trip_preserves_state(self):
+        learner = self._learner("dp", n=30, seed=17)
+        store = learner.store
+        restored = OnlineForestLearner.restore(
+            json.loads(json.dumps(learner.checkpoint()))).store
+        np.testing.assert_array_equal(store.counts, restored.counts)
+        np.testing.assert_array_equal(store.means, restored.means)
+        assert restored.contrasts == store.contrasts
+        assert (restored.notion, restored.n_groups, restored.n_classes,
+                restored.decay, restored.shape) == (
+            store.notion, store.n_groups, store.n_classes, store.decay,
+            store.shape)
+
+    def test_malformed_snapshots_are_refused(self):
+        """Truncated, wrong-length, non-finite, non-string or non-base64
+        means, and truncated, negative or non-integer counts, raise
+        DataError instead of loading into a store they do not fit, for
+        the store of every notion, with and without decay."""
+        for learner in (
+            self._learner("dp"),
+            self._learner("equalized_odds", n_outputs=3),
+            self._learner("multigroup", n_groups=3, decay=0.95),
+        ):
+            good = json.loads(json.dumps(learner.checkpoint()))
+            OnlineForestLearner.restore(good)
+            means = learner.store.means
+            non_finite = means.copy()
+            non_finite[0, 1, 1, 0] = np.nan
+            text = good["floats"]["store.means"]
+            counts = good["counts"]["store"]
+            for section, name, value in (
+                ("floats", "store.means", text[:-12]),
+                ("floats", "store.means", encode_floats(means[:-1])),
+                ("floats", "store.means", encode_floats(non_finite)),
+                ("floats", "store.means", means.tolist()),
+                ("floats", "store.means", text.replace("A", "*", 1)),
+                ("counts", "store", counts[:-1]),
+                ("counts", "store", [-1] + counts[1:]),
+                ("counts", "store", [2.9, 3.5] + counts[2:]),
+                ("counts", "store", [float(c) for c in counts]),
+                ("counts", "store", [True] + counts[1:]),
+                ("counts", "store", "5"),
+            ):
+                data = json.loads(json.dumps(good))
+                data[section][name] = value
+                with pytest.raises(DataError):
+                    OnlineForestLearner.restore(data)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False,
