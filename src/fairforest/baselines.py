@@ -296,7 +296,7 @@ class OnlineMlpLearner:
         active = (pre > 0.0).astype(np.float64)
         out = hidden @ self.params.w2 + self.params.b2
         prediction = int(np.argmax(out))
-        self.metrics.update(prediction, out, y, a)
+        self.metrics.update(prediction, out.tolist(), y, a)
         if self.store is not None:
             gate = active[:, None] * self.params.w2  # (h, c): d out_k / d pre_j
             rows = np.zeros(self.store.means.shape[1:])  # (1 + P, c)

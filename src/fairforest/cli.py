@@ -298,6 +298,9 @@ def _drive(learner, stream, writer, checkpoint_interval: int = 0,
 
 
 def cmd_run(args) -> int:
+    if args.checkpoint_interval < 0:
+        raise ConfigurationError(f"--checkpoint-interval must be >= 0, "
+                                 f"got {args.checkpoint_interval}")
     if args.checkpoint_interval and args.baseline != "aranyani":
         raise ConfigurationError(
             "--checkpoint-interval is supported for the aranyani baseline only"

@@ -148,6 +148,8 @@ def task_gradient(forest: ObliqueForest, x: np.ndarray, y: int) -> ForestGradien
     if not 0 <= y < forest.n_outputs:
         raise ShapeError(f"label {y} outside [0, {forest.n_outputs})")
     cache = _ForwardCache(forest, x)
+    if not np.isfinite(cache.output).all():
+        raise NumericalError(f"forest output is not finite: {cache.output!r}")
     return _task_gradient_cached(forest, x, y, cache,
                                  ForestGradient.zeros(forest.shape))
 
@@ -155,11 +157,8 @@ def task_gradient(forest: ObliqueForest, x: np.ndarray, y: int) -> ForestGradien
 def _task_gradient_cached(forest: ObliqueForest, x: np.ndarray, y: int,
                           cache: _ForwardCache,
                           out: ForestGradient) -> ForestGradient:
-    """The task gradient from a forward cache, written into ``out``."""
-    if not np.isfinite(cache.output).all():
-        raise NumericalError(
-            f"forest output is not finite: {cache.output!r}"
-        )
+    """The task gradient from a forward cache, written into ``out``.  The
+    caller has checked that the forest output is finite."""
     residual = softmax(cache.output)
     residual[y] -= 1.0
     t, m = forest.tree_count, forest.shape.n_nodes

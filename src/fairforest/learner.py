@@ -25,6 +25,7 @@ from .errors import (
     DataError,
     DomainError,
     FairForestError,
+    NumericalError,
     ShapeError,
 )
 from .forest import ObliqueForest, _check_height, predict as predict_class
@@ -96,59 +97,80 @@ class MetricsTracker:
     The hard gap compares per-group rates of the predicted label; the
     soft gap compares per-group means of the raw forest output.  Both are
     undefined (``None``) while fewer than two groups have been observed.
+    The running sums are Python lists, one entry per group (a list of
+    output sums per group): a step touches a handful of numbers, for
+    which numpy's per-call cost outweighs the arithmetic.
     """
 
     def __init__(self, n_groups: int = 2, n_outputs: int = 2):
         self.n_groups = n_groups
         self.total = 0
         self.correct = 0
-        self.group_counts = np.zeros(n_groups, dtype=np.int64)
-        self.group_label_sums = np.zeros(n_groups)
-        self.group_output_sums = np.zeros((n_groups, n_outputs))
+        self.group_counts = [0] * n_groups
+        self.group_label_sums = [0.0] * n_groups
+        self.group_output_sums = [[0.0] * n_outputs for _ in range(n_groups)]
 
-    def update(self, prediction: int, soft_output: np.ndarray, y: int,
+    def update(self, prediction: int, soft_output: list[float], y: int,
                a: int) -> None:
         self.total += 1
         if prediction == y:
             self.correct += 1
         self.group_counts[a] += 1
         self.group_label_sums[a] += prediction
-        self.group_output_sums[a] += soft_output
+        sums = self.group_output_sums
+        sums[a] = [s + v for s, v in zip(sums[a], soft_output)]
 
     @property
     def accuracy(self) -> float:
         return self.correct / self.total if self.total else 0.0
 
-    def _two_group_gap(self, sums: np.ndarray):
-        """``sums[0] / n0 - sums[1] / n1``, or None until both groups of a
-        two-group tracker have been seen."""
-        n0, n1 = self.group_counts
-        return sums[0] / n0 - sums[1] / n1 if n0 and n1 else None
+    def _seen(self) -> list[int] | None:
+        """The groups observed so far, or None while fewer than two."""
+        seen = [g for g, n in enumerate(self.group_counts) if n]
+        return seen if len(seen) >= 2 else None
 
     @property
     def dp_hard(self) -> float | None:
-        if self.n_groups == 2:
-            gap = self._two_group_gap(self.group_label_sums)
-            return None if gap is None else float(abs(gap))
-        seen = self.group_counts > 0
-        if seen.sum() < 2:
+        seen = self._seen()
+        if seen is None:
             return None
-        rates = np.zeros(self.n_groups)
-        rates[seen] = self.group_label_sums[seen] / self.group_counts[seen]
-        overall = self.group_label_sums.sum() / self.total
-        return float(np.max(np.abs(overall - rates[seen])))
+        counts, sums = self.group_counts, self.group_label_sums
+        if self.n_groups == 2:
+            return abs(sums[0] / counts[0] - sums[1] / counts[1])
+        # The label sums are whole numbers, so any summation order is exact.
+        overall = sum(sums) / self.total
+        return max(abs(overall - sums[g] / counts[g]) for g in seen)
 
     @property
     def dp_soft(self) -> float | None:
-        if self.n_groups == 2:
-            gap = self._two_group_gap(self.group_output_sums)
-            return None if gap is None else math.sqrt(gap @ gap)
-        seen = self.group_counts > 0
-        if seen.sum() < 2:
+        """The largest Euclidean norm of a mean-output gap.  Every sum runs
+        in order, as numpy's ``sum(axis=0)`` over groups and its
+        ``np.linalg.norm(..., axis=-1)`` over fewer than eight outputs
+        sum, so unlike a BLAS dot the result does not depend on the CPU."""
+        seen = self._seen()
+        if seen is None:
             return None
-        means = self.group_output_sums[seen] / self.group_counts[seen, None]
-        overall = self.group_output_sums.sum(axis=0) / self.total
-        return float(np.max(np.linalg.norm(overall - means, axis=1)))
+        counts, sums = self.group_counts, self.group_output_sums
+        if self.n_groups == 2:
+            n0, n1 = counts
+            gaps = [[u / n0 - v / n1 for u, v in zip(*sums)]]
+        else:
+            overall = []
+            for column in zip(*sums):
+                total = 0.0
+                for value in column:
+                    total += value
+                overall.append(total / self.total)
+            gaps = ([o - s / counts[g] for o, s in zip(overall, sums[g])]
+                    for g in seen)
+        largest = 0.0
+        for gap in gaps:
+            squares = 0.0
+            for value in gap:
+                squares += value * value
+            largest = max(largest, squares)
+        # sqrt is monotonic: the root of the largest sum is the largest norm.
+        return math.sqrt(largest)
 
 
 @dataclass(frozen=True)
@@ -280,13 +302,16 @@ def _check_instance(config: LearnerConfig, x) -> np.ndarray:
 
 
 def _check_step(config: LearnerConfig, x, y: int, a: int) -> np.ndarray:
-    """``_check_instance(config, x)``, also refusing a label or group
-    outside the configured range (DomainError)."""
+    """``_check_instance(config, x)``, also refusing a label or group that
+    is not an integer (``bool`` included) or lies outside the configured
+    range (DomainError)."""
     x = _check_instance(config, x)
-    if not 0 <= y < config.n_outputs:
-        raise DomainError(f"label {y} outside [0, {config.n_outputs})")
-    if not 0 <= a < config.n_groups:
-        raise DomainError(f"group {a} outside [0, {config.n_groups})")
+    for name, value, size in (("label", y, config.n_outputs),
+                              ("group", a, config.n_groups)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= value < size:
+            raise DomainError(f"{name} {value} outside [0, {size})")
     return x
 
 
@@ -392,8 +417,12 @@ class OnlineForestLearner:
         parameter update, plus the post-step metrics."""
         x = _check_step(self.config, x, y, a)
         cache = _ForwardCache(self.forest, x)
-        prediction = self._emit(int(np.argmax(cache.output)))
-        self.metrics.update(prediction, cache.output, y, a)
+        output = cache.output.tolist()
+        if not all(map(math.isfinite, output)):
+            raise NumericalError(f"forest output is not finite: {output!r}")
+        # The first index of the maximum, as np.argmax gives.
+        prediction = self._emit(output.index(max(output)))
+        self.metrics.update(prediction, output, y, a)
         self._update_fairness_state(x, y, a, cache)
         task = _task_gradient_cached(self.forest, x, y, cache, self._task)
         fair = self._fairness_gradient()
@@ -443,10 +472,11 @@ class OnlineForestLearner:
             "forest": self.forest.vector,
             "adam.m": self.adam.m,
             "adam.v": self.adam.v,
-            "metrics.label_sums": metrics.group_label_sums,
-            "metrics.output_sums": metrics.group_output_sums,
+            "metrics.label_sums": np.array(metrics.group_label_sums),
+            "metrics.output_sums": np.array(metrics.group_output_sums),
         }
-        counts = {"metrics.groups": metrics.group_counts}
+        counts = {"metrics.groups": np.array(metrics.group_counts,
+                                             dtype=np.int64)}
         if self.store is not None:
             floats["store.means"] = self.store.means
             counts["store"] = self.store.counts
@@ -506,8 +536,11 @@ class OnlineForestLearner:
         for name, out in counts.items():
             out[...] = _counts(data["counts"][name], out.size, name)
         metrics = learner.metrics
-        if metrics.group_counts.sum() != step_count:
-            raise DataError(f"metrics.groups {metrics.group_counts.tolist()} "
+        metrics.group_counts = counts["metrics.groups"].tolist()
+        metrics.group_label_sums = floats["metrics.label_sums"].tolist()
+        metrics.group_output_sums = floats["metrics.output_sums"].tolist()
+        if sum(metrics.group_counts) != step_count:
+            raise DataError(f"metrics.groups {metrics.group_counts} "
                             f"do not sum to step_count {step_count}")
         learner.step_count = learner.adam.t = metrics.total = step_count
         metrics.correct = correct
@@ -534,7 +567,7 @@ def _check_store_counts(store: AggregateStore, metrics: MetricsTracker) -> None:
     if not np.array_equal(counts, expected):
         raise DataError(f"store counts {store.counts.tolist()} disagree with "
                         f"the metrics' group counts "
-                        f"{metrics.group_counts.tolist()} (total {metrics.total})")
+                        f"{metrics.group_counts} (total {metrics.total})")
 
 
 def run_stream(learner, stream: Iterable[tuple]) -> Iterator[TrajectoryRow]:

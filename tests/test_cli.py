@@ -108,6 +108,20 @@ class TestRun:
         learner = OnlineForestLearner.load_checkpoint(out / "checkpoint.json")
         assert learner.step_count == 40  # last multiple of 20 within 50
 
+    def test_negative_checkpoint_interval_exits_two(self, tmp_path):
+        """A negative interval is refused before anything is written (it
+        used to checkpoint every |N| steps, Python's ``%`` taking the
+        divisor's sign); 0 is accepted and writes no checkpoint."""
+        out = tmp_path / "refused"
+        assert main(run_argv(out, n=50,
+                             extra=("--checkpoint-interval", "-10"))) == 2
+        assert not out.exists()
+        out = tmp_path / "disabled"
+        assert main(run_argv(out, n=50,
+                             extra=("--checkpoint-interval", "0"))) == 0
+        assert (out / "trajectory.csv").exists()
+        assert not (out / "checkpoint.json").exists()
+
     def test_checkpoint_interval_needs_the_main_learner(self, tmp_path):
         """Every other baseline is refused before any row is written."""
         for name in ("leaf", "reservoir", "mlp", "majority"):

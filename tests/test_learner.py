@@ -8,11 +8,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairforest.errors import (
     ConfigurationError,
     DataError,
     DomainError,
+    NumericalError,
     ShapeError,
 )
 from fairforest.forest import ForestShape, _block_views
@@ -219,15 +222,72 @@ class TestMetricsTracker:
         for _ in range(200):
             tracker.update(int(rng.integers(0, 3)), rng.standard_normal(3),
                            0, int(rng.integers(0, 2)))
-            seen = tracker.group_counts > 0
-            rates = tracker.group_label_sums[seen] / tracker.group_counts[seen]
-            means = (tracker.group_output_sums[seen]
-                     / tracker.group_counts[seen, None])
+            counts = np.array(tracker.group_counts)
+            seen = counts > 0
+            rates = np.array(tracker.group_label_sums)[seen] / counts[seen]
+            means = (np.array(tracker.group_output_sums)[seen]
+                     / counts[seen, None])
             if seen.sum() < 2:
                 assert tracker.dp_hard is None and tracker.dp_soft is None
                 continue
             assert tracker.dp_hard == float(abs(rates[0] - rates[1]))
-            assert tracker.dp_soft == float(np.linalg.norm(means[0] - means[1]))
+            assert tracker.dp_soft == float(
+                np.linalg.norm(means[0] - means[1], axis=-1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_groups=st.integers(2, 6), n_outputs=st.integers(2, 4),
+           n_updates=st.integers(0, 60), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_gaps_equal_the_masked_reference(self, n_groups, n_outputs,
+                                             n_updates, seed, data):
+        """Over 2 to 6 groups, some never seen, both gaps equal bit for bit
+        the masked per-group rates and means in numpy: the rate gap, and
+        ``np.linalg.norm(..., axis=-1)`` of the mean gap."""
+        groups = data.draw(st.lists(st.integers(0, n_groups - 1), min_size=1,
+                                    max_size=n_groups, unique=True))
+        # Outputs with full mantissas, so that summation order shows.
+        rng = np.random.default_rng(seed)
+        tracker = MetricsTracker(n_groups, n_outputs)
+        for _ in range(n_updates):
+            tracker.update(int(rng.integers(0, n_outputs)),
+                           rng.standard_normal(n_outputs).tolist(),
+                           int(rng.integers(0, n_outputs)),
+                           groups[int(rng.integers(0, len(groups)))])
+            counts = np.array(tracker.group_counts)
+            seen = counts > 0
+            if seen.sum() < 2:
+                assert tracker.dp_hard is None and tracker.dp_soft is None
+                continue
+            label_sums = np.array(tracker.group_label_sums)
+            output_sums = np.array(tracker.group_output_sums)
+            rates = label_sums[seen] / counts[seen]
+            means = output_sums[seen] / counts[seen, None]
+            if n_groups == 2:
+                hard = abs(rates[0] - rates[1])
+                soft = np.linalg.norm(means[0] - means[1], axis=-1)
+            else:
+                hard = np.max(np.abs(label_sums.sum() / tracker.total - rates))
+                overall = output_sums.sum(axis=0) / tracker.total
+                soft = np.max(np.linalg.norm(overall - means, axis=-1))
+            assert tracker.dp_hard == float(hard)
+            assert tracker.dp_soft == float(soft)
+
+    @settings(max_examples=25, deadline=None)
+    @given(steps=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3)),
+                          max_size=60), seed=st.integers(0, 2**16))
+    def test_checkpoint_round_trip_keeps_both_gaps(self, steps, seed):
+        """A four-group learner restored from its checkpoint reports the
+        same gaps, bit for bit, whichever groups it has seen."""
+        learner = OnlineForestLearner(LearnerConfig(
+            n_features=2, height=2, tree_count=2, fairness="multigroup",
+            n_groups=4, fairness_weight=0.5, seed=1))
+        rng = np.random.default_rng(seed)
+        for y, a in steps:
+            learner.step(rng.standard_normal(2), y, a)
+        clone = OnlineForestLearner.restore(
+            json.loads(json.dumps(learner.checkpoint()))).metrics
+        assert clone.dp_hard == learner.metrics.dp_hard
+        assert clone.dp_soft == learner.metrics.dp_soft
 
     def test_snapshot_round_trip(self):
         """A learner's checkpoint restores the tracker: ``total`` from the
@@ -497,6 +557,44 @@ class TestStepping:
         with pytest.raises(DataError):
             learner.step(np.array([np.nan, 0.0]), 0, 0)
 
+    @pytest.mark.parametrize("y, a", [
+        (1.0, 0), (1, True), (True, 0), (1, 0.0), (np.float64(1), 0),
+        (1, np.bool_(True)), (1, "0"),
+    ], ids=["float-label", "bool-group", "bool-label", "float-group",
+            "numpy-float-label", "numpy-bool-group", "str-group"])
+    def test_refused_step_changes_nothing(self, y, a):
+        """A label or group that is not an integer, bools included, is a
+        DomainError before the metrics or the store see the instance; a
+        float label used to be counted and then fail at ``residual[y]``,
+        and a bool group to add 1 to every group's count."""
+        learner = OnlineForestLearner(self._config(fairness_weight=0.5))
+        for x, yy, aa in biased_stream(5, seed=2):
+            learner.step(x, yy, aa)
+        before = learner.checkpoint()
+        with pytest.raises(DomainError):
+            learner.step(np.zeros(2), y, a)
+        assert learner.checkpoint() == before
+
+    def test_numpy_integer_label_and_group_are_accepted(self):
+        plain = OnlineForestLearner(self._config(fairness_weight=0.5))
+        numpy = OnlineForestLearner(self._config(fairness_weight=0.5))
+        for x, y, a in biased_stream(5, seed=2):
+            assert (numpy.step(x, np.int64(y), np.int32(a))
+                    == plain.step(x, y, a))
+        assert numpy.checkpoint() == plain.checkpoint()
+
+    def test_non_finite_output_changes_nothing(self):
+        """A forest whose output is not finite raises NumericalError before
+        the metrics, the store or the parameters change."""
+        learner = OnlineForestLearner(self._config(fairness_weight=0.5))
+        for x, y, a in biased_stream(5, seed=2):
+            learner.step(x, y, a)
+        learner.forest.leaves[0, 0, 0] = np.inf
+        before = learner.checkpoint()
+        with pytest.raises(NumericalError):
+            learner.step(np.zeros(2), 1, 0)
+        assert learner.checkpoint() == before
+
 class TestCheckpoint:
     """Suspend and resume."""
 
@@ -611,9 +709,9 @@ class TestCheckpoint:
             "store": {"counts": learner.store.counts.tolist(),
                       "means": learner.store.means.tolist()},
             "metrics": {"total": metrics.total, "correct": metrics.correct,
-                        "group_counts": metrics.group_counts.tolist(),
-                        "group_label_sums": metrics.group_label_sums.tolist(),
-                        "group_output_sums": metrics.group_output_sums.tolist()},
+                        "group_counts": metrics.group_counts,
+                        "group_label_sums": metrics.group_label_sums,
+                        "group_output_sums": metrics.group_output_sums},
         }
         for label in ("fairforest-checkpoint-v2", "fairforest-checkpoint-v3",
                       "fairforest-checkpoint-v4"):
@@ -645,7 +743,7 @@ class TestCheckpoint:
                       "means": encode_floats(np.moveaxis(store.means, 1, -1))},
             "metrics": {"n_groups": 2, "n_outputs": 2, "total": metrics.total,
                         "correct": metrics.correct,
-                        "group_counts": metrics.group_counts.tolist(),
+                        "group_counts": metrics.group_counts,
                         "group_label_sums": encode_floats(metrics.group_label_sums),
                         "group_output_sums": encode_floats(metrics.group_output_sums)},
         }
@@ -741,14 +839,14 @@ class TestCheckpoint:
         assert (data["step_count"], data["correct"]) == (20, learner.metrics.correct)
         floats = {"forest": learner.forest.vector, "adam.m": learner.adam.m,
                   "adam.v": learner.adam.v,
-                  "metrics.label_sums": learner.metrics.group_label_sums,
-                  "metrics.output_sums": learner.metrics.group_output_sums,
+                  "metrics.label_sums": np.array(learner.metrics.group_label_sums),
+                  "metrics.output_sums": np.array(learner.metrics.group_output_sums),
                   "store.means": learner.store.means}
         assert data["floats"].keys() == floats.keys()
         for name, array in floats.items():
             assert base64.b64decode(data["floats"][name]) == array.tobytes()
         assert data["counts"] == {
-            "metrics.groups": learner.metrics.group_counts.tolist(),
+            "metrics.groups": learner.metrics.group_counts,
             "store": learner.store.counts.tolist(),
         }
 
