@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .forest import (
     ObliqueForest,
     _all_node_outputs,
@@ -159,15 +158,14 @@ class ReservoirLearner(OnlineForestLearner):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _leaf_node_rows(tree_count: int, height: int, width: int) -> np.ndarray:
     """Flat position, in a ``(width, T, m)`` node sum, of every
     ``(row, depth, tree, leaf)`` entry of the leaf store's gradient rows:
-    row-major ``(row * T + tree) * m`` plus the leaf's depth ancestor."""
+    row-major ``(row * T + tree) * m`` plus the leaf's depth ancestor.
+    Writable on purpose: ``np.bincount`` copies a read-only index array,
+    one store-sized copy per call."""
     blocks = np.arange(width * tree_count).reshape(width, 1, tree_count, 1)
-    rows = (blocks * (2**height - 1) + _ancestor_rows(height)[:, None]).ravel()
-    rows.setflags(write=False)
-    return rows
+    return (blocks * (2**height - 1) + _ancestor_rows(height)[:, None]).ravel()
 
 
 class LeafPenaltyLearner(OnlineForestLearner):
@@ -186,11 +184,15 @@ class LeafPenaltyLearner(OnlineForestLearner):
         # probability, then its Jacobian in the bias and each weight
         # (feature-or-bias major) of its depth-k ancestor, (d + 1, h)
         # flattened.  Without a penalty nothing reads it, so none is built.
-        self.leaf_store = RunningMeans(
-            config.n_groups, (shape.tree_count, shape.n_leaves),
-            1 + (shape.n_features + 1) * shape.height, ((0, 1),),
-            config.aggregate_decay,
-        ) if config.has_penalty else None
+        self.leaf_store = self._node_rows = None
+        if config.has_penalty:
+            self.leaf_store = RunningMeans(
+                config.n_groups, (shape.tree_count, shape.n_leaves),
+                1 + (shape.n_features + 1) * shape.height, ((0, 1),),
+                config.aggregate_decay,
+            )
+            self._node_rows = _leaf_node_rows(
+                shape.tree_count, shape.height, shape.n_features + 1)
 
     def _build_store(self) -> None:
         """No gate store: the penalty reads ``leaf_store``."""
@@ -200,7 +202,7 @@ class LeafPenaltyLearner(OnlineForestLearner):
         if self.leaf_store is None:
             return
         t, h = self.forest.tree_count, self.forest.height
-        values = np.empty(self.leaf_store.means.shape[1:])
+        values = self.leaf_store.values
         values[0] = cache.leaf_probs
         # A view: splitting the contiguous leading axis copies nothing.
         # d p_l / d w_i = (d p_l / d b_i) * x, for the path nodes i of l.
@@ -218,7 +220,7 @@ class LeafPenaltyLearner(OnlineForestLearner):
         width = self.forest.n_features + 1
         total = self.leaf_store.contrast_sum(self.penalty.delta)
         per_node = np.bincount(
-            _leaf_node_rows(t, h, width), weights=total.ravel(),
+            self._node_rows, weights=total.ravel(),
             minlength=width * t * (2**h - 1),
         ).reshape(width, t, 2**h - 1)  # bias, then weights
         grad = self._fair
@@ -295,11 +297,15 @@ class OnlineMlpLearner:
         hidden = np.maximum(pre, 0.0)
         active = (pre > 0.0).astype(np.float64)
         out = hidden @ self.params.w2 + self.params.b2
+        output = out.tolist()
+        if not all(map(math.isfinite, output)):
+            raise NumericalError(f"MLP output is not finite: {output!r}")
         prediction = int(np.argmax(out))
-        self.metrics.update(prediction, out.tolist(), y, a)
+        self.metrics.update(prediction, output, y, a)
         if self.store is not None:
             gate = active[:, None] * self.params.w2  # (h, c): d out_k / d pre_j
-            rows = np.zeros(self.store.means.shape[1:])  # (1 + P, c)
+            rows = self.store.values  # (1 + P, c)
+            rows.fill(0.0)
             rows[0] = out
             outputs = np.arange(out.size)
             j_w1, j_b1, j_w2, j_b2 = _block_views(rows[1:].reshape(-1), [

@@ -27,7 +27,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigurationError, ShapeError
 
@@ -223,14 +222,19 @@ def _node_edges(z: np.ndarray) -> np.ndarray:
     """Routing factors of both edges of every node, from pre-activations.
 
     ``z`` is ``(..., m)``; the result is ``(..., 2m)``: the gate outputs
-    ``expit(z)`` (left edges) followed by ``expit(-z)`` (right edges).
-    The right edge is never formed as ``1 - expit(z)``, which cancels to
-    exactly 0 once ``z`` exceeds about 37.  The logistic runs in place:
-    for a batch, a second array of the edges' size costs more than the
+    ``1 / (1 + exp(-z))`` (left edges) followed by ``1 / (1 + exp(z))``
+    (right edges).  The right edge is never formed as ``1 - left``, which
+    cancels to exactly 0 once ``z`` exceeds about 37.  Past about 709.8
+    ``exp`` overflows to ``inf`` and the edge is exactly 0; no clamp, so
+    a saturated gate keeps that exact 0.  The logistic runs in place: for
+    a batch, a second array of the edges' size costs more than the
     logistic itself.
     """
-    edges = np.concatenate([z, -z], axis=-1)
-    return expit(edges, out=edges)
+    edges = np.concatenate([-z, z], axis=-1)
+    with np.errstate(over="ignore"):
+        np.exp(edges, out=edges)
+    edges += 1.0
+    return np.reciprocal(edges, out=edges)
 
 
 def _all_node_outputs(forest: ObliqueForest, features: np.ndarray) -> np.ndarray:

@@ -145,6 +145,8 @@ def task_gradient(forest: ObliqueForest, x: np.ndarray, y: int) -> ForestGradien
     keep their exact gradient.  Weights receive the bias gradient times x.
     """
     x = _check_features(forest, x)
+    if not isinstance(y, (int, np.integer)) or isinstance(y, bool):
+        raise ShapeError(f"label must be an integer, got {y!r}")
     if not 0 <= y < forest.n_outputs:
         raise ShapeError(f"label {y} outside [0, {forest.n_outputs})")
     cache = _ForwardCache(forest, x)

@@ -59,26 +59,39 @@ class AdamParams:
 
 class AdamState:
     """First and second moment estimates of one flat parameter vector of
-    ``size`` values."""
+    ``size`` values, and two scratch vectors of that size, so an update
+    allocates nothing of the vector's size."""
 
     def __init__(self, size: int, hyper: AdamParams):
         self.hyper = hyper
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
+        self._step = np.zeros(size)
+        self._scale = np.zeros(size)
 
     def apply(self, params: np.ndarray, grads: np.ndarray) -> None:
-        """One bias-corrected Adam update, in place on the vector ``params``."""
+        """One bias-corrected Adam update, in place on the vector ``params``:
+        ``params -= lr * (m / c1) / (sqrt(v / c2) + eps)``."""
         self.t += 1
         h = self.hyper
         c1 = 1.0 - h.beta1**self.t
         c2 = 1.0 - h.beta2**self.t
-        m, v = self.m, self.v
+        m, v, step, scale = self.m, self.v, self._step, self._scale
         m *= h.beta1
-        m += (1.0 - h.beta1) * grads
+        np.multiply(grads, 1.0 - h.beta1, out=step)
+        m += step
         v *= h.beta2
-        v += (1.0 - h.beta2) * grads * grads
-        params -= h.learning_rate * (m / c1) / (np.sqrt(v / c2) + h.epsilon)
+        np.multiply(grads, 1.0 - h.beta2, out=step)
+        step *= grads
+        v += step
+        np.divide(m, c1, out=step)
+        step *= h.learning_rate
+        np.divide(v, c2, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += h.epsilon
+        step /= scale
+        params -= step
 
 
 def _check_keys(data, keys, name: str) -> None:

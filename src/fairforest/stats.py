@@ -38,7 +38,10 @@ class RunningMeans:
     a penalty compares.
 
     Block ``means[k]`` holds one ``(width, *cells)`` block per key; row 0
-    is the constrained quantity and rows ``1:`` its gradient.
+    is the constrained quantity and rows ``1:`` its gradient.  ``values``
+    is a block a caller may stage an instance's values in before
+    ``fold``; with the two scratch blocks it means a step allocates
+    nothing of a block's size.  None of them is state.
     """
 
     def __init__(self, n_keys: int, cells: tuple, width: int,
@@ -49,17 +52,27 @@ class RunningMeans:
         self.contrasts = contrasts
         self.counts = np.zeros(n_keys, dtype=np.int64)
         self.means = np.zeros((n_keys, width, *cells))
+        self.values = np.zeros((width, *cells))
+        self._total = np.zeros((width, *cells))
+        self._term = np.zeros((width, *cells))
 
     def fold(self, keys: tuple, values: np.ndarray) -> None:
         """Fold one instance's ``(width, *cells)`` values into each key."""
+        term = self._term
         for key in keys:
             self.counts[key] += 1
             count = self.counts[key]
             row = self.means[key]
             if self.decay is not None and count > 1:
-                row[...] = self.decay * row + (1 - self.decay) * values
+                # row = decay * row + (1 - decay) * values
+                np.multiply(row, self.decay, out=self._total)
+                np.multiply(values, 1 - self.decay, out=term)
+                np.add(self._total, term, out=row)
             else:
-                row += (values - row) / count
+                # row += (values - row) / count
+                np.subtract(values, row, out=term)
+                term /= count
+                row += term
 
     def contrast_sum(self, delta: float) -> np.ndarray:
         """Huber-penalty gradient summed over the warm contrasts.
@@ -68,19 +81,26 @@ class RunningMeans:
         ``clip(gap, -delta, delta) * (mean[plus] - mean[minus])[1:]``
         with ``gap`` the difference of row 0; the clip is the Huber slope.
         Cold contrasts add nothing.  Shape ``(width - 1, *cells)``.
+
+        The result is a view of a scratch block: the next ``fold`` or
+        ``contrast_sum`` overwrites it, so use it before either.
         """
         total = None
         for plus, minus in self.contrasts:
             if self.counts[plus] == 0 or self.counts[minus] == 0:
                 continue
-            diff = self.means[plus] - self.means[minus]
-            diff *= np.clip(diff[:1], -delta, delta)
+            diff = self._total if total is None else self._term
+            np.subtract(self.means[plus], self.means[minus], out=diff)
+            # Row 0 becomes the Huber slope; only rows 1: are summed.
+            np.clip(diff[:1], -delta, delta, out=diff[:1])
+            diff[1:] *= diff[:1]
             if total is None:
                 total = diff
             else:
-                total += diff
+                total[1:] += diff[1:]
         if total is None:
-            total = np.zeros(self.means.shape[1:])
+            total = self._total
+            total.fill(0.0)
         return total[1:]
 
 
@@ -155,7 +175,7 @@ class AggregateStore(RunningMeans):
                 f"expected gates and slopes of shape ({t}, {m}) and x of "
                 f"shape ({d},), got {gates.shape}, {slope.shape}, {x.shape}"
             )
-        values = np.empty((d + 2, t, m))
+        values = self.values
         values[0], values[1] = gates, slope
         np.multiply(x[:, None, None], slope, out=values[2:])
         self.fold(keys, values)

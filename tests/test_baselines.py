@@ -22,6 +22,7 @@ from fairforest.errors import (
     ConfigurationError,
     DataError,
     DomainError,
+    NumericalError,
     ShapeError,
 )
 from fairforest.forest import ObliqueForest, _all_node_outputs
@@ -387,6 +388,30 @@ class TestMlp:
         learner.params.w2[:] = [[3.0, -3.0]]
         learner.params.b2[:] = [0.0, 0.0]
         np.testing.assert_array_equal(learner.forward(np.array([1.0])), 0.0)
+
+    def test_non_finite_output_changes_nothing(self):
+        """An output of inf (an infinite output weight on an active hidden
+        unit) is a NumericalError before the metrics, the store, the Adam
+        moments or the parameters change; it used to train on and leave
+        NaN in the parameters and the store."""
+        learner = mlp(n_features=3, hidden=4, fairness_weight=1.0, seed=2)
+        rng = np.random.default_rng(0)
+        for step in range(6):
+            learner.step(rng.normal(size=3), step % 2, (step // 2) % 2)
+        learner.params.w2[0, 0] = np.inf
+        learner.params.b1[...] = 1.0
+        arrays = (learner.params.vector, learner.store.means,
+                  learner.store.counts, learner.adam.m, learner.adam.v)
+        before = [a.copy() for a in arrays]
+        metrics = dict(vars(learner.metrics))
+        snapshot = learner.snapshot()
+        with pytest.raises(NumericalError):
+            learner.step(np.zeros(3), 1, 0)
+        for array, old in zip(arrays, before):
+            np.testing.assert_array_equal(array, old)
+        assert vars(learner.metrics) == metrics
+        assert learner.adam.t == learner.step_count == 6
+        assert learner.snapshot() == snapshot
 
     def test_first_step_follows_the_task_gradient(self):
         """One optimizer step from a fresh network moves each parameter by

@@ -2,6 +2,11 @@
 structure derived from leaf bits, leaf probabilities and their
 derivatives, forward evaluation, prediction."""
 
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.special
@@ -15,6 +20,7 @@ from fairforest.forest import (
     _all_node_outputs,
     _ancestor_rows,
     _leaf_probability_gradients_stacked,
+    _node_edges,
     _path_edges,
     _path_signs,
     forward,
@@ -263,6 +269,52 @@ class TestLeafProbabilityGradients:
         np.testing.assert_allclose(jac.sum(axis=1), 0.0, atol=1e-12)
 
 
+def ulps_apart(a, b):
+    """Distance in units in the last place between arrays of
+    non-negative floats: their bit patterns, read as integers, ordered
+    as the floats are."""
+    return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
+
+
+class TestNodeEdges:
+    """The logistic behind every gate: numpy's own, not scipy's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=24),
+           st.integers(1, 3))
+    def test_both_edges_are_the_logistic(self, values, rows):
+        """Left edges are ``1 / (1 + exp(-z))`` and right edges
+        ``1 / (1 + exp(z))`` bit for bit, with no warning where ``exp``
+        overflows, and within 4 ulp of ``scipy.special.expit``.  At +-800,
+        past the overflow, they are exactly 0 and 1: a clamp would leave
+        5.6e-309 instead of 0."""
+        z = np.tile(np.array(values + [800.0, -800.0]), (rows, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = _node_edges(z)
+        left, right = np.split(edges, 2, axis=-1)
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(left, 1 / (1 + np.exp(-z)))
+            np.testing.assert_array_equal(right, 1 / (1 + np.exp(z)))
+        np.testing.assert_array_equal(left[:, -2:], [[1.0, 0.0]] * rows)
+        np.testing.assert_array_equal(right[:, -2:], [[0.0, 1.0]] * rows)
+        assert ulps_apart(left, scipy.special.expit(z)).max() <= 4
+        assert ulps_apart(right, scipy.special.expit(-z)).max() <= 4
+
+    def test_package_imports_without_scipy(self):
+        """The logistic was the package's one scipy call; scipy is a test
+        dependency now, so importing the package and its command line
+        must not load any scipy module."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import fairforest, fairforest.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.partition('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", code, str(src)],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
+
 class TestForward:
     """Forest evaluation and prediction."""
 
@@ -325,15 +377,16 @@ class TestForward:
             assert predict(forest, x) == int(np.argmax(out))
 
     def test_saturated_gate_keeps_its_right_edge(self):
-        """At pre-activation +40 the right leaf gets expit(-40) = 4.2e-18,
-        not the 0 that 1 - expit(40) cancels to; single and batch
-        evaluation agree and the task gradient stays finite."""
+        """At pre-activation +40 the right leaf gets the logistic of -40,
+        1 / (1 + exp(40)) = 4.2e-18, not the 0 that one minus the left
+        edge cancels to; single and batch evaluation agree and the task
+        gradient stays finite."""
         forest = ObliqueForest.from_arrays(
             1, np.zeros((1, 1, 2)), np.array([[40.0]]), np.eye(2)[None]
         )
         x = np.zeros(2)
         out = forward(forest, x)
-        assert out[1] == scipy.special.expit(-40.0)
+        assert out[1] == 1 / (1 + np.exp(40.0))
         np.testing.assert_array_equal(forward_batch(forest, x[None]), out[None])
         grad = task_gradient(forest, x, 1)
         assert np.isfinite(grad.vector).all()
@@ -342,14 +395,14 @@ class TestForward:
     def test_saturated_tree_output_matches_forward(self):
         """The per-tree output routes from the pre-activations as
         ``forward`` does: at +40 the right leaf gets 4.2e-18, not
-        1 - expit(40) = 0."""
+        1 - 1 / (1 + exp(-40)) = 0."""
         forest = ObliqueForest.from_arrays(
             1, np.zeros((1, 1, 2)), np.array([[40.0]]), np.eye(2)[None]
         )
         x = np.zeros(2)
         out = tree_outputs(forest, x)[0]
         np.testing.assert_array_equal(out, forward(forest, x))
-        assert out[1] == scipy.special.expit(-40.0)
+        assert out[1] == 1 / (1 + np.exp(40.0))
 
     def test_gate_outputs_hand_value(self):
         tree = self._tiny_tree([[1.0, 0.0], [0.0, 1.0]])

@@ -362,6 +362,22 @@ class TestTaskGradient:
         with pytest.raises(ShapeError):
             task_gradient(forest, np.zeros(3), 2)
 
+    @pytest.mark.parametrize("label", [1.0, True, np.float64(1), np.bool_(True)],
+                             ids=["float", "bool", "numpy-float", "numpy-bool"])
+    def test_label_must_be_an_integer(self, label):
+        """A float label used to fail at ``residual[y]`` with a bare
+        IndexError and a bool label was taken as class 1; both are the
+        ShapeError an out-of-range label gets."""
+        forest = ObliqueForest.random(2, 3, 2)
+        with pytest.raises(ShapeError, match="integer"):
+            task_gradient(forest, np.zeros(3), label)
+
+    def test_numpy_integer_label_is_accepted(self):
+        forest = ObliqueForest.random(2, 3, 2)
+        x = np.linspace(-1.0, 1.0, 3)
+        np.testing.assert_array_equal(task_gradient(forest, x, np.int64(1)).vector,
+                                      task_gradient(forest, x, 1).vector)
+
     def test_non_finite_output_is_reported(self):
         forest = ObliqueForest.random(1, 2, 2)
         forest.leaves[:] = np.inf

@@ -1,18 +1,24 @@
-"""Tests for the packed running-mean store and its key contrasts, and for
-the float codec that checkpoints write arrays with (``learner.py``)."""
+"""Tests for the packed running-mean store and its key contrasts, for
+the float codec that checkpoints write arrays with (``learner.py``), and
+for the allocation-free passes over store blocks and the parameter
+vector."""
 
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fairforest.baselines import LeafPenaltyLearner
 from fairforest.errors import ConfigurationError, DataError, DomainError, ShapeError
 from fairforest.forest import ForestShape
 from fairforest.gradients import HuberPenalty, fairness_gradient
 from fairforest.learner import (
+    AdamParams,
+    AdamState,
     LearnerConfig,
     OnlineForestLearner,
     decode_floats,
@@ -384,6 +390,85 @@ class TestVectorizedPath:
                 want += np.clip(diff[0], -delta, delta) * diff[1:]
         np.testing.assert_allclose(store.contrast_sum(delta), want,
                                    rtol=1e-9, atol=1e-12)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes ``tracemalloc`` sees allocated during ``call()`` beyond
+    what was held before it, after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+# The paper-width shape (h=6, T=8, d=384): a node store block of 1.5 MB.
+# numpy's broadcasting ufuncs stage a broadcast operand through a fixed
+# buffer of ``np.getbufsize()`` values (64 kB) whatever the array's size,
+# so a block must be several such buffers wide before a quarter of it
+# tells a fixed buffer from a block-sized temporary.
+WIDE = ForestShape(tree_count=8, height=6, n_features=384, n_outputs=2)
+
+
+class TestNoBlockSizedTemporaries:
+    """Once warm, the per-step passes write into buffers their owner
+    holds: the store's staging and scratch blocks, Adam's two scratch
+    vectors.  Each pass peaks below a quarter of the block (or vector) it
+    runs over, where a single temporary of the block's size would not."""
+
+    @pytest.mark.parametrize("notion, n_groups, decay", [
+        ("dp", 2, None), ("dp", 2, 0.9), ("equalized_odds", 2, None),
+        ("multigroup", 3, None),
+    ])
+    def test_node_store_passes(self, notion, n_groups, decay):
+        store = AggregateStore(WIDE, n_groups=n_groups, notion=notion,
+                               n_classes=2, decay=decay)
+        rng = np.random.default_rng(0)
+        t, m, d = WIDE.tree_count, WIDE.n_nodes, WIDE.n_features
+        gates = rng.uniform(size=(t, m))
+        slope = gates * (1 - gates)
+        x = rng.normal(size=d)
+        for group in range(n_groups):
+            for task_class in range(2):
+                store.update_all(group, task_class, gates, slope, x)
+        block = store.means[0].nbytes
+        keys = store.keys(0, 1)
+        peaks = {
+            "update_all": traced_peak(
+                lambda: store.update_all(1, 0, gates, slope, x)),
+            "fold": traced_peak(lambda: store.fold(keys, store.values)),
+            "contrast_sum": traced_peak(lambda: store.contrast_sum(0.01)),
+        }
+        assert max(peaks.values()) < block / 4, (peaks, block)
+
+    @pytest.mark.parametrize("decay", [None, 0.9])
+    def test_leaf_store_passes(self, decay):
+        """The leaf baseline's store at h=6, T=8 (d=32: a 0.8 MB block)."""
+        learner = LeafPenaltyLearner(LearnerConfig(
+            n_features=32, height=6, tree_count=8, fairness_weight=1.0,
+            aggregate_decay=decay))
+        store = learner.leaf_store
+        values = np.random.default_rng(1).normal(size=store.values.shape)
+        store.fold((0,), values)
+        store.fold((1,), values)
+        block = store.means[0].nbytes
+        peaks = {
+            "fold": traced_peak(lambda: store.fold((1,), values)),
+            "contrast_sum": traced_peak(lambda: store.contrast_sum(0.01)),
+        }
+        assert max(peaks.values()) < block / 4, (peaks, block)
+
+    def test_adam_update(self):
+        rng = np.random.default_rng(2)
+        params = rng.normal(size=WIDE.n_params)
+        grads = rng.normal(size=WIDE.n_params)
+        adam = AdamState(WIDE.n_params, AdamParams())
+        peak = traced_peak(lambda: adam.apply(params, grads))
+        assert peak < params.nbytes / 4, (peak, params.nbytes)
 
 
 class TestSnapshot:
