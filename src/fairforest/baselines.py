@@ -13,13 +13,14 @@ Four contrast points against the node-level penalty:
   ``p`` and a majority label otherwise.
 
 Every learner exposes the same ``step``/``snapshot`` protocol as
-``OnlineForestLearner``, so all of them run under ``run_stream``.
+``OnlineForestLearner``, so all of them run under ``run_stream``, and
+every penalized one takes its keys and contrasts from the configured
+notion's ``NotionTable``, so each runs under every notion.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +42,9 @@ from .learner import (
     _check_instance,
     _check_step,
 )
-from .stats import RunningMeans
+from .stats import NotionTable, RunningMeans
 
 BASELINE_NAMES = ("aranyani", "mlp", "leaf", "reservoir", "majority")
-
-
-def _require_dp(config: LearnerConfig, name: str) -> None:
-    """Refuse every fairness notion but ``dp`` and ``none``."""
-    if config.fairness not in ("dp", "none"):
-        raise ConfigurationError(f"the {name} supports the dp notion only")
 
 
 # ---------------------------------------------------------------------------
@@ -58,28 +53,34 @@ def _require_dp(config: LearnerConfig, name: str) -> None:
 
 
 class Reservoir:
-    """Unbounded store of every instance seen so far, kept per group in a
-    row buffer that doubles when full, so ``group_features`` is a view."""
+    """Unbounded store of every instance seen so far, kept under each key
+    of the notion's table it folds into (as ``AggregateStore`` keys it)
+    in a row buffer that doubles when full, so ``key_features`` is a
+    view."""
 
-    def __init__(self, n_features: int):
-        self.n_features = n_features
-        self._rows = defaultdict(lambda: np.empty((16, n_features)))
-        self._sizes: dict[int, int] = defaultdict(int)
+    def __init__(self, n_features: int, n_groups: int = 2,
+                 notion: str = "dp", n_classes: int | None = None):
+        self.table = NotionTable(notion, n_groups, n_classes)
+        self._rows = [np.empty((16, n_features)) for _ in range(self.table.n_keys)]
+        self._sizes = [0] * self.table.n_keys
+        self._count = 0
 
-    def add(self, x: np.ndarray, a: int) -> None:
-        rows, size = self._rows[a], self._sizes[a]
-        if size == len(rows):
-            self._rows[a] = rows = np.concatenate([rows, np.empty_like(rows)])
-        rows[size] = x
-        self._sizes[a] = size + 1
+    def add(self, x: np.ndarray, group: int, task_class: int) -> None:
+        for key in self.table.keys(group, task_class):
+            rows, size = self._rows[key], self._sizes[key]
+            if size == len(rows):
+                self._rows[key] = rows = np.concatenate(
+                    [rows, np.empty_like(rows)])
+            rows[size] = x
+            self._sizes[key] = size + 1
+        self._count += 1
 
     def __len__(self) -> int:
-        return sum(self._sizes.values())
+        return self._count
 
-    def group_features(self, group: int) -> np.ndarray:
-        """Read-only view of the group's rows, in arrival order."""
-        rows = self._rows.get(group, np.empty((0, self.n_features)))
-        view = rows[:self._sizes.get(group, 0)]
+    def key_features(self, key: int) -> np.ndarray:
+        """Read-only view of the key's rows, in arrival order."""
+        view = self._rows[key][:self._sizes[key]]
         view.flags.writeable = False
         return view
 
@@ -90,26 +91,31 @@ def reservoir_fairness_gradient(
     """Exact weighted fairness gradient over the stored history.
 
     Recomputes every gate output and gate gradient at the current
-    parameters, takes exact per-group means, and applies the Huber slope
-    to the exact gap.  Returns ``(gradient, cold)``; the gradient is zero
-    and ``cold`` is True while either group is absent from the history.
+    parameters, takes exact per-key means, and sums, over the contrasts
+    of the reservoir's table whose keys both hold rows, the Huber slope
+    of the exact gap times the difference of the mean gate gradients.
+    Returns ``(gradient, cold)``; the gradient is zero and ``cold`` is
+    True while no contrast is warm.
     """
     grad = ForestGradient.zeros(forest.shape)
-    x0 = reservoir.group_features(0)
-    x1 = reservoir.group_features(1)
-    if len(x0) == 0 or len(x1) == 0:
+    sizes = reservoir._sizes
+    warm = [(plus, minus) for plus, minus in reservoir.table.contrasts
+            if sizes[plus] and sizes[minus]]
+    if not warm:
         return grad, True
     if penalty.weight == 0.0:
         return grad, False
-    stats = [_reservoir_group_stats(forest, x) for x in (x0, x1)]
-    gap = stats[0][0] - stats[1][0]  # (T, m)
-    coeff = huber_slope(gap, penalty.delta) * penalty.weight
-    grad.weights += coeff[:, :, None] * (stats[0][1] - stats[1][1])
-    grad.biases += coeff * (stats[0][2] - stats[1][2])
+    stats = {key: _reservoir_key_stats(forest, reservoir.key_features(key))
+             for key in {key for pair in warm for key in pair}}
+    for plus, minus in warm:
+        (out_p, gw_p, gb_p), (out_m, gw_m, gb_m) = stats[plus], stats[minus]
+        coeff = huber_slope(out_p - out_m, penalty.delta) * penalty.weight
+        grad.weights += coeff[:, :, None] * (gw_p - gw_m)
+        grad.biases += coeff * (gb_p - gb_m)
     return grad, False
 
 
-def _reservoir_group_stats(forest: ObliqueForest, features: np.ndarray):
+def _reservoir_key_stats(forest: ObliqueForest, features: np.ndarray):
     """Per-node means of gate outputs and gate gradients over a batch."""
     edges = _all_node_outputs(forest, features)  # (n, T, 2m)
     gates, right = np.split(edges, 2, axis=-1)
@@ -126,16 +132,16 @@ class ReservoirLearner(OnlineForestLearner):
     over the full history each step.  The task path is unchanged."""
 
     def __init__(self, config: LearnerConfig):
-        _require_dp(config, "reservoir baseline")
         super().__init__(config)
-        self.reservoir = Reservoir(config.n_features)
+        self.reservoir = Reservoir(config.n_features, config.n_groups,
+                                   config.fairness, config.n_outputs)
 
     def _build_store(self) -> None:
         """No gate store: the penalty reads the reservoir."""
         return None
 
     def _update_fairness_state(self, x, y, a, cache) -> None:
-        self.reservoir.add(x, a)
+        self.reservoir.add(x, a, y)
 
     def _fairness_gradient(self) -> ForestGradient:
         """The exact penalty gradient; the zero ``self._fair`` when there
@@ -171,25 +177,23 @@ def _leaf_node_rows(tree_count: int, height: int, width: int) -> np.ndarray:
 class LeafPenaltyLearner(OnlineForestLearner):
     """Forest learner with the Huber penalty on per-leaf probability gaps.
 
-    The constrained quantity is the signed difference of group-conditional
-    mean leaf probabilities; its parameter gradient reaches every gate on
-    the leaf's path.  Leaf rows still receive no fairness gradient.
+    The constrained quantity is each contrast's signed difference of
+    per-key mean leaf probabilities; its parameter gradient reaches every
+    gate on the leaf's path.  Leaf rows still receive no fairness gradient.
     """
 
     def __init__(self, config: LearnerConfig):
-        _require_dp(config, "leaf-penalty baseline")
         super().__init__(config)
         shape = self.forest.shape
-        # Per group, rows over every (tree, leaf) cell: the leaf
+        # Per key, rows over every (tree, leaf) cell: the leaf
         # probability, then its Jacobian in the bias and each weight
         # (feature-or-bias major) of its depth-k ancestor, (d + 1, h)
         # flattened.  Without a penalty nothing reads it, so none is built.
         self.leaf_store = self._node_rows = None
         if config.has_penalty:
             self.leaf_store = RunningMeans(
-                config.n_groups, (shape.tree_count, shape.n_leaves),
-                1 + (shape.n_features + 1) * shape.height, ((0, 1),),
-                config.aggregate_decay,
+                config.notion_table(), (shape.tree_count, shape.n_leaves),
+                1 + (shape.n_features + 1) * shape.height,
             )
             self._node_rows = _leaf_node_rows(
                 shape.tree_count, shape.height, shape.n_features + 1)
@@ -209,7 +213,7 @@ class LeafPenaltyLearner(OnlineForestLearner):
         path = values[1:].reshape(x.size + 1, h, t, 2**h)
         path[0] = cache.leaf_jac.transpose(1, 0, 2)
         np.multiply(x[:, None, None, None], path[0], out=path[1:])
-        self.leaf_store.fold((a,), values)
+        self.leaf_store.fold(a, y, values)
 
     def _fairness_gradient(self) -> ForestGradient:
         """The penalty gradient, written into ``self._fair``; its leaf rows
@@ -253,16 +257,15 @@ class MlpParams:
 
 
 class OnlineMlpLearner:
-    """Two-layer ReLU network with the fairness penalty on the mean
-    output gap between groups (``dp`` or ``none`` only), trained one
-    instance at a time.  Per group, the store holds the outputs in row 0,
+    """Two-layer ReLU network with the fairness penalty on each
+    contrast's mean output gap, trained one instance at a time.  Per
+    key, the store holds the outputs in row 0,
     then their Jacobian in the flat parameter vector, one row per
     parameter and one column per output."""
 
     snapshot = OnlineForestLearner.snapshot
 
     def __init__(self, config: LearnerConfig, hidden: int = 64):
-        _require_dp(config, "MLP baseline")
         if hidden < 1:
             raise ConfigurationError(f"hidden width must be >= 1, got {hidden}")
         self.config = config
@@ -274,7 +277,7 @@ class OnlineMlpLearner:
         self.penalty = HuberPenalty(config.huber_delta, config.fairness_weight)
         size = self.params.vector.size
         self.store = RunningMeans(
-            config.n_groups, (c,), 1 + size, ((0, 1),), config.aggregate_decay,
+            config.notion_table(), (c,), 1 + size,
         ) if config.has_penalty else None
         self.adam = AdamState(size, config.adam_params())
         self.metrics = MetricsTracker(config.n_groups, c)
@@ -314,7 +317,7 @@ class OnlineMlpLearner:
             j_b1[...] = gate
             j_w2[:, outputs, outputs] = hidden[:, None]
             j_b2[outputs, outputs] = 1.0
-            self.store.fold((a,), rows)
+            self.store.fold(a, y, rows)
         # Task gradient, written block by block into one vector.
         task = np.empty(self.params.vector.size)
         g_w1, g_b1, g_w2, g_b2 = _block_views(task, self.params.shapes)

@@ -38,13 +38,12 @@ from .gradients import (
     gradient_norm,
     total_gradient,
 )
-from .stats import AggregateStore
+from .stats import AggregateStore, NotionTable
 
-FAIRNESS_NOTIONS = ("none", "dp", "equalized_odds", "multigroup")
 _INTEGER_FIELDS = ("n_features", "n_outputs", "height", "tree_count", "n_groups",
                    "seed")
 _REAL_FIELDS = ("fairness_weight", "huber_delta", "learning_rate", "beta1",
-                "beta2", "adam_epsilon", "aggregate_decay")
+                "beta2", "adam_epsilon")
 
 
 @dataclass(frozen=True)
@@ -230,7 +229,6 @@ class LearnerConfig:
     beta2: float = 0.999
     adam_epsilon: float = 1e-8
     seed: int = 0
-    aggregate_decay: float | None = None
 
     def __post_init__(self) -> None:
         for name in _INTEGER_FIELDS:
@@ -240,8 +238,6 @@ class LearnerConfig:
             setattr(self, name, int(value))
         for name in _REAL_FIELDS:
             value = getattr(self, name)
-            if name == "aggregate_decay" and value is None:
-                continue
             if (not isinstance(value, (int, float, np.integer, np.floating))
                     or isinstance(value, bool) or not math.isfinite(value)):
                 raise ConfigurationError(f"{name} must be a finite number, "
@@ -253,12 +249,8 @@ class LearnerConfig:
             raise ConfigurationError(f"n_outputs must be >= 2, got {self.n_outputs}")
         if self.tree_count < 1:
             raise ConfigurationError(f"tree_count must be >= 1, got {self.tree_count}")
-        if self.fairness not in FAIRNESS_NOTIONS:
-            raise ConfigurationError(f"unknown fairness notion {self.fairness!r}")
         if self.fairness_weight < 0:
             raise ConfigurationError("fairness_weight must be non-negative")
-        if self.n_groups < 2:
-            raise ConfigurationError(f"n_groups must be >= 2, got {self.n_groups}")
         for name in ("huber_delta", "learning_rate", "adam_epsilon"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(
@@ -267,22 +259,20 @@ class LearnerConfig:
             raise ConfigurationError(
                 f"beta1 and beta2 must lie in [0, 1), got {self.beta1}, {self.beta2}"
             )
-        if self.aggregate_decay is not None and not 0.0 < self.aggregate_decay < 1.0:
-            raise ConfigurationError(
-                f"aggregate_decay must lie in (0, 1), got {self.aggregate_decay}"
-            )
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
-        if self.fairness == "dp" and self.n_groups != 2:
-            raise ConfigurationError(
-                "the dp notion compares exactly 2 groups; use multigroup for more"
-            )
+        self.notion_table()
+
+    def notion_table(self) -> NotionTable:
+        """The keys and contrasts of the configured notion over the
+        configured groups and output classes."""
+        return NotionTable(self.fairness, self.n_groups, self.n_outputs)
 
     @property
     def has_penalty(self) -> bool:
-        """Whether a fairness penalty acts: a notion other than ``none`` at
-        a positive weight.  Without one, no learner keeps a store."""
-        return self.fairness != "none" and self.fairness_weight > 0
+        """Whether a fairness penalty acts: a notion with contrasts at a
+        positive weight.  Without one, no learner keeps a store."""
+        return self.fairness_weight > 0 and bool(self.notion_table().contrasts)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -328,7 +318,7 @@ def _check_step(config: LearnerConfig, x, y: int, a: int) -> np.ndarray:
     return x
 
 
-CHECKPOINT_FORMAT = "fairforest-checkpoint-v4"
+CHECKPOINT_FORMAT = "fairforest-checkpoint-v5"
 _CHECKPOINT_KEYS = ("format", "config", "step_count", "correct", "floats",
                     "counts")
 
@@ -409,15 +399,8 @@ class OnlineForestLearner:
 
     def _build_store(self) -> AggregateStore | None:
         cfg = self.config
-        if not cfg.has_penalty:
-            return None
-        return AggregateStore(
-            self.forest.shape,
-            n_groups=cfg.n_groups,
-            notion=cfg.fairness,
-            n_classes=cfg.n_outputs if cfg.fairness == "equalized_odds" else None,
-            decay=cfg.aggregate_decay,
-        )
+        return AggregateStore(self.forest.shape, cfg.n_groups, cfg.fairness,
+                              cfg.n_outputs) if cfg.has_penalty else None
 
     # -- stepping ----------------------------------------------------------
 
@@ -479,7 +462,8 @@ class OnlineForestLearner:
 
     def _state(self) -> tuple[dict, dict]:
         """The arrays a checkpoint holds, by name: this learner's float
-        arrays and its count arrays.  The config fixes their shapes."""
+        arrays, its last gradient norms (which ``snapshot()`` reports) and
+        its count arrays.  The config fixes their shapes."""
         metrics = self.metrics
         floats = {
             "forest": self.forest.vector,
@@ -487,6 +471,7 @@ class OnlineForestLearner:
             "adam.v": self.adam.v,
             "metrics.label_sums": np.array(metrics.group_label_sums),
             "metrics.output_sums": np.array(metrics.group_output_sums),
+            "grad_norms": np.array([self._last_total_norm, self._last_fair_norm]),
         }
         counts = {"metrics.groups": np.array(metrics.group_counts,
                                              dtype=np.int64)}
@@ -552,35 +537,24 @@ class OnlineForestLearner:
         metrics.group_counts = counts["metrics.groups"].tolist()
         metrics.group_label_sums = floats["metrics.label_sums"].tolist()
         metrics.group_output_sums = floats["metrics.output_sums"].tolist()
+        norms = floats["grad_norms"].tolist()
+        learner._last_total_norm, learner._last_fair_norm = norms
         if sum(metrics.group_counts) != step_count:
             raise DataError(f"metrics.groups {metrics.group_counts} "
                             f"do not sum to step_count {step_count}")
         learner.step_count = learner.adam.t = metrics.total = step_count
         metrics.correct = correct
-        if learner.store is not None:
-            _check_store_counts(learner.store, metrics)
+        store = learner.store
+        if store is not None and not store.table.counts_agree(
+                store.counts, metrics.group_counts):
+            raise DataError(f"store counts {store.counts.tolist()} disagree with "
+                            f"the metrics' group counts {metrics.group_counts}")
         return learner
 
     @classmethod
     def load_checkpoint(cls, path) -> "OnlineForestLearner":
         with open(path, encoding="utf-8") as fh:
             return cls.restore(json.load(fh))
-
-
-def _check_store_counts(store: AggregateStore, metrics: MetricsTracker) -> None:
-    """Raise DataError unless the store saw the instances the metrics
-    counted: every instance folds into its group's key (one per class
-    under ``equalized_odds``) and, under ``multigroup``, the overall key."""
-    counts = store.counts
-    expected = metrics.group_counts
-    if store.notion == "equalized_odds":
-        counts = counts.reshape(store.n_groups, store.n_classes).sum(axis=1)
-    elif store.notion == "multigroup":
-        expected = np.append(expected, metrics.total)
-    if not np.array_equal(counts, expected):
-        raise DataError(f"store counts {store.counts.tolist()} disagree with "
-                        f"the metrics' group counts "
-                        f"{metrics.group_counts} (total {metrics.total})")
 
 
 def run_stream(learner, stream: Iterable[tuple]) -> Iterator[TrajectoryRow]:

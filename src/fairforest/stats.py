@@ -11,18 +11,19 @@ This module owns those running means in one packed, width-first layout:
   constrained quantity, the other rows its parameter gradient, so every
   pass over a key runs over long contiguous rows of cells.
 
-A fairness notion is a list of (plus, minus) key contrasts, and its
-penalty gradient is one sum over them (``RunningMeans.contrast_sum``):
+``NotionTable`` is the package's only definition of a fairness notion:
+its keys, the keys each instance folds into, and the (plus, minus) key
+contrasts its penalty gradient sums over (``RunningMeans.contrast_sum``):
 
 * ``dp`` - demographic parity over two groups: ``(g0, g1)``.
-* ``equalized_odds`` - keys ``g * C + c``; one ``(g0, g1)`` contrast per
-  task class ``c``.
+* ``equalized_odds`` - two groups, keys ``g * C + c``; one ``(g0, g1)``
+  contrast per task class ``c``.
 * ``multigroup`` - any number of groups plus an "overall" key that every
   instance folds into; one ``(overall, k)`` contrast per group ``k``.
+* ``none`` - no keys and no contrasts.
 
-Means are cumulative over the whole stream by default (an optional
-exponential decay can be configured) and advance by the numerically
-stable increment ``mean += (value - mean) / count``.
+Means are cumulative over the whole stream and advance by the
+numerically stable increment ``mean += (value - mean) / count``.
 """
 
 from __future__ import annotations
@@ -33,9 +34,70 @@ from .errors import ConfigurationError, DomainError, ShapeError
 from .forest import ForestShape
 
 
+class NotionTable:
+    """What the notion ``name`` compares among ``n_groups`` groups and
+    ``n_classes`` task classes: ``n_keys`` keys, the keys an instance
+    folds into (``keys``), the (plus, minus) ``contrasts``, and per key
+    the group whose instances it counts (``key_groups``; None for a key
+    every instance folds into).  ``n_classes`` is None unless the keys
+    are class-conditioned."""
+
+    def __init__(self, name: str, n_groups: int = 2,
+                 n_classes: int | None = None):
+        if n_groups < 2:
+            raise ConfigurationError(f"n_groups must be >= 2, got {n_groups}")
+        if name in ("dp", "equalized_odds") and n_groups != 2:
+            raise ConfigurationError(f"the {name} notion compares exactly 2 "
+                                     f"groups; use multigroup for more")
+        groups = range(n_groups)
+        if name == "equalized_odds":
+            if n_classes is None or n_classes < 2:
+                raise ConfigurationError("equalized_odds needs n_classes >= 2")
+            classes = range(n_classes)
+            self._keys = [[(g * n_classes + c,) for c in classes] for g in groups]
+            self.key_groups = tuple(g for g in groups for _ in classes)
+            self.contrasts = tuple((c, n_classes + c) for c in classes)
+        elif name == "dp":
+            self._keys, self.key_groups, self.contrasts = [(0,), (1,)], (0, 1), ((0, 1),)
+        elif name == "multigroup":
+            self._keys = [(g, n_groups) for g in groups]
+            self.key_groups = (*groups, None)
+            self.contrasts = tuple((n_groups, g) for g in groups)
+        elif name == "none":
+            self._keys, self.key_groups, self.contrasts = [()] * n_groups, (), ()
+        else:
+            raise ConfigurationError(f"unknown fairness notion {name!r}")
+        self.name, self.n_groups, self.n_keys = name, n_groups, len(self.key_groups)
+        self.n_classes = n_classes if name == "equalized_odds" else None
+
+    def keys(self, group: int, task_class: int) -> tuple:
+        """Keys an instance of ``group`` with label ``task_class`` folds
+        into; DomainError for a group or class outside the table."""
+        if not 0 <= group < self.n_groups:
+            raise DomainError(f"group {group} outside [0, {self.n_groups})")
+        if self.n_classes is None:
+            return self._keys[group]
+        if not 0 <= task_class < self.n_classes:
+            raise DomainError(f"task class {task_class} outside [0, {self.n_classes})")
+        return self._keys[group][task_class]
+
+    def counts_agree(self, counts: np.ndarray, group_counts: list) -> bool:
+        """Whether per-key ``counts`` are what a stream with these
+        per-group instance counts leaves: a group's keys count its
+        instances between them, a key of every group counts them all."""
+        folded = [0] * self.n_groups
+        for group, count in zip(self.key_groups, counts.tolist()):
+            if group is None:
+                if count != sum(group_counts):
+                    return False
+            else:
+                folded[group] += count
+        return folded == list(group_counts)
+
+
 class RunningMeans:
-    """Packed running means under ``n_keys`` keys, with the key contrasts
-    a penalty compares.
+    """Packed running means under the keys of a ``NotionTable``, with the
+    key contrasts a penalty compares.
 
     Block ``means[k]`` holds one ``(width, *cells)`` block per key; row 0
     is the constrained quantity and rows ``1:`` its gradient.  ``values``
@@ -44,35 +106,31 @@ class RunningMeans:
     nothing of a block's size.  None of them is state.
     """
 
-    def __init__(self, n_keys: int, cells: tuple, width: int,
-                 contrasts: tuple, decay: float | None = None):
-        if decay is not None and not 0.0 < decay < 1.0:
-            raise ConfigurationError(f"decay must lie in (0, 1), got {decay}")
-        self.decay = decay
-        self.contrasts = contrasts
-        self.counts = np.zeros(n_keys, dtype=np.int64)
-        self.means = np.zeros((n_keys, width, *cells))
+    def __init__(self, table: NotionTable, cells: tuple, width: int):
+        if not table.contrasts:
+            raise ConfigurationError(
+                f"no aggregates for fairness notion {table.name!r}"
+            )
+        self.table = table
+        self.keys = table.keys
+        self.contrasts = table.contrasts
+        self.counts = np.zeros(table.n_keys, dtype=np.int64)
+        self.means = np.zeros((table.n_keys, width, *cells))
         self.values = np.zeros((width, *cells))
         self._total = np.zeros((width, *cells))
         self._term = np.zeros((width, *cells))
 
-    def fold(self, keys: tuple, values: np.ndarray) -> None:
-        """Fold one instance's ``(width, *cells)`` values into each key."""
+    def fold(self, group: int, task_class: int, values: np.ndarray) -> None:
+        """Fold one instance's ``(width, *cells)`` values into each of its
+        keys."""
         term = self._term
-        for key in keys:
+        for key in self.keys(group, task_class):
             self.counts[key] += 1
-            count = self.counts[key]
             row = self.means[key]
-            if self.decay is not None and count > 1:
-                # row = decay * row + (1 - decay) * values
-                np.multiply(row, self.decay, out=self._total)
-                np.multiply(values, 1 - self.decay, out=term)
-                np.add(self._total, term, out=row)
-            else:
-                # row += (values - row) / count
-                np.subtract(values, row, out=term)
-                term /= count
-                row += term
+            # row += (values - row) / count
+            np.subtract(values, row, out=term)
+            term /= self.counts[key]
+            row += term
 
     def contrast_sum(self, delta: float) -> np.ndarray:
         """Huber-penalty gradient summed over the warm contrasts.
@@ -114,53 +172,13 @@ class AggregateStore(RunningMeans):
     """
 
     def __init__(self, shape: ForestShape, n_groups: int = 2,
-                 notion: str = "dp", n_classes: int | None = None,
-                 decay: float | None = None):
-        if n_groups < 2:
-            raise ConfigurationError(f"n_groups must be >= 2, got {n_groups}")
-        if notion == "dp":
-            if n_groups != 2:
-                raise ConfigurationError("the dp notion compares exactly 2 groups")
-            n_keys, contrasts = 2, ((0, 1),)
-        elif notion == "equalized_odds":
-            if n_classes is None or n_classes < 2:
-                raise ConfigurationError("equalized_odds needs n_classes >= 2")
-            n_keys = n_groups * n_classes
-            contrasts = tuple((c, n_classes + c) for c in range(n_classes))
-        elif notion == "multigroup":
-            n_keys = n_groups + 1
-            contrasts = tuple((n_groups, k) for k in range(n_groups))
-        else:
-            raise ConfigurationError(
-                f"no aggregates for fairness notion {notion!r}"
-            )
-        if notion != "equalized_odds":
-            n_classes = None
+                 notion: str = "dp", n_classes: int | None = None):
+        table = NotionTable(notion, n_groups, n_classes)
         self.shape = shape
-        self.notion = notion
-        self.n_groups = n_groups
-        self.n_classes = n_classes
-        super().__init__(
-            n_keys, (shape.tree_count, shape.n_nodes), shape.n_features + 2,
-            contrasts, decay,
-        )
-
-    def keys(self, group: int, task_class: int) -> tuple:
-        """Key rows an instance of ``group`` with label ``task_class``
-        folds into."""
-        if not 0 <= group < self.n_groups:
-            raise DomainError(
-                f"group {group} outside configured range [0, {self.n_groups})"
-            )
-        if self.notion == "equalized_odds":
-            if not 0 <= task_class < self.n_classes:
-                raise DomainError(
-                    f"task class {task_class} outside [0, {self.n_classes})"
-                )
-            return (group * self.n_classes + task_class,)
-        if self.notion == "multigroup":
-            return (group, self.n_groups)
-        return (group,)
+        self.notion, self.n_groups, self.n_classes = (
+            table.name, table.n_groups, table.n_classes)
+        super().__init__(table, (shape.tree_count, shape.n_nodes),
+                         shape.n_features + 2)
 
     def update_all(self, group: int, task_class: int, gates: np.ndarray,
                    slope: np.ndarray, x: np.ndarray) -> None:
@@ -168,7 +186,6 @@ class AggregateStore(RunningMeans):
 
         ``gates`` and their slopes ``n (1 - n)`` are (T, m), ``x`` (d,).
         """
-        keys = self.keys(group, task_class)
         t, m, d = self.shape.tree_count, self.shape.n_nodes, self.shape.n_features
         if gates.shape != (t, m) or slope.shape != (t, m) or x.shape != (d,):
             raise ShapeError(
@@ -178,4 +195,4 @@ class AggregateStore(RunningMeans):
         values = self.values
         values[0], values[1] = gates, slope
         np.multiply(x[:, None, None], slope, out=values[2:])
-        self.fold(keys, values)
+        self.fold(group, task_class, values)

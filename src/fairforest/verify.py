@@ -38,10 +38,11 @@ _CHUNK_VALUES = 2**18  # gate differences held at once by check_dp_bound
 @dataclass
 class TraceStep:
     """One step of a run to audit: the parameters in force when the
-    instance arrived, the instance, and its group."""
+    instance arrived, the instance, its label and its group."""
 
     forest: ObliqueForest
     x: np.ndarray
+    y: int
     a: int
 
 
@@ -160,8 +161,8 @@ def check_dp_bound(forest: ObliqueForest, features: np.ndarray,
     The bound is ``h * 2**h * eps`` where ``eps`` is the worst per-node
     mean absolute gate difference over all cross-group instance pairs.
     The forest's leaf rows are first normalized to unit norm (on a copy),
-    matching the regime in which the bound is stated.  Requires equally
-    sized groups; refuses more than 10**6 pairs.
+    matching the regime in which the bound is stated.  Requires groups 0
+    and 1 only, equally sized; refuses more than 10**6 pairs.
     """
     features = np.asarray(features, dtype=np.float64)
     groups = np.asarray(groups)
@@ -170,6 +171,8 @@ def check_dp_bound(forest: ObliqueForest, features: np.ndarray,
             f"expected features of shape ({len(groups)}, {forest.n_features}), "
             f"one row per group entry, got {features.shape}"
         )
+    if not np.isin(groups, (0, 1)).all():
+        raise DomainError(f"groups must be 0 or 1, got {np.unique(groups)}")
     x0 = features[groups == 0]
     x1 = features[groups == 1]
     if len(x0) == 0 or len(x1) == 0:
@@ -205,21 +208,22 @@ def check_dp_bound(forest: ObliqueForest, features: np.ndarray,
 
 
 def audit_estimation_error(trace: list[TraceStep], delta: float,
-                           weight: float = 1.0) -> list[BoundReport]:
+                           notion: str = "dp",
+                           n_groups: int = 2) -> list[BoundReport]:
     """Replay a recorded run and bound the aggregate-vs-exact gradient gap.
 
     ``trace`` holds one ``TraceStep`` per step, recorded before the step:
-    ``TraceStep(learner.forest.copy(), x.copy(), a)``.
+    ``TraceStep(learner.forest.copy(), x.copy(), y, a)``.
     Each step folds the gates that were current when its instance arrived
-    into the production ``AggregateStore`` and adds the instance to a
-    ``Reservoir``.  Once both groups have been seen, the store's Huber
-    contrast sum is compared with ``reservoir_fairness_gradient``, the
-    exact gradient recomputed at that step's parameters over the full
-    history.  The observed value per step is the largest per-node
-    Euclidean distance between the two (bias and weights together); the
-    theoretical value is ``delta * B / 2`` with ``B`` the largest instance
-    norm in the trace.  ``weight`` is ignored for the bound itself (the
-    penalty weight multiplies both sides identically).
+    into the production ``AggregateStore`` of ``notion`` over ``n_groups``
+    groups and adds the instance to a ``Reservoir`` of the same notion.
+    Once a contrast is warm, the store's Huber contrast sum is compared
+    with ``reservoir_fairness_gradient``, the exact gradient recomputed at
+    that step's parameters over the full history.  The observed value per
+    step is the largest per-node Euclidean distance between the two (bias
+    and weights together, both at unit penalty weight); the theoretical
+    value is ``delta * B / 2`` with ``B`` the largest instance norm in the
+    trace.
     """
     if not trace:
         return []
@@ -228,13 +232,13 @@ def audit_estimation_error(trace: list[TraceStep], delta: float,
     shape = trace[0].forest.shape
     theoretical = delta * max(float(np.linalg.norm(step.x)) for step in trace) / 2.0
     penalty = HuberPenalty(delta, 1.0)
-    store = AggregateStore(shape, 2, "dp")
-    reservoir = Reservoir(shape.n_features)
+    store = AggregateStore(shape, n_groups, notion, shape.n_outputs)
+    reservoir = Reservoir(shape.n_features, n_groups, notion, shape.n_outputs)
     reports = []
     for step in trace:
         cache = _ForwardCache(step.forest, step.x)
-        store.update_all(step.a, 0, cache.gates, cache.slope, step.x)
-        reservoir.add(step.x, step.a)
+        store.update_all(step.a, step.y, cache.gates, cache.slope, step.x)
+        reservoir.add(step.x, step.a, step.y)
         exact, cold = reservoir_fairness_gradient(reservoir, step.forest, penalty)
         if cold:
             continue

@@ -119,3 +119,95 @@ def path_form_task_gradient(forest, x, y):
                        minlength=t * m).reshape(t, m)
     biases = dldn * edges[:, :m] * edges[:, m:]
     return biases, biases[:, :, None] * x
+
+
+def contrast_selections(notion, n_groups, n_classes):
+    """(plus, minus) instance predicates ``(a, y) -> bool`` of each
+    contrast, from the notions' definitions: ``dp`` group 0 against group
+    1; ``equalized_odds`` group 0 against group 1 within each true label;
+    ``multigroup`` every instance against each group."""
+    if notion == "dp":
+        return [(lambda a, y: a == 0, lambda a, y: a == 1)]
+    if notion == "equalized_odds":
+        return [((lambda a, y, c=c: a == 0 and y == c),
+                 (lambda a, y, c=c: a == 1 and y == c))
+                for c in range(n_classes)]
+    return [((lambda a, y: True), (lambda a, y, k=k: a == k))
+            for k in range(n_groups)]
+
+
+def keyed_penalty_gradient(log, notion, n_groups, n_classes, delta, weight):
+    """Huber-penalty gradient from plain means of logged rows, one
+    contrast at a time.
+
+    ``log`` holds ``(a, y, value, jac)``: a row's constrained values (any
+    shape S) and their Jacobian ``(*S, P)`` in P parameters.  Each
+    contrast whose two selections both hold a row adds, for every value,
+    ``clip(mean value+ - mean value-, -delta, delta)`` times
+    ``mean jac+ - mean jac-``; the sum is scaled by ``weight``.  (P,)."""
+    total = np.zeros(log[0][3].shape[-1])
+    for plus, minus in contrast_selections(notion, n_groups, n_classes):
+        rows_p = [(v, j) for a, y, v, j in log if plus(a, y)]
+        rows_m = [(v, j) for a, y, v, j in log if minus(a, y)]
+        if not rows_p or not rows_m:
+            continue
+        gap = (np.mean([v for v, _ in rows_p], axis=0)
+               - np.mean([v for v, _ in rows_m], axis=0))
+        jac = (np.mean([j for _, j in rows_p], axis=0)
+               - np.mean([j for _, j in rows_m], axis=0))
+        total += np.tensordot(np.clip(gap, -delta, delta), jac, axes=gap.ndim)
+    return weight * total
+
+
+def _gate_bias_rows(forest, x):
+    """Gates ``(T, m)``, their left and right edges, and the forest
+    vector's flat positions of each node's bias and weights."""
+    t, m, d = forest.tree_count, 2**forest.height - 1, forest.n_features
+    z = forest.weights @ x + forest.biases
+    left, right = expit(z), expit(-z)
+    n_weights = t * m * d
+    weight_at = np.arange(n_weights).reshape(t, m, d)
+    bias_at = n_weights + np.arange(t * m).reshape(t, m)
+    return left, right, bias_at, weight_at
+
+
+def gate_rows(forest, x):
+    """Gate outputs ``(T, m)`` at ``x`` and their full Jacobian
+    ``(T, m, P)`` in the forest's flat vector (weights, biases, leaves):
+    ``n (1 - n)`` in the node's own bias, times ``x`` in its weights."""
+    left, right, bias_at, weight_at = _gate_bias_rows(forest, x)
+    jac = np.zeros((*left.shape, forest.vector.size))
+    for t, i in np.ndindex(left.shape):
+        slope = left[t, i] * right[t, i]
+        jac[t, i, bias_at[t, i]] = slope
+        jac[t, i, weight_at[t, i]] = slope * x
+    return left, jac
+
+
+def leaf_rows(forest, x):
+    """Leaf probabilities ``(T, 2**h)`` at ``x`` and their full Jacobian
+    ``(T, 2**h, P)`` in the forest's flat vector, from the oracle mask's
+    dense leaf Jacobian times each gate's slope (and ``x``)."""
+    left, right, bias_at, weight_at = _gate_bias_rows(forest, x)
+    probs = np.zeros((forest.tree_count, 2**forest.height))
+    jac = np.zeros((*probs.shape, forest.vector.size))
+    for t in range(forest.tree_count):
+        probs[t], dense = dense_leaf_jacobian(left[t], right[t], forest.height)
+        tree = jac[t]  # (2**h, P)
+        for i, slope in enumerate(left[t] * right[t]):
+            tree[:, bias_at[t, i]] = dense[i] * slope
+            tree[:, weight_at[t, i]] = np.outer(dense[i] * slope, x)
+    return probs, jac
+
+
+def mlp_rows(x, w1, b1, w2, b2):
+    """A two-layer ReLU network's outputs ``(c,)`` at ``x`` and their
+    Jacobian ``(c, P)`` in the flat parameters ``w1, b1, w2, b2``."""
+    pre = x @ w1 + b1
+    hidden = np.maximum(pre, 0.0)
+    gate = (pre > 0.0)[:, None] * w2  # (h, c): d out_k / d pre_j
+    eye = np.eye(w2.shape[1])
+    blocks = (x[:, None, None] * gate[None], gate,
+              hidden[:, None, None] * eye[None], eye)
+    jac = np.concatenate([b.reshape(-1, eye.shape[0]) for b in blocks])
+    return hidden @ w2 + b2, jac.T

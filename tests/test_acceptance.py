@@ -196,7 +196,7 @@ def compute_results():
         z = forest.weights @ x + forest.biases
         gates = expit(z)
         store.update_all(a, 0, gates, gates * expit(-z), x)
-        reservoir.add(x, a)
+        reservoir.add(x, a, 0)
     from_store = fairness_gradient(store, penalty, forest.shape)
     from_reservoir, cold = reservoir_fairness_gradient(
         reservoir, forest, penalty)
@@ -215,7 +215,8 @@ def compute_results():
     driftee = OnlineForestLearner(forest_config(1.0))
     trace = []
     for i, (_, y, a) in enumerate(rows):
-        trace.append(TraceStep(driftee.forest.copy(), drift_features[i].copy(), a))
+        trace.append(TraceStep(driftee.forest.copy(), drift_features[i].copy(),
+                               y, a))
         driftee.step(drift_features[i], y, a)
     reports = audit_estimation_error(trace, delta=HUBER_DELTA)
     results["estimation_error"] = {
@@ -417,8 +418,8 @@ def test_criterion_10_reservoir_cost(battery, capfd):
     main_per_step = (time.perf_counter() - start) / 50
 
     exact = make_learner("reservoir", forest_config(1.0))
-    for x, _, a in stream[:4999]:
-        exact.reservoir.add(x, a)
+    for x, y, a in stream[:4999]:
+        exact.reservoir.add(x, a, y)
     exact.step_count = 4999
     x, y, a = stream[4999]
     start = time.perf_counter()

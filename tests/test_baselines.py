@@ -37,7 +37,11 @@ from fairforest.stats import AggregateStore
 from oracles import (
     MlpBlockStore,
     dense_leaf_jacobian,
+    gate_rows,
+    keyed_penalty_gradient,
+    leaf_rows,
     mlp_block_fairness_gradient,
+    mlp_rows,
 )
 
 
@@ -52,39 +56,59 @@ def biased_stream(n, seed, d=2, noise=0.1):
         yield x, a, a
 
 
+def keyed_stream(n, seed, n_groups, n_classes, d=2):
+    """Gaussian instances with uniform labels and groups."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield (rng.standard_normal(d), int(rng.integers(0, n_classes)),
+               int(rng.integers(0, n_groups)))
+
+
+# The notions beyond dp, with a class and a group count the table allows.
+OTHER_NOTIONS = pytest.mark.parametrize("notion, n_groups, n_outputs", [
+    ("equalized_odds", 2, 3), ("multigroup", 3, 2),
+], ids=["eo-C3", "multigroup-G3"])
+
+
+def keyed_config(notion, n_groups, n_outputs, **kwargs):
+    return LearnerConfig(n_features=2, n_outputs=n_outputs, fairness=notion,
+                         fairness_weight=0.7, huber_delta=0.05,
+                         n_groups=n_groups, seed=4, **kwargs)
+
+
 class TestReservoir:
     """The growing instance store and its exact gradient."""
 
     def test_group_features_partition(self):
         res = Reservoir(2)
-        res.add(np.array([1.0, 0.0]), 0)
-        res.add(np.array([2.0, 0.0]), 1)
-        res.add(np.array([3.0, 0.0]), 0)
+        res.add(np.array([1.0, 0.0]), 0, 1)
+        res.add(np.array([2.0, 0.0]), 1, 0)
+        res.add(np.array([3.0, 0.0]), 0, 0)
         np.testing.assert_array_equal(
-            res.group_features(0)[:, 0], [1.0, 3.0]
+            res.key_features(0)[:, 0], [1.0, 3.0]
         )
-        assert res.group_features(1).shape == (1, 2)
+        assert res.key_features(1).shape == (1, 2)
         assert len(res) == 3
 
     def test_group_features_are_views_of_growing_rows(self):
-        """Rows are kept per group in a buffer that doubles when full:
-        ``group_features`` returns a read-only view of the rows added so
-        far, in arrival order, equal to stacking them, and later calls
-        share the same memory until the buffer grows."""
+        """Rows are kept per key (under dp, per group) in a buffer that
+        doubles when full: ``key_features`` returns a read-only view of
+        the rows added so far, in arrival order, equal to stacking them,
+        and later calls share the same memory until the buffer grows."""
         rng = np.random.default_rng(2)
         res = Reservoir(3)
         added = {0: [], 1: []}
         for _ in range(100):
             x = rng.standard_normal(3)
             a = int(rng.integers(0, 2))
-            res.add(x, a)
+            res.add(x, a, 0)
             added[a].append(x)
             for group in (0, 1):
-                rows = res.group_features(group)
+                rows = res.key_features(group)
                 want = np.stack(added[group]) if added[group] else np.empty((0, 3))
                 np.testing.assert_array_equal(rows, want)
         assert len(res) == 100
-        first, again = res.group_features(0), res.group_features(0)
+        first, again = res.key_features(0), res.key_features(0)
         assert np.shares_memory(first, again)
         assert not first.flags.writeable
         with pytest.raises(ValueError):
@@ -92,13 +116,13 @@ class TestReservoir:
 
     def test_empty_group_has_zero_rows(self):
         res = Reservoir(3)
-        res.add(np.zeros(3), 0)
-        assert res.group_features(1).shape == (0, 3)
+        res.add(np.zeros(3), 0, 0)
+        assert res.key_features(1).shape == (0, 3)
 
     def test_gradient_cold_until_both_groups(self):
         forest = ObliqueForest.random(2, 3, 2, rng=1)
         res = Reservoir(3)
-        res.add(np.ones(3), 0)
+        res.add(np.ones(3), 0, 0)
         grad, cold = reservoir_fairness_gradient(
             res, forest, HuberPenalty(0.01, 1.0)
         )
@@ -108,8 +132,8 @@ class TestReservoir:
     def test_zero_weight_short_circuits_warm(self):
         forest = ObliqueForest.random(2, 3, 2, rng=1)
         res = Reservoir(3)
-        res.add(np.ones(3), 0)
-        res.add(-np.ones(3), 1)
+        res.add(np.ones(3), 0, 0)
+        res.add(-np.ones(3), 1, 0)
         grad, cold = reservoir_fairness_gradient(
             res, forest, HuberPenalty(0.01, 0.0)
         )
@@ -129,7 +153,7 @@ class TestReservoir:
             a = int(rng.integers(0, 2))
             cache = _ForwardCache(forest, x)
             store.update_all(a, a, cache.gates, cache.slope, x)
-            res.add(x, a)
+            res.add(x, a, a)
         from fairforest.gradients import fairness_gradient
 
         g_store = fairness_gradient(store, penalty, forest.shape)
@@ -165,19 +189,29 @@ class TestReservoirLearner:
             learner.step(x, y, a)
         assert len(learner.reservoir) == 10
 
-    def test_supports_dp_only(self):
-        with pytest.raises(ConfigurationError):
-            ReservoirLearner(
-                LearnerConfig(n_features=2, fairness="equalized_odds")
-            )
+    @OTHER_NOTIONS
+    def test_penalty_matches_keyed_oracle(self, notion, n_groups, n_outputs):
+        """The exact gradient is the Huber contrast sum of plain per-key
+        means of every stored instance's gates and their Jacobian, taken
+        at the current parameters."""
+        learner = ReservoirLearner(keyed_config(notion, n_groups, n_outputs,
+                                                height=2, tree_count=2))
+        log = list(keyed_stream(40, 5, n_groups, n_outputs))
+        for x, y, a in log:
+            learner.step(x, y, a)
+        rows = [(a, y, *gate_rows(learner.forest, x)) for x, y, a in log]
+        want = keyed_penalty_gradient(rows, notion, n_groups, n_outputs,
+                                      0.05, 0.7)
+        np.testing.assert_allclose(learner._fairness_gradient().vector, want,
+                                   rtol=1e-9, atol=1e-12)
 
     def test_no_penalty_never_reads_the_history(self, monkeypatch):
         """Without a penalty the fairness gradient is zero and the stored
         history is only appended to, never stacked."""
-        def refuse(self, group):
-            raise AssertionError("group_features called without a penalty")
+        def refuse(self, key):
+            raise AssertionError("key_features called without a penalty")
 
-        monkeypatch.setattr(Reservoir, "group_features", refuse)
+        monkeypatch.setattr(Reservoir, "key_features", refuse)
         for cfg in (self._config(weight=0.0),
                     LearnerConfig(n_features=2, fairness="none",
                                   fairness_weight=1.0, seed=5)):
@@ -296,24 +330,6 @@ class TestLeafPenaltyLearner:
             np.testing.assert_array_equal(grad.leaves, 0.0)
             assert (np.abs(grad.vector).max() > 0.0) == (weight > 0.0)
 
-    def test_aggregate_decay_reaches_the_leaf_store(self):
-        """A configured decay weights recent instances in the leaf store
-        too, so training differs from cumulative means."""
-        def run(decay):
-            learner = LeafPenaltyLearner(LearnerConfig(
-                n_features=2, height=3, tree_count=2, fairness="dp",
-                fairness_weight=0.7, aggregate_decay=decay, seed=4,
-            ))
-            for x, y, a in biased_stream(300, seed=5):
-                learner.step(x, y, a)
-            return learner
-
-        decayed, cumulative = run(0.95), run(None)
-        assert decayed.leaf_store.decay == 0.95
-        assert cumulative.leaf_store.decay is None
-        assert not np.array_equal(decayed.forest.weights,
-                                  cumulative.forest.weights)
-
     def test_no_leaf_store_without_a_penalty(self):
         """Without a penalty (``none``, or ``dp`` at weight 0) nothing
         reads the leaf store, so none is built or folded; training is what
@@ -336,11 +352,21 @@ class TestLeafPenaltyLearner:
             np.testing.assert_array_equal(bare.forest.vector,
                                           reference.forest.vector)
 
-    def test_supports_dp_only(self):
-        with pytest.raises(ConfigurationError):
-            LeafPenaltyLearner(
-                LearnerConfig(n_features=2, fairness="multigroup", n_groups=3)
-            )
+    @OTHER_NOTIONS
+    def test_penalty_matches_keyed_oracle(self, notion, n_groups, n_outputs):
+        """The leaf penalty gradient is the Huber contrast sum of plain
+        per-key means of each step's leaf probabilities and their
+        Jacobian, both taken at that step's parameters."""
+        learner = LeafPenaltyLearner(keyed_config(notion, n_groups, n_outputs,
+                                                  height=2, tree_count=2))
+        rows = []
+        for x, y, a in keyed_stream(40, 5, n_groups, n_outputs):
+            rows.append((a, y, *leaf_rows(learner.forest, x)))
+            learner.step(x, y, a)
+        want = keyed_penalty_gradient(rows, notion, n_groups, n_outputs,
+                                      0.05, 0.7)
+        np.testing.assert_allclose(learner._fairness_gradient().vector, want,
+                                   rtol=1e-9, atol=1e-12)
 
     def test_checkpoint_unsupported(self):
         _, leaf_learner = self._frozen_pair(delta=0.01)
@@ -465,11 +491,22 @@ class TestMlp:
             with pytest.raises(ConfigurationError):
                 mlp(hidden, **{"n_features": 2, **config})
 
-    def test_supports_dp_only(self):
-        for notion, groups in (("equalized_odds", 2), ("multigroup", 2),
-                               ("multigroup", 3)):
-            with pytest.raises(ConfigurationError):
-                mlp(n_features=2, fairness=notion, n_groups=groups)
+    @OTHER_NOTIONS
+    def test_penalty_matches_keyed_oracle(self, notion, n_groups, n_outputs):
+        """The output penalty gradient is the Huber contrast sum of plain
+        per-key means of each step's outputs and their Jacobian, both
+        taken at that step's parameters."""
+        learner = OnlineMlpLearner(keyed_config(notion, n_groups, n_outputs),
+                                   hidden=5)
+        rows = []
+        for x, y, a in keyed_stream(40, 5, n_groups, n_outputs):
+            p = learner.params
+            rows.append((a, y, *mlp_rows(x, p.w1, p.b1, p.w2, p.b2)))
+            learner.step(x, y, a)
+        want = keyed_penalty_gradient(rows, notion, n_groups, n_outputs,
+                                      0.05, 0.7)
+        np.testing.assert_allclose(learner._fairness_gradient(), want,
+                                   rtol=1e-9, atol=1e-12)
 
     def test_no_notion_means_no_fairness_gradient(self):
         """Under ``none`` a positive weight trains no penalty."""

@@ -133,11 +133,17 @@ class TestRun:
             assert not (out / "trajectory.csv").exists(), name
 
     def test_every_baseline_runs(self, tmp_path):
+        """Every baseline runs with the default flags, and with a penalty
+        under the class-conditioned and the multigroup notions."""
         for name in ("leaf", "reservoir", "mlp", "majority"):
-            out = tmp_path / name
-            assert main(run_argv(out, n=30, extra=("--baseline", name))) == 0
-            summary = json.loads((out / "summary.json").read_text())
-            assert summary["config"]["baseline"] == name
+            for notion in ((), ("--fairness", "eo", "--lambda", "1"),
+                           ("--fairness", "multi", "--lambda", "1")):
+                out = tmp_path / "-".join((name, *notion))
+                code = main(run_argv(out, n=30, extra=("--baseline", name,
+                                                       *notion)))
+                assert code == 0, (name, notion)
+                summary = json.loads((out / "summary.json").read_text())
+                assert summary["config"]["baseline"] == name
 
     def test_missing_data_file_exits_one(self, tmp_path):
         code = main([

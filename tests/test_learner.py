@@ -330,8 +330,7 @@ class TestLearnerConfig:
         dict(adam_epsilon=0.0), dict(beta1=1.0), dict(beta2=1.0),
         dict(beta1=-0.1), dict(fairness_weight=float("inf")),
         dict(huber_delta=float("nan")), dict(learning_rate="0.1"),
-        dict(aggregate_decay=0.0), dict(aggregate_decay=1.0),
-        dict(aggregate_decay=float("nan")), dict(tree_count=2.5),
+        dict(tree_count=2.5),
         dict(height=3.0), dict(n_groups=2.0), dict(n_outputs=True),
         dict(seed=-1), dict(seed=1.5), dict(seed=True), dict(height=0),
     ], ids=lambda kwargs: "-".join(f"{k}={v!r}" for k, v in kwargs.items()))
@@ -676,20 +675,22 @@ class TestCheckpoint:
     def test_unknown_format_is_rejected(self):
         """Version 1 kept the store layout before the packed one, version
         2 wrote every array as nested lists, version 3 repeated the
-        layout the config fixes; all are refused like any other unknown
-        format."""
+        layout the config fixes, version 4 held a config with a decay
+        field and no gradient norms; all are refused like any other
+        unknown format."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2))
         data = learner.checkpoint()
-        assert data["format"] == "fairforest-checkpoint-v4"
+        assert data["format"] == "fairforest-checkpoint-v5"
         for unknown in ("something-else", "fairforest-checkpoint-v1",
-                        "fairforest-checkpoint-v2", "fairforest-checkpoint-v3"):
+                        "fairforest-checkpoint-v2", "fairforest-checkpoint-v3",
+                        "fairforest-checkpoint-v4"):
             data["format"] = unknown
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(data)
 
     def test_v2_checkpoint_is_refused(self):
         """A file in the v2 layout (nested lists) is a DataError, and so
-        is the same content relabelled v3 or v4."""
+        is the same content relabelled v3, v4 or v5."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2,
                                                     fairness_weight=0.5, seed=3))
         self._run(learner, biased_stream(5, seed=11))
@@ -714,7 +715,7 @@ class TestCheckpoint:
                         "group_output_sums": metrics.group_output_sums},
         }
         for label in ("fairforest-checkpoint-v2", "fairforest-checkpoint-v3",
-                      "fairforest-checkpoint-v4"):
+                      "fairforest-checkpoint-v4", "fairforest-checkpoint-v5"):
             data["format"] = label
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(json.loads(json.dumps(data)))
@@ -723,7 +724,7 @@ class TestCheckpoint:
         """A file in the v3 layout (sections that repeat the height, the
         store's shape and notion, the metrics' group and output counts
         and ``adam.t``) is a DataError, and so is the same content
-        relabelled v4."""
+        relabelled v4 or v5."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2,
                                                     fairness_weight=0.5, seed=3))
         self._run(learner, biased_stream(5, seed=11))
@@ -737,7 +738,7 @@ class TestCheckpoint:
             "adam": {"t": learner.adam.t, "m": encode_floats(learner.adam.m),
                      "v": encode_floats(learner.adam.v)},
             "store": {"notion": store.notion, "n_groups": store.n_groups,
-                      "n_classes": store.n_classes, "decay": store.decay,
+                      "n_classes": store.n_classes, "decay": None,
                       "shape": list(store.shape),
                       "counts": store.counts.tolist(),
                       "means": encode_floats(np.moveaxis(store.means, 1, -1))},
@@ -747,13 +748,14 @@ class TestCheckpoint:
                         "group_label_sums": encode_floats(metrics.group_label_sums),
                         "group_output_sums": encode_floats(metrics.group_output_sums)},
         }
-        for label in ("fairforest-checkpoint-v3", "fairforest-checkpoint-v4"):
+        for label in ("fairforest-checkpoint-v3", "fairforest-checkpoint-v4",
+                      "fairforest-checkpoint-v5"):
             data["format"] = label
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(json.loads(json.dumps(data)))
 
     def test_v3_layout_restores_and_steps_identically(self):
-        """v4 keeps the v3 encoding of every float array: one base64 string
+        """v5 keeps the v3 encoding of every float array: one base64 string
         of its float64 bytes, the forest and each Adam moment as one flat
         vector.  Restoring gives the same bits, and stepping matches the
         learner that was never interrupted."""
@@ -786,20 +788,20 @@ class TestCheckpoint:
         np.testing.assert_array_equal(resumed.adam.v, straight.adam.v)
 
     @pytest.mark.parametrize("weight", [0.7, 0.0], ids=["penalty", "weight0"])
-    @pytest.mark.parametrize("decay", [None, 0.95], ids=["cumulative", "decay"])
     @pytest.mark.parametrize("notion, n_outputs, n_groups", [
         ("dp", 2, 2), ("equalized_odds", 3, 2), ("multigroup", 2, 4),
         ("none", 2, 2),
     ], ids=["dp", "eo-C3", "multigroup-G4", "none"])
     def test_round_trip_continues_bit_for_bit(self, notion, n_outputs,
-                                               n_groups, decay, weight):
+                                               n_groups, weight):
         """Serialize with ``json.dumps``, restore, and take 20 more steps:
-        every prediction, snapshot and array matches the learner that was
+        the restored ``snapshot()`` (its gradient norms included) and then
+        every prediction, snapshot and array match the learner that was
         never interrupted, bit for bit.  At weight 0, or under ``none``,
         there is no store and the file holds none."""
         cfg = LearnerConfig(n_features=3, n_outputs=n_outputs, height=3,
                             fairness=notion, fairness_weight=weight,
-                            n_groups=n_groups, aggregate_decay=decay, seed=4)
+                            n_groups=n_groups, seed=4)
         rng = np.random.default_rng(13)
         stream = [(rng.standard_normal(3), int(rng.integers(0, n_outputs)),
                    int(rng.integers(0, n_groups))) for _ in range(50)]
@@ -808,6 +810,7 @@ class TestCheckpoint:
         resumed = OnlineForestLearner.restore(
             json.loads(json.dumps(straight.checkpoint())))
         assert (resumed.store is None) == (not cfg.has_penalty)
+        assert resumed.snapshot() == straight.snapshot()
         for x, y, a in stream[30:]:
             assert resumed.step(x, y, a) == straight.step(x, y, a)
         assert resumed.adam.t == resumed.metrics.total == 50
@@ -819,8 +822,9 @@ class TestCheckpoint:
                 assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_v4_holds_only_the_config_and_the_learner_arrays(self):
-        """A v4 file repeats nothing the config or the step count fixes:
-        besides them it holds the number of correct predictions and the
+        """A v5 file keeps the v4 layout, which repeats nothing the config
+        or the step count fixes: besides them it holds the number of
+        correct predictions, the last step's gradient norms and the
         learner's own arrays by name, each float array one base64 string
         of its float64 bytes in the array's own order (store means
         width-first, as the store keeps them) and each count array a list
@@ -841,6 +845,8 @@ class TestCheckpoint:
                   "adam.v": learner.adam.v,
                   "metrics.label_sums": np.array(learner.metrics.group_label_sums),
                   "metrics.output_sums": np.array(learner.metrics.group_output_sums),
+                  "grad_norms": np.array([learner._last_total_norm,
+                                          learner._last_fair_norm]),
                   "store.means": learner.store.means}
         assert data["floats"].keys() == floats.keys()
         for name, array in floats.items():

@@ -25,6 +25,7 @@ from fairforest.learner import (
     encode_floats,
 )
 from fairforest.stats import AggregateStore
+from oracles import contrast_selections
 
 SHAPE = ForestShape(tree_count=2, height=2, n_features=3, n_outputs=2)
 
@@ -71,16 +72,22 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             AggregateStore(SHAPE, n_groups=1)
 
-    def test_rejects_decay_outside_unit_interval(self):
-        for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ConfigurationError):
-                AggregateStore(SHAPE, decay=bad)
-
     def test_equalized_odds_needs_class_count(self):
         with pytest.raises(ConfigurationError):
             AggregateStore(SHAPE, notion="equalized_odds")
         with pytest.raises(ConfigurationError):
             AggregateStore(SHAPE, notion="equalized_odds", n_classes=1)
+
+    def test_equalized_odds_compares_exactly_two_groups(self):
+        """With a third group its keys would fill and never be compared:
+        the contrasts pair group 0 with group 1 within each class."""
+        for n_groups in (3, 4):
+            with pytest.raises(ConfigurationError):
+                AggregateStore(SHAPE, n_groups=n_groups, notion="equalized_odds",
+                               n_classes=2)
+            with pytest.raises(ConfigurationError):
+                LearnerConfig(n_features=2, fairness="equalized_odds",
+                              n_groups=n_groups)
 
     def test_class_count_ignored_outside_equalized_odds(self):
         store = AggregateStore(SHAPE, notion="dp", n_classes=7)
@@ -91,7 +98,7 @@ class TestConstruction:
         t, m, d = SHAPE.tree_count, SHAPE.n_nodes, SHAPE.n_features
         for notion, kwargs, keys in (
             ("dp", {}, 2),
-            ("equalized_odds", {"n_groups": 3, "n_classes": 2}, 6),
+            ("equalized_odds", {"n_classes": 3}, 6),
             ("multigroup", {"n_groups": 4}, 5),
         ):
             store = AggregateStore(SHAPE, notion=notion, **kwargs)
@@ -158,22 +165,6 @@ class TestRunningMeans:
             store.means[0, 2:],
             np.einsum("ntm,nd->dtm", slope, xs) / len(log), rtol=0, atol=1e-12,
         )
-
-    def test_decay_follows_exponential_recursion(self):
-        """With decay, the mean obeys m_k = d*m_{k-1} + (1-d)*v_k after the
-        first observation seeds it directly."""
-        decay = 0.9
-        store = AggregateStore(SHAPE, decay=decay)
-        rng = np.random.default_rng(3)
-        values = rng.uniform(0, 1, size=10)
-        feed(store, 1, 0, values[0])
-        np.testing.assert_array_equal(store.means[1, 0], values[0])
-        expected = values[0]
-        for v in values[1:]:
-            feed(store, 1, 0, v)
-            expected = decay * expected + (1 - decay) * v
-        np.testing.assert_allclose(store.means[1, 0], expected, atol=1e-12)
-        np.testing.assert_array_equal(store.means[0], 0.0)
 
 
 class TestGapEstimators:
@@ -248,37 +239,20 @@ class TestGapEstimators:
             AggregateStore(SHAPE, n_groups=3, notion="dp")
 
 
-def oracle_gradient(log, notion, n_groups, n_classes, decay, delta, weight):
-    """Huber-penalty gradient from plain (or exponential) means of the
-    logged instances, one contrast at a time, independent of the store."""
-
-    def mean(rows):
-        if decay is None:
-            return np.mean(rows, axis=0)
-        acc = rows[0]
-        for row in rows[1:]:
-            acc = decay * acc + (1 - decay) * row
-        return acc
+def oracle_gradient(log, notion, n_groups, n_classes, delta, weight):
+    """Huber-penalty gradient from plain means of the logged instances,
+    one contrast at a time, independent of the store."""
 
     def stats(select):
         chosen = [(g, s, x) for a, y, g, s, x in log if select(a, y)]
         if not chosen:
             return None
-        return (mean([g for g, _, _ in chosen]),
-                mean([s[:, :, None] * x for _, s, x in chosen]),
-                mean([s for _, s, _ in chosen]))
+        return (np.mean([g for g, _, _ in chosen], axis=0),
+                np.mean([s[:, :, None] * x for _, s, x in chosen], axis=0),
+                np.mean([s for _, s, _ in chosen], axis=0))
 
-    if notion == "dp":
-        pairs = [(lambda a, y: a == 0, lambda a, y: a == 1)]
-    elif notion == "equalized_odds":
-        pairs = [((lambda a, y, c=c: a == 0 and y == c),
-                  (lambda a, y, c=c: a == 1 and y == c))
-                 for c in range(n_classes)]
-    else:
-        pairs = [((lambda a, y: True), (lambda a, y, k=k: a == k))
-                 for k in range(n_groups)]
     grad_w, grad_b = 0.0, 0.0
-    for plus, minus in pairs:
+    for plus, minus in contrast_selections(notion, n_groups, n_classes):
         sp, sm = stats(plus), stats(minus)
         if sp is None or sm is None:
             continue
@@ -290,18 +264,17 @@ def oracle_gradient(log, notion, n_groups, n_classes, decay, delta, weight):
 
 class TestVectorizedPath:
     """The fold and the contrast sum against an oracle, over random
-    notions, shapes, decays and streams that leave keys unseen."""
+    notions, shapes and streams that leave keys unseen."""
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_gradient_matches_oracle(self, data):
         notion = data.draw(st.sampled_from(["dp", "equalized_odds", "multigroup"]))
-        n_groups = 2 if notion == "dp" else data.draw(st.integers(2, 4))
+        n_groups = data.draw(st.integers(2, 4)) if notion == "multigroup" else 2
         n_classes = data.draw(st.integers(2, 3))
         shape = ForestShape(data.draw(st.integers(1, 3)),
                             data.draw(st.integers(1, 4)),
                             data.draw(st.integers(1, 4)), n_classes)
-        decay = data.draw(st.none() | st.floats(0.05, 0.95))
         delta = data.draw(st.floats(1e-3, 1.0))
         weight = data.draw(st.floats(0.1, 3.0))
         # Draw from subsets of the groups and classes so some keys stay
@@ -314,7 +287,7 @@ class TestVectorizedPath:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
 
         store = AggregateStore(shape, n_groups=n_groups, notion=notion,
-                               n_classes=n_classes, decay=decay)
+                               n_classes=n_classes)
         t, m, d = shape.tree_count, shape.n_nodes, shape.n_features
         log = []
         for _ in range(n):
@@ -328,7 +301,7 @@ class TestVectorizedPath:
 
         grad = fairness_gradient(store, HuberPenalty(delta, weight), shape)
         want_w, want_b = oracle_gradient(log, notion, n_groups, n_classes,
-                                         decay, delta, weight)
+                                         delta, weight)
         np.testing.assert_allclose(grad.weights, np.broadcast_to(
             want_w, grad.weights.shape), rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(grad.biases, np.broadcast_to(
@@ -339,23 +312,21 @@ class TestVectorizedPath:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_width_first_rows_match_naive_key_means(self, data):
-        """Each key's ``(d + 2, T, m)`` block is the naive (or
-        exponential) mean of ``[n, n (1 - n), n (1 - n) x]`` over the
-        instances that fold into that key, and the contrast sum is the
-        clipped row-0 gap times the other rows, summed over warm
-        contrasts, for every notion with and without decay."""
+        """Each key's ``(d + 2, T, m)`` block is the naive mean of
+        ``[n, n (1 - n), n (1 - n) x]`` over the instances that fold into
+        that key, and the contrast sum is the clipped row-0 gap times the
+        other rows, summed over warm contrasts, for every notion."""
         notion = data.draw(st.sampled_from(["dp", "equalized_odds", "multigroup"]))
-        n_groups = 2 if notion == "dp" else data.draw(st.integers(2, 4))
+        n_groups = data.draw(st.integers(2, 4)) if notion == "multigroup" else 2
         n_classes = data.draw(st.integers(2, 3))
         shape = ForestShape(data.draw(st.integers(1, 3)),
                             data.draw(st.integers(1, 4)),
                             data.draw(st.integers(1, 4)), n_classes)
-        decay = data.draw(st.none() | st.floats(0.05, 0.95))
         delta = data.draw(st.floats(1e-3, 1.0))
         n = data.draw(st.integers(0, 30))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         store = AggregateStore(shape, n_groups=n_groups, notion=notion,
-                               n_classes=n_classes, decay=decay)
+                               n_classes=n_classes)
         t, m, d = shape.tree_count, shape.n_nodes, shape.n_features
         rows = {k: [] for k in range(len(store.counts))}
         for _ in range(n):
@@ -370,23 +341,15 @@ class TestVectorizedPath:
             for key in store.keys(a, y):
                 rows[key].append(row)
 
-        def naive(values):
-            if decay is None:
-                return np.mean(values, axis=0)
-            acc = values[0]
-            for value in values[1:]:
-                acc = decay * acc + (1 - decay) * value
-            return acc
-
         want = np.zeros((d + 1, t, m))
         for key, values in rows.items():
             assert store.counts[key] == len(values)
-            expected = naive(values) if values else 0.0
+            expected = np.mean(values, axis=0) if values else 0.0
             np.testing.assert_allclose(store.means[key], expected,
                                        rtol=1e-12, atol=1e-15)
         for plus, minus in store.contrasts:
             if rows[plus] and rows[minus]:
-                diff = naive(rows[plus]) - naive(rows[minus])
+                diff = np.mean(rows[plus], axis=0) - np.mean(rows[minus], axis=0)
                 want += np.clip(diff[0], -delta, delta) * diff[1:]
         np.testing.assert_allclose(store.contrast_sum(delta), want,
                                    rtol=1e-9, atol=1e-12)
@@ -420,13 +383,12 @@ class TestNoBlockSizedTemporaries:
     vectors.  Each pass peaks below a quarter of the block (or vector) it
     runs over, where a single temporary of the block's size would not."""
 
-    @pytest.mark.parametrize("notion, n_groups, decay", [
-        ("dp", 2, None), ("dp", 2, 0.9), ("equalized_odds", 2, None),
-        ("multigroup", 3, None),
+    @pytest.mark.parametrize("notion, n_groups", [
+        ("dp", 2), ("equalized_odds", 2), ("multigroup", 3),
     ])
-    def test_node_store_passes(self, notion, n_groups, decay):
+    def test_node_store_passes(self, notion, n_groups):
         store = AggregateStore(WIDE, n_groups=n_groups, notion=notion,
-                               n_classes=2, decay=decay)
+                               n_classes=2)
         rng = np.random.default_rng(0)
         t, m, d = WIDE.tree_count, WIDE.n_nodes, WIDE.n_features
         gates = rng.uniform(size=(t, m))
@@ -436,28 +398,25 @@ class TestNoBlockSizedTemporaries:
             for task_class in range(2):
                 store.update_all(group, task_class, gates, slope, x)
         block = store.means[0].nbytes
-        keys = store.keys(0, 1)
         peaks = {
             "update_all": traced_peak(
                 lambda: store.update_all(1, 0, gates, slope, x)),
-            "fold": traced_peak(lambda: store.fold(keys, store.values)),
+            "fold": traced_peak(lambda: store.fold(0, 1, store.values)),
             "contrast_sum": traced_peak(lambda: store.contrast_sum(0.01)),
         }
         assert max(peaks.values()) < block / 4, (peaks, block)
 
-    @pytest.mark.parametrize("decay", [None, 0.9])
-    def test_leaf_store_passes(self, decay):
+    def test_leaf_store_passes(self):
         """The leaf baseline's store at h=6, T=8 (d=32: a 0.8 MB block)."""
         learner = LeafPenaltyLearner(LearnerConfig(
-            n_features=32, height=6, tree_count=8, fairness_weight=1.0,
-            aggregate_decay=decay))
+            n_features=32, height=6, tree_count=8, fairness_weight=1.0))
         store = learner.leaf_store
         values = np.random.default_rng(1).normal(size=store.values.shape)
-        store.fold((0,), values)
-        store.fold((1,), values)
+        store.fold(0, 0, values)
+        store.fold(1, 0, values)
         block = store.means[0].nbytes
         peaks = {
-            "fold": traced_peak(lambda: store.fold((1,), values)),
+            "fold": traced_peak(lambda: store.fold(1, 0, values)),
             "contrast_sum": traced_peak(lambda: store.contrast_sum(0.01)),
         }
         assert max(peaks.values()) < block / 4, (peaks, block)
@@ -477,12 +436,12 @@ class TestSnapshot:
     rest of its layout."""
 
     @staticmethod
-    def _learner(fairness, n_groups=2, n_outputs=2, decay=None, n=10, seed=2):
+    def _learner(fairness, n_groups=2, n_outputs=2, n=10, seed=2):
         learner = OnlineForestLearner(LearnerConfig(
             n_features=SHAPE.n_features, n_outputs=n_outputs,
             height=SHAPE.height, tree_count=SHAPE.tree_count,
             fairness=fairness, fairness_weight=0.5, n_groups=n_groups,
-            aggregate_decay=decay, seed=3))
+            seed=3))
         rng = np.random.default_rng(seed)
         for _ in range(n):
             learner.step(rng.standard_normal(SHAPE.n_features),
@@ -499,19 +458,18 @@ class TestSnapshot:
         np.testing.assert_array_equal(store.means, restored.means)
         assert restored.contrasts == store.contrasts
         assert (restored.notion, restored.n_groups, restored.n_classes,
-                restored.decay, restored.shape) == (
-            store.notion, store.n_groups, store.n_classes, store.decay,
-            store.shape)
+                restored.shape) == (
+            store.notion, store.n_groups, store.n_classes, store.shape)
 
     def test_malformed_snapshots_are_refused(self):
         """Truncated, wrong-length, non-finite, non-string or non-base64
         means, and truncated, negative or non-integer counts, raise
         DataError instead of loading into a store they do not fit, for
-        the store of every notion, with and without decay."""
+        the store of every notion."""
         for learner in (
             self._learner("dp"),
             self._learner("equalized_odds", n_outputs=3),
-            self._learner("multigroup", n_groups=3, decay=0.95),
+            self._learner("multigroup", n_groups=3),
         ):
             good = json.loads(json.dumps(learner.checkpoint()))
             OnlineForestLearner.restore(good)

@@ -187,6 +187,9 @@ class TestCheckDpBound:
             check_dp_bound(forest, features, np.zeros(4, dtype=int))
         with pytest.raises(ShapeError):
             check_dp_bound(forest, features, np.zeros(3, dtype=int))
+        # A third group used to be dropped, leaving 2 of the 3 pairs.
+        with pytest.raises(DomainError, match="0 or 1"):
+            check_dp_bound(forest, np.zeros((6, 2)), np.array([0, 1, 2, 2, 0, 1]))
         with pytest.raises(ShapeError):
             check_dp_bound(forest, np.zeros((4, 3)), np.array([0, 0, 1, 1]))
 
@@ -234,30 +237,39 @@ class TestAuditEstimationError:
 
     def test_delta_validation(self):
         forest = ObliqueForest.random(1, 2, 2)
-        trace = [TraceStep(forest, np.zeros(2), 0)]
+        trace = [TraceStep(forest, np.zeros(2), 0, 0)]
         with pytest.raises(ConfigurationError):
             audit_estimation_error(trace, delta=0.0)
 
     @staticmethod
-    def _frozen_trace(height, trees, d, steps, seed):
-        """``steps`` instances of both groups under one fixed forest."""
+    def _frozen_trace(height, trees, d, steps, seed, n_groups=2, n_classes=2):
+        """``steps`` instances under one fixed forest: one of every group
+        with label 0, so every notion has a warm contrast, and random
+        others."""
         rng = np.random.default_rng(seed)
-        forest = ObliqueForest.random(height, d, 2, trees, rng=rng)
-        groups = rng.permutation([0, 1, *rng.integers(0, 2, size=steps - 2)])
-        return [TraceStep(forest, rng.standard_normal(d), int(a))
-                for a in groups]
+        forest = ObliqueForest.random(height, d, n_classes, trees, rng=rng)
+        labelled = [(a, 0) for a in range(n_groups)] + [
+            (int(rng.integers(0, n_groups)), int(rng.integers(0, n_classes)))
+            for _ in range(steps - n_groups)]
+        return [TraceStep(forest, rng.standard_normal(d), labelled[i][1],
+                          labelled[i][0])
+                for i in rng.permutation(steps)]
 
     @settings(max_examples=40, deadline=None)
     @given(height=st.integers(1, 4), trees=st.integers(1, 3),
-           d=st.integers(1, 4), steps=st.integers(2, 40),
-           seed=st.integers(0, 2**16))
+           d=st.integers(1, 4), steps=st.integers(4, 40),
+           seed=st.integers(0, 2**16),
+           notion=st.sampled_from([("dp", 2, 2), ("equalized_odds", 2, 3),
+                                   ("multigroup", 4, 2)]))
     def test_frozen_parameters_have_no_estimation_error(
-            self, height, trees, d, steps, seed):
+            self, height, trees, d, steps, seed, notion):
         """When the parameters never move, the running means equal the
-        exact batch recomputation, so the observed error is numerical
-        noise only."""
-        trace = self._frozen_trace(height, trees, d, steps, seed)
-        reports = audit_estimation_error(trace, delta=0.01)
+        exact batch recomputation under every notion, so the observed
+        error is numerical noise only."""
+        name, n_groups, n_classes = notion
+        trace = self._frozen_trace(height, trees, d, steps, seed, n_groups,
+                                   n_classes)
+        reports = audit_estimation_error(trace, 0.01, name, n_groups)
         assert reports
         assert max(r.observed for r in reports) < 1e-12
         assert all(r.passed for r in reports)
@@ -275,31 +287,34 @@ class TestAuditEstimationError:
 
     def test_drifting_run_stays_within_the_bound(self):
         """A live learner with unit-ball inputs keeps the per-node gradient
-        estimation error under delta * B / 2."""
+        estimation error under delta * B / 2, under every notion (the
+        multigroup run spreads the stream over three groups)."""
         from fairforest.data import SyntheticConfig, generate_synthetic
 
         stream = list(generate_synthetic(
             SyntheticConfig(n=80, bias=0.6, noise=0.1, seed=5)
         ))
         features = rescale_inputs(np.stack([x for x, _, _ in stream]))
-        learner = OnlineForestLearner(
-            LearnerConfig(n_features=10, fairness="dp", fairness_weight=1.0,
-                          seed=0),
-        )
-        trace = []
-        for row, (_, y, a) in zip(features, stream):
-            trace.append(TraceStep(learner.forest.copy(), row.copy(), a))
-            learner.step(row, y, a)
-        reports = audit_estimation_error(trace, delta=0.01)
-        assert reports
-        np.testing.assert_allclose(reports[0].theoretical, 0.005)
-        assert all(r.passed for r in reports)
+        for notion, n_groups in (("dp", 2), ("equalized_odds", 2),
+                                 ("multigroup", 3)):
+            learner = OnlineForestLearner(LearnerConfig(
+                n_features=10, fairness=notion, fairness_weight=1.0,
+                n_groups=n_groups, seed=0))
+            trace = []
+            for i, (row, (_, y, a)) in enumerate(zip(features, stream)):
+                a = (a + i) % n_groups
+                trace.append(TraceStep(learner.forest.copy(), row.copy(), y, a))
+                learner.step(row, y, a)
+            reports = audit_estimation_error(trace, 0.01, notion, n_groups)
+            assert reports
+            np.testing.assert_allclose(reports[0].theoretical, 0.005)
+            assert all(r.passed for r in reports), notion
 
     def test_report_serialization(self):
         forest = ObliqueForest.random(1, 2, 2, rng=11)
         rng = np.random.default_rng(41)
         trace = [
-            TraceStep(forest, rng.standard_normal(2), i % 2) for i in range(4)
+            TraceStep(forest, rng.standard_normal(2), 0, i % 2) for i in range(4)
         ]
         report = audit_estimation_error(trace, delta=0.01)[0]
         data = report.to_dict()
