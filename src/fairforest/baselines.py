@@ -14,8 +14,8 @@ Four contrast points against the node-level penalty:
 
 Every learner exposes the same ``step``/``snapshot`` protocol as
 ``OnlineForestLearner``, so all of them run under ``run_stream``, and
-every penalized one takes its keys and contrasts from the configured
-notion's ``NotionTable``, so each runs under every notion.
+every penalized one takes its keys and contrast weights from the
+configured notion's ``NotionTable``, so each runs under every notion.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .forest import (
     _ancestor_rows,
     _block_views,
 )
-from .gradients import ForestGradient, HuberPenalty, huber_slope, softmax
+from .gradients import ForestGradient, HuberPenalty, softmax
 from .learner import (
     AdamState,
     LearnerConfig,
@@ -42,7 +42,7 @@ from .learner import (
     _check_instance,
     _check_step,
 )
-from .stats import NotionTable, RunningMeans
+from .stats import NotionTable, RunningMeans, huber_contrast_sum
 
 BASELINE_NAMES = ("aranyani", "mlp", "leaf", "reservoir", "majority")
 
@@ -53,34 +53,31 @@ BASELINE_NAMES = ("aranyani", "mlp", "leaf", "reservoir", "majority")
 
 
 class Reservoir:
-    """Unbounded store of every instance seen so far, kept under each key
-    of the notion's table it folds into (as ``AggregateStore`` keys it)
-    in a row buffer that doubles when full, so ``key_features`` is a
-    view."""
+    """Unbounded store of every instance seen so far, each kept once under
+    the key of the notion's table it folds into (as ``AggregateStore``
+    keys it), in a row buffer that doubles when full, so
+    ``key_features`` is a view.  ``sizes`` counts the rows per key."""
 
     def __init__(self, n_features: int, n_groups: int = 2,
                  notion: str = "dp", n_classes: int | None = None):
         self.table = NotionTable(notion, n_groups, n_classes)
         self._rows = [np.empty((16, n_features)) for _ in range(self.table.n_keys)]
-        self._sizes = [0] * self.table.n_keys
-        self._count = 0
+        self.sizes = np.zeros(self.table.n_keys, dtype=np.int64)
 
     def add(self, x: np.ndarray, group: int, task_class: int) -> None:
-        for key in self.table.keys(group, task_class):
-            rows, size = self._rows[key], self._sizes[key]
-            if size == len(rows):
-                self._rows[key] = rows = np.concatenate(
-                    [rows, np.empty_like(rows)])
-            rows[size] = x
-            self._sizes[key] = size + 1
-        self._count += 1
+        key = self.table.key(group, task_class)
+        rows, size = self._rows[key], self.sizes[key]
+        if size == len(rows):
+            self._rows[key] = rows = np.concatenate([rows, np.empty_like(rows)])
+        rows[size] = x
+        self.sizes[key] = size + 1
 
     def __len__(self) -> int:
-        return self._count
+        return int(self.sizes.sum())
 
     def key_features(self, key: int) -> np.ndarray:
         """Read-only view of the key's rows, in arrival order."""
-        view = self._rows[key][:self._sizes[key]]
+        view = self._rows[key][:self.sizes[key]]
         view.flags.writeable = False
         return view
 
@@ -91,40 +88,43 @@ def reservoir_fairness_gradient(
     """Exact weighted fairness gradient over the stored history.
 
     Recomputes every gate output and gate gradient at the current
-    parameters, takes exact per-key means, and sums, over the contrasts
-    of the reservoir's table whose keys both hold rows, the Huber slope
-    of the exact gap times the difference of the mean gate gradients.
-    Returns ``(gradient, cold)``; the gradient is zero and ``cold`` is
-    True while no contrast is warm.
+    parameters, takes exact per-key means in the node store's layout,
+    and sums the Huber contrast product (``stats.huber_contrast_sum``)
+    over the table's weights at the reservoir's key sizes, as the node
+    store does over its running means.  Returns ``(gradient, cold)``;
+    the gradient is zero and ``cold`` is True while every weight is zero:
+    no contrast is warm yet, or under ``multigroup`` one group alone has
+    been seen, so its gap is exactly zero.
     """
     grad = ForestGradient.zeros(forest.shape)
-    sizes = reservoir._sizes
-    warm = [(plus, minus) for plus, minus in reservoir.table.contrasts
-            if sizes[plus] and sizes[minus]]
-    if not warm:
+    weights = reservoir.table.weights(reservoir.sizes)
+    if not weights.any():
         return grad, True
     if penalty.weight == 0.0:
         return grad, False
-    stats = {key: _reservoir_key_stats(forest, reservoir.key_features(key))
-             for key in {key for pair in warm for key in pair}}
-    for plus, minus in warm:
-        (out_p, gw_p, gb_p), (out_m, gw_m, gb_m) = stats[plus], stats[minus]
-        coeff = huber_slope(out_p - out_m, penalty.delta) * penalty.weight
-        grad.weights += coeff[:, :, None] * (gw_p - gw_m)
-        grad.biases += coeff * (gb_p - gb_m)
+    t, m, d = forest.tree_count, forest.shape.n_nodes, forest.n_features
+    means = np.zeros((reservoir.table.n_keys, d + 2, t * m))
+    # Keys no warm contrast weighs are never evaluated.
+    for key in np.flatnonzero(weights.any(axis=0)):
+        means[key] = _reservoir_key_means(forest, reservoir.key_features(key))
+    total = huber_contrast_sum(weights, means, penalty.delta)
+    total = total.reshape(d + 1, t, m)  # bias, then weights
+    np.multiply(total[1:].transpose(1, 2, 0), penalty.weight, out=grad.weights)
+    np.multiply(total[0], penalty.weight, out=grad.biases)
     return grad, False
 
 
-def _reservoir_key_stats(forest: ObliqueForest, features: np.ndarray):
-    """Per-node means of gate outputs and gate gradients over a batch."""
+def _reservoir_key_means(forest: ObliqueForest, features: np.ndarray):
+    """Means over a batch of ``[n, n (1 - n), n (1 - n) x]``, the node
+    store's ``(d + 2, T * m)`` rows."""
     edges = _all_node_outputs(forest, features)  # (n, T, 2m)
     gates, right = np.split(edges, 2, axis=-1)
     slopes = gates * right
     n = features.shape[0]
-    mean_out = gates.mean(axis=0)
-    mean_gw = np.einsum("ntm,nd->tmd", slopes, features) / n
-    mean_gb = slopes.mean(axis=0)
-    return mean_out, mean_gw, mean_gb
+    return np.concatenate([
+        gates.mean(axis=0)[None], slopes.mean(axis=0)[None],
+        np.einsum("ntm,nd->dtm", slopes, features) / n,
+    ]).reshape(forest.n_features + 2, -1)
 
 
 class ReservoirLearner(OnlineForestLearner):

@@ -141,6 +141,9 @@ class ObliqueForest:
         self.weights, self.biases, self.leaves = _block_views(
             self.vector, self.shape.param_shapes
         )
+        # The routing core's gather index, writable on purpose: ``np.take``
+        # copies a read-only index array on every call.
+        self.path_columns = np.array(_path_edges(self.height))
 
     @classmethod
     def from_arrays(cls, height: int, weights: np.ndarray, biases: np.ndarray,
@@ -206,6 +209,7 @@ class ObliqueForest:
     def copy(self) -> "ObliqueForest":
         clone = ObliqueForest(self.shape)
         clone.vector[...] = self.vector
+        clone.path_columns = self.path_columns  # never written; share it
         return clone
 
 
@@ -250,13 +254,15 @@ def _all_node_outputs(forest: ObliqueForest, features: np.ndarray) -> np.ndarray
     return _node_edges(z + forest.biases)
 
 
-def _leaf_probability_gradients_stacked(edges: np.ndarray, height: int) -> np.ndarray:
-    """Leaf probabilities from edge factors, ``(..., 2m)`` -> ``(..., 2**h)``:
-    the product of each leaf's path factors in root-to-leaf order.  The
-    routing core of every evaluation, one instance or a batch; no
+def _leaf_probability_gradients_stacked(edges: np.ndarray,
+                                        forest: ObliqueForest) -> np.ndarray:
+    """Leaf probabilities from ``forest``'s edge factors, ``(..., 2m)`` ->
+    ``(..., 2**h)``: the product of each leaf's path factors in
+    root-to-leaf order, gathered through the forest's ``path_columns``.
+    The routing core of every evaluation, one instance or a batch; no
     Jacobian is formed (gradients come from ``gradients._ForwardCache``).
     """
-    return np.take(edges, _path_edges(height), axis=-1).prod(axis=-2)
+    return np.take(edges, forest.path_columns, axis=-1).prod(axis=-2)
 
 
 def _mix_leaves(forest: ObliqueForest, leaf_probs: np.ndarray) -> np.ndarray:
@@ -282,7 +288,7 @@ def forward_batch(forest: ObliqueForest, features: np.ndarray,
         )
     edges = _all_node_outputs(forest, features)
     return _mix_leaves(forest,
-                       _leaf_probability_gradients_stacked(edges, forest.height))
+                       _leaf_probability_gradients_stacked(edges, forest))
 
 
 def predict(forest: ObliqueForest, x: np.ndarray) -> int:

@@ -118,8 +118,7 @@ class _ForwardCache:
         # The gate slope n (1 - n), from both edges so a saturated gate
         # keeps its tiny slope instead of cancelling to 0.
         self.slope = self.gates * self.edges[:, n_nodes:]
-        self.leaf_probs = _leaf_probability_gradients_stacked(self.edges,
-                                                              forest.height)
+        self.leaf_probs = _leaf_probability_gradients_stacked(self.edges, forest)
         self.output = _mix_leaves(forest, self.leaf_probs)
 
     @property
@@ -190,7 +189,7 @@ def fairness_gradient(store: AggregateStore, penalty: HuberPenalty,
     """Weighted Huber-penalty gradient from the store's running means,
     written into ``out`` when given.
 
-    One sum over the notion's warm contrasts (see
+    One Huber contrast product over the notion's contrast weights (see
     ``RunningMeans.contrast_sum``); cold contrasts contribute zero.  The
     penalty weight is folded in here; leaf rows are zero.
     """

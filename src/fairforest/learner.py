@@ -264,7 +264,7 @@ class LearnerConfig:
         self.notion_table()
 
     def notion_table(self) -> NotionTable:
-        """The keys and contrasts of the configured notion over the
+        """The keys and contrast weights of the configured notion over the
         configured groups and output classes."""
         return NotionTable(self.fairness, self.n_groups, self.n_outputs)
 
@@ -272,7 +272,7 @@ class LearnerConfig:
     def has_penalty(self) -> bool:
         """Whether a fairness penalty acts: a notion with contrasts at a
         positive weight.  Without one, no learner keeps a store."""
-        return self.fairness_weight > 0 and bool(self.notion_table().contrasts)
+        return self.fairness_weight > 0 and self.notion_table().n_contrasts > 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -318,7 +318,7 @@ def _check_step(config: LearnerConfig, x, y: int, a: int) -> np.ndarray:
     return x
 
 
-CHECKPOINT_FORMAT = "fairforest-checkpoint-v5"
+CHECKPOINT_FORMAT = "fairforest-checkpoint-v6"
 _CHECKPOINT_KEYS = ("format", "config", "step_count", "correct", "floats",
                     "counts")
 
@@ -545,10 +545,12 @@ class OnlineForestLearner:
         learner.step_count = learner.adam.t = metrics.total = step_count
         metrics.correct = correct
         store = learner.store
-        if store is not None and not store.table.counts_agree(
-                store.counts, metrics.group_counts):
-            raise DataError(f"store counts {store.counts.tolist()} disagree with "
-                            f"the metrics' group counts {metrics.group_counts}")
+        if store is not None:
+            if not store.table.counts_agree(store.counts, metrics.group_counts):
+                raise DataError(f"store counts {store.counts.tolist()} disagree "
+                                f"with the metrics' group counts "
+                                f"{metrics.group_counts}")
+            store.reweigh()
         return learner
 
     @classmethod

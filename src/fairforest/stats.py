@@ -5,28 +5,36 @@ running means, per key (a protected group, optionally conditioned on the
 task class), of a constrained quantity and of its parameter gradient.
 This module owns those running means in one packed, width-first layout:
 
-* ``counts`` is ``(K,)``: every instance updates every cell of its keys,
-  so one count per key serves them all;
+* ``counts`` is ``(K,)``: every instance folds into exactly one key and
+  updates every cell of it, so one count per key serves them all;
 * ``means`` is ``(K, width, *cells)``: row 0 of each key is the
   constrained quantity, the other rows its parameter gradient, so every
   pass over a key runs over long contiguous rows of cells.
 
 ``NotionTable`` is the package's only definition of a fairness notion:
-its keys, the keys each instance folds into, and the (plus, minus) key
-contrasts its penalty gradient sums over (``RunningMeans.contrast_sum``):
+its keys, the one key each instance folds into, and its contrasts, each
+a row of signed weights over the key means (``NotionTable.weights``):
 
-* ``dp`` - demographic parity over two groups: ``(g0, g1)``.
-* ``equalized_odds`` - two groups, keys ``g * C + c``; one ``(g0, g1)``
-  contrast per task class ``c``.
-* ``multigroup`` - any number of groups plus an "overall" key that every
-  instance folds into; one ``(overall, k)`` contrast per group ``k``.
-* ``none`` - no keys and no contrasts.
+* ``dp`` - demographic parity over two groups: ``[1, -1]``.
+* ``equalized_odds`` - two groups, keys ``g * C + c``; per task class
+  ``c`` the row ``e_c - e_{C+c}``.
+* ``multigroup`` - one key per group; per group ``g`` the row
+  ``n / N - e_g``, the overall mean (the count-weighted mean of the
+  group means, ``n`` the per-key counts and ``N`` their sum) minus the
+  group's own.
+* ``none`` - one key per group and no contrasts.
 
-Means are cumulative over the whole stream and advance by the
-numerically stable increment ``mean += (value - mean) / count``.
+A row that names an unseen key is zero: a contrast is warm once every
+key it compares holds an instance.  ``huber_contrast_sum`` is the one
+penalty-gradient product over those weights, shared by every store and
+by the exact reference.  Means are cumulative over the whole stream and
+advance by the numerically stable increment
+``mean += (value - mean) / count``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,10 +44,10 @@ from .forest import ForestShape
 
 class NotionTable:
     """What the notion ``name`` compares among ``n_groups`` groups and
-    ``n_classes`` task classes: ``n_keys`` keys, the keys an instance
-    folds into (``keys``), the (plus, minus) ``contrasts``, and per key
-    the group whose instances it counts (``key_groups``; None for a key
-    every instance folds into).  ``n_classes`` is None unless the keys
+    ``n_classes`` task classes: ``n_keys`` keys, the key an instance
+    folds into (``key``), ``n_contrasts`` contrasts as signed weights
+    over the keys (``weights``), and per key the group whose instances
+    it counts (``key_groups``).  ``n_classes`` is None unless the keys
     are class-conditioned."""
 
     def __init__(self, name: str, n_groups: int = 2,
@@ -49,117 +57,150 @@ class NotionTable:
         if name in ("dp", "equalized_odds") and n_groups != 2:
             raise ConfigurationError(f"the {name} notion compares exactly 2 "
                                      f"groups; use multigroup for more")
-        groups = range(n_groups)
         if name == "equalized_odds":
             if n_classes is None or n_classes < 2:
                 raise ConfigurationError("equalized_odds needs n_classes >= 2")
-            classes = range(n_classes)
-            self._keys = [[(g * n_classes + c,) for c in classes] for g in groups]
-            self.key_groups = tuple(g for g in groups for _ in classes)
-            self.contrasts = tuple((c, n_classes + c) for c in classes)
+            eye = np.eye(n_classes)
+            signs = np.concatenate([eye, -eye], axis=1)
         elif name == "dp":
-            self._keys, self.key_groups, self.contrasts = [(0,), (1,)], (0, 1), ((0, 1),)
+            signs = np.array([[1.0, -1.0]])
         elif name == "multigroup":
-            self._keys = [(g, n_groups) for g in groups]
-            self.key_groups = (*groups, None)
-            self.contrasts = tuple((n_groups, g) for g in groups)
+            # The n / N part of each row follows the counts (``weights``).
+            signs = -np.eye(n_groups)
         elif name == "none":
-            self._keys, self.key_groups, self.contrasts = [()] * n_groups, (), ()
+            signs = np.zeros((0, n_groups))
         else:
             raise ConfigurationError(f"unknown fairness notion {name!r}")
-        self.name, self.n_groups, self.n_keys = name, n_groups, len(self.key_groups)
+        self.name, self.n_groups = name, n_groups
         self.n_classes = n_classes if name == "equalized_odds" else None
+        self.n_contrasts, self.n_keys = signs.shape
+        per_group = self.n_keys // n_groups
+        self.key_groups = tuple(k // per_group for k in range(self.n_keys))
+        self.count_weighted = name == "multigroup"
+        self._signs = signs
+        self._unnamed = signs == 0.0
 
-    def keys(self, group: int, task_class: int) -> tuple:
-        """Keys an instance of ``group`` with label ``task_class`` folds
+    def key(self, group: int, task_class: int) -> int:
+        """The key an instance of ``group`` with label ``task_class`` folds
         into; DomainError for a group or class outside the table."""
         if not 0 <= group < self.n_groups:
             raise DomainError(f"group {group} outside [0, {self.n_groups})")
         if self.n_classes is None:
-            return self._keys[group]
+            return group
         if not 0 <= task_class < self.n_classes:
             raise DomainError(f"task class {task_class} outside [0, {self.n_classes})")
-        return self._keys[group][task_class]
+        return group * self.n_classes + task_class
+
+    def weights(self, counts: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """``(n_contrasts, n_keys)`` signed weights of every contrast over
+        the key means, given per-key ``counts``: a contrast's gap is its
+        row times the key means.  Rows that name an unseen key are zero.
+        Under ``multigroup`` the rows depend on every count, not only on
+        which keys have been seen (``count_weighted``)."""
+        seen = counts > 0
+        if self.count_weighted:
+            # Row g names key g alone, so it is warm once g is seen.
+            out = np.add(counts / (sum(counts.tolist()) or 1), self._signs, out=out)
+            out *= seen[:, None]
+            return out
+        warm = (seen | self._unnamed).all(axis=1)
+        return np.multiply(self._signs, warm[:, None], out=out)
 
     def counts_agree(self, counts: np.ndarray, group_counts: list) -> bool:
         """Whether per-key ``counts`` are what a stream with these
         per-group instance counts leaves: a group's keys count its
-        instances between them, a key of every group counts them all."""
+        instances between them."""
         folded = [0] * self.n_groups
         for group, count in zip(self.key_groups, counts.tolist()):
-            if group is None:
-                if count != sum(group_counts):
-                    return False
-            else:
-                folded[group] += count
+            folded[group] += count
         return folded == list(group_counts)
+
+
+def huber_contrast_sum(weights: np.ndarray, means: np.ndarray, delta: float,
+                       out: np.ndarray | None = None,
+                       gaps: np.ndarray | None = None,
+                       slopes: np.ndarray | None = None) -> np.ndarray:
+    """Huber-penalty gradient summed over the contrasts of ``weights``.
+
+    ``means`` is ``(K, width, n)``: per key, row 0 the constrained
+    quantity and rows ``1:`` its gradient over ``n`` cells.  The gaps are
+    ``weights @ means[:, 0]``, their Huber slopes the gaps clipped to
+    ``[-delta, delta]``, and the result ``(width - 1, n)`` is
+    ``sum_k (weights.T @ slopes)[k] * means[k, 1:]``: one product that
+    reads each key block once, whatever the contrast count.  A zero row
+    adds exactly nothing.  ``out``, ``gaps`` ``(C, n)`` and ``slopes``
+    ``(K, n)`` are written when given, else allocated.
+    """
+    gaps = np.matmul(weights, means[:, 0], out=gaps)
+    np.minimum(gaps, delta, out=gaps)
+    np.maximum(gaps, -delta, out=gaps)
+    slopes = np.matmul(weights.T, gaps, out=slopes)
+    return np.einsum("kc,kwc->wc", slopes, means[:, 1:], out=out)
 
 
 class RunningMeans:
     """Packed running means under the keys of a ``NotionTable``, with the
-    key contrasts a penalty compares.
+    contrast weights a penalty compares them by.
 
     Block ``means[k]`` holds one ``(width, *cells)`` block per key; row 0
-    is the constrained quantity and rows ``1:`` its gradient.  ``values``
-    is a block a caller may stage an instance's values in before
-    ``fold``; with the two scratch blocks it means a step allocates
-    nothing of a block's size.  None of them is state.
+    is the constrained quantity and rows ``1:`` its gradient.
+    ``contrast_weights`` is the table's ``weights`` at the current
+    counts: ``fold`` rebuilds it when a key's count leaves 0 (and every
+    fold when the weights are count-weighted); whoever writes ``counts``
+    directly calls ``reweigh``.  ``values`` is a block a caller may stage
+    an instance's values in before ``fold``; with the scratch blocks it
+    means a step allocates nothing of a block's size.  None of them is
+    state.
     """
 
     def __init__(self, table: NotionTable, cells: tuple, width: int):
-        if not table.contrasts:
+        if not table.n_contrasts:
             raise ConfigurationError(
                 f"no aggregates for fairness notion {table.name!r}"
             )
         self.table = table
-        self.keys = table.keys
-        self.contrasts = table.contrasts
         self.counts = np.zeros(table.n_keys, dtype=np.int64)
         self.means = np.zeros((table.n_keys, width, *cells))
         self.values = np.zeros((width, *cells))
-        self._total = np.zeros((width, *cells))
+        self.contrast_weights = np.zeros((table.n_contrasts, table.n_keys))
+        n = math.prod(cells)
         self._term = np.zeros((width, *cells))
+        self._gaps = np.zeros((table.n_contrasts, n))
+        self._slopes = np.zeros((table.n_keys, n))
+        self._total = np.zeros((width - 1, *cells))
+        # Views with the cells flattened, for the contrast product.
+        self._flat_means = self.means.reshape(table.n_keys, width, n)
+        self._flat_total = self._total.reshape(width - 1, n)
 
     def fold(self, group: int, task_class: int, values: np.ndarray) -> None:
-        """Fold one instance's ``(width, *cells)`` values into each of its
-        keys."""
-        term = self._term
-        for key in self.keys(group, task_class):
-            self.counts[key] += 1
-            row = self.means[key]
-            # row += (values - row) / count
-            np.subtract(values, row, out=term)
-            term /= self.counts[key]
-            row += term
+        """Fold one instance's ``(width, *cells)`` values into its key."""
+        key = self.table.key(group, task_class)
+        self.counts[key] += 1
+        count = self.counts[key]
+        row, term = self.means[key], self._term
+        # row += (values - row) / count
+        np.subtract(values, row, out=term)
+        term /= count
+        row += term
+        if count == 1 or self.table.count_weighted:
+            self.reweigh()
+
+    def reweigh(self) -> None:
+        """Rebuild ``contrast_weights`` from ``counts``."""
+        self.table.weights(self.counts, out=self.contrast_weights)
 
     def contrast_sum(self, delta: float) -> np.ndarray:
-        """Huber-penalty gradient summed over the warm contrasts.
+        """Huber-penalty gradient summed over the contrasts
+        (``huber_contrast_sum``), shape ``(width - 1, *cells)``; cold
+        contrasts add nothing.
 
-        Each contrast whose keys have both been seen adds
-        ``clip(gap, -delta, delta) * (mean[plus] - mean[minus])[1:]``
-        with ``gap`` the difference of row 0; the clip is the Huber slope.
-        Cold contrasts add nothing.  Shape ``(width - 1, *cells)``.
-
-        The result is a view of a scratch block: the next ``fold`` or
-        ``contrast_sum`` overwrites it, so use it before either.
+        The result is a scratch block: the next ``contrast_sum``
+        overwrites it, so use it before calling again.
         """
-        total = None
-        for plus, minus in self.contrasts:
-            if self.counts[plus] == 0 or self.counts[minus] == 0:
-                continue
-            diff = self._total if total is None else self._term
-            np.subtract(self.means[plus], self.means[minus], out=diff)
-            # Row 0 becomes the Huber slope; only rows 1: are summed.
-            np.clip(diff[:1], -delta, delta, out=diff[:1])
-            diff[1:] *= diff[:1]
-            if total is None:
-                total = diff
-            else:
-                total[1:] += diff[1:]
-        if total is None:
-            total = self._total
-            total.fill(0.0)
-        return total[1:]
+        huber_contrast_sum(self.contrast_weights, self._flat_means, delta,
+                           self._flat_total, self._gaps, self._slopes)
+        return self._total
 
 
 class AggregateStore(RunningMeans):
@@ -182,7 +223,7 @@ class AggregateStore(RunningMeans):
 
     def update_all(self, group: int, task_class: int, gates: np.ndarray,
                    slope: np.ndarray, x: np.ndarray) -> None:
-        """Fold one instance into every (tree, node) cell of its keys.
+        """Fold one instance into every (tree, node) cell of its key.
 
         ``gates`` and their slopes ``n (1 - n)`` are (T, m), ``x`` (d,).
         """

@@ -191,7 +191,7 @@ def check_dp_bound(forest: ObliqueForest, features: np.ndarray,
     # One evaluation of both (equally sized) groups gives their outputs
     # and their gates.
     edges = _all_node_outputs(capped, np.stack([x0, x1]))  # (2, n, T, 2m)
-    probs = _leaf_probability_gradients_stacked(edges, capped.height)
+    probs = _leaf_probability_gradients_stacked(edges, capped)
     outputs = _mix_leaves(capped, probs).mean(axis=1)
     parity_gap = float(np.linalg.norm(outputs[0] - outputs[1]))
     gates0, gates1 = edges[..., :forest.shape.n_nodes]
@@ -219,7 +219,9 @@ def audit_estimation_error(trace: list[TraceStep], delta: float,
     groups and adds the instance to a ``Reservoir`` of the same notion.
     Once a contrast is warm, the store's Huber contrast sum is compared
     with ``reservoir_fairness_gradient``, the exact gradient recomputed at
-    that step's parameters over the full history.  The observed value per
+    that step's parameters over the full history; both are the one
+    weighted product ``stats.huber_contrast_sum``, over running and over
+    exact key means.  The observed value per
     step is the largest per-node Euclidean distance between the two (bias
     and weights together, both at unit penalty weight); the theoretical
     value is ``delta * B / 2`` with ``B`` the largest instance norm in the

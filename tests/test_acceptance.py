@@ -171,7 +171,7 @@ def compute_results():
         forest = ObliqueForest.random(h, d, c, t, rng=rng)
         x = rng.uniform(-3.0, 3.0, size=d)
         probs = _leaf_probability_gradients_stacked(
-            _all_node_outputs(forest, x), h)  # (T, L)
+            _all_node_outputs(forest, x), forest)  # (T, L)
         worst_sum = max(worst_sum, float(np.abs(probs.sum(axis=1) - 1.0).max()))
         lowest = min(lowest, float(probs.min()))
         highest = max(highest, float(probs.max()))

@@ -199,6 +199,8 @@ class TestReservoirLearner:
         log = list(keyed_stream(40, 5, n_groups, n_outputs))
         for x, y, a in log:
             learner.step(x, y, a)
+        # Each instance is stored once, under its one key.
+        assert learner.reservoir.sizes.sum() == len(learner.reservoir) == len(log)
         rows = [(a, y, *gate_rows(learner.forest, x)) for x, y, a in log]
         want = keyed_penalty_gradient(rows, notion, n_groups, n_outputs,
                                       0.05, 0.7)

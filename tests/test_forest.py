@@ -57,7 +57,7 @@ def route(forest, x):
     ``(..., T, 2**h)``: the edges and the routing core of every
     evaluation."""
     return _leaf_probability_gradients_stacked(_all_node_outputs(forest, x),
-                                               forest.height)
+                                               forest)
 
 
 def leaf_probabilities(outputs):

@@ -676,21 +676,21 @@ class TestCheckpoint:
         """Version 1 kept the store layout before the packed one, version
         2 wrote every array as nested lists, version 3 repeated the
         layout the config fixes, version 4 held a config with a decay
-        field and no gradient norms; all are refused like any other
-        unknown format."""
+        field and no gradient norms, version 5 held a multigroup store with
+        an overall key; all are refused like any other unknown format."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2))
         data = learner.checkpoint()
-        assert data["format"] == "fairforest-checkpoint-v5"
+        assert data["format"] == "fairforest-checkpoint-v6"
         for unknown in ("something-else", "fairforest-checkpoint-v1",
                         "fairforest-checkpoint-v2", "fairforest-checkpoint-v3",
-                        "fairforest-checkpoint-v4"):
+                        "fairforest-checkpoint-v4", "fairforest-checkpoint-v5"):
             data["format"] = unknown
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(data)
 
     def test_v2_checkpoint_is_refused(self):
         """A file in the v2 layout (nested lists) is a DataError, and so
-        is the same content relabelled v3, v4 or v5."""
+        is the same content relabelled v3, v4, v5 or v6."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2,
                                                     fairness_weight=0.5, seed=3))
         self._run(learner, biased_stream(5, seed=11))
@@ -715,7 +715,8 @@ class TestCheckpoint:
                         "group_output_sums": metrics.group_output_sums},
         }
         for label in ("fairforest-checkpoint-v2", "fairforest-checkpoint-v3",
-                      "fairforest-checkpoint-v4", "fairforest-checkpoint-v5"):
+                      "fairforest-checkpoint-v4", "fairforest-checkpoint-v5",
+                      "fairforest-checkpoint-v6"):
             data["format"] = label
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(json.loads(json.dumps(data)))
@@ -724,7 +725,7 @@ class TestCheckpoint:
         """A file in the v3 layout (sections that repeat the height, the
         store's shape and notion, the metrics' group and output counts
         and ``adam.t``) is a DataError, and so is the same content
-        relabelled v4 or v5."""
+        relabelled v4, v5 or v6."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2,
                                                     fairness_weight=0.5, seed=3))
         self._run(learner, biased_stream(5, seed=11))
@@ -749,13 +750,13 @@ class TestCheckpoint:
                         "group_output_sums": encode_floats(metrics.group_output_sums)},
         }
         for label in ("fairforest-checkpoint-v3", "fairforest-checkpoint-v4",
-                      "fairforest-checkpoint-v5"):
+                      "fairforest-checkpoint-v5", "fairforest-checkpoint-v6"):
             data["format"] = label
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(json.loads(json.dumps(data)))
 
     def test_v3_layout_restores_and_steps_identically(self):
-        """v5 keeps the v3 encoding of every float array: one base64 string
+        """v6 keeps the v3 encoding of every float array: one base64 string
         of its float64 bytes, the forest and each Adam moment as one flat
         vector.  Restoring gives the same bits, and stepping matches the
         learner that was never interrupted."""
@@ -822,13 +823,14 @@ class TestCheckpoint:
                 assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_v4_holds_only_the_config_and_the_learner_arrays(self):
-        """A v5 file keeps the v4 layout, which repeats nothing the config
+        """A v6 file keeps the v4 layout, which repeats nothing the config
         or the step count fixes: besides them it holds the number of
         correct predictions, the last step's gradient norms and the
         learner's own arrays by name, each float array one base64 string
         of its float64 bytes in the array's own order (store means
         width-first, as the store keeps them) and each count array a list
-        of JSON integers."""
+        of JSON integers.  A multigroup store holds one block and one count
+        per group."""
         cfg = LearnerConfig(n_features=2, height=3, tree_count=3,
                             fairness="multigroup", n_groups=3,
                             fairness_weight=0.7, seed=4)
@@ -855,6 +857,8 @@ class TestCheckpoint:
             "metrics.groups": learner.metrics.group_counts,
             "store": learner.store.counts.tolist(),
         }
+        assert learner.store.means.shape[0] == len(data["counts"]["store"]) == 3
+        assert data["counts"]["store"] == learner.metrics.group_counts
 
     def test_malformed_forest_and_adam_arrays_are_refused(self):
         """Each restored array must be one base64 string of exactly the
@@ -925,8 +929,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("fairness, n_groups, edit", [
         ("dp", 2, lambda c, g, t: [c[0] + 1, c[1] - 1]),
         ("dp", 2, lambda c, g, t: [t, 0]),
-        ("multigroup", 3, lambda c, g, t: c[:3] + [t + 1]),
-        ("multigroup", 3, lambda c, g, t: [c[1], c[0], c[2], t]),
+        ("multigroup", 3, lambda c, g, t: c + [t]),
+        ("multigroup", 3, lambda c, g, t: [c[1], c[0], c[2]]),
         ("equalized_odds", 2, lambda c, g, t: [c[0] + 1, c[1], c[2], c[3] - 1]),
         ("equalized_odds", 2, lambda c, g, t: [c[0], c[1], c[2], c[3] + 2]),
     ], ids=["dp-moved", "dp-all-in-one", "multigroup-overall",
@@ -934,9 +938,10 @@ class TestCheckpoint:
     def test_store_counts_must_agree_with_the_metrics(self, fairness, n_groups,
                                                        edit):
         """Every instance folds into its group's store key and is counted
-        by the metrics: ``dp`` counts equal the group counts, ``multigroup``
-        adds the step count as its overall key, and ``equalized_odds``
-        counts sum over the classes to the group counts."""
+        by the metrics: ``dp`` and ``multigroup`` counts equal the group
+        counts (a v5 ``multigroup`` layout, with the step count appended as
+        an overall key, is refused), and ``equalized_odds`` counts sum over
+        the classes to the group counts."""
         learner = OnlineForestLearner(LearnerConfig(
             n_features=2, fairness=fairness, fairness_weight=0.5,
             n_groups=n_groups, seed=3))

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from fairforest.baselines import LeafPenaltyLearner
 from fairforest.errors import ConfigurationError, DataError, DomainError, ShapeError
-from fairforest.forest import ForestShape
+from fairforest.forest import (
+    ForestShape,
+    ObliqueForest,
+    _all_node_outputs,
+    _leaf_probability_gradients_stacked,
+)
 from fairforest.gradients import HuberPenalty, fairness_gradient
 from fairforest.learner import (
     AdamParams,
@@ -25,7 +30,7 @@ from fairforest.learner import (
     encode_floats,
 )
 from fairforest.stats import AggregateStore
-from oracles import contrast_selections
+from oracles import contrast_selections, keyed_penalty_gradient
 
 SHAPE = ForestShape(tree_count=2, height=2, n_features=3, n_outputs=2)
 
@@ -56,9 +61,9 @@ def feed_random(store, n, seed, n_groups=2, n_classes=2):
 
 
 def gaps(store):
-    """Row-0 difference of every contrast, (n_contrasts, T, m)."""
-    return np.stack([store.means[p, 0] - store.means[q, 0]
-                     for p, q in store.contrasts])
+    """Row-0 gap of every contrast, its weights times the key means,
+    (n_contrasts, T, m)."""
+    return np.einsum("ck,ktm->ctm", store.contrast_weights, store.means[:, 0])
 
 
 class TestConstruction:
@@ -99,7 +104,7 @@ class TestConstruction:
         for notion, kwargs, keys in (
             ("dp", {}, 2),
             ("equalized_odds", {"n_classes": 3}, 6),
-            ("multigroup", {"n_groups": 4}, 5),
+            ("multigroup", {"n_groups": 4}, 4),
         ):
             store = AggregateStore(SHAPE, notion=notion, **kwargs)
             assert store.counts.shape == (keys,)
@@ -119,7 +124,7 @@ class TestKeyValidation:
     def test_dp_key_must_not_carry_a_class(self):
         """The dp key is the group alone: the task class does not split it."""
         store = AggregateStore(SHAPE)
-        assert store.keys(1, 0) == store.keys(1, 1) == (1,)
+        assert store.table.key(1, 0) == store.table.key(1, 1) == 1
         feed(store, 1, 0, 0.2)
         feed(store, 1, 1, 0.6)
         np.testing.assert_array_equal(store.counts, [0, 2])
@@ -130,7 +135,7 @@ class TestKeyValidation:
             feed(store, 0, 2, 0.5)
         with pytest.raises(DomainError):
             feed(store, 0, -1, 0.5)
-        assert store.keys(1, 1) == (3,)
+        assert store.table.key(1, 1) == 3
 
     def test_indices_and_values_are_checked(self):
         store = AggregateStore(SHAPE)
@@ -184,7 +189,7 @@ class TestGapEstimators:
             feed(store, 0, 0, v, slope=v, x=np.full(3, 1.0))
         for v in (0.1, 0.3):
             feed(store, 1, 0, v, slope=v, x=np.full(3, 1.0))
-        assert store.contrasts == ((0, 1),)
+        np.testing.assert_array_equal(store.contrast_weights, [[1.0, -1.0]])
         np.testing.assert_allclose(gaps(store), 0.7 - 0.2, atol=1e-12)
         total = store.contrast_sum(delta=10.0)
         grad_w, grad_b = total[1:], total[0]
@@ -202,8 +207,10 @@ class TestGapEstimators:
         observations = {0: 0.9, 1: 0.5, 2: 0.1}
         for group, v in observations.items():
             feed(store, group, 0, v, slope=v)
-        assert store.contrasts == ((3, 0), (3, 1), (3, 2))
-        np.testing.assert_array_equal(store.counts, [1, 1, 1, 3])
+        # The overall mean is the count-weighted group means, not a key.
+        np.testing.assert_array_equal(store.counts, [1, 1, 1])
+        np.testing.assert_array_equal(store.contrast_weights,
+                                      np.full((3, 3), 1 / 3) - np.eye(3))
         overall = np.mean(list(observations.values()))
         for gap, v in zip(gaps(store), observations.values()):
             np.testing.assert_allclose(gap, overall - v, atol=1e-12)
@@ -228,7 +235,9 @@ class TestGapEstimators:
         feed(store, 0, 0, 0.9, slope=1.0)
         feed(store, 1, 0, 0.4, slope=0.0)
         feed(store, 0, 1, 0.3, slope=5.0)
-        assert store.contrasts == ((0, 2), (1, 3))
+        # Class 1's row names key 3 (group 1, class 1), still unseen.
+        np.testing.assert_array_equal(store.contrast_weights,
+                                      [[1, 0, -1, 0], [0, 0, 0, 0]])
         np.testing.assert_allclose(gaps(store)[0], 0.5, atol=1e-12)
         grad_b = store.contrast_sum(delta=10.0)[0]
         # Class 1 is cold: group 1 has not been seen with it.
@@ -338,8 +347,7 @@ class TestVectorizedPath:
             store.update_all(a, y, gates, slope, x)
             row = np.concatenate([gates[None], slope[None],
                                   x[:, None, None] * slope[None]])
-            for key in store.keys(a, y):
-                rows[key].append(row)
+            rows[a * n_classes + y if notion == "equalized_odds" else a].append(row)
 
         want = np.zeros((d + 1, t, m))
         for key, values in rows.items():
@@ -347,12 +355,78 @@ class TestVectorizedPath:
             expected = np.mean(values, axis=0) if values else 0.0
             np.testing.assert_allclose(store.means[key], expected,
                                        rtol=1e-12, atol=1e-15)
-        for plus, minus in store.contrasts:
-            if rows[plus] and rows[minus]:
-                diff = np.mean(rows[plus], axis=0) - np.mean(rows[minus], axis=0)
+        for plus, minus in naive_contrasts(notion, rows):
+            if plus is not None and minus is not None:
+                diff = plus - minus
                 want += np.clip(diff[0], -delta, delta) * diff[1:]
         np.testing.assert_allclose(store.contrast_sum(delta), want,
                                    rtol=1e-9, atol=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_weighted_product_matches_keyed_oracle(self, data):
+        """The one weighted product equals the keyed oracle, whose
+        ``multigroup`` side is the true mean of every instance, to 1e-12;
+        contrasts naming an unseen key have an exactly zero weight row, and
+        an unseen key's block adds exactly nothing, whatever it holds."""
+        notion = data.draw(st.sampled_from(["dp", "equalized_odds", "multigroup"]))
+        n_groups = data.draw(st.integers(2, 6)) if notion == "multigroup" else 2
+        n_classes = data.draw(st.integers(2, 3))
+        shape = ForestShape(data.draw(st.integers(1, 2)),
+                            data.draw(st.integers(1, 3)),
+                            data.draw(st.integers(1, 3)), n_classes)
+        delta = data.draw(st.floats(1e-3, 1.0))
+        groups = data.draw(st.lists(st.integers(0, n_groups - 1), min_size=1,
+                                    max_size=n_groups, unique=True))
+        classes = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=1,
+                                     max_size=n_classes, unique=True))
+        n = data.draw(st.integers(1, 30))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        store = AggregateStore(shape, n_groups=n_groups, notion=notion,
+                               n_classes=n_classes)
+        t, m, d = shape.tree_count, shape.n_nodes, shape.n_features
+        cells = np.arange(t * m)
+        log = []
+        for _ in range(n):
+            a, y = int(rng.choice(groups)), int(rng.choice(classes))
+            gates = rng.uniform(0, 1, size=(t, m))
+            slope = gates * (1.0 - gates)
+            x = rng.standard_normal(d)
+            store.update_all(a, y, gates, slope, x)
+            # Each cell's rows are its own parameters: P = (d + 1) T m.
+            rows = np.concatenate([slope[None], x[:, None, None] * slope])
+            jac = np.zeros((t * m, d + 1, t * m))
+            jac[cells, :, cells] = rows.reshape(d + 1, t * m).T
+            log.append((a, y, gates, jac.reshape(t, m, -1)))
+
+        total = store.contrast_sum(delta).copy()
+        want = keyed_penalty_gradient(log, notion, n_groups, n_classes, delta, 1.0)
+        np.testing.assert_allclose(total.ravel(), want, rtol=0, atol=1e-12)
+
+        # Row g of multigroup names key g; row c of the others keys c, C + c.
+        unseen = store.counts == 0
+        half = len(unseen) // 2
+        cold = unseen if notion == "multigroup" else unseen[:half] | unseen[half:]
+        weights = store.contrast_weights
+        np.testing.assert_array_equal(weights[cold], 0.0)
+        np.testing.assert_array_equal(weights[:, unseen], 0.0)
+        store.means[unseen] = rng.uniform(-1e3, 1e3, store.means[unseen].shape)
+        np.testing.assert_array_equal(store.contrast_sum(delta), total)
+
+
+def naive_contrasts(notion, rows):
+    """(plus, minus) plain means of each contrast over per-key row lists,
+    None for a side with no rows: dp keys 0 and 1, equalized_odds keys
+    c and C + c, multigroup the mean of every row against each group."""
+    def mean(values):
+        return np.mean(values, axis=0) if values else None
+
+    keys = len(rows)
+    if notion == "multigroup":
+        every = mean([row for values in rows.values() for row in values])
+        return [(every, mean(rows[k])) for k in range(keys)]
+    half = keys // 2
+    return [(mean(rows[c]), mean(rows[half + c])) for c in range(half)]
 
 
 def traced_peak(call) -> int:
@@ -381,12 +455,16 @@ class TestNoBlockSizedTemporaries:
     """Once warm, the per-step passes write into buffers their owner
     holds: the store's staging and scratch blocks, Adam's two scratch
     vectors.  Each pass peaks below a quarter of the block (or vector) it
-    runs over, where a single temporary of the block's size would not."""
+    runs over, where a single temporary of the block's size would not;
+    the routing core allocates only its gather and its result."""
 
     @pytest.mark.parametrize("notion, n_groups", [
-        ("dp", 2), ("equalized_odds", 2), ("multigroup", 3),
+        ("dp", 2), ("equalized_odds", 2), ("multigroup", 3), ("multigroup", 4),
     ])
     def test_node_store_passes(self, notion, n_groups):
+        """Under multigroup every fold also refreshes the count-weighted
+        contrast rows; with four groups the last is never seen, so the
+        contrast pass also runs over a cold row."""
         store = AggregateStore(WIDE, n_groups=n_groups, notion=notion,
                                n_classes=2)
         rng = np.random.default_rng(0)
@@ -394,7 +472,7 @@ class TestNoBlockSizedTemporaries:
         gates = rng.uniform(size=(t, m))
         slope = gates * (1 - gates)
         x = rng.normal(size=d)
-        for group in range(n_groups):
+        for group in range(min(n_groups, 3)):
             for task_class in range(2):
                 store.update_all(group, task_class, gates, slope, x)
         block = store.means[0].nbytes
@@ -405,6 +483,18 @@ class TestNoBlockSizedTemporaries:
             "contrast_sum": traced_peak(lambda: store.contrast_sum(0.01)),
         }
         assert max(peaks.values()) < block / 4, (peaks, block)
+
+    def test_routing_core_peaks_at_its_gather(self):
+        """The routing core allocates its ``(T, h, 2^h)`` gather and the
+        leaf probabilities, and nothing of its index's size: at h=10, T=4
+        ``np.take`` with a read-only index would copy all 82 kB of it."""
+        forest = ObliqueForest.random(10, 10, 2, tree_count=4, rng=0)
+        edges = _all_node_outputs(forest, np.ones(10))
+        gather = 4 * 10 * 2**10 * 8
+        probs = 4 * 2**10 * 8
+        peak = traced_peak(
+            lambda: _leaf_probability_gradients_stacked(edges, forest))
+        assert peak < gather + probs + forest.path_columns.nbytes / 4, peak
 
     def test_leaf_store_passes(self):
         """The leaf baseline's store at h=6, T=8 (d=32: a 0.8 MB block)."""
@@ -456,7 +546,8 @@ class TestSnapshot:
             json.loads(json.dumps(learner.checkpoint()))).store
         np.testing.assert_array_equal(store.counts, restored.counts)
         np.testing.assert_array_equal(store.means, restored.means)
-        assert restored.contrasts == store.contrasts
+        np.testing.assert_array_equal(restored.contrast_weights,
+                                      store.contrast_weights)
         assert (restored.notion, restored.n_groups, restored.n_classes,
                 restored.shape) == (
             store.notion, store.n_groups, store.n_classes, store.shape)
