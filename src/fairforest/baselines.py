@@ -135,6 +135,7 @@ class ReservoirLearner(OnlineForestLearner):
         super().__init__(config)
         self.reservoir = Reservoir(config.n_features, config.n_groups,
                                    config.fairness, config.n_outputs)
+        self._has_penalty = config.has_penalty
 
     def _build_store(self) -> None:
         """No gate store: the penalty reads the reservoir."""
@@ -146,7 +147,7 @@ class ReservoirLearner(OnlineForestLearner):
     def _fairness_gradient(self) -> ForestGradient:
         """The exact penalty gradient; the zero ``self._fair`` when there
         is no penalty, without touching the history."""
-        if not self.config.has_penalty:
+        if not self._has_penalty:
             return self._fair
         grad, _ = reservoir_fairness_gradient(
             self.reservoir, self.forest, self.penalty

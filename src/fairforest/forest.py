@@ -14,6 +14,8 @@ and bit ``h - 1 - k`` of ``l`` says whether the path turns left (0, sign
 +1) or right (1, sign -1) below it.  Per height this is three cached
 ``(h, 2**h)`` arrays (ancestor rows, signs, edge columns); nothing of the
 size ``(2**h - 1) x 2**h`` of a dense ancestor mask is ever built.
+The sums of any per-leaf quantity below every node's two children come
+from one segmented sum over each tree's leaf row (``_subtree_plan``).
 
 A leaf probability's derivative in a node's bias is read off the same
 path, without dividing: ``+p_l`` times the node's right edge when leaf
@@ -108,6 +110,33 @@ def _path_edges(height: int) -> np.ndarray:
     return edges
 
 
+@lru_cache(maxsize=None)
+def _subtree_plan(height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Segment bounds and gather order that sum a tree's leaf row below
+    every node's left and right child, shapes (2m + h,) and (2m,).
+
+    ``np.add.reduceat(row, bounds, axis=-1)`` over a leaf row padded
+    with one trailing zero (length ``2**h + 1``) gives, per depth ``k``
+    from the root down, the sum over each child's leaves (the children
+    start at the multiples of ``2**(h - k - 1)``), then an unused entry
+    for the sentinel ``2**h`` that closes the depth's last segment at the
+    tree's end.  ``order`` takes those sums to ``[below right child of
+    every node | below left child of every node]``, nodes breadth-first.
+    """
+    # Every non-root node breadth-first, its depth, and its position in
+    # ``bounds``: one sentinel follows each depth.
+    child = np.arange(1, 2 ** (height + 1) - 1)
+    depth = np.repeat(np.arange(1, height + 1), 2 ** np.arange(1, height + 1))
+    position = child + depth - 2
+    bounds = np.full(child.size + height, 2**height)
+    bounds[position] = (child + 1 - (1 << depth)) << (height - depth)
+    # Node i's children are 2i + 1 (left) and 2i + 2 (right).
+    order = np.concatenate([position[1::2], position[0::2]])
+    bounds.setflags(write=False)
+    order.setflags(write=False)
+    return bounds, order
+
+
 def _block_views(vector: np.ndarray, shapes) -> list[np.ndarray]:
     """Reshaped views of the consecutive blocks of a flat vector."""
     views, start = [], 0
@@ -144,6 +173,10 @@ class ObliqueForest:
         # The routing core's gather index, writable on purpose: ``np.take``
         # copies a read-only index array on every call.
         self.path_columns = np.array(_path_edges(self.height))
+        # The task gradient's segmented-sum indices, writable for the same
+        # reason (``np.add.reduceat`` copies a read-only one too).
+        self.subtree_bounds, self.subtree_order = (
+            np.array(index) for index in _subtree_plan(self.height))
 
     @classmethod
     def from_arrays(cls, height: int, weights: np.ndarray, biases: np.ndarray,
@@ -209,7 +242,10 @@ class ObliqueForest:
     def copy(self) -> "ObliqueForest":
         clone = ObliqueForest(self.shape)
         clone.vector[...] = self.vector
-        clone.path_columns = self.path_columns  # never written; share it
+        # The indices are never written; share them.
+        clone.path_columns = self.path_columns
+        clone.subtree_bounds = self.subtree_bounds
+        clone.subtree_order = self.subtree_order
         return clone
 
 
@@ -232,10 +268,14 @@ def _node_edges(z: np.ndarray) -> np.ndarray:
     ``exp`` overflows to ``inf`` and the edge is exactly 0; no clamp, so
     a saturated gate keeps that exact 0.  The logistic runs in place: for
     a batch, a second array of the edges' size costs more than the
-    logistic itself.
+    logistic itself, and the overflow is silenced only when some edge
+    can overflow: entering ``np.errstate`` costs more than a small ``exp``.
     """
     edges = np.concatenate([-z, z], axis=-1)
-    with np.errstate(over="ignore"):
+    if edges.max() > 709.0:
+        with np.errstate(over="ignore"):
+            np.exp(edges, out=edges)
+    else:
         np.exp(edges, out=edges)
     edges += 1.0
     return np.reciprocal(edges, out=edges)

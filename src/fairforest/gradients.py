@@ -163,22 +163,20 @@ def _task_gradient_cached(forest: ObliqueForest, x: np.ndarray, y: int,
     residual = softmax(cache.output)
     residual[y] -= 1.0
     t, m = forest.tree_count, forest.shape.n_nodes
+    residual /= t
     np.multiply(cache.leaf_probs[:, :, None], residual, out=out.leaves)
-    out.leaves /= t
-    leaf_sensitivity = np.einsum("tlc,c->tl", forest.leaves, residual) / t
-    # Subtree sums of sensitivity * probability over every node and leaf in
-    # breadth-first order, one pairwise add per level; entry 0 is unused.
-    sums = np.empty((t, 2 * m + 1))
-    np.multiply(leaf_sensitivity, cache.leaf_probs, out=sums[:, m:])
-    for depth in range(forest.height - 1, 0, -1):
-        below = sums[:, 2 ** (depth + 1) - 1:2 ** (depth + 2) - 1]
-        np.add(below[:, 0::2], below[:, 1::2],
-               out=sums[:, 2**depth - 1:2 ** (depth + 1) - 1])
+    # Each tree's leaf terms sensitivity * probability, padded with one
+    # zero, summed below every node's right and left child at once
+    # (``forest._subtree_plan``).
+    terms = np.zeros((t, m + 2))
+    np.matmul(forest.leaves, residual, out=terms[:, :-1])
+    terms[:, :-1] *= cache.leaf_probs
+    below = np.add.reduceat(terms, forest.subtree_bounds, axis=1).take(
+        forest.subtree_order, axis=1)
     # d p_l / d b_i is +p_l times the right edge of node i for the leaves
     # below its left child, -p_l times its left edge below its right child.
-    edges = cache.edges
-    np.multiply(edges[:, m:], sums[:, 1::2], out=out.biases)
-    out.biases -= edges[:, :m] * sums[:, 2::2]
+    below *= cache.edges
+    np.subtract(below[:, m:], below[:, :m], out=out.biases)
     np.multiply(out.biases[:, :, None], x, out=out.weights)
     return out
 

@@ -223,18 +223,22 @@ def audit_estimation_error(trace: list[TraceStep], delta: float,
     weighted product ``stats.huber_contrast_sum``, over running and over
     exact key means.  The observed value per
     step is the largest per-node Euclidean distance between the two (bias
-    and weights together, both at unit penalty weight); the theoretical
-    value is ``delta * B / 2`` with ``B`` the largest instance norm in the
-    trace.
+    and weights together, both at unit penalty weight).  The theoretical
+    value is ``n_contrasts * delta * B / 2`` with ``B`` the largest
+    instance norm in the trace: each contrast adds one Huber term, whose
+    error is at most ``delta * B / 2``, so by the triangle inequality the
+    sum's error is at most their sum (one contrast under ``dp``, one per
+    class under ``equalized_odds``, one per group under ``multigroup``).
     """
     if not trace:
         return []
     if delta <= 0:
         raise ConfigurationError(f"delta must be positive, got {delta}")
     shape = trace[0].forest.shape
-    theoretical = delta * max(float(np.linalg.norm(step.x)) for step in trace) / 2.0
     penalty = HuberPenalty(delta, 1.0)
     store = AggregateStore(shape, n_groups, notion, shape.n_outputs)
+    theoretical = store.table.n_contrasts * delta * max(
+        float(np.linalg.norm(step.x)) for step in trace) / 2.0
     reservoir = Reservoir(shape.n_features, n_groups, notion, shape.n_outputs)
     reports = []
     for step in trace:

@@ -223,6 +223,24 @@ class TestReservoirLearner:
                 assert snap.grad_norm_fair == 0.0
             assert len(learner.reservoir) == 50
 
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
+    def test_penalty_is_decided_at_construction(self, monkeypatch, weight):
+        """Whether a penalty acts is read from the config once, when the
+        learner is built (reading it builds a notion table), not on every
+        step; steps after that match a learner that never had it patched."""
+        learner, reference = (ReservoirLearner(self._config(weight))
+                              for _ in range(2))
+        steps = [reference.step(x, y, a) for x, y, a in biased_stream(20, seed=4)]
+
+        def refuse(config):
+            raise AssertionError("has_penalty read during a step")
+
+        monkeypatch.setattr(LearnerConfig, "has_penalty", property(refuse))
+        assert [learner.step(x, y, a)
+                for x, y, a in biased_stream(20, seed=4)] == steps
+        np.testing.assert_array_equal(learner.forest.vector,
+                                      reference.forest.vector)
+
     def test_checkpoint_unsupported(self):
         learner = ReservoirLearner(self._config())
         with pytest.raises(ConfigurationError):

@@ -23,6 +23,7 @@ from fairforest.forest import (
     _node_edges,
     _path_edges,
     _path_signs,
+    _subtree_plan,
     forward,
     forward_batch,
     predict,
@@ -136,6 +137,53 @@ class TestBuildMask:
         for array in (_ancestor_rows(3), _path_signs(3), _path_edges(3)):
             with pytest.raises(ValueError):
                 array[0, 0] = 0
+        for array in _subtree_plan(3):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_forest_indices_are_writable_and_shared_by_copies(self):
+        """``np.take`` and ``np.add.reduceat`` copy a read-only index on
+        every call, so each forest holds writable copies of the cached
+        indices, which its copies share."""
+        forest = ObliqueForest.random(3, 2, 2)
+        clone = forest.copy()
+        for name, cached in (("path_columns", _path_edges(3)),
+                             ("subtree_bounds", _subtree_plan(3)[0]),
+                             ("subtree_order", _subtree_plan(3)[1])):
+            index = getattr(forest, name)
+            assert index.flags.writeable, name
+            np.testing.assert_array_equal(index, cached)
+            assert getattr(clone, name) is index, name
+
+    def test_subtree_plan_height_two_exact(self):
+        """At height 2 the children's leaves start at 0, 2 (depth 1) and
+        0, 1, 2, 3 (depth 2), each depth closed by the pad at 4; the order
+        takes the sums below the right children (nodes 2, 4 and 6, at
+        positions 1, 4 and 6), then the left (nodes 1, 3 and 5, at 0, 3
+        and 5)."""
+        bounds, order = _subtree_plan(2)
+        np.testing.assert_array_equal(bounds, [0, 2, 4, 0, 1, 2, 3, 4])
+        np.testing.assert_array_equal(order, [1, 4, 6, 0, 3, 5])
+
+    @settings(max_examples=40, deadline=None)
+    @given(height=st.integers(1, 10), trees=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_subtree_plan_selects_each_childs_leaves(self, height, trees,
+                                                     seed):
+        """The segmented sum over a zero-padded leaf row gives, per node,
+        exactly the sum over the leaves the leaf-climbing oracle puts in
+        its right subtree, then in its left subtree.  Integer leaf values
+        make every sum exact, so any leaf taken or missed shows."""
+        forest = ObliqueForest(ForestShape(trees, height, 1, 1))
+        rng = np.random.default_rng(seed)
+        terms = np.zeros((trees, 2**height + 1), dtype=np.int64)
+        terms[:, :-1] = rng.integers(-2**20, 2**20, size=(trees, 2**height))
+        below = np.add.reduceat(terms, forest.subtree_bounds, axis=1).take(
+            forest.subtree_order, axis=1)
+        mask = mask_oracle(height)
+        right = terms[:, :-1] @ (mask < 0).T.astype(np.int64)
+        left = terms[:, :-1] @ (mask > 0).T.astype(np.int64)
+        np.testing.assert_array_equal(below, np.concatenate([right, left], 1))
 
     def test_rejects_out_of_range_heights(self):
         for bad in (0, -1, 17, 2.5, "3", True):
@@ -300,6 +348,19 @@ class TestNodeEdges:
         np.testing.assert_array_equal(right[:, -2:], [[0.0, 1.0]] * rows)
         assert ulps_apart(left, scipy.special.expit(z)).max() <= 4
         assert ulps_apart(right, scipy.special.expit(-z)).max() <= 4
+
+    @pytest.mark.parametrize("peak", [709.0, 709.78, 709.79, 745.2])
+    def test_no_warning_on_either_side_of_the_overflow(self, peak):
+        """The overflow is silenced only when some edge passes 709; just
+        below exp's overflow at about 709.78, just past it and past the
+        underflow of ``exp(-z)`` no warning escapes either way."""
+        z = np.array([[peak, -peak, 0.5], [1.0, -2.0, peak - 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = _node_edges(z)
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(
+                edges, 1 / (1 + np.exp(np.concatenate([-z, z], axis=-1))))
 
     def test_package_imports_without_scipy(self):
         """The logistic was the package's one scipy call; scipy is a test

@@ -1,10 +1,12 @@
 """Tests for the analytic gradients: Huber penalty pieces, softmax loss,
 per-instance task gradient, and aggregate-driven fairness gradient."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairforest.errors import ConfigurationError, NumericalError, ShapeError
@@ -13,6 +15,7 @@ from fairforest.gradients import (
     ForestGradient,
     HuberPenalty,
     _ForwardCache,
+    _task_gradient_cached,
     cross_entropy,
     fairness_gradient,
     gradient_norm,
@@ -274,19 +277,35 @@ class TestTaskGradient:
         c=st.integers(2, 4),
         log_scale=st.floats(-2.0, 3.0),
         seed=st.integers(0, 2**32 - 1),
+        saturation=st.sampled_from([None, 40.0, 800.0]),
     )
+    @example(height=4, trees=2, d=3, c=2, log_scale=-2.0, seed=1,
+             saturation=40.0)
+    @example(height=6, trees=3, d=2, c=3, log_scale=-1.0, seed=2,
+             saturation=800.0)
+    @example(height=8, trees=1, d=4, c=2, log_scale=0.0, seed=3,
+             saturation=40.0)
+    @example(height=8, trees=2, d=1, c=4, log_scale=-2.0, seed=4,
+             saturation=800.0)
     def test_bias_identity_matches_the_path_form_gradient(
-            self, height, trees, d, c, log_scale, seed):
+            self, height, trees, d, c, log_scale, seed, saturation):
         """Over heights 1 to 8 (gradcheck draws at most 3), with gate
         pre-activations up to about 1e3, the subtree-sum identity gives
         the bias and weight gradients of the path-form Jacobian it
         replaced (``oracles.path_form_task_gradient``) to 1e-12 of each
-        block's largest entry."""
+        block's largest entry.  With ``saturation``, half the nodes get a
+        bias of that size and a random sign: at 40 their far edge is about
+        4e-18, at 800 exactly 0, and the segmented sum, which never
+        divides, keeps both exact."""
         rng = np.random.default_rng(seed)
         forest = ObliqueForest.random(height, d, c, tree_count=trees, rng=rng)
         scale = 10.0**log_scale
         forest.weights *= scale * np.sqrt(d)
         forest.biases += rng.uniform(-scale, scale, size=forest.biases.shape)
+        if saturation is not None:
+            saturated = rng.random(forest.biases.shape) < 0.5
+            forest.biases[saturated] = saturation * rng.choice(
+                [-1.0, 1.0], size=saturated.sum())
         x = rng.standard_normal(d)
         y = int(rng.integers(0, c))
         grad = task_gradient(forest, x, y)
@@ -314,6 +333,37 @@ class TestTaskGradient:
             probs, _ = dense_leaf_jacobian(gates[t], right[t], forest.height)
             expected = probs[:, None] * residual[None, :] / forest.tree_count
             np.testing.assert_allclose(grad.leaves[t], expected, rtol=1e-12)
+
+    def test_segmented_sum_copies_no_index(self):
+        """At h=10, T=4 the task gradient allocates its padded leaf terms,
+        the segmented sums and their gathered halves, and nothing of its
+        indices' size: with a read-only index, ``np.add.reduceat`` and
+        ``np.take`` would each copy one (16 kB here) on every call.
+        numpy's broadcasting ufuncs stage operands through a fixed buffer
+        of ``np.getbufsize()`` values, 64 kB each by default, which would
+        hide a 16 kB copy in the peak, so the buffer is shrunk while the
+        gradient is traced."""
+        forest = ObliqueForest.random(10, 10, 2, tree_count=4, rng=0)
+        x = np.ones(10)
+        cache = _ForwardCache(forest, x)
+        out = ForestGradient.zeros(forest.shape)
+        t, m = forest.tree_count, forest.shape.n_nodes
+        terms = 8 * t * (m + 2)
+        sums = 8 * t * (2 * m + forest.height)
+        below = 8 * t * 2 * m
+        index = min(forest.subtree_bounds.nbytes, forest.subtree_order.nbytes)
+        buffer = np.setbufsize(64)
+        try:
+            _task_gradient_cached(forest, x, 1, cache, out)
+            tracemalloc.start()
+            try:
+                _task_gradient_cached(forest, x, 1, cache, out)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            np.setbufsize(buffer)
+        assert peak < terms + sums + below + index / 4, (peak, index)
 
     def test_saturated_gate_keeps_its_slope(self):
         """At pre-activation +40 the gate slope is expit(40) * expit(-40)

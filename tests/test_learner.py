@@ -5,6 +5,7 @@ import base64
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -544,6 +545,28 @@ class TestStepping:
         assert prediction in (0, 1)
         assert np.isfinite(snap.grad_norm_total)
         assert np.isfinite(learner.forest.vector).all()
+
+    def test_overflowing_edges_mid_stream_warn_nothing(self):
+        """An instance whose pre-activations pass exp's overflow at about
+        709.8 mid-stream steps without a warning (the logistic silences
+        the overflow only then) and leaves the gradient and the
+        parameters finite; the gate it saturates has an exact 0 edge."""
+        learner = OnlineForestLearner(self._config(fairness_weight=0.5))
+        stream = list(biased_stream(6, seed=3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i, (x, y, a) in enumerate(stream):
+                if i == 3:
+                    x = x * 1e4
+                    assert (_ForwardCache(learner.forest, x).edges == 0.0).any()
+                    z = learner.forest.weights @ x + learner.forest.biases
+                    assert np.abs(z).max() > 709.8
+                _, snap = learner.step(x, y, a)
+                assert np.isfinite(learner._last_total.vector).all()
+                assert np.isfinite([snap.grad_norm_total,
+                                    snap.grad_norm_fair]).all()
+        assert np.isfinite(learner.forest.vector).all()
+        assert learner.step_count == 6
 
     def test_instance_validation(self):
         learner = OnlineForestLearner(self._config())

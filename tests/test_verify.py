@@ -287,16 +287,18 @@ class TestAuditEstimationError:
 
     def test_drifting_run_stays_within_the_bound(self):
         """A live learner with unit-ball inputs keeps the per-node gradient
-        estimation error under delta * B / 2, under every notion (the
-        multigroup run spreads the stream over three groups)."""
+        estimation error under n_contrasts * delta * B / 2, under every
+        notion (the multigroup run spreads the stream over three groups,
+        so three contrasts; equalized odds has one per class, two)."""
         from fairforest.data import SyntheticConfig, generate_synthetic
 
         stream = list(generate_synthetic(
             SyntheticConfig(n=80, bias=0.6, noise=0.1, seed=5)
         ))
         features = rescale_inputs(np.stack([x for x, _, _ in stream]))
-        for notion, n_groups in (("dp", 2), ("equalized_odds", 2),
-                                 ("multigroup", 3)):
+        for notion, n_groups, n_contrasts in (("dp", 2, 1),
+                                              ("equalized_odds", 2, 2),
+                                              ("multigroup", 3, 3)):
             learner = OnlineForestLearner(LearnerConfig(
                 n_features=10, fairness=notion, fairness_weight=1.0,
                 n_groups=n_groups, seed=0))
@@ -307,8 +309,28 @@ class TestAuditEstimationError:
                 learner.step(row, y, a)
             reports = audit_estimation_error(trace, 0.01, notion, n_groups)
             assert reports
-            np.testing.assert_allclose(reports[0].theoretical, 0.005)
+            np.testing.assert_allclose(reports[0].theoretical,
+                                       0.005 * n_contrasts)
             assert all(r.passed for r in reports), notion
+
+    @pytest.mark.parametrize("notion, n_groups, n_classes, n_contrasts", [
+        ("dp", 2, 2, 1), ("equalized_odds", 2, 3, 3), ("multigroup", 4, 2, 4),
+    ])
+    def test_bound_sums_one_term_per_contrast(self, notion, n_groups,
+                                              n_classes, n_contrasts):
+        """The contrast sum adds one Huber term per contrast, each within
+        delta * B / 2, so the stated bound is their sum: one term under
+        ``dp``, one per class under ``equalized_odds`` and one per group
+        under ``multigroup``, with B the largest instance norm."""
+        trace = self._frozen_trace(2, 2, 3, 20, seed=42, n_groups=n_groups,
+                                   n_classes=n_classes)
+        norm = max(np.linalg.norm(step.x) for step in trace)
+        reports = audit_estimation_error(trace, 0.01, notion, n_groups)
+        assert reports
+        for report in reports:
+            np.testing.assert_allclose(report.theoretical,
+                                       n_contrasts * 0.01 * norm / 2,
+                                       rtol=1e-15)
 
     def test_report_serialization(self):
         forest = ObliqueForest.random(1, 2, 2, rng=11)
