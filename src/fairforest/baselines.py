@@ -3,7 +3,7 @@
 Four contrast points against the node-level penalty:
 
 * ``OnlineMlpLearner``: a two-layer ReLU network with one fairness
-  constraint on the output vector itself, its running means kept in the
+  constraint on the output vector itself, its running sums kept in the
   same store as the forest's, one row per output.
 * ``LeafPenaltyLearner``: the same forest learner, but the penalty sits
   on the leaf probabilities (products of gates) instead of on the gates.
@@ -26,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .forest import (
-    ObliqueForest,
-    _all_node_outputs,
-    _ancestor_rows,
-    _block_views,
+from .forest import ObliqueForest, _all_node_outputs, _block_views
+from .gradients import (
+    ForestGradient,
+    HuberPenalty,
+    _leaf_jacobian,
+    _leaf_jacobian_index,
+    softmax,
 )
-from .gradients import ForestGradient, HuberPenalty, softmax
 from .learner import (
     AdamState,
     LearnerConfig,
@@ -88,13 +89,14 @@ def reservoir_fairness_gradient(
     """Exact weighted fairness gradient over the stored history.
 
     Recomputes every gate output and gate gradient at the current
-    parameters, takes exact per-key means in the node store's layout,
+    parameters, takes exact per-key sums in the node store's layout,
     and sums the Huber contrast product (``stats.huber_contrast_sum``)
-    over the table's weights at the reservoir's key sizes, as the node
-    store does over its running means.  Returns ``(gradient, cold)``;
-    the gradient is zero and ``cold`` is True while every weight is zero:
-    no contrast is warm yet, or under ``multigroup`` one group alone has
-    been seen, so its gap is exactly zero.
+    over the table's weights at the reservoir's key sizes, divided by
+    those sizes, as the node store does over its running sums.  Returns
+    ``(gradient, cold)``; the gradient is zero and ``cold`` is True while
+    every weight is zero: no contrast is warm yet, or under
+    ``multigroup`` one group alone has been seen, so its gap is exactly
+    zero.
     """
     grad = ForestGradient.zeros(forest.shape)
     weights = reservoir.table.weights(reservoir.sizes)
@@ -102,28 +104,28 @@ def reservoir_fairness_gradient(
         return grad, True
     if penalty.weight == 0.0:
         return grad, False
+    weights /= np.maximum(reservoir.sizes, 1)
     t, m, d = forest.tree_count, forest.shape.n_nodes, forest.n_features
-    means = np.zeros((reservoir.table.n_keys, d + 2, t * m))
+    sums = np.zeros((reservoir.table.n_keys, d + 2, t * m))
     # Keys no warm contrast weighs are never evaluated.
     for key in np.flatnonzero(weights.any(axis=0)):
-        means[key] = _reservoir_key_means(forest, reservoir.key_features(key))
-    total = huber_contrast_sum(weights, means, penalty.delta)
+        sums[key] = _reservoir_key_sums(forest, reservoir.key_features(key))
+    total = huber_contrast_sum(weights, sums, penalty.delta)
     total = total.reshape(d + 1, t, m)  # bias, then weights
     np.multiply(total[1:].transpose(1, 2, 0), penalty.weight, out=grad.weights)
     np.multiply(total[0], penalty.weight, out=grad.biases)
     return grad, False
 
 
-def _reservoir_key_means(forest: ObliqueForest, features: np.ndarray):
-    """Means over a batch of ``[n, n (1 - n), n (1 - n) x]``, the node
+def _reservoir_key_sums(forest: ObliqueForest, features: np.ndarray):
+    """Sums over a batch of ``[n, n (1 - n), n (1 - n) x]``, the node
     store's ``(d + 2, T * m)`` rows."""
     edges = _all_node_outputs(forest, features)  # (n, T, 2m)
     gates, right = np.split(edges, 2, axis=-1)
     slopes = gates * right
-    n = features.shape[0]
     return np.concatenate([
-        gates.mean(axis=0)[None], slopes.mean(axis=0)[None],
-        np.einsum("ntm,nd->dtm", slopes, features) / n,
+        gates.sum(axis=0)[None], slopes.sum(axis=0)[None],
+        np.einsum("ntm,nd->dtm", slopes, features),
     ]).reshape(forest.n_features + 2, -1)
 
 
@@ -165,14 +167,38 @@ class ReservoirLearner(OnlineForestLearner):
 # ---------------------------------------------------------------------------
 
 
-def _leaf_node_rows(tree_count: int, height: int, width: int) -> np.ndarray:
-    """Flat position, in a ``(width, T, m)`` node sum, of every
-    ``(row, depth, tree, leaf)`` entry of the leaf store's gradient rows:
-    row-major ``(row * T + tree) * m`` plus the leaf's depth ancestor.
-    Writable on purpose: ``np.bincount`` copies a read-only index array,
-    one store-sized copy per call."""
-    blocks = np.arange(width * tree_count).reshape(width, 1, tree_count, 1)
-    return (blocks * (2**height - 1) + _ancestor_rows(height)[:, None]).ravel()
+def _leaf_node_plan(height: int, tree_count: int,
+                    width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Segment bounds and gather order that sum the leaf store's gradient
+    rows onto the nodes, ``width * T * m`` entries each.
+
+    The rows are ``(width, h, T, 2**h)`` (bias or weight, depth, tree,
+    leaf), flattened; per (row, depth ``k``, tree) the leaves below each
+    depth-``k`` node are one contiguous block of ``2**(h - k)``.
+    ``np.add.reduceat(rows.ravel(), bounds)`` sums every block, in
+    (row, depth, tree, node) order, and ``order`` takes those sums to a
+    gradient vector's ``[weights (T, m, width - 1) | biases (T, m)]``
+    prefix: row 0 is the bias, rows ``1:`` the weights.  Writable on
+    purpose: ``np.add.reduceat`` and ``np.take`` copy a read-only index.
+    """
+    t, leaves, nodes = tree_count, 2**height, 2**height - 1
+    node = np.arange(nodes, dtype=np.intp)
+    depth = np.repeat(np.arange(height), 2 ** np.arange(height))
+    place = node - ((1 << depth) - 1)  # the node's place in its depth
+    tree = np.arange(t)[:, None]
+    # Within one row the sums run depth by depth, each depth tree by
+    # tree, each tree its depth's nodes left to right: (tree, node) is
+    # sum ``rank``, and its block starts at ``starts[rank]``.
+    rank = (t * ((1 << depth) - 1) + tree * (1 << depth) + place).ravel()
+    starts = np.empty(t * nodes, dtype=np.intp)
+    starts[rank] = ((depth * t + tree) * leaves
+                    + (place << (height - depth))).ravel()
+    row = np.arange(width, dtype=np.intp)[:, None]
+    bounds = (row * (height * t * leaves) + starts).ravel()
+    # Rows 1: go to the weights (T, m, width - 1), row 0 to the biases.
+    order = np.concatenate([(rank[:, None] + row[1:].T * (t * nodes)).ravel(),
+                            rank])
+    return bounds, order
 
 
 class LeafPenaltyLearner(OnlineForestLearner):
@@ -190,14 +216,21 @@ class LeafPenaltyLearner(OnlineForestLearner):
         # probability, then its Jacobian in the bias and each weight
         # (feature-or-bias major) of its depth-k ancestor, (d + 1, h)
         # flattened.  Without a penalty nothing reads it, so none is built.
-        self.leaf_store = self._node_rows = None
+        self.leaf_store = None
         if config.has_penalty:
+            width = shape.n_features + 1
             self.leaf_store = RunningMeans(
                 config.notion_table(), (shape.tree_count, shape.n_leaves),
-                1 + (shape.n_features + 1) * shape.height,
+                1 + width * shape.height,
             )
-            self._node_rows = _leaf_node_rows(
-                shape.tree_count, shape.height, shape.n_features + 1)
+            self._jacobian_index = _leaf_jacobian_index(
+                self.forest.path_columns, shape.tree_count)
+            self._node_bounds, self._node_order = _leaf_node_plan(
+                shape.height, shape.tree_count, width)
+            self._node_sums = np.zeros(self._node_order.size)
+            # The gradient's weights and biases: the prefix before the
+            # leaf rows, which stay zero.
+            self._node_grad = self._fair.vector[:self._node_order.size]
 
     def _build_store(self) -> None:
         """No gate store: the penalty reads ``leaf_store``."""
@@ -212,7 +245,8 @@ class LeafPenaltyLearner(OnlineForestLearner):
         # A view: splitting the contiguous leading axis copies nothing.
         # d p_l / d w_i = (d p_l / d b_i) * x, for the path nodes i of l.
         path = values[1:].reshape(x.size + 1, h, t, 2**h)
-        path[0] = cache.leaf_jac.transpose(1, 0, 2)
+        _leaf_jacobian(cache.edges, cache.leaf_probs, self._jacobian_index,
+                       out=path[0])
         np.multiply(x[:, None, None, None], path[0], out=path[1:])
         self.leaf_store.fold(a, y, values)
 
@@ -221,18 +255,14 @@ class LeafPenaltyLearner(OnlineForestLearner):
         are never written and stay zero."""
         if self.leaf_store is None:
             return self._fair
-        t, h = self.forest.tree_count, self.forest.height
-        width = self.forest.n_features + 1
         total = self.leaf_store.contrast_sum(self.penalty.delta)
-        per_node = np.bincount(
-            self._node_rows, weights=total.ravel(),
-            minlength=width * t * (2**h - 1),
-        ).reshape(width, t, 2**h - 1)  # bias, then weights
-        grad = self._fair
-        np.multiply(per_node[1:].transpose(1, 2, 0), self.penalty.weight,
-                    out=grad.weights)
-        np.multiply(per_node[0], self.penalty.weight, out=grad.biases)
-        return grad
+        np.add.reduceat(total.ravel(), self._node_bounds, out=self._node_sums)
+        # Every index is in range; "clip" skips the copy that "raise"
+        # makes of the output before writing it.
+        np.take(self._node_sums, self._node_order, out=self._node_grad,
+                mode="clip")
+        self._node_grad *= self.penalty.weight
+        return self._fair
 
     def checkpoint(self) -> dict:
         raise ConfigurationError(

@@ -28,7 +28,6 @@ from .forest import (
     _leaf_probability_gradients_stacked,
     _mix_leaves,
     _path_edges,
-    _path_signs,
 )
 from .stats import AggregateStore
 
@@ -124,14 +123,42 @@ class _ForwardCache:
     @property
     def leaf_jac(self) -> np.ndarray:
         """Path-form Jacobian of the leaf probabilities in the node biases,
-        (T, h, 2**h): entry ``[t, k, l]`` is the derivative of leaf ``l``'s
-        probability in the bias of its depth-``k`` ancestor, ``p_l`` times
-        the ancestor's other edge, signed by the side the leaf hangs on."""
-        n_nodes = self.gates.shape[1]
-        height = n_nodes.bit_length()
-        other = np.take(self.edges, (_path_edges(height) + n_nodes) % (2 * n_nodes),
-                        axis=-1)
-        return other * self.leaf_probs[:, None] * _path_signs(height)
+        (T, h, 2**h): ``_leaf_jacobian``, seen tree-major."""
+        tree_count, n_nodes = self.gates.shape
+        index = _leaf_jacobian_index(_path_edges(n_nodes.bit_length()), tree_count)
+        return _leaf_jacobian(self.edges, self.leaf_probs, index).transpose(1, 0, 2)
+
+
+def _leaf_jacobian_index(path_columns: np.ndarray, tree_count: int) -> np.ndarray:
+    """Flat position, in a ``(T, 2m)`` edge array, of the path factor of
+    every (depth, tree, leaf): a forest's ``path_columns`` offset by each
+    tree's row, shape (h, T, 2**h)."""
+    row = 2 * (path_columns.shape[1] - 1)
+    return path_columns[:, None, :] + row * np.arange(tree_count)[:, None]
+
+
+def _leaf_jacobian(edges: np.ndarray, leaf_probs: np.ndarray,
+                   index: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Path-form Jacobian of the leaf probabilities in the node biases,
+    (h, T, 2**h), from the ``(T, 2m)`` edges, the ``(T, 2**h)`` leaf
+    probabilities and ``_leaf_jacobian_index``: entry ``[k, t, l]`` is the
+    derivative of leaf ``l``'s probability in the bias of its depth-``k``
+    ancestor, ``p_l`` times the ancestor's other edge, signed by the side
+    the leaf hangs on.
+
+    One gather of the signed other-edge row ``[right | -left]`` through
+    the path columns (a leaf hanging left of a node reads the node's left
+    column, so there it finds ``+right``), written into ``out`` when
+    given, then one multiply by ``p`` in place.
+    """
+    m = edges.shape[-1] // 2
+    signed = np.concatenate([edges[:, m:], -edges[:, :m]], axis=-1)
+    # Every index is in range; "clip" skips the copy that "raise" makes
+    # of the output before writing it.
+    out = np.take(signed, index, out=out, mode="clip")
+    out *= leaf_probs
+    return out
 
 
 def task_gradient(forest: ObliqueForest, x: np.ndarray, y: int) -> ForestGradient:
@@ -184,7 +211,7 @@ def _task_gradient_cached(forest: ObliqueForest, x: np.ndarray, y: int,
 def fairness_gradient(store: AggregateStore, penalty: HuberPenalty,
                       shape: ForestShape,
                       out: ForestGradient | None = None) -> ForestGradient:
-    """Weighted Huber-penalty gradient from the store's running means,
+    """Weighted Huber-penalty gradient from the store's running sums,
     written into ``out`` when given.
 
     One Huber contrast product over the notion's contrast weights (see

@@ -70,12 +70,15 @@ class AdamState:
         self._scale = np.zeros(size)
 
     def apply(self, params: np.ndarray, grads: np.ndarray) -> None:
-        """One bias-corrected Adam update, in place on the vector ``params``:
-        ``params -= lr * (m / c1) / (sqrt(v / c2) + eps)``."""
+        """One bias-corrected Adam update, in place on the vector ``params``,
+        in Kingma and Ba's efficient form (arXiv:1412.6980, section 2):
+        ``params -= alpha_t * m / (sqrt(v) + eps_t)`` with ``alpha_t = lr *
+        sqrt(c2) / c1`` and ``eps_t = eps * sqrt(c2)``, which is ``lr * (m /
+        c1) / (sqrt(v / c2) + eps)`` without dividing either moment."""
         self.t += 1
         h = self.hyper
         c1 = 1.0 - h.beta1**self.t
-        c2 = 1.0 - h.beta2**self.t
+        root_c2 = math.sqrt(1.0 - h.beta2**self.t)
         m, v, step, scale = self.m, self.v, self._step, self._scale
         m *= h.beta1
         np.multiply(grads, 1.0 - h.beta1, out=step)
@@ -84,11 +87,9 @@ class AdamState:
         np.multiply(grads, 1.0 - h.beta2, out=step)
         step *= grads
         v += step
-        np.divide(m, c1, out=step)
-        step *= h.learning_rate
-        np.divide(v, c2, out=scale)
-        np.sqrt(scale, out=scale)
-        scale += h.epsilon
+        np.sqrt(v, out=scale)
+        scale += h.epsilon * root_c2
+        np.multiply(m, h.learning_rate * root_c2 / c1, out=step)
         step /= scale
         params -= step
 
@@ -318,7 +319,7 @@ def _check_step(config: LearnerConfig, x, y: int, a: int) -> np.ndarray:
     return x
 
 
-CHECKPOINT_FORMAT = "fairforest-checkpoint-v6"
+CHECKPOINT_FORMAT = "fairforest-checkpoint-v7"
 _CHECKPOINT_KEYS = ("format", "config", "step_count", "correct", "floats",
                     "counts")
 
@@ -476,7 +477,7 @@ class OnlineForestLearner:
         counts = {"metrics.groups": np.array(metrics.group_counts,
                                              dtype=np.int64)}
         if self.store is not None:
-            floats["store.means"] = self.store.means
+            floats["store.sums"] = self.store.sums
             counts["store"] = self.store.counts
         return floats, counts
 

@@ -221,7 +221,7 @@ def audit_estimation_error(trace: list[TraceStep], delta: float,
     with ``reservoir_fairness_gradient``, the exact gradient recomputed at
     that step's parameters over the full history; both are the one
     weighted product ``stats.huber_contrast_sum``, over running and over
-    exact key means.  The observed value per
+    exact key sums.  The observed value per
     step is the largest per-node Euclidean distance between the two (bias
     and weights together, both at unit penalty weight).  The theoretical
     value is ``n_contrasts * delta * B / 2`` with ``B`` the largest

@@ -14,6 +14,7 @@ from fairforest.baselines import (
     OnlineMlpLearner,
     Reservoir,
     ReservoirLearner,
+    _leaf_node_plan,
     majority_postprocess,
     make_learner,
     reservoir_fairness_gradient,
@@ -40,6 +41,7 @@ from oracles import (
     gate_rows,
     keyed_penalty_gradient,
     leaf_rows,
+    mask_oracle,
     mlp_block_fairness_gradient,
     mlp_rows,
 )
@@ -388,6 +390,30 @@ class TestLeafPenaltyLearner:
         np.testing.assert_allclose(learner._fairness_gradient().vector, want,
                                    rtol=1e-9, atol=1e-12)
 
+    @given(height=st.integers(1, 10), trees=st.integers(1, 3),
+           width=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_node_plan_sums_what_the_ancestor_mask_says(self, height, trees,
+                                                        width, seed):
+        """The plan's one segmented sum, taken through its order, gives
+        every node the sum of its depth's row over the leaves below it,
+        as the dense ancestor mask says, laid out as the gradient's
+        ``[weights (T, m, width - 1) | biases (T, m)]`` prefix.  Integer
+        values make every summation order exact, so the match is exact."""
+        rng = np.random.default_rng(seed)
+        leaves, nodes = 2**height, 2**height - 1
+        rows = rng.integers(-2**20, 2**20, size=(width, height, trees, leaves))
+        rows = rows.astype(np.float64)
+        bounds, order = _leaf_node_plan(height, trees, width)
+        got = np.add.reduceat(rows.ravel(), bounds).take(order)
+        below = (mask_oracle(height) != 0).astype(np.float64)  # (m, L)
+        want = np.zeros((width, trees, nodes))
+        for depth in range(height):
+            level = slice(2**depth - 1, 2 ** (depth + 1) - 1)
+            want[:, :, level] = rows[:, depth] @ below[level].T
+        np.testing.assert_array_equal(got, np.concatenate([
+            want[1:].transpose(1, 2, 0).ravel(), want[0].ravel()]))
+
     def test_checkpoint_unsupported(self):
         _, leaf_learner = self._frozen_pair(delta=0.01)
         with pytest.raises(ConfigurationError):
@@ -446,7 +472,7 @@ class TestMlp:
             learner.step(rng.normal(size=3), step % 2, (step // 2) % 2)
         learner.params.w2[0, 0] = np.inf
         learner.params.b1[...] = 1.0
-        arrays = (learner.params.vector, learner.store.means,
+        arrays = (learner.params.vector, learner.store.sums,
                   learner.store.counts, learner.adam.m, learner.adam.v)
         before = [a.copy() for a in arrays]
         metrics = dict(vars(learner.metrics))
@@ -603,7 +629,7 @@ class TestMlp:
         before = learner.params.vector.copy()
         learner.step(x, 0, 0)
         learner.params.vector[...] = before
-        rows = learner.store.means[0]  # (1 + P, c)
+        rows = learner.store.sums[0]  # (1 + P, c): one instance, its own rows
         np.testing.assert_array_equal(rows[0], learner.forward(x))
         for k in range(c):
             numeric = mlp_numeric_grads(

@@ -10,11 +10,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairforest.errors import ConfigurationError, NumericalError, ShapeError
-from fairforest.forest import ForestShape, ObliqueForest, forward
+from fairforest.forest import (
+    ForestShape,
+    ObliqueForest,
+    _path_edges,
+    _path_signs,
+    forward,
+)
 from fairforest.gradients import (
     ForestGradient,
     HuberPenalty,
     _ForwardCache,
+    _leaf_jacobian,
+    _leaf_jacobian_index,
     _task_gradient_cached,
     cross_entropy,
     fairness_gradient,
@@ -433,6 +441,45 @@ class TestTaskGradient:
         forest.leaves[:] = np.inf
         with pytest.raises(NumericalError):
             task_gradient(forest, np.zeros(2), 0)
+
+
+class TestLeafJacobian:
+    """The path-form leaf Jacobian: one gather of the signed other edges,
+    one multiply by the leaf probabilities."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        height=st.integers(1, 8),
+        trees=st.integers(1, 4),
+        log_scale=st.floats(-2.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_signed_product_bit_for_bit(self, height, trees,
+                                                   log_scale, seed):
+        """``_leaf_jacobian`` and ``leaf_jac`` give exactly the bits of
+        the other edge gathered by the path columns, times ``p``, times
+        the path sign (signed zeros included), with pre-activations up to
+        about 1e3 so some gates saturate to exact 0 and 1."""
+        rng = np.random.default_rng(seed)
+        forest = ObliqueForest.random(height, 3, 2, tree_count=trees, rng=rng)
+        scale = 10.0**log_scale
+        forest.weights *= scale
+        forest.biases += rng.uniform(-scale, scale, size=forest.biases.shape)
+        cache = _ForwardCache(forest, rng.standard_normal(3))
+        m = forest.shape.n_nodes
+        other = np.take(cache.edges, (_path_edges(height) + m) % (2 * m),
+                        axis=-1)
+        want = other * cache.leaf_probs[:, None] * _path_signs(height)
+        index = _leaf_jacobian_index(forest.path_columns, trees)
+        got = _leaf_jacobian(cache.edges, cache.leaf_probs, index)
+        assert got.shape == (height, trees, 2**height)
+        assert got.transpose(1, 0, 2).tobytes() == want.tobytes()
+        assert cache.leaf_jac.tobytes() == want.tobytes()
+        # Written into a caller's block, as the leaf baseline stages it.
+        block = np.full((height, trees, 2**height), np.nan)
+        assert _leaf_jacobian(cache.edges, cache.leaf_probs, index,
+                              out=block) is block
+        assert block.tobytes() == got.tobytes()
 
 
 class TestFairnessGradient:

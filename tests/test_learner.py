@@ -46,6 +46,13 @@ def adam_oracle(grads, lr, b1=0.9, b2=0.999, eps=1e-8, x0=0.0):
     return x
 
 
+def store_means(store):
+    """The store's per-key means, its sums over its counts (0 for an
+    unseen key)."""
+    divisors = np.maximum(store.counts, 1)
+    return store.sums / divisors.reshape(-1, *[1] * (store.sums.ndim - 1))
+
+
 def biased_stream(n, seed, noise=0.1):
     """Instances whose label equals the group and whose first coordinate
     leaks the group."""
@@ -109,7 +116,9 @@ class TestAdam:
 
     def test_flat_step_equals_per_array_reference(self):
         """One update of the flat vector gives exactly what the same
-        element-wise expressions give block by block."""
+        element-wise expressions give block by block, in Kingma and Ba's
+        efficient form: the bias corrections folded into the step size and
+        epsilon, so neither moment is divided."""
         shapes = ForestShape(3, 4, 10, 2).param_shapes
         hyper = AdamParams(learning_rate=0.01)
         rng = np.random.default_rng(12)
@@ -121,13 +130,15 @@ class TestAdam:
             grad = rng.standard_normal(flat.size)
             state.apply(flat, grad)
             c1 = 1.0 - hyper.beta1**t
-            c2 = 1.0 - hyper.beta2**t
+            root_c2 = np.sqrt(1.0 - hyper.beta2**t)
+            alpha = hyper.learning_rate * root_c2 / c1
+            eps = hyper.epsilon * root_c2
             for p, g, (m, v) in zip(blocks, _block_views(grad, shapes), moments):
                 m *= hyper.beta1
                 m += (1.0 - hyper.beta1) * g
                 v *= hyper.beta2
                 v += (1.0 - hyper.beta2) * g * g
-                p -= hyper.learning_rate * (m / c1) / (np.sqrt(v / c2) + hyper.epsilon)
+                p -= alpha * m / (np.sqrt(v) + eps)
         for p, block, (m, v), mv, vv in zip(
             _block_views(flat, shapes), blocks, moments,
             _block_views(state.m, shapes), _block_views(state.v, shapes),
@@ -700,20 +711,22 @@ class TestCheckpoint:
         2 wrote every array as nested lists, version 3 repeated the
         layout the config fixes, version 4 held a config with a decay
         field and no gradient norms, version 5 held a multigroup store with
-        an overall key; all are refused like any other unknown format."""
+        an overall key, version 6 held running means instead of sums; all
+        are refused like any other unknown format."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2))
         data = learner.checkpoint()
-        assert data["format"] == "fairforest-checkpoint-v6"
+        assert data["format"] == "fairforest-checkpoint-v7"
         for unknown in ("something-else", "fairforest-checkpoint-v1",
                         "fairforest-checkpoint-v2", "fairforest-checkpoint-v3",
-                        "fairforest-checkpoint-v4", "fairforest-checkpoint-v5"):
+                        "fairforest-checkpoint-v4", "fairforest-checkpoint-v5",
+                        "fairforest-checkpoint-v6"):
             data["format"] = unknown
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(data)
 
     def test_v2_checkpoint_is_refused(self):
         """A file in the v2 layout (nested lists) is a DataError, and so
-        is the same content relabelled v3, v4, v5 or v6."""
+        is the same content relabelled v3 to v7."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2,
                                                     fairness_weight=0.5, seed=3))
         self._run(learner, biased_stream(5, seed=11))
@@ -731,7 +744,7 @@ class TestCheckpoint:
                 name: [a.tolist() for a in _block_views(getattr(adam, name), shapes)]
                 for name in ("m", "v")}},
             "store": {"counts": learner.store.counts.tolist(),
-                      "means": learner.store.means.tolist()},
+                      "means": store_means(learner.store).tolist()},
             "metrics": {"total": metrics.total, "correct": metrics.correct,
                         "group_counts": metrics.group_counts,
                         "group_label_sums": metrics.group_label_sums,
@@ -739,7 +752,7 @@ class TestCheckpoint:
         }
         for label in ("fairforest-checkpoint-v2", "fairforest-checkpoint-v3",
                       "fairforest-checkpoint-v4", "fairforest-checkpoint-v5",
-                      "fairforest-checkpoint-v6"):
+                      "fairforest-checkpoint-v6", "fairforest-checkpoint-v7"):
             data["format"] = label
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(json.loads(json.dumps(data)))
@@ -748,7 +761,7 @@ class TestCheckpoint:
         """A file in the v3 layout (sections that repeat the height, the
         store's shape and notion, the metrics' group and output counts
         and ``adam.t``) is a DataError, and so is the same content
-        relabelled v4, v5 or v6."""
+        relabelled v4 to v7."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2,
                                                     fairness_weight=0.5, seed=3))
         self._run(learner, biased_stream(5, seed=11))
@@ -765,7 +778,7 @@ class TestCheckpoint:
                       "n_classes": store.n_classes, "decay": None,
                       "shape": list(store.shape),
                       "counts": store.counts.tolist(),
-                      "means": encode_floats(np.moveaxis(store.means, 1, -1))},
+                      "means": encode_floats(np.moveaxis(store_means(store), 1, -1))},
             "metrics": {"n_groups": 2, "n_outputs": 2, "total": metrics.total,
                         "correct": metrics.correct,
                         "group_counts": metrics.group_counts,
@@ -773,13 +786,14 @@ class TestCheckpoint:
                         "group_output_sums": encode_floats(metrics.group_output_sums)},
         }
         for label in ("fairforest-checkpoint-v3", "fairforest-checkpoint-v4",
-                      "fairforest-checkpoint-v5", "fairforest-checkpoint-v6"):
+                      "fairforest-checkpoint-v5", "fairforest-checkpoint-v6",
+                      "fairforest-checkpoint-v7"):
             data["format"] = label
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(json.loads(json.dumps(data)))
 
     def test_v3_layout_restores_and_steps_identically(self):
-        """v6 keeps the v3 encoding of every float array: one base64 string
+        """v7 keeps the v3 encoding of every float array: one base64 string
         of its float64 bytes, the forest and each Adam moment as one flat
         vector.  Restoring gives the same bits, and stepping matches the
         learner that was never interrupted."""
@@ -793,7 +807,7 @@ class TestCheckpoint:
             ("forest", n_params),
             ("adam.m", n_params),
             ("adam.v", n_params),
-            ("store.means", straight.store.means.size),
+            ("store.sums", straight.store.sums.size),
             ("metrics.label_sums", 2),
             ("metrics.output_sums", 4),
         ):
@@ -803,13 +817,54 @@ class TestCheckpoint:
         resumed = OnlineForestLearner.restore(data)
         np.testing.assert_array_equal(resumed.adam.m, straight.adam.m)
         np.testing.assert_array_equal(resumed.adam.v, straight.adam.v)
-        np.testing.assert_array_equal(resumed.store.means, straight.store.means)
+        np.testing.assert_array_equal(resumed.store.sums, straight.store.sums)
         np.testing.assert_array_equal(resumed.forest.vector, straight.forest.vector)
         tail = list(biased_stream(20, seed=14))
         assert self._run(resumed, tail) == self._run(straight, tail)
         np.testing.assert_array_equal(resumed.forest.vector, straight.forest.vector)
         np.testing.assert_array_equal(resumed.adam.m, straight.adam.m)
         np.testing.assert_array_equal(resumed.adam.v, straight.adam.v)
+
+    def test_v6_checkpoint_is_refused(self):
+        """A v6 file held the store's running means under ``store.means``;
+        it is a DataError, and so is the same content relabelled v7, whose
+        store entry is ``store.sums``."""
+        learner = OnlineForestLearner(LearnerConfig(n_features=2,
+                                                    fairness_weight=0.5, seed=3))
+        self._run(learner, biased_stream(5, seed=11))
+        data = json.loads(json.dumps(learner.checkpoint()))
+        del data["floats"]["store.sums"]
+        data["floats"]["store.means"] = encode_floats(store_means(learner.store))
+        for label in ("fairforest-checkpoint-v6", "fairforest-checkpoint-v7"):
+            data["format"] = label
+            with pytest.raises(DataError):
+                OnlineForestLearner.restore(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize("notion, n_outputs, n_groups", [
+        ("dp", 2, 2), ("equalized_odds", 3, 2), ("multigroup", 2, 4),
+    ], ids=["dp", "eo-C3", "multigroup-G4"])
+    def test_v7_round_trip_restores_the_store_bit_for_bit(self, notion,
+                                                          n_outputs, n_groups):
+        """The restored store's sums, counts and count-scaled contrast
+        weights are the saved store's bits; with four multigroup groups on
+        a three-group stream one key stays unseen."""
+        cfg = LearnerConfig(n_features=3, n_outputs=n_outputs, height=3,
+                            fairness=notion, fairness_weight=0.7,
+                            n_groups=n_groups, seed=5)
+        learner = OnlineForestLearner(cfg)
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            learner.step(rng.standard_normal(3), int(rng.integers(0, n_outputs)),
+                         int(rng.integers(0, min(n_groups, 3))))
+        data = json.loads(json.dumps(learner.checkpoint()))
+        assert data["format"] == "fairforest-checkpoint-v7"
+        restored = OnlineForestLearner.restore(data).store
+        store = learner.store
+        assert (store.counts > 1).sum() >= 2
+        for name in ("sums", "counts", "contrast_weights"):
+            got, want = getattr(restored, name), getattr(store, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("weight", [0.7, 0.0], ids=["penalty", "weight0"])
     @pytest.mark.parametrize("notion, n_outputs, n_groups", [
@@ -846,11 +901,11 @@ class TestCheckpoint:
                 assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_v4_holds_only_the_config_and_the_learner_arrays(self):
-        """A v6 file keeps the v4 layout, which repeats nothing the config
+        """A v7 file keeps the v4 layout, which repeats nothing the config
         or the step count fixes: besides them it holds the number of
         correct predictions, the last step's gradient norms and the
         learner's own arrays by name, each float array one base64 string
-        of its float64 bytes in the array's own order (store means
+        of its float64 bytes in the array's own order (store sums
         width-first, as the store keeps them) and each count array a list
         of JSON integers.  A multigroup store holds one block and one count
         per group."""
@@ -872,7 +927,7 @@ class TestCheckpoint:
                   "metrics.output_sums": np.array(learner.metrics.group_output_sums),
                   "grad_norms": np.array([learner._last_total_norm,
                                           learner._last_fair_norm]),
-                  "store.means": learner.store.means}
+                  "store.sums": learner.store.sums}
         assert data["floats"].keys() == floats.keys()
         for name, array in floats.items():
             assert base64.b64decode(data["floats"][name]) == array.tobytes()
@@ -880,7 +935,7 @@ class TestCheckpoint:
             "metrics.groups": learner.metrics.group_counts,
             "store": learner.store.counts.tolist(),
         }
-        assert learner.store.means.shape[0] == len(data["counts"]["store"]) == 3
+        assert learner.store.sums.shape[0] == len(data["counts"]["store"]) == 3
         assert data["counts"]["store"] == learner.metrics.group_counts
 
     def test_malformed_forest_and_adam_arrays_are_refused(self):
@@ -914,7 +969,7 @@ class TestCheckpoint:
 
     def test_truncated_store_is_refused(self):
         """Truncated, wrong-length, non-finite, non-string or non-base64
-        store means, and truncated, negative or non-integer store counts,
+        store sums, and truncated, negative or non-integer store counts,
         are a DataError at load."""
         learner = OnlineForestLearner(LearnerConfig(
             n_features=2, fairness="multigroup", n_groups=3,
@@ -924,18 +979,18 @@ class TestCheckpoint:
             learner.step(rng.standard_normal(2), int(rng.integers(0, 2)),
                          int(rng.integers(0, 3)))
         good = json.loads(json.dumps(learner.checkpoint()))
-        means = learner.store.means
-        non_finite = means.copy()
+        sums = learner.store.sums
+        non_finite = sums.copy()
         non_finite[0, 1, 1, 0] = np.nan
-        text = good["floats"]["store.means"]
+        text = good["floats"]["store.sums"]
         counts = good["counts"]["store"]
         edits = [
-            ("floats", "store.means", text[:8]),
-            ("floats", "store.means", text[:-12]),
-            ("floats", "store.means", encode_floats(means[:-1])),
-            ("floats", "store.means", encode_floats(non_finite)),
-            ("floats", "store.means", means.tolist()),
-            ("floats", "store.means", text.replace("A", "*", 1)),
+            ("floats", "store.sums", text[:8]),
+            ("floats", "store.sums", text[:-12]),
+            ("floats", "store.sums", encode_floats(sums[:-1])),
+            ("floats", "store.sums", encode_floats(non_finite)),
+            ("floats", "store.sums", sums.tolist()),
+            ("floats", "store.sums", text.replace("A", "*", 1)),
             ("counts", "store", counts[:-1]),
             ("counts", "store", [-1] + counts[1:]),
             ("counts", "store", [2.9, 3.5] + counts[2:]),
@@ -1066,7 +1121,7 @@ class TestCheckpoint:
         good = self._good_checkpoint()
 
         def no_store(d):
-            del d["floats"]["store.means"], d["counts"]["store"]
+            del d["floats"]["store.sums"], d["counts"]["store"]
 
         for edit in (no_store,
                      lambda d: d["config"].__setitem__("fairness_weight", 0.0),

@@ -5,6 +5,7 @@ vector."""
 
 import base64
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,7 @@ from fairforest.learner import (
     decode_floats,
     encode_floats,
 )
-from fairforest.stats import AggregateStore
+from fairforest.stats import AggregateStore, NotionTable, RunningMeans
 from oracles import contrast_selections, keyed_penalty_gradient
 
 SHAPE = ForestShape(tree_count=2, height=2, n_features=3, n_outputs=2)
@@ -61,9 +62,9 @@ def feed_random(store, n, seed, n_groups=2, n_classes=2):
 
 
 def gaps(store):
-    """Row-0 gap of every contrast, its weights times the key means,
-    (n_contrasts, T, m)."""
-    return np.einsum("ck,ktm->ctm", store.contrast_weights, store.means[:, 0])
+    """Row-0 gap of every contrast, its count-scaled weights times the
+    key sums, (n_contrasts, T, m)."""
+    return np.einsum("ck,ktm->ctm", store.contrast_weights, store.sums[:, 0])
 
 
 class TestConstruction:
@@ -99,7 +100,7 @@ class TestConstruction:
         assert store.n_classes is None
 
     def test_layout_is_key_leading(self):
-        """Counts per key; per key, d + 2 width-first rows of cell means."""
+        """Counts per key; per key, d + 2 width-first rows of cell sums."""
         t, m, d = SHAPE.tree_count, SHAPE.n_nodes, SHAPE.n_features
         for notion, kwargs, keys in (
             ("dp", {}, 2),
@@ -108,7 +109,7 @@ class TestConstruction:
         ):
             store = AggregateStore(SHAPE, notion=notion, **kwargs)
             assert store.counts.shape == (keys,)
-            assert store.means.shape == (keys, d + 2, t, m)
+            assert store.sums.shape == (keys, d + 2, t, m)
 
 
 class TestKeyValidation:
@@ -150,10 +151,10 @@ class TestKeyValidation:
 
 
 class TestRunningMeans:
-    """Incremental means agree with batch recomputation."""
+    """Running sums over counts agree with batch recomputation."""
 
     def test_updates_match_list_mean(self):
-        """The incremental mean of one key equals the plain average of the
+        """One key's sums over its count equal the plain average of the
         values fed into it, in every column of the packed row."""
         store = AggregateStore(SHAPE)
         log = [entry for entry in feed_random(store, 40, seed=5)
@@ -162,14 +163,31 @@ class TestRunningMeans:
         gates = np.stack([g for _, _, g, _, _ in log])
         slope = np.stack([s for _, _, _, s, _ in log])
         xs = np.stack([x for _, _, _, _, x in log])
-        np.testing.assert_allclose(store.means[0, 0], gates.mean(axis=0),
+        means = store.sums[0] / store.counts[0]
+        np.testing.assert_allclose(means[0], gates.mean(axis=0),
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(store.means[0, 1], slope.mean(axis=0),
+        np.testing.assert_allclose(means[1], slope.mean(axis=0),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(
-            store.means[0, 2:],
+            means[2:],
             np.einsum("ntm,nd->dtm", slope, xs) / len(log), rtol=0, atol=1e-12,
         )
+
+    def test_long_stream_sums_stay_near_the_exact_mean(self):
+        """Over 2e5 folds of values of either sign, ``sums / n`` stays
+        within 1e-13 of the correctly rounded mean (``math.fsum`` over
+        ``n``) in every cell: each fold adds one rounding of at most half
+        an ulp of the sum, and those errors mostly cancel."""
+        n = 200_000
+        values = np.random.default_rng(8).normal(0.3, 1.0, size=(n, 2, 4))
+        store = RunningMeans(NotionTable("dp"), (4,), 2)
+        for row in values:
+            store.fold(1, 0, row)
+        assert store.counts.tolist() == [0, n]
+        exact = np.array([math.fsum(column) / n for column in
+                          values.reshape(n, -1).T]).reshape(2, 4)
+        np.testing.assert_allclose(store.sums[1] / n, exact, rtol=0,
+                                   atol=1e-13)
 
 
 class TestGapEstimators:
@@ -189,7 +207,10 @@ class TestGapEstimators:
             feed(store, 0, 0, v, slope=v, x=np.full(3, 1.0))
         for v in (0.1, 0.3):
             feed(store, 1, 0, v, slope=v, x=np.full(3, 1.0))
-        np.testing.assert_array_equal(store.contrast_weights, [[1.0, -1.0]])
+        # The table's [1, -1] over the means, each column over its count.
+        np.testing.assert_array_equal(store.counts, [2, 2])
+        np.testing.assert_array_equal(store.contrast_weights * store.counts,
+                                      [[1.0, -1.0]])
         np.testing.assert_allclose(gaps(store), 0.7 - 0.2, atol=1e-12)
         total = store.contrast_sum(delta=10.0)
         grad_w, grad_b = total[1:], total[0]
@@ -321,10 +342,11 @@ class TestVectorizedPath:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_width_first_rows_match_naive_key_means(self, data):
-        """Each key's ``(d + 2, T, m)`` block is the naive mean of
-        ``[n, n (1 - n), n (1 - n) x]`` over the instances that fold into
-        that key, and the contrast sum is the clipped row-0 gap times the
-        other rows, summed over warm contrasts, for every notion."""
+        """Each key's ``(d + 2, T, m)`` block of sums, over its count, is
+        the naive mean of ``[n, n (1 - n), n (1 - n) x]`` over the
+        instances that fold into that key, and the contrast sum is the
+        clipped row-0 gap times the other rows, summed over warm
+        contrasts, for every notion."""
         notion = data.draw(st.sampled_from(["dp", "equalized_odds", "multigroup"]))
         n_groups = data.draw(st.integers(2, 4)) if notion == "multigroup" else 2
         n_classes = data.draw(st.integers(2, 3))
@@ -353,7 +375,8 @@ class TestVectorizedPath:
         for key, values in rows.items():
             assert store.counts[key] == len(values)
             expected = np.mean(values, axis=0) if values else 0.0
-            np.testing.assert_allclose(store.means[key], expected,
+            np.testing.assert_allclose(store.sums[key] / max(len(values), 1),
+                                       expected,
                                        rtol=1e-12, atol=1e-15)
         for plus, minus in naive_contrasts(notion, rows):
             if plus is not None and minus is not None:
@@ -410,7 +433,7 @@ class TestVectorizedPath:
         weights = store.contrast_weights
         np.testing.assert_array_equal(weights[cold], 0.0)
         np.testing.assert_array_equal(weights[:, unseen], 0.0)
-        store.means[unseen] = rng.uniform(-1e3, 1e3, store.means[unseen].shape)
+        store.sums[unseen] = rng.uniform(-1e3, 1e3, store.sums[unseen].shape)
         np.testing.assert_array_equal(store.contrast_sum(delta), total)
 
 
@@ -475,7 +498,7 @@ class TestNoBlockSizedTemporaries:
         for group in range(min(n_groups, 3)):
             for task_class in range(2):
                 store.update_all(group, task_class, gates, slope, x)
-        block = store.means[0].nbytes
+        block = store.sums[0].nbytes
         peaks = {
             "update_all": traced_peak(
                 lambda: store.update_all(1, 0, gates, slope, x)),
@@ -504,12 +527,27 @@ class TestNoBlockSizedTemporaries:
         values = np.random.default_rng(1).normal(size=store.values.shape)
         store.fold(0, 0, values)
         store.fold(1, 0, values)
-        block = store.means[0].nbytes
+        block = store.sums[0].nbytes
         peaks = {
             "fold": traced_peak(lambda: store.fold(1, 0, values)),
             "contrast_sum": traced_peak(lambda: store.contrast_sum(0.01)),
         }
         assert max(peaks.values()) < block / 4, (peaks, block)
+
+    def test_warm_leaf_step(self):
+        """A whole warm step of the leaf baseline (h=6, T=8, d=32: a
+        0.8 MB key block) stays below a quarter of a key block: the
+        Jacobian is gathered straight into the staging block, the fold
+        adds in place, and the node sums and their gather into the
+        gradient write into blocks the learner holds."""
+        learner = LeafPenaltyLearner(LearnerConfig(
+            n_features=32, height=6, tree_count=8, fairness_weight=1.0))
+        x = np.random.default_rng(3).normal(size=32)
+        for group in (0, 1, 0, 1):
+            learner.step(x, 0, group)
+        block = learner.leaf_store.sums[0].nbytes
+        peak = traced_peak(lambda: learner.step(x, 1, 0))
+        assert peak < block / 4, (peak, block)
 
     def test_adam_update(self):
         rng = np.random.default_rng(2)
@@ -522,7 +560,7 @@ class TestNoBlockSizedTemporaries:
 
 class TestSnapshot:
     """The store's part of a learner checkpoint: its counts under
-    ``store`` and its means under ``store.means``; the config fixes the
+    ``store`` and its sums under ``store.sums``; the config fixes the
     rest of its layout."""
 
     @staticmethod
@@ -545,7 +583,7 @@ class TestSnapshot:
         restored = OnlineForestLearner.restore(
             json.loads(json.dumps(learner.checkpoint()))).store
         np.testing.assert_array_equal(store.counts, restored.counts)
-        np.testing.assert_array_equal(store.means, restored.means)
+        np.testing.assert_array_equal(store.sums, restored.sums)
         np.testing.assert_array_equal(restored.contrast_weights,
                                       store.contrast_weights)
         assert (restored.notion, restored.n_groups, restored.n_classes,
@@ -554,7 +592,7 @@ class TestSnapshot:
 
     def test_malformed_snapshots_are_refused(self):
         """Truncated, wrong-length, non-finite, non-string or non-base64
-        means, and truncated, negative or non-integer counts, raise
+        sums, and truncated, negative or non-integer counts, raise
         DataError instead of loading into a store they do not fit, for
         the store of every notion."""
         for learner in (
@@ -564,17 +602,17 @@ class TestSnapshot:
         ):
             good = json.loads(json.dumps(learner.checkpoint()))
             OnlineForestLearner.restore(good)
-            means = learner.store.means
-            non_finite = means.copy()
+            sums = learner.store.sums
+            non_finite = sums.copy()
             non_finite[0, 1, 1, 0] = np.nan
-            text = good["floats"]["store.means"]
+            text = good["floats"]["store.sums"]
             counts = good["counts"]["store"]
             for section, name, value in (
-                ("floats", "store.means", text[:-12]),
-                ("floats", "store.means", encode_floats(means[:-1])),
-                ("floats", "store.means", encode_floats(non_finite)),
-                ("floats", "store.means", means.tolist()),
-                ("floats", "store.means", text.replace("A", "*", 1)),
+                ("floats", "store.sums", text[:-12]),
+                ("floats", "store.sums", encode_floats(sums[:-1])),
+                ("floats", "store.sums", encode_floats(non_finite)),
+                ("floats", "store.sums", sums.tolist()),
+                ("floats", "store.sums", text.replace("A", "*", 1)),
                 ("counts", "store", counts[:-1]),
                 ("counts", "store", [-1] + counts[1:]),
                 ("counts", "store", [2.9, 3.5] + counts[2:]),
