@@ -110,10 +110,8 @@ def reservoir_fairness_gradient(
     # Keys no warm contrast weighs are never evaluated.
     for key in np.flatnonzero(weights.any(axis=0)):
         sums[key] = _reservoir_key_sums(forest, reservoir.key_features(key))
-    total = huber_contrast_sum(weights, sums, penalty.delta)
-    total = total.reshape(d + 1, t, m)  # bias, then weights
-    np.multiply(total[1:].transpose(1, 2, 0), penalty.weight, out=grad.weights)
-    np.multiply(total[0], penalty.weight, out=grad.biases)
+    total = huber_contrast_sum(weights, sums, penalty.delta)  # (d + 1, T * m)
+    np.multiply(total.reshape(grad.nodes.shape), penalty.weight, out=grad.nodes)
     return grad, False
 
 
@@ -177,9 +175,9 @@ def _leaf_node_plan(height: int, tree_count: int,
     depth-``k`` node are one contiguous block of ``2**(h - k)``.
     ``np.add.reduceat(rows.ravel(), bounds)`` sums every block, in
     (row, depth, tree, node) order, and ``order`` takes those sums to a
-    gradient vector's ``[weights (T, m, width - 1) | biases (T, m)]``
-    prefix: row 0 is the bias, rows ``1:`` the weights.  Writable on
-    purpose: ``np.add.reduceat`` and ``np.take`` copy a read-only index.
+    gradient vector's node block ``(width, T, m)``, which shares the
+    rows.  Writable on purpose: ``np.add.reduceat`` and ``np.take`` copy
+    a read-only index.
     """
     t, leaves, nodes = tree_count, 2**height, 2**height - 1
     node = np.arange(nodes, dtype=np.intp)
@@ -195,9 +193,7 @@ def _leaf_node_plan(height: int, tree_count: int,
                     + (place << (height - depth))).ravel()
     row = np.arange(width, dtype=np.intp)[:, None]
     bounds = (row * (height * t * leaves) + starts).ravel()
-    # Rows 1: go to the weights (T, m, width - 1), row 0 to the biases.
-    order = np.concatenate([(rank[:, None] + row[1:].T * (t * nodes)).ravel(),
-                            rank])
+    order = (rank + row * (t * nodes)).ravel()
     return bounds, order
 
 
@@ -228,9 +224,8 @@ class LeafPenaltyLearner(OnlineForestLearner):
             self._node_bounds, self._node_order = _leaf_node_plan(
                 shape.height, shape.tree_count, width)
             self._node_sums = np.zeros(self._node_order.size)
-            # The gradient's weights and biases: the prefix before the
-            # leaf rows, which stay zero.
-            self._node_grad = self._fair.vector[:self._node_order.size]
+            # The gradient's node block, flat; its leaf rows stay zero.
+            self._node_grad = self._fair.nodes.reshape(-1)
 
     def _build_store(self) -> None:
         """No gate store: the penalty reads ``leaf_store``."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import resource
 import sys
@@ -47,14 +48,6 @@ PROGRESS_EVERY = 1000
 # Flags read by one baseline only (argparse destination: baseline).
 BASELINE_FLAGS = {"hidden": "mlp", "majority_p": "majority",
                   "majority_label": "majority"}
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
@@ -284,8 +277,8 @@ def _drive(learner, stream, writer, checkpoint_interval: int = 0,
     for row in run_stream(learner, stream):
         writer.writerow([
             row.step, row.y, row.a, row.prediction,
-            _fmt(row.accuracy), _fmt(row.dp_hard), _fmt(row.dp_soft),
-            _fmt(row.grad_norm_total), _fmt(row.grad_norm_fair),
+            row.accuracy, row.dp_hard, row.dp_soft,
+            row.grad_norm_total, row.grad_norm_fair,
         ])
         if row.step % PROGRESS_EVERY == 0:
             print(f"step {row.step}: accuracy={row.accuracy:.4f}",
@@ -352,6 +345,11 @@ def cmd_sweep(args) -> int:
         ) from None
     if not lambdas:
         raise ConfigurationError("--lambdas must name at least one weight")
+    bad = [weight for weight in lambdas
+           if not (math.isfinite(weight) and weight >= 0)]
+    if bad:
+        raise ConfigurationError(
+            f"--lambdas must be finite and non-negative, got {bad}")
     make_stream, n_features = _build_stream(args)
     os.makedirs(args.out, exist_ok=True)
     sweep_path = os.path.join(args.out, "sweep.csv")
@@ -368,10 +366,8 @@ def cmd_sweep(args) -> int:
                 last = row
             if last is None:
                 raise DataError("the input stream was empty")
-            writer.writerow([
-                _fmt(weight), _fmt(last.accuracy), _fmt(last.dp_hard),
-                _fmt(last.dp_soft),
-            ])
+            writer.writerow([weight, last.accuracy, last.dp_hard,
+                             last.dp_soft])
             fh.flush()
             print(f"lambda={weight:g}: accuracy={last.accuracy:.4f}",
                   file=sys.stderr)

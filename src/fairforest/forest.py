@@ -53,9 +53,10 @@ class ForestShape(NamedTuple):
 
     @property
     def param_shapes(self) -> tuple:
-        """Shapes of the weight, bias and leaf blocks of a parameter vector."""
+        """Shapes of the node block (biases, then weights feature-major)
+        and the leaf block of a parameter vector."""
         t, m = self.tree_count, self.n_nodes
-        return ((t, m, self.n_features), (t, m), (t, m + 1, self.n_outputs))
+        return ((self.n_features + 1, t, m), (t, m + 1, self.n_outputs))
 
     @property
     def n_params(self) -> int:
@@ -147,14 +148,23 @@ def _block_views(vector: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
+def _forest_views(vector: np.ndarray, shape: ForestShape) -> tuple:
+    """The node block ``(d + 1, T, m)`` and leaf rows ``(T, 2**h, c)`` of
+    a forest-layout vector, and the per-tree views of the node block:
+    ``weights`` ``(T, m, d)`` (strided) and ``biases`` ``(T, m)``."""
+    nodes, leaves = _block_views(vector, shape.param_shapes)
+    return nodes, leaves, np.moveaxis(nodes[1:], 0, -1), nodes[0]
+
+
 class ObliqueForest:
     """An ensemble of soft-routed oblique trees sharing one geometry.
 
     Every parameter lives in one contiguous float64 ``vector``: the node
-    weights, then the node biases, then the leaf rows.  ``weights``
-    ``(T, m, d)``, ``biases`` ``(T, m)`` and ``leaves`` ``(T, 2**h, c)``
-    are reshaped views into it, so an in-place update through the vector
-    or through a view is seen by both.
+    block ``nodes`` ``(d + 1, T, m)``, laid out as the stores' gradient
+    rows, then ``leaves`` ``(T, 2**h, c)``.  These, and the node block's
+    per-tree ``weights`` ``(T, m, d)`` and ``biases`` ``(T, m)``, are
+    views into it, so an in-place update through any of them is seen by
+    all.
     """
 
     def __init__(self, shape: ForestShape):
@@ -167,9 +177,8 @@ class ObliqueForest:
         self.shape = ForestShape(*(int(n) for n in shape))
         self.height = self.shape.height
         self.vector = np.zeros(self.shape.n_params)
-        self.weights, self.biases, self.leaves = _block_views(
-            self.vector, self.shape.param_shapes
-        )
+        self.nodes, self.leaves, self.weights, self.biases = _forest_views(
+            self.vector, self.shape)
         # The routing core's gather index, writable on purpose: ``np.take``
         # copies a read-only index array on every call.
         self.path_columns = np.array(_path_edges(self.height))
@@ -286,12 +295,14 @@ def _all_node_outputs(forest: ObliqueForest, features: np.ndarray) -> np.ndarray
     ``(..., T, 2m)``: the gate outputs in the first ``m`` columns, their
     complements after.
 
-    The package's one pre-activation expression.  A stacked matrix-vector
+    The package's one pre-activation expression.  A stacked vector-matrix
     product rounds the same for an instance alone and as a batch row, so
     the training step, ``forward`` and ``forward_batch`` agree bit for bit.
     """
-    z = np.matmul(forest.weights, features[..., None, :, None])[..., 0]
-    return _node_edges(z + forest.biases)
+    rows = forest.nodes[1:].reshape(forest.n_features, -1)  # (d, T * m)
+    z = np.matmul(features[..., None, :], rows)
+    return _node_edges(z.reshape(features.shape[:-1] + forest.biases.shape)
+                       + forest.biases)
 
 
 def _leaf_probability_gradients_stacked(edges: np.ndarray,

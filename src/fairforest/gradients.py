@@ -23,8 +23,8 @@ from .forest import (
     ForestShape,
     ObliqueForest,
     _all_node_outputs,
-    _block_views,
     _check_features,
+    _forest_views,
     _leaf_probability_gradients_stacked,
     _mix_leaves,
     _path_edges,
@@ -50,15 +50,13 @@ class HuberPenalty:
 
 class ForestGradient:
     """Gradient over every parameter of a forest, in the forest's layout:
-    one flat ``vector`` with ``weights`` (T, m, d), ``biases`` (T, m) and
-    ``leaves`` (T, 2**h, c) as reshaped views into it."""
+    one flat ``vector`` with the same four views as ``ObliqueForest``."""
 
     def __init__(self, shape: ForestShape, vector: np.ndarray):
         self.shape = shape
         self.vector = vector
-        self.weights, self.biases, self.leaves = _block_views(
-            vector, shape.param_shapes
-        )
+        self.nodes, self.leaves, self.weights, self.biases = _forest_views(
+            vector, shape)
 
     @classmethod
     def zeros(cls, shape: ForestShape) -> "ForestGradient":
@@ -204,7 +202,9 @@ def _task_gradient_cached(forest: ObliqueForest, x: np.ndarray, y: int,
     # below its left child, -p_l times its left edge below its right child.
     below *= cache.edges
     np.subtract(below[:, m:], below[:, :m], out=out.biases)
-    np.multiply(out.biases[:, :, None], x, out=out.weights)
+    # Weight rows: x times the bias gradient, feature-major, as the
+    # store stages its gradient rows.
+    np.multiply(x[:, None, None], out.biases, out=out.nodes[1:])
     return out
 
 
@@ -215,8 +215,8 @@ def fairness_gradient(store: AggregateStore, penalty: HuberPenalty,
     written into ``out`` when given.
 
     One Huber contrast product over the notion's contrast weights (see
-    ``RunningMeans.contrast_sum``); cold contrasts contribute zero.  The
-    penalty weight is folded in here; leaf rows are zero.
+    ``RunningMeans.contrast_sum``), laid out as the node block, times the
+    penalty weight; cold contrasts contribute zero, leaf rows are zero.
     """
     if (store.shape.tree_count, store.shape.n_nodes, store.shape.n_features) != (
         shape.tree_count, shape.n_nodes, shape.n_features
@@ -227,9 +227,8 @@ def fairness_gradient(store: AggregateStore, penalty: HuberPenalty,
     if penalty.weight == 0.0:
         out.vector.fill(0.0)
         return out
-    total = store.contrast_sum(penalty.delta)  # (d + 1, T, m): bias, weights
-    np.multiply(total[1:].transpose(1, 2, 0), penalty.weight, out=out.weights)
-    np.multiply(total[0], penalty.weight, out=out.biases)
+    np.multiply(store.contrast_sum(penalty.delta), penalty.weight,
+                out=out.nodes)
     out.leaves.fill(0.0)
     return out
 

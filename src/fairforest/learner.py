@@ -319,7 +319,7 @@ def _check_step(config: LearnerConfig, x, y: int, a: int) -> np.ndarray:
     return x
 
 
-CHECKPOINT_FORMAT = "fairforest-checkpoint-v7"
+CHECKPOINT_FORMAT = "fairforest-checkpoint-v8"
 _CHECKPOINT_KEYS = ("format", "config", "step_count", "correct", "floats",
                     "counts")
 

@@ -248,10 +248,8 @@ def audit_estimation_error(trace: list[TraceStep], delta: float,
         exact, cold = reservoir_fairness_gradient(reservoir, step.forest, penalty)
         if cold:
             continue
-        # The store's columns are the bias, then the weights.
-        diff = np.moveaxis(store.contrast_sum(delta), 0, -1) - np.concatenate(
-            [exact.biases[..., None], exact.weights], axis=-1)
-        worst = float(np.sqrt((diff**2).sum(axis=-1)).max())
+        diff = store.contrast_sum(delta) - exact.nodes
+        worst = float(np.linalg.norm(diff, axis=0).max())
         reports.append(
             _make_report("fairness-gradient-estimation-error", theoretical, worst)
         )

@@ -161,19 +161,20 @@ def keyed_penalty_gradient(log, notion, n_groups, n_classes, delta, weight):
 
 def _gate_bias_rows(forest, x):
     """Gates ``(T, m)``, their left and right edges, and the forest
-    vector's flat positions of each node's bias and weights."""
+    vector's flat positions of each node's bias and weights: the vector
+    opens with every bias, tree by tree, then one such block per
+    feature."""
     t, m, d = forest.tree_count, 2**forest.height - 1, forest.n_features
     z = forest.weights @ x + forest.biases
     left, right = expit(z), expit(-z)
-    n_weights = t * m * d
-    weight_at = np.arange(n_weights).reshape(t, m, d)
-    bias_at = n_weights + np.arange(t * m).reshape(t, m)
+    bias_at = np.arange(t * m).reshape(t, m)
+    weight_at = bias_at[..., None] + t * m * np.arange(1, d + 1)
     return left, right, bias_at, weight_at
 
 
 def gate_rows(forest, x):
     """Gate outputs ``(T, m)`` at ``x`` and their full Jacobian
-    ``(T, m, P)`` in the forest's flat vector (weights, biases, leaves):
+    ``(T, m, P)`` in the forest's flat vector (node block, leaves):
     ``n (1 - n)`` in the node's own bias, times ``x`` in its weights."""
     left, right, bias_at, weight_at = _gate_bias_rows(forest, x)
     jac = np.zeros((*left.shape, forest.vector.size))

@@ -397,9 +397,9 @@ class TestLeafPenaltyLearner:
                                                         width, seed):
         """The plan's one segmented sum, taken through its order, gives
         every node the sum of its depth's row over the leaves below it,
-        as the dense ancestor mask says, laid out as the gradient's
-        ``[weights (T, m, width - 1) | biases (T, m)]`` prefix.  Integer
-        values make every summation order exact, so the match is exact."""
+        as the dense ancestor mask says, laid out as the gradient's node
+        block ``(width, T, m)``.  Integer values make every summation
+        order exact, so the match is exact."""
         rng = np.random.default_rng(seed)
         leaves, nodes = 2**height, 2**height - 1
         rows = rng.integers(-2**20, 2**20, size=(width, height, trees, leaves))
@@ -411,8 +411,7 @@ class TestLeafPenaltyLearner:
         for depth in range(height):
             level = slice(2**depth - 1, 2 ** (depth + 1) - 1)
             want[:, :, level] = rows[:, depth] @ below[level].T
-        np.testing.assert_array_equal(got, np.concatenate([
-            want[1:].transpose(1, 2, 0).ravel(), want[0].ravel()]))
+        np.testing.assert_array_equal(got, want.ravel())
 
     def test_checkpoint_unsupported(self):
         _, leaf_learner = self._frozen_pair(delta=0.01)

@@ -282,6 +282,16 @@ class TestSweep:
             "--out", str(tmp_path / "out"),
         ]) == 2
 
+    @pytest.mark.parametrize("weights", ["0.5,nan", "0.5,-1", "inf", "-0.5"])
+    def test_negative_or_non_finite_weight_exits_two_before_training(
+            self, tmp_path, weights):
+        """Every weight is checked before ``--out`` is created, so no
+        weight is trained and no partial ``sweep.csv`` is left behind."""
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--synthetic", "--n", "30", "--lambdas",
+                     weights, "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestGradcheck:
     """The gradient-checking subcommand."""

@@ -501,6 +501,21 @@ class TestObliqueForest:
         np.testing.assert_array_equal(a.biases, b.biases)
         np.testing.assert_array_equal(a.leaves, b.leaves)
 
+    @pytest.mark.parametrize("height,d,c,trees,seed",
+                             [(1, 1, 2, 1, 0), (3, 6, 2, 3, 42), (4, 10, 3, 2, 7)])
+    def test_random_draws_weights_then_leaves_per_tree(self, height, d, c,
+                                                       trees, seed):
+        """The seed's generator draws the per-tree ``(T, m, d)`` weights
+        first and the leaf rows after, whatever the storage layout."""
+        forest = ObliqueForest.random(height, d, c, trees, rng=seed)
+        rng = np.random.default_rng(seed)
+        bound = 2.0 / np.sqrt(d)
+        m = 2**height - 1
+        np.testing.assert_array_equal(
+            forest.weights, rng.uniform(-bound, bound, size=(trees, m, d)))
+        np.testing.assert_array_equal(
+            forest.leaves, rng.uniform(-0.1, 0.1, size=(trees, m + 1, c)))
+
     def test_random_respects_documented_ranges(self):
         forest = ObliqueForest.random(4, 9, 2, tree_count=5, rng=3)
         bound = 2.0 / np.sqrt(9)
@@ -516,20 +531,28 @@ class TestObliqueForest:
         assert shape.n_leaves == 8
 
     def test_views_share_storage_with_the_vector(self):
-        """The three parameter arrays are views into the one flat vector,
-        laid out weights, biases, leaves, so an update of the vector (what
-        the optimizer does) is seen through the views and back."""
+        """The parameter arrays are views into the one flat vector, laid
+        out as the node block (biases, then the weights feature-major)
+        and the leaves, so an update of the vector (what the optimizer
+        does) is seen through the views and back."""
         forest = ObliqueForest.random(2, 3, 2, tree_count=2)
-        views = (forest.weights, forest.biases, forest.leaves)
+        views = (forest.nodes, forest.leaves, forest.weights, forest.biases)
         assert forest.vector.shape == (forest.shape.n_params,)
         assert forest.vector.flags.c_contiguous
         for view in views:
             assert np.shares_memory(view, forest.vector)
-        np.testing.assert_array_equal(
-            forest.vector, np.concatenate([v.ravel() for v in views])
-        )
-        forest.weights[1, 0, 0] = 123.0
-        assert forest.vector[1 * 3 * 3] == 123.0
+        assert forest.shape.param_shapes == ((4, 2, 3), (2, 4, 2))
+        np.testing.assert_array_equal(forest.vector, np.concatenate([
+            forest.biases.ravel(),
+            forest.weights.transpose(2, 0, 1).ravel(),
+            forest.leaves.ravel(),
+        ]))
+        forest.weights[1, 0, 2] = 123.0
+        # Feature 2's row (block 3), tree 1, node 0.
+        assert forest.vector[3 * 2 * 3 + 1 * 3] == 123.0
+        assert forest.nodes[3, 1, 0] == 123.0
+        forest.biases[1, 2] = 5.0
+        assert forest.vector[1 * 3 + 2] == 5.0
         forest.vector[-1] = -7.0
         assert forest.leaves[1, 3, 1] == -7.0
 

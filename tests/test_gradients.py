@@ -575,6 +575,34 @@ class TestFairnessGradient:
         expected = (0.9 - 0.5) * (1.0 - 0.5) + (0.2 - 0.6) * (0.1 - 0.9)
         np.testing.assert_allclose(grad.biases[0, 0], expected, atol=1e-12)
 
+    @pytest.mark.parametrize("notion, n_groups, n_classes", [
+        ("dp", 2, 2), ("equalized_odds", 2, 3), ("multigroup", 4, 2),
+    ], ids=["dp", "eo-C3", "multigroup-G4"])
+    def test_nodes_are_the_weighted_contrast_sum_bit_for_bit(
+            self, notion, n_groups, n_classes):
+        """The store's contrast sum is laid out as the gradient's node
+        block, so the gradient is that sum times the penalty weight, bit
+        for bit, with zero leaf rows."""
+        shape = ForestShape(tree_count=2, height=3, n_features=4,
+                            n_outputs=n_classes)
+        forest = ObliqueForest.random(3, 4, n_classes, 2, rng=8)
+        store = AggregateStore(shape, n_groups, notion, n_classes)
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            x = rng.standard_normal(4)
+            cache = _ForwardCache(forest, x)
+            store.update_all(int(rng.integers(0, n_groups)),
+                             int(rng.integers(0, n_classes)),
+                             cache.gates, cache.slope, x)
+        want = store.contrast_sum(0.05) * 0.7
+        assert np.abs(want).max() > 0.0
+        out = ForestGradient.zeros(shape)
+        out.vector.fill(np.nan)
+        grad = fairness_gradient(store, HuberPenalty(0.05, 0.7), shape, out)
+        assert grad.nodes.shape == want.shape == (5, 2, 7)
+        assert grad.nodes.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(grad.leaves, 0.0)
+
     def test_shape_mismatch_is_rejected(self):
         store = self._store_with_gap()
         other = ForestShape(tree_count=2, height=1, n_features=2, n_outputs=2)
@@ -612,7 +640,8 @@ class TestGradientContainers:
 
     def test_views_share_memory_with_the_vector(self):
         """Every gradient the learner keeps, and every fresh one, is a flat
-        vector with the three blocks as views into it."""
+        vector with the node block, the leaf rows and the node block's
+        per-tree weights and biases as views into it."""
         learner = OnlineForestLearner(LearnerConfig(
             n_features=3, fairness="dp", fairness_weight=1.0, seed=5))
         rng = np.random.default_rng(5)
@@ -624,7 +653,7 @@ class TestGradientContainers:
                  task_gradient(learner.forest, np.ones(3), 1)]
         for grad in grads:
             assert grad.vector.shape == (shape.n_params,)
-            for view in (grad.weights, grad.biases, grad.leaves):
+            for view in (grad.nodes, grad.leaves, grad.weights, grad.biases):
                 assert np.shares_memory(view, grad.vector)
 
     def test_norm_matches_per_array_sum_of_squares(self):

@@ -711,22 +711,24 @@ class TestCheckpoint:
         2 wrote every array as nested lists, version 3 repeated the
         layout the config fixes, version 4 held a config with a decay
         field and no gradient norms, version 5 held a multigroup store with
-        an overall key, version 6 held running means instead of sums; all
-        are refused like any other unknown format."""
+        an overall key, version 6 held running means instead of sums,
+        version 7 held the forest vector as weights ``(T, m, d)``, biases,
+        leaves; all are refused like any other unknown format, so a v7
+        vector is never read into the v8 node block."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2))
         data = learner.checkpoint()
-        assert data["format"] == "fairforest-checkpoint-v7"
+        assert data["format"] == "fairforest-checkpoint-v8"
         for unknown in ("something-else", "fairforest-checkpoint-v1",
                         "fairforest-checkpoint-v2", "fairforest-checkpoint-v3",
                         "fairforest-checkpoint-v4", "fairforest-checkpoint-v5",
-                        "fairforest-checkpoint-v6"):
+                        "fairforest-checkpoint-v6", "fairforest-checkpoint-v7"):
             data["format"] = unknown
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(data)
 
     def test_v2_checkpoint_is_refused(self):
         """A file in the v2 layout (nested lists) is a DataError, and so
-        is the same content relabelled v3 to v7."""
+        is the same content relabelled v3 to v8."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2,
                                                     fairness_weight=0.5, seed=3))
         self._run(learner, biased_stream(5, seed=11))
@@ -752,7 +754,8 @@ class TestCheckpoint:
         }
         for label in ("fairforest-checkpoint-v2", "fairforest-checkpoint-v3",
                       "fairforest-checkpoint-v4", "fairforest-checkpoint-v5",
-                      "fairforest-checkpoint-v6", "fairforest-checkpoint-v7"):
+                      "fairforest-checkpoint-v6", "fairforest-checkpoint-v7",
+                      "fairforest-checkpoint-v8"):
             data["format"] = label
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(json.loads(json.dumps(data)))
@@ -761,7 +764,7 @@ class TestCheckpoint:
         """A file in the v3 layout (sections that repeat the height, the
         store's shape and notion, the metrics' group and output counts
         and ``adam.t``) is a DataError, and so is the same content
-        relabelled v4 to v7."""
+        relabelled v4 to v8."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2,
                                                     fairness_weight=0.5, seed=3))
         self._run(learner, biased_stream(5, seed=11))
@@ -787,13 +790,13 @@ class TestCheckpoint:
         }
         for label in ("fairforest-checkpoint-v3", "fairforest-checkpoint-v4",
                       "fairforest-checkpoint-v5", "fairforest-checkpoint-v6",
-                      "fairforest-checkpoint-v7"):
+                      "fairforest-checkpoint-v7", "fairforest-checkpoint-v8"):
             data["format"] = label
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(json.loads(json.dumps(data)))
 
     def test_v3_layout_restores_and_steps_identically(self):
-        """v7 keeps the v3 encoding of every float array: one base64 string
+        """v8 keeps the v3 encoding of every float array: one base64 string
         of its float64 bytes, the forest and each Adam moment as one flat
         vector.  Restoring gives the same bits, and stepping matches the
         learner that was never interrupted."""
@@ -827,15 +830,16 @@ class TestCheckpoint:
 
     def test_v6_checkpoint_is_refused(self):
         """A v6 file held the store's running means under ``store.means``;
-        it is a DataError, and so is the same content relabelled v7, whose
-        store entry is ``store.sums``."""
+        it is a DataError, and so is the same content relabelled v7 or v8,
+        whose store entry is ``store.sums``."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2,
                                                     fairness_weight=0.5, seed=3))
         self._run(learner, biased_stream(5, seed=11))
         data = json.loads(json.dumps(learner.checkpoint()))
         del data["floats"]["store.sums"]
         data["floats"]["store.means"] = encode_floats(store_means(learner.store))
-        for label in ("fairforest-checkpoint-v6", "fairforest-checkpoint-v7"):
+        for label in ("fairforest-checkpoint-v6", "fairforest-checkpoint-v7",
+                      "fairforest-checkpoint-v8"):
             data["format"] = label
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(json.loads(json.dumps(data)))
@@ -843,8 +847,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("notion, n_outputs, n_groups", [
         ("dp", 2, 2), ("equalized_odds", 3, 2), ("multigroup", 2, 4),
     ], ids=["dp", "eo-C3", "multigroup-G4"])
-    def test_v7_round_trip_restores_the_store_bit_for_bit(self, notion,
-                                                          n_outputs, n_groups):
+    def test_round_trip_restores_the_store_bit_for_bit(self, notion,
+                                                       n_outputs, n_groups):
         """The restored store's sums, counts and count-scaled contrast
         weights are the saved store's bits; with four multigroup groups on
         a three-group stream one key stays unseen."""
@@ -857,7 +861,7 @@ class TestCheckpoint:
             learner.step(rng.standard_normal(3), int(rng.integers(0, n_outputs)),
                          int(rng.integers(0, min(n_groups, 3))))
         data = json.loads(json.dumps(learner.checkpoint()))
-        assert data["format"] == "fairforest-checkpoint-v7"
+        assert data["format"] == "fairforest-checkpoint-v8"
         restored = OnlineForestLearner.restore(data).store
         store = learner.store
         assert (store.counts > 1).sum() >= 2
@@ -901,7 +905,7 @@ class TestCheckpoint:
                 assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_v4_holds_only_the_config_and_the_learner_arrays(self):
-        """A v7 file keeps the v4 layout, which repeats nothing the config
+        """A v8 file keeps the v4 layout, which repeats nothing the config
         or the step count fixes: besides them it holds the number of
         correct predictions, the last step's gradient norms and the
         learner's own arrays by name, each float array one base64 string
