@@ -39,7 +39,6 @@ from .gradients import (
     fairness_gradient,
     gradient_norm,
     huber,
-    huber_slope,
     softmax,
     task_gradient,
     total_gradient,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .forest import ObliqueForest, _all_node_outputs, _block_views
+from .forest import ObliqueForest, _block_views, _evaluate
 from .gradients import (
     ForestGradient,
     HuberPenalty,
@@ -110,19 +110,18 @@ def reservoir_fairness_gradient(
     # Keys no warm contrast weighs are never evaluated.
     for key in np.flatnonzero(weights.any(axis=0)):
         sums[key] = _reservoir_key_sums(forest, reservoir.key_features(key))
-    total = huber_contrast_sum(weights, sums, penalty.delta)  # (d + 1, T * m)
-    np.multiply(total.reshape(grad.nodes.shape), penalty.weight, out=grad.nodes)
+    huber_contrast_sum(weights, sums, penalty.delta, penalty.weight,
+                       grad.node_rows)
     return grad, False
 
 
 def _reservoir_key_sums(forest: ObliqueForest, features: np.ndarray):
     """Sums over a batch of ``[n, n (1 - n), n (1 - n) x]``, the node
     store's ``(d + 2, T * m)`` rows."""
-    edges = _all_node_outputs(forest, features)  # (n, T, 2m)
-    gates, right = np.split(edges, 2, axis=-1)
-    slopes = gates * right
+    p = _evaluate(forest, features)  # gates and right edges (n, T, m)
+    slopes = p.gates * p.right
     return np.concatenate([
-        gates.sum(axis=0)[None], slopes.sum(axis=0)[None],
+        p.gates.sum(axis=0)[None], slopes.sum(axis=0)[None],
         np.einsum("ntm,nd->dtm", slopes, features),
     ]).reshape(forest.n_features + 2, -1)
 
@@ -220,7 +219,7 @@ class LeafPenaltyLearner(OnlineForestLearner):
                 1 + width * shape.height,
             )
             self._jacobian_index = _leaf_jacobian_index(
-                self.forest.path_columns, shape.tree_count)
+                shape.height, shape.tree_count)
             self._node_bounds, self._node_order = _leaf_node_plan(
                 shape.height, shape.tree_count, width)
             self._node_sums = np.zeros(self._node_order.size)

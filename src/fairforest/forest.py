@@ -11,11 +11,21 @@ its leaf rows; a forest averages its trees.
 The routing structure is read off the bits of the leaf index, in path
 form: leaf ``l``'s depth-``k`` ancestor is node ``2**k - 1 + (l >> (h - k))``,
 and bit ``h - 1 - k`` of ``l`` says whether the path turns left (0, sign
-+1) or right (1, sign -1) below it.  Per height this is three cached
-``(h, 2**h)`` arrays (ancestor rows, signs, edge columns); nothing of the
-size ``(2**h - 1) x 2**h`` of a dense ancestor mask is ever built.
-The sums of any per-leaf quantity below every node's two children come
-from one segmented sum over each tree's leaf row (``_subtree_plan``).
++1) or right (1, sign -1) below it.  Per height this is two cached
+``(h, 2**h)`` arrays (ancestor rows and signs), and per forest shape one
+``(T, h, 2**h)`` index of every path factor in the forest's edge array;
+nothing of the size ``(2**h - 1) x 2**h`` of a dense ancestor mask is
+ever built.  The sums of any per-leaf quantity below every node's two
+children come from one segmented sum over the trees' leaf rows
+(``_subtree_plan``).
+
+One evaluation, for one instance or a batch, is three products over the
+forest's flat blocks: one gemv of the augmented features ``[1, x]`` with
+the node block ``(d + 1, T * m)`` (row 0 the biases, so no bias add),
+written as the right-edge row of a ``(2, T, m)`` edge array and negated
+into its left-edge row, then the logistic over both in place; one gather
+of every leaf's path factors and their product; one gemv of the flat leaf
+probabilities with the leaf rows ``(T * 2**h, c)``, divided by ``T``.
 
 A leaf probability's derivative in a node's bias is read off the same
 path, without dividing: ``+p_l`` times the node's right edge when leaf
@@ -97,42 +107,55 @@ def _path_signs(height: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _path_edges(height: int) -> np.ndarray:
-    """Column of each path factor in a tree's edge array, shape (h, 2**h).
+def _path_edges(height: int, tree_count: int) -> np.ndarray:
+    """Position of each path factor in a forest's flat edge array, shape
+    (T, h, 2**h).
 
-    The edge array holds the left-edge factor of every node followed by
-    its right-edge factor (see ``_node_edges``), so the depth-``i``
-    ancestor contributes column ``node`` where the leaf hangs left of it
-    and column ``m + node`` where it hangs right.
+    The edge array is ``(2, T, m)``: the left-edge factor of every node,
+    then its right-edge factor (see ``_node_edges``), so tree ``t``'s
+    depth-``i`` ancestor ``node`` contributes position ``t * m + node``
+    where the leaf hangs left of it and ``(T + t) * m + node`` where it
+    hangs right.
     """
+    m = 2**height - 1
     right = _path_signs(height) < 0
-    edges = _ancestor_rows(height) + right * (2**height - 1)
+    edges = _ancestor_rows(height) + m * (
+        np.arange(tree_count)[:, None, None] + tree_count * right)
     edges.setflags(write=False)
     return edges
 
 
 @lru_cache(maxsize=None)
-def _subtree_plan(height: int) -> tuple[np.ndarray, np.ndarray]:
-    """Segment bounds and gather order that sum a tree's leaf row below
-    every node's left and right child, shapes (2m + h,) and (2m,).
+def _subtree_plan(height: int,
+                  tree_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Segment bounds and gather order that sum every tree's leaf row
+    below every node's left and right child, shapes (T (2m + h),) and
+    (2, T, m).
 
-    ``np.add.reduceat(row, bounds, axis=-1)`` over a leaf row padded
-    with one trailing zero (length ``2**h + 1``) gives, per depth ``k``
-    from the root down, the sum over each child's leaves (the children
-    start at the multiples of ``2**(h - k - 1)``), then an unused entry
-    for the sentinel ``2**h`` that closes the depth's last segment at the
-    tree's end.  ``order`` takes those sums to ``[below right child of
-    every node | below left child of every node]``, nodes breadth-first.
+    ``np.add.reduceat(row, bounds)`` over the trees' leaf rows end to end
+    plus one trailing pad entry (length ``T * 2**h + 1``; the pad makes
+    the last sentinel a valid index and no used sum reads it) gives, per
+    tree and
+    per depth ``k`` from the root down, the sum over each child's leaves
+    (the children start at the multiples of ``2**(h - k - 1)``), then an
+    unused entry for the sentinel at the tree's end that closes the
+    depth's last segment.  ``order`` takes those sums to the layout of an
+    edge array: the sums below every node's right child, then below its
+    left child, nodes breadth-first.
     """
     # Every non-root node breadth-first, its depth, and its position in
-    # ``bounds``: one sentinel follows each depth.
-    child = np.arange(1, 2 ** (height + 1) - 1)
+    # one tree's ``bounds``: one sentinel follows each depth.
+    leaves = 2**height
+    child = np.arange(1, 2 * leaves - 1)
     depth = np.repeat(np.arange(1, height + 1), 2 ** np.arange(1, height + 1))
     position = child + depth - 2
-    bounds = np.full(child.size + height, 2**height)
-    bounds[position] = (child + 1 - (1 << depth)) << (height - depth)
+    tree_bounds = np.full(child.size + height, leaves)
+    tree_bounds[position] = (child + 1 - (1 << depth)) << (height - depth)
     # Node i's children are 2i + 1 (left) and 2i + 2 (right).
-    order = np.concatenate([position[1::2], position[0::2]])
+    tree_order = np.stack([position[1::2], position[0::2]])[:, None, :]
+    tree = np.arange(tree_count)[:, None]
+    bounds = (tree_bounds + tree * leaves).ravel()
+    order = tree_order + tree * tree_bounds.size
     bounds.setflags(write=False)
     order.setflags(write=False)
     return bounds, order
@@ -150,10 +173,14 @@ def _block_views(vector: np.ndarray, shapes) -> list[np.ndarray]:
 
 def _forest_views(vector: np.ndarray, shape: ForestShape) -> tuple:
     """The node block ``(d + 1, T, m)`` and leaf rows ``(T, 2**h, c)`` of
-    a forest-layout vector, and the per-tree views of the node block:
+    a forest-layout vector, the same two blocks flat as the evaluation's
+    matrices, ``node_rows`` ``(d + 1, T * m)`` and ``leaf_rows``
+    ``(T * 2**h, c)``, and the per-tree views of the node block:
     ``weights`` ``(T, m, d)`` (strided) and ``biases`` ``(T, m)``."""
     nodes, leaves = _block_views(vector, shape.param_shapes)
-    return nodes, leaves, np.moveaxis(nodes[1:], 0, -1), nodes[0]
+    return (nodes, leaves, nodes.reshape(shape.n_features + 1, -1),
+            leaves.reshape(-1, shape.n_outputs), np.moveaxis(nodes[1:], 0, -1),
+            nodes[0])
 
 
 class ObliqueForest:
@@ -161,10 +188,10 @@ class ObliqueForest:
 
     Every parameter lives in one contiguous float64 ``vector``: the node
     block ``nodes`` ``(d + 1, T, m)``, laid out as the stores' gradient
-    rows, then ``leaves`` ``(T, 2**h, c)``.  These, and the node block's
-    per-tree ``weights`` ``(T, m, d)`` and ``biases`` ``(T, m)``, are
-    views into it, so an in-place update through any of them is seen by
-    all.
+    rows, then ``leaves`` ``(T, 2**h, c)``.  These, the same blocks flat
+    (``node_rows``, ``leaf_rows``), and the node block's per-tree
+    ``weights`` ``(T, m, d)`` and ``biases`` ``(T, m)``, are views into
+    it, so an in-place update through any of them is seen by all.
     """
 
     def __init__(self, shape: ForestShape):
@@ -177,15 +204,15 @@ class ObliqueForest:
         self.shape = ForestShape(*(int(n) for n in shape))
         self.height = self.shape.height
         self.vector = np.zeros(self.shape.n_params)
-        self.nodes, self.leaves, self.weights, self.biases = _forest_views(
-            self.vector, self.shape)
-        # The routing core's gather index, writable on purpose: ``np.take``
-        # copies a read-only index array on every call.
-        self.path_columns = np.array(_path_edges(self.height))
-        # The task gradient's segmented-sum indices, writable for the same
-        # reason (``np.add.reduceat`` copies a read-only one too).
+        (self.nodes, self.leaves, self.node_rows, self.leaf_rows,
+         self.weights, self.biases) = _forest_views(self.vector, self.shape)
+        # The routing core's gather index and the task gradient's
+        # segmented-sum indices, writable on purpose: ``take`` and
+        # ``np.add.reduceat`` copy a read-only index on every call.
+        plan = self.height, self.tree_count
+        self.path_index = np.array(_path_edges(*plan))
         self.subtree_bounds, self.subtree_order = (
-            np.array(index) for index in _subtree_plan(self.height))
+            np.array(index) for index in _subtree_plan(*plan))
 
     @classmethod
     def from_arrays(cls, height: int, weights: np.ndarray, biases: np.ndarray,
@@ -252,7 +279,7 @@ class ObliqueForest:
         clone = ObliqueForest(self.shape)
         clone.vector[...] = self.vector
         # The indices are never written; share them.
-        clone.path_columns = self.path_columns
+        clone.path_index = self.path_index
         clone.subtree_bounds = self.subtree_bounds
         clone.subtree_order = self.subtree_order
         return clone
@@ -267,59 +294,114 @@ def _check_features(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _node_edges(z: np.ndarray) -> np.ndarray:
-    """Routing factors of both edges of every node, from pre-activations.
+class _Pass:
+    """The buffers of one evaluation of a forest of ``shape`` over
+    instances of batch shape ``batch`` (``()`` for one instance), and the
+    views of them that the evaluation's products read and write, built
+    once, so an evaluation over a kept pass allocates nothing.
 
-    ``z`` is ``(..., m)``; the result is ``(..., 2m)``: the gate outputs
-    ``1 / (1 + exp(-z))`` (left edges) followed by ``1 / (1 + exp(z))``
-    (right edges).  The right edge is never formed as ``1 - left``, which
-    cancels to exactly 0 once ``z`` exceeds about 37.  Past about 709.8
-    ``exp`` overflows to ``inf`` and the edge is exactly 0; no clamp, so
-    a saturated gate keeps that exact 0.  The logistic runs in place: for
-    a batch, a second array of the edges' size costs more than the
-    logistic itself, and the overflow is silenced only when some edge
-    can overflow: entering ``np.errstate`` costs more than a small ``exp``.
+    ``xa`` ``(..., d + 1)`` holds the augmented instances ``[1, x]``:
+    write the features into ``x``; the leading 1 is never overwritten.
+    ``edges`` ``(..., 2, T, m)`` holds every node's left edge (its gate
+    output, also seen as ``gates``) and right edge (``right``),
+    ``gathered`` ``(..., T, h, 2**h)`` the path factors, ``leaf_probs``
+    ``(..., T, 2**h)`` their products and ``output`` ``(..., c)`` the
+    forest output.
     """
-    edges = np.concatenate([-z, z], axis=-1)
-    if edges.max() > 709.0:
+
+    def __init__(self, shape: ForestShape, batch: tuple = ()):
+        t, h, d, c = shape
+        m, leaves = shape.n_nodes, shape.n_leaves
+        self.xa = np.ones(batch + (d + 1,))
+        self.x = self.xa[..., 1:]
+        self.edges = np.empty(batch + (2, t, m))
+        self.gates = self.edges[..., 0, :, :]
+        self.right = self.edges[..., 1, :, :]
+        self.gathered = np.empty(batch + (t, h, leaves))
+        self.leaf_probs = np.empty(batch + (t, leaves))
+        self.output = np.empty(batch + (c,))
+        # Row-vector views for the stacked vector-matrix products, and the
+        # edges flat for the gather.
+        self.xa_rows = self.xa[..., None, :]
+        edge_rows = self.edges.reshape(batch + (2, t * m))
+        self.z_rows = edge_rows[..., 1:, :]
+        self.left_row = edge_rows[..., 0, :]
+        self.right_row = edge_rows[..., 1, :]
+        self.flat_edges = self.edges.reshape(batch + (-1,))
+        self.prob_rows = self.leaf_probs.reshape(batch + (1, t * leaves))
+        self.output_rows = self.output[..., None, :]
+
+
+def _node_edges(edges: np.ndarray) -> np.ndarray:
+    """The logistic of ``[-z, z]``, in place: from the negated and the
+    plain pre-activations, the gate outputs ``1 / (1 + exp(-z))`` (left
+    edges) and ``1 / (1 + exp(z))`` (right edges).
+
+    The right edge is never formed as ``1 - left``, which cancels to
+    exactly 0 once ``z`` exceeds about 37.  Past about 709.8 ``exp``
+    overflows to ``inf`` and the edge is exactly 0; no clamp, so a
+    saturated gate keeps that exact 0.  The overflow is silenced only
+    when some edge can overflow: entering ``np.errstate`` costs more than
+    a small ``exp``.
+    """
+    if np.maximum.reduce(edges, axis=None) > 709.0:
         with np.errstate(over="ignore"):
             np.exp(edges, out=edges)
     else:
         np.exp(edges, out=edges)
-    edges += 1.0
+    np.add(edges, 1.0, out=edges)
     return np.reciprocal(edges, out=edges)
 
 
-def _all_node_outputs(forest: ObliqueForest, features: np.ndarray) -> np.ndarray:
-    """Edge factors of every node of every tree, ``(..., d)`` ->
-    ``(..., T, 2m)``: the gate outputs in the first ``m`` columns, their
-    complements after.
+def _all_node_outputs(forest: ObliqueForest, p: _Pass) -> np.ndarray:
+    """Edge factors of every node of every tree, from the pass's
+    augmented instances into its ``edges`` ``(..., 2, T, m)``: the gate
+    outputs, then their complements.
 
-    The package's one pre-activation expression.  A stacked vector-matrix
-    product rounds the same for an instance alone and as a batch row, so
-    the training step, ``forward`` and ``forward_batch`` agree bit for bit.
+    The package's one pre-activation expression: a stacked
+    vector-matrix product of each row ``[1, x]`` with the node block,
+    written as the right-edge row and negated into the left-edge row.  It
+    rounds the same for an instance alone and as a batch row, so the
+    training step, ``forward`` and ``forward_batch`` agree bit for bit.
     """
-    rows = forest.nodes[1:].reshape(forest.n_features, -1)  # (d, T * m)
-    z = np.matmul(features[..., None, :], rows)
-    return _node_edges(z.reshape(features.shape[:-1] + forest.biases.shape)
-                       + forest.biases)
+    np.matmul(p.xa_rows, forest.node_rows, out=p.z_rows)
+    np.negative(p.right_row, out=p.left_row)
+    _node_edges(p.flat_edges)
+    return p.edges
 
 
-def _leaf_probability_gradients_stacked(edges: np.ndarray,
-                                        forest: ObliqueForest) -> np.ndarray:
-    """Leaf probabilities from ``forest``'s edge factors, ``(..., 2m)`` ->
-    ``(..., 2**h)``: the product of each leaf's path factors in
-    root-to-leaf order, gathered through the forest's ``path_columns``.
+def _leaf_probability_gradients_stacked(forest: ObliqueForest,
+                                        p: _Pass) -> np.ndarray:
+    """Leaf probabilities from the pass's edges into its ``leaf_probs``
+    ``(..., T, 2**h)``: the product of each leaf's path factors in
+    root-to-leaf order, gathered through the forest's ``path_index``.
     The routing core of every evaluation, one instance or a batch; no
     Jacobian is formed (gradients come from ``gradients._ForwardCache``).
     """
-    return np.take(edges, forest.path_columns, axis=-1).prod(axis=-2)
+    # Every index is in range; "clip" skips the copy that "raise" makes
+    # of the output before writing it.
+    p.flat_edges.take(forest.path_index, -1, p.gathered, "clip")
+    return np.multiply.reduce(p.gathered, axis=-2, out=p.leaf_probs)
 
 
-def _mix_leaves(forest: ObliqueForest, leaf_probs: np.ndarray) -> np.ndarray:
-    """Forest output from leaf probabilities, ``(..., T, 2**h)`` ->
-    ``(..., c)``: each tree's probability-weighted leaf rows, averaged."""
-    return np.einsum("...tl,tlc->...c", leaf_probs, forest.leaves) / forest.tree_count
+def _mix_leaves(forest: ObliqueForest, p: _Pass) -> np.ndarray:
+    """Forest output from the pass's leaf probabilities into its
+    ``output`` ``(..., c)``: one stacked vector-matrix product of the flat
+    leaf probabilities with the leaf rows, divided by ``T``, the same for
+    an instance alone and as a batch row."""
+    np.matmul(p.prob_rows, forest.leaf_rows, out=p.output_rows)
+    return np.true_divide(p.output, forest.tree_count, out=p.output)
+
+
+def _evaluate(forest: ObliqueForest, features: np.ndarray) -> _Pass:
+    """A new pass of ``forest`` over ``features`` ``(..., d)``: its edges,
+    leaf probabilities and outputs."""
+    p = _Pass(forest.shape, features.shape[:-1])
+    p.x[...] = features
+    _all_node_outputs(forest, p)
+    _leaf_probability_gradients_stacked(forest, p)
+    _mix_leaves(forest, p)
+    return p
 
 
 def forward(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
@@ -337,9 +419,7 @@ def forward_batch(forest: ObliqueForest, features: np.ndarray,
             f"expected feature matrix of shape (n, {forest.n_features}), "
             f"got {features.shape}"
         )
-    edges = _all_node_outputs(forest, features)
-    return _mix_leaves(forest,
-                       _leaf_probability_gradients_stacked(edges, forest))
+    return _evaluate(forest, features).output
 
 
 def predict(forest: ObliqueForest, x: np.ndarray) -> int:

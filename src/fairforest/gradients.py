@@ -22,6 +22,7 @@ from .errors import ConfigurationError, NumericalError, ShapeError
 from .forest import (
     ForestShape,
     ObliqueForest,
+    _Pass,
     _all_node_outputs,
     _check_features,
     _forest_views,
@@ -50,25 +51,17 @@ class HuberPenalty:
 
 class ForestGradient:
     """Gradient over every parameter of a forest, in the forest's layout:
-    one flat ``vector`` with the same four views as ``ObliqueForest``."""
+    one flat ``vector`` with the same six views as ``ObliqueForest``."""
 
     def __init__(self, shape: ForestShape, vector: np.ndarray):
         self.shape = shape
         self.vector = vector
-        self.nodes, self.leaves, self.weights, self.biases = _forest_views(
-            vector, shape)
+        (self.nodes, self.leaves, self.node_rows, self.leaf_rows,
+         self.weights, self.biases) = _forest_views(vector, shape)
 
     @classmethod
     def zeros(cls, shape: ForestShape) -> "ForestGradient":
         return cls(shape, np.zeros(shape.n_params))
-
-    def tree_norm(self, index: int) -> float:
-        """Euclidean norm of one tree's slice of the gradient."""
-        return float(np.sqrt(
-            np.sum(self.weights[index] ** 2)
-            + np.sum(self.biases[index] ** 2)
-            + np.sum(self.leaves[index] ** 2)
-        ))
 
 
 def huber(gap: float, delta: float) -> float:
@@ -77,14 +70,6 @@ def huber(gap: float, delta: float) -> float:
     if abs(gap) < delta:
         return 0.5 * gap * gap
     return delta * (abs(gap) - 0.5 * delta)
-
-
-def huber_slope(gap, delta: float):
-    """Derivative of the Huber surrogate in the gap, for a scalar gap or
-    an array of gaps: the gap clipped to ``[-delta, delta]``, so the gap
-    itself inside the quadratic region and ``delta`` times its sign
-    outside (``+-delta`` at both kinks)."""
-    return np.clip(gap, -delta, delta)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -99,63 +84,94 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
     return float(np.log(np.exp(shifted).sum()) - shifted[label])
 
 
+class _Workspace(_Pass):
+    """One instance's forward pass (``forest._Pass``) and the scratch of
+    its task gradient over forests of one shape, built once, so a step
+    allocates nothing of the forest's size.  The task gradient's
+    ``terms`` end in one pad entry, so the segmented sum's last sentinel
+    is a valid index; no sum that is used reads it."""
+
+    def __init__(self, shape: ForestShape):
+        super().__init__(shape)
+        t, h = shape.tree_count, shape.height
+        m, leaves = shape.n_nodes, shape.n_leaves
+        self.slope = np.empty((t, m))
+        self.residual = np.empty(shape.n_outputs)
+        self.terms = np.zeros(t * leaves + 1)
+        self.sums = np.empty(t * (2 * m + h))
+        self.below = np.empty((2, t, m))
+        self.bias_grad = np.empty((1, t * m))
+        # Views laid out as the products that read them.
+        self.residual_row = self.residual[None, :]
+        self.leaf_flat = self.leaf_probs.reshape(-1)
+        self.leaf_column = self.leaf_flat[:, None]
+        self.leaf_terms = self.terms[:-1]
+        self.below_right, self.below_left = self.below.reshape(2, 1, -1)
+        self.xa_column = self.xa[:, None]
+
+
 class _ForwardCache:
     """Per-instance forward intermediates shared by the gradient paths:
-    both edges of every gate, the gate slopes, the leaf probabilities and
-    the forest output.  The path-form leaf Jacobian ``leaf_jac`` is built
-    only when read; the task gradient never reads it."""
+    both edges of every gate ``(2, T, m)``, the gates, the gate slopes,
+    the leaf probabilities and the forest output, all held in
+    ``workspace``.  Without a workspace the cache
+    builds its own, so a later step cannot overwrite it.  The path-form
+    leaf Jacobian ``leaf_jac`` is built only when read; the task gradient
+    never reads it."""
 
-    __slots__ = ("edges", "gates", "slope", "leaf_probs", "output")
+    __slots__ = ("workspace", "edges", "gates", "slope", "leaf_probs", "output")
 
     # Ignored ``mask``: perfbench/run.py jacobian_counts passes one.
-    def __init__(self, forest: ObliqueForest, x: np.ndarray, mask=None):
-        n_nodes = forest.shape.n_nodes
-        self.edges = _all_node_outputs(forest, x)  # (T, 2m)
-        self.gates = self.edges[:, :n_nodes]  # (T, m)
+    def __init__(self, forest: ObliqueForest, x: np.ndarray, mask=None,
+                 workspace: _Workspace | None = None):
+        if workspace is None:
+            workspace = _Workspace(forest.shape)
+        ws = self.workspace = workspace
+        ws.x[...] = x
+        self.edges = _all_node_outputs(forest, ws)
+        self.gates = ws.gates
         # The gate slope n (1 - n), from both edges so a saturated gate
         # keeps its tiny slope instead of cancelling to 0.
-        self.slope = self.gates * self.edges[:, n_nodes:]
-        self.leaf_probs = _leaf_probability_gradients_stacked(self.edges, forest)
-        self.output = _mix_leaves(forest, self.leaf_probs)
+        self.slope = np.multiply(ws.gates, ws.right, out=ws.slope)
+        self.leaf_probs = _leaf_probability_gradients_stacked(forest, ws)
+        self.output = _mix_leaves(forest, ws)
 
     @property
     def leaf_jac(self) -> np.ndarray:
         """Path-form Jacobian of the leaf probabilities in the node biases,
         (T, h, 2**h): ``_leaf_jacobian``, seen tree-major."""
         tree_count, n_nodes = self.gates.shape
-        index = _leaf_jacobian_index(_path_edges(n_nodes.bit_length()), tree_count)
+        index = _leaf_jacobian_index(n_nodes.bit_length(), tree_count)
         return _leaf_jacobian(self.edges, self.leaf_probs, index).transpose(1, 0, 2)
 
 
-def _leaf_jacobian_index(path_columns: np.ndarray, tree_count: int) -> np.ndarray:
-    """Flat position, in a ``(T, 2m)`` edge array, of the path factor of
-    every (depth, tree, leaf): a forest's ``path_columns`` offset by each
-    tree's row, shape (h, T, 2**h)."""
-    row = 2 * (path_columns.shape[1] - 1)
-    return path_columns[:, None, :] + row * np.arange(tree_count)[:, None]
+def _leaf_jacobian_index(height: int, tree_count: int) -> np.ndarray:
+    """Flat position, in a ``(2, T, m)`` edge array, of the path factor of
+    every (depth, tree, leaf): ``forest._path_edges`` depth-major, shape
+    (h, T, 2**h), writable."""
+    return np.ascontiguousarray(_path_edges(height, tree_count).transpose(1, 0, 2))
 
 
 def _leaf_jacobian(edges: np.ndarray, leaf_probs: np.ndarray,
                    index: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Path-form Jacobian of the leaf probabilities in the node biases,
-    (h, T, 2**h), from the ``(T, 2m)`` edges, the ``(T, 2**h)`` leaf
+    (h, T, 2**h), from the ``(2, T, m)`` edges, the ``(T, 2**h)`` leaf
     probabilities and ``_leaf_jacobian_index``: entry ``[k, t, l]`` is the
     derivative of leaf ``l``'s probability in the bias of its depth-``k``
     ancestor, ``p_l`` times the ancestor's other edge, signed by the side
     the leaf hangs on.
 
-    One gather of the signed other-edge row ``[right | -left]`` through
-    the path columns (a leaf hanging left of a node reads the node's left
-    column, so there it finds ``+right``), written into ``out`` when
+    One gather of the signed other edges ``[right, -left]`` through the
+    path index (a leaf hanging left of a node reads the node's left
+    entry, so there it finds ``+right``), written into ``out`` when
     given, then one multiply by ``p`` in place.
     """
-    m = edges.shape[-1] // 2
-    signed = np.concatenate([edges[:, m:], -edges[:, :m]], axis=-1)
+    signed = np.concatenate([edges[1:], -edges[:1]])
     # Every index is in range; "clip" skips the copy that "raise" makes
     # of the output before writing it.
-    out = np.take(signed, index, out=out, mode="clip")
-    out *= leaf_probs
+    out = signed.reshape(-1).take(index, None, out, "clip")
+    np.multiply(out, leaf_probs, out=out)
     return out
 
 
@@ -176,35 +192,45 @@ def task_gradient(forest: ObliqueForest, x: np.ndarray, y: int) -> ForestGradien
     cache = _ForwardCache(forest, x)
     if not np.isfinite(cache.output).all():
         raise NumericalError(f"forest output is not finite: {cache.output!r}")
-    return _task_gradient_cached(forest, x, y, cache,
+    return _task_gradient_cached(forest, y, cache,
                                  ForestGradient.zeros(forest.shape))
 
 
-def _task_gradient_cached(forest: ObliqueForest, x: np.ndarray, y: int,
+def _task_gradient_cached(forest: ObliqueForest, y: int,
                           cache: _ForwardCache,
                           out: ForestGradient) -> ForestGradient:
-    """The task gradient from a forward cache, written into ``out``.  The
-    caller has checked that the forest output is finite."""
-    residual = softmax(cache.output)
+    """The task gradient from a forward cache, written into ``out``
+    through the cache's workspace.  The caller has checked that the
+    forest output is finite."""
+    ws = cache.workspace
+    # The softmax residual over a handful of outputs, in Python: numpy's
+    # per-call cost outweighs the arithmetic.
+    logits = cache.output.tolist()
+    top = max(logits)
+    exps = [math.exp(v - top) for v in logits]
+    total = sum(exps)
+    residual = [e / total for e in exps]
     residual[y] -= 1.0
-    t, m = forest.tree_count, forest.shape.n_nodes
-    residual /= t
-    np.multiply(cache.leaf_probs[:, :, None], residual, out=out.leaves)
-    # Each tree's leaf terms sensitivity * probability, padded with one
-    # zero, summed below every node's right and left child at once
-    # (``forest._subtree_plan``).
-    terms = np.zeros((t, m + 2))
-    np.matmul(forest.leaves, residual, out=terms[:, :-1])
-    terms[:, :-1] *= cache.leaf_probs
-    below = np.add.reduceat(terms, forest.subtree_bounds, axis=1).take(
-        forest.subtree_order, axis=1)
+    t = forest.tree_count
+    ws.residual[:] = [r / t for r in residual]
+    # Leaf rows: each leaf's probability times the residual, one product
+    # per entry, as a K=1 matrix product (a broadcast multiply stages its
+    # operands through numpy's iteration buffers).
+    np.matmul(ws.leaf_column, ws.residual_row, out=out.leaf_rows)
+    # Every leaf's term sensitivity * probability, trees end to end and
+    # followed by the pad, summed below every node's right and left child
+    # at once (``forest._subtree_plan``), in the edges' layout.
+    np.matmul(forest.leaf_rows, ws.residual, out=ws.leaf_terms)
+    np.multiply(ws.leaf_terms, ws.leaf_flat, out=ws.leaf_terms)
+    np.add.reduceat(ws.terms, forest.subtree_bounds, out=ws.sums)
+    ws.sums.take(forest.subtree_order, None, ws.below, "clip")
     # d p_l / d b_i is +p_l times the right edge of node i for the leaves
     # below its left child, -p_l times its left edge below its right child.
-    below *= cache.edges
-    np.subtract(below[:, m:], below[:, :m], out=out.biases)
-    # Weight rows: x times the bias gradient, feature-major, as the
-    # store stages its gradient rows.
-    np.multiply(x[:, None, None], out.biases, out=out.nodes[1:])
+    np.multiply(ws.below, cache.edges, out=ws.below)
+    np.subtract(ws.below_left, ws.below_right, out=ws.bias_grad)
+    # The node block: [1, x] times the bias gradient, feature-major, as
+    # the store stages its gradient rows.
+    np.multiply(ws.xa_column, ws.bias_grad, out=out.node_rows)
     return out
 
 
@@ -215,21 +241,21 @@ def fairness_gradient(store: AggregateStore, penalty: HuberPenalty,
     written into ``out`` when given.
 
     One Huber contrast product over the notion's contrast weights (see
-    ``RunningMeans.contrast_sum``), laid out as the node block, times the
-    penalty weight; cold contrasts contribute zero, leaf rows are zero.
+    ``RunningMeans.contrast_sum``), its slopes scaled by the penalty
+    weight, written straight into the node block; cold contrasts
+    contribute zero.  Leaf rows carry no fairness gradient: they are zero
+    in a new gradient and never written here, so a buffer only this
+    function writes keeps them zero.
     """
-    if (store.shape.tree_count, store.shape.n_nodes, store.shape.n_features) != (
-        shape.tree_count, shape.n_nodes, shape.n_features
-    ):
+    # Trees, height and features: everything but the outputs.
+    if store.shape[:3] != shape[:3]:
         raise ShapeError("store and forest shapes disagree")
     if out is None:
         out = ForestGradient.zeros(shape)
     if penalty.weight == 0.0:
         out.vector.fill(0.0)
         return out
-    np.multiply(store.contrast_sum(penalty.delta), penalty.weight,
-                out=out.nodes)
-    out.leaves.fill(0.0)
+    store.contrast_sum(penalty.delta, penalty.weight, out.node_rows)
     return out
 
 

@@ -33,6 +33,7 @@ from .gradients import (
     ForestGradient,
     HuberPenalty,
     _ForwardCache,
+    _Workspace,
     _task_gradient_cached,
     fairness_gradient,
     gradient_norm,
@@ -300,7 +301,7 @@ def _check_instance(config: LearnerConfig, x) -> np.ndarray:
             f"expected feature vector of shape ({config.n_features},), "
             f"got {x.shape}"
         )
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x)):
         raise DataError("feature vector contains non-finite values")
     return x
 
@@ -392,8 +393,10 @@ class OnlineForestLearner:
         self.step_count = 0
         self._last_total_norm = 0.0
         self._last_fair_norm = 0.0
-        # Gradient buffers, rewritten every step; ``_last_total`` is the
-        # total gradient of the latest step.
+        # Gradient buffers and the forward and task-gradient scratch,
+        # rewritten every step; ``_last_total`` is the total gradient of
+        # the latest step.
+        self._workspace = _Workspace(shape)
         self._task = ForestGradient.zeros(shape)
         self._fair = ForestGradient.zeros(shape)
         self._last_total = ForestGradient.zeros(shape)
@@ -413,7 +416,7 @@ class OnlineForestLearner:
         """Process one instance; returns the prediction made before any
         parameter update, plus the post-step metrics."""
         x = _check_step(self.config, x, y, a)
-        cache = _ForwardCache(self.forest, x)
+        cache = _ForwardCache(self.forest, x, None, self._workspace)
         output = cache.output.tolist()
         if not all(map(math.isfinite, output)):
             raise NumericalError(f"forest output is not finite: {output!r}")
@@ -421,7 +424,7 @@ class OnlineForestLearner:
         prediction = self._emit(output.index(max(output)))
         self.metrics.update(prediction, output, y, a)
         self._update_fairness_state(x, y, a, cache)
-        task = _task_gradient_cached(self.forest, x, y, cache, self._task)
+        task = _task_gradient_cached(self.forest, y, cache, self._task)
         fair = self._fairness_gradient()
         total = total_gradient(task, fair, self._last_total)
         self._last_fair_norm = gradient_norm(fair)
@@ -450,14 +453,10 @@ class OnlineForestLearner:
                                  self._fair)
 
     def snapshot(self) -> StepSnapshot:
-        return StepSnapshot(
-            step=self.step_count,
-            accuracy=self.metrics.accuracy,
-            dp_hard=self.metrics.dp_hard,
-            dp_soft=self.metrics.dp_soft,
-            grad_norm_total=self._last_total_norm,
-            grad_norm_fair=self._last_fair_norm,
-        )
+        metrics = self.metrics
+        return StepSnapshot(self.step_count, metrics.accuracy, metrics.dp_hard,
+                            metrics.dp_soft, self._last_total_norm,
+                            self._last_fair_norm)
 
     # -- checkpointing -------------------------------------------------------
 

@@ -124,10 +124,11 @@ class NotionTable:
 
 
 def huber_contrast_sum(weights: np.ndarray, blocks: np.ndarray, delta: float,
-                       out: np.ndarray | None = None,
+                       scale: float = 1.0, out: np.ndarray | None = None,
                        gaps: np.ndarray | None = None,
                        slopes: np.ndarray | None = None) -> np.ndarray:
-    """Huber-penalty gradient summed over the contrasts of ``weights``.
+    """Huber-penalty gradient summed over the contrasts of ``weights``,
+    times ``scale``.
 
     ``blocks`` is ``(K, width, n)``: per key, row 0 the constrained
     quantity and rows ``1:`` its gradient over ``n`` cells, as means
@@ -135,9 +136,10 @@ def huber_contrast_sum(weights: np.ndarray, blocks: np.ndarray, delta: float,
     column-wise by the key counts; the product is linear in each key, so
     both give the same gaps.  The gaps are ``weights @ blocks[:, 0]``,
     their Huber slopes the gaps clipped to ``[-delta, delta]``, and the
-    result ``(width - 1, n)`` is ``sum_k (weights.T @ slopes)[k] *
-    blocks[k, 1:]``: one product that reads each key block once, whatever
-    the contrast count.  A zero row adds exactly nothing.  ``out``,
+    result ``(width - 1, n)`` is ``sum_k s[k] * blocks[k, 1:]`` with
+    ``s = scale * (weights.T @ slopes)``: one product that reads each key
+    block once, whatever the contrast count, and scales only the ``(K,
+    n)`` key slopes.  A zero row adds exactly nothing.  ``out``,
     ``gaps`` ``(C, n)`` and ``slopes`` ``(K, n)`` are written when given,
     else allocated.
     """
@@ -145,6 +147,7 @@ def huber_contrast_sum(weights: np.ndarray, blocks: np.ndarray, delta: float,
     np.minimum(gaps, delta, out=gaps)
     np.maximum(gaps, -delta, out=gaps)
     slopes = np.matmul(weights.T, gaps, out=slopes)
+    np.multiply(slopes, scale, out=slopes)
     return np.einsum("kc,kwc->wc", slopes, blocks[:, 1:], out=out)
 
 
@@ -194,7 +197,9 @@ class RunningMeans:
         one add into the key's sums."""
         key = self.table.key(group, task_class)
         self.counts[key] += 1
-        self.sums[key] += values
+        # ``sums[key] += values`` would also copy the block onto itself.
+        block = self.sums[key]
+        block += values
         count = self._divisors[key] = self.counts[key]
         if count == 1 or self.table.count_weighted:
             self.table.weights(self.counts, out=self._table_weights)
@@ -206,17 +211,20 @@ class RunningMeans:
         np.maximum(self.counts, 1, out=self._divisors)
         np.divide(self._table_weights, self._divisors, out=self.contrast_weights)
 
-    def contrast_sum(self, delta: float) -> np.ndarray:
-        """Huber-penalty gradient summed over the contrasts
-        (``huber_contrast_sum``), shape ``(width - 1, *cells)``; cold
-        contrasts add nothing.
+    def contrast_sum(self, delta: float, scale: float = 1.0,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """Huber-penalty gradient summed over the contrasts, times
+        ``scale`` (``huber_contrast_sum``), shape ``(width - 1, *cells)``;
+        cold contrasts add nothing.  Written into ``out`` when given, laid
+        out ``(width - 1, prod(cells))``.
 
-        The result is a scratch block: the next ``contrast_sum``
-        overwrites it, so use it before calling again.
+        Without ``out`` the result is a scratch block: the next
+        ``contrast_sum`` overwrites it, so use it before calling again.
         """
-        huber_contrast_sum(self.contrast_weights, self._flat_sums, delta,
-                           self._flat_total, self._gaps, self._slopes)
-        return self._total
+        huber_contrast_sum(self.contrast_weights, self._flat_sums, delta, scale,
+                           self._flat_total if out is None else out,
+                           self._gaps, self._slopes)
+        return self._total if out is None else out
 
 
 class AggregateStore(RunningMeans):
@@ -236,6 +244,7 @@ class AggregateStore(RunningMeans):
             table.name, table.n_groups, table.n_classes)
         super().__init__(table, (shape.tree_count, shape.n_nodes),
                          shape.n_features + 2)
+        self._input_shapes = (shape.tree_count, shape.n_nodes), (shape.n_features,)
 
     def update_all(self, group: int, task_class: int, gates: np.ndarray,
                    slope: np.ndarray, x: np.ndarray) -> None:
@@ -243,11 +252,11 @@ class AggregateStore(RunningMeans):
 
         ``gates`` and their slopes ``n (1 - n)`` are (T, m), ``x`` (d,).
         """
-        t, m, d = self.shape.tree_count, self.shape.n_nodes, self.shape.n_features
-        if gates.shape != (t, m) or slope.shape != (t, m) or x.shape != (d,):
+        cells, features = self._input_shapes
+        if gates.shape != cells or slope.shape != cells or x.shape != features:
             raise ShapeError(
-                f"expected gates and slopes of shape ({t}, {m}) and x of "
-                f"shape ({d},), got {gates.shape}, {slope.shape}, {x.shape}"
+                f"expected gates and slopes of shape {cells} and x of shape "
+                f"{features}, got {gates.shape}, {slope.shape}, {x.shape}"
             )
         values = self.values
         values[0], values[1] = gates, slope

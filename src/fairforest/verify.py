@@ -17,9 +17,7 @@ from .baselines import Reservoir, reservoir_fairness_gradient
 from .errors import ConfigurationError, DomainError, ShapeError
 from .forest import (
     ObliqueForest,
-    _all_node_outputs,
-    _leaf_probability_gradients_stacked,
-    _mix_leaves,
+    _evaluate,
     forward,
 )
 from .gradients import (
@@ -190,11 +188,10 @@ def check_dp_bound(forest: ObliqueForest, features: np.ndarray,
     capped.leaves /= np.where(norms < 1e-12, 1.0, norms)
     # One evaluation of both (equally sized) groups gives their outputs
     # and their gates.
-    edges = _all_node_outputs(capped, np.stack([x0, x1]))  # (2, n, T, 2m)
-    probs = _leaf_probability_gradients_stacked(edges, capped)
-    outputs = _mix_leaves(capped, probs).mean(axis=1)
+    evaluation = _evaluate(capped, np.stack([x0, x1]))  # batch (2, n)
+    outputs = evaluation.output.mean(axis=1)
     parity_gap = float(np.linalg.norm(outputs[0] - outputs[1]))
-    gates0, gates1 = edges[..., :forest.shape.n_nodes]
+    gates0, gates1 = evaluation.gates
     # Mean absolute gate difference over all (x0, x1) pairs, per node,
     # summed over chunks of group-0 rows so memory stays bounded.
     total = np.zeros(gates1.shape[1:])

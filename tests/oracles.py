@@ -5,6 +5,24 @@ import numpy as np
 from scipy.special import expit
 
 
+def huber_slope(gap, delta):
+    """Derivative of the Huber surrogate in the gap, for a scalar gap or
+    an array of gaps: the gap clipped to ``[-delta, delta]``, so the gap
+    itself inside the quadratic region and ``delta`` times its sign
+    outside (``+-delta`` at both kinks)."""
+    return np.clip(gap, -delta, delta)
+
+
+def tree_norm(grad, index):
+    """Euclidean norm of one tree's slice of a ``ForestGradient``: its
+    weights, biases and leaf rows."""
+    return float(np.sqrt(
+        np.sum(grad.weights[index] ** 2)
+        + np.sum(grad.biases[index] ** 2)
+        + np.sum(grad.leaves[index] ** 2)
+    ))
+
+
 def mask_oracle(height):
     """Dense ancestor mask built by climbing parent pointers, one leaf at a
     time: entry ``(i, j)`` is +1 when leaf ``j`` sits in the left subtree

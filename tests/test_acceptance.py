@@ -24,9 +24,8 @@ from fairforest.baselines import (
 from fairforest.data import SyntheticConfig, generate_synthetic
 from fairforest.forest import (
     ObliqueForest,
-    _all_node_outputs,
     _ancestor_rows,
-    _leaf_probability_gradients_stacked,
+    _evaluate,
     _path_signs,
 )
 from fairforest.gradients import HuberPenalty, fairness_gradient
@@ -39,6 +38,7 @@ from fairforest.verify import (
     gradcheck,
     rescale_inputs,
 )
+from oracles import tree_norm
 
 STANDARD_STREAM = dict(n=5000, n_features=10, bias=0.6, noise=0.1, seed=7)
 HEIGHT = 4
@@ -107,7 +107,7 @@ def run_forest(weight: float, stream, track_trees: bool = False):
             grad = learner._last_total
             max_tree_norm = max(
                 max_tree_norm,
-                max(grad.tree_norm(t) for t in range(TREES)),
+                max(tree_norm(grad, t) for t in range(TREES)),
             )
     return learner, fair_norms, max_tree_norm
 
@@ -170,8 +170,7 @@ def compute_results():
         t = int(rng.integers(1, 4))
         forest = ObliqueForest.random(h, d, c, t, rng=rng)
         x = rng.uniform(-3.0, 3.0, size=d)
-        probs = _leaf_probability_gradients_stacked(
-            _all_node_outputs(forest, x), forest)  # (T, L)
+        probs = _evaluate(forest, x).leaf_probs  # (T, L)
         worst_sum = max(worst_sum, float(np.abs(probs.sum(axis=1) - 1.0).max()))
         lowest = min(lowest, float(probs.min()))
         highest = max(highest, float(probs.max()))

@@ -17,9 +17,8 @@ from fairforest.errors import ConfigurationError, ShapeError
 from fairforest.forest import (
     ForestShape,
     ObliqueForest,
-    _all_node_outputs,
     _ancestor_rows,
-    _leaf_probability_gradients_stacked,
+    _evaluate,
     _node_edges,
     _path_edges,
     _path_signs,
@@ -57,8 +56,7 @@ def route(forest, x):
     """Leaf probabilities of every tree at ``x``, ``(..., d)`` ->
     ``(..., T, 2**h)``: the edges and the routing core of every
     evaluation."""
-    return _leaf_probability_gradients_stacked(_all_node_outputs(forest, x),
-                                               forest)
+    return _evaluate(forest, x).leaf_probs
 
 
 def leaf_probabilities(outputs):
@@ -74,7 +72,7 @@ def bias_jacobian(forest):
     cache = _ForwardCache(forest, X0)
     jac = np.zeros((forest.shape.n_nodes, 2**height))
     jac[_ancestor_rows(height), np.arange(2**height)] = cache.leaf_jac[0]
-    return cache.leaf_probs[0], jac, np.split(cache.edges[0], 2)
+    return cache.leaf_probs[0], jac, cache.edges[:, 0]
 
 
 def leaf_jacobian(outputs):
@@ -99,8 +97,8 @@ class TestBuildMask:
                                                           [1, 1, 2, 2]])
         np.testing.assert_array_equal(_path_signs(2), [[1, 1, -1, -1],
                                                        [1, -1, 1, -1]])
-        np.testing.assert_array_equal(_path_edges(2), [[0, 0, 3, 3],
-                                                       [1, 4, 2, 5]])
+        np.testing.assert_array_equal(_path_edges(2, 1), [[[0, 0, 3, 3],
+                                                           [1, 4, 2, 5]]])
         expected = np.array([
             [1, 1, -1, -1],
             [1, -1, 0, 0],
@@ -113,15 +111,20 @@ class TestBuildMask:
 
     def test_matches_parent_pointer_oracle(self):
         """Heights 1 through 8 agree with the leaf-climbing construction,
-        and each path factor's edge column is its ancestor's left edge
-        (column ``node``) or right edge (column ``m + node``) by sign."""
+        and each path factor's position in a ``(2, T, m)`` edge array is
+        its ancestor's left edge (``t * m + node``) or right edge (``(T +
+        t) * m + node``) by sign."""
         for h in range(1, 9):
             np.testing.assert_array_equal(
                 mask_from_paths(h), mask_oracle(h), err_msg=f"height {h}",
             )
             right = _path_signs(h) < 0
-            np.testing.assert_array_equal(
-                _path_edges(h), _ancestor_rows(h) + right * (2**h - 1))
+            for trees in (1, 3):
+                edges = np.arange(2 * trees * (2**h - 1)).reshape(2, trees, -1)
+                want = np.stack([np.where(right, edges[1, t][_ancestor_rows(h)],
+                                          edges[0, t][_ancestor_rows(h)])
+                                 for t in range(trees)])
+                np.testing.assert_array_equal(_path_edges(h, trees), want)
 
     def test_each_leaf_has_height_many_ancestors(self):
         """Each leaf has one distinct ancestor per depth, on that depth."""
@@ -134,12 +137,12 @@ class TestBuildMask:
 
     def test_entries_are_read_only(self):
         """The cached path arrays are shared, so none of them is writable."""
-        for array in (_ancestor_rows(3), _path_signs(3), _path_edges(3)):
+        for array in (_ancestor_rows(3), _path_signs(3), _path_edges(3, 2)[0]):
             with pytest.raises(ValueError):
                 array[0, 0] = 0
-        for array in _subtree_plan(3):
+        for array in _subtree_plan(3, 2):
             with pytest.raises(ValueError):
-                array[0] = 0
+                array.flat[0] = 0
 
     def test_forest_indices_are_writable_and_shared_by_copies(self):
         """``np.take`` and ``np.add.reduceat`` copy a read-only index on
@@ -147,9 +150,9 @@ class TestBuildMask:
         indices, which its copies share."""
         forest = ObliqueForest.random(3, 2, 2)
         clone = forest.copy()
-        for name, cached in (("path_columns", _path_edges(3)),
-                             ("subtree_bounds", _subtree_plan(3)[0]),
-                             ("subtree_order", _subtree_plan(3)[1])):
+        for name, cached in (("path_index", _path_edges(3, 3)),
+                             ("subtree_bounds", _subtree_plan(3, 3)[0]),
+                             ("subtree_order", _subtree_plan(3, 3)[1])):
             index = getattr(forest, name)
             assert index.flags.writeable, name
             np.testing.assert_array_equal(index, cached)
@@ -160,10 +163,14 @@ class TestBuildMask:
         0, 1, 2, 3 (depth 2), each depth closed by the pad at 4; the order
         takes the sums below the right children (nodes 2, 4 and 6, at
         positions 1, 4 and 6), then the left (nodes 1, 3 and 5, at 0, 3
-        and 5)."""
-        bounds, order = _subtree_plan(2)
+        and 5).  A second tree's leaves follow the first's: its bounds
+        are offset by 4 leaves and its sums by 8."""
+        bounds, order = _subtree_plan(2, 1)
         np.testing.assert_array_equal(bounds, [0, 2, 4, 0, 1, 2, 3, 4])
-        np.testing.assert_array_equal(order, [1, 4, 6, 0, 3, 5])
+        np.testing.assert_array_equal(order, [[[1, 4, 6]], [[0, 3, 5]]])
+        bounds, order = _subtree_plan(2, 2)
+        np.testing.assert_array_equal(bounds[8:], [4, 6, 8, 4, 5, 6, 7, 8])
+        np.testing.assert_array_equal(order[:, 1], [[9, 12, 14], [8, 11, 13]])
 
     @settings(max_examples=40, deadline=None)
     @given(height=st.integers(1, 10), trees=st.integers(1, 3),
@@ -176,14 +183,15 @@ class TestBuildMask:
         make every sum exact, so any leaf taken or missed shows."""
         forest = ObliqueForest(ForestShape(trees, height, 1, 1))
         rng = np.random.default_rng(seed)
-        terms = np.zeros((trees, 2**height + 1), dtype=np.int64)
-        terms[:, :-1] = rng.integers(-2**20, 2**20, size=(trees, 2**height))
-        below = np.add.reduceat(terms, forest.subtree_bounds, axis=1).take(
-            forest.subtree_order, axis=1)
+        terms = np.zeros(trees * 2**height + 1, dtype=np.int64)
+        terms[:-1] = rng.integers(-2**20, 2**20, size=trees * 2**height)
+        below = np.add.reduceat(terms, forest.subtree_bounds).take(
+            forest.subtree_order)
         mask = mask_oracle(height)
-        right = terms[:, :-1] @ (mask < 0).T.astype(np.int64)
-        left = terms[:, :-1] @ (mask > 0).T.astype(np.int64)
-        np.testing.assert_array_equal(below, np.concatenate([right, left], 1))
+        leaves = terms[:-1].reshape(trees, -1)
+        right = leaves @ (mask < 0).T.astype(np.int64)
+        left = leaves @ (mask > 0).T.astype(np.int64)
+        np.testing.assert_array_equal(below, np.stack([right, left]))
 
     def test_rejects_out_of_range_heights(self):
         for bad in (0, -1, 17, 2.5, "3", True):
@@ -196,7 +204,7 @@ class TestBuildMask:
         shape = ForestShape(3, 4, 2, 2)
         assert shape.n_nodes == 15
         assert shape.n_leaves == 16
-        for array in (_ancestor_rows(4), _path_signs(4), _path_edges(4)):
+        for array in (_ancestor_rows(4), _path_signs(4), _path_edges(4, 1)[0]):
             assert array.shape == (4, 16)
         assert _path_signs(4).dtype == np.float64
 
@@ -339,7 +347,7 @@ class TestNodeEdges:
         z = np.tile(np.array(values + [800.0, -800.0]), (rows, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            edges = _node_edges(z)
+            edges = _node_edges(np.concatenate([-z, z], axis=-1))
         left, right = np.split(edges, 2, axis=-1)
         with np.errstate(over="ignore"):
             np.testing.assert_array_equal(left, 1 / (1 + np.exp(-z)))
@@ -357,7 +365,7 @@ class TestNodeEdges:
         z = np.array([[peak, -peak, 0.5], [1.0, -2.0, peak - 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            edges = _node_edges(z)
+            edges = _node_edges(np.concatenate([-z, z], axis=-1))
         with np.errstate(over="ignore"):
             np.testing.assert_array_equal(
                 edges, 1 / (1 + np.exp(np.concatenate([-z, z], axis=-1))))

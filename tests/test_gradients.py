@@ -13,7 +13,7 @@ from fairforest.errors import ConfigurationError, NumericalError, ShapeError
 from fairforest.forest import (
     ForestShape,
     ObliqueForest,
-    _path_edges,
+    _ancestor_rows,
     _path_signs,
     forward,
 )
@@ -28,7 +28,6 @@ from fairforest.gradients import (
     fairness_gradient,
     gradient_norm,
     huber,
-    huber_slope,
     softmax,
     task_gradient,
     total_gradient,
@@ -36,7 +35,12 @@ from fairforest.gradients import (
 from fairforest.learner import LearnerConfig, OnlineForestLearner
 from fairforest.stats import AggregateStore
 from fairforest.verify import finite_difference
-from oracles import dense_leaf_jacobian, path_form_task_gradient
+from oracles import (
+    dense_leaf_jacobian,
+    huber_slope,
+    path_form_task_gradient,
+    tree_norm,
+)
 
 
 def numeric_task_gradient(forest, x, y, step=1e-6):
@@ -333,45 +337,41 @@ class TestTaskGradient:
         grad = task_gradient(forest, x, y)
         residual = softmax(forward(forest, x))
         residual[y] -= 1.0
-        from fairforest.forest import _all_node_outputs
+        from fairforest.forest import _evaluate
         from oracles import dense_leaf_jacobian
 
-        gates, right = np.split(_all_node_outputs(forest, x), 2, axis=1)
+        gates, right = _evaluate(forest, x).edges
         for t in range(2):
             probs, _ = dense_leaf_jacobian(gates[t], right[t], forest.height)
             expected = probs[:, None] * residual[None, :] / forest.tree_count
             np.testing.assert_allclose(grad.leaves[t], expected, rtol=1e-12)
 
     def test_segmented_sum_copies_no_index(self):
-        """At h=10, T=4 the task gradient allocates its padded leaf terms,
-        the segmented sums and their gathered halves, and nothing of its
-        indices' size: with a read-only index, ``np.add.reduceat`` and
-        ``np.take`` would each copy one (16 kB here) on every call.
-        numpy's broadcasting ufuncs stage operands through a fixed buffer
-        of ``np.getbufsize()`` values, 64 kB each by default, which would
-        hide a 16 kB copy in the peak, so the buffer is shrunk while the
-        gradient is traced."""
+        """At h=10, T=4 the task gradient writes its padded leaf terms, the
+        segmented sums and their gathered halves into the cache's
+        workspace, and allocates nothing of its indices' size either: with
+        a read-only index, ``np.add.reduceat`` and ``take`` would each copy
+        one (16 kB here) on every call.  numpy's broadcasting ufuncs stage
+        operands through a fixed buffer of ``np.getbufsize()`` values, 64
+        kB each by default, which would hide a 16 kB copy in the peak, so
+        the buffer is shrunk while the gradient is traced."""
         forest = ObliqueForest.random(10, 10, 2, tree_count=4, rng=0)
         x = np.ones(10)
         cache = _ForwardCache(forest, x)
         out = ForestGradient.zeros(forest.shape)
-        t, m = forest.tree_count, forest.shape.n_nodes
-        terms = 8 * t * (m + 2)
-        sums = 8 * t * (2 * m + forest.height)
-        below = 8 * t * 2 * m
         index = min(forest.subtree_bounds.nbytes, forest.subtree_order.nbytes)
         buffer = np.setbufsize(64)
         try:
-            _task_gradient_cached(forest, x, 1, cache, out)
+            _task_gradient_cached(forest, 1, cache, out)
             tracemalloc.start()
             try:
-                _task_gradient_cached(forest, x, 1, cache, out)
+                _task_gradient_cached(forest, 1, cache, out)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         finally:
             np.setbufsize(buffer)
-        assert peak < terms + sums + below + index / 4, (peak, index)
+        assert peak < index / 4, (peak, index)
 
     def test_saturated_gate_keeps_its_slope(self):
         """At pre-activation +40 the gate slope is expit(40) * expit(-40)
@@ -466,11 +466,11 @@ class TestLeafJacobian:
         forest.weights *= scale
         forest.biases += rng.uniform(-scale, scale, size=forest.biases.shape)
         cache = _ForwardCache(forest, rng.standard_normal(3))
-        m = forest.shape.n_nodes
-        other = np.take(cache.edges, (_path_edges(height) + m) % (2 * m),
-                        axis=-1)
-        want = other * cache.leaf_probs[:, None] * _path_signs(height)
-        index = _leaf_jacobian_index(forest.path_columns, trees)
+        left, right = cache.edges
+        ancestors, signs = _ancestor_rows(height), _path_signs(height)
+        other = np.where(signs > 0, right[:, ancestors], left[:, ancestors])
+        want = other * cache.leaf_probs[:, None] * signs
+        index = _leaf_jacobian_index(height, trees)
         got = _leaf_jacobian(cache.edges, cache.leaf_probs, index)
         assert got.shape == (height, trees, 2**height)
         assert got.transpose(1, 0, 2).tobytes() == want.tobytes()
@@ -581,8 +581,11 @@ class TestFairnessGradient:
     def test_nodes_are_the_weighted_contrast_sum_bit_for_bit(
             self, notion, n_groups, n_classes):
         """The store's contrast sum is laid out as the gradient's node
-        block, so the gradient is that sum times the penalty weight, bit
-        for bit, with zero leaf rows."""
+        block, so the gradient is that sum with its key slopes scaled by
+        the penalty weight, bit for bit, written straight into the block:
+        at weight 1 it is the unweighted sum exactly, at 0.7 that sum
+        times 0.7 up to rounding.  Leaf rows are never written: zero in a
+        new gradient, and left as they were in a caller's buffer."""
         shape = ForestShape(tree_count=2, height=3, n_features=4,
                             n_outputs=n_classes)
         forest = ObliqueForest.random(3, 4, n_classes, 2, rng=8)
@@ -594,14 +597,23 @@ class TestFairnessGradient:
             store.update_all(int(rng.integers(0, n_groups)),
                              int(rng.integers(0, n_classes)),
                              cache.gates, cache.slope, x)
-        want = store.contrast_sum(0.05) * 0.7
+        weights = store.contrast_weights
+        sums = store.sums.reshape(weights.shape[1], 6, -1)
+        gaps = np.clip(weights @ sums[:, 0], -0.05, 0.05)
+        slopes = (weights.T @ gaps) * 0.7
+        want = np.einsum("kc,kwc->wc", slopes, sums[:, 1:]).reshape(5, 2, 7)
         assert np.abs(want).max() > 0.0
         out = ForestGradient.zeros(shape)
         out.vector.fill(np.nan)
         grad = fairness_gradient(store, HuberPenalty(0.05, 0.7), shape, out)
         assert grad.nodes.shape == want.shape == (5, 2, 7)
         assert grad.nodes.tobytes() == want.tobytes()
-        np.testing.assert_array_equal(grad.leaves, 0.0)
+        np.testing.assert_allclose(grad.nodes, store.contrast_sum(0.05) * 0.7,
+                                   rtol=1e-12, atol=1e-14 * np.abs(want).max())
+        assert np.isnan(grad.leaves).all()
+        unit = fairness_gradient(store, HuberPenalty(0.05, 1.0), shape)
+        assert unit.nodes.tobytes() == store.contrast_sum(0.05).tobytes()
+        np.testing.assert_array_equal(unit.leaves, 0.0)
 
     def test_shape_mismatch_is_rejected(self):
         store = self._store_with_gap()
@@ -675,5 +687,5 @@ class TestGradientContainers:
         grad.weights[0] = 3.0
         grad.biases[0] = 4.0
         assert gradient_norm(grad) == 5.0
-        assert grad.tree_norm(0) == 5.0
-        assert grad.tree_norm(1) == 0.0
+        assert tree_norm(grad, 0) == 5.0
+        assert tree_norm(grad, 1) == 0.0

@@ -19,8 +19,8 @@ from fairforest.errors import (
     NumericalError,
     ShapeError,
 )
-from fairforest.forest import ForestShape, _block_views
-from fairforest.gradients import _ForwardCache
+from fairforest.forest import ForestShape, _block_views, forward
+from fairforest.gradients import _ForwardCache, task_gradient
 from fairforest.learner import (
     AdamParams,
     AdamState,
@@ -627,6 +627,114 @@ class TestStepping:
         with pytest.raises(NumericalError):
             learner.step(np.zeros(2), 1, 0)
         assert learner.checkpoint() == before
+
+class TestStepWorkspace:
+    """Each learner steps over one workspace it keeps: the augmented
+    instance, the edges, the routing gather, the leaf probabilities, the
+    output and the task gradient's scratch, built once."""
+
+    @staticmethod
+    def _learner(notion="dp", n_groups=2, **kwargs):
+        base = dict(n_features=3, height=3, tree_count=2, fairness=notion,
+                    n_groups=n_groups, fairness_weight=1.0, seed=1)
+        base.update(kwargs)
+        return OnlineForestLearner(LearnerConfig(**base))
+
+    @staticmethod
+    def _stream(n, d, n_groups, n_classes, seed):
+        rng = np.random.default_rng(seed)
+        return [(rng.standard_normal(d), int(rng.integers(0, n_classes)),
+                 int(rng.integers(0, n_groups))) for _ in range(n)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(height=st.integers(1, 8), trees=st.integers(1, 5),
+           d=st.integers(1, 12), c=st.integers(2, 4),
+           notion=st.sampled_from(["dp", "equalized_odds", "multigroup"]),
+           groups=st.integers(2, 4), seed=st.integers(0, 2**16))
+    def test_step_predicts_and_evaluates_as_forward(self, height, trees, d, c,
+                                                    notion, groups, seed):
+        """Each step returns the ``predict(x)`` taken before it, and the
+        forward output it left in its workspace is ``forward(forest, x)``
+        at the parameters before the step, bit for bit."""
+        n_groups = groups if notion == "multigroup" else 2
+        learner = self._learner(notion, n_groups, n_features=d, n_outputs=c,
+                                height=height, tree_count=trees, seed=seed)
+        for x, y, a in self._stream(4, d, n_groups, c, seed):
+            want = forward(learner.forest, x)
+            predicted = learner.predict(x)
+            prediction, _ = learner.step(x, y, a)
+            assert prediction == predicted
+            assert learner._workspace.output.tobytes() == want.tobytes()
+
+    def test_interleaved_learners_match_solo_runs(self):
+        """Two learners of one shape and a third of another, stepped in
+        turn, end bit for bit where each ends stepped alone, with the same
+        snapshots: no scratch is shared between learners."""
+        def build():
+            return [self._learner(seed=1), self._learner(seed=2),
+                    self._learner("multigroup", 3, height=4, tree_count=3)]
+        stream = self._stream(30, 3, 2, 2, seed=5)
+        solo = []
+        for learner in build():
+            snaps = [learner.step(x, y, a) for x, y, a in stream]
+            solo.append((learner.forest.vector.copy(), snaps))
+        together = build()
+        snaps = [[] for _ in together]
+        for x, y, a in stream:
+            for learner, log in zip(together, snaps):
+                log.append(learner.step(x, y, a))
+        for learner, log, (vector, want) in zip(together, snaps, solo):
+            assert learner.forest.vector.tobytes() == vector.tobytes()
+            assert log == want
+
+    def test_cache_without_workspace_is_not_overwritten(self):
+        """A forward cache built without a workspace owns its arrays, so
+        the learner's next steps, and other caches and task gradients
+        built without one, leave it as it was."""
+        learner = self._learner(notion="equalized_odds")
+        stream = self._stream(5, 3, 2, 2, seed=6)
+        cache = _ForwardCache(learner.forest, stream[0][0])
+        assert cache.workspace is not learner._workspace
+        names = ("edges", "gates", "slope", "leaf_probs", "output")
+        before = {name: getattr(cache, name).copy() for name in names}
+        for x, y, a in stream:
+            learner.step(x, y, a)
+            _ForwardCache(learner.forest, x)
+            task_gradient(learner.forest, x, y)
+        for name in names:
+            np.testing.assert_array_equal(getattr(cache, name), before[name],
+                                          err_msg=name)
+
+    def test_warm_steps_allocate_no_block(self):
+        """After warm-up, 50 steps at h=6, T=4 under multigroup with four
+        groups allocate less than a quarter of one ``(d + 1, T, m)`` node
+        block (22 kB): a step's forward pass, task gradient and store fold
+        write into buffers their owners keep, where the routing gather
+        alone used to allocate 12 kB each step.  numpy's broadcasting
+        ufuncs stage operands through a fixed buffer of
+        ``np.getbufsize()`` values (64 kB by default, whatever the
+        array's size), so the buffer is shrunk while the steps are
+        traced."""
+        learner = self._learner("multigroup", 4, n_features=10, height=6,
+                                tree_count=4)
+        stream = self._stream(150, 10, 4, 2, seed=7)
+        for x, y, a in stream[:100]:
+            learner.step(x, y, a)
+        block = learner.forest.nodes.nbytes
+        assert block == 11 * 4 * 63 * 8
+        buffer = np.setbufsize(64)
+        try:
+            tracemalloc.start()
+            try:
+                for x, y, a in stream[100:]:
+                    learner.step(x, y, a)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            np.setbufsize(buffer)
+        assert peak < block / 4, (peak, block)
+
 
 class TestCheckpoint:
     """Suspend and resume."""

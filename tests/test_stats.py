@@ -18,7 +18,7 @@ from fairforest.errors import ConfigurationError, DataError, DomainError, ShapeE
 from fairforest.forest import (
     ForestShape,
     ObliqueForest,
-    _all_node_outputs,
+    _evaluate,
     _leaf_probability_gradients_stacked,
 )
 from fairforest.gradients import HuberPenalty, fairness_gradient
@@ -508,16 +508,15 @@ class TestNoBlockSizedTemporaries:
         assert max(peaks.values()) < block / 4, (peaks, block)
 
     def test_routing_core_peaks_at_its_gather(self):
-        """The routing core allocates its ``(T, h, 2^h)`` gather and the
-        leaf probabilities, and nothing of its index's size: at h=10, T=4
-        ``np.take`` with a read-only index would copy all 82 kB of it."""
+        """The routing core writes its ``(T, h, 2^h)`` gather and the leaf
+        probabilities into the pass's buffers, and allocates nothing of
+        its index's size: at h=10, T=4 ``take`` with a read-only index
+        would copy all 328 kB of it."""
         forest = ObliqueForest.random(10, 10, 2, tree_count=4, rng=0)
-        edges = _all_node_outputs(forest, np.ones(10))
-        gather = 4 * 10 * 2**10 * 8
-        probs = 4 * 2**10 * 8
+        p = _evaluate(forest, np.ones(10))
         peak = traced_peak(
-            lambda: _leaf_probability_gradients_stacked(edges, forest))
-        assert peak < gather + probs + forest.path_columns.nbytes / 4, peak
+            lambda: _leaf_probability_gradients_stacked(forest, p))
+        assert peak < forest.path_index.nbytes / 4, peak
 
     def test_leaf_store_passes(self):
         """The leaf baseline's store at h=6, T=8 (d=32: a 0.8 MB block)."""
