@@ -13,7 +13,6 @@ from .baselines import (
 from .data import (
     DatasetSchema,
     SyntheticConfig,
-    default_schema,
     generate_synthetic,
     read_stream,
 )
@@ -38,13 +37,11 @@ from .gradients import (
     cross_entropy,
     fairness_gradient,
     gradient_norm,
-    huber,
     softmax,
     task_gradient,
     total_gradient,
 )
 from .learner import (
-    AdamParams,
     AdamState,
     LearnerConfig,
     MetricsTracker,

@@ -304,7 +304,7 @@ class OnlineMlpLearner:
         self.store = RunningMeans(
             config.notion_table(), (c,), 1 + size,
         ) if config.has_penalty else None
-        self.adam = AdamState(size, config.adam_params())
+        self.adam = AdamState(size, config)
         self.metrics = MetricsTracker(config.n_groups, c)
         self.step_count = 0
         self._last_total_norm = 0.0

@@ -54,15 +54,6 @@ class DatasetSchema:
         return len(self.feature_columns)
 
 
-def default_schema(n_features: int, normalization: str = "none") -> DatasetSchema:
-    """Schema for the package's own CSV convention: features ``f0..f{d-1}``,
-    label column ``y``, group column ``a``."""
-    return DatasetSchema(
-        feature_columns=[f"f{i}" for i in range(n_features)],
-        normalization=normalization,
-    )
-
-
 class _OnlineScaler:
     """Streaming per-feature standardization with no lookahead.
 

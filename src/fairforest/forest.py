@@ -173,14 +173,12 @@ def _block_views(vector: np.ndarray, shapes) -> list[np.ndarray]:
 
 def _forest_views(vector: np.ndarray, shape: ForestShape) -> tuple:
     """The node block ``(d + 1, T, m)`` and leaf rows ``(T, 2**h, c)`` of
-    a forest-layout vector, the same two blocks flat as the evaluation's
-    matrices, ``node_rows`` ``(d + 1, T * m)`` and ``leaf_rows``
-    ``(T * 2**h, c)``, and the per-tree views of the node block:
-    ``weights`` ``(T, m, d)`` (strided) and ``biases`` ``(T, m)``."""
+    a forest-layout vector, and the same two blocks flat as the
+    evaluation's matrices, ``node_rows`` ``(d + 1, T * m)`` and
+    ``leaf_rows`` ``(T * 2**h, c)``."""
     nodes, leaves = _block_views(vector, shape.param_shapes)
     return (nodes, leaves, nodes.reshape(shape.n_features + 1, -1),
-            leaves.reshape(-1, shape.n_outputs), np.moveaxis(nodes[1:], 0, -1),
-            nodes[0])
+            leaves.reshape(-1, shape.n_outputs))
 
 
 class ObliqueForest:
@@ -188,10 +186,10 @@ class ObliqueForest:
 
     Every parameter lives in one contiguous float64 ``vector``: the node
     block ``nodes`` ``(d + 1, T, m)``, laid out as the stores' gradient
-    rows, then ``leaves`` ``(T, 2**h, c)``.  These, the same blocks flat
-    (``node_rows``, ``leaf_rows``), and the node block's per-tree
-    ``weights`` ``(T, m, d)`` and ``biases`` ``(T, m)``, are views into
-    it, so an in-place update through any of them is seen by all.
+    rows (row 0 the biases, rows 1..d the weights, feature-major), then
+    ``leaves`` ``(T, 2**h, c)``.  These and the same blocks flat
+    (``node_rows``, ``leaf_rows``) are contiguous views into it, so an
+    in-place update through any of them is seen by all.
     """
 
     def __init__(self, shape: ForestShape):
@@ -204,8 +202,8 @@ class ObliqueForest:
         self.shape = ForestShape(*(int(n) for n in shape))
         self.height = self.shape.height
         self.vector = np.zeros(self.shape.n_params)
-        (self.nodes, self.leaves, self.node_rows, self.leaf_rows,
-         self.weights, self.biases) = _forest_views(self.vector, self.shape)
+        (self.nodes, self.leaves, self.node_rows,
+         self.leaf_rows) = _forest_views(self.vector, self.shape)
         # The routing core's gather index and the task gradient's
         # segmented-sum indices, writable on purpose: ``take`` and
         # ``np.add.reduceat`` copy a read-only index on every call.
@@ -213,35 +211,6 @@ class ObliqueForest:
         self.path_index = np.array(_path_edges(*plan))
         self.subtree_bounds, self.subtree_order = (
             np.array(index) for index in _subtree_plan(*plan))
-
-    @classmethod
-    def from_arrays(cls, height: int, weights: np.ndarray, biases: np.ndarray,
-                    leaves: np.ndarray) -> "ObliqueForest":
-        """Pack stacked per-tree arrays into a new forest's vector.
-
-        Refuses arrays that do not describe ``T`` trees of one geometry
-        (``ShapeError``) or that hold non-finite values
-        (``ConfigurationError``).
-        """
-        arrays = [np.asarray(a, dtype=np.float64) for a in (weights, biases, leaves)]
-        if arrays[0].ndim != 3 or arrays[2].ndim != 3:
-            raise ShapeError(
-                "weights and leaves must be stacked per tree, (T, m, d) and "
-                f"(T, 2**h, c), got {arrays[0].shape} and {arrays[2].shape}"
-            )
-        forest = cls(ForestShape(arrays[0].shape[0], height, arrays[0].shape[2],
-                                 arrays[2].shape[2]))
-        for name, view, array in zip(("weights", "biases", "leaves"),
-                                     (forest.weights, forest.biases, forest.leaves),
-                                     arrays):
-            if array.shape != view.shape:
-                raise ShapeError(
-                    f"{name} must have shape {view.shape}, got {array.shape}"
-                )
-            if not np.isfinite(array).all():
-                raise ConfigurationError(f"forest {name} contain non-finite values")
-            view[...] = array
-        return forest
 
     @classmethod
     def random(cls, height: int, n_features: int, n_outputs: int,
@@ -259,7 +228,11 @@ class ObliqueForest:
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         bound = 2.0 / np.sqrt(n_features)
-        forest.weights[...] = rng.uniform(-bound, bound, size=forest.weights.shape)
+        # Drawn per tree, (T, m, d), so a seed gives the same forest
+        # whatever the storage layout.
+        weights = rng.uniform(-bound, bound,
+                              size=(tree_count, forest.shape.n_nodes, n_features))
+        forest.nodes[1:] = np.moveaxis(weights, -1, 0)
         forest.leaves[...] = rng.uniform(-0.1, 0.1, size=forest.leaves.shape)
         return forest
 
@@ -419,6 +392,8 @@ def forward_batch(forest: ObliqueForest, features: np.ndarray,
             f"expected feature matrix of shape (n, {forest.n_features}), "
             f"got {features.shape}"
         )
+    if not len(features):
+        return np.zeros((0, forest.n_outputs))
     return _evaluate(forest, features).output
 
 

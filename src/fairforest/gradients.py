@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .forest import (
     _leaf_probability_gradients_stacked,
     _mix_leaves,
     _path_edges,
+    _path_signs,
 )
 from .stats import AggregateStore
 
@@ -51,25 +53,17 @@ class HuberPenalty:
 
 class ForestGradient:
     """Gradient over every parameter of a forest, in the forest's layout:
-    one flat ``vector`` with the same six views as ``ObliqueForest``."""
+    one flat ``vector`` with the same four views as ``ObliqueForest``."""
 
     def __init__(self, shape: ForestShape, vector: np.ndarray):
         self.shape = shape
         self.vector = vector
-        (self.nodes, self.leaves, self.node_rows, self.leaf_rows,
-         self.weights, self.biases) = _forest_views(vector, shape)
+        (self.nodes, self.leaves, self.node_rows,
+         self.leaf_rows) = _forest_views(vector, shape)
 
     @classmethod
     def zeros(cls, shape: ForestShape) -> "ForestGradient":
         return cls(shape, np.zeros(shape.n_params))
-
-
-def huber(gap: float, delta: float) -> float:
-    """Huber surrogate of the absolute gap: quadratic inside ``|gap| < delta``,
-    linear outside."""
-    if abs(gap) < delta:
-        return 0.5 * gap * gap
-    return delta * (abs(gap) - 0.5 * delta)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -146,10 +140,22 @@ class _ForwardCache:
 
 
 def _leaf_jacobian_index(height: int, tree_count: int) -> np.ndarray:
-    """Flat position, in a ``(2, T, m)`` edge array, of the path factor of
-    every (depth, tree, leaf): ``forest._path_edges`` depth-major, shape
+    """Flat position, in a ``(2, T, m)`` edge array, of the other edge of
+    every (depth, tree, leaf) path factor: ``forest._path_edges``
+    depth-major with the left and right halves swapped, shape
     (h, T, 2**h), writable."""
-    return np.ascontiguousarray(_path_edges(height, tree_count).transpose(1, 0, 2))
+    half = tree_count * (2**height - 1)  # the left edges, then the right
+    index = _path_edges(height, tree_count).transpose(1, 0, 2) + half
+    return np.ascontiguousarray(index % (2 * half))
+
+
+@lru_cache(maxsize=None)
+def _leaf_jacobian_signs(height: int, tree_count: int) -> np.ndarray:
+    """``forest._path_signs`` of every (depth, tree, leaf), shape
+    (h, T, 2**h), contiguous so the sign multiply needs no broadcast."""
+    signs = np.repeat(_path_signs(height)[:, None], tree_count, axis=1)
+    signs.setflags(write=False)
+    return signs
 
 
 def _leaf_jacobian(edges: np.ndarray, leaf_probs: np.ndarray,
@@ -162,16 +168,16 @@ def _leaf_jacobian(edges: np.ndarray, leaf_probs: np.ndarray,
     ancestor, ``p_l`` times the ancestor's other edge, signed by the side
     the leaf hangs on.
 
-    One gather of the signed other edges ``[right, -left]`` through the
-    path index (a leaf hanging left of a node reads the node's left
-    entry, so there it finds ``+right``), written into ``out`` when
-    given, then one multiply by ``p`` in place.
+    One gather of the other edges through the index, written into ``out``
+    when given, then two multiplies in place: by ``p`` and by the exact
+    ±1 path sign (``_leaf_jacobian_signs``), so no signed copy of the
+    edges is made.
     """
-    signed = np.concatenate([edges[1:], -edges[:1]])
     # Every index is in range; "clip" skips the copy that "raise" makes
     # of the output before writing it.
-    out = signed.reshape(-1).take(index, None, out, "clip")
+    out = edges.reshape(-1).take(index, None, out, "clip")
     np.multiply(out, leaf_probs, out=out)
+    np.multiply(out, _leaf_jacobian_signs(*index.shape[:2]), out=out)
     return out
 
 

@@ -47,23 +47,14 @@ _REAL_FIELDS = ("fairness_weight", "huber_delta", "learning_rate", "beta1",
                 "beta2", "adam_epsilon")
 
 
-@dataclass(frozen=True)
-class AdamParams:
-    """Adam hyperparameters."""
-
-    learning_rate: float = 2e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-
 class AdamState:
     """First and second moment estimates of one flat parameter vector of
     ``size`` values, and two scratch vectors of that size, so an update
-    allocates nothing of the vector's size."""
+    allocates nothing of the vector's size.  The step size, both decay
+    rates and epsilon are read from ``config``."""
 
-    def __init__(self, size: int, hyper: AdamParams):
-        self.hyper = hyper
+    def __init__(self, size: int, config: LearnerConfig):
+        self.config = config
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
@@ -77,20 +68,20 @@ class AdamState:
         sqrt(c2) / c1`` and ``eps_t = eps * sqrt(c2)``, which is ``lr * (m /
         c1) / (sqrt(v / c2) + eps)`` without dividing either moment."""
         self.t += 1
-        h = self.hyper
-        c1 = 1.0 - h.beta1**self.t
-        root_c2 = math.sqrt(1.0 - h.beta2**self.t)
+        config = self.config
+        c1 = 1.0 - config.beta1**self.t
+        root_c2 = math.sqrt(1.0 - config.beta2**self.t)
         m, v, step, scale = self.m, self.v, self._step, self._scale
-        m *= h.beta1
-        np.multiply(grads, 1.0 - h.beta1, out=step)
+        m *= config.beta1
+        np.multiply(grads, 1.0 - config.beta1, out=step)
         m += step
-        v *= h.beta2
-        np.multiply(grads, 1.0 - h.beta2, out=step)
+        v *= config.beta2
+        np.multiply(grads, 1.0 - config.beta2, out=step)
         step *= grads
         v += step
         np.sqrt(v, out=scale)
-        scale += h.epsilon * root_c2
-        np.multiply(m, h.learning_rate * root_c2 / c1, out=step)
+        scale += config.adam_epsilon * root_c2
+        np.multiply(m, config.learning_rate * root_c2 / c1, out=step)
         step /= scale
         params -= step
 
@@ -286,10 +277,6 @@ class LearnerConfig:
         _check_keys(data, [f.name for f in fields(cls)], "config")
         return cls(**data)
 
-    def adam_params(self) -> AdamParams:
-        return AdamParams(self.learning_rate, self.beta1, self.beta2,
-                          self.adam_epsilon)
-
 
 def _check_instance(config: LearnerConfig, x) -> np.ndarray:
     """``x`` as a float vector, refusing a length other than the
@@ -388,7 +375,7 @@ class OnlineForestLearner:
         self.penalty = HuberPenalty(config.huber_delta, config.fairness_weight)
         self.store = self._build_store()
         shape = self.forest.shape
-        self.adam = AdamState(shape.n_params, config.adam_params())
+        self.adam = AdamState(shape.n_params, config)
         self.metrics = MetricsTracker(config.n_groups, config.n_outputs)
         self.step_count = 0
         self._last_total_norm = 0.0

@@ -120,14 +120,16 @@ def gradcheck(seed: int = 0, trials: int = 20, tolerance: float = 1e-4,
         forest = ObliqueForest.random(height, d, c, tree_count, rng=rng)
         # Spread the gates away from 0.5 so the check exercises the
         # product structure, not just the linearization at the root.
-        forest.weights += rng.uniform(-1.0, 1.0, size=forest.weights.shape)
-        forest.biases += rng.uniform(-0.5, 0.5, size=forest.biases.shape)
+        # The weights are drawn per tree, (T, m, d).
+        forest.nodes[1:] += np.moveaxis(rng.uniform(
+            -1.0, 1.0, size=(tree_count, forest.shape.n_nodes, d)), -1, 0)
+        forest.nodes[0] += rng.uniform(-0.5, 0.5, size=forest.nodes[0].shape)
         forest.leaves += rng.uniform(-1.0, 1.0, size=forest.leaves.shape)
         x = rng.uniform(-2.0, 2.0, size=d)
         y = int(rng.integers(0, c))
         analytic = task_gradient(forest, x, y)
         if corrupt:
-            analytic.weights += 1e-2
+            analytic.nodes[1:] += 1e-2
         numeric = finite_difference(
             lambda f: cross_entropy(forward(f, x), y), forest
         )

@@ -4,6 +4,46 @@ the package's vectorized routing."""
 import numpy as np
 from scipy.special import expit
 
+from fairforest.data import DatasetSchema
+from fairforest.forest import ForestShape, ObliqueForest
+
+
+def huber(gap, delta):
+    """Huber surrogate of the absolute gap: quadratic inside ``|gap| < delta``,
+    linear outside."""
+    if abs(gap) < delta:
+        return 0.5 * gap * gap
+    return delta * (abs(gap) - 0.5 * delta)
+
+
+def default_schema(n_features, normalization="none"):
+    """Schema for the package's own CSV convention: features ``f0..f{d-1}``,
+    label column ``y``, group column ``a``."""
+    return DatasetSchema(
+        feature_columns=[f"f{i}" for i in range(n_features)],
+        normalization=normalization,
+    )
+
+
+def tree_weights(nodes):
+    """Per-tree weights ``(T, m, d)`` of a node block ``(d + 1, T, m)``
+    (a forest's or a gradient's): a strided view, so writing through it
+    writes the block.  The per-tree biases are ``nodes[0]``."""
+    return np.moveaxis(nodes[1:], 0, -1)
+
+
+def forest_from_arrays(height, weights, biases, leaves):
+    """A forest holding stacked per-tree arrays: weights ``(T, m, d)``,
+    biases ``(T, m)`` and leaf rows ``(T, 2**h, c)``."""
+    weights = np.asarray(weights, dtype=np.float64)
+    leaves = np.asarray(leaves, dtype=np.float64)
+    forest = ObliqueForest(ForestShape(weights.shape[0], height,
+                                       weights.shape[2], leaves.shape[2]))
+    tree_weights(forest.nodes)[...] = weights
+    forest.nodes[0] = biases
+    forest.leaves[...] = leaves
+    return forest
+
 
 def huber_slope(gap, delta):
     """Derivative of the Huber surrogate in the gap, for a scalar gap or
@@ -17,8 +57,8 @@ def tree_norm(grad, index):
     """Euclidean norm of one tree's slice of a ``ForestGradient``: its
     weights, biases and leaf rows."""
     return float(np.sqrt(
-        np.sum(grad.weights[index] ** 2)
-        + np.sum(grad.biases[index] ** 2)
+        np.sum(tree_weights(grad.nodes)[index] ** 2)
+        + np.sum(grad.nodes[0, index] ** 2)
         + np.sum(grad.leaves[index] ** 2)
     ))
 
@@ -114,7 +154,7 @@ def path_form_task_gradient(forest, x, y):
     gate slope ``n (1 - n)`` takes the sum to the bias."""
     height, t = forest.height, forest.tree_count
     m = 2**height - 1
-    z = forest.weights @ x + forest.biases
+    z = tree_weights(forest.nodes) @ x + forest.nodes[0]
     edges = expit(np.concatenate([z, -z], axis=-1))  # (T, 2m)
     leaf = np.arange(2**height)
     depth = np.arange(height)[:, None]
@@ -183,7 +223,7 @@ def _gate_bias_rows(forest, x):
     opens with every bias, tree by tree, then one such block per
     feature."""
     t, m, d = forest.tree_count, 2**forest.height - 1, forest.n_features
-    z = forest.weights @ x + forest.biases
+    z = tree_weights(forest.nodes) @ x + forest.nodes[0]
     left, right = expit(z), expit(-z)
     bias_at = np.arange(t * m).reshape(t, m)
     weight_at = bias_at[..., None] + t * m * np.arange(1, d + 1)

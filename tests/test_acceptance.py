@@ -38,7 +38,7 @@ from fairforest.verify import (
     gradcheck,
     rescale_inputs,
 )
-from oracles import tree_norm
+from oracles import tree_norm, tree_weights
 
 STANDARD_STREAM = dict(n=5000, n_features=10, bias=0.6, noise=0.1, seed=7)
 HEIGHT = 4
@@ -192,7 +192,7 @@ def compute_results():
     for _ in range(50):
         x = rng4.uniform(-2.0, 2.0, size=6)
         a = int(rng4.integers(0, 2))
-        z = forest.weights @ x + forest.biases
+        z = tree_weights(forest.nodes) @ x + forest.nodes[0]
         gates = expit(z)
         store.update_all(a, 0, gates, gates * expit(-z), x)
         reservoir.add(x, a, 0)
@@ -237,7 +237,8 @@ def compute_results():
         c = int(rng6.integers(2, 4))
         t = int(rng6.integers(1, 4))
         forest = ObliqueForest.random(h, d, c, t, rng=rng6)
-        forest.weights += rng6.uniform(-1.0, 1.0, size=forest.weights.shape)
+        weights = tree_weights(forest.nodes)
+        weights += rng6.uniform(-1.0, 1.0, size=weights.shape)
         features = rng6.uniform(-1.5, 1.5, size=(40, d))
         groups = np.repeat([0, 1], 20)
         report = check_dp_bound(forest, features, groups)

@@ -40,6 +40,7 @@ from oracles import (
     mask_oracle,
     mlp_block_fairness_gradient,
     mlp_rows,
+    tree_weights,
 )
 
 
@@ -125,7 +126,7 @@ class TestReservoir:
             res, forest, HuberPenalty(0.01, 1.0)
         )
         assert cold
-        np.testing.assert_array_equal(grad.weights, 0.0)
+        np.testing.assert_array_equal(grad.nodes[1:], 0.0)
 
     def test_zero_weight_short_circuits_warm(self):
         forest = ObliqueForest.random(2, 3, 2, rng=1)
@@ -136,7 +137,7 @@ class TestReservoir:
             res, forest, HuberPenalty(0.01, 0.0)
         )
         assert not cold
-        np.testing.assert_array_equal(grad.weights, 0.0)
+        np.testing.assert_array_equal(grad.nodes[1:], 0.0)
 
     def test_matches_aggregate_store_under_frozen_parameters(self):
         """With parameters held fixed, the running-mean store reproduces
@@ -157,9 +158,9 @@ class TestReservoir:
         g_store = fairness_gradient(store, penalty, forest.shape)
         g_exact, cold = reservoir_fairness_gradient(res, forest, penalty)
         assert not cold
-        np.testing.assert_allclose(g_store.weights, g_exact.weights,
+        np.testing.assert_allclose(g_store.nodes[1:], g_exact.nodes[1:],
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(g_store.biases, g_exact.biases,
+        np.testing.assert_allclose(g_store.nodes[0], g_exact.nodes[0],
                                    rtol=0, atol=1e-12)
 
 
@@ -176,8 +177,8 @@ class TestReservoirLearner:
         for x, y, a in biased_stream(25, seed=6):
             main.step(x, y, a)
             exact.step(x, y, a)
-        np.testing.assert_array_equal(main.forest.weights,
-                                      exact.forest.weights)
+        np.testing.assert_array_equal(main.forest.nodes[1:],
+                                      exact.forest.nodes[1:])
         np.testing.assert_array_equal(main.forest.leaves,
                                       exact.forest.leaves)
 
@@ -271,9 +272,9 @@ class TestLeafPenaltyLearner:
             leaf_learner._update_fairness_state(x, a, a, cache)
         g_node = node_learner._fairness_gradient()
         g_leaf = leaf_learner._fairness_gradient()
-        np.testing.assert_allclose(g_leaf.weights, 2.0 * g_node.weights,
+        np.testing.assert_allclose(g_leaf.nodes[1:], 2.0 * g_node.nodes[1:],
                                    rtol=1e-12)
-        np.testing.assert_allclose(g_leaf.biases, 2.0 * g_node.biases,
+        np.testing.assert_allclose(g_leaf.nodes[0], 2.0 * g_node.nodes[0],
                                    rtol=1e-12)
 
     def test_gradient_matches_dense_oracle(self):
@@ -311,9 +312,10 @@ class TestLeafPenaltyLearner:
             want_w = np.einsum("tl,tlmd->tmd", coeff, means[0][1] - means[1][1])
             want_b = np.einsum("tl,tlm->tm", coeff, means[0][2] - means[1][2])
             grad = learner._fairness_gradient()
-            np.testing.assert_allclose(grad.weights, want_w, rtol=1e-9,
-                                       atol=1e-15, err_msg=f"height {height}")
-            np.testing.assert_allclose(grad.biases, want_b, rtol=1e-9,
+            np.testing.assert_allclose(tree_weights(grad.nodes), want_w,
+                                       rtol=1e-9, atol=1e-15,
+                                       err_msg=f"height {height}")
+            np.testing.assert_allclose(grad.nodes[0], want_b, rtol=1e-9,
                                        atol=1e-15, err_msg=f"height {height}")
 
     def test_leaf_rows_carry_no_fairness_gradient(self):
@@ -330,7 +332,7 @@ class TestLeafPenaltyLearner:
     def test_cold_store_gives_zero_gradient(self):
         _, leaf_learner = self._frozen_pair(delta=0.01)
         grad = leaf_learner._fairness_gradient()
-        np.testing.assert_array_equal(grad.weights, 0.0)
+        np.testing.assert_array_equal(grad.nodes[1:], 0.0)
 
     def test_fairness_gradient_reuses_its_buffer(self):
         """Both the zero-weight path and the contrast path write into the
@@ -699,8 +701,8 @@ class TestMajority:
         for x, y, a in biased_stream(30, seed=17):
             plain.step(x, y, a)
             mixed.step(x, y, a)
-        np.testing.assert_array_equal(plain.forest.weights,
-                                      mixed.forest.weights)
+        np.testing.assert_array_equal(plain.forest.nodes[1:],
+                                      mixed.forest.nodes[1:])
 
     def test_running_majority_tracks_label_counts(self):
         mixed = MajorityLearner(

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from fairforest.cli import TRAJECTORY_COLUMNS, main
-from fairforest.data import SyntheticConfig, default_schema, generate_synthetic, read_stream
+from fairforest.data import SyntheticConfig, generate_synthetic, read_stream
 from fairforest.learner import OnlineForestLearner
+from oracles import default_schema
 
 
 def run_argv(out_dir, n=60, extra=()):

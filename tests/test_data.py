@@ -11,11 +11,11 @@ from fairforest.data import (
     LABEL_COLUMN,
     DatasetSchema,
     SyntheticConfig,
-    default_schema,
     generate_synthetic,
     read_stream,
 )
 from fairforest.errors import ConfigurationError, DataError, DomainError
+from oracles import default_schema
 
 
 def write_csv(path, header, rows):

@@ -27,8 +27,13 @@ from fairforest.forest import (
     forward_batch,
     predict,
 )
-from fairforest.gradients import _ForwardCache, task_gradient
-from oracles import dense_leaf_jacobian, mask_oracle
+from fairforest.gradients import ForestGradient, _ForwardCache, task_gradient
+from oracles import (
+    dense_leaf_jacobian,
+    forest_from_arrays,
+    mask_oracle,
+    tree_weights,
+)
 
 
 def mask_from_paths(height):
@@ -48,7 +53,7 @@ def gate_forest(outputs):
     1 is a bias of -inf or +inf."""
     outputs = np.asarray(outputs, dtype=np.float64)
     forest = ObliqueForest(ForestShape(1, outputs.size.bit_length(), 1, 1))
-    forest.biases[0] = scipy.special.logit(outputs)
+    forest.nodes[0, 0] = scipy.special.logit(outputs)
     return forest
 
 
@@ -292,12 +297,12 @@ class TestLeafProbabilityGradients:
             forest = gate_forest(rng.uniform(0.1, 0.9, size=2**h - 1))
             _, jac, _ = bias_jacobian(forest)
             for i in range(forest.shape.n_nodes):
-                bias = forest.biases[0, i]
-                forest.biases[0, i] = bias + step
+                bias = forest.nodes[0, 0, i]
+                forest.nodes[0, 0, i] = bias + step
                 up = route(forest, X0)[0]
-                forest.biases[0, i] = bias - step
+                forest.nodes[0, 0, i] = bias - step
                 down = route(forest, X0)[0]
-                forest.biases[0, i] = bias
+                forest.nodes[0, 0, i] = bias
                 np.testing.assert_allclose(jac[i], (up - down) / (2 * step),
                                            atol=1e-9)
 
@@ -306,7 +311,7 @@ class TestLeafProbabilityGradients:
         far edge underflows to 0) produce no division artifacts, and each
         entry is +-p_l times the other edge exactly."""
         forest = gate_forest(np.full(7, 0.5))
-        forest.biases[0] = [40.0, 40.0, -800.0, 40.0, 800.0, -40.0, -800.0]
+        forest.nodes[0, 0] = [40.0, 40.0, -800.0, 40.0, 800.0, -40.0, -800.0]
         probs, jac, (left, right) = bias_jacobian(forest)
         assert np.isfinite(probs).all()
         assert np.isfinite(jac).all()
@@ -389,7 +394,7 @@ class TestForward:
 
     def _tiny_tree(self, leaves):
         """A one-tree forest of height 1."""
-        return ObliqueForest.from_arrays(
+        return forest_from_arrays(
             1, np.array([[[1.0, -2.0]]]), np.array([[0.5]]),
             np.asarray(leaves, dtype=np.float64)[None],
         )
@@ -450,7 +455,7 @@ class TestForward:
         1 / (1 + exp(40)) = 4.2e-18, not the 0 that one minus the left
         edge cancels to; single and batch evaluation agree and the task
         gradient stays finite."""
-        forest = ObliqueForest.from_arrays(
+        forest = forest_from_arrays(
             1, np.zeros((1, 1, 2)), np.array([[40.0]]), np.eye(2)[None]
         )
         x = np.zeros(2)
@@ -465,7 +470,7 @@ class TestForward:
         """The per-tree output routes from the pre-activations as
         ``forward`` does: at +40 the right leaf gets 4.2e-18, not
         1 - 1 / (1 + exp(-40)) = 0."""
-        forest = ObliqueForest.from_arrays(
+        forest = forest_from_arrays(
             1, np.zeros((1, 1, 2)), np.array([[40.0]]), np.eye(2)[None]
         )
         x = np.zeros(2)
@@ -491,6 +496,14 @@ class TestForward:
         with pytest.raises(ConfigurationError):
             predict(forest, np.array([0.0, 0.0]))
 
+    def test_forward_batch_of_no_rows(self):
+        """An empty batch evaluates to an empty ``(0, c)`` output, not a
+        reshape error."""
+        forest = ObliqueForest.random(2, 4, 3)
+        out = forward_batch(forest, np.zeros((0, 4)))
+        assert out.shape == (0, 3)
+        assert out.dtype == np.float64
+
     def test_forward_rejects_wrong_feature_count(self):
         forest = ObliqueForest.random(2, 4, 2)
         with pytest.raises(ShapeError):
@@ -505,8 +518,7 @@ class TestObliqueForest:
     def test_random_is_deterministic_in_the_seed(self):
         a = ObliqueForest.random(3, 6, 2, tree_count=3, rng=42)
         b = ObliqueForest.random(3, 6, 2, tree_count=3, rng=42)
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.biases, b.biases)
+        np.testing.assert_array_equal(a.nodes, b.nodes)
         np.testing.assert_array_equal(a.leaves, b.leaves)
 
     @pytest.mark.parametrize("height,d,c,trees,seed",
@@ -514,21 +526,24 @@ class TestObliqueForest:
     def test_random_draws_weights_then_leaves_per_tree(self, height, d, c,
                                                        trees, seed):
         """The seed's generator draws the per-tree ``(T, m, d)`` weights
-        first and the leaf rows after, whatever the storage layout."""
+        first and the leaf rows after, whatever the storage layout: the
+        node block's weight rows hold those draws feature-major, and its
+        bias row is zero."""
         forest = ObliqueForest.random(height, d, c, trees, rng=seed)
         rng = np.random.default_rng(seed)
         bound = 2.0 / np.sqrt(d)
         m = 2**height - 1
-        np.testing.assert_array_equal(
-            forest.weights, rng.uniform(-bound, bound, size=(trees, m, d)))
+        draws = rng.uniform(-bound, bound, size=(trees, m, d))
+        np.testing.assert_array_equal(forest.nodes[1:], draws.transpose(2, 0, 1))
+        np.testing.assert_array_equal(forest.nodes[0], 0.0)
         np.testing.assert_array_equal(
             forest.leaves, rng.uniform(-0.1, 0.1, size=(trees, m + 1, c)))
 
     def test_random_respects_documented_ranges(self):
         forest = ObliqueForest.random(4, 9, 2, tree_count=5, rng=3)
         bound = 2.0 / np.sqrt(9)
-        assert np.abs(forest.weights).max() <= bound
-        np.testing.assert_array_equal(forest.biases, 0.0)
+        assert np.abs(forest.nodes[1:]).max() <= bound
+        np.testing.assert_array_equal(forest.nodes[0], 0.0)
         assert np.abs(forest.leaves).max() <= 0.1
 
     def test_shape_property(self):
@@ -544,75 +559,54 @@ class TestObliqueForest:
         and the leaves, so an update of the vector (what the optimizer
         does) is seen through the views and back."""
         forest = ObliqueForest.random(2, 3, 2, tree_count=2)
-        views = (forest.nodes, forest.leaves, forest.weights, forest.biases)
+        weights = tree_weights(forest.nodes)
         assert forest.vector.shape == (forest.shape.n_params,)
         assert forest.vector.flags.c_contiguous
-        for view in views:
+        for view in (forest.nodes, forest.leaves, forest.node_rows,
+                     forest.leaf_rows):
             assert np.shares_memory(view, forest.vector)
         assert forest.shape.param_shapes == ((4, 2, 3), (2, 4, 2))
         np.testing.assert_array_equal(forest.vector, np.concatenate([
-            forest.biases.ravel(),
-            forest.weights.transpose(2, 0, 1).ravel(),
+            forest.nodes[0].ravel(),
+            weights.transpose(2, 0, 1).ravel(),
             forest.leaves.ravel(),
         ]))
-        forest.weights[1, 0, 2] = 123.0
+        weights[1, 0, 2] = 123.0
         # Feature 2's row (block 3), tree 1, node 0.
         assert forest.vector[3 * 2 * 3 + 1 * 3] == 123.0
         assert forest.nodes[3, 1, 0] == 123.0
-        forest.biases[1, 2] = 5.0
+        forest.nodes[0, 1, 2] = 5.0
         assert forest.vector[1 * 3 + 2] == 5.0
         forest.vector[-1] = -7.0
         assert forest.leaves[1, 3, 1] == -7.0
 
+    @pytest.mark.parametrize("make", [
+        lambda: ObliqueForest.random(3, 4, 2, tree_count=2),
+        lambda: ForestGradient.zeros(ForestShape(2, 3, 4, 2)),
+    ], ids=["forest", "gradient"])
+    def test_one_layout(self, make):
+        """Every float array a forest or a gradient holds is a
+        C-contiguous view of its ``vector``: the parameters have one
+        layout and no strided second view.  (A forest's integer routing
+        indices are not parameters.)"""
+        holder = make()
+        arrays = {name: value for name, value in vars(holder).items()
+                  if isinstance(value, np.ndarray) and value.dtype.kind == "f"}
+        assert set(arrays) >= {"vector", "nodes", "leaves", "node_rows",
+                               "leaf_rows"}
+        for name, array in arrays.items():
+            assert array.flags.c_contiguous, name
+            assert array.base is holder.vector or array is holder.vector, name
+
     def test_copy_is_independent(self):
         forest = ObliqueForest.random(2, 3, 2, tree_count=2)
         clone = forest.copy()
-        clone.weights[0, 0, 0] += 1.0
-        assert forest.weights[0, 0, 0] != clone.weights[0, 0, 0]
-
-    def test_mixed_tree_geometry_is_rejected(self):
-        """Stacked arrays must agree on the tree count and the height."""
-        with pytest.raises(ShapeError):
-            ObliqueForest.from_arrays(
-                2, np.zeros((2, 3, 4)), np.zeros((3, 3)), np.zeros((2, 4, 2))
-            )
-        with pytest.raises(ShapeError):
-            ObliqueForest.from_arrays(
-                3, np.zeros((2, 3, 4)), np.zeros((2, 3)), np.zeros((2, 4, 2))
-            )
+        clone.nodes[1, 0, 0] += 1.0
+        assert forest.nodes[1, 0, 0] != clone.nodes[1, 0, 0]
 
     def test_empty_forest_is_rejected(self):
         with pytest.raises(ConfigurationError):
-            ObliqueForest.from_arrays(
-                2, np.zeros((0, 3, 4)), np.zeros((0, 3)), np.zeros((0, 4, 2))
-            )
-        with pytest.raises(ConfigurationError):
             ObliqueForest(ForestShape(0, 2, 4, 2))
-
-    def test_tree_params_validation(self):
-        """``from_arrays`` checks each tree's node and leaf counts, that
-        the arrays are stacked per tree, and that every value is finite."""
-        with pytest.raises(ShapeError):
-            ObliqueForest.from_arrays(
-                2, np.zeros((1, 2, 4)), np.zeros((1, 3)), np.zeros((1, 4, 2))
-            )
-        with pytest.raises(ShapeError):
-            ObliqueForest.from_arrays(
-                2, np.zeros((1, 3, 4)), np.zeros((1, 3)), np.zeros((1, 5, 2))
-            )
-        with pytest.raises(ShapeError):
-            ObliqueForest.from_arrays(
-                2, np.zeros((3, 4)), np.zeros(3), np.zeros((4, 2))
-            )
-        with pytest.raises(ConfigurationError):
-            ObliqueForest.from_arrays(
-                2, np.full((1, 3, 4), np.nan), np.zeros((1, 3)),
-                np.zeros((1, 4, 2)),
-            )
-        with pytest.raises(ConfigurationError):
-            ObliqueForest.from_arrays(
-                0, np.zeros((1, 0, 4)), np.zeros((1, 0)), np.zeros((1, 1, 2))
-            )
 
     def test_random_rejects_bad_counts(self):
         with pytest.raises(ConfigurationError):

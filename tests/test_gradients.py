@@ -27,7 +27,6 @@ from fairforest.gradients import (
     cross_entropy,
     fairness_gradient,
     gradient_norm,
-    huber,
     softmax,
     task_gradient,
     total_gradient,
@@ -37,9 +36,12 @@ from fairforest.stats import AggregateStore
 from fairforest.verify import finite_difference
 from oracles import (
     dense_leaf_jacobian,
+    forest_from_arrays,
+    huber,
     huber_slope,
     path_form_task_gradient,
     tree_norm,
+    tree_weights,
 )
 
 
@@ -170,7 +172,7 @@ class TestNodeGrad:
 
     @staticmethod
     def _one_gate(bias, d):
-        return ObliqueForest.from_arrays(
+        return forest_from_arrays(
             1, np.zeros((1, 1, d)), np.array([[bias]]),
             np.array([[[1.0, -0.5], [-0.2, 0.8]]]),
         )
@@ -182,8 +184,8 @@ class TestNodeGrad:
         np.testing.assert_allclose(cache.gates, [[0.3]], rtol=1e-14)
         np.testing.assert_allclose(cache.slope, [[0.21]], rtol=1e-14)
         grad = task_gradient(forest, x, 0)
-        np.testing.assert_array_equal(grad.weights[0, 0],
-                                      grad.biases[0, 0] * x)
+        np.testing.assert_array_equal(tree_weights(grad.nodes)[0, 0],
+                                      grad.nodes[0, 0, 0] * x)
 
     def test_saturated_gate_has_zero_gradient(self):
         """At pre-activation 800 the right edge underflows to 0, so the
@@ -192,8 +194,8 @@ class TestNodeGrad:
         cache = _ForwardCache(forest, np.ones(3))
         assert cache.slope[0, 0] == 0.0
         grad = task_gradient(forest, np.ones(3), 1)
-        np.testing.assert_array_equal(grad.weights, 0.0)
-        assert grad.biases[0, 0] == 0.0
+        np.testing.assert_array_equal(grad.nodes[1:], 0.0)
+        assert grad.nodes[0, 0, 0] == 0.0
 
 
 class TestTaskGradient:
@@ -209,7 +211,7 @@ class TestTaskGradient:
             y = int(rng.integers(0, c))
             analytic = task_gradient(forest, x, y)
             numeric = numeric_task_gradient(forest, x, y)
-            for name in ("weights", "biases", "leaves"):
+            for name in ("nodes", "leaves"):
                 np.testing.assert_allclose(
                     getattr(analytic, name), getattr(numeric, name),
                     rtol=1e-5, atol=1e-9,
@@ -235,8 +237,8 @@ class TestTaskGradient:
         rng = np.random.default_rng(seed)
         forest = ObliqueForest.random(height, d, c, tree_count=trees, rng=rng)
         scale = 10.0**log_scale
-        forest.weights *= scale * np.sqrt(d)
-        forest.biases += rng.uniform(-scale, scale, size=forest.biases.shape)
+        forest.nodes[1:] *= scale * np.sqrt(d)
+        forest.nodes[0] += rng.uniform(-scale, scale, size=forest.nodes[0].shape)
         x = rng.standard_normal(d)
         y = int(rng.integers(0, c))
 
@@ -249,7 +251,7 @@ class TestTaskGradient:
         grad = task_gradient(forest, x, y)
         assert np.isfinite(grad.vector).all()
 
-        z = forest.weights @ x + forest.biases
+        z = tree_weights(forest.nodes) @ x + forest.nodes[0]
         gates = scipy.special.expit(z)
         dense = [dense_leaf_jacobian(gates[t], scipy.special.expit(-z[t]),
                                      height) for t in range(trees)]
@@ -263,8 +265,9 @@ class TestTaskGradient:
         dldn = np.stack([jac @ sensitivity[t]
                          for t, (_, jac) in enumerate(dense)])
         grad_b = dldn * gates * (1.0 - gates)
-        np.testing.assert_allclose(grad.biases, grad_b, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(grad.weights, grad_b[:, :, None] * x,
+        np.testing.assert_allclose(grad.nodes[0], grad_b, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(tree_weights(grad.nodes),
+                                   grad_b[:, :, None] * x,
                                    rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(
             grad.leaves, probs[:, :, None] * residual / trees,
@@ -312,16 +315,16 @@ class TestTaskGradient:
         rng = np.random.default_rng(seed)
         forest = ObliqueForest.random(height, d, c, tree_count=trees, rng=rng)
         scale = 10.0**log_scale
-        forest.weights *= scale * np.sqrt(d)
-        forest.biases += rng.uniform(-scale, scale, size=forest.biases.shape)
+        forest.nodes[1:] *= scale * np.sqrt(d)
+        forest.nodes[0] += rng.uniform(-scale, scale, size=forest.nodes[0].shape)
         if saturation is not None:
-            saturated = rng.random(forest.biases.shape) < 0.5
-            forest.biases[saturated] = saturation * rng.choice(
+            saturated = rng.random(forest.nodes[0].shape) < 0.5
+            forest.nodes[0, saturated] = saturation * rng.choice(
                 [-1.0, 1.0], size=saturated.sum())
         x = rng.standard_normal(d)
         y = int(rng.integers(0, c))
         grad = task_gradient(forest, x, y)
-        for got, want in zip((grad.biases, grad.weights),
+        for got, want in zip((grad.nodes[0], tree_weights(grad.nodes)),
                              path_form_task_gradient(forest, x, y)):
             assert np.isfinite(got).all()
             bound = 1e-12 * np.abs(want).max()
@@ -377,7 +380,7 @@ class TestTaskGradient:
         """At pre-activation +40 the gate slope is expit(40) * expit(-40)
         = 4.2e-18, not the 0 that n * (1 - n) cancels to, so the bias
         gradient is about 6.2e-18 rather than exactly 0."""
-        forest = ObliqueForest.from_arrays(
+        forest = forest_from_arrays(
             1, np.zeros((1, 1, 2)), np.array([[40.0]]), np.eye(2)[None]
         )
         x = np.zeros(2)
@@ -386,15 +389,15 @@ class TestTaskGradient:
         residual[1] -= 1.0
         dldn = residual[0] - residual[1]
         slope = scipy.special.expit(40.0) * scipy.special.expit(-40.0)
-        np.testing.assert_allclose(grad.biases[0, 0], dldn * slope, rtol=1e-12)
-        assert 6.1e-18 < grad.biases[0, 0] < 6.3e-18
+        np.testing.assert_allclose(grad.nodes[0, 0, 0], dldn * slope, rtol=1e-12)
+        assert 6.1e-18 < grad.nodes[0, 0, 0] < 6.3e-18
 
     def test_height_one_hand_derivation(self):
         """Fully hand-derived gradient for a single gate and two leaves."""
         w = np.array([[0.4, -0.3]])
         b = np.array([0.1])
         leaves = np.array([[1.0, -0.5], [-0.2, 0.8]])
-        forest = ObliqueForest.from_arrays(
+        forest = forest_from_arrays(
             1, w[None], b[None], leaves[None]
         )
         x = np.array([0.6, 0.2])
@@ -406,8 +409,9 @@ class TestTaskGradient:
         dldg = residual @ (leaves[0] - leaves[1])
         slope = g * (1 - g)
         grad = task_gradient(forest, x, 0)
-        np.testing.assert_allclose(grad.biases[0, 0], dldg * slope, rtol=1e-12)
-        np.testing.assert_allclose(grad.weights[0, 0], dldg * slope * x,
+        np.testing.assert_allclose(grad.nodes[0, 0, 0], dldg * slope, rtol=1e-12)
+        np.testing.assert_allclose(tree_weights(grad.nodes)[0, 0],
+                                   dldg * slope * x,
                                    rtol=1e-12)
         np.testing.assert_allclose(grad.leaves[0, 0], g * residual, rtol=1e-12)
         np.testing.assert_allclose(grad.leaves[0, 1], (1 - g) * residual,
@@ -444,8 +448,30 @@ class TestTaskGradient:
 
 
 class TestLeafJacobian:
-    """The path-form leaf Jacobian: one gather of the signed other edges,
-    one multiply by the leaf probabilities."""
+    """The path-form leaf Jacobian: one gather of the other edges, then a
+    multiply by the leaf probabilities and one by the path signs."""
+
+    def test_writes_into_out_without_allocating(self):
+        """Into a caller's block, as the leaf baseline stages it, the
+        Jacobian allocates nothing of the edges' size: no signed copy of
+        the edges is formed.  Numpy's iteration buffer, which the
+        broadcast multiplies may allocate, is shrunk while it is traced."""
+        forest = ObliqueForest.random(8, 3, 2, tree_count=4, rng=0)
+        cache = _ForwardCache(forest, np.ones(3))
+        index = _leaf_jacobian_index(8, 4)
+        block = np.empty(index.shape)
+        buffer = np.setbufsize(64)
+        try:
+            _leaf_jacobian(cache.edges, cache.leaf_probs, index, out=block)
+            tracemalloc.start()
+            try:
+                _leaf_jacobian(cache.edges, cache.leaf_probs, index, out=block)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            np.setbufsize(buffer)
+        assert peak < cache.edges.nbytes / 4, (peak, cache.edges.nbytes)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -463,8 +489,8 @@ class TestLeafJacobian:
         rng = np.random.default_rng(seed)
         forest = ObliqueForest.random(height, 3, 2, tree_count=trees, rng=rng)
         scale = 10.0**log_scale
-        forest.weights *= scale
-        forest.biases += rng.uniform(-scale, scale, size=forest.biases.shape)
+        forest.nodes[1:] *= scale
+        forest.nodes[0] += rng.uniform(-scale, scale, size=forest.nodes[0].shape)
         cache = _ForwardCache(forest, rng.standard_normal(3))
         left, right = cache.edges
         ancestors, signs = _ancestor_rows(height), _path_signs(height)
@@ -506,9 +532,9 @@ class TestFairnessGradient:
         penalty = HuberPenalty(delta=0.01, weight=2.0)
         grad = fairness_gradient(store, penalty, self.SHAPE)
         coeff = 2.0 * huber_slope(0.9 - 0.2, 0.01)
-        np.testing.assert_allclose(grad.weights[0, 0],
+        np.testing.assert_allclose(tree_weights(grad.nodes)[0, 0],
                                    coeff * np.array([0.2, 0.0]), atol=1e-12)
-        np.testing.assert_allclose(grad.biases[0, 0], coeff * 0.3, atol=1e-12)
+        np.testing.assert_allclose(grad.nodes[0, 0, 0], coeff * 0.3, atol=1e-12)
 
     def test_quadratic_region_uses_raw_gap(self):
         store = self._store_with_gap()
@@ -516,21 +542,21 @@ class TestFairnessGradient:
         self._feed(store, 1, 0, 0.5, 0.0, np.zeros(2))
         penalty = HuberPenalty(delta=0.01, weight=1.0)
         grad = fairness_gradient(store, penalty, self.SHAPE)
-        np.testing.assert_allclose(grad.biases[0, 0], 0.004 * 1.0, atol=1e-12)
+        np.testing.assert_allclose(grad.nodes[0, 0, 0], 0.004 * 1.0, atol=1e-12)
 
     def test_cold_cells_contribute_zero(self):
         store = self._store_with_gap()
         self._feed(store, 0, 0, 0.9, 1.0, np.ones(2))
         grad = fairness_gradient(store, HuberPenalty(0.01, 1.0), self.SHAPE)
-        np.testing.assert_array_equal(grad.weights, 0.0)
-        np.testing.assert_array_equal(grad.biases, 0.0)
+        np.testing.assert_array_equal(grad.nodes[1:], 0.0)
+        np.testing.assert_array_equal(grad.nodes[0], 0.0)
 
     def test_zero_weight_short_circuits(self):
         store = self._store_with_gap()
         self._feed(store, 0, 0, 0.9, 1.0, np.ones(2))
         self._feed(store, 1, 0, 0.1, 1.0, np.ones(2))
         grad = fairness_gradient(store, HuberPenalty(0.01, 0.0), self.SHAPE)
-        np.testing.assert_array_equal(grad.weights, 0.0)
+        np.testing.assert_array_equal(grad.nodes[1:], 0.0)
 
     def test_weight_scales_linearly(self):
         store = self._store_with_gap()
@@ -538,8 +564,8 @@ class TestFairnessGradient:
         self._feed(store, 1, 0, 0.3, 0.1, [2.0, 1.0])
         g1 = fairness_gradient(store, HuberPenalty(0.01, 1.0), self.SHAPE)
         g3 = fairness_gradient(store, HuberPenalty(0.01, 3.0), self.SHAPE)
-        np.testing.assert_allclose(g3.weights, 3.0 * g1.weights, rtol=1e-12)
-        np.testing.assert_allclose(g3.biases, 3.0 * g1.biases, rtol=1e-12)
+        np.testing.assert_allclose(g3.nodes[1:], 3.0 * g1.nodes[1:], rtol=1e-12)
+        np.testing.assert_allclose(g3.nodes[0], 3.0 * g1.nodes[0], rtol=1e-12)
 
     def test_leaf_rows_never_carry_fairness_gradient(self):
         store = self._store_with_gap()
@@ -561,7 +587,7 @@ class TestFairnessGradient:
         expected = sum(
             (overall_v - v) * (overall_gb - gb) for v, gb in values.values()
         )
-        np.testing.assert_allclose(grad.biases[0, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(grad.nodes[0, 0, 0], expected, atol=1e-12)
 
     def test_equalized_odds_sums_per_class_gaps(self):
         shape = self.SHAPE
@@ -573,7 +599,7 @@ class TestFairnessGradient:
         penalty = HuberPenalty(delta=10.0, weight=1.0)
         grad = fairness_gradient(store, penalty, shape)
         expected = (0.9 - 0.5) * (1.0 - 0.5) + (0.2 - 0.6) * (0.1 - 0.9)
-        np.testing.assert_allclose(grad.biases[0, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(grad.nodes[0, 0, 0], expected, atol=1e-12)
 
     @pytest.mark.parametrize("notion, n_groups, n_classes", [
         ("dp", 2, 2), ("equalized_odds", 2, 3), ("multigroup", 4, 2),
@@ -633,27 +659,28 @@ class TestGradientContainers:
     def test_zeros_shapes(self):
         shape = ForestShape(tree_count=2, height=3, n_features=4, n_outputs=3)
         grad = ForestGradient.zeros(shape)
-        assert grad.weights.shape == (2, 7, 4)
-        assert grad.biases.shape == (2, 7)
+        assert grad.nodes.shape == (5, 2, 7)
         assert grad.leaves.shape == (2, 8, 3)
+        assert grad.node_rows.shape == (5, 14)
+        assert grad.leaf_rows.shape == (16, 3)
 
     def test_total_gradient_adds_componentwise(self):
         shape = ForestShape(tree_count=1, height=1, n_features=2, n_outputs=2)
         a = ForestGradient.zeros(shape)
         b = ForestGradient.zeros(shape)
-        a.weights += 1.0
-        b.weights += 2.0
+        a.nodes[1:] += 1.0
+        b.nodes[1:] += 2.0
         b.leaves += 0.5
         total = total_gradient(a, b)
-        np.testing.assert_array_equal(total.weights, 3.0)
+        np.testing.assert_array_equal(total.nodes[1:], 3.0)
         np.testing.assert_array_equal(total.leaves, 0.5)
         # Inputs are untouched.
-        np.testing.assert_array_equal(a.weights, 1.0)
+        np.testing.assert_array_equal(a.nodes[1:], 1.0)
 
     def test_views_share_memory_with_the_vector(self):
         """Every gradient the learner keeps, and every fresh one, is a flat
-        vector with the node block, the leaf rows and the node block's
-        per-tree weights and biases as views into it."""
+        vector with the node block and the leaf rows, and both flat, as
+        views into it."""
         learner = OnlineForestLearner(LearnerConfig(
             n_features=3, fairness="dp", fairness_weight=1.0, seed=5))
         rng = np.random.default_rng(5)
@@ -665,7 +692,7 @@ class TestGradientContainers:
                  task_gradient(learner.forest, np.ones(3), 1)]
         for grad in grads:
             assert grad.vector.shape == (shape.n_params,)
-            for view in (grad.nodes, grad.leaves, grad.weights, grad.biases):
+            for view in (grad.nodes, grad.leaves, grad.node_rows, grad.leaf_rows):
                 assert np.shares_memory(view, grad.vector)
 
     def test_norm_matches_per_array_sum_of_squares(self):
@@ -675,7 +702,7 @@ class TestGradientContainers:
             grad.vector[:] = rng.standard_normal(grad.vector.size)
             grad.vector[::7] *= 1e-9
             reference = np.sqrt(
-                np.sum(grad.weights**2) + np.sum(grad.biases**2)
+                np.sum(grad.nodes[1:]**2) + np.sum(grad.nodes[0]**2)
                 + np.sum(grad.leaves**2)
             )
             np.testing.assert_allclose(gradient_norm(grad), reference,
@@ -684,8 +711,8 @@ class TestGradientContainers:
     def test_norms_hand_value(self):
         shape = ForestShape(tree_count=2, height=1, n_features=1, n_outputs=1)
         grad = ForestGradient.zeros(shape)
-        grad.weights[0] = 3.0
-        grad.biases[0] = 4.0
+        grad.nodes[1, 0] = 3.0  # tree 0's weight
+        grad.nodes[0, 0] = 4.0  # and its bias
         assert gradient_norm(grad) == 5.0
         assert tree_norm(grad, 0) == 5.0
         assert tree_norm(grad, 1) == 0.0

@@ -22,7 +22,6 @@ from fairforest.errors import (
 from fairforest.forest import ForestShape, _block_views, forward
 from fairforest.gradients import _ForwardCache, task_gradient
 from fairforest.learner import (
-    AdamParams,
     AdamState,
     LearnerConfig,
     MetricsTracker,
@@ -31,6 +30,7 @@ from fairforest.learner import (
     encode_floats,
     run_stream,
 )
+from oracles import tree_weights
 
 
 def adam_oracle(grads, lr, b1=0.9, b2=0.999, eps=1e-8, x0=0.0):
@@ -70,7 +70,7 @@ class TestAdam:
         rng = np.random.default_rng(6)
         grads = rng.standard_normal(5)
         param = np.array([0.3])
-        state = AdamState(1, AdamParams(learning_rate=0.01))
+        state = AdamState(1, LearnerConfig(n_features=1, learning_rate=0.01))
         for g in grads:
             state.apply(param, np.array([g]))
         np.testing.assert_allclose(
@@ -80,13 +80,13 @@ class TestAdam:
     def test_first_step_moves_by_roughly_the_learning_rate(self):
         """Bias correction makes the first update lr * sign(gradient)."""
         param = np.array([0.0])
-        state = AdamState(1, AdamParams(learning_rate=0.005))
+        state = AdamState(1, LearnerConfig(n_features=1, learning_rate=0.005))
         state.apply(param, np.array([0.37]))
         np.testing.assert_allclose(param[0], -0.005, rtol=1e-6)
 
     def test_updates_in_place(self):
         param = np.zeros(4)
-        state = AdamState(4, AdamParams())
+        state = AdamState(4, LearnerConfig(n_features=1))
         ref = param
         state.apply(param, np.ones(4))
         assert ref is param
@@ -120,7 +120,7 @@ class TestAdam:
         efficient form: the bias corrections folded into the step size and
         epsilon, so neither moment is divided."""
         shapes = ForestShape(3, 4, 10, 2).param_shapes
-        hyper = AdamParams(learning_rate=0.01)
+        hyper = LearnerConfig(n_features=10, learning_rate=0.01)
         rng = np.random.default_rng(12)
         state = AdamState(ForestShape(3, 4, 10, 2).n_params, hyper)
         flat = rng.standard_normal(state.m.size)
@@ -132,7 +132,7 @@ class TestAdam:
             c1 = 1.0 - hyper.beta1**t
             root_c2 = np.sqrt(1.0 - hyper.beta2**t)
             alpha = hyper.learning_rate * root_c2 / c1
-            eps = hyper.epsilon * root_c2
+            eps = hyper.adam_epsilon * root_c2
             for p, g, (m, v) in zip(blocks, _block_views(grad, shapes), moments):
                 m *= hyper.beta1
                 m += (1.0 - hyper.beta1) * g
@@ -447,7 +447,7 @@ class TestStepping:
             learner = OnlineForestLearner(self._config(fairness_weight=0.5))
             for x, y, a in biased_stream(50, seed=2):
                 learner.step(x, y, a)
-            runs.append(learner.forest.weights.copy())
+            runs.append(learner.forest.nodes[1:].copy())
         np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_one_optimizer_step_per_instance(self):
@@ -465,8 +465,8 @@ class TestStepping:
         for x, y, a in biased_stream(20, seed=4):
             with_store.step(x, y, a)
             without.step(x, y, a)
-        np.testing.assert_array_equal(with_store.forest.weights,
-                                      without.forest.weights)
+        np.testing.assert_array_equal(with_store.forest.nodes[1:],
+                                      without.forest.nodes[1:])
         np.testing.assert_array_equal(with_store.forest.leaves,
                                       without.forest.leaves)
 
@@ -570,7 +570,8 @@ class TestStepping:
                 if i == 3:
                     x = x * 1e4
                     assert (_ForwardCache(learner.forest, x).edges == 0.0).any()
-                    z = learner.forest.weights @ x + learner.forest.biases
+                    nodes = learner.forest.nodes
+                    z = tree_weights(nodes) @ x + nodes[0]
                     assert np.abs(z).max() > 709.8
                 _, snap = learner.step(x, y, a)
                 assert np.isfinite(learner._last_total.vector).all()
@@ -760,8 +761,8 @@ class TestCheckpoint:
         )
         final_resumed = self._run(resumed, part2)
 
-        np.testing.assert_array_equal(straight.forest.weights,
-                                      resumed.forest.weights)
+        np.testing.assert_array_equal(straight.forest.nodes[1:],
+                                      resumed.forest.nodes[1:])
         np.testing.assert_array_equal(straight.forest.leaves,
                                       resumed.forest.leaves)
         assert final_straight == final_resumed
@@ -773,8 +774,8 @@ class TestCheckpoint:
         path = tmp_path / "state.json"
         learner.save_checkpoint(path)
         clone = OnlineForestLearner.load_checkpoint(path)
-        np.testing.assert_array_equal(learner.forest.weights,
-                                      clone.forest.weights)
+        np.testing.assert_array_equal(learner.forest.nodes[1:],
+                                      clone.forest.nodes[1:])
         assert clone.step_count == learner.step_count
 
     def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path,
@@ -785,7 +786,7 @@ class TestCheckpoint:
         path = tmp_path / "state.json"
         self._run(learner, biased_stream(5, seed=11))
         learner.save_checkpoint(path)
-        saved_weights = learner.forest.weights.copy()
+        saved_weights = learner.forest.nodes[1:].copy()
         self._run(learner, biased_stream(5, seed=12))
 
         def fail(*args):
@@ -801,7 +802,7 @@ class TestCheckpoint:
             monkeypatch.undo()
             clone = OnlineForestLearner.load_checkpoint(path)
             assert clone.step_count == 5
-            np.testing.assert_array_equal(clone.forest.weights, saved_weights)
+            np.testing.assert_array_equal(clone.forest.nodes[1:], saved_weights)
             assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
     def test_identical_runs_write_identical_files(self, tmp_path):
@@ -847,8 +848,8 @@ class TestCheckpoint:
             "config": learner.config.to_dict(),
             "step_count": learner.step_count,
             "forest": {"height": forest.height,
-                       "weights": forest.weights.tolist(),
-                       "biases": forest.biases.tolist(),
+                       "weights": tree_weights(forest.nodes).tolist(),
+                       "biases": forest.nodes[0].tolist(),
                        "leaves": forest.leaves.tolist()},
             "adam": {"t": adam.t, **{
                 name: [a.tolist() for a in _block_views(getattr(adam, name), shapes)]

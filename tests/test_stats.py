@@ -23,7 +23,6 @@ from fairforest.forest import (
 )
 from fairforest.gradients import HuberPenalty, fairness_gradient
 from fairforest.learner import (
-    AdamParams,
     AdamState,
     LearnerConfig,
     OnlineForestLearner,
@@ -31,7 +30,7 @@ from fairforest.learner import (
     encode_floats,
 )
 from fairforest.stats import AggregateStore, NotionTable, RunningMeans
-from oracles import contrast_selections, keyed_penalty_gradient
+from oracles import contrast_selections, keyed_penalty_gradient, tree_weights
 
 SHAPE = ForestShape(tree_count=2, height=2, n_features=3, n_outputs=2)
 
@@ -332,10 +331,10 @@ class TestVectorizedPath:
         grad = fairness_gradient(store, HuberPenalty(delta, weight), shape)
         want_w, want_b = oracle_gradient(log, notion, n_groups, n_classes,
                                          delta, weight)
-        np.testing.assert_allclose(grad.weights, np.broadcast_to(
-            want_w, grad.weights.shape), rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(grad.biases, np.broadcast_to(
-            want_b, grad.biases.shape), rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(tree_weights(grad.nodes), np.broadcast_to(
+            want_w, tree_weights(grad.nodes).shape), rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(grad.nodes[0], np.broadcast_to(
+            want_b, grad.nodes[0].shape), rtol=1e-9, atol=1e-12)
         np.testing.assert_array_equal(grad.leaves, 0.0)
 
 
@@ -552,7 +551,7 @@ class TestNoBlockSizedTemporaries:
         rng = np.random.default_rng(2)
         params = rng.normal(size=WIDE.n_params)
         grads = rng.normal(size=WIDE.n_params)
-        adam = AdamState(WIDE.n_params, AdamParams())
+        adam = AdamState(WIDE.n_params, LearnerConfig(n_features=WIDE.n_features))
         peak = traced_peak(lambda: adam.apply(params, grads))
         assert peak < params.nbytes / 4, (peak, params.nbytes)
 

@@ -30,9 +30,9 @@ class TestFiniteDifference:
 
     def test_linear_loss_gives_constant_gradient(self):
         forest = ObliqueForest.random(2, 3, 2, rng=1)
-        grad = finite_difference(lambda f: float(f.weights.sum()), forest)
-        np.testing.assert_allclose(grad.weights, 1.0, atol=1e-9)
-        np.testing.assert_allclose(grad.biases, 0.0, atol=1e-9)
+        grad = finite_difference(lambda f: float(f.nodes[1:].sum()), forest)
+        np.testing.assert_allclose(grad.nodes[1:], 1.0, atol=1e-9)
+        np.testing.assert_allclose(grad.nodes[0], 0.0, atol=1e-9)
         np.testing.assert_allclose(grad.leaves, 0.0, atol=1e-9)
 
     def test_quadratic_loss_recovers_the_parameters(self):
@@ -44,9 +44,9 @@ class TestFiniteDifference:
 
     def test_leaves_the_forest_untouched(self):
         forest = ObliqueForest.random(2, 3, 2, rng=3)
-        before = forest.weights.copy()
-        finite_difference(lambda f: float(f.weights.sum()), forest)
-        np.testing.assert_array_equal(forest.weights, before)
+        before = forest.nodes[1:].copy()
+        finite_difference(lambda f: float(f.nodes[1:].sum()), forest)
+        np.testing.assert_array_equal(forest.nodes[1:], before)
 
     def test_step_validation(self):
         forest = ObliqueForest.random(1, 2, 2)
@@ -65,21 +65,21 @@ class TestMaxRelativeError:
 
     def test_hand_value(self):
         candidate, reference = self._pair()
-        reference.weights[0, 0, 0] = 2.0
-        candidate.weights[0, 0, 0] = 2.1
+        reference.nodes[1, 0, 0] = 2.0
+        candidate.nodes[1, 0, 0] = 2.1
         np.testing.assert_allclose(
             max_relative_error(candidate, reference), 0.1 / 2.0
         )
 
     def test_identical_gradients_have_zero_error(self):
         candidate, reference = self._pair()
-        reference.biases[0, 0] = 1.5
-        candidate.biases[0, 0] = 1.5
+        reference.nodes[0, 0, 0] = 1.5
+        candidate.nodes[0, 0, 0] = 1.5
         assert max_relative_error(candidate, reference) == 0.0
 
     def test_zero_reference_uses_floor_scale(self):
         candidate, reference = self._pair()
-        candidate.weights[0, 0, 0] = 1e-6
+        candidate.nodes[1, 0, 0] = 1e-6
         np.testing.assert_allclose(
             max_relative_error(candidate, reference), 1e-6 / 1e-12
         )
@@ -220,9 +220,9 @@ class TestCheckDpBound:
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
         capped = forest.copy()
         capped.leaves /= np.linalg.norm(capped.leaves, axis=2, keepdims=True)
-        gates = [scipy.special.expit(np.einsum("tmd,nd->ntm", capped.weights,
+        gates = [scipy.special.expit(np.einsum("dtm,nd->ntm", capped.nodes[1:],
                                                features[groups == g])
-                                     + capped.biases) for g in (0, 1)]
+                                     + capped.nodes[0]) for g in (0, 1)]
         eps = np.abs(gates[0][:, None] - gates[1][None]).mean(axis=(0, 1)).max()
         np.testing.assert_allclose(report.theoretical, 4 * 2**4 * eps,
                                    rtol=1e-13)
