@@ -17,6 +17,7 @@ from .data import (
     LABEL_COLUMN,
     DatasetSchema,
     SyntheticConfig,
+    _read_header,
     generate_synthetic,
     read_stream,
 )
@@ -28,7 +29,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .learner import LearnerConfig, run_stream
+from .learner import TRAJECTORY_COLUMNS, LearnerConfig, run_stream
 from .verify import gradcheck
 
 FAIRNESS_CHOICES = {
@@ -38,16 +39,16 @@ FAIRNESS_CHOICES = {
     "multi": "multigroup",
 }
 
-TRAJECTORY_COLUMNS = (
-    "step", "y", "a", "pred", "running_accuracy", "dp_hard", "dp_soft",
-    "grad_norm_total", "grad_norm_fair",
-)
-
 PROGRESS_EVERY = 1000
 
 # Flags read by one baseline only (argparse destination: baseline).
 BASELINE_FLAGS = {"hidden": "mlp", "majority_p": "majority",
                   "majority_label": "majority"}
+
+
+# The flags of ``run`` and ``sweep`` that take no value: a config file
+# sets one with ``true`` and leaves it unset with ``false``.
+SWITCHES = {"synthetic"}
 
 
 def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
@@ -146,7 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Expand ``--config FILE`` into flags inserted right after the
-    subcommand, so explicit command-line flags keep precedence."""
+    subcommand, so explicit command-line flags keep precedence.  A switch
+    (``SWITCHES``) takes ``true``, which gives the bare flag, or
+    ``false``, which leaves it unset; any other flag takes its argument,
+    and ``true`` or ``false`` there is refused with the file and line."""
     if not argv:
         return argv
     path = None
@@ -185,10 +189,15 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             value = value.strip()
             if not key:
                 raise ConfigurationError(f"{path}:{lineno}: empty key")
-            if value.lower() == "true":
-                flags.append(f"--{key}")
-            else:
+            boolean = value.lower() in ("true", "false")
+            if (key in SWITCHES) != boolean:
+                expected = "true or false" if key in SWITCHES else "a value"
+                raise ConfigurationError(
+                    f"{path}:{lineno}: --{key} takes {expected}, got {value!r}")
+            if not boolean:
                 flags.extend([f"--{key}", value])
+            elif value.lower() == "true":
+                flags.append(f"--{key}")
     return rest[:1] + flags + rest[1:]
 
 
@@ -210,9 +219,7 @@ def _infer_schema(path: str, normalization: str) -> DatasetSchema:
     if not os.path.exists(path):
         raise DataError(f"no such data file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise DataError(f"{path}: empty file, expected a header row")
+        header = _read_header(path, csv.reader(fh))
     for required in (LABEL_COLUMN, GROUP_COLUMN):
         if required not in header:
             raise DataError(f"{path}: header is missing column {required!r}")
@@ -274,17 +281,13 @@ def _drive(learner, stream, writer, checkpoint_interval: int = 0,
            checkpoint_path: str | None = None):
     """Run the stream, writing trajectory rows; returns the last row."""
     last = None
+    every = checkpoint_interval if checkpoint_path else 0
     for row in run_stream(learner, stream):
-        writer.writerow([
-            row.step, row.y, row.a, row.prediction,
-            row.accuracy, row.dp_hard, row.dp_soft,
-            row.grad_norm_total, row.grad_norm_fair,
-        ])
-        if row.step % PROGRESS_EVERY == 0:
-            print(f"step {row.step}: accuracy={row.accuracy:.4f}",
-                  file=sys.stderr)
-        if (checkpoint_interval and checkpoint_path
-                and row.step % checkpoint_interval == 0):
+        writer.writerow(row)
+        step = row.step
+        if step % PROGRESS_EVERY == 0:
+            print(f"step {step}: accuracy={row.accuracy:.4f}", file=sys.stderr)
+        if every and step % every == 0:
             learner.save_checkpoint(checkpoint_path)
         last = row
     return last

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -59,24 +60,34 @@ class _OnlineScaler:
 
     Each row first updates the running mean/variance, then is transformed
     with the updated statistics, so the output at step ``t`` depends only
-    on rows ``1..t``.
+    on rows ``1..t``.  The intermediates live in buffers built once and
+    the result is written into the row, so a row costs no allocation.
     """
 
     def __init__(self, n_features: int):
         self.count = 0
         self.mean = np.zeros(n_features)
         self.m2 = np.zeros(n_features)
+        self._delta = np.zeros(n_features)
+        self._centered = np.zeros(n_features)
+        self._scratch = np.zeros(n_features)
+        self._flat = np.zeros(n_features, dtype=bool)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
+        """Fold the row ``x`` into the statistics and standardize it in
+        place; returns ``x``."""
         self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
+        mean, scratch, centered = self.mean, self._scratch, self._centered
+        delta = np.subtract(x, mean, out=self._delta)
+        mean += np.divide(delta, self.count, out=scratch)
+        np.subtract(x, mean, out=centered)
+        self.m2 += np.multiply(delta, centered, out=scratch)
         if self.count < 2:
-            return x - self.mean
-        scale = np.sqrt(self.m2 / self.count)
-        scale = np.where(scale < 1e-12, 1.0, scale)
-        return (x - self.mean) / scale
+            x[...] = centered
+            return x
+        scale = np.sqrt(np.divide(self.m2, self.count, out=scratch), out=scratch)
+        np.copyto(scale, 1.0, where=np.less(scale, 1e-12, out=self._flat))
+        return np.divide(centered, scale, out=x)
 
 
 def _parse_int(cell: str, row: int, column: str) -> int:
@@ -106,12 +117,40 @@ def read_stream(path, schema: DatasetSchema) -> Iterator[tuple]:
     return _read_stream_rows(path, schema)
 
 
+def _read_header(path, reader) -> list[str]:
+    """The header row of the CSV ``reader`` over ``path``; DataError when
+    the file is empty or the header names a column twice, since columns
+    are matched by name."""
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file, expected a header row")
+    repeated = sorted(name for name, n in Counter(header).items() if n > 1)
+    if repeated:
+        raise DataError(f"{path}: header names columns {repeated} more than once")
+    return header
+
+
+def _bad_cell(row: list[str], row_number: int, columns: list[str],
+              indices: list[int]) -> DataError:
+    """The error naming the first feature cell of ``row`` that is not a
+    finite number."""
+    for column, idx in zip(columns, indices):
+        cell = row[idx]
+        try:
+            value = float(cell)
+        except ValueError:
+            return DataError(f"row {row_number}, column {column!r}: "
+                             f"could not parse {cell!r} as a number")
+        if not math.isfinite(value):
+            return DataError(f"row {row_number}, column {column!r}: "
+                             f"non-finite value {cell!r}")
+    raise AssertionError("every feature cell is a finite number")
+
+
 def _read_stream_rows(path, schema: DatasetSchema) -> Iterator[tuple]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, expected a header row")
+        header = _read_header(path, reader)
         positions = {name: i for i, name in enumerate(header)}
         missing = [
             name
@@ -120,39 +159,32 @@ def _read_stream_rows(path, schema: DatasetSchema) -> Iterator[tuple]:
         ]
         if missing:
             raise DataError(f"{path}: header is missing columns {missing}")
-        feat_idx = [positions[name] for name in schema.feature_columns]
+        columns = schema.feature_columns
+        feat_idx = [positions[name] for name in columns]
         label_idx = positions[LABEL_COLUMN]
         group_idx = positions[GROUP_COLUMN]
-        scaler = (
-            _OnlineScaler(schema.n_features)
+        width = len(header)
+        transform = (
+            _OnlineScaler(schema.n_features).transform
             if schema.normalization == "online"
             else None
         )
         for row_number, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+            if len(row) != width:
                 raise DataError(
-                    f"row {row_number}: expected {len(header)} fields, "
-                    f"got {len(row)}"
+                    f"row {row_number}: expected {width} fields, got {len(row)}"
                 )
-            x = np.empty(schema.n_features)
-            for j, (column, idx) in enumerate(zip(schema.feature_columns, feat_idx)):
-                cell = row[idx]
-                try:
-                    x[j] = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"row {row_number}, column {column!r}: "
-                        f"could not parse {cell!r} as a number"
-                    ) from None
-                if not math.isfinite(x[j]):
-                    raise DataError(
-                        f"row {row_number}, column {column!r}: "
-                        f"non-finite value {cell!r}"
-                    )
+            try:
+                values = [float(row[i]) for i in feat_idx]
+            except ValueError:
+                raise _bad_cell(row, row_number, columns, feat_idx) from None
+            if not all(map(math.isfinite, values)):
+                raise _bad_cell(row, row_number, columns, feat_idx)
             y = _parse_int(row[label_idx], row_number, LABEL_COLUMN)
             a = _parse_int(row[group_idx], row_number, GROUP_COLUMN)
-            if scaler is not None:
-                x = scaler.transform(x)
+            x = np.array(values)
+            if transform is not None:
+                x = transform(x)
             yield x, y, a
 
 

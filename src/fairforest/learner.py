@@ -16,7 +16,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -129,53 +129,62 @@ class MetricsTracker:
     def accuracy(self) -> float:
         return self.correct / self.total if self.total else 0.0
 
-    def _seen(self) -> list[int] | None:
-        """The groups observed so far, or None while fewer than two."""
-        seen = [g for g, n in enumerate(self.group_counts) if n]
-        return seen if len(seen) >= 2 else None
-
     @property
     def dp_hard(self) -> float | None:
-        seen = self._seen()
-        if seen is None:
-            return None
-        counts, sums = self.group_counts, self.group_label_sums
-        if self.n_groups == 2:
-            return abs(sums[0] / counts[0] - sums[1] / counts[1])
-        # The label sums are whole numbers, so any summation order is exact.
-        overall = sum(sums) / self.total
-        return max(abs(overall - sums[g] / counts[g]) for g in seen)
+        return self.gaps()[0]
 
     @property
     def dp_soft(self) -> float | None:
-        """The largest Euclidean norm of a mean-output gap.  Every sum runs
-        in order, as numpy's ``sum(axis=0)`` over groups and its
-        ``np.linalg.norm(..., axis=-1)`` over fewer than eight outputs
-        sum, so unlike a BLAS dot the result does not depend on the CPU."""
-        seen = self._seen()
-        if seen is None:
-            return None
-        counts, sums = self.group_counts, self.group_output_sums
+        return self.gaps()[1]
+
+    def gaps(self) -> tuple[float | None, float | None]:
+        """``(dp_hard, dp_soft)`` from one pass over the groups: the
+        largest gap of a group's predicted-label rate, and the largest
+        Euclidean norm of a group's mean-output gap, each against the
+        other group when there are two and against the overall figure
+        when there are more.  Both are None while fewer than two groups
+        have been seen.
+
+        Every sum runs in order, as numpy's ``sum(axis=0)`` over groups
+        and its ``np.linalg.norm(..., axis=-1)`` over fewer than eight
+        outputs sum, so unlike a BLAS dot the soft gap does not depend on
+        the CPU.  The label sums are whole numbers, so any order is exact
+        for them."""
+        counts = self.group_counts
+        seen = [g for g, n in enumerate(counts) if n]
+        if len(seen) < 2:
+            return None, None
+        label_sums, output_sums = self.group_label_sums, self.group_output_sums
         if self.n_groups == 2:
             n0, n1 = counts
-            gaps = [[u / n0 - v / n1 for u, v in zip(*sums)]]
-        else:
-            overall = []
-            for column in zip(*sums):
-                total = 0.0
-                for value in column:
-                    total += value
-                overall.append(total / self.total)
-            gaps = ([o - s / counts[g] for o, s in zip(overall, sums[g])]
-                    for g in seen)
-        largest = 0.0
-        for gap in gaps:
             squares = 0.0
-            for value in gap:
-                squares += value * value
-            largest = max(largest, squares)
+            for u, v in zip(*output_sums):
+                gap = u / n0 - v / n1
+                squares += gap * gap
+            return (abs(label_sums[0] / n0 - label_sums[1] / n1),
+                    math.sqrt(squares))
+        total = self.total
+        overall_rate = sum(label_sums) / total
+        overall = []
+        for column in zip(*output_sums):
+            column_sum = 0.0
+            for value in column:
+                column_sum += value
+            overall.append(column_sum / total)
+        hard = largest = 0.0
+        for g in seen:
+            n = counts[g]
+            gap = abs(overall_rate - label_sums[g] / n)
+            if gap > hard:
+                hard = gap
+            squares = 0.0
+            for o, s in zip(overall, output_sums[g]):
+                gap = o - s / n
+                squares += gap * gap
+            if squares > largest:
+                largest = squares
         # sqrt is monotonic: the root of the largest sum is the largest norm.
-        return math.sqrt(largest)
+        return hard, math.sqrt(largest)
 
 
 @dataclass(frozen=True)
@@ -190,9 +199,10 @@ class StepSnapshot:
     grad_norm_fair: float
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
-    """One row of a run's trajectory."""
+class TrajectoryRow(NamedTuple):
+    """One row of a run's trajectory, its fields in the order of the
+    trajectory's columns (``TRAJECTORY_COLUMNS``), so a CSV writer writes
+    it as it is."""
 
     step: int
     y: int
@@ -203,6 +213,13 @@ class TrajectoryRow:
     dp_soft: float | None
     grad_norm_total: float
     grad_norm_fair: float
+
+
+# The trajectory's header: one column per ``TrajectoryRow`` field, in order.
+TRAJECTORY_COLUMNS = (
+    "step", "y", "a", "pred", "running_accuracy", "dp_hard", "dp_soft",
+    "grad_norm_total", "grad_norm_fair",
+)
 
 
 @dataclass
@@ -441,9 +458,8 @@ class OnlineForestLearner:
 
     def snapshot(self) -> StepSnapshot:
         metrics = self.metrics
-        return StepSnapshot(self.step_count, metrics.accuracy, metrics.dp_hard,
-                            metrics.dp_soft, self._last_total_norm,
-                            self._last_fair_norm)
+        return StepSnapshot(self.step_count, metrics.accuracy, *metrics.gaps(),
+                            self._last_total_norm, self._last_fair_norm)
 
     # -- checkpointing -------------------------------------------------------
 
@@ -557,14 +573,6 @@ def run_stream(learner, stream: Iterable[tuple]) -> Iterator[TrajectoryRow]:
             prediction, snap = learner.step(x, y, a)
         except FairForestError as exc:
             raise type(exc)(f"step {index}: {exc}") from exc
-        yield TrajectoryRow(
-            step=index,
-            y=int(y),
-            a=int(a),
-            prediction=prediction,
-            accuracy=snap.accuracy,
-            dp_hard=snap.dp_hard,
-            dp_soft=snap.dp_soft,
-            grad_norm_total=snap.grad_norm_total,
-            grad_norm_fair=snap.grad_norm_fair,
-        )
+        yield TrajectoryRow(index, int(y), int(a), prediction, snap.accuracy,
+                            snap.dp_hard, snap.dp_soft, snap.grad_norm_total,
+                            snap.grad_norm_fair)

@@ -104,13 +104,14 @@ class NotionTable:
         row times the key means.  Rows that name an unseen key are zero.
         Under ``multigroup`` the rows depend on every count, not only on
         which keys have been seen (``count_weighted``)."""
-        seen = counts > 0
         if self.count_weighted:
-            # Row g names key g alone, so it is warm once g is seen.
-            out = np.add(counts / (sum(counts.tolist()) or 1), self._signs, out=out)
-            out *= seen[:, None]
+            listed = counts.tolist()
+            out = np.add(counts / (sum(listed) or 1), self._signs, out=out)
+            if 0 in listed:
+                # Row g names key g alone, so it is warm once g is seen.
+                out *= (counts > 0)[:, None]
             return out
-        warm = (seen | self._unnamed).all(axis=1)
+        warm = ((counts > 0) | self._unnamed).all(axis=1)
         return np.multiply(self._signs, warm[:, None], out=out)
 
     def counts_agree(self, counts: np.ndarray, group_counts: list) -> bool:

@@ -1,6 +1,8 @@
 """Reference constructions shared by the tests, built independently of
 the package's vectorized routing."""
 
+import math
+
 import numpy as np
 from scipy.special import expit
 
@@ -23,6 +25,82 @@ def default_schema(n_features, normalization="none"):
         feature_columns=[f"f{i}" for i in range(n_features)],
         normalization=normalization,
     )
+
+
+class ReferenceScaler:
+    """Running per-feature standardization written plainly, one fresh
+    array per operation: each row updates the running mean and sum of
+    squared deviations, then is centred on the new mean and divided by
+    the population deviation (1 where it is below 1e-12; the first row is
+    only centred)."""
+
+    def __init__(self, n_features):
+        self.count = 0
+        self.mean = np.zeros(n_features)
+        self.m2 = np.zeros(n_features)
+
+    def transform(self, x):
+        self.count += 1
+        delta = x - self.mean
+        self.mean += delta / self.count
+        self.m2 += delta * (x - self.mean)
+        if self.count < 2:
+            return x - self.mean
+        scale = np.sqrt(self.m2 / self.count)
+        scale = np.where(scale < 1e-12, 1.0, scale)
+        return (x - self.mean) / scale
+
+
+def reference_rows(cells, normalize):
+    """``(x, y, a)`` of each row of string ``cells`` (features, then the
+    label and the group), each feature cell parsed on its own into a
+    float64 vector, then standardized by a ``ReferenceScaler`` when
+    ``normalize``."""
+    scaler = ReferenceScaler(len(cells[0]) - 2) if normalize else None
+    rows = []
+    for row in cells:
+        x = np.empty(len(row) - 2)
+        for j, cell in enumerate(row[:-2]):
+            x[j] = float(cell)
+        if scaler is not None:
+            x = scaler.transform(x)
+        rows.append((x, int(row[-2]), int(row[-1])))
+    return rows
+
+
+def reference_gaps(tracker):
+    """``(dp_hard, dp_soft)`` of a ``MetricsTracker``'s sums, one gap at
+    a time: per-group rates and mean outputs against the other group's
+    (two groups) or the overall ones (more), every sum in group or
+    output order, the soft gap the largest Euclidean norm.  Both None
+    while fewer than two groups are seen."""
+    counts = tracker.group_counts
+    seen = [g for g, n in enumerate(counts) if n]
+    if len(seen) < 2:
+        return None, None
+    rates = tracker.group_label_sums
+    sums = tracker.group_output_sums
+    if tracker.n_groups == 2:
+        hard = abs(rates[0] / counts[0] - rates[1] / counts[1])
+        gaps = [[u / counts[0] - v / counts[1] for u, v in zip(*sums)]]
+    else:
+        overall_rate = sum(rates) / tracker.total
+        hard = max(abs(overall_rate - rates[g] / counts[g]) for g in seen)
+        overall = []
+        for column in zip(*sums):
+            total = 0.0
+            for value in column:
+                total += value
+            overall.append(total / tracker.total)
+        gaps = [[o - s / counts[g] for o, s in zip(overall, sums[g])]
+                for g in seen]
+    norms = []
+    for gap in gaps:
+        squares = 0.0
+        for value in gap:
+            squares += value * value
+        norms.append(math.sqrt(squares))
+    return hard, max(norms)
 
 
 def tree_weights(nodes):

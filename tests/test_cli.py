@@ -153,6 +153,17 @@ class TestRun:
         ])
         assert code == 1
 
+    def test_header_naming_a_column_twice_exits_one(self, tmp_path, capsys):
+        """With header ``f0,y,f1,a,y`` the run used to train on the last
+        ``y`` column; it now exits 1 before a row is written, naming the
+        column."""
+        data = tmp_path / "twice.csv"
+        data.write_text("f0,y,f1,a,y\n0.5,1,0.25,0,1\n1.5,0,0.75,1,1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--data", str(data), "--out", str(out)]) == 1
+        assert "['y']" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
     def test_header_only_stream_exits_one(self, tmp_path):
         data = tmp_path / "empty.csv"
         data.write_text("f0,y,a\n")
@@ -376,6 +387,41 @@ class TestConfigFile:
         ]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["height"] == 3
+
+    def test_false_leaves_a_boolean_flag_unset(self, tmp_path):
+        """``synthetic = false`` used to become ``--synthetic false``
+        (exit 2); it now leaves ``--synthetic`` unset, so a ``--data``
+        run goes ahead, and ``true`` on a flag given explicitly changes
+        nothing."""
+        data = tmp_path / "stream.csv"
+        assert main(["synth", "--n", "30", "--dim", "4",
+                     "--out", str(data)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("synthetic = False\nheight = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--data", str(data),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["data"] == str(data)
+        assert summary["final"]["steps"] == 30
+        cfg.write_text("synthetic = false\nn = 30\ndim = 4\n")
+        assert main(["run", "--config", str(cfg), "--synthetic",
+                     "--out", str(tmp_path / "synthetic")]) == 0
+
+    @pytest.mark.parametrize("line", ["height = false", "lambda = True",
+                                      "synthetic = yes"])
+    def test_boolean_value_of_the_wrong_kind_exits_two(self, tmp_path,
+                                                      capsys, line):
+        """``true``/``false`` on a flag that takes a value, or another
+        value on a switch, is refused with the file and line instead of
+        being dropped or passed on."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 30\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--synthetic",
+                     "--out", str(out)]) == 2
+        assert f"{cfg}:2:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_exits_two(self, tmp_path):
         assert main([

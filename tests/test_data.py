@@ -1,8 +1,13 @@
 """Tests for instance streams: CSV parsing, normalization policies, and
 the seeded synthetic generator."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairforest.data import (
     GROUP_COLUMN,
@@ -15,7 +20,7 @@ from fairforest.data import (
     read_stream,
 )
 from fairforest.errors import ConfigurationError, DataError, DomainError
-from oracles import default_schema
+from oracles import default_schema, reference_rows
 
 
 def write_csv(path, header, rows):
@@ -96,6 +101,37 @@ class TestReadStream:
         with pytest.raises(DataError, match="row 3, column 'f1'"):
             list(read_stream(path, default_schema(2)))
 
+    @pytest.mark.parametrize("cells, message", [
+        ((1.0, 2.0, "oops"), "row 3, column 'f2': could not parse 'oops'"),
+        ((1.0, 2.0, "nan"), "row 3, column 'f2': non-finite value 'nan'"),
+        ((1.0, "-inf", "oops"), "row 3, column 'f1': non-finite value '-inf'"),
+        ((1.0, "oops", "inf"), "row 3, column 'f1': could not parse 'oops'"),
+    ], ids=["unparsable", "non-finite", "non-finite-first", "unparsable-first"])
+    def test_bad_cell_past_the_first_column_is_named(self, tmp_path, cells,
+                                                     message):
+        """A cell that is not a finite number is named by its row and
+        column wherever it sits; with two such cells in a row, the first
+        in column order is named."""
+        path = tmp_path / "bad.csv"
+        write_csv(path, ["f0", "f1", "f2", "y", "a"],
+                  [[1.0, 2.0, 3.0, 0, 0], [*cells, 1, 1]])
+        stream = read_stream(path, default_schema(3))
+        next(stream)
+        with pytest.raises(DataError, match=message):
+            next(stream)
+
+    def test_header_naming_a_column_twice_is_refused(self, tmp_path):
+        """Columns are matched by name, so a repeated name would leave
+        one of its columns unread: the header is refused, naming it."""
+        path = tmp_path / "twice.csv"
+        write_csv(path, ["f0", "y", "f1", "a", "y"], [[1.0, 1, 2.0, 0, 0]])
+        with pytest.raises(DataError, match=r"\['y'\]"):
+            list(read_stream(path, default_schema(2)))
+        write_csv(path, ["f0", "f1", "y", "a", "extra", "extra"],
+                  [[1.0, 2.0, 1, 0, 5, 6]])
+        with pytest.raises(DataError, match=r"\['extra'\]"):
+            list(read_stream(path, default_schema(2)))
+
     def test_non_finite_feature_is_rejected(self, tmp_path):
         path = tmp_path / "inf.csv"
         write_csv(path, ["f0", "y", "a"], [["inf", 0, 0]])
@@ -149,6 +185,38 @@ class TestReadStream:
                 expected = (raw[t] - mean) / scale
             np.testing.assert_allclose(got[t], expected, atol=1e-10,
                                        err_msg=f"row {t}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_features=st.integers(1, 5),
+           n_rows=st.integers(1, 12), normalize=st.booleans())
+    def test_rows_equal_the_cell_by_cell_reference(self, data, n_features,
+                                                   n_rows, normalize):
+        """Every row the reader yields, normalized or not, equals bit for
+        bit what parsing each cell on its own and the plain running
+        scaler give: from the first row on, with constant columns (whose
+        deviation stays below 1e-12) and a single feature."""
+        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        constant = data.draw(st.lists(st.booleans(), min_size=n_features,
+                                      max_size=n_features))
+        first = data.draw(st.lists(finite, min_size=n_features,
+                                   max_size=n_features))
+        cells = []
+        for _ in range(n_rows):
+            values = [first[j] if constant[j] else data.draw(finite)
+                      for j in range(n_features)]
+            cells.append([repr(v) for v in values]
+                         + [str(data.draw(st.integers(0, 2))) for _ in "ya"])
+        schema = default_schema(n_features,
+                                "online" if normalize else "none")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rows.csv")
+            write_csv(path, schema.feature_columns + ["y", "a"], cells)
+            got = list(read_stream(path, schema))
+        expected = reference_rows(cells, normalize)
+        assert len(got) == len(expected)
+        for (x, y, a), (ref_x, ref_y, ref_a) in zip(got, expected):
+            assert x.dtype == ref_x.dtype and x.tobytes() == ref_x.tobytes()
+            assert (y, a) == (ref_y, ref_a)
 
 
 class TestSyntheticGenerator:

@@ -24,13 +24,14 @@ from fairforest.gradients import _ForwardCache, task_gradient
 from fairforest.learner import (
     AdamState,
     LearnerConfig,
+    TRAJECTORY_COLUMNS,
     MetricsTracker,
     OnlineForestLearner,
     decode_floats,
     encode_floats,
     run_stream,
 )
-from oracles import tree_weights
+from oracles import reference_gaps, tree_weights
 
 
 def adam_oracle(grads, lr, b1=0.9, b2=0.999, eps=1e-8, x0=0.0):
@@ -254,7 +255,9 @@ class TestMetricsTracker:
                                              n_updates, seed, data):
         """Over 2 to 6 groups, some never seen, both gaps equal bit for bit
         the masked per-group rates and means in numpy: the rate gap, and
-        ``np.linalg.norm(..., axis=-1)`` of the mean gap."""
+        ``np.linalg.norm(..., axis=-1)`` of the mean gap.  ``gaps()``,
+        one pass over the groups, equals bit for bit the gaps taken one
+        at a time (``reference_gaps``), None included."""
         groups = data.draw(st.lists(st.integers(0, n_groups - 1), min_size=1,
                                     max_size=n_groups, unique=True))
         # Outputs with full mantissas, so that summation order shows.
@@ -265,6 +268,7 @@ class TestMetricsTracker:
                            rng.standard_normal(n_outputs).tolist(),
                            int(rng.integers(0, n_outputs)),
                            groups[int(rng.integers(0, len(groups)))])
+            assert tracker.gaps() == reference_gaps(tracker)
             counts = np.array(tracker.group_counts)
             seen = counts > 0
             if seen.sum() < 2:
@@ -1265,6 +1269,25 @@ class TestRunStream:
         for i, row in enumerate(rows, start=1):
             hits += row.prediction == row.y
             np.testing.assert_allclose(row.accuracy, hits / i, atol=1e-12)
+
+    def test_rows_come_in_the_trajectory_column_order(self):
+        """A row is the tuple a CSV writer writes under the trajectory's
+        header: the step, the instance's label and group, the prediction,
+        then the step's snapshot metrics, in that order."""
+        assert TRAJECTORY_COLUMNS == (
+            "step", "y", "a", "pred", "running_accuracy", "dp_hard",
+            "dp_soft", "grad_norm_total", "grad_norm_fair")
+        cfg = LearnerConfig(n_features=2, fairness_weight=0.5, seed=4)
+        learner, twin = OnlineForestLearner(cfg), OnlineForestLearner(cfg)
+        stream = list(biased_stream(20, seed=12))
+        rows = list(run_stream(learner, stream))
+        assert len(rows) == len(stream)
+        for row, (x, y, a) in zip(rows, stream):
+            prediction, snap = twin.step(x, y, a)
+            assert len(row) == len(TRAJECTORY_COLUMNS)
+            assert tuple(row) == (snap.step, y, a, prediction, snap.accuracy,
+                                  snap.dp_hard, snap.dp_soft,
+                                  snap.grad_norm_total, snap.grad_norm_fair)
 
     def test_errors_name_the_failing_step(self):
         cfg = LearnerConfig(n_features=2, seed=4)
