@@ -32,6 +32,7 @@ from .gradients import (
     HuberPenalty,
     _leaf_jacobian,
     _leaf_jacobian_index,
+    _vector_norm,
     softmax,
 )
 from .learner import (
@@ -164,36 +165,47 @@ class ReservoirLearner(OnlineForestLearner):
 # ---------------------------------------------------------------------------
 
 
-def _leaf_node_plan(height: int, tree_count: int,
-                    width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Segment bounds and gather order that sum the leaf store's gradient
-    rows onto the nodes, ``width * T * m`` entries each.
+class _LeafNodeSum:
+    """Sums a contiguous ``(width, h, T, 2**h)`` block of leaf rows onto
+    the nodes: each depth-``k`` node gets its depth's row summed over the
+    ``2**(h - k)`` leaves below it, laid out as a gradient's node block
+    ``(width, T, m)``, which shares the rows.
 
-    The rows are ``(width, h, T, 2**h)`` (bias or weight, depth, tree,
-    leaf), flattened; per (row, depth ``k``, tree) the leaves below each
-    depth-``k`` node are one contiguous block of ``2**(h - k)``.
-    ``np.add.reduceat(rows.ravel(), bounds)`` sums every block, in
-    (row, depth, tree, node) order, and ``order`` takes those sums to a
-    gradient vector's node block ``(width, T, m)``, which shares the
-    rows.  Writable on purpose: ``np.add.reduceat`` and ``np.take`` copy
-    a read-only index.
+    Per depth the leaves below each node are one contiguous run, so the
+    depth's rows are ``width`` stacked ``(T * 2**k, 2**(h - k))``
+    matrices, and one matrix-vector product with ones sums every node of
+    the depth.  The products fill ``sums`` depth by depth and ``order``
+    takes them to the node block.  The views are built once over
+    ``rows``, so a sum reads whatever ``rows`` holds when it runs.
     """
-    t, leaves, nodes = tree_count, 2**height, 2**height - 1
-    node = np.arange(nodes, dtype=np.intp)
-    depth = np.repeat(np.arange(height), 2 ** np.arange(height))
-    place = node - ((1 << depth) - 1)  # the node's place in its depth
-    tree = np.arange(t)[:, None]
-    # Within one row the sums run depth by depth, each depth tree by
-    # tree, each tree its depth's nodes left to right: (tree, node) is
-    # sum ``rank``, and its block starts at ``starts[rank]``.
-    rank = (t * ((1 << depth) - 1) + tree * (1 << depth) + place).ravel()
-    starts = np.empty(t * nodes, dtype=np.intp)
-    starts[rank] = ((depth * t + tree) * leaves
-                    + (place << (height - depth))).ravel()
-    row = np.arange(width, dtype=np.intp)[:, None]
-    bounds = (row * (height * t * leaves) + starts).ravel()
-    order = (rank + row * (t * nodes)).ravel()
-    return bounds, order
+
+    def __init__(self, rows: np.ndarray):
+        width, height, t, leaves = rows.shape
+        flat = rows.reshape(width, height, t * leaves)
+        ones = np.ones(leaves)
+        self.sums = np.empty(width * t * (leaves - 1))
+        # Writable on purpose: ``np.take`` copies a read-only index.
+        order = np.empty((width, t, leaves - 1), dtype=np.intp)
+        self.depths = []
+        start = 0
+        for k in range(height):
+            n, below = t << k, leaves >> k
+            stop = start + width * n
+            self.depths.append((flat[:, k].reshape(width, n, below),
+                                ones[:below],
+                                self.sums[start:stop].reshape(width, n)))
+            order[:, :, (1 << k) - 1:(2 << k) - 1] = np.arange(
+                start, stop).reshape(width, t, 1 << k)
+            start = stop
+        self.order = order.ravel()
+
+    def into(self, out: np.ndarray) -> None:
+        """Write the node sums into the flat node block ``out``."""
+        for rows, ones, sums in self.depths:
+            np.matmul(rows, ones, out=sums)
+        # Every index is in range; "clip" skips the copy that "raise"
+        # makes of the output before writing it.
+        np.take(self.sums, self.order, out=out, mode="clip")
 
 
 class LeafPenaltyLearner(OnlineForestLearner):
@@ -220,10 +232,13 @@ class LeafPenaltyLearner(OnlineForestLearner):
             )
             self._jacobian_index = _leaf_jacobian_index(
                 shape.height, shape.tree_count)
-            self._node_bounds, self._node_order = _leaf_node_plan(
-                shape.height, shape.tree_count, width)
-            self._node_sums = np.zeros(self._node_order.size)
-            # The gradient's node block, flat; its leaf rows stay zero.
+            # The contrast sum's rows, (bias or weight, depth) by (tree,
+            # leaf), summed onto the gradient's node block; its leaf rows
+            # stay zero.
+            self._leaf_grad = np.zeros((width * shape.height,
+                                        shape.tree_count * shape.n_leaves))
+            self._node_sum = _LeafNodeSum(self._leaf_grad.reshape(
+                width, shape.height, shape.tree_count, shape.n_leaves))
             self._node_grad = self._fair.nodes.reshape(-1)
 
     def _build_store(self) -> None:
@@ -249,13 +264,9 @@ class LeafPenaltyLearner(OnlineForestLearner):
         are never written and stay zero."""
         if self.leaf_store is None:
             return self._fair
-        total = self.leaf_store.contrast_sum(self.penalty.delta)
-        np.add.reduceat(total.ravel(), self._node_bounds, out=self._node_sums)
-        # Every index is in range; "clip" skips the copy that "raise"
-        # makes of the output before writing it.
-        np.take(self._node_sums, self._node_order, out=self._node_grad,
-                mode="clip")
-        self._node_grad *= self.penalty.weight
+        self.leaf_store.contrast_sum(self.penalty.delta, self.penalty.weight,
+                                     self._leaf_grad)
+        self._node_sum.into(self._node_grad)
         return self._fair
 
     def checkpoint(self) -> dict:
@@ -354,8 +365,8 @@ class OnlineMlpLearner:
         np.outer(x, g_b1, out=g_w1)
         fair = self._fairness_gradient()
         total = task + fair
-        self._last_fair_norm = math.sqrt(fair @ fair)
-        self._last_total_norm = math.sqrt(total @ total)
+        self._last_fair_norm = _vector_norm(fair)
+        self._last_total_norm = _vector_norm(total)
         self.adam.apply(self.params.vector, total)
         self.step_count += 1
         return prediction, self.snapshot()

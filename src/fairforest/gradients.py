@@ -275,6 +275,26 @@ def total_gradient(task: ForestGradient, fairness: ForestGradient,
     return out
 
 
+# OpenBLAS splits a dot product over its threads above about 10,000
+# entries, and the split changes the summation order with the thread
+# count; a dot of at most this many entries is never split.
+_NORM_CHUNK = 8192
+
+
+def _vector_norm(vector: np.ndarray) -> float:
+    """Euclidean norm of a flat vector that does not depend on the BLAS
+    thread count: one dot up to ``_NORM_CHUNK`` entries, else the dots
+    of consecutive ``_NORM_CHUNK``-entry chunks summed in order."""
+    if vector.size <= _NORM_CHUNK:
+        return math.sqrt(vector @ vector)
+    total = 0.0
+    for start in range(0, vector.size, _NORM_CHUNK):
+        chunk = vector[start:start + _NORM_CHUNK]
+        total += chunk @ chunk
+    return math.sqrt(total)
+
+
 def gradient_norm(grad: ForestGradient) -> float:
-    """Euclidean norm over every parameter of the forest."""
-    return math.sqrt(grad.vector @ grad.vector)
+    """Euclidean norm over every parameter of the forest
+    (``_vector_norm``)."""
+    return _vector_norm(grad.vector)

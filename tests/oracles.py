@@ -162,6 +162,51 @@ def mask_oracle(height):
     return entries
 
 
+def leaf_node_plan(height, tree_count, width):
+    """Segment bounds and gather order that sum the leaf store's gradient
+    rows onto the nodes with one ``np.add.reduceat``, ``width * T * m``
+    entries each: the leaf learner's node sum before it took one
+    matrix-vector product per depth.
+
+    The rows are ``(width, h, T, 2**h)`` (bias or weight, depth, tree,
+    leaf), flattened; per (row, depth ``k``, tree) the leaves below each
+    depth-``k`` node are one contiguous block of ``2**(h - k)``.
+    ``np.add.reduceat(rows.ravel(), bounds)`` sums every block, in
+    (row, depth, tree, node) order, and ``order`` takes those sums to a
+    gradient vector's node block ``(width, T, m)``.
+    """
+    t, leaves, nodes = tree_count, 2**height, 2**height - 1
+    node = np.arange(nodes, dtype=np.intp)
+    depth = np.repeat(np.arange(height), 2 ** np.arange(height))
+    place = node - ((1 << depth) - 1)  # the node's place in its depth
+    tree = np.arange(t)[:, None]
+    # Within one row the sums run depth by depth, each depth tree by
+    # tree, each tree its depth's nodes left to right: (tree, node) is
+    # sum ``rank``, and its block starts at ``starts[rank]``.
+    rank = (t * ((1 << depth) - 1) + tree * (1 << depth) + place).ravel()
+    starts = np.empty(t * nodes, dtype=np.intp)
+    starts[rank] = ((depth * t + tree) * leaves
+                    + (place << (height - depth))).ravel()
+    row = np.arange(width, dtype=np.intp)[:, None]
+    bounds = (row * (height * t * leaves) + starts).ravel()
+    order = (rank + row * (t * nodes)).ravel()
+    return bounds, order
+
+
+def reduceat_leaf_node_gradient(learner):
+    """The leaf learner's fairness node block ``(d + 1, T, m)`` in the
+    form it had before: the unscaled contrast sum of its store, summed
+    onto the nodes by one ``np.add.reduceat`` over ``leaf_node_plan``'s
+    segments, then times the penalty weight."""
+    shape = learner.forest.shape
+    width = shape.n_features + 1
+    total = learner.leaf_store.contrast_sum(learner.penalty.delta)
+    bounds, order = leaf_node_plan(shape.height, shape.tree_count, width)
+    sums = np.add.reduceat(total.ravel(), bounds).take(order)
+    sums *= learner.penalty.weight
+    return sums.reshape(width, shape.tree_count, shape.n_nodes)
+
+
 def dense_leaf_jacobian(left, right, height):
     """Leaf probabilities (2**h,) and the dense Jacobian (m, 2**h) of one
     tree in its gate outputs, read off the oracle mask entry by entry.

@@ -14,7 +14,7 @@ from fairforest.baselines import (
     OnlineMlpLearner,
     Reservoir,
     ReservoirLearner,
-    _leaf_node_plan,
+    _LeafNodeSum,
     majority_postprocess,
     make_learner,
     reservoir_fairness_gradient,
@@ -40,6 +40,7 @@ from oracles import (
     mask_oracle,
     mlp_block_fairness_gradient,
     mlp_rows,
+    reduceat_leaf_node_gradient,
     tree_weights,
 )
 
@@ -392,23 +393,45 @@ class TestLeafPenaltyLearner:
     @settings(max_examples=40, deadline=None)
     def test_node_plan_sums_what_the_ancestor_mask_says(self, height, trees,
                                                         width, seed):
-        """The plan's one segmented sum, taken through its order, gives
-        every node the sum of its depth's row over the leaves below it,
-        as the dense ancestor mask says, laid out as the gradient's node
-        block ``(width, T, m)``.  Integer values make every summation
-        order exact, so the match is exact."""
+        """The per-depth matrix-vector products, taken through their
+        order, give every node the sum of its depth's row over the leaves
+        below it, as the dense ancestor mask says, laid out as the
+        gradient's node block ``(width, T, m)``.  Integer values make
+        every summation order exact, so the match is exact."""
         rng = np.random.default_rng(seed)
         leaves, nodes = 2**height, 2**height - 1
         rows = rng.integers(-2**20, 2**20, size=(width, height, trees, leaves))
         rows = rows.astype(np.float64)
-        bounds, order = _leaf_node_plan(height, trees, width)
-        got = np.add.reduceat(rows.ravel(), bounds).take(order)
+        got = np.full(width * trees * nodes, np.nan)
+        _LeafNodeSum(rows).into(got)
         below = (mask_oracle(height) != 0).astype(np.float64)  # (m, L)
         want = np.zeros((width, trees, nodes))
         for depth in range(height):
             level = slice(2**depth - 1, 2 ** (depth + 1) - 1)
             want[:, :, level] = rows[:, depth] @ below[level].T
         np.testing.assert_array_equal(got, want.ravel())
+
+    @pytest.mark.parametrize("notion, n_groups, n_outputs", [
+        ("dp", 2, 2), ("equalized_odds", 2, 3), ("multigroup", 3, 2),
+    ], ids=["dp", "eo-C3", "multigroup-G3"])
+    def test_gradient_matches_the_reduceat_form(self, notion, n_groups,
+                                                n_outputs):
+        """The per-depth node sum with the penalty weight riding on the
+        Huber slopes gives, every step, the gradient of the segmented
+        ``np.add.reduceat`` sum scaled afterwards, to 1e-13 of its
+        largest entry, and leaves the leaf rows zero."""
+        learner = LeafPenaltyLearner(LearnerConfig(
+            n_features=4, n_outputs=n_outputs, height=6, tree_count=3,
+            fairness=notion, fairness_weight=0.7, huber_delta=0.05,
+            n_groups=n_groups, seed=4))
+        for x, y, a in keyed_stream(60, 17, n_groups, n_outputs, d=4):
+            learner.step(x, y, a)
+            got = learner._fairness_gradient()
+            want = reduceat_leaf_node_gradient(learner)
+            scale = np.abs(want).max()
+            assert np.abs(got.nodes - want).max() <= 1e-13 * scale
+            np.testing.assert_array_equal(got.leaves, 0.0)
+        assert scale > 0.0
 
     def test_checkpoint_unsupported(self):
         _, leaf_learner = self._frozen_pair(delta=0.01)

@@ -1,7 +1,12 @@
 """Tests for the analytic gradients: Huber penalty pieces, softmax loss,
 per-instance task gradient, and aggregate-driven fairness gradient."""
 
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from fairforest.gradients import (
     _leaf_jacobian,
     _leaf_jacobian_index,
     _task_gradient_cached,
+    _vector_norm,
     cross_entropy,
     fairness_gradient,
     gradient_norm,
@@ -716,3 +722,56 @@ class TestGradientContainers:
         assert gradient_norm(grad) == 5.0
         assert tree_norm(grad, 0) == 5.0
         assert tree_norm(grad, 1) == 0.0
+
+    def test_norm_up_to_a_chunk_is_one_dot_bit_for_bit(self):
+        """Up to 8192 entries the norm is the one BLAS dot it always was,
+        so every declared benchmark shape (591, 3284 and 6568
+        parameters) reports the same bits."""
+        rng = np.random.default_rng(32)
+        for shape in (ForestShape(3, 4, 10, 2), ForestShape(4, 6, 10, 2),
+                      ForestShape(8, 6, 10, 2)):
+            grad = ForestGradient.zeros(shape)
+            grad.vector[:] = rng.standard_normal(grad.vector.size)
+            assert gradient_norm(grad) == math.sqrt(grad.vector @ grad.vector)
+        for size in (1, 8191, 8192):
+            vector = rng.standard_normal(size)
+            assert _vector_norm(vector) == math.sqrt(vector @ vector)
+
+    def test_norm_above_a_chunk_sums_chunk_dots_in_order(self):
+        """Above 8192 entries the squares are the dots of consecutive
+        8192-entry chunks, summed first to last.  The square root often
+        rounds a last-bit change in the squares away, so many vectors
+        are checked."""
+        rng = np.random.default_rng(33)
+        sizes = [8193, 3 * 8192, 136_696, *rng.integers(8193, 140_000, 20)]
+        for size in sizes:
+            vector = rng.standard_normal(size)
+            squares = 0.0
+            for start in range(0, size, 8192):
+                chunk = vector[start:start + 8192]
+                squares += chunk @ chunk
+            assert _vector_norm(vector) == math.sqrt(squares)
+            np.testing.assert_allclose(_vector_norm(vector),
+                                       np.linalg.norm(vector), rtol=1e-14)
+
+    def test_norm_does_not_depend_on_the_blas_thread_count(self):
+        """OpenBLAS splits one dot over its threads above about 10,000
+        entries; the chunked norms of 136,696 entries (h=8, T=8, d=64)
+        read the same bits on one thread and on two.  The square root
+        often rounds a last-bit change away, so ten vectors are read."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import numpy as np; "
+                "from fairforest.gradients import _vector_norm; "
+                "rng = np.random.default_rng(0); "
+                "print([_vector_norm(rng.standard_normal(136_696)) "
+                "for _ in range(10)])")
+        reads = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            result = subprocess.run([sys.executable, "-c", code, str(src)],
+                                    capture_output=True, text=True,
+                                    check=True, env=env)
+            reads.add(result.stdout.strip())
+        assert len(reads) == 1, reads
