@@ -62,10 +62,15 @@ class _OnlineScaler:
     with the updated statistics, so the output at step ``t`` depends only
     on rows ``1..t``.  The intermediates live in buffers built once and
     the result is written into the row, so a row costs no allocation.
+    Every scalar operand is a 0-d float64 array, as a Python scalar costs
+    a ufunc call a conversion; the count is exact in float64 up to 2**53.
     """
 
     def __init__(self, n_features: int):
         self.count = 0
+        self._count = np.zeros(())
+        self._floor = np.array(1e-12)
+        self._one = np.array(1.0)
         self.mean = np.zeros(n_features)
         self.m2 = np.zeros(n_features)
         self._delta = np.zeros(n_features)
@@ -77,16 +82,17 @@ class _OnlineScaler:
         """Fold the row ``x`` into the statistics and standardize it in
         place; returns ``x``."""
         self.count += 1
+        self._count.fill(self.count)
         mean, scratch, centered = self.mean, self._scratch, self._centered
         delta = np.subtract(x, mean, out=self._delta)
-        mean += np.divide(delta, self.count, out=scratch)
+        mean += np.divide(delta, self._count, out=scratch)
         np.subtract(x, mean, out=centered)
         self.m2 += np.multiply(delta, centered, out=scratch)
         if self.count < 2:
             x[...] = centered
             return x
-        scale = np.sqrt(np.divide(self.m2, self.count, out=scratch), out=scratch)
-        np.copyto(scale, 1.0, where=np.less(scale, 1e-12, out=self._flat))
+        scale = np.sqrt(np.divide(self.m2, self._count, out=scratch), out=scratch)
+        np.copyto(scale, self._one, where=np.less(scale, self._floor, out=self._flat))
         return np.divide(centered, scale, out=x)
 
 

@@ -44,6 +44,11 @@ from .errors import ConfigurationError, ShapeError
 
 MAX_HEIGHT = 16
 
+# The logistic's 1, as a read-only 0-d operand: a ufunc call converts a
+# Python float operand every time.
+_ONE = np.array(1.0)
+_ONE.setflags(write=False)
+
 
 class ForestShape(NamedTuple):
     """Static dimensions shared by every tree of a forest."""
@@ -293,6 +298,10 @@ class _Pass:
         self.gathered = np.empty(batch + (t, h, leaves))
         self.leaf_probs = np.empty(batch + (t, leaves))
         self.output = np.empty(batch + (c,))
+        # The mix's divisor T as a 0-d float, exact in float64: an int
+        # operand costs a ufunc call a conversion.
+        self.tree_divisor = np.array(float(t))
+        self.tree_divisor.setflags(write=False)
         # Row-vector views for the stacked vector-matrix products, and the
         # edges flat for the gather.
         self.xa_rows = self.xa[..., None, :]
@@ -322,7 +331,7 @@ def _node_edges(edges: np.ndarray) -> np.ndarray:
             np.exp(edges, out=edges)
     else:
         np.exp(edges, out=edges)
-    np.add(edges, 1.0, out=edges)
+    np.add(edges, _ONE, out=edges)
     return np.reciprocal(edges, out=edges)
 
 
@@ -360,10 +369,10 @@ def _leaf_probability_gradients_stacked(forest: ObliqueForest,
 def _mix_leaves(forest: ObliqueForest, p: _Pass) -> np.ndarray:
     """Forest output from the pass's leaf probabilities into its
     ``output`` ``(..., c)``: one stacked vector-matrix product of the flat
-    leaf probabilities with the leaf rows, divided by ``T``, the same for
-    an instance alone and as a batch row."""
+    leaf probabilities with the leaf rows, divided by the pass's ``T``,
+    the same for an instance alone and as a batch row."""
     np.matmul(p.prob_rows, forest.leaf_rows, out=p.output_rows)
-    return np.true_divide(p.output, forest.tree_count, out=p.output)
+    return np.true_divide(p.output, p.tree_divisor, out=p.output)
 
 
 def _evaluate(forest: ObliqueForest, features: np.ndarray) -> _Pass:

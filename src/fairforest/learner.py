@@ -51,7 +51,11 @@ class AdamState:
     """First and second moment estimates of one flat parameter vector of
     ``size`` values, and two scratch vectors of that size, so an update
     allocates nothing of the vector's size.  The step size, both decay
-    rates and epsilon are read from ``config``."""
+    rates and epsilon are read from ``config``.
+
+    Every scalar factor is a 0-d float64 array, so no ufunc call converts
+    a Python float: the decay rates and their complements are built once,
+    and the two bias-corrected factors are refilled each step."""
 
     def __init__(self, size: int, config: LearnerConfig):
         self.config = config
@@ -60,6 +64,12 @@ class AdamState:
         self.t = 0
         self._step = np.zeros(size)
         self._scale = np.zeros(size)
+        self._beta1, self._beta2, self._rest1, self._rest2 = (
+            np.array(value, dtype=np.float64) for value in (
+                config.beta1, config.beta2,
+                1.0 - config.beta1, 1.0 - config.beta2))
+        self._eps_t = np.zeros(())
+        self._alpha_t = np.zeros(())
 
     def apply(self, params: np.ndarray, grads: np.ndarray) -> None:
         """One bias-corrected Adam update, in place on the vector ``params``,
@@ -71,17 +81,19 @@ class AdamState:
         config = self.config
         c1 = 1.0 - config.beta1**self.t
         root_c2 = math.sqrt(1.0 - config.beta2**self.t)
+        self._eps_t.fill(config.adam_epsilon * root_c2)
+        self._alpha_t.fill(config.learning_rate * root_c2 / c1)
         m, v, step, scale = self.m, self.v, self._step, self._scale
-        m *= config.beta1
-        np.multiply(grads, 1.0 - config.beta1, out=step)
+        m *= self._beta1
+        np.multiply(grads, self._rest1, out=step)
         m += step
-        v *= config.beta2
-        np.multiply(grads, 1.0 - config.beta2, out=step)
+        v *= self._beta2
+        np.multiply(grads, self._rest2, out=step)
         step *= grads
         v += step
         np.sqrt(v, out=scale)
-        scale += config.adam_epsilon * root_c2
-        np.multiply(m, config.learning_rate * root_c2 / c1, out=step)
+        scale += self._eps_t
+        np.multiply(m, self._alpha_t, out=step)
         step /= scale
         params -= step
 
@@ -187,9 +199,11 @@ class MetricsTracker:
         return hard, math.sqrt(largest)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepSnapshot:
-    """Metrics emitted after one learning step."""
+    """Metrics emitted after one learning step.  Slotted, not frozen: a
+    frozen dataclass sets each field through ``object.__setattr__``, which
+    makes it about four times as costly to build, once per step."""
 
     step: int
     accuracy: float
@@ -305,7 +319,17 @@ def _check_instance(config: LearnerConfig, x) -> np.ndarray:
             f"expected feature vector of shape ({config.n_features},), "
             f"got {x.shape}"
         )
-    if not np.logical_and.reduce(np.isfinite(x)):
+    # Any NaN or infinity makes the sum non-finite, so a finite sum clears
+    # every entry in one reduction.  A non-finite sum may also come from
+    # finite values whose sum overflows, so only then is each entry
+    # checked.  An overflow or ``inf - inf`` in the sum is numpy's warning
+    # (or error, under an error filter or ``np.seterr``); one raised here
+    # also leaves it to the element-wise check.
+    try:
+        total = np.add.reduce(x)
+    except (RuntimeWarning, FloatingPointError):
+        total = math.nan
+    if not math.isfinite(total) and not np.isfinite(x).all():
         raise DataError("feature vector contains non-finite values")
     return x
 
@@ -448,7 +472,8 @@ class OnlineForestLearner:
                                cache: _ForwardCache) -> None:
         if self.store is None:
             return
-        self.store.update_all(a, y, cache.gates, cache.slope, x)
+        self.store.update_all(a, y, cache.gates, cache.slope,
+                              cache.workspace.xa)
 
     def _fairness_gradient(self) -> ForestGradient:
         if self.store is None:

@@ -105,8 +105,16 @@ class NotionTable:
         Under ``multigroup`` the rows depend on every count, not only on
         which keys have been seen (``count_weighted``)."""
         if self.count_weighted:
+            if out is None:
+                out = np.empty(self._signs.shape)
+            # The shares n / N into every row, each the correctly rounded
+            # quotient numpy's divide gives too, then the signs' -e_g: -1
+            # on the diagonal, and -0.0 elsewhere, which leaves x as it is.
+            # At a few groups Python divides faster than a ufunc call casts.
             listed = counts.tolist()
-            out = np.add(counts / (sum(listed) or 1), self._signs, out=out)
+            total = sum(listed) or 1
+            out[...] = [count / total for count in listed]
+            np.add(out, self._signs, out=out)
             if 0 in listed:
                 # Row g names key g alone, so it is warm once g is seen.
                 out *= (counts > 0)[:, None]
@@ -144,12 +152,22 @@ def huber_contrast_sum(weights: np.ndarray, blocks: np.ndarray, delta: float,
     ``gaps`` ``(C, n)`` and ``slopes`` ``(K, n)`` are written when given,
     else allocated.
     """
-    gaps = np.matmul(weights, blocks[:, 0], out=gaps)
+    return _huber_product(weights, weights.T, blocks[:, 0], blocks[:, 1:],
+                          delta, -delta, scale, out, gaps, slopes)
+
+
+def _huber_product(weights, weights_t, quantity, gradient, delta, low,
+                   scale, out, gaps, slopes) -> np.ndarray:
+    """``huber_contrast_sum`` over operands a caller may build once: the
+    weights and their transpose, the blocks' row 0 ``(K, n)`` and rows
+    ``1:`` ``(K, width - 1, n)``, and the clip bounds ``delta`` and
+    ``low = -delta``."""
+    gaps = np.matmul(weights, quantity, out=gaps)
     np.minimum(gaps, delta, out=gaps)
-    np.maximum(gaps, -delta, out=gaps)
-    slopes = np.matmul(weights.T, gaps, out=slopes)
+    np.maximum(gaps, low, out=gaps)
+    slopes = np.matmul(weights_t, gaps, out=slopes)
     np.multiply(slopes, scale, out=slopes)
-    return np.einsum("kc,kwc->wc", slopes, blocks[:, 1:], out=out)
+    return np.einsum("kc,kwc->wc", slopes, gradient, out=out)
 
 
 class RunningMeans:
@@ -168,7 +186,9 @@ class RunningMeans:
     calls ``reweigh``.  ``values`` is a block a caller may stage an
     instance's values in before ``fold``; with the scratch blocks it
     means a step allocates nothing of a block's size.  None of them is
-    state.
+    state.  The contrast product's operands are views built once, and
+    its constants 0-d arrays that change only when a caller's ``delta``
+    or ``scale`` does.
     """
 
     def __init__(self, table: NotionTable, cells: tuple, width: int):
@@ -188,10 +208,17 @@ class RunningMeans:
         n = math.prod(cells)
         self._gaps = np.zeros((table.n_contrasts, n))
         self._slopes = np.zeros((table.n_keys, n))
-        self._total = np.zeros((width - 1, *cells))
-        # Views with the cells flattened, for the contrast product.
-        self._flat_sums = self.sums.reshape(table.n_keys, width, n)
-        self._flat_total = self._total.reshape(width - 1, n)
+        # The result block of a ``contrast_sum`` without ``out``, built on
+        # its first use: the forest and leaf learners never need it.
+        self._total = None
+        # The contrast product's operands, with the cells flattened.
+        flat_sums = self.sums.reshape(table.n_keys, width, n)
+        self._quantity, self._gradient = flat_sums[:, 0], flat_sums[:, 1:]
+        self._weights_t = self.contrast_weights.T
+        # Its constants: the last delta and scale, and as 0-d operands
+        # delta, -delta and scale.
+        self._constants = None
+        self._delta, self._low, self._scale = (np.zeros(()) for _ in range(3))
 
     def fold(self, group: int, task_class: int, values: np.ndarray) -> None:
         """Fold one instance's ``(width, *cells)`` values into its key:
@@ -222,9 +249,22 @@ class RunningMeans:
         Without ``out`` the result is a scratch block: the next
         ``contrast_sum`` overwrites it, so use it before calling again.
         """
-        huber_contrast_sum(self.contrast_weights, self._flat_sums, delta, scale,
-                           self._flat_total if out is None else out,
-                           self._gaps, self._slopes)
+        if (delta, scale) != self._constants:
+            self._constants = delta, scale
+            self._delta.fill(delta)
+            self._low.fill(-delta)
+            self._scale.fill(scale)
+        if out is None:
+            if self._total is None:
+                width, *cells = self.values.shape
+                self._total = np.zeros((width - 1, *cells))
+                self._flat_total = self._total.reshape(self._gradient.shape[1:])
+            flat = self._flat_total
+        else:
+            flat = out
+        _huber_product(self.contrast_weights, self._weights_t, self._quantity,
+                       self._gradient, self._delta, self._low, self._scale,
+                       flat, self._gaps, self._slopes)
         return self._total if out is None else out
 
 
@@ -245,21 +285,26 @@ class AggregateStore(RunningMeans):
             table.name, table.n_groups, table.n_classes)
         super().__init__(table, (shape.tree_count, shape.n_nodes),
                          shape.n_features + 2)
-        self._input_shapes = (shape.tree_count, shape.n_nodes), (shape.n_features,)
+        self._input_shapes = (shape.tree_count, shape.n_nodes), (shape.n_features + 1,)
+        # The staging rows of the slope and its products with x.
+        self._slope_rows = self.values[1:]
 
     def update_all(self, group: int, task_class: int, gates: np.ndarray,
-                   slope: np.ndarray, x: np.ndarray) -> None:
+                   slope: np.ndarray, xa: np.ndarray) -> None:
         """Fold one instance into every (tree, node) cell of its key.
 
-        ``gates`` and their slopes ``n (1 - n)`` are (T, m), ``x`` (d,).
+        ``gates`` and their slopes ``n (1 - n)`` are (T, m), ``xa`` the
+        augmented features ``[1, x]`` (d + 1,): one product ``xa ⊗ slope``
+        stages the slope and its products with x at once, since 1.0 times
+        the slope is exactly the slope.
         """
         cells, features = self._input_shapes
-        if gates.shape != cells or slope.shape != cells or x.shape != features:
+        if gates.shape != cells or slope.shape != cells or xa.shape != features:
             raise ShapeError(
-                f"expected gates and slopes of shape {cells} and x of shape "
-                f"{features}, got {gates.shape}, {slope.shape}, {x.shape}"
+                f"expected gates and slopes of shape {cells} and [1, x] of "
+                f"shape {features}, got {gates.shape}, {slope.shape}, {xa.shape}"
             )
         values = self.values
-        values[0], values[1] = gates, slope
-        np.multiply(x[:, None, None], slope, out=values[2:])
+        values[0] = gates
+        np.multiply(xa[:, None, None], slope, out=self._slope_rows)
         self.fold(group, task_class, values)

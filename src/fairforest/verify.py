@@ -242,7 +242,8 @@ def audit_estimation_error(trace: list[TraceStep], delta: float,
     reports = []
     for step in trace:
         cache = _ForwardCache(step.forest, step.x)
-        store.update_all(step.a, step.y, cache.gates, cache.slope, step.x)
+        store.update_all(step.a, step.y, cache.gates, cache.slope,
+                         cache.workspace.xa)
         reservoir.add(step.x, step.a, step.y)
         exact, cold = reservoir_fairness_gradient(reservoir, step.forest, penalty)
         if cold:

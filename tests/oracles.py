@@ -18,6 +18,41 @@ def huber(gap, delta):
     return delta * (abs(gap) - 0.5 * delta)
 
 
+def augment(x):
+    """The augmented features ``[1, x]`` a store's ``update_all`` takes."""
+    return np.concatenate(([1.0], np.asarray(x, dtype=np.float64)))
+
+
+def adam_python_scalars(config, params, grad_steps):
+    """Adam in Kingma and Ba's efficient form, in the order
+    ``AdamState.apply`` runs it, with every scalar factor a Python float;
+    returns ``params`` after one update per gradient in ``grad_steps``,
+    and both moments."""
+    params = np.array(params, dtype=np.float64)
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    for t, grads in enumerate(grad_steps, start=1):
+        c1 = 1.0 - config.beta1**t
+        root_c2 = math.sqrt(1.0 - config.beta2**t)
+        m *= config.beta1
+        m += grads * (1.0 - config.beta1)
+        v *= config.beta2
+        v += grads * (1.0 - config.beta2) * grads
+        params -= (m * (config.learning_rate * root_c2 / c1)
+                   / (np.sqrt(v) + config.adam_epsilon * root_c2))
+    return params, m, v
+
+
+def multigroup_weights(counts):
+    """``multigroup``'s contrast weights, the row ``n / N - e_g`` per
+    group ``g`` and zero while ``g`` is unseen, as one allocating numpy
+    expression of the counts."""
+    listed = counts.tolist()
+    weights = np.add(counts / (sum(listed) or 1), -np.eye(len(listed)))
+    if 0 in listed:
+        weights *= (counts > 0)[:, None]
+    return weights
+
+
 def default_schema(n_features, normalization="none"):
     """Schema for the package's own CSV convention: features ``f0..f{d-1}``,
     label column ``y``, group column ``a``."""

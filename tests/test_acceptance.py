@@ -38,7 +38,7 @@ from fairforest.verify import (
     gradcheck,
     rescale_inputs,
 )
-from oracles import tree_norm, tree_weights
+from oracles import augment, tree_norm, tree_weights
 
 STANDARD_STREAM = dict(n=5000, n_features=10, bias=0.6, noise=0.1, seed=7)
 HEIGHT = 4
@@ -194,7 +194,7 @@ def compute_results():
         a = int(rng4.integers(0, 2))
         z = tree_weights(forest.nodes) @ x + forest.nodes[0]
         gates = expit(z)
-        store.update_all(a, 0, gates, gates * expit(-z), x)
+        store.update_all(a, 0, gates, gates * expit(-z), augment(x))
         reservoir.add(x, a, 0)
     from_store = fairness_gradient(store, penalty, forest.shape)
     from_reservoir, cold = reservoir_fairness_gradient(

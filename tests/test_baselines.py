@@ -152,7 +152,8 @@ class TestReservoir:
             x = rng.standard_normal(5)
             a = int(rng.integers(0, 2))
             cache = _ForwardCache(forest, x)
-            store.update_all(a, a, cache.gates, cache.slope, x)
+            store.update_all(a, a, cache.gates, cache.slope,
+                             cache.workspace.xa)
             res.add(x, a, a)
         from fairforest.gradients import fairness_gradient
 

@@ -41,6 +41,7 @@ from fairforest.learner import LearnerConfig, OnlineForestLearner
 from fairforest.stats import AggregateStore
 from fairforest.verify import finite_difference
 from oracles import (
+    augment,
     dense_leaf_jacobian,
     forest_from_arrays,
     huber,
@@ -528,7 +529,7 @@ class TestFairnessGradient:
         """Fold one instance into the single (tree, node) cell: its bias
         gradient is ``slope`` and its weight gradient ``slope * x``."""
         store.update_all(group, task_class, np.array([[n_value]]),
-                         np.array([[slope]]), np.asarray(x, dtype=np.float64))
+                         np.array([[slope]]), augment(x))
 
     def test_dp_hand_oracle(self):
         """One warm cell: gradient = weight * slope(gap) * mean-grad gap."""
@@ -628,7 +629,7 @@ class TestFairnessGradient:
             cache = _ForwardCache(forest, x)
             store.update_all(int(rng.integers(0, n_groups)),
                              int(rng.integers(0, n_classes)),
-                             cache.gates, cache.slope, x)
+                             cache.gates, cache.slope, cache.workspace.xa)
         weights = store.contrast_weights
         sums = store.sums.reshape(weights.shape[1], 6, -1)
         gaps = np.clip(weights @ sums[:, 0], -0.05, 0.05)
@@ -724,18 +725,22 @@ class TestGradientContainers:
         assert tree_norm(grad, 1) == 0.0
 
     def test_norm_up_to_a_chunk_is_one_dot_bit_for_bit(self):
-        """Up to 8192 entries the norm is the one BLAS dot it always was,
-        so every declared benchmark shape (591, 3284 and 6568
-        parameters) reports the same bits."""
+        """Up to 8192 entries the norm is the one BLAS dot it always was:
+        ``ndarray.dot`` reads the bits of ``@`` at every size checked, so
+        every declared benchmark shape (591, 3284 and 6568 parameters)
+        reports the same bits."""
         rng = np.random.default_rng(32)
         for shape in (ForestShape(3, 4, 10, 2), ForestShape(4, 6, 10, 2),
                       ForestShape(8, 6, 10, 2)):
             grad = ForestGradient.zeros(shape)
             grad.vector[:] = rng.standard_normal(grad.vector.size)
             assert gradient_norm(grad) == math.sqrt(grad.vector @ grad.vector)
-        for size in (1, 8191, 8192):
-            vector = rng.standard_normal(size)
-            assert _vector_norm(vector) == math.sqrt(vector @ vector)
+        # Every size up to 80, around the BLAS kernels' unrolling widths,
+        # and random sizes up to a whole chunk.
+        sizes = [*range(1, 81), 8191, 8192, *rng.integers(81, 8192, 60)]
+        for size in sizes:
+            vector = rng.standard_normal(size) * rng.uniform(1e-3, 1e3)
+            assert _vector_norm(vector) == math.sqrt(vector @ vector), size
 
     def test_norm_above_a_chunk_sums_chunk_dots_in_order(self):
         """Above 8192 entries the squares are the dots of consecutive

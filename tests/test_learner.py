@@ -2,6 +2,7 @@
 checkpointing, and the stream driver."""
 
 import base64
+import contextlib
 import itertools
 import json
 import tracemalloc
@@ -27,11 +28,12 @@ from fairforest.learner import (
     TRAJECTORY_COLUMNS,
     MetricsTracker,
     OnlineForestLearner,
+    _check_instance,
     decode_floats,
     encode_floats,
     run_stream,
 )
-from oracles import reference_gaps, tree_weights
+from oracles import adam_python_scalars, reference_gaps, tree_weights
 
 
 def adam_oracle(grads, lr, b1=0.9, b2=0.999, eps=1e-8, x0=0.0):
@@ -45,6 +47,16 @@ def adam_oracle(grads, lr, b1=0.9, b2=0.999, eps=1e-8, x0=0.0):
         vhat = v / (1 - b2**t)
         x -= lr * mhat / (np.sqrt(vhat) + eps)
     return x
+
+
+@contextlib.contextmanager
+def floating_point_regime(regime):
+    """numpy's overflow and invalid-value warnings as errors (``error``),
+    ignored (``ignore``), or raised as FloatingPointError (``raise``)."""
+    with warnings.catch_warnings(), np.errstate(
+            all="raise" if regime == "raise" else "warn"):
+        warnings.simplefilter("ignore" if regime == "ignore" else "error")
+        yield
 
 
 def store_means(store):
@@ -147,6 +159,25 @@ class TestAdam:
             np.testing.assert_array_equal(p, block)
             np.testing.assert_array_equal(mv, m)
             np.testing.assert_array_equal(vv, v)
+
+    def test_equals_the_python_scalar_reference_bit_for_bit(self):
+        """The update's 0-d operands give the bits the Python-float
+        scalars gave: 50 steps at non-default rates, step size and
+        epsilon, over the moments as well as the parameters."""
+        config = LearnerConfig(n_features=1, learning_rate=0.03, beta1=0.8,
+                               beta2=0.95, adam_epsilon=1e-6)
+        rng = np.random.default_rng(41)
+        start = rng.standard_normal(591)
+        grad_steps = [rng.standard_normal(591) * rng.uniform(1e-4, 10)
+                      for _ in range(50)]
+        params = start.copy()
+        state = AdamState(params.size, config)
+        for grads in grad_steps:
+            state.apply(params, grads)
+        want, m, v = adam_python_scalars(config, start, grad_steps)
+        assert params.tobytes() == want.tobytes()
+        assert state.m.tobytes() == m.tobytes()
+        assert state.v.tobytes() == v.tobytes()
 
     def test_moment_blocks_share_memory_with_the_moments(self):
         learner = OnlineForestLearner(LearnerConfig(n_features=3, seed=2))
@@ -594,6 +625,45 @@ class TestStepping:
             learner.step(np.zeros(2), 0, 2)
         with pytest.raises(DataError):
             learner.step(np.array([np.nan, 0.0]), 0, 0)
+
+    @pytest.mark.parametrize("values", [
+        [np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0], [np.inf, -np.inf],
+    ], ids=["nan", "inf", "-inf", "inf-and-minus-inf"])
+    @pytest.mark.parametrize("regime", ["error", "ignore", "raise"])
+    def test_non_finite_instance_is_refused(self, values, regime):
+        """NaN, either infinity and an infinity of each sign (whose sum is
+        ``inf - inf``) are each refused with the one message, whether
+        numpy's warnings are errors, ignored or raised as
+        FloatingPointError."""
+        config = self._config()
+        with floating_point_regime(regime):
+            with pytest.raises(DataError, match=r"^feature vector contains "
+                               r"non-finite values$"):
+                _check_instance(config, np.array(values))
+
+    @pytest.mark.parametrize("regime", ["error", "ignore", "raise"])
+    def test_finite_values_whose_sum_overflows_are_accepted(self, regime):
+        """Finite entries near the largest float sum to infinity; the
+        element-wise check then accepts them."""
+        config = self._config()
+        x = np.array([1e308, 1e308])
+        with floating_point_regime(regime):
+            assert _check_instance(config, x) is x
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(
+        [1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf, np.nan])),
+        min_size=1, max_size=6))
+    def test_check_agrees_with_isfinite(self, values):
+        """The check accepts exactly the vectors every entry of which is
+        finite."""
+        x = np.array(values)
+        config = LearnerConfig(n_features=x.size)
+        if np.isfinite(x).all():
+            assert _check_instance(config, x) is x
+        else:
+            with pytest.raises(DataError):
+                _check_instance(config, x)
 
     @pytest.mark.parametrize("y, a", [
         (1.0, 0), (1, True), (True, 0), (1, 0.0), (np.float64(1), 0),

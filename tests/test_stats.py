@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fairforest.baselines import LeafPenaltyLearner
+from fairforest.baselines import LeafPenaltyLearner, OnlineMlpLearner
 from fairforest.errors import ConfigurationError, DataError, DomainError, ShapeError
 from fairforest.forest import (
     ForestShape,
@@ -30,7 +30,8 @@ from fairforest.learner import (
     encode_floats,
 )
 from fairforest.stats import AggregateStore, NotionTable, RunningMeans
-from oracles import contrast_selections, keyed_penalty_gradient, tree_weights
+from oracles import (augment, contrast_selections, keyed_penalty_gradient,
+                     multigroup_weights, tree_weights)
 
 SHAPE = ForestShape(tree_count=2, height=2, n_features=3, n_outputs=2)
 
@@ -41,7 +42,7 @@ def feed(store, group, task_class, gate, slope=0.0, x=None):
     t, m, d = store.shape.tree_count, store.shape.n_nodes, store.shape.n_features
     x = np.ones(d) if x is None else np.asarray(x, dtype=np.float64)
     store.update_all(group, task_class, np.full((t, m), gate),
-                     np.full((t, m), slope), x)
+                     np.full((t, m), slope), augment(x))
 
 
 def feed_random(store, n, seed, n_groups=2, n_classes=2):
@@ -55,7 +56,7 @@ def feed_random(store, n, seed, n_groups=2, n_classes=2):
         gates = rng.uniform(0, 1, size=(t, m))
         slope = gates * (1.0 - gates)
         x = rng.standard_normal(d)
-        store.update_all(group, task_class, gates, slope, x)
+        store.update_all(group, task_class, gates, slope, augment(x))
         log.append((group, task_class, gates, slope, x))
     return log
 
@@ -141,11 +142,12 @@ class TestKeyValidation:
         store = AggregateStore(SHAPE)
         good = np.zeros((2, 3))
         with pytest.raises(ShapeError):
-            store.update_all(0, 0, np.zeros((2, 4)), good, np.zeros(3))
+            store.update_all(0, 0, np.zeros((2, 4)), good, np.ones(4))
         with pytest.raises(ShapeError):
-            store.update_all(0, 0, good, np.zeros((3, 3)), np.zeros(3))
+            store.update_all(0, 0, good, np.zeros((3, 3)), np.ones(4))
         with pytest.raises(ShapeError):
-            store.update_all(0, 0, good, good, np.zeros(4))
+            # x without its leading 1.
+            store.update_all(0, 0, good, good, np.zeros(3))
         np.testing.assert_array_equal(store.counts, 0)
 
 
@@ -250,6 +252,42 @@ class TestGapEstimators:
         # 0.2 * 0.5, group 2 is cold.
         np.testing.assert_allclose(grad_b, 0.2, atol=1e-12)
 
+    def test_multigroup_weights_equal_the_numpy_expression_bit_for_bit(self):
+        """The shares divided in Python and broadcast into every row, then
+        the signs added, give the bits of the one numpy expression: for 2
+        to 8 groups and counts with zeros, all zeros, and large counts."""
+        rng = np.random.default_rng(51)
+        for n_groups in range(2, 9):
+            table = NotionTable("multigroup", n_groups)
+            buffer = np.full((n_groups, n_groups), np.nan)
+            cases = [np.zeros(n_groups, dtype=np.int64)]
+            cases += [rng.integers(0, high, n_groups)
+                      for high in (2, 3, 10, 1000, 10**9) for _ in range(8)]
+            for counts in cases:
+                want = multigroup_weights(counts).tobytes()
+                assert table.weights(counts).tobytes() == want
+                assert table.weights(counts, out=buffer) is buffer
+                assert buffer.tobytes() == want
+
+    def test_contrast_sum_follows_each_change_of_delta_and_scale(self):
+        """A store's contrast sum after a change of ``delta``, of
+        ``scale`` or of both, and after a change back, equals a fresh
+        store's first: the constants follow the caller's values."""
+        log_seed, calls = 8, [(0.01, 1.0), (0.05, 1.0), (0.05, 0.7),
+                              (0.02, 1.3), (0.01, 1.0), (0.01, 1.0)]
+        store = AggregateStore(SHAPE, n_groups=3, notion="multigroup")
+        feed_random(store, 40, log_seed, n_groups=3)
+        for delta, scale in calls:
+            fresh = AggregateStore(SHAPE, n_groups=3, notion="multigroup")
+            feed_random(fresh, 40, log_seed, n_groups=3)
+            want = fresh.contrast_sum(delta, scale).tobytes()
+            assert store.contrast_sum(delta, scale).tobytes() == want
+            out = np.empty((SHAPE.n_features + 1, SHAPE.tree_count * SHAPE.n_nodes))
+            assert store.contrast_sum(delta, scale, out).tobytes() == want
+        # Every delta clips some gap, so each change moves the sum.
+        sums = {store.contrast_sum(delta, scale).tobytes() for delta, scale in calls}
+        assert len(sums) == len(set(calls))
+
     def test_conditional_gap_keys_on_group_and_class(self):
         store = AggregateStore(SHAPE, notion="equalized_odds", n_classes=2)
         feed(store, 0, 0, 0.9, slope=1.0)
@@ -325,7 +363,7 @@ class TestVectorizedPath:
             gates = rng.uniform(0, 1, size=(t, m))
             slope = gates * (1.0 - gates)
             x = rng.standard_normal(d)
-            store.update_all(a, y, gates, slope, x)
+            store.update_all(a, y, gates, slope, augment(x))
             log.append((a, y, gates, slope, x))
 
         grad = fairness_gradient(store, HuberPenalty(delta, weight), shape)
@@ -365,7 +403,7 @@ class TestVectorizedPath:
             gates = rng.uniform(0, 1, size=(t, m))
             slope = gates * (1.0 - gates)
             x = rng.standard_normal(d)
-            store.update_all(a, y, gates, slope, x)
+            store.update_all(a, y, gates, slope, augment(x))
             row = np.concatenate([gates[None], slope[None],
                                   x[:, None, None] * slope[None]])
             rows[a * n_classes + y if notion == "equalized_odds" else a].append(row)
@@ -414,7 +452,7 @@ class TestVectorizedPath:
             gates = rng.uniform(0, 1, size=(t, m))
             slope = gates * (1.0 - gates)
             x = rng.standard_normal(d)
-            store.update_all(a, y, gates, slope, x)
+            store.update_all(a, y, gates, slope, augment(x))
             # Each cell's rows are its own parameters: P = (d + 1) T m.
             rows = np.concatenate([slope[None], x[:, None, None] * slope])
             jac = np.zeros((t * m, d + 1, t * m))
@@ -493,14 +531,14 @@ class TestNoBlockSizedTemporaries:
         t, m, d = WIDE.tree_count, WIDE.n_nodes, WIDE.n_features
         gates = rng.uniform(size=(t, m))
         slope = gates * (1 - gates)
-        x = rng.normal(size=d)
+        xa = augment(rng.normal(size=d))
         for group in range(min(n_groups, 3)):
             for task_class in range(2):
-                store.update_all(group, task_class, gates, slope, x)
+                store.update_all(group, task_class, gates, slope, xa)
         block = store.sums[0].nbytes
         peaks = {
             "update_all": traced_peak(
-                lambda: store.update_all(1, 0, gates, slope, x)),
+                lambda: store.update_all(1, 0, gates, slope, xa)),
             "fold": traced_peak(lambda: store.fold(0, 1, store.values)),
             "contrast_sum": traced_peak(lambda: store.contrast_sum(0.01)),
         }
@@ -546,6 +584,27 @@ class TestNoBlockSizedTemporaries:
         block = learner.leaf_store.sums[0].nbytes
         peak = traced_peak(lambda: learner.step(x, 1, 0))
         assert peak < block / 4, (peak, block)
+
+    def test_learners_never_build_the_scratch_result_block(self):
+        """The result block of a ``contrast_sum`` without ``out`` is built
+        on its first use: a run of the forest or the leaf learner, each
+        summing into its own gradient, never builds it; the MLP baseline,
+        which reads it, does."""
+        config = LearnerConfig(n_features=4, height=3, tree_count=2,
+                               fairness_weight=1.0, seed=3)
+        forest = OnlineForestLearner(config)
+        leaf = LeafPenaltyLearner(config)
+        mlp = OnlineMlpLearner(config, hidden=8)
+        rng = np.random.default_rng(4)
+        stores = (forest.store, leaf.leaf_store, mlp.store)
+        assert all(store._total is None for store in stores)
+        for _ in range(30):
+            x, y, a = rng.normal(size=4), int(rng.integers(0, 2)), int(rng.integers(0, 2))
+            for learner in (forest, leaf, mlp):
+                learner.step(x, y, a)
+        assert forest.store._total is None
+        assert leaf.leaf_store._total is None
+        assert mlp.store._total is not None
 
     def test_adam_update(self):
         rng = np.random.default_rng(2)
