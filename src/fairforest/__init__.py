@@ -33,7 +33,6 @@ from .forest import (
 )
 from .gradients import (
     ForestGradient,
-    HuberPenalty,
     cross_entropy,
     fairness_gradient,
     gradient_norm,

@@ -29,7 +29,6 @@ from .errors import ConfigurationError, NumericalError
 from .forest import ObliqueForest, _block_views, _evaluate
 from .gradients import (
     ForestGradient,
-    HuberPenalty,
     _leaf_jacobian,
     _leaf_jacobian_index,
     _vector_norm,
@@ -56,15 +55,14 @@ BASELINE_NAMES = ("aranyani", "mlp", "leaf", "reservoir", "majority")
 
 class Reservoir:
     """Unbounded store of every instance seen so far, each kept once under
-    the key of the notion's table it folds into (as ``AggregateStore``
-    keys it), in a row buffer that doubles when full, so
-    ``key_features`` is a view.  ``sizes`` counts the rows per key."""
+    the key of ``table`` it folds into (as ``AggregateStore`` keys it), in
+    a row buffer that doubles when full, so ``key_features`` is a view.
+    ``sizes`` counts the rows per key."""
 
-    def __init__(self, n_features: int, n_groups: int = 2,
-                 notion: str = "dp", n_classes: int | None = None):
-        self.table = NotionTable(notion, n_groups, n_classes)
-        self._rows = [np.empty((16, n_features)) for _ in range(self.table.n_keys)]
-        self.sizes = np.zeros(self.table.n_keys, dtype=np.int64)
+    def __init__(self, table: NotionTable, n_features: int):
+        self.table = table
+        self._rows = [np.empty((16, n_features)) for _ in range(table.n_keys)]
+        self.sizes = np.zeros(table.n_keys, dtype=np.int64)
 
     def add(self, x: np.ndarray, group: int, task_class: int) -> None:
         key = self.table.key(group, task_class)
@@ -85,9 +83,10 @@ class Reservoir:
 
 
 def reservoir_fairness_gradient(
-    reservoir: Reservoir, forest: ObliqueForest, penalty: HuberPenalty,
+    reservoir: Reservoir, forest: ObliqueForest, delta: float, weight: float,
 ) -> tuple[ForestGradient, bool]:
-    """Exact weighted fairness gradient over the stored history.
+    """Exact fairness gradient over the stored history: the Huber penalty
+    of width ``delta``, times ``weight``.
 
     Recomputes every gate output and gate gradient at the current
     parameters, takes exact per-key sums in the node store's layout,
@@ -103,16 +102,13 @@ def reservoir_fairness_gradient(
     weights = reservoir.table.weights(reservoir.sizes)
     if not weights.any():
         return grad, True
-    if penalty.weight == 0.0:
-        return grad, False
     weights /= np.maximum(reservoir.sizes, 1)
     t, m, d = forest.tree_count, forest.shape.n_nodes, forest.n_features
     sums = np.zeros((reservoir.table.n_keys, d + 2, t * m))
     # Keys no warm contrast weighs are never evaluated.
     for key in np.flatnonzero(weights.any(axis=0)):
         sums[key] = _reservoir_key_sums(forest, reservoir.key_features(key))
-    huber_contrast_sum(weights, sums, penalty.delta, penalty.weight,
-                       grad.node_rows)
+    huber_contrast_sum(weights, sums, delta, weight, grad.node_rows)
     return grad, False
 
 
@@ -129,28 +125,30 @@ def _reservoir_key_sums(forest: ObliqueForest, features: np.ndarray):
 
 class ReservoirLearner(OnlineForestLearner):
     """Forest learner whose fairness gradient is recomputed from scratch
-    over the full history each step.  The task path is unchanged."""
+    over the full history each step.  The task path is unchanged.
+    Without a penalty nothing reads the history, so none is kept."""
 
     def __init__(self, config: LearnerConfig):
         super().__init__(config)
-        self.reservoir = Reservoir(config.n_features, config.n_groups,
-                                   config.fairness, config.n_outputs)
-        self._has_penalty = config.has_penalty
+        self.reservoir = (Reservoir(config.notion_table(), config.n_features)
+                          if config.has_penalty else None)
 
     def _build_store(self) -> None:
         """No gate store: the penalty reads the reservoir."""
         return None
 
     def _update_fairness_state(self, x, y, a, cache) -> None:
-        self.reservoir.add(x, a, y)
+        if self.reservoir is not None:
+            self.reservoir.add(x, a, y)
 
     def _fairness_gradient(self) -> ForestGradient:
         """The exact penalty gradient; the zero ``self._fair`` when there
-        is no penalty, without touching the history."""
-        if not self._has_penalty:
+        is no penalty."""
+        if self.reservoir is None:
             return self._fair
         grad, _ = reservoir_fairness_gradient(
-            self.reservoir, self.forest, self.penalty
+            self.reservoir, self.forest, self.config.huber_delta,
+            self.config.fairness_weight,
         )
         return grad
 
@@ -264,7 +262,8 @@ class LeafPenaltyLearner(OnlineForestLearner):
         are never written and stay zero."""
         if self.leaf_store is None:
             return self._fair
-        self.leaf_store.contrast_sum(self.penalty.delta, self.penalty.weight,
+        self.leaf_store.contrast_sum(self.config.huber_delta,
+                                     self.config.fairness_weight,
                                      self._leaf_grad)
         self._node_sum.into(self._node_grad)
         return self._fair
@@ -310,7 +309,6 @@ class OnlineMlpLearner:
         self.params = MlpParams(d, h, c)
         self.params.w1[...] = rng.uniform(-1 / np.sqrt(d), 1 / np.sqrt(d), size=(d, h))
         self.params.w2[...] = rng.uniform(-1 / np.sqrt(h), 1 / np.sqrt(h), size=(h, c))
-        self.penalty = HuberPenalty(config.huber_delta, config.fairness_weight)
         size = self.params.vector.size
         self.store = RunningMeans(
             config.notion_table(), (c,), 1 + size,
@@ -376,8 +374,9 @@ class OnlineMlpLearner:
         ``self._fair``; zero without a store."""
         if self.store is None:
             return self._fair
-        total = self.store.contrast_sum(self.penalty.delta)  # (P, c)
-        np.multiply(total.sum(axis=1), self.penalty.weight, out=self._fair)
+        total = self.store.contrast_sum(self.config.huber_delta)  # (P, c)
+        np.multiply(total.sum(axis=1), self.config.fairness_weight,
+                    out=self._fair)
         return self._fair
 
 

@@ -150,7 +150,9 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     subcommand, so explicit command-line flags keep precedence.  A switch
     (``SWITCHES``) takes ``true``, which gives the bare flag, or
     ``false``, which leaves it unset; any other flag takes its argument,
-    and ``true`` or ``false`` there is refused with the file and line."""
+    and ``true`` or ``false`` there is refused with the file and line.
+    A second ``--config``, or a ``config`` key in the file, is refused
+    too: files are not merged or nested."""
     if not argv:
         return argv
     path = None
@@ -158,14 +160,18 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     i = 0
     while i < len(argv):
         token = argv[i]
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise ConfigurationError("--config needs a file path")
-            path = argv[i + 1]
-            i += 2
-            continue
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
+        if token == "--config" or token.startswith("--config="):
+            if token == "--config":
+                if i + 1 >= len(argv):
+                    raise ConfigurationError("--config needs a file path")
+                i += 1
+                value = argv[i]
+            else:
+                value = token.split("=", 1)[1]
+            if path is not None:
+                raise ConfigurationError(
+                    f"--config given twice: {path} and {value}")
+            path = value
             i += 1
             continue
         rest.append(token)
@@ -189,6 +195,9 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             value = value.strip()
             if not key:
                 raise ConfigurationError(f"{path}:{lineno}: empty key")
+            if key == "config":
+                raise ConfigurationError(
+                    f"{path}:{lineno}: a config file cannot name another")
             boolean = value.lower() in ("true", "false")
             if (key in SWITCHES) != boolean:
                 expected = "true or false" if key in SWITCHES else "a value"

@@ -14,12 +14,11 @@ gradient under any notion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, ShapeError
+from .errors import NumericalError, ShapeError
 from .forest import (
     ForestShape,
     ObliqueForest,
@@ -33,22 +32,6 @@ from .forest import (
     _path_signs,
 )
 from .stats import AggregateStore
-
-
-@dataclass(frozen=True)
-class HuberPenalty:
-    """Huber smoothing width and overall weight of the fairness penalty."""
-
-    delta: float
-    weight: float
-
-    def __post_init__(self) -> None:
-        if not self.delta > 0 or not np.isfinite(self.delta):
-            raise ConfigurationError(f"delta must be positive, got {self.delta}")
-        if self.weight < 0 or not np.isfinite(self.weight):
-            raise ConfigurationError(
-                f"penalty weight must be non-negative, got {self.weight}"
-            )
 
 
 class ForestGradient:
@@ -240,11 +223,10 @@ def _task_gradient_cached(forest: ObliqueForest, y: int,
     return out
 
 
-def fairness_gradient(store: AggregateStore, penalty: HuberPenalty,
-                      shape: ForestShape,
-                      out: ForestGradient | None = None) -> ForestGradient:
-    """Weighted Huber-penalty gradient from the store's running sums,
-    written into ``out`` when given.
+def fairness_gradient(store: AggregateStore, delta: float, weight: float,
+                      out: ForestGradient) -> ForestGradient:
+    """Huber-penalty gradient of width ``delta`` from the store's running
+    sums, times the penalty ``weight``, written into ``out``.
 
     One Huber contrast product over the notion's contrast weights (see
     ``RunningMeans.contrast_sum``), its slopes scaled by the penalty
@@ -254,14 +236,9 @@ def fairness_gradient(store: AggregateStore, penalty: HuberPenalty,
     function writes keeps them zero.
     """
     # Trees, height and features: everything but the outputs.
-    if store.shape[:3] != shape[:3]:
+    if store.shape[:3] != out.shape[:3]:
         raise ShapeError("store and forest shapes disagree")
-    if out is None:
-        out = ForestGradient.zeros(shape)
-    if penalty.weight == 0.0:
-        out.vector.fill(0.0)
-        return out
-    store.contrast_sum(penalty.delta, penalty.weight, out.node_rows)
+    store.contrast_sum(delta, weight, out.node_rows)
     return out
 
 

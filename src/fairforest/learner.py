@@ -31,7 +31,6 @@ from .errors import (
 from .forest import ObliqueForest, _check_height, predict as predict_class
 from .gradients import (
     ForestGradient,
-    HuberPenalty,
     _ForwardCache,
     _Workspace,
     _task_gradient_cached,
@@ -43,15 +42,18 @@ from .stats import AggregateStore, NotionTable
 
 _INTEGER_FIELDS = ("n_features", "n_outputs", "height", "tree_count", "n_groups",
                    "seed")
-_REAL_FIELDS = ("fairness_weight", "huber_delta", "learning_rate", "beta1",
-                "beta2", "adam_epsilon")
+_REAL_FIELDS = ("fairness_weight", "huber_delta", "learning_rate")
+
+# Adam's decay rates and epsilon, Kingma and Ba's defaults
+# (arXiv:1412.6980); only the step size is configured.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 class AdamState:
     """First and second moment estimates of one flat parameter vector of
     ``size`` values, and two scratch vectors of that size, so an update
-    allocates nothing of the vector's size.  The step size, both decay
-    rates and epsilon are read from ``config``.
+    allocates nothing of the vector's size.  The step size is read from
+    ``config``; the decay rates and epsilon are the module's constants.
 
     Every scalar factor is a 0-d float64 array, so no ufunc call converts
     a Python float: the decay rates and their complements are built once,
@@ -66,8 +68,7 @@ class AdamState:
         self._scale = np.zeros(size)
         self._beta1, self._beta2, self._rest1, self._rest2 = (
             np.array(value, dtype=np.float64) for value in (
-                config.beta1, config.beta2,
-                1.0 - config.beta1, 1.0 - config.beta2))
+                ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2))
         self._eps_t = np.zeros(())
         self._alpha_t = np.zeros(())
 
@@ -78,11 +79,10 @@ class AdamState:
         sqrt(c2) / c1`` and ``eps_t = eps * sqrt(c2)``, which is ``lr * (m /
         c1) / (sqrt(v / c2) + eps)`` without dividing either moment."""
         self.t += 1
-        config = self.config
-        c1 = 1.0 - config.beta1**self.t
-        root_c2 = math.sqrt(1.0 - config.beta2**self.t)
-        self._eps_t.fill(config.adam_epsilon * root_c2)
-        self._alpha_t.fill(config.learning_rate * root_c2 / c1)
+        c1 = 1.0 - ADAM_BETA1**self.t
+        root_c2 = math.sqrt(1.0 - ADAM_BETA2**self.t)
+        self._eps_t.fill(ADAM_EPSILON * root_c2)
+        self._alpha_t.fill(self.config.learning_rate * root_c2 / c1)
         m, v, step, scale = self.m, self.v, self._step, self._scale
         m *= self._beta1
         np.multiply(grads, self._rest1, out=step)
@@ -249,9 +249,6 @@ class LearnerConfig:
     huber_delta: float = 0.01
     n_groups: int = 2
     learning_rate: float = 2e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -275,14 +272,10 @@ class LearnerConfig:
             raise ConfigurationError(f"tree_count must be >= 1, got {self.tree_count}")
         if self.fairness_weight < 0:
             raise ConfigurationError("fairness_weight must be non-negative")
-        for name in ("huber_delta", "learning_rate", "adam_epsilon"):
+        for name in ("huber_delta", "learning_rate"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(
                     f"{name} must be positive, got {getattr(self, name)}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigurationError(
-                f"beta1 and beta2 must lie in [0, 1), got {self.beta1}, {self.beta2}"
-            )
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         self.notion_table()
@@ -348,7 +341,7 @@ def _check_step(config: LearnerConfig, x, y: int, a: int) -> np.ndarray:
     return x
 
 
-CHECKPOINT_FORMAT = "fairforest-checkpoint-v8"
+CHECKPOINT_FORMAT = "fairforest-checkpoint-v9"
 _CHECKPOINT_KEYS = ("format", "config", "step_count", "correct", "floats",
                     "counts")
 
@@ -413,7 +406,6 @@ class OnlineForestLearner:
             config.height, config.n_features, config.n_outputs,
             config.tree_count, rng=rng,
         )
-        self.penalty = HuberPenalty(config.huber_delta, config.fairness_weight)
         self.store = self._build_store()
         shape = self.forest.shape
         self.adam = AdamState(shape.n_params, config)
@@ -431,8 +423,8 @@ class OnlineForestLearner:
 
     def _build_store(self) -> AggregateStore | None:
         cfg = self.config
-        return AggregateStore(self.forest.shape, cfg.n_groups, cfg.fairness,
-                              cfg.n_outputs) if cfg.has_penalty else None
+        return (AggregateStore(cfg.notion_table(), self.forest.shape)
+                if cfg.has_penalty else None)
 
     # -- stepping ----------------------------------------------------------
 
@@ -478,8 +470,8 @@ class OnlineForestLearner:
     def _fairness_gradient(self) -> ForestGradient:
         if self.store is None:
             return self._fair
-        return fairness_gradient(self.store, self.penalty, self.forest.shape,
-                                 self._fair)
+        return fairness_gradient(self.store, self.config.huber_delta,
+                                 self.config.fairness_weight, self._fair)
 
     def snapshot(self) -> StepSnapshot:
         metrics = self.metrics
@@ -523,7 +515,9 @@ class OnlineForestLearner:
     def save_checkpoint(self, path) -> None:
         """Write the checkpoint atomically: the state goes to a temporary
         file in the same directory, which then replaces ``path`` in one
-        rename, so a failure mid-write leaves the previous checkpoint."""
+        rename, so a failure mid-write leaves the previous checkpoint; the
+        file and then its directory are synced, so the rename survives a
+        power loss."""
         tmp = f"{os.fspath(path)}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
@@ -535,13 +529,22 @@ class OnlineForestLearner:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
             raise
+        if os.name == "posix":
+            # The rename is on disk only once its directory is.
+            directory = os.open(os.path.dirname(os.path.abspath(path)),
+                                os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
 
     @classmethod
     def restore(cls, data: dict) -> "OnlineForestLearner":
         """Rebuild a learner from ``checkpoint()`` data.  The schema is
         closed: a missing or unknown key, a configuration the learner
-        refuses, or an array or count that does not fit the configuration
-        or disagrees with ``step_count`` is a DataError."""
+        refuses, an array or count that does not fit the configuration or
+        disagrees with ``step_count``, or a negative second moment in
+        ``adam.v`` is a DataError."""
         if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
             found = data.get("format") if isinstance(data, dict) else data
             raise DataError(f"unrecognized checkpoint format: {found!r}")
@@ -559,6 +562,8 @@ class OnlineForestLearner:
         _check_keys(data["counts"], counts, "counts")
         for name, out in floats.items():
             decode_floats(data["floats"][name], out, name)
+        if (learner.adam.v < 0.0).any():
+            raise DataError("adam.v holds negative second moments")
         for name, out in counts.items():
             out[...] = _counts(data["counts"][name], out.size, name)
         metrics = learner.metrics

@@ -133,11 +133,9 @@ class NotionTable:
 
 
 def huber_contrast_sum(weights: np.ndarray, blocks: np.ndarray, delta: float,
-                       scale: float = 1.0, out: np.ndarray | None = None,
-                       gaps: np.ndarray | None = None,
-                       slopes: np.ndarray | None = None) -> np.ndarray:
+                       scale: float, out: np.ndarray) -> np.ndarray:
     """Huber-penalty gradient summed over the contrasts of ``weights``,
-    times ``scale``.
+    times ``scale``, written into ``out``.
 
     ``blocks`` is ``(K, width, n)``: per key, row 0 the constrained
     quantity and rows ``1:`` its gradient over ``n`` cells, as means
@@ -148,12 +146,10 @@ def huber_contrast_sum(weights: np.ndarray, blocks: np.ndarray, delta: float,
     result ``(width - 1, n)`` is ``sum_k s[k] * blocks[k, 1:]`` with
     ``s = scale * (weights.T @ slopes)``: one product that reads each key
     block once, whatever the contrast count, and scales only the ``(K,
-    n)`` key slopes.  A zero row adds exactly nothing.  ``out``,
-    ``gaps`` ``(C, n)`` and ``slopes`` ``(K, n)`` are written when given,
-    else allocated.
+    n)`` key slopes.  A zero row adds exactly nothing.
     """
     return _huber_product(weights, weights.T, blocks[:, 0], blocks[:, 1:],
-                          delta, -delta, scale, out, gaps, slopes)
+                          delta, -delta, scale, out, None, None)
 
 
 def _huber_product(weights, weights_t, quantity, gradient, delta, low,
@@ -269,7 +265,8 @@ class RunningMeans:
 
 
 class AggregateStore(RunningMeans):
-    """Running group-conditional sums of every (tree, node) gate.
+    """Running sums of every (tree, node) gate of a forest of ``shape``,
+    under the keys of ``table``.
 
     ``sums`` is ``(K, d + 2, T, m)``; its rows hold the sums of
     ``[n, n (1 - n), n (1 - n) x]``: the gate output, then its gradient in
@@ -277,12 +274,8 @@ class AggregateStore(RunningMeans):
     configuration and never grows with the stream.
     """
 
-    def __init__(self, shape: ForestShape, n_groups: int = 2,
-                 notion: str = "dp", n_classes: int | None = None):
-        table = NotionTable(notion, n_groups, n_classes)
+    def __init__(self, table: NotionTable, shape: ForestShape):
         self.shape = shape
-        self.notion, self.n_groups, self.n_classes = (
-            table.name, table.n_groups, table.n_classes)
         super().__init__(table, (shape.tree_count, shape.n_nodes),
                          shape.n_features + 2)
         self._input_shapes = (shape.tree_count, shape.n_nodes), (shape.n_features + 1,)

@@ -22,12 +22,11 @@ from .forest import (
 )
 from .gradients import (
     ForestGradient,
-    HuberPenalty,
     _ForwardCache,
     cross_entropy,
     task_gradient,
 )
-from .stats import AggregateStore
+from .stats import AggregateStore, NotionTable
 
 MAX_PAIRS = 10**6
 _CHUNK_VALUES = 2**18  # gate differences held at once by check_dp_bound
@@ -231,21 +230,22 @@ def audit_estimation_error(trace: list[TraceStep], delta: float,
     """
     if not trace:
         return []
-    if delta <= 0:
-        raise ConfigurationError(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:
+        raise ConfigurationError(f"delta must be positive and finite, got {delta}")
     shape = trace[0].forest.shape
-    penalty = HuberPenalty(delta, 1.0)
-    store = AggregateStore(shape, n_groups, notion, shape.n_outputs)
-    theoretical = store.table.n_contrasts * delta * max(
+    table = NotionTable(notion, n_groups, shape.n_outputs)
+    store = AggregateStore(table, shape)
+    theoretical = table.n_contrasts * delta * max(
         float(np.linalg.norm(step.x)) for step in trace) / 2.0
-    reservoir = Reservoir(shape.n_features, n_groups, notion, shape.n_outputs)
+    reservoir = Reservoir(table, shape.n_features)
     reports = []
     for step in trace:
         cache = _ForwardCache(step.forest, step.x)
         store.update_all(step.a, step.y, cache.gates, cache.slope,
                          cache.workspace.xa)
         reservoir.add(step.x, step.a, step.y)
-        exact, cold = reservoir_fairness_gradient(reservoir, step.forest, penalty)
+        exact, cold = reservoir_fairness_gradient(reservoir, step.forest,
+                                                  delta, 1.0)
         if cold:
             continue
         diff = store.contrast_sum(delta) - exact.nodes

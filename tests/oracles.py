@@ -8,6 +8,7 @@ from scipy.special import expit
 
 from fairforest.data import DatasetSchema
 from fairforest.forest import ForestShape, ObliqueForest
+from fairforest.learner import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 
 
 def huber(gap, delta):
@@ -31,14 +32,14 @@ def adam_python_scalars(config, params, grad_steps):
     params = np.array(params, dtype=np.float64)
     m, v = np.zeros_like(params), np.zeros_like(params)
     for t, grads in enumerate(grad_steps, start=1):
-        c1 = 1.0 - config.beta1**t
-        root_c2 = math.sqrt(1.0 - config.beta2**t)
-        m *= config.beta1
-        m += grads * (1.0 - config.beta1)
-        v *= config.beta2
-        v += grads * (1.0 - config.beta2) * grads
+        c1 = 1.0 - ADAM_BETA1**t
+        root_c2 = math.sqrt(1.0 - ADAM_BETA2**t)
+        m *= ADAM_BETA1
+        m += grads * (1.0 - ADAM_BETA1)
+        v *= ADAM_BETA2
+        v += grads * (1.0 - ADAM_BETA2) * grads
         params -= (m * (config.learning_rate * root_c2 / c1)
-                   / (np.sqrt(v) + config.adam_epsilon * root_c2))
+                   / (np.sqrt(v) + ADAM_EPSILON * root_c2))
     return params, m, v
 
 
@@ -235,10 +236,10 @@ def reduceat_leaf_node_gradient(learner):
     segments, then times the penalty weight."""
     shape = learner.forest.shape
     width = shape.n_features + 1
-    total = learner.leaf_store.contrast_sum(learner.penalty.delta)
+    total = learner.leaf_store.contrast_sum(learner.config.huber_delta)
     bounds, order = leaf_node_plan(shape.height, shape.tree_count, width)
     sums = np.add.reduceat(total.ravel(), bounds).take(order)
-    sums *= learner.penalty.weight
+    sums *= learner.config.fairness_weight
     return sums.reshape(width, shape.tree_count, shape.n_nodes)
 
 

@@ -28,9 +28,9 @@ from fairforest.forest import (
     _evaluate,
     _path_signs,
 )
-from fairforest.gradients import HuberPenalty, fairness_gradient
+from fairforest.gradients import ForestGradient, fairness_gradient
 from fairforest.learner import LearnerConfig, OnlineForestLearner
-from fairforest.stats import AggregateStore
+from fairforest.stats import AggregateStore, NotionTable
 from fairforest.verify import (
     TraceStep,
     audit_estimation_error,
@@ -185,9 +185,9 @@ def compute_results():
     # 4: with parameters frozen, the running-aggregate fairness gradient
     # equals the exact gradient recomputed over the stored history.
     forest = ObliqueForest.random(3, 6, 2, 3, rng=11)
-    penalty = HuberPenalty(0.01, 0.7)
-    store = AggregateStore(forest.shape, n_groups=2, notion="dp")
-    reservoir = Reservoir(6)
+    table = NotionTable("dp")
+    store = AggregateStore(table, forest.shape)
+    reservoir = Reservoir(table, 6)
     rng4 = np.random.default_rng(4)
     for _ in range(50):
         x = rng4.uniform(-2.0, 2.0, size=6)
@@ -196,9 +196,10 @@ def compute_results():
         gates = expit(z)
         store.update_all(a, 0, gates, gates * expit(-z), augment(x))
         reservoir.add(x, a, 0)
-    from_store = fairness_gradient(store, penalty, forest.shape)
+    from_store = fairness_gradient(store, 0.01, 0.7,
+                                   ForestGradient.zeros(forest.shape))
     from_reservoir, cold = reservoir_fairness_gradient(
-        reservoir, forest, penalty)
+        reservoir, forest, 0.01, 0.7)
     agreement = float(np.abs(from_store.vector - from_reservoir.vector).max())
     results["aggregate_vs_exact"] = {
         "instances": 50,

@@ -27,9 +27,14 @@ from fairforest.errors import (
     ShapeError,
 )
 from fairforest.forest import ObliqueForest, _evaluate
-from fairforest.gradients import HuberPenalty, _ForwardCache, cross_entropy
+from fairforest.gradients import (
+    ForestGradient,
+    _ForwardCache,
+    cross_entropy,
+    fairness_gradient,
+)
 from fairforest.learner import LearnerConfig, OnlineForestLearner
-from fairforest.stats import AggregateStore
+from fairforest.stats import AggregateStore, NotionTable
 from oracles import (
     MlpBlockStore,
     dense_leaf_jacobian,
@@ -80,7 +85,7 @@ class TestReservoir:
     """The growing instance store and its exact gradient."""
 
     def test_group_features_partition(self):
-        res = Reservoir(2)
+        res = Reservoir(NotionTable("dp"), 2)
         res.add(np.array([1.0, 0.0]), 0, 1)
         res.add(np.array([2.0, 0.0]), 1, 0)
         res.add(np.array([3.0, 0.0]), 0, 0)
@@ -96,7 +101,7 @@ class TestReservoir:
         the rows added so far, in arrival order, equal to stacking them,
         and later calls share the same memory until the buffer grows."""
         rng = np.random.default_rng(2)
-        res = Reservoir(3)
+        res = Reservoir(NotionTable("dp"), 3)
         added = {0: [], 1: []}
         for _ in range(100):
             x = rng.standard_normal(3)
@@ -115,27 +120,27 @@ class TestReservoir:
             first[0, 0] = 1.0
 
     def test_empty_group_has_zero_rows(self):
-        res = Reservoir(3)
+        res = Reservoir(NotionTable("dp"), 3)
         res.add(np.zeros(3), 0, 0)
         assert res.key_features(1).shape == (0, 3)
 
     def test_gradient_cold_until_both_groups(self):
         forest = ObliqueForest.random(2, 3, 2, rng=1)
-        res = Reservoir(3)
+        res = Reservoir(NotionTable("dp"), 3)
         res.add(np.ones(3), 0, 0)
         grad, cold = reservoir_fairness_gradient(
-            res, forest, HuberPenalty(0.01, 1.0)
+            res, forest, 0.01, 1.0
         )
         assert cold
         np.testing.assert_array_equal(grad.nodes[1:], 0.0)
 
     def test_zero_weight_short_circuits_warm(self):
         forest = ObliqueForest.random(2, 3, 2, rng=1)
-        res = Reservoir(3)
+        res = Reservoir(NotionTable("dp"), 3)
         res.add(np.ones(3), 0, 0)
         res.add(-np.ones(3), 1, 0)
         grad, cold = reservoir_fairness_gradient(
-            res, forest, HuberPenalty(0.01, 0.0)
+            res, forest, 0.01, 0.0
         )
         assert not cold
         np.testing.assert_array_equal(grad.nodes[1:], 0.0)
@@ -145,9 +150,9 @@ class TestReservoir:
         the exact recomputed gradient to floating-point accuracy."""
         rng = np.random.default_rng(44)
         forest = ObliqueForest.random(3, 5, 2, tree_count=2, rng=7)
-        store = AggregateStore(forest.shape)
-        res = Reservoir(5)
-        penalty = HuberPenalty(delta=0.01, weight=1.3)
+        table = NotionTable("dp")
+        store = AggregateStore(table, forest.shape)
+        res = Reservoir(table, 5)
         for _ in range(60):
             x = rng.standard_normal(5)
             a = int(rng.integers(0, 2))
@@ -155,10 +160,9 @@ class TestReservoir:
             store.update_all(a, a, cache.gates, cache.slope,
                              cache.workspace.xa)
             res.add(x, a, a)
-        from fairforest.gradients import fairness_gradient
-
-        g_store = fairness_gradient(store, penalty, forest.shape)
-        g_exact, cold = reservoir_fairness_gradient(res, forest, penalty)
+        g_store = fairness_gradient(store, 0.01, 1.3,
+                                    ForestGradient.zeros(forest.shape))
+        g_exact, cold = reservoir_fairness_gradient(res, forest, 0.01, 1.3)
         assert not cold
         np.testing.assert_allclose(g_store.nodes[1:], g_exact.nodes[1:],
                                    rtol=0, atol=1e-12)
@@ -209,11 +213,12 @@ class TestReservoirLearner:
                                    rtol=1e-9, atol=1e-12)
 
     def test_no_penalty_never_reads_the_history(self, monkeypatch):
-        """Without a penalty the fairness gradient is zero and the stored
-        history is only appended to, never stacked."""
-        def refuse(self, key):
-            raise AssertionError("key_features called without a penalty")
+        """Without a penalty the fairness gradient is zero and no history
+        is kept to read: neither appended to nor stacked."""
+        def refuse(self, *args):
+            raise AssertionError("the reservoir used without a penalty")
 
+        monkeypatch.setattr(Reservoir, "add", refuse)
         monkeypatch.setattr(Reservoir, "key_features", refuse)
         for cfg in (self._config(weight=0.0),
                     LearnerConfig(n_features=2, fairness="none",
@@ -222,7 +227,20 @@ class TestReservoirLearner:
             for x, y, a in biased_stream(50, seed=8):
                 _, snap = learner.step(x, y, a)
                 assert snap.grad_norm_fair == 0.0
-            assert len(learner.reservoir) == 50
+            assert learner.reservoir is None
+
+    @pytest.mark.parametrize("fairness, weight", [("dp", 0.0), ("none", 1.0)])
+    def test_no_penalty_trains_as_the_main_learner(self, fairness, weight):
+        """Without a penalty the reservoir learner keeps no rows, and its
+        predictions, snapshots and parameters equal the main learner's bit
+        for bit."""
+        cfg = LearnerConfig(n_features=2, fairness=fairness,
+                            fairness_weight=weight, seed=5)
+        main, exact = OnlineForestLearner(cfg), ReservoirLearner(cfg)
+        for x, y, a in biased_stream(200, seed=9):
+            assert exact.step(x, y, a) == main.step(x, y, a)
+        assert exact.reservoir is None
+        np.testing.assert_array_equal(exact.forest.vector, main.forest.vector)
 
     @pytest.mark.parametrize("weight", [0.0, 1.0])
     def test_penalty_is_decided_at_construction(self, monkeypatch, weight):

@@ -435,3 +435,34 @@ class TestConfigFile:
         assert main([
             "run", "--config", str(cfg), "--out", str(tmp_path / "out"),
         ]) == 2
+
+    def test_nested_config_line_exits_two(self, tmp_path, capsys):
+        """A ``config`` key in a config file used to be dropped without a
+        word, so the run kept the height the nested file changed; it is
+        refused with the file and line."""
+        inner = tmp_path / "inner.cfg"
+        inner.write_text("height = 3\n")
+        cfg = tmp_path / "outer.cfg"
+        cfg.write_text(f"synthetic = true\nn = 30\nconfig = {inner}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}:3:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("second", ["--config", "--config="])
+    def test_second_config_flag_exits_two(self, tmp_path, capsys, second):
+        """A second ``--config`` used to replace the first, dropping its
+        ``synthetic = true``; it is refused, naming both files."""
+        first = tmp_path / "a.cfg"
+        first.write_text("synthetic = true\nn = 30\n")
+        other = tmp_path / "inner.cfg"
+        other.write_text("height = 3\n")
+        tail = ([second, str(other)] if second == "--config"
+                else [f"{second}{other}"])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(first), *tail,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--config given twice" in err
+        assert str(first) in err and str(other) in err
+        assert not out.exists()

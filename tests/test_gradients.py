@@ -24,7 +24,6 @@ from fairforest.forest import (
 )
 from fairforest.gradients import (
     ForestGradient,
-    HuberPenalty,
     _ForwardCache,
     _leaf_jacobian,
     _leaf_jacobian_index,
@@ -38,7 +37,7 @@ from fairforest.gradients import (
     total_gradient,
 )
 from fairforest.learner import LearnerConfig, OnlineForestLearner
-from fairforest.stats import AggregateStore
+from fairforest.stats import AggregateStore, NotionTable
 from fairforest.verify import finite_difference
 from oracles import (
     augment,
@@ -128,14 +127,6 @@ class TestHuber:
         assert vec.shape == gaps.shape
         scalar = np.array([huber_slope(float(g), 0.01) for g in gaps])
         np.testing.assert_array_equal(vec, scalar)
-
-    def test_penalty_validation(self):
-        with pytest.raises(ConfigurationError):
-            HuberPenalty(delta=0.0, weight=1.0)
-        with pytest.raises(ConfigurationError):
-            HuberPenalty(delta=np.nan, weight=1.0)
-        with pytest.raises(ConfigurationError):
-            HuberPenalty(delta=0.01, weight=-0.5)
 
 
 class TestSoftmaxLoss:
@@ -521,8 +512,13 @@ class TestFairnessGradient:
     SHAPE = ForestShape(tree_count=1, height=1, n_features=2, n_outputs=2)
 
     def _store_with_gap(self, notion="dp", **kwargs):
-        store = AggregateStore(self.SHAPE, notion=notion, **kwargs)
-        return store
+        return AggregateStore(NotionTable(notion, **kwargs), self.SHAPE)
+
+    @staticmethod
+    def _gradient(store, delta, weight, shape=SHAPE):
+        """The fairness gradient written into a new, zero gradient."""
+        return fairness_gradient(store, delta, weight,
+                                 ForestGradient.zeros(shape))
 
     @staticmethod
     def _feed(store, group, task_class, n_value, slope, x):
@@ -536,8 +532,7 @@ class TestFairnessGradient:
         store = self._store_with_gap()
         self._feed(store, 0, 0, 0.9, 0.5, [0.6, 0.2])  # grad_w [0.3, 0.1]
         self._feed(store, 1, 0, 0.2, 0.2, [0.5, 0.5])  # grad_w [0.1, 0.1]
-        penalty = HuberPenalty(delta=0.01, weight=2.0)
-        grad = fairness_gradient(store, penalty, self.SHAPE)
+        grad = self._gradient(store, 0.01, 2.0)
         coeff = 2.0 * huber_slope(0.9 - 0.2, 0.01)
         np.testing.assert_allclose(tree_weights(grad.nodes)[0, 0],
                                    coeff * np.array([0.2, 0.0]), atol=1e-12)
@@ -547,14 +542,13 @@ class TestFairnessGradient:
         store = self._store_with_gap()
         self._feed(store, 0, 0, 0.504, 1.0, np.zeros(2))
         self._feed(store, 1, 0, 0.5, 0.0, np.zeros(2))
-        penalty = HuberPenalty(delta=0.01, weight=1.0)
-        grad = fairness_gradient(store, penalty, self.SHAPE)
+        grad = self._gradient(store, 0.01, 1.0)
         np.testing.assert_allclose(grad.nodes[0, 0, 0], 0.004 * 1.0, atol=1e-12)
 
     def test_cold_cells_contribute_zero(self):
         store = self._store_with_gap()
         self._feed(store, 0, 0, 0.9, 1.0, np.ones(2))
-        grad = fairness_gradient(store, HuberPenalty(0.01, 1.0), self.SHAPE)
+        grad = self._gradient(store, 0.01, 1.0)
         np.testing.assert_array_equal(grad.nodes[1:], 0.0)
         np.testing.assert_array_equal(grad.nodes[0], 0.0)
 
@@ -562,15 +556,15 @@ class TestFairnessGradient:
         store = self._store_with_gap()
         self._feed(store, 0, 0, 0.9, 1.0, np.ones(2))
         self._feed(store, 1, 0, 0.1, 1.0, np.ones(2))
-        grad = fairness_gradient(store, HuberPenalty(0.01, 0.0), self.SHAPE)
+        grad = self._gradient(store, 0.01, 0.0)
         np.testing.assert_array_equal(grad.nodes[1:], 0.0)
 
     def test_weight_scales_linearly(self):
         store = self._store_with_gap()
         self._feed(store, 0, 0, 0.8, 0.7, [1.0, -1.0])
         self._feed(store, 1, 0, 0.3, 0.1, [2.0, 1.0])
-        g1 = fairness_gradient(store, HuberPenalty(0.01, 1.0), self.SHAPE)
-        g3 = fairness_gradient(store, HuberPenalty(0.01, 3.0), self.SHAPE)
+        g1 = self._gradient(store, 0.01, 1.0)
+        g3 = self._gradient(store, 0.01, 3.0)
         np.testing.assert_allclose(g3.nodes[1:], 3.0 * g1.nodes[1:], rtol=1e-12)
         np.testing.assert_allclose(g3.nodes[0], 3.0 * g1.nodes[0], rtol=1e-12)
 
@@ -578,17 +572,16 @@ class TestFairnessGradient:
         store = self._store_with_gap()
         self._feed(store, 0, 0, 0.8, 1.0, np.ones(2))
         self._feed(store, 1, 0, 0.1, 1.0, np.ones(2))
-        grad = fairness_gradient(store, HuberPenalty(0.01, 5.0), self.SHAPE)
+        grad = self._gradient(store, 0.01, 5.0)
         np.testing.assert_array_equal(grad.leaves, 0.0)
 
     def test_multigroup_sums_per_group_deviations(self):
         shape = self.SHAPE
-        store = AggregateStore(shape, n_groups=3, notion="multigroup")
+        store = AggregateStore(NotionTable("multigroup", 3), shape)
         values = {0: (0.9, 1.0), 1: (0.5, 0.0), 2: (0.1, -1.0)}
         for group, (v, gb) in values.items():
             self._feed(store, group, 0, v, gb, np.zeros(2))
-        penalty = HuberPenalty(delta=10.0, weight=1.0)
-        grad = fairness_gradient(store, penalty, shape)
+        grad = self._gradient(store, 10.0, 1.0)
         overall_v = np.mean([v for v, _ in values.values()])
         overall_gb = np.mean([gb for _, gb in values.values()])
         expected = sum(
@@ -598,13 +591,12 @@ class TestFairnessGradient:
 
     def test_equalized_odds_sums_per_class_gaps(self):
         shape = self.SHAPE
-        store = AggregateStore(shape, notion="equalized_odds", n_classes=2)
+        store = AggregateStore(NotionTable("equalized_odds", n_classes=2), shape)
         self._feed(store, 0, 0, 0.9, 1.0, np.zeros(2))
         self._feed(store, 1, 0, 0.5, 0.5, np.zeros(2))
         self._feed(store, 0, 1, 0.2, 0.1, np.zeros(2))
         self._feed(store, 1, 1, 0.6, 0.9, np.zeros(2))
-        penalty = HuberPenalty(delta=10.0, weight=1.0)
-        grad = fairness_gradient(store, penalty, shape)
+        grad = self._gradient(store, 10.0, 1.0)
         expected = (0.9 - 0.5) * (1.0 - 0.5) + (0.2 - 0.6) * (0.1 - 0.9)
         np.testing.assert_allclose(grad.nodes[0, 0, 0], expected, atol=1e-12)
 
@@ -622,7 +614,7 @@ class TestFairnessGradient:
         shape = ForestShape(tree_count=2, height=3, n_features=4,
                             n_outputs=n_classes)
         forest = ObliqueForest.random(3, 4, n_classes, 2, rng=8)
-        store = AggregateStore(shape, n_groups, notion, n_classes)
+        store = AggregateStore(NotionTable(notion, n_groups, n_classes), shape)
         rng = np.random.default_rng(8)
         for _ in range(30):
             x = rng.standard_normal(4)
@@ -638,13 +630,13 @@ class TestFairnessGradient:
         assert np.abs(want).max() > 0.0
         out = ForestGradient.zeros(shape)
         out.vector.fill(np.nan)
-        grad = fairness_gradient(store, HuberPenalty(0.05, 0.7), shape, out)
+        grad = fairness_gradient(store, 0.05, 0.7, out)
         assert grad.nodes.shape == want.shape == (5, 2, 7)
         assert grad.nodes.tobytes() == want.tobytes()
         np.testing.assert_allclose(grad.nodes, store.contrast_sum(0.05) * 0.7,
                                    rtol=1e-12, atol=1e-14 * np.abs(want).max())
         assert np.isnan(grad.leaves).all()
-        unit = fairness_gradient(store, HuberPenalty(0.05, 1.0), shape)
+        unit = self._gradient(store, 0.05, 1.0, shape)
         assert unit.nodes.tobytes() == store.contrast_sum(0.05).tobytes()
         np.testing.assert_array_equal(unit.leaves, 0.0)
 
@@ -652,12 +644,12 @@ class TestFairnessGradient:
         store = self._store_with_gap()
         other = ForestShape(tree_count=2, height=1, n_features=2, n_outputs=2)
         with pytest.raises(ShapeError):
-            fairness_gradient(store, HuberPenalty(0.01, 1.0), other)
+            self._gradient(store, 0.01, 1.0, other)
 
     def test_notion_none_has_no_gradient(self):
         """Notion "none" has no contrasts, so no store is built for it."""
         with pytest.raises(ConfigurationError):
-            AggregateStore(self.SHAPE, notion="none")
+            AggregateStore(NotionTable("none"), self.SHAPE)
 
 
 class TestGradientContainers:

@@ -5,6 +5,8 @@ import base64
 import contextlib
 import itertools
 import json
+import os
+import stat
 import tracemalloc
 import warnings
 
@@ -23,6 +25,9 @@ from fairforest.errors import (
 from fairforest.forest import ForestShape, _block_views, forward
 from fairforest.gradients import _ForwardCache, task_gradient
 from fairforest.learner import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     AdamState,
     LearnerConfig,
     TRAJECTORY_COLUMNS,
@@ -142,15 +147,15 @@ class TestAdam:
         for t in range(1, 8):
             grad = rng.standard_normal(flat.size)
             state.apply(flat, grad)
-            c1 = 1.0 - hyper.beta1**t
-            root_c2 = np.sqrt(1.0 - hyper.beta2**t)
+            c1 = 1.0 - ADAM_BETA1**t
+            root_c2 = np.sqrt(1.0 - ADAM_BETA2**t)
             alpha = hyper.learning_rate * root_c2 / c1
-            eps = hyper.adam_epsilon * root_c2
+            eps = ADAM_EPSILON * root_c2
             for p, g, (m, v) in zip(blocks, _block_views(grad, shapes), moments):
-                m *= hyper.beta1
-                m += (1.0 - hyper.beta1) * g
-                v *= hyper.beta2
-                v += (1.0 - hyper.beta2) * g * g
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * g * g
                 p -= alpha * m / (np.sqrt(v) + eps)
         for p, block, (m, v), mv, vv in zip(
             _block_views(flat, shapes), blocks, moments,
@@ -162,10 +167,9 @@ class TestAdam:
 
     def test_equals_the_python_scalar_reference_bit_for_bit(self):
         """The update's 0-d operands give the bits the Python-float
-        scalars gave: 50 steps at non-default rates, step size and
-        epsilon, over the moments as well as the parameters."""
-        config = LearnerConfig(n_features=1, learning_rate=0.03, beta1=0.8,
-                               beta2=0.95, adam_epsilon=1e-6)
+        scalars gave: 50 steps at a non-default step size, over the
+        moments as well as the parameters."""
+        config = LearnerConfig(n_features=1, learning_rate=0.03)
         rng = np.random.default_rng(41)
         start = rng.standard_normal(591)
         grad_steps = [rng.standard_normal(591) * rng.uniform(1e-4, 10)
@@ -212,6 +216,20 @@ class TestAdam:
                     OnlineForestLearner.restore(data)
         with pytest.raises(DataError):
             OnlineForestLearner.restore({**good, "step_count": -1})
+
+    def test_restore_refuses_a_negative_second_moment(self):
+        """A negative entry in ``adam.v`` used to restore and turn every
+        parameter into NaN at the next step, which still returned a normal
+        snapshot; it is a DataError at restore that names ``adam.v``."""
+        learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
+        for x, y, a in biased_stream(5, seed=11):
+            learner.step(x, y, a)
+        data = json.loads(json.dumps(learner.checkpoint()))
+        v = learner.adam.v.copy()
+        v[7] = -1.0
+        data["floats"]["adam.v"] = encode_floats(v)
+        with pytest.raises(DataError, match="adam.v"):
+            OnlineForestLearner.restore(data)
 
 class TestMetricsTracker:
     """Running accuracy and parity gaps."""
@@ -373,9 +391,7 @@ class TestLearnerConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
-        dict(learning_rate=-1e-3), dict(adam_epsilon=float("nan")),
-        dict(adam_epsilon=0.0), dict(beta1=1.0), dict(beta2=1.0),
-        dict(beta1=-0.1), dict(fairness_weight=float("inf")),
+        dict(learning_rate=-1e-3), dict(fairness_weight=float("inf")),
         dict(huber_delta=float("nan")), dict(learning_rate="0.1"),
         dict(tree_count=2.5),
         dict(height=3.0), dict(n_groups=2.0), dict(n_outputs=True),
@@ -395,13 +411,25 @@ class TestLearnerConfig:
         json.dumps(cfg.to_dict())
 
     def test_checkpoint_with_a_refused_config_is_refused(self):
-        """A checkpoint whose config has ``beta1 = 1.0`` used to restore
-        and then fail at its second step."""
+        """A checkpoint whose config has a learning rate of 0 is refused
+        at restore, as the config is."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
         data = json.loads(json.dumps(learner.checkpoint()))
-        data["config"]["beta1"] = 1.0
+        data["config"]["learning_rate"] = 0.0
         with pytest.raises(DataError):
             OnlineForestLearner.restore(data)
+
+    @pytest.mark.parametrize("key, value", [
+        ("beta1", 0.9), ("beta2", 0.999), ("adam_epsilon", 1e-8),
+    ])
+    def test_from_dict_refuses_the_adam_constants(self, key, value):
+        """Adam's decay rates and epsilon are constants, Kingma and Ba's
+        defaults, not settings: a config dict that names one, even at its
+        value, is refused."""
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
+        data = LearnerConfig(n_features=3).to_dict()
+        with pytest.raises(DataError, match=key):
+            LearnerConfig.from_dict({**data, key: value})
 
     def test_dict_round_trip(self):
         cfg = LearnerConfig(n_features=5, fairness_weight=0.7, seed=9)
@@ -412,13 +440,13 @@ class TestLearnerConfig:
         cfg = LearnerConfig(n_features=3, fairness="multigroup", n_groups=4,
                             fairness_weight=1.0)
         learner = OnlineForestLearner(cfg)
-        assert learner.store.n_groups == 4
+        assert learner.store.table.n_groups == 4
 
     def test_equalized_odds_store_is_class_conditioned(self):
         cfg = LearnerConfig(n_features=3, fairness="equalized_odds",
                             n_outputs=3, fairness_weight=1.0)
         learner = OnlineForestLearner(cfg)
-        assert learner.store.n_classes == 3
+        assert learner.store.table.n_classes == 3
 
 
 class TestStepping:
@@ -896,22 +924,24 @@ class TestCheckpoint:
         field and no gradient norms, version 5 held a multigroup store with
         an overall key, version 6 held running means instead of sums,
         version 7 held the forest vector as weights ``(T, m, d)``, biases,
-        leaves; all are refused like any other unknown format, so a v7
-        vector is never read into the v8 node block."""
+        leaves, version 8 held a config with Adam's decay rates and
+        epsilon; all are refused like any other unknown format, so a v7
+        vector is never read into the v9 node block."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2))
         data = learner.checkpoint()
-        assert data["format"] == "fairforest-checkpoint-v8"
+        assert data["format"] == "fairforest-checkpoint-v9"
         for unknown in ("something-else", "fairforest-checkpoint-v1",
                         "fairforest-checkpoint-v2", "fairforest-checkpoint-v3",
                         "fairforest-checkpoint-v4", "fairforest-checkpoint-v5",
-                        "fairforest-checkpoint-v6", "fairforest-checkpoint-v7"):
+                        "fairforest-checkpoint-v6", "fairforest-checkpoint-v7",
+                        "fairforest-checkpoint-v8"):
             data["format"] = unknown
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(data)
 
     def test_v2_checkpoint_is_refused(self):
         """A file in the v2 layout (nested lists) is a DataError, and so
-        is the same content relabelled v3 to v8."""
+        is the same content relabelled v3 to v9."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2,
                                                     fairness_weight=0.5, seed=3))
         self._run(learner, biased_stream(5, seed=11))
@@ -938,7 +968,7 @@ class TestCheckpoint:
         for label in ("fairforest-checkpoint-v2", "fairforest-checkpoint-v3",
                       "fairforest-checkpoint-v4", "fairforest-checkpoint-v5",
                       "fairforest-checkpoint-v6", "fairforest-checkpoint-v7",
-                      "fairforest-checkpoint-v8"):
+                      "fairforest-checkpoint-v8", "fairforest-checkpoint-v9"):
             data["format"] = label
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(json.loads(json.dumps(data)))
@@ -947,7 +977,7 @@ class TestCheckpoint:
         """A file in the v3 layout (sections that repeat the height, the
         store's shape and notion, the metrics' group and output counts
         and ``adam.t``) is a DataError, and so is the same content
-        relabelled v4 to v8."""
+        relabelled v4 to v9."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2,
                                                     fairness_weight=0.5, seed=3))
         self._run(learner, biased_stream(5, seed=11))
@@ -960,8 +990,9 @@ class TestCheckpoint:
                        "vector": encode_floats(learner.forest.vector)},
             "adam": {"t": learner.adam.t, "m": encode_floats(learner.adam.m),
                      "v": encode_floats(learner.adam.v)},
-            "store": {"notion": store.notion, "n_groups": store.n_groups,
-                      "n_classes": store.n_classes, "decay": None,
+            "store": {"notion": store.table.name,
+                      "n_groups": store.table.n_groups,
+                      "n_classes": store.table.n_classes, "decay": None,
                       "shape": list(store.shape),
                       "counts": store.counts.tolist(),
                       "means": encode_floats(np.moveaxis(store_means(store), 1, -1))},
@@ -973,13 +1004,14 @@ class TestCheckpoint:
         }
         for label in ("fairforest-checkpoint-v3", "fairforest-checkpoint-v4",
                       "fairforest-checkpoint-v5", "fairforest-checkpoint-v6",
-                      "fairforest-checkpoint-v7", "fairforest-checkpoint-v8"):
+                      "fairforest-checkpoint-v7", "fairforest-checkpoint-v8",
+                      "fairforest-checkpoint-v9"):
             data["format"] = label
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(json.loads(json.dumps(data)))
 
     def test_v3_layout_restores_and_steps_identically(self):
-        """v8 keeps the v3 encoding of every float array: one base64 string
+        """v9 keeps the v3 encoding of every float array: one base64 string
         of its float64 bytes, the forest and each Adam moment as one flat
         vector.  Restoring gives the same bits, and stepping matches the
         learner that was never interrupted."""
@@ -1013,7 +1045,7 @@ class TestCheckpoint:
 
     def test_v6_checkpoint_is_refused(self):
         """A v6 file held the store's running means under ``store.means``;
-        it is a DataError, and so is the same content relabelled v7 or v8,
+        it is a DataError, and so is the same content relabelled v7 to v9,
         whose store entry is ``store.sums``."""
         learner = OnlineForestLearner(LearnerConfig(n_features=2,
                                                     fairness_weight=0.5, seed=3))
@@ -1022,10 +1054,47 @@ class TestCheckpoint:
         del data["floats"]["store.sums"]
         data["floats"]["store.means"] = encode_floats(store_means(learner.store))
         for label in ("fairforest-checkpoint-v6", "fairforest-checkpoint-v7",
-                      "fairforest-checkpoint-v8"):
+                      "fairforest-checkpoint-v8", "fairforest-checkpoint-v9"):
             data["format"] = label
             with pytest.raises(DataError):
                 OnlineForestLearner.restore(json.loads(json.dumps(data)))
+
+    def test_v8_checkpoint_is_refused(self):
+        """A v8 file held Adam's decay rates and epsilon in its config; it
+        is a DataError, and so is the same content relabelled v9."""
+        learner = OnlineForestLearner(LearnerConfig(n_features=2,
+                                                    fairness_weight=0.5, seed=3))
+        self._run(learner, biased_stream(5, seed=11))
+        data = json.loads(json.dumps(learner.checkpoint()))
+        data["config"].update(beta1=0.9, beta2=0.999, adam_epsilon=1e-8)
+        for label in ("fairforest-checkpoint-v8", "fairforest-checkpoint-v9"):
+            data["format"] = label
+            with pytest.raises(DataError):
+                OnlineForestLearner.restore(json.loads(json.dumps(data)))
+
+    @pytest.mark.skipif(os.name != "posix", reason="directories sync on POSIX")
+    def test_save_syncs_the_directory_after_the_rename(self, tmp_path,
+                                                       monkeypatch):
+        """The rename is durable only once its directory is on disk: the
+        save syncs the file, renames it over ``path``, then syncs the
+        directory."""
+        learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def record_fsync(fd):
+            mode = os.fstat(fd).st_mode
+            events.append("fsync-dir" if stat.S_ISDIR(mode) else "fsync-file")
+            fsync(fd)
+
+        def record_replace(src, dst):
+            events.append("replace")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        learner.save_checkpoint(tmp_path / "state.json")
+        assert events == ["fsync-file", "replace", "fsync-dir"]
 
     @pytest.mark.parametrize("notion, n_outputs, n_groups", [
         ("dp", 2, 2), ("equalized_odds", 3, 2), ("multigroup", 2, 4),
@@ -1044,7 +1113,7 @@ class TestCheckpoint:
             learner.step(rng.standard_normal(3), int(rng.integers(0, n_outputs)),
                          int(rng.integers(0, min(n_groups, 3))))
         data = json.loads(json.dumps(learner.checkpoint()))
-        assert data["format"] == "fairforest-checkpoint-v8"
+        assert data["format"] == "fairforest-checkpoint-v9"
         restored = OnlineForestLearner.restore(data).store
         store = learner.store
         assert (store.counts > 1).sum() >= 2
@@ -1088,7 +1157,7 @@ class TestCheckpoint:
                 assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_v4_holds_only_the_config_and_the_learner_arrays(self):
-        """A v8 file keeps the v4 layout, which repeats nothing the config
+        """A v9 file keeps the v4 layout, which repeats nothing the config
         or the step count fixes: besides them it holds the number of
         correct predictions, the last step's gradient norms and the
         learner's own arrays by name, each float array one base64 string

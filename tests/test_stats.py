@@ -21,7 +21,7 @@ from fairforest.forest import (
     _evaluate,
     _leaf_probability_gradients_stacked,
 )
-from fairforest.gradients import HuberPenalty, fairness_gradient
+from fairforest.gradients import ForestGradient, fairness_gradient
 from fairforest.learner import (
     AdamState,
     LearnerConfig,
@@ -34,6 +34,7 @@ from oracles import (augment, contrast_selections, keyed_penalty_gradient,
                      multigroup_weights, tree_weights)
 
 SHAPE = ForestShape(tree_count=2, height=2, n_features=3, n_outputs=2)
+DP = NotionTable("dp")
 
 
 def feed(store, group, task_class, gate, slope=0.0, x=None):
@@ -72,32 +73,30 @@ class TestConstruction:
 
     def test_rejects_unknown_notion(self):
         with pytest.raises(ConfigurationError):
-            AggregateStore(SHAPE, notion="parity")
+            NotionTable("parity")
 
     def test_rejects_single_group(self):
         with pytest.raises(ConfigurationError):
-            AggregateStore(SHAPE, n_groups=1)
+            NotionTable("dp", n_groups=1)
 
     def test_equalized_odds_needs_class_count(self):
         with pytest.raises(ConfigurationError):
-            AggregateStore(SHAPE, notion="equalized_odds")
+            NotionTable("equalized_odds")
         with pytest.raises(ConfigurationError):
-            AggregateStore(SHAPE, notion="equalized_odds", n_classes=1)
+            NotionTable("equalized_odds", n_classes=1)
 
     def test_equalized_odds_compares_exactly_two_groups(self):
         """With a third group its keys would fill and never be compared:
         the contrasts pair group 0 with group 1 within each class."""
         for n_groups in (3, 4):
             with pytest.raises(ConfigurationError):
-                AggregateStore(SHAPE, n_groups=n_groups, notion="equalized_odds",
-                               n_classes=2)
+                NotionTable("equalized_odds", n_groups, n_classes=2)
             with pytest.raises(ConfigurationError):
                 LearnerConfig(n_features=2, fairness="equalized_odds",
                               n_groups=n_groups)
 
     def test_class_count_ignored_outside_equalized_odds(self):
-        store = AggregateStore(SHAPE, notion="dp", n_classes=7)
-        assert store.n_classes is None
+        assert NotionTable("dp", n_classes=7).n_classes is None
 
     def test_layout_is_key_leading(self):
         """Counts per key; per key, d + 2 width-first rows of cell sums."""
@@ -107,7 +106,7 @@ class TestConstruction:
             ("equalized_odds", {"n_classes": 3}, 6),
             ("multigroup", {"n_groups": 4}, 4),
         ):
-            store = AggregateStore(SHAPE, notion=notion, **kwargs)
+            store = AggregateStore(NotionTable(notion, **kwargs), SHAPE)
             assert store.counts.shape == (keys,)
             assert store.sums.shape == (keys, d + 2, t, m)
 
@@ -116,7 +115,7 @@ class TestKeyValidation:
     """Domain and shape checks on an update."""
 
     def test_group_out_of_range(self):
-        store = AggregateStore(SHAPE)
+        store = AggregateStore(DP, SHAPE)
         with pytest.raises(DomainError):
             feed(store, 2, 0, 0.5)
         with pytest.raises(DomainError):
@@ -124,14 +123,14 @@ class TestKeyValidation:
 
     def test_dp_key_must_not_carry_a_class(self):
         """The dp key is the group alone: the task class does not split it."""
-        store = AggregateStore(SHAPE)
+        store = AggregateStore(DP, SHAPE)
         assert store.table.key(1, 0) == store.table.key(1, 1) == 1
         feed(store, 1, 0, 0.2)
         feed(store, 1, 1, 0.6)
         np.testing.assert_array_equal(store.counts, [0, 2])
 
     def test_equalized_odds_key_needs_a_class(self):
-        store = AggregateStore(SHAPE, notion="equalized_odds", n_classes=2)
+        store = AggregateStore(NotionTable("equalized_odds", n_classes=2), SHAPE)
         with pytest.raises(DomainError):
             feed(store, 0, 2, 0.5)
         with pytest.raises(DomainError):
@@ -139,7 +138,7 @@ class TestKeyValidation:
         assert store.table.key(1, 1) == 3
 
     def test_indices_and_values_are_checked(self):
-        store = AggregateStore(SHAPE)
+        store = AggregateStore(DP, SHAPE)
         good = np.zeros((2, 3))
         with pytest.raises(ShapeError):
             store.update_all(0, 0, np.zeros((2, 4)), good, np.ones(4))
@@ -157,7 +156,7 @@ class TestRunningMeans:
     def test_updates_match_list_mean(self):
         """One key's sums over its count equal the plain average of the
         values fed into it, in every column of the packed row."""
-        store = AggregateStore(SHAPE)
+        store = AggregateStore(DP, SHAPE)
         log = [entry for entry in feed_random(store, 40, seed=5)
                if entry[0] == 0]
         assert store.counts[0] == len(log)
@@ -195,7 +194,7 @@ class TestGapEstimators:
     """Contrasts of the three fairness notions."""
 
     def test_cold_until_both_groups_seen(self):
-        store = AggregateStore(SHAPE)
+        store = AggregateStore(DP, SHAPE)
         np.testing.assert_array_equal(store.contrast_sum(1.0), 0.0)
         feed(store, 0, 0, 0.9, slope=1.0)
         np.testing.assert_array_equal(store.contrast_sum(1.0), 0.0)
@@ -203,7 +202,7 @@ class TestGapEstimators:
         assert (store.contrast_sum(1.0) != 0.0).all()
 
     def test_dp_gap_is_group_zero_minus_group_one(self):
-        store = AggregateStore(SHAPE)
+        store = AggregateStore(DP, SHAPE)
         for v in (0.8, 0.6):
             feed(store, 0, 0, v, slope=v, x=np.full(3, 1.0))
         for v in (0.1, 0.3):
@@ -219,13 +218,13 @@ class TestGapEstimators:
         np.testing.assert_allclose(grad_b, 0.5 * 0.5, atol=1e-12)
 
     def test_gap_sign_flips_with_group_order(self):
-        store = AggregateStore(SHAPE)
+        store = AggregateStore(DP, SHAPE)
         feed(store, 0, 0, 0.2)
         feed(store, 1, 0, 0.9)
         assert (gaps(store) < 0).all()
 
     def test_multigroup_gap_compares_against_overall_mean(self):
-        store = AggregateStore(SHAPE, n_groups=3, notion="multigroup")
+        store = AggregateStore(NotionTable("multigroup", 3), SHAPE)
         observations = {0: 0.9, 1: 0.5, 2: 0.1}
         for group, v in observations.items():
             feed(store, group, 0, v, slope=v)
@@ -244,7 +243,7 @@ class TestGapEstimators:
 
     def test_multigroup_cold_for_unseen_group(self):
         """A contrast with an unseen group adds nothing; the others do."""
-        store = AggregateStore(SHAPE, n_groups=3, notion="multigroup")
+        store = AggregateStore(NotionTable("multigroup", 3), SHAPE)
         feed(store, 0, 0, 0.5, slope=1.0)
         feed(store, 1, 0, 0.1, slope=0.0)
         grad_b = store.contrast_sum(delta=10.0)[0]
@@ -275,10 +274,10 @@ class TestGapEstimators:
         store's first: the constants follow the caller's values."""
         log_seed, calls = 8, [(0.01, 1.0), (0.05, 1.0), (0.05, 0.7),
                               (0.02, 1.3), (0.01, 1.0), (0.01, 1.0)]
-        store = AggregateStore(SHAPE, n_groups=3, notion="multigroup")
+        store = AggregateStore(NotionTable("multigroup", 3), SHAPE)
         feed_random(store, 40, log_seed, n_groups=3)
         for delta, scale in calls:
-            fresh = AggregateStore(SHAPE, n_groups=3, notion="multigroup")
+            fresh = AggregateStore(NotionTable("multigroup", 3), SHAPE)
             feed_random(fresh, 40, log_seed, n_groups=3)
             want = fresh.contrast_sum(delta, scale).tobytes()
             assert store.contrast_sum(delta, scale).tobytes() == want
@@ -289,7 +288,7 @@ class TestGapEstimators:
         assert len(sums) == len(set(calls))
 
     def test_conditional_gap_keys_on_group_and_class(self):
-        store = AggregateStore(SHAPE, notion="equalized_odds", n_classes=2)
+        store = AggregateStore(NotionTable("equalized_odds", n_classes=2), SHAPE)
         feed(store, 0, 0, 0.9, slope=1.0)
         feed(store, 1, 0, 0.4, slope=0.0)
         feed(store, 0, 1, 0.3, slope=5.0)
@@ -303,7 +302,7 @@ class TestGapEstimators:
 
     def test_dp_estimators_need_exactly_two_groups(self):
         with pytest.raises(ConfigurationError):
-            AggregateStore(SHAPE, n_groups=3, notion="dp")
+            NotionTable("dp", n_groups=3)
 
 
 def oracle_gradient(log, notion, n_groups, n_classes, delta, weight):
@@ -353,8 +352,8 @@ class TestVectorizedPath:
         n = data.draw(st.integers(0, 30))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
 
-        store = AggregateStore(shape, n_groups=n_groups, notion=notion,
-                               n_classes=n_classes)
+        store = AggregateStore(NotionTable(notion, n_groups, n_classes),
+                               shape)
         t, m, d = shape.tree_count, shape.n_nodes, shape.n_features
         log = []
         for _ in range(n):
@@ -366,7 +365,8 @@ class TestVectorizedPath:
             store.update_all(a, y, gates, slope, augment(x))
             log.append((a, y, gates, slope, x))
 
-        grad = fairness_gradient(store, HuberPenalty(delta, weight), shape)
+        grad = fairness_gradient(store, delta, weight,
+                                 ForestGradient.zeros(shape))
         want_w, want_b = oracle_gradient(log, notion, n_groups, n_classes,
                                          delta, weight)
         np.testing.assert_allclose(tree_weights(grad.nodes), np.broadcast_to(
@@ -393,8 +393,8 @@ class TestVectorizedPath:
         delta = data.draw(st.floats(1e-3, 1.0))
         n = data.draw(st.integers(0, 30))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        store = AggregateStore(shape, n_groups=n_groups, notion=notion,
-                               n_classes=n_classes)
+        store = AggregateStore(NotionTable(notion, n_groups, n_classes),
+                               shape)
         t, m, d = shape.tree_count, shape.n_nodes, shape.n_features
         rows = {k: [] for k in range(len(store.counts))}
         for _ in range(n):
@@ -442,8 +442,8 @@ class TestVectorizedPath:
                                      max_size=n_classes, unique=True))
         n = data.draw(st.integers(1, 30))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        store = AggregateStore(shape, n_groups=n_groups, notion=notion,
-                               n_classes=n_classes)
+        store = AggregateStore(NotionTable(notion, n_groups, n_classes),
+                               shape)
         t, m, d = shape.tree_count, shape.n_nodes, shape.n_features
         cells = np.arange(t * m)
         log = []
@@ -525,8 +525,7 @@ class TestNoBlockSizedTemporaries:
         """Under multigroup every fold also refreshes the count-weighted
         contrast rows; with four groups the last is never seen, so the
         contrast pass also runs over a cold row."""
-        store = AggregateStore(WIDE, n_groups=n_groups, notion=notion,
-                               n_classes=2)
+        store = AggregateStore(NotionTable(notion, n_groups, 2), WIDE)
         rng = np.random.default_rng(0)
         t, m, d = WIDE.tree_count, WIDE.n_nodes, WIDE.n_features
         gates = rng.uniform(size=(t, m))
@@ -643,9 +642,9 @@ class TestSnapshot:
         np.testing.assert_array_equal(store.sums, restored.sums)
         np.testing.assert_array_equal(restored.contrast_weights,
                                       store.contrast_weights)
-        assert (restored.notion, restored.n_groups, restored.n_classes,
-                restored.shape) == (
-            store.notion, store.n_groups, store.n_classes, store.shape)
+        table, again = store.table, restored.table
+        assert (again.name, again.n_groups, again.n_classes, restored.shape) == (
+            table.name, table.n_groups, table.n_classes, store.shape)
 
     def test_malformed_snapshots_are_refused(self):
         """Truncated, wrong-length, non-finite, non-string or non-base64

@@ -238,8 +238,9 @@ class TestAuditEstimationError:
     def test_delta_validation(self):
         forest = ObliqueForest.random(1, 2, 2)
         trace = [TraceStep(forest, np.zeros(2), 0, 0)]
-        with pytest.raises(ConfigurationError):
-            audit_estimation_error(trace, delta=0.0)
+        for delta in (0.0, -0.01, np.nan, np.inf):
+            with pytest.raises(ConfigurationError):
+                audit_estimation_error(trace, delta=delta)
 
     @staticmethod
     def _frozen_trace(height, trees, d, steps, seed, n_groups=2, n_classes=2):
