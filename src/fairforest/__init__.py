@@ -2,7 +2,6 @@
 
 from .baselines import (
     LeafPenaltyLearner,
-    MajorityConfig,
     MajorityLearner,
     OnlineMlpLearner,
     Reservoir,

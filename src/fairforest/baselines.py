@@ -21,12 +21,11 @@ configured notion's ``NotionTable``, so each runs under every notion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .forest import ObliqueForest, _block_views, _evaluate
+from .forest import ObliqueForest, _block_views, _check_instances, _evaluate
 from .gradients import (
     ForestGradient,
     _leaf_jacobian,
@@ -40,12 +39,9 @@ from .learner import (
     MetricsTracker,
     OnlineForestLearner,
     StepSnapshot,
-    _check_instance,
     _check_step,
 )
 from .stats import NotionTable, RunningMeans, huber_contrast_sum
-
-BASELINE_NAMES = ("aranyani", "mlp", "leaf", "reservoir", "majority")
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +322,8 @@ class OnlineMlpLearner:
 
     def predict(self, x: np.ndarray) -> int:
         """Prediction only, no state change."""
-        return int(np.argmax(self.forward(_check_instance(self.config, x))))
+        return int(np.argmax(self.forward(
+            _check_instances(self.config.n_features, x))))
 
     def step(self, x: np.ndarray, y: int, a: int) -> tuple[int, StepSnapshot]:
         x = _check_step(self.config, x, y, a)
@@ -385,58 +382,38 @@ class OnlineMlpLearner:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MajorityConfig:
-    """Mixture weight and majority label of the post-processing baseline:
-    ``fixed_label`` when given, else the running majority of the labels
-    seen so far."""
-
-    p: float = 0.5
-    fixed_label: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigurationError(f"mixing probability must be in [0, 1], got {self.p}")
-
-
-def majority_postprocess(prediction: int, p: float, majority_label: int,
-                         rng: np.random.Generator) -> int:
-    """Emit the model's prediction with probability ``p``, else the
-    majority label.  One uniform draw per call."""
-    return prediction if rng.random() < p else majority_label
-
-
 class MajorityLearner(OnlineForestLearner):
     """Forest learner whose emitted predictions are mixed with a majority
-    label.  Training is unaffected; only the emitted stream (and hence the
-    metrics) changes."""
+    label: the model's prediction with probability ``p``, else
+    ``fixed_label`` when given, or the running majority of the labels
+    seen before the step.  Training is unaffected; only the emitted
+    stream (and hence the metrics) changes."""
 
-    def __init__(self, config: LearnerConfig, majority: MajorityConfig):
-        label = majority.fixed_label
-        if label is not None and not 0 <= label < config.n_outputs:
-            raise ConfigurationError(f"fixed majority label {label} outside "
+    def __init__(self, config: LearnerConfig, p: float = 0.5,
+                 fixed_label: int | None = None):
+        if not 0.0 <= p <= 1.0:
+            raise ConfigurationError(
+                f"mixing probability must be in [0, 1], got {p}")
+        if fixed_label is not None and not 0 <= fixed_label < config.n_outputs:
+            raise ConfigurationError(f"fixed majority label {fixed_label} outside "
                                      f"the classes [0, {config.n_outputs})")
         super().__init__(config)
-        self.majority = majority
+        self.p = p
+        self.fixed_label = fixed_label
         self._mix_rng = np.random.default_rng((config.seed, 1))
         self._label_counts = np.zeros(config.n_outputs, dtype=np.int64)
 
-    def _majority_label(self) -> int | None:
-        if self.majority.fixed_label is not None:
-            return self.majority.fixed_label
-        if self._label_counts.sum() == 0:
-            return None
-        return int(np.argmax(self._label_counts))
-
-    def _emit(self, prediction: int) -> int:
-        label = self._majority_label()
-        if label is None:
-            return prediction
-        return majority_postprocess(prediction, self.majority.p, label,
-                                    self._mix_rng)
-
-    def _after_feedback(self, y: int) -> None:
+    def _emit(self, prediction: int, y: int) -> int:
+        """The model's prediction with probability ``p``, else the majority
+        label of the counts before this step, then counts ``y``.  One
+        uniform draw per step that has a majority label."""
+        label = self.fixed_label
+        if label is None and self._label_counts.any():
+            label = int(np.argmax(self._label_counts))
         self._label_counts[y] += 1
+        if label is None or self._mix_rng.random() < self.p:
+            return prediction
+        return label
 
     def checkpoint(self) -> dict:
         raise ConfigurationError(
@@ -449,19 +426,23 @@ class MajorityLearner(OnlineForestLearner):
 # ---------------------------------------------------------------------------
 
 
-def make_learner(name: str, config: LearnerConfig, mlp_hidden: int = 64,
-                 majority: MajorityConfig | None = None):
-    """Build a learner by baseline name."""
-    if name == "aranyani":
-        return OnlineForestLearner(config)
-    if name == "mlp":
-        return OnlineMlpLearner(config, mlp_hidden)
-    if name == "leaf":
-        return LeafPenaltyLearner(config)
-    if name == "reservoir":
-        return ReservoirLearner(config)
-    if name == "majority":
-        return MajorityLearner(config, majority or MajorityConfig())
-    raise ConfigurationError(
-        f"unknown baseline {name!r}; expected one of {BASELINE_NAMES}"
-    )
+# Every learner by baseline name; each is built as ``Class(config, **its
+# own keywords)``.
+_LEARNERS = {
+    "aranyani": OnlineForestLearner,
+    "mlp": OnlineMlpLearner,
+    "leaf": LeafPenaltyLearner,
+    "reservoir": ReservoirLearner,
+    "majority": MajorityLearner,
+}
+BASELINE_NAMES = tuple(_LEARNERS)
+
+
+def make_learner(name: str, config: LearnerConfig, **options):
+    """Build the learner of a baseline name from the config and that
+    learner's own keyword ``options``."""
+    if name not in _LEARNERS:
+        raise ConfigurationError(
+            f"unknown baseline {name!r}; expected one of {BASELINE_NAMES}"
+        )
+    return _LEARNERS[name](config, **options)

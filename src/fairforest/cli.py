@@ -11,7 +11,7 @@ import resource
 import sys
 import time
 
-from .baselines import BASELINE_NAMES, MajorityConfig, make_learner
+from .baselines import BASELINE_NAMES, make_learner
 from .data import (
     GROUP_COLUMN,
     LABEL_COLUMN,
@@ -41,9 +41,11 @@ FAIRNESS_CHOICES = {
 
 PROGRESS_EVERY = 1000
 
-# Flags read by one baseline only (argparse destination: baseline).
-BASELINE_FLAGS = {"hidden": "mlp", "majority_p": "majority",
-                  "majority_label": "majority"}
+# Flags read by one baseline only: argparse destination -> (baseline, the
+# keyword of its learner that the flag sets).
+BASELINE_FLAGS = {"hidden": ("mlp", "hidden"),
+                  "majority_p": ("majority", "p"),
+                  "majority_label": ("majority", "fixed_label")}
 
 
 # The flags of ``run`` and ``sweep`` that take no value: a config file
@@ -252,18 +254,18 @@ def _build_learner(args, n_features: int):
         learning_rate=args.lr,
         seed=args.seed,
     )
-    stray = [f"--{dest.replace('_', '-')}"
-             for dest, baseline in BASELINE_FLAGS.items()
-             if getattr(args, dest) is not None and args.baseline != baseline]
+    options, stray = {}, []
+    for dest, (baseline, keyword) in BASELINE_FLAGS.items():
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if baseline == args.baseline:
+            options[keyword] = value
+        else:
+            stray.append(f"--{dest.replace('_', '-')}")
     if stray:
         raise ConfigurationError(f"{', '.join(stray)}: not read by --baseline "
                                  f"{args.baseline}")
-    options = {}
-    if args.hidden is not None:
-        options["mlp_hidden"] = args.hidden
-    if args.baseline == "majority":
-        p = MajorityConfig.p if args.majority_p is None else args.majority_p
-        options["majority"] = MajorityConfig(p, args.majority_label)
     return make_learner(args.baseline, config, **options)
 
 
@@ -273,8 +275,8 @@ def _echo_config(args, learner) -> dict:
     if args.baseline == "mlp":
         echo["hidden"] = learner.params.b1.size
     if args.baseline == "majority":
-        echo["majority_p"] = learner.majority.p
-        echo["majority_label"] = learner.majority.fixed_label
+        echo["majority_p"] = learner.p
+        echo["majority_label"] = learner.fixed_label
     if args.data:
         echo["data"] = args.data
         echo["normalize"] = args.normalize

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, DataError, DomainError, ShapeError
 
 MAX_HEIGHT = 16
 
@@ -263,13 +263,38 @@ class ObliqueForest:
         return clone
 
 
-def _check_features(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
+def _check_instances(n_features: int, x, ndim: int = 1) -> np.ndarray:
+    """``x`` as float64, refusing a shape other than one instance
+    ``(n_features,)``, or with ``ndim=2`` a batch ``(n, n_features)``
+    (ShapeError), and non-finite values (DataError).  The package's one
+    input check: every public function that takes instances runs it."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (forest.n_features,):
-        raise ShapeError(
-            f"expected feature vector of shape ({forest.n_features},), got {x.shape}"
-        )
+    if x.ndim != ndim or x.shape[-1] != n_features:
+        want = (f"vector of shape ({n_features},)" if ndim == 1
+                else f"matrix of shape (n, {n_features})")
+        raise ShapeError(f"expected feature {want}, got {x.shape}")
+    # Any NaN or infinity makes the sum non-finite, so a finite sum clears
+    # every entry in one reduction.  A non-finite sum may also come from
+    # finite values whose sum overflows, so only then is each entry
+    # checked.  An overflow or ``inf - inf`` in the sum is numpy's warning
+    # (or error, under an error filter or ``np.seterr``); one raised here
+    # also leaves it to the element-wise check.
+    try:
+        total = np.add.reduce(x, None)
+    except (RuntimeWarning, FloatingPointError):
+        total = math.nan
+    if not math.isfinite(total) and not np.isfinite(x).all():
+        raise DataError("feature vector contains non-finite values")
     return x
+
+
+def _check_class(value, size: int, name: str) -> None:
+    """Raise DomainError unless ``value`` is an integer, not a ``bool``,
+    in ``[0, size)``: the one check of a label or a group."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= value < size:
+        raise DomainError(f"{name} {value} outside [0, {size})")
 
 
 class _Pass:
@@ -388,19 +413,14 @@ def _evaluate(forest: ObliqueForest, features: np.ndarray) -> _Pass:
 
 def forward(forest: ObliqueForest, x: np.ndarray) -> np.ndarray:
     """Forest output for one instance: arithmetic mean of tree outputs."""
-    return forward_batch(forest, _check_features(forest, x)[None])[0]
+    return _evaluate(forest, _check_instances(forest.n_features, x)).output
 
 
 def forward_batch(forest: ObliqueForest, features: np.ndarray,
                   mask=None) -> np.ndarray:
     """Forest outputs for a batch of instances, shape (n, c)."""
     # Ignored ``mask``: perfbench/run.py holdout_disagreements passes one.
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != forest.n_features:
-        raise ShapeError(
-            f"expected feature matrix of shape (n, {forest.n_features}), "
-            f"got {features.shape}"
-        )
+    features = _check_instances(forest.n_features, features, 2)
     if not len(features):
         return np.zeros((0, forest.n_outputs))
     return _evaluate(forest, features).output

@@ -24,7 +24,8 @@ from .forest import (
     ObliqueForest,
     _Pass,
     _all_node_outputs,
-    _check_features,
+    _check_class,
+    _check_instances,
     _forest_views,
     _leaf_probability_gradients_stacked,
     _mix_leaves,
@@ -173,11 +174,8 @@ def task_gradient(forest: ObliqueForest, x: np.ndarray, y: int) -> ForestGradien
     child times its left edge, which never divides, so saturated gates
     keep their exact gradient.  Weights receive the bias gradient times x.
     """
-    x = _check_features(forest, x)
-    if not isinstance(y, (int, np.integer)) or isinstance(y, bool):
-        raise ShapeError(f"label must be an integer, got {y!r}")
-    if not 0 <= y < forest.n_outputs:
-        raise ShapeError(f"label {y} outside [0, {forest.n_outputs})")
+    x = _check_instances(forest.n_features, x)
+    _check_class(y, forest.n_outputs, "label")
     cache = _ForwardCache(forest, x)
     if not np.isfinite(cache.output).all():
         raise NumericalError(f"forest output is not finite: {cache.output!r}")

@@ -23,12 +23,16 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DataError,
-    DomainError,
     FairForestError,
     NumericalError,
-    ShapeError,
 )
-from .forest import ObliqueForest, _check_height, predict as predict_class
+from .forest import (
+    ObliqueForest,
+    _check_class,
+    _check_height,
+    _check_instances,
+    predict as predict_class,
+)
 from .gradients import (
     ForestGradient,
     _ForwardCache,
@@ -302,42 +306,13 @@ class LearnerConfig:
         return cls(**data)
 
 
-def _check_instance(config: LearnerConfig, x) -> np.ndarray:
-    """``x`` as a float vector, refusing a length other than the
-    configured feature count (ShapeError) and non-finite values
-    (DataError)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (config.n_features,):
-        raise ShapeError(
-            f"expected feature vector of shape ({config.n_features},), "
-            f"got {x.shape}"
-        )
-    # Any NaN or infinity makes the sum non-finite, so a finite sum clears
-    # every entry in one reduction.  A non-finite sum may also come from
-    # finite values whose sum overflows, so only then is each entry
-    # checked.  An overflow or ``inf - inf`` in the sum is numpy's warning
-    # (or error, under an error filter or ``np.seterr``); one raised here
-    # also leaves it to the element-wise check.
-    try:
-        total = np.add.reduce(x)
-    except (RuntimeWarning, FloatingPointError):
-        total = math.nan
-    if not math.isfinite(total) and not np.isfinite(x).all():
-        raise DataError("feature vector contains non-finite values")
-    return x
-
-
 def _check_step(config: LearnerConfig, x, y: int, a: int) -> np.ndarray:
-    """``_check_instance(config, x)``, also refusing a label or group that
-    is not an integer (``bool`` included) or lies outside the configured
-    range (DomainError)."""
-    x = _check_instance(config, x)
-    for name, value, size in (("label", y, config.n_outputs),
-                              ("group", a, config.n_groups)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-        if not 0 <= value < size:
-            raise DomainError(f"{name} {value} outside [0, {size})")
+    """``x`` through the package's one input check (``forest``'s
+    ``_check_instances``), and the label and group through its one class
+    check (``_check_class``), against the configured ranges."""
+    x = _check_instances(config.n_features, x)
+    _check_class(y, config.n_outputs, "label")
+    _check_class(a, config.n_groups, "group")
     return x
 
 
@@ -430,7 +405,7 @@ class OnlineForestLearner:
 
     def predict(self, x: np.ndarray) -> int:
         """Prediction only, no state change."""
-        return predict_class(self.forest, _check_instance(self.config, x))
+        return predict_class(self.forest, x)
 
     def step(self, x: np.ndarray, y: int, a: int) -> tuple[int, StepSnapshot]:
         """Process one instance; returns the prediction made before any
@@ -441,7 +416,7 @@ class OnlineForestLearner:
         if not all(map(math.isfinite, output)):
             raise NumericalError(f"forest output is not finite: {output!r}")
         # The first index of the maximum, as np.argmax gives.
-        prediction = self._emit(output.index(max(output)))
+        prediction = self._emit(output.index(max(output)), y)
         self.metrics.update(prediction, output, y, a)
         self._update_fairness_state(x, y, a, cache)
         task = _task_gradient_cached(self.forest, y, cache, self._task)
@@ -451,14 +426,13 @@ class OnlineForestLearner:
         self._last_total_norm = gradient_norm(total)
         self.adam.apply(self.forest.vector, total.vector)
         self.step_count += 1
-        self._after_feedback(int(y))
         return prediction, self.snapshot()
 
-    def _emit(self, prediction: int) -> int:
+    def _emit(self, prediction: int, y: int) -> int:
+        """The prediction a step emits from the model's ``prediction``;
+        ``y`` is the instance's label, for a learner that counts labels.
+        The model's own here."""
         return prediction
-
-    def _after_feedback(self, y: int) -> None:
-        pass
 
     def _update_fairness_state(self, x: np.ndarray, y: int, a: int,
                                cache: _ForwardCache) -> None:
@@ -543,8 +517,9 @@ class OnlineForestLearner:
         """Rebuild a learner from ``checkpoint()`` data.  The schema is
         closed: a missing or unknown key, a configuration the learner
         refuses, an array or count that does not fit the configuration or
-        disagrees with ``step_count``, or a negative second moment in
-        ``adam.v`` is a DataError."""
+        disagrees with ``step_count``, a negative second moment in
+        ``adam.v``, a group label sum no stream can leave or a negative
+        gradient norm is a DataError."""
         if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
             found = data.get("format") if isinstance(data, dict) else data
             raise DataError(f"unrecognized checkpoint format: {found!r}")
@@ -575,6 +550,16 @@ class OnlineForestLearner:
         if sum(metrics.group_counts) != step_count:
             raise DataError(f"metrics.groups {metrics.group_counts} "
                             f"do not sum to step_count {step_count}")
+        # The tracker adds each prediction's class index, so a group's
+        # label sum lies in [0, (n_outputs - 1) * its count].
+        top = learner.config.n_outputs - 1
+        for group, (total, count) in enumerate(
+                zip(metrics.group_label_sums, metrics.group_counts)):
+            if not 0.0 <= total <= top * count:
+                raise DataError(f"metrics.label_sums[{group}] {total} outside "
+                                f"[0, {top * count}] for {count} instances")
+        if min(norms) < 0.0:
+            raise DataError(f"grad_norms holds a negative norm: {norms}")
         learner.step_count = learner.adam.t = metrics.total = step_count
         metrics.correct = correct
         store = learner.store
@@ -593,16 +578,18 @@ class OnlineForestLearner:
 
 
 def run_stream(learner, stream: Iterable[tuple]) -> Iterator[TrajectoryRow]:
-    """Drive a learner over an instance stream, yielding one row per step.
+    """Drive a learner over an instance stream, yielding one row per step,
+    numbered by the learner's own step count, so a restored learner's
+    rows go on from its checkpoint.
 
-    Errors raised by a step propagate with the 1-based failing step index
-    prefixed to the message.
+    Errors raised by a step propagate with the failing step's number,
+    ``step_count + 1``, prefixed to the message.
     """
-    for index, (x, y, a) in enumerate(stream, start=1):
+    for x, y, a in stream:
         try:
             prediction, snap = learner.step(x, y, a)
         except FairForestError as exc:
-            raise type(exc)(f"step {index}: {exc}") from exc
-        yield TrajectoryRow(index, int(y), int(a), prediction, snap.accuracy,
+            raise type(exc)(f"step {learner.step_count + 1}: {exc}") from exc
+        yield TrajectoryRow(snap.step, int(y), int(a), prediction, snap.accuracy,
                             snap.dp_hard, snap.dp_soft, snap.grad_norm_total,
                             snap.grad_norm_fair)

@@ -17,6 +17,7 @@ from .baselines import Reservoir, reservoir_fairness_gradient
 from .errors import ConfigurationError, DomainError, ShapeError
 from .forest import (
     ObliqueForest,
+    _check_instances,
     _evaluate,
     forward,
 )
@@ -163,13 +164,11 @@ def check_dp_bound(forest: ObliqueForest, features: np.ndarray,
     matching the regime in which the bound is stated.  Requires groups 0
     and 1 only, equally sized; refuses more than 10**6 pairs.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = _check_instances(forest.n_features, features, 2)
     groups = np.asarray(groups)
-    if features.shape != (len(groups), forest.n_features):
-        raise ShapeError(
-            f"expected features of shape ({len(groups)}, {forest.n_features}), "
-            f"one row per group entry, got {features.shape}"
-        )
+    if groups.shape != (len(features),):
+        raise ShapeError(f"expected one group per feature row, shape "
+                         f"({len(features)},), got {groups.shape}")
     if not np.isin(groups, (0, 1)).all():
         raise DomainError(f"groups must be 0 or 1, got {np.unique(groups)}")
     x0 = features[groups == 0]

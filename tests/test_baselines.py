@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from fairforest.baselines import (
     BASELINE_NAMES,
     LeafPenaltyLearner,
-    MajorityConfig,
     MajorityLearner,
     OnlineMlpLearner,
     Reservoir,
     ReservoirLearner,
     _LeafNodeSum,
-    majority_postprocess,
     make_learner,
     reservoir_fairness_gradient,
 )
@@ -697,17 +695,24 @@ class TestMajority:
         return LearnerConfig(n_features=2, fairness="dp", seed=seed)
 
     def test_postprocess_extremes(self):
-        rng = np.random.default_rng(0)
-        assert all(
-            majority_postprocess(1, 1.0, 0, rng) == 1 for _ in range(20)
-        )
-        assert all(
-            majority_postprocess(1, 0.0, 0, rng) == 0 for _ in range(20)
-        )
+        """At p=1 the learner emits the model's prediction; at p=0, from
+        the second step on, the running majority of the labels seen
+        before the step (the first step has none, so emits the model's)."""
+        stream = list(biased_stream(40, seed=14))
+        for p in (1.0, 0.0):
+            plain = OnlineForestLearner(self._config())
+            mixed = MajorityLearner(self._config(), p=p)
+            counts = np.zeros(2, dtype=int)
+            for x, y, a in stream:
+                model, _ = plain.step(x, y, a)
+                majority = int(np.argmax(counts)) if counts.any() else model
+                expected = model if p == 1.0 else majority
+                assert mixed.step(x, y, a)[0] == expected
+                counts[y] += 1
 
     def test_p_one_emits_the_model_prediction(self):
         plain = OnlineForestLearner(self._config())
-        mixed = MajorityLearner(self._config(), MajorityConfig(p=1.0))
+        mixed = MajorityLearner(self._config(), p=1.0)
         for x, y, a in biased_stream(30, seed=15):
             p_plain, _ = plain.step(x, y, a)
             p_mixed, _ = mixed.step(x, y, a)
@@ -715,10 +720,7 @@ class TestMajority:
 
     def test_fixed_label_at_p_zero_flattens_the_gap(self):
         """Always emitting one label makes the hard parity gap zero."""
-        mixed = MajorityLearner(
-            self._config(),
-            MajorityConfig(p=0.0, fixed_label=1),
-        )
+        mixed = MajorityLearner(self._config(), p=0.0, fixed_label=1)
         snap = None
         for x, y, a in biased_stream(40, seed=16):
             prediction, snap = mixed.step(x, y, a)
@@ -731,15 +733,13 @@ class TestMajority:
         returned a class the learner does not have."""
         for label in (5, 2, -1):
             with pytest.raises(ConfigurationError):
-                MajorityLearner(self._config(), MajorityConfig(
-                    p=0.0, fixed_label=label))
+                MajorityLearner(self._config(), p=0.0, fixed_label=label)
         for label in (0, 1):
-            MajorityLearner(self._config(), MajorityConfig(
-                p=0.0, fixed_label=label))
+            MajorityLearner(self._config(), p=0.0, fixed_label=label)
 
     def test_training_ignores_the_mixing(self):
         plain = OnlineForestLearner(self._config())
-        mixed = MajorityLearner(self._config(), MajorityConfig(p=0.2))
+        mixed = MajorityLearner(self._config(), p=0.2)
         for x, y, a in biased_stream(30, seed=17):
             plain.step(x, y, a)
             mixed.step(x, y, a)
@@ -747,9 +747,7 @@ class TestMajority:
                                       mixed.forest.nodes[1:])
 
     def test_running_majority_tracks_label_counts(self):
-        mixed = MajorityLearner(
-            self._config(), MajorityConfig(p=0.0)
-        )
+        mixed = MajorityLearner(self._config(), p=0.0)
         x = np.zeros(2)
         mixed.step(x, 1, 0)  # no majority yet on the first step
         for _ in range(5):
@@ -757,11 +755,12 @@ class TestMajority:
             assert prediction == 1
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            MajorityConfig(p=1.5)
+        for p in (1.5, -0.1, float("nan")):
+            with pytest.raises(ConfigurationError):
+                MajorityLearner(self._config(), p=p)
 
     def test_checkpoint_unsupported(self):
-        mixed = MajorityLearner(self._config(), MajorityConfig())
+        mixed = MajorityLearner(self._config())
         with pytest.raises(ConfigurationError):
             mixed.checkpoint()
 

@@ -14,7 +14,12 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairforest.errors import ConfigurationError, NumericalError, ShapeError
+from fairforest.errors import (
+    ConfigurationError,
+    DomainError,
+    NumericalError,
+    ShapeError,
+)
 from fairforest.forest import (
     ForestShape,
     ObliqueForest,
@@ -419,7 +424,7 @@ class TestTaskGradient:
         forest = ObliqueForest.random(2, 3, 2)
         with pytest.raises(ShapeError):
             task_gradient(forest, np.zeros(4), 0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError):
             task_gradient(forest, np.zeros(3), 2)
 
     @pytest.mark.parametrize("label", [1.0, True, np.float64(1), np.bool_(True)],
@@ -427,9 +432,9 @@ class TestTaskGradient:
     def test_label_must_be_an_integer(self, label):
         """A float label used to fail at ``residual[y]`` with a bare
         IndexError and a bool label was taken as class 1; both are the
-        ShapeError an out-of-range label gets."""
+        DomainError an out-of-range label gets, as in a learner's step."""
         forest = ObliqueForest.random(2, 3, 2)
-        with pytest.raises(ShapeError, match="integer"):
+        with pytest.raises(DomainError, match="integer"):
             task_gradient(forest, np.zeros(3), label)
 
     def test_numpy_integer_label_is_accepted(self):

@@ -22,7 +22,7 @@ from fairforest.errors import (
     NumericalError,
     ShapeError,
 )
-from fairforest.forest import ForestShape, _block_views, forward
+from fairforest.forest import ForestShape, _block_views, _check_instances, forward
 from fairforest.gradients import _ForwardCache, task_gradient
 from fairforest.learner import (
     ADAM_BETA1,
@@ -33,7 +33,6 @@ from fairforest.learner import (
     TRAJECTORY_COLUMNS,
     MetricsTracker,
     OnlineForestLearner,
-    _check_instance,
     decode_floats,
     encode_floats,
     run_stream,
@@ -667,7 +666,7 @@ class TestStepping:
         with floating_point_regime(regime):
             with pytest.raises(DataError, match=r"^feature vector contains "
                                r"non-finite values$"):
-                _check_instance(config, np.array(values))
+                _check_instances(config.n_features, np.array(values))
 
     @pytest.mark.parametrize("regime", ["error", "ignore", "raise"])
     def test_finite_values_whose_sum_overflows_are_accepted(self, regime):
@@ -676,7 +675,7 @@ class TestStepping:
         config = self._config()
         x = np.array([1e308, 1e308])
         with floating_point_regime(regime):
-            assert _check_instance(config, x) is x
+            assert _check_instances(config.n_features, x) is x
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.floats(), st.sampled_from(
@@ -688,10 +687,10 @@ class TestStepping:
         x = np.array(values)
         config = LearnerConfig(n_features=x.size)
         if np.isfinite(x).all():
-            assert _check_instance(config, x) is x
+            assert _check_instances(config.n_features, x) is x
         else:
             with pytest.raises(DataError):
-                _check_instance(config, x)
+                _check_instances(config.n_features, x)
 
     @pytest.mark.parametrize("y, a", [
         (1.0, 0), (1, True), (True, 0), (1, 0.0), (np.float64(1), 0),
@@ -847,6 +846,46 @@ class TestCheckpoint:
         for x, y, a in stream:
             _, snap = learner.step(x, y, a)
         return snap
+
+    @pytest.mark.parametrize("name, values, match", [
+        ("metrics.label_sums", [-50.0, 1e6], r"metrics\.label_sums\[0\]"),
+        ("metrics.label_sums", [0.0, 1e6], r"metrics\.label_sums\[1\]"),
+        ("metrics.label_sums", [-1e-9, 0.0], r"metrics\.label_sums\[0\]"),
+        ("grad_norms", [-1.0, -2.0], "grad_norms"),
+        ("grad_norms", [0.5, -1e-300], "grad_norms"),
+    ], ids=["negative-and-huge", "huge", "barely-negative", "both-norms",
+            "fair-norm"])
+    def test_restore_refuses_metric_state_no_stream_leaves(self, name,
+                                                           values, match):
+        """A group's label sum outside ``[0, (n_outputs - 1) * count]`` or
+        a negative gradient norm used to restore, and the snapshot then
+        reported a ``dp_hard`` far above 1 or negative norms; each is a
+        DataError at restore naming the array."""
+        learner = OnlineForestLearner(LearnerConfig(n_features=2, seed=3))
+        self._run(learner, biased_stream(10, seed=11))
+        data = json.loads(json.dumps(learner.checkpoint()))
+        data["floats"][name] = encode_floats(np.array(values))
+        with pytest.raises(DataError, match=match):
+            OnlineForestLearner.restore(data)
+
+    def test_label_sum_bound_is_the_largest_class_index_per_instance(self):
+        """The tracker adds each prediction's class index, so with three
+        classes a group's label sum may reach twice its count, and not
+        one more."""
+        cfg = LearnerConfig(n_features=2, n_outputs=3, seed=3)
+        learner = OnlineForestLearner(cfg)
+        rng = np.random.default_rng(4)
+        for step in range(12):
+            learner.step(rng.standard_normal(2), step % 3, step % 2)
+        counts = learner.metrics.group_counts
+        data = json.loads(json.dumps(learner.checkpoint()))
+        top = 2.0 * np.array(counts)
+        data["floats"]["metrics.label_sums"] = encode_floats(top)
+        restored = OnlineForestLearner.restore(data)
+        assert restored.metrics.group_label_sums == top.tolist()
+        data["floats"]["metrics.label_sums"] = encode_floats(top + [0.0, 1.0])
+        with pytest.raises(DataError, match=r"metrics\.label_sums\[1\]"):
+            OnlineForestLearner.restore(data)
 
     def test_resume_reproduces_uninterrupted_run(self):
         cfg = LearnerConfig(n_features=2, fairness="dp", fairness_weight=0.5,
@@ -1427,6 +1466,25 @@ class TestRunStream:
             assert tuple(row) == (snap.step, y, a, prediction, snap.accuracy,
                                   snap.dp_hard, snap.dp_soft,
                                   snap.grad_norm_total, snap.grad_norm_fair)
+
+    def test_rows_are_numbered_by_the_learners_step(self):
+        """A learner restored at step 10 and fed 5 rows yields rows
+        numbered 11-15, equal to those of an uninterrupted run, and an
+        error names the failing step by the learner's count too."""
+        cfg = LearnerConfig(n_features=2, fairness_weight=0.5, seed=4)
+        stream = list(biased_stream(15, seed=12))
+        straight = list(run_stream(OnlineForestLearner(cfg), stream))
+        first = OnlineForestLearner(cfg)
+        for _ in run_stream(first, stream[:10]):
+            pass
+        checkpoint = json.loads(json.dumps(first.checkpoint()))
+        resumed = list(run_stream(OnlineForestLearner.restore(checkpoint),
+                                  stream[10:]))
+        assert [row.step for row in resumed] == list(range(11, 16))
+        assert resumed == straight[10:]
+        bad = stream[10:12] + [(np.zeros(2), 5, 0)]
+        with pytest.raises(DomainError, match="^step 13:"):
+            list(run_stream(OnlineForestLearner.restore(checkpoint), bad))
 
     def test_errors_name_the_failing_step(self):
         cfg = LearnerConfig(n_features=2, seed=4)
