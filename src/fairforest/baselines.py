@@ -25,7 +25,13 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .forest import ObliqueForest, _block_views, _check_instances, _evaluate
+from .forest import (
+    ObliqueForest,
+    _block_views,
+    _check_instances,
+    _evaluate,
+    _is_integer,
+)
 from .gradients import (
     ForestGradient,
     _leaf_jacobian,
@@ -297,8 +303,9 @@ class OnlineMlpLearner:
     snapshot = OnlineForestLearner.snapshot
 
     def __init__(self, config: LearnerConfig, hidden: int = 64):
-        if hidden < 1:
-            raise ConfigurationError(f"hidden width must be >= 1, got {hidden}")
+        if not _is_integer(hidden) or hidden < 1:
+            raise ConfigurationError(
+                f"hidden width must be an integer >= 1, got {hidden!r}")
         self.config = config
         rng = np.random.default_rng(config.seed)
         d, h, c = config.n_features, hidden, config.n_outputs
@@ -394,9 +401,11 @@ class MajorityLearner(OnlineForestLearner):
         if not 0.0 <= p <= 1.0:
             raise ConfigurationError(
                 f"mixing probability must be in [0, 1], got {p}")
-        if fixed_label is not None and not 0 <= fixed_label < config.n_outputs:
-            raise ConfigurationError(f"fixed majority label {fixed_label} outside "
-                                     f"the classes [0, {config.n_outputs})")
+        if fixed_label is not None and not (
+                _is_integer(fixed_label) and 0 <= fixed_label < config.n_outputs):
+            raise ConfigurationError(
+                f"fixed majority label must be an integer class in "
+                f"[0, {config.n_outputs}), got {fixed_label!r}")
         super().__init__(config)
         self.p = p
         self.fixed_label = fixed_label

@@ -16,8 +16,8 @@ and bit ``h - 1 - k`` of ``l`` says whether the path turns left (0, sign
 ``(T, h, 2**h)`` index of every path factor in the forest's edge array;
 nothing of the size ``(2**h - 1) x 2**h`` of a dense ancestor mask is
 ever built.  The sums of any per-leaf quantity below every node's two
-children come from one segmented sum over the trees' leaf rows
-(``_subtree_plan``).
+children come from one matrix-vector product per depth over the trees'
+leaf rows, gathered through ``_subtree_order``.
 
 One evaluation, for one instance or a batch, is three products over the
 forest's flat blocks: one gemv of the augmented features ``[1, x]`` with
@@ -78,10 +78,16 @@ class ForestShape(NamedTuple):
         return sum(math.prod(shape) for shape in self.param_shapes)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, and not a
+    ``bool``: the one integer test of a setting, a label or a group."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_height(height) -> None:
     """Raise ConfigurationError unless ``height`` is an integer in
     ``[1, MAX_HEIGHT]``."""
-    if not isinstance(height, (int, np.integer)) or isinstance(height, bool):
+    if not _is_integer(height):
         raise ConfigurationError(f"tree height must be an integer, got {height!r}")
     if not 1 <= height <= MAX_HEIGHT:
         raise ConfigurationError(
@@ -131,39 +137,28 @@ def _path_edges(height: int, tree_count: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _subtree_plan(height: int,
-                  tree_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Segment bounds and gather order that sum every tree's leaf row
-    below every node's left and right child, shapes (T (2m + h),) and
-    (2, T, m).
+def _subtree_order(height: int, tree_count: int) -> np.ndarray:
+    """Position of the sum below every node's right child, then below its
+    left child, nodes breadth-first, shape (2, T, m): the layout of an
+    edge array.
 
-    ``np.add.reduceat(row, bounds)`` over the trees' leaf rows end to end
-    plus one trailing pad entry (length ``T * 2**h + 1``; the pad makes
-    the last sentinel a valid index and no used sum reads it) gives, per
-    tree and
-    per depth ``k`` from the root down, the sum over each child's leaves
-    (the children start at the multiples of ``2**(h - k - 1)``), then an
-    unused entry for the sentinel at the tree's end that closes the
-    depth's last segment.  ``order`` takes those sums to the layout of an
-    edge array: the sums below every node's right child, then below its
-    left child, nodes breadth-first.
+    The positions are in a depth-major array of the sums below every
+    non-root node, ``2 * T * m`` entries: per depth ``j`` from 1 to
+    ``h``, from offset ``T * (2**j - 2)``, the ``2**j`` sums of each tree
+    in turn, left to right.  A depth-``j`` node's leaves are one run of
+    ``2**(h - j)`` consecutive leaves, so the tree-major leaf row seen as
+    ``(T * 2**j, 2**(h - j))`` times ones gives that depth's sums in this
+    order, and depth ``h``'s sums are the leaf row itself.
     """
-    # Every non-root node breadth-first, its depth, and its position in
-    # one tree's ``bounds``: one sentinel follows each depth.
-    leaves = 2**height
-    child = np.arange(1, 2 * leaves - 1)
-    depth = np.repeat(np.arange(1, height + 1), 2 ** np.arange(1, height + 1))
-    position = child + depth - 2
-    tree_bounds = np.full(child.size + height, leaves)
-    tree_bounds[position] = (child + 1 - (1 << depth)) << (height - depth)
-    # Node i's children are 2i + 1 (left) and 2i + 2 (right).
-    tree_order = np.stack([position[1::2], position[0::2]])[:, None, :]
+    # Every non-root node breadth-first, and 2**j for its depth j.
+    child = np.arange(1, 2**(height + 1) - 1)
+    first = 1 << np.repeat(np.arange(1, height + 1), 2 ** np.arange(1, height + 1))
     tree = np.arange(tree_count)[:, None]
-    bounds = (tree_bounds + tree * leaves).ravel()
-    order = tree_order + tree * tree_bounds.size
-    bounds.setflags(write=False)
+    position = tree_count * (first - 2) + tree * first + child + 1 - first
+    # Node i's children are 2i + 1 (left) and 2i + 2 (right).
+    order = np.stack([position[:, 1::2], position[:, 0::2]])
     order.setflags(write=False)
-    return bounds, order
+    return order
 
 
 def _block_views(vector: np.ndarray, shapes) -> list[np.ndarray]:
@@ -209,13 +204,12 @@ class ObliqueForest:
         self.vector = np.zeros(self.shape.n_params)
         (self.nodes, self.leaves, self.node_rows,
          self.leaf_rows) = _forest_views(self.vector, self.shape)
-        # The routing core's gather index and the task gradient's
-        # segmented-sum indices, writable on purpose: ``take`` and
-        # ``np.add.reduceat`` copy a read-only index on every call.
+        # The routing core's and the task gradient's gather indices,
+        # writable on purpose: ``take`` copies a read-only index on every
+        # call.
         plan = self.height, self.tree_count
         self.path_index = np.array(_path_edges(*plan))
-        self.subtree_bounds, self.subtree_order = (
-            np.array(index) for index in _subtree_plan(*plan))
+        self.subtree_order = np.array(_subtree_order(*plan))
 
     @classmethod
     def random(cls, height: int, n_features: int, n_outputs: int,
@@ -258,7 +252,6 @@ class ObliqueForest:
         clone.vector[...] = self.vector
         # The indices are never written; share them.
         clone.path_index = self.path_index
-        clone.subtree_bounds = self.subtree_bounds
         clone.subtree_order = self.subtree_order
         return clone
 
@@ -273,14 +266,16 @@ def _check_instances(n_features: int, x, ndim: int = 1) -> np.ndarray:
         want = (f"vector of shape ({n_features},)" if ndim == 1
                 else f"matrix of shape (n, {n_features})")
         raise ShapeError(f"expected feature {want}, got {x.shape}")
-    # Any NaN or infinity makes the sum non-finite, so a finite sum clears
-    # every entry in one reduction.  A non-finite sum may also come from
-    # finite values whose sum overflows, so only then is each entry
-    # checked.  An overflow or ``inf - inf`` in the sum is numpy's warning
-    # (or error, under an error filter or ``np.seterr``); one raised here
-    # also leaves it to the element-wise check.
+    # Any NaN or infinity makes the sum of squares non-finite, so a finite
+    # one clears every entry in one BLAS dot (``ndarray.dot``, cheaper per
+    # call than a ufunc reduction).  A non-finite sum may also come from
+    # finite values whose squares overflow, so only then is each entry
+    # checked.  An overflow in the dot is numpy's warning (or error, under
+    # an error filter or ``np.seterr``); one raised here also leaves it to
+    # the element-wise check.
+    flat = x.reshape(-1)
     try:
-        total = np.add.reduce(x, None)
+        total = flat.dot(flat)
     except (RuntimeWarning, FloatingPointError):
         total = math.nan
     if not math.isfinite(total) and not np.isfinite(x).all():
@@ -291,7 +286,7 @@ def _check_instances(n_features: int, x, ndim: int = 1) -> np.ndarray:
 def _check_class(value, size: int, name: str) -> None:
     """Raise DomainError unless ``value`` is an integer, not a ``bool``,
     in ``[0, size)``: the one check of a label or a group."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+    if not _is_integer(value):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if not 0 <= value < size:
         raise DomainError(f"{name} {value} outside [0, {size})")

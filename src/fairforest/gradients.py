@@ -65,9 +65,12 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
 class _Workspace(_Pass):
     """One instance's forward pass (``forest._Pass``) and the scratch of
     its task gradient over forests of one shape, built once, so a step
-    allocates nothing of the forest's size.  The task gradient's
-    ``terms`` end in one pad entry, so the segmented sum's last sentinel
-    is a valid index; no sum that is used reads it."""
+    allocates nothing of the forest's size.  ``subtree_sums`` holds the
+    sums below every non-root node in ``forest._subtree_order``'s
+    depth-major layout; its last ``T * 2**h`` entries are the leaf terms,
+    so the deepest depth needs no sum, and ``depth_sums`` holds, per
+    shallower depth, the leaf terms as a ``(T * 2**j, 2**(h - j))``
+    matrix, the ones it is multiplied by and the depth's block."""
 
     def __init__(self, shape: ForestShape):
         super().__init__(shape)
@@ -75,15 +78,21 @@ class _Workspace(_Pass):
         m, leaves = shape.n_nodes, shape.n_leaves
         self.slope = np.empty((t, m))
         self.residual = np.empty(shape.n_outputs)
-        self.terms = np.zeros(t * leaves + 1)
-        self.sums = np.empty(t * (2 * m + h))
+        self.subtree_sums = np.empty(2 * t * m)
         self.below = np.empty((2, t, m))
         self.bias_grad = np.empty((1, t * m))
         # Views laid out as the products that read them.
+        self.slope_row = self.slope.reshape(1, -1)
         self.residual_row = self.residual[None, :]
         self.leaf_flat = self.leaf_probs.reshape(-1)
         self.leaf_column = self.leaf_flat[:, None]
-        self.leaf_terms = self.terms[:-1]
+        self.leaf_terms = self.subtree_sums[-t * leaves:]
+        ones = np.ones(leaves // 2)
+        self.depth_sums = [
+            (self.leaf_terms.reshape(t << j, leaves >> j), ones[:leaves >> j],
+             self.subtree_sums[t * ((1 << j) - 2):t * ((2 << j) - 2)])
+            for j in range(1, h)
+        ]
         self.below_right, self.below_left = self.below.reshape(2, 1, -1)
         self.xa_column = self.xa[:, None]
 
@@ -200,25 +209,37 @@ def _task_gradient_cached(forest: ObliqueForest, y: int,
     residual[y] -= 1.0
     t = forest.tree_count
     ws.residual[:] = [r / t for r in residual]
-    # Leaf rows: each leaf's probability times the residual, one product
-    # per entry, as a K=1 matrix product (a broadcast multiply stages its
-    # operands through numpy's iteration buffers).
-    np.matmul(ws.leaf_column, ws.residual_row, out=out.leaf_rows)
-    # Every leaf's term sensitivity * probability, trees end to end and
-    # followed by the pad, summed below every node's right and left child
-    # at once (``forest._subtree_plan``), in the edges' layout.
-    np.matmul(forest.leaf_rows, ws.residual, out=ws.leaf_terms)
+    # Every small product here is ``ndarray.dot``: the BLAS call of
+    # ``np.matmul`` at less fixed cost, and no broadcast multiply, which
+    # stages its operands through numpy's iteration buffers.  Leaf rows:
+    # each leaf's probability times the residual, a K=1 matrix product.
+    ws.leaf_column.dot(ws.residual_row, out=out.leaf_rows)
+    # Every leaf's term sensitivity * probability, trees end to end,
+    # summed below every node's right and left child at once.
+    forest.leaf_rows.dot(ws.residual, out=ws.leaf_terms)
     np.multiply(ws.leaf_terms, ws.leaf_flat, out=ws.leaf_terms)
-    np.add.reduceat(ws.terms, forest.subtree_bounds, out=ws.sums)
-    ws.sums.take(forest.subtree_order, None, ws.below, "clip")
+    _sum_below(ws, forest.subtree_order)
     # d p_l / d b_i is +p_l times the right edge of node i for the leaves
     # below its left child, -p_l times its left edge below its right child.
     np.multiply(ws.below, cache.edges, out=ws.below)
     np.subtract(ws.below_left, ws.below_right, out=ws.bias_grad)
     # The node block: [1, x] times the bias gradient, feature-major, as
     # the store stages its gradient rows.
-    np.multiply(ws.xa_column, ws.bias_grad, out=out.node_rows)
+    ws.xa_column.dot(ws.bias_grad, out=out.node_rows)
     return out
+
+
+def _sum_below(ws: _Workspace, order: np.ndarray) -> np.ndarray:
+    """The sums of the workspace's leaf terms below every node's right
+    child, then below its left child, into ``ws.below`` ``(2, T, m)``, the
+    edges' layout: one matrix-vector product with ones per depth above
+    the leaves fills ``ws.subtree_sums``, and one gather through the
+    forest's ``order`` (``forest._subtree_order``) lays them out."""
+    for terms, ones, sums in ws.depth_sums:
+        terms.dot(ones, out=sums)
+    # Every index is in range; "clip" skips the copy that "raise" makes
+    # of the output before writing it.
+    return ws.subtree_sums.take(order, None, ws.below, "clip")
 
 
 def fairness_gradient(store: AggregateStore, delta: float, weight: float,

@@ -30,6 +30,7 @@ from .forest import (
     ObliqueForest,
     _check_class,
     _check_height,
+    _is_integer,
     _check_instances,
     predict as predict_class,
 )
@@ -258,7 +259,7 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         for name in _INTEGER_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            if not _is_integer(value):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
             setattr(self, name, int(value))
         for name in _REAL_FIELDS:
@@ -438,8 +439,8 @@ class OnlineForestLearner:
                                cache: _ForwardCache) -> None:
         if self.store is None:
             return
-        self.store.update_all(a, y, cache.gates, cache.slope,
-                              cache.workspace.xa)
+        ws = cache.workspace
+        self.store.update_all(a, y, cache.gates, ws.slope_row, ws.xa_column)
 
     def _fairness_gradient(self) -> ForestGradient:
         if self.store is None:

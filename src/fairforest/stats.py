@@ -158,10 +158,13 @@ def _huber_product(weights, weights_t, quantity, gradient, delta, low,
     weights and their transpose, the blocks' row 0 ``(K, n)`` and rows
     ``1:`` ``(K, width - 1, n)``, and the clip bounds ``delta`` and
     ``low = -delta``."""
+    # The quantity rows are strided inside the sums, which ``ndarray.dot``
+    # would copy; the slope product's operands are whole arrays, so it
+    # takes ``dot``, the BLAS call of ``np.matmul`` at less fixed cost.
     gaps = np.matmul(weights, quantity, out=gaps)
     np.minimum(gaps, delta, out=gaps)
     np.maximum(gaps, low, out=gaps)
-    slopes = np.matmul(weights_t, gaps, out=slopes)
+    slopes = weights_t.dot(gaps, out=slopes)
     np.multiply(slopes, scale, out=slopes)
     return np.einsum("kc,kwc->wc", slopes, gradient, out=out)
 
@@ -276,28 +279,31 @@ class AggregateStore(RunningMeans):
 
     def __init__(self, table: NotionTable, shape: ForestShape):
         self.shape = shape
-        super().__init__(table, (shape.tree_count, shape.n_nodes),
-                         shape.n_features + 2)
-        self._input_shapes = (shape.tree_count, shape.n_nodes), (shape.n_features + 1,)
-        # The staging rows of the slope and its products with x.
-        self._slope_rows = self.values[1:]
+        t, m = shape.tree_count, shape.n_nodes
+        super().__init__(table, (t, m), shape.n_features + 2)
+        self._input_shapes = (t, m), (1, t * m), (shape.n_features + 1, 1)
+        # The staging rows of the slope and its products with x, as the
+        # product writes them.
+        self._slope_rows = self.values[1:].reshape(shape.n_features + 1, -1)
 
     def update_all(self, group: int, task_class: int, gates: np.ndarray,
                    slope: np.ndarray, xa: np.ndarray) -> None:
         """Fold one instance into every (tree, node) cell of its key.
 
-        ``gates`` and their slopes ``n (1 - n)`` are (T, m), ``xa`` the
-        augmented features ``[1, x]`` (d + 1,): one product ``xa ⊗ slope``
+        ``gates`` are (T, m), their slopes ``n (1 - n)`` a row (1, T * m)
+        and ``xa`` the augmented features ``[1, x]`` a column (d + 1, 1),
+        as a caller's workspace holds them: one K=1 product ``xa ⊗ slope``
         stages the slope and its products with x at once, since 1.0 times
         the slope is exactly the slope.
         """
-        cells, features = self._input_shapes
-        if gates.shape != cells or slope.shape != cells or xa.shape != features:
+        cells, row, column = self._input_shapes
+        if gates.shape != cells or slope.shape != row or xa.shape != column:
             raise ShapeError(
-                f"expected gates and slopes of shape {cells} and [1, x] of "
-                f"shape {features}, got {gates.shape}, {slope.shape}, {xa.shape}"
+                f"expected gates of shape {cells}, their slopes as a row "
+                f"{row} and [1, x] as a column {column}, got {gates.shape}, "
+                f"{slope.shape}, {xa.shape}"
             )
         values = self.values
         values[0] = gates
-        np.multiply(xa[:, None, None], slope, out=self._slope_rows)
+        xa.dot(slope, out=self._slope_rows)
         self.fold(group, task_class, values)

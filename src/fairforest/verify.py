@@ -240,8 +240,9 @@ def audit_estimation_error(trace: list[TraceStep], delta: float,
     reports = []
     for step in trace:
         cache = _ForwardCache(step.forest, step.x)
-        store.update_all(step.a, step.y, cache.gates, cache.slope,
-                         cache.workspace.xa)
+        ws = cache.workspace
+        store.update_all(step.a, step.y, cache.gates, ws.slope_row,
+                         ws.xa_column)
         reservoir.add(step.x, step.a, step.y)
         exact, cold = reservoir_fairness_gradient(reservoir, step.forest,
                                                   delta, 1.0)

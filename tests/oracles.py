@@ -20,8 +20,9 @@ def huber(gap, delta):
 
 
 def augment(x):
-    """The augmented features ``[1, x]`` a store's ``update_all`` takes."""
-    return np.concatenate(([1.0], np.asarray(x, dtype=np.float64)))
+    """The augmented features ``[1, x]`` as the column ``(d + 1, 1)`` a
+    store's ``update_all`` takes."""
+    return np.concatenate(([1.0], np.asarray(x, dtype=np.float64)))[:, None]
 
 
 def adam_python_scalars(config, params, grad_steps):
@@ -196,6 +197,59 @@ def mask_oracle(height):
             entries[parent - 1, leaf] = 1 if pos == 2 * parent else -1
             pos = parent
     return entries
+
+
+def climbed_subtree_sums(terms, height):
+    """Per tree, the sums of the integer leaf ``terms`` ``(T, 2**h)``
+    below every node's right child, then below its left child, shape
+    ``(2, T, m)``, by climbing parent pointers as ``mask_oracle`` does,
+    every leaf at once: a leaf at heap position ``pos`` adds its term
+    below node ``pos // 2 - 1``'s left child when ``pos`` is even, below
+    its right child when odd."""
+    terms = np.asarray(terms, dtype=np.int64)
+    tree_count, n_leaves = terms.shape
+    below = np.zeros((2, tree_count, n_leaves - 1), dtype=np.int64)
+    tree = np.arange(tree_count)[:, None]
+    pos = np.broadcast_to(n_leaves + np.arange(n_leaves), terms.shape)
+    for _ in range(height):
+        parent = pos // 2
+        np.add.at(below, (1 - pos % 2, tree, parent - 1), terms)
+        pos = parent
+    return below
+
+
+def matmul_task_products(forest, ws):
+    """The task gradient's three small products in the forms they had
+    before they ran through ``ndarray.dot``, from the operands a task
+    gradient left in its workspace ``ws``: the leaf rows, ``np.matmul`` of
+    the leaf probabilities as a column with the residual as a row; the
+    leaf terms, ``np.matmul`` of the leaf rows with the residual, times
+    the leaf probabilities; and the node block, the broadcast multiply of
+    ``[1, x]`` as a column with the bias gradient row."""
+    leaf_rows = np.matmul(ws.leaf_column, ws.residual_row)
+    terms = np.matmul(forest.leaf_rows, ws.residual) * ws.leaf_flat
+    node_rows = np.multiply(ws.xa[:, None], ws.bias_grad)
+    return leaf_rows, terms, node_rows
+
+
+def broadcast_staging(xa, slope):
+    """A node store's staged slope rows in the form they had before they
+    ran through ``ndarray.dot``: the broadcast multiply of ``[1, x]``
+    ``(d + 1,)`` with the slopes ``(T, m)``, shape ``(d + 1, T, m)``."""
+    return np.multiply(xa[:, None, None], slope)
+
+
+def matmul_huber_product(weights, quantity, gradient, delta, scale):
+    """``stats._huber_product`` with its slope product through
+    ``np.matmul``, as before it ran through ``ndarray.dot``: the gaps
+    ``weights @ quantity`` clipped to ``[-delta, delta]``, the key slopes
+    ``weights.T @ gaps`` times ``scale``, and their ``einsum`` with the
+    gradient rows."""
+    gaps = np.matmul(weights, quantity)
+    np.minimum(gaps, delta, out=gaps)
+    np.maximum(gaps, -delta, out=gaps)
+    slopes = np.matmul(weights.T, gaps) * scale
+    return np.einsum("kc,kwc->wc", slopes, gradient)
 
 
 def leaf_node_plan(height, tree_count, width):

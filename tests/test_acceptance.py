@@ -194,7 +194,8 @@ def compute_results():
         a = int(rng4.integers(0, 2))
         z = tree_weights(forest.nodes) @ x + forest.nodes[0]
         gates = expit(z)
-        store.update_all(a, 0, gates, gates * expit(-z), augment(x))
+        store.update_all(a, 0, gates, (gates * expit(-z)).reshape(1, -1),
+                         augment(x))
         reservoir.add(x, a, 0)
     from_store = fairness_gradient(store, 0.01, 0.7,
                                    ForestGradient.zeros(forest.shape))

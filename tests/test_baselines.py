@@ -155,8 +155,8 @@ class TestReservoir:
             x = rng.standard_normal(5)
             a = int(rng.integers(0, 2))
             cache = _ForwardCache(forest, x)
-            store.update_all(a, a, cache.gates, cache.slope,
-                             cache.workspace.xa)
+            store.update_all(a, a, cache.gates, cache.workspace.slope_row,
+                             cache.workspace.xa_column)
             res.add(x, a, a)
         g_store = fairness_gradient(store, 0.01, 1.3,
                                     ForestGradient.zeros(forest.shape))
@@ -564,6 +564,10 @@ class TestMlp:
             learner.step(np.array([np.inf, 0.0]), 0, 0)
         for hidden, config in (
             (0, {}),
+            (2.5, {}),
+            (True, {}),
+            (np.float64(2), {}),
+            ("2", {}),
             (64, {"n_features": 0}),
             (64, {"n_outputs": 1}),
             (64, {"n_groups": 3}),
@@ -758,6 +762,13 @@ class TestMajority:
         for p in (1.5, -0.1, float("nan")):
             with pytest.raises(ConfigurationError):
                 MajorityLearner(self._config(), p=p)
+        # A fixed label that is no integer would be emitted as a
+        # prediction of the wrong type.
+        for label in (1.0, True, np.float64(1), np.bool_(True), "1"):
+            with pytest.raises(ConfigurationError):
+                MajorityLearner(self._config(), p=0.0, fixed_label=label)
+        assert MajorityLearner(self._config(), p=0.0,
+                               fixed_label=np.int64(1)).fixed_label == 1
 
     def test_checkpoint_unsupported(self):
         mixed = MajorityLearner(self._config())

@@ -22,15 +22,22 @@ from fairforest.forest import (
     _node_edges,
     _path_edges,
     _path_signs,
-    _subtree_plan,
+    _subtree_order,
     forward,
     forward_batch,
     predict,
 )
-from fairforest.gradients import ForestGradient, _ForwardCache, task_gradient
+from fairforest.gradients import (
+    ForestGradient,
+    _ForwardCache,
+    _sum_below,
+    _Workspace,
+    task_gradient,
+)
 from oracles import (
     dense_leaf_jacobian,
     forest_from_arrays,
+    climbed_subtree_sums,
     mask_oracle,
     tree_weights,
 )
@@ -145,58 +152,55 @@ class TestBuildMask:
         for array in (_ancestor_rows(3), _path_signs(3), _path_edges(3, 2)[0]):
             with pytest.raises(ValueError):
                 array[0, 0] = 0
-        for array in _subtree_plan(3, 2):
-            with pytest.raises(ValueError):
-                array.flat[0] = 0
+        with pytest.raises(ValueError):
+            _subtree_order(3, 2).flat[0] = 0
 
     def test_forest_indices_are_writable_and_shared_by_copies(self):
-        """``np.take`` and ``np.add.reduceat`` copy a read-only index on
-        every call, so each forest holds writable copies of the cached
-        indices, which its copies share."""
+        """``take`` copies a read-only index on every call, so each forest
+        holds writable copies of the cached indices, which its copies
+        share."""
         forest = ObliqueForest.random(3, 2, 2)
         clone = forest.copy()
         for name, cached in (("path_index", _path_edges(3, 3)),
-                             ("subtree_bounds", _subtree_plan(3, 3)[0]),
-                             ("subtree_order", _subtree_plan(3, 3)[1])):
+                             ("subtree_order", _subtree_order(3, 3))):
             index = getattr(forest, name)
             assert index.flags.writeable, name
             np.testing.assert_array_equal(index, cached)
             assert getattr(clone, name) is index, name
 
-    def test_subtree_plan_height_two_exact(self):
-        """At height 2 the children's leaves start at 0, 2 (depth 1) and
-        0, 1, 2, 3 (depth 2), each depth closed by the pad at 4; the order
-        takes the sums below the right children (nodes 2, 4 and 6, at
-        positions 1, 4 and 6), then the left (nodes 1, 3 and 5, at 0, 3
-        and 5).  A second tree's leaves follow the first's: its bounds
-        are offset by 4 leaves and its sums by 8."""
-        bounds, order = _subtree_plan(2, 1)
-        np.testing.assert_array_equal(bounds, [0, 2, 4, 0, 1, 2, 3, 4])
-        np.testing.assert_array_equal(order, [[[1, 4, 6]], [[0, 3, 5]]])
-        bounds, order = _subtree_plan(2, 2)
-        np.testing.assert_array_equal(bounds[8:], [4, 6, 8, 4, 5, 6, 7, 8])
-        np.testing.assert_array_equal(order[:, 1], [[9, 12, 14], [8, 11, 13]])
+    def test_subtree_order_height_two_exact(self):
+        """At height 2 the sums below the non-root nodes run depth by
+        depth: nodes 1 and 2 at 0 and 1, then the leaves, nodes 3 to 6, at
+        2 to 5.  The order takes the sums below the right children (nodes
+        2, 4 and 6), then the left (nodes 1, 3 and 5).  With a second tree
+        each depth holds both trees' sums in turn: depth 1 at 0 to 3,
+        the leaves at 4 to 11, the second tree's after the first's."""
+        np.testing.assert_array_equal(_subtree_order(2, 1),
+                                      [[[1, 3, 5]], [[0, 2, 4]]])
+        np.testing.assert_array_equal(
+            _subtree_order(2, 2),
+            [[[1, 5, 7], [3, 9, 11]], [[0, 4, 6], [2, 8, 10]]])
 
     @settings(max_examples=40, deadline=None)
-    @given(height=st.integers(1, 10), trees=st.integers(1, 3),
+    @given(height=st.integers(1, 12), trees=st.integers(1, 3),
            seed=st.integers(0, 2**32 - 1))
-    def test_subtree_plan_selects_each_childs_leaves(self, height, trees,
-                                                     seed):
-        """The segmented sum over a zero-padded leaf row gives, per node,
-        exactly the sum over the leaves the leaf-climbing oracle puts in
-        its right subtree, then in its left subtree.  Integer leaf values
-        make every sum exact, so any leaf taken or missed shows."""
+    def test_per_depth_sums_select_each_childs_leaves(self, height, trees,
+                                                      seed):
+        """The per-depth products and the gather give, per node, exactly
+        the sum over the leaves that climbing parent pointers puts in its
+        right subtree, then in its left subtree
+        (``oracles.climbed_subtree_sums``).  Integer leaf values make
+        every sum exact in any order, so any leaf taken or missed
+        shows."""
         forest = ObliqueForest(ForestShape(trees, height, 1, 1))
+        ws = _Workspace(forest.shape)
         rng = np.random.default_rng(seed)
-        terms = np.zeros(trees * 2**height + 1, dtype=np.int64)
-        terms[:-1] = rng.integers(-2**20, 2**20, size=trees * 2**height)
-        below = np.add.reduceat(terms, forest.subtree_bounds).take(
-            forest.subtree_order)
-        mask = mask_oracle(height)
-        leaves = terms[:-1].reshape(trees, -1)
-        right = leaves @ (mask < 0).T.astype(np.int64)
-        left = leaves @ (mask > 0).T.astype(np.int64)
-        np.testing.assert_array_equal(below, np.stack([right, left]))
+        terms = rng.integers(-2**20, 2**20, size=(trees, 2**height))
+        ws.leaf_terms[:] = terms.ravel()
+        below = _sum_below(ws, forest.subtree_order)
+        assert below is ws.below
+        np.testing.assert_array_equal(below,
+                                      climbed_subtree_sums(terms, height))
 
     def test_rejects_out_of_range_heights(self):
         for bad in (0, -1, 17, 2.5, "3", True):

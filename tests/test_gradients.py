@@ -46,10 +46,13 @@ from fairforest.stats import AggregateStore, NotionTable
 from fairforest.verify import finite_difference
 from oracles import (
     augment,
+    broadcast_staging,
     dense_leaf_jacobian,
     forest_from_arrays,
     huber,
     huber_slope,
+    matmul_huber_product,
+    matmul_task_products,
     path_form_task_gradient,
     tree_norm,
     tree_weights,
@@ -352,32 +355,27 @@ class TestTaskGradient:
             expected = probs[:, None] * residual[None, :] / forest.tree_count
             np.testing.assert_allclose(grad.leaves[t], expected, rtol=1e-12)
 
-    def test_segmented_sum_copies_no_index(self):
-        """At h=10, T=4 the task gradient writes its padded leaf terms, the
-        segmented sums and their gathered halves into the cache's
-        workspace, and allocates nothing of its indices' size either: with
-        a read-only index, ``np.add.reduceat`` and ``take`` would each copy
-        one (16 kB here) on every call.  numpy's broadcasting ufuncs stage
-        operands through a fixed buffer of ``np.getbufsize()`` values, 64
-        kB each by default, which would hide a 16 kB copy in the peak, so
-        the buffer is shrunk while the gradient is traced."""
+    def test_subtree_sums_copy_no_index(self):
+        """At h=10, T=4 the task gradient writes its leaf terms, the sums
+        below every node and their gathered halves into the cache's
+        workspace, and allocates nothing of its gather index's size
+        either: with a read-only index, ``take`` would copy it (64 kB
+        here) on every call.  No product stages its operands through
+        numpy's iteration buffer, so the gradient is traced at numpy's
+        default buffer size."""
         forest = ObliqueForest.random(10, 10, 2, tree_count=4, rng=0)
         x = np.ones(10)
         cache = _ForwardCache(forest, x)
         out = ForestGradient.zeros(forest.shape)
-        index = min(forest.subtree_bounds.nbytes, forest.subtree_order.nbytes)
-        buffer = np.setbufsize(64)
+        index = forest.subtree_order.nbytes
+        _task_gradient_cached(forest, 1, cache, out)
+        tracemalloc.start()
         try:
             _task_gradient_cached(forest, 1, cache, out)
-            tracemalloc.start()
-            try:
-                _task_gradient_cached(forest, 1, cache, out)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            _, peak = tracemalloc.get_traced_memory()
         finally:
-            np.setbufsize(buffer)
-        assert peak < index / 4, (peak, index)
+            tracemalloc.stop()
+        assert peak < index / 16, (peak, index)
 
     def test_saturated_gate_keeps_its_slope(self):
         """At pre-activation +40 the gate slope is expit(40) * expit(-40)
@@ -626,7 +624,8 @@ class TestFairnessGradient:
             cache = _ForwardCache(forest, x)
             store.update_all(int(rng.integers(0, n_groups)),
                              int(rng.integers(0, n_classes)),
-                             cache.gates, cache.slope, cache.workspace.xa)
+                             cache.gates, cache.workspace.slope_row,
+                             cache.workspace.xa_column)
         weights = store.contrast_weights
         sums = store.sums.reshape(weights.shape[1], 6, -1)
         gaps = np.clip(weights @ sums[:, 0], -0.05, 0.05)
@@ -655,6 +654,66 @@ class TestFairnessGradient:
         """Notion "none" has no contrasts, so no store is built for it."""
         with pytest.raises(ConfigurationError):
             AggregateStore(NotionTable("none"), self.SHAPE)
+
+
+class TestStepProducts:
+    """Each small product of the training step that runs through
+    ``ndarray.dot`` against the broadcast or ``np.matmul`` form it
+    replaced (``oracles``)."""
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        """Equal entry for entry, and bit for bit except the sign of an
+        exact zero: BLAS accumulates each K=1 product onto a zero, so it
+        writes +0.0 where the broadcast multiply gives 0 times a negative
+        as -0.0."""
+        np.testing.assert_array_equal(got, want)
+        nonzero = want != 0
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(height=st.integers(1, 7), trees=st.integers(1, 4),
+           d=st.integers(1, 8), c=st.integers(2, 4),
+           n_groups=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+           zero_bits=st.integers(0, 2**8 - 1), negative_zero=st.booleans())
+    def test_dot_forms_equal_the_old_forms(self, height, trees, d, c,
+                                           n_groups, seed, zero_bits,
+                                           negative_zero):
+        """Over instances with exact zeros (of either sign) in x: the task
+        gradient's leaf rows, leaf terms and node block, a store's staged
+        slope rows and its contrast sum equal the old forms, bit for bit
+        but for the sign of a zero.  That sign never reaches the state:
+        folding the old staged rows leaves the same sums, bit for bit."""
+        rng = np.random.default_rng(seed)
+        forest = ObliqueForest.random(height, d, c, tree_count=trees, rng=rng)
+        forest.nodes[0] = rng.uniform(-2.0, 2.0, size=forest.nodes[0].shape)
+        table = NotionTable("multigroup", n_groups, c)
+        store = AggregateStore(table, forest.shape)
+        twin = AggregateStore(table, forest.shape)
+        zero = -0.0 if negative_zero else 0.0
+        for _ in range(3):
+            x = rng.standard_normal(d)
+            x[[(zero_bits >> i) & 1 == 1 for i in range(d)]] = zero
+            y, a = int(rng.integers(0, c)), int(rng.integers(0, n_groups))
+            cache = _ForwardCache(forest, x)
+            ws = cache.workspace
+            out = ForestGradient.zeros(forest.shape)
+            _task_gradient_cached(forest, y, cache, out)
+            for got, want in zip((out.leaf_rows, ws.leaf_terms, out.node_rows),
+                                 matmul_task_products(forest, ws)):
+                self._assert_same_bits(got, want)
+            store.update_all(a, y, cache.gates, ws.slope_row, ws.xa_column)
+            staged = broadcast_staging(ws.xa, cache.slope)
+            self._assert_same_bits(store.values[1:], staged)
+            twin.values[0] = cache.gates
+            twin.values[1:] = staged
+            twin.fold(a, y, twin.values)
+            assert store.sums.tobytes() == twin.sums.tobytes()
+        flat = store.sums.reshape(table.n_keys, d + 2, -1)
+        want = matmul_huber_product(store.contrast_weights, flat[:, 0],
+                                    flat[:, 1:], 0.05, 0.7)
+        got = store.contrast_sum(0.05, 0.7).reshape(want.shape)
+        self._assert_same_bits(got, want)
 
 
 class TestGradientContainers:

@@ -670,12 +670,14 @@ class TestStepping:
 
     @pytest.mark.parametrize("regime", ["error", "ignore", "raise"])
     def test_finite_values_whose_sum_overflows_are_accepted(self, regime):
-        """Finite entries near the largest float sum to infinity; the
-        element-wise check then accepts them."""
+        """Finite entries whose squares sum to infinity, near the largest
+        float or past its square root (about 1.3e154), and whose plain
+        sum may be finite; the element-wise check then accepts them."""
         config = self._config()
-        x = np.array([1e308, 1e308])
-        with floating_point_regime(regime):
-            assert _check_instances(config.n_features, x) is x
+        for values in ([1e308, 1e308], [1e200, -1e200]):
+            x = np.array(values)
+            with floating_point_regime(regime):
+                assert _check_instances(config.n_features, x) is x
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.floats(), st.sampled_from(
@@ -812,11 +814,10 @@ class TestStepWorkspace:
         groups allocate less than a quarter of one ``(d + 1, T, m)`` node
         block (22 kB): a step's forward pass, task gradient and store fold
         write into buffers their owners keep, where the routing gather
-        alone used to allocate 12 kB each step.  numpy's broadcasting
-        ufuncs stage operands through a fixed buffer of
-        ``np.getbufsize()`` values (64 kB by default, whatever the
-        array's size), so the buffer is shrunk while the steps are
-        traced."""
+        alone used to allocate 12 kB each step.  The steps run at numpy's
+        default buffer size: a broadcast multiply on the step stages its
+        operands through an iteration buffer of ``np.getbufsize()``
+        values (64 kB), which this peak would show."""
         learner = self._learner("multigroup", 4, n_features=10, height=6,
                                 tree_count=4)
         stream = self._stream(150, 10, 4, 2, seed=7)
@@ -824,17 +825,13 @@ class TestStepWorkspace:
             learner.step(x, y, a)
         block = learner.forest.nodes.nbytes
         assert block == 11 * 4 * 63 * 8
-        buffer = np.setbufsize(64)
+        tracemalloc.start()
         try:
-            tracemalloc.start()
-            try:
-                for x, y, a in stream[100:]:
-                    learner.step(x, y, a)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            for x, y, a in stream[100:]:
+                learner.step(x, y, a)
+            _, peak = tracemalloc.get_traced_memory()
         finally:
-            np.setbufsize(buffer)
+            tracemalloc.stop()
         assert peak < block / 4, (peak, block)
 
 

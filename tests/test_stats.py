@@ -43,7 +43,7 @@ def feed(store, group, task_class, gate, slope=0.0, x=None):
     t, m, d = store.shape.tree_count, store.shape.n_nodes, store.shape.n_features
     x = np.ones(d) if x is None else np.asarray(x, dtype=np.float64)
     store.update_all(group, task_class, np.full((t, m), gate),
-                     np.full((t, m), slope), augment(x))
+                     np.full((1, t * m), slope), augment(x))
 
 
 def feed_random(store, n, seed, n_groups=2, n_classes=2):
@@ -57,7 +57,8 @@ def feed_random(store, n, seed, n_groups=2, n_classes=2):
         gates = rng.uniform(0, 1, size=(t, m))
         slope = gates * (1.0 - gates)
         x = rng.standard_normal(d)
-        store.update_all(group, task_class, gates, slope, augment(x))
+        store.update_all(group, task_class, gates, slope.reshape(1, -1),
+                         augment(x))
         log.append((group, task_class, gates, slope, x))
     return log
 
@@ -139,14 +140,18 @@ class TestKeyValidation:
 
     def test_indices_and_values_are_checked(self):
         store = AggregateStore(DP, SHAPE)
-        good = np.zeros((2, 3))
-        with pytest.raises(ShapeError):
-            store.update_all(0, 0, np.zeros((2, 4)), good, np.ones(4))
-        with pytest.raises(ShapeError):
-            store.update_all(0, 0, good, np.zeros((3, 3)), np.ones(4))
-        with pytest.raises(ShapeError):
-            # x without its leading 1.
-            store.update_all(0, 0, good, good, np.zeros(3))
+        gates, row, column = np.zeros((2, 3)), np.zeros((1, 6)), np.ones((4, 1))
+        for bad in (
+            (np.zeros((2, 4)), row, column),
+            (gates, np.zeros((1, 9)), column),
+            # The slopes as cells, not as a row.
+            (gates, gates, column),
+            # x without its leading 1, and [1, x] as a row.
+            (gates, row, np.zeros((3, 1))),
+            (gates, row, np.ones(4)),
+        ):
+            with pytest.raises(ShapeError):
+                store.update_all(0, 0, *bad)
         np.testing.assert_array_equal(store.counts, 0)
 
 
@@ -362,7 +367,7 @@ class TestVectorizedPath:
             gates = rng.uniform(0, 1, size=(t, m))
             slope = gates * (1.0 - gates)
             x = rng.standard_normal(d)
-            store.update_all(a, y, gates, slope, augment(x))
+            store.update_all(a, y, gates, slope.reshape(1, -1), augment(x))
             log.append((a, y, gates, slope, x))
 
         grad = fairness_gradient(store, delta, weight,
@@ -403,7 +408,7 @@ class TestVectorizedPath:
             gates = rng.uniform(0, 1, size=(t, m))
             slope = gates * (1.0 - gates)
             x = rng.standard_normal(d)
-            store.update_all(a, y, gates, slope, augment(x))
+            store.update_all(a, y, gates, slope.reshape(1, -1), augment(x))
             row = np.concatenate([gates[None], slope[None],
                                   x[:, None, None] * slope[None]])
             rows[a * n_classes + y if notion == "equalized_odds" else a].append(row)
@@ -452,7 +457,7 @@ class TestVectorizedPath:
             gates = rng.uniform(0, 1, size=(t, m))
             slope = gates * (1.0 - gates)
             x = rng.standard_normal(d)
-            store.update_all(a, y, gates, slope, augment(x))
+            store.update_all(a, y, gates, slope.reshape(1, -1), augment(x))
             # Each cell's rows are its own parameters: P = (d + 1) T m.
             rows = np.concatenate([slope[None], x[:, None, None] * slope])
             jac = np.zeros((t * m, d + 1, t * m))
@@ -529,7 +534,7 @@ class TestNoBlockSizedTemporaries:
         rng = np.random.default_rng(0)
         t, m, d = WIDE.tree_count, WIDE.n_nodes, WIDE.n_features
         gates = rng.uniform(size=(t, m))
-        slope = gates * (1 - gates)
+        slope = (gates * (1 - gates)).reshape(1, -1)
         xa = augment(rng.normal(size=d))
         for group in range(min(n_groups, 3)):
             for task_class in range(2):
